@@ -24,7 +24,7 @@ from .errors import DatasetSchemaError, DomainError, MissingDataError
 from .magical import Verdict, classify_realform
 from .moduli import rigidity_report
 from .orbits import Partition, enumerate_signed_data, weighted_dynkin_from_partition
-from .realforms import CLASSICAL_FAMILIES, EXCEPTIONAL_FORMS, describe
+from .realforms import EXCEPTIONAL_FORMS, describe
 from .rootsystems import LieType
 from .sl2data import dim_c_formula, dim_g0_formula, dim_v_rho_formula, multiplicities_formula
 
@@ -138,8 +138,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
         name = family
         rows = _classify_rows_exceptional(family)
     else:
-        if family not in CLASSICAL_FAMILIES:
-            raise DomainError(f"unknown family {family!r}")
         name = describe(family, params).name
         rows = _classify_rows_classical(family, params)
     if args.format == "json":

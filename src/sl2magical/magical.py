@@ -33,13 +33,14 @@ from .orbits import (
     enumerate_orbit_labels,
     enumerate_signed_data,
 )
+from .families import FAMILIES
 from .realforms import (
-    CLASSICAL_FAMILIES,
-    EXCEPTIONAL_FORMS,
     CentralizerRealForm,
+    RealFormDescriptor,
     centralizer_realform,
     describe,
 )
+from .rootsystems import LieType
 from .sl2data import dim_c_formula, dim_g0_formula, multiplicities_formula
 
 Params = Tuple[int, ...]
@@ -100,7 +101,7 @@ def extended_magical_status(
     family: str, params: Params, p: Partition, signed: SignedPartitionData
 ) -> MagicalStatus:
     """Evaluate the criterion on one real orbit of a classical form."""
-    if family not in CLASSICAL_FAMILIES:
+    if family not in FAMILIES:
         raise DomainError(f"criterion evaluation needs a classical family, got {family!r}")
     if signed.family != family or tuple(signed.params) != tuple(params):
         raise DomainError(f"signed datum {signed} does not belong to {family}{params}")
@@ -108,7 +109,12 @@ def extended_magical_status(
         raise DomainError(f"signed datum {signed} does not refine {p}")
 
     form = describe(family, tuple(params))
-    ambient = form.complexification()
+    return _criterion(form, form.complexification(), p, signed)
+
+
+def _criterion(form: RealFormDescriptor, ambient: LieType, p: Partition,
+               signed: SignedPartitionData) -> MagicalStatus:
+    """The criterion on one signed datum of the described form."""
     n = multiplicities_formula(ambient, p)
     cz = centralizer_realform(signed)
     witness = Witness(
@@ -161,7 +167,7 @@ def classify_realform(family: str, params: Params) -> Tuple[ClassifiedOrbit, ...
         if p not in cache:
             hits = []
             for signed in enumerate_signed_data(family, tuple(params), p):
-                status = extended_magical_status(family, tuple(params), p, signed)
+                status = _criterion(form, ambient, p, signed)
                 if status.verdict.is_magical:
                     hits.append((status, signed))
             if hits and any(st.verdict is not hits[0][0].verdict for st, _ in hits):
@@ -178,34 +184,28 @@ def classify_realform(family: str, params: Params) -> Tuple[ClassifiedOrbit, ...
 def family_parameter_space(family: str, size_bound: int) -> List[Params]:
     """Parameter tuples of a classical family up to the size bound.
 
-    Sizes count p+q for su, so and sp(2p,2q), n for sl(n,R) and sp(2n,R),
-    and m for su*(2m) and so*(2m).  Pairs are canonicalized to p <= q;
-    lower cutoffs skip non-simple or redundant small members.
+    Sizes count sum(params): p+q for su, so and sp(2p,2q), n for sl(n,R)
+    and sp(2n,R), and m for su*(2m) and so*(2m).  Pairs are canonicalized
+    to p <= q.  Forms below the family's smallest size, or whose
+    complexification lies outside the rank window of LieType (sp(2,R) of
+    rank 1, anything above CLASSICAL_RANK_CAP), are skipped.
     """
-    if family == "su":
-        return [(p, q) for q in range(1, size_bound) for p in range(1, q + 1)
-                if p + q <= size_bound]
-    if family == "sl":
-        return [(n,) for n in range(2, size_bound + 1)]
-    if family == "sustar":
-        return [(m,) for m in range(2, size_bound + 1)]
-    if family == "so":
-        return [(p, q) for q in range(1, size_bound) for p in range(1, q + 1)
-                if 5 <= p + q <= size_bound]
-    if family == "sostar":
-        return [(m,) for m in range(3, size_bound + 1)]
-    if family == "spr":
-        return [(n,) for n in range(2, size_bound + 1)]
-    if family == "sp":
-        return [(p, q) for q in range(1, size_bound) for p in range(1, q + 1)
-                if p + q <= size_bound]
-    raise DomainError(f"no parameter space for family {family!r}")
+    if family not in FAMILIES:
+        raise DomainError(f"no parameter space for family {family!r}")
+    spec = FAMILIES[family]
+    if spec.arity == 1:
+        candidates = [(n,) for n in range(1, size_bound + 1)]
+    else:
+        candidates = [(p, q) for q in range(1, size_bound) for p in range(1, q + 1)
+                      if p + q <= size_bound]
+    return [params for params in candidates
+            if sum(params) >= spec.min_size and spec.in_rank_window(params)]
 
 
 def classify_family(family: str, size_bound: int) -> Tuple[ClassifiedOrbit, ...]:
     """Exhaustive scan of a classical family: every parameter tuple up to
     the bound, every orbit label, every sign assignment."""
-    if family not in CLASSICAL_FAMILIES:
+    if family not in FAMILIES:
         raise DomainError(f"family scans cover classical families, got {family!r}")
     rows: List[ClassifiedOrbit] = []
     for params in sorted(family_parameter_space(family, size_bound),

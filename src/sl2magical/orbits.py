@@ -20,16 +20,10 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError
+from .families import FAMILIES, family_spec
 from .rootsystems import LieFamily, LieType, WeightedDynkinDiagram
 
 SignTable = Tuple[Tuple[int, Tuple[int, int]], ...]
-
-#: Real-form family tags accepted by the signed-data enumerator.
-REALFORM_FAMILIES = ("su", "sl", "sustar", "so", "sostar", "spr", "sp")
-
-#: Families whose row counts are half the complex Jordan multiplicities.
-QUATERNIONIC_FAMILIES = ("sustar", "sostar", "sp")
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -256,7 +250,7 @@ class SignedPartitionData:
     signs: SignTable = ()
 
     def __post_init__(self) -> None:
-        if self.family not in REALFORM_FAMILIES:
+        if self.family not in FAMILIES:
             raise DomainError(f"unknown real-form family {self.family!r}")
         for part, (a, b) in self.signs:
             if a < 0 or b < 0:
@@ -269,7 +263,7 @@ class SignedPartitionData:
     def row_count(self, part: int) -> int:
         """r_i: rows of length part, in the family's own counting."""
         r = self.partition.multiplicity(part)
-        return r // 2 if self.family in QUATERNIONIC_FAMILIES else r
+        return r // 2 if FAMILIES[self.family].quaternionic else r
 
     def sign_split(self, part: int) -> Optional[Tuple[int, int]]:
         for entry, pq in self.signs:
@@ -306,90 +300,29 @@ def enumerate_signed_data(
     signature, or odd multiplicities for a quaternionic family).  Output is
     deterministic: plus-heavy splits first, larger parts varying slowest.
     """
-    if family not in REALFORM_FAMILIES:
-        raise DomainError(f"unknown real-form family {family!r}")
+    spec = family_spec(family, params)
+    size = spec.size(params)
+    if p.n != size:
+        raise DomainError(f"{spec.name(params)} needs a partition of {size}, got {p.n}")
     mult = p.multiplicities()
-    if family == "su":
-        pp, qq = params
-        if p.n != pp + qq:
-            raise DomainError(f"su{params} needs a partition of {pp + qq}, got {p.n}")
-        parts = sorted(mult, reverse=True)
-        out = []
-        for signs in _product_of_splits(parts, [mult[i] for i in parts]):
-            if sum(plus_boxes(i, a, b) for i, (a, b) in signs) == pp:
-                out.append(SignedPartitionData(family, params, p, signs))
-        return out
-
-    if family == "sl":
-        (nn,) = params
-        if p.n != nn:
-            raise DomainError(f"sl({nn},R) needs a partition of {nn}, got {p.n}")
-        return [SignedPartitionData(family, params, p)]
-
-    if family == "sustar":
-        (m,) = params
-        if p.n != 2 * m:
-            raise DomainError(f"su*({2 * m}) needs a partition of {2 * m}, got {p.n}")
-        if any(r % 2 for r in mult.values()):
-            return []
-        return [SignedPartitionData(family, params, p)]
-
-    if family == "so":
-        pp, qq = params
-        if p.n != pp + qq:
-            raise DomainError(f"so{params} needs a partition of {pp + qq}, got {p.n}")
-        if not partition_fits_family("B" if p.n % 2 else "D", p):
-            return []
-        odd_parts = sorted((i for i in mult if i % 2), reverse=True)
-        forced = tuple((i, (mult[i] // 2, mult[i] // 2)) for i in sorted(mult, reverse=True)
-                       if i % 2 == 0)
-        base = sum(plus_boxes(i, a, b) for i, (a, b) in forced)
-        out = []
-        for choice in _product_of_splits(odd_parts, [mult[i] for i in odd_parts]):
-            if base + sum(plus_boxes(i, a, b) for i, (a, b) in choice) == pp:
-                merged = tuple(sorted(forced + choice, reverse=True))
-                out.append(SignedPartitionData(family, params, p, merged))
-        return out
-
-    if family == "spr":
-        (nn,) = params
-        if p.n != 2 * nn:
-            raise DomainError(f"sp({2 * nn},R) needs a partition of {2 * nn}, got {p.n}")
-        if not partition_fits_family("C", p):
-            return []
-        even_parts = sorted((i for i in mult if i % 2 == 0), reverse=True)
-        forced = tuple((i, (mult[i] // 2, mult[i] // 2)) for i in sorted(mult, reverse=True)
-                       if i % 2 == 1)
-        out = []
-        for choice in _product_of_splits(even_parts, [mult[i] for i in even_parts]):
-            merged = tuple(sorted(forced + choice, reverse=True))
-            out.append(SignedPartitionData(family, params, p, merged))
-        return out
-
-    if family == "sostar":
-        (m,) = params
-        if p.n != 2 * m:
-            raise DomainError(f"so*({2 * m}) needs a partition of {2 * m}, got {p.n}")
-        if any(r % 2 for r in mult.values()):
-            return []
-        even_parts = sorted((i for i in mult if i % 2 == 0), reverse=True)
-        out = []
-        for choice in _product_of_splits(even_parts, [mult[i] // 2 for i in even_parts]):
-            out.append(SignedPartitionData(family, params, p, choice))
-        return out
-
-    # sp(2p, 2q)
-    pp, qq = params
-    if p.n != 2 * (pp + qq):
-        raise DomainError(f"sp(2p,2q) at {params} needs a partition of {2 * (pp + qq)}")
-    if not partition_fits_family("C", p):
+    if spec.quaternionic and any(r % 2 for r in mult.values()):
         return []
-    if any(r % 2 for r in mult.values()):
+    if not partition_fits_family(spec.complex_type(params)[0], p):
         return []
-    odd_parts = sorted((i for i in mult if i % 2), reverse=True)
-    even_quota = sum((i // 2) * (mult[i] // 2) for i in mult if i % 2 == 0)
+    rows = {i: r // 2 if spec.quaternionic else r for i, r in mult.items()}
+    parts = sorted(mult, reverse=True)
+    signed = [i for i in parts if i % 2 in spec.signed_parities]
+    unsigned = [i for i in parts if i % 2 not in spec.signed_parities]
+    if spec.forced_split:
+        forced = tuple((i, (rows[i] // 2, rows[i] // 2)) for i in unsigned)
+        base = 0
+    else:
+        # where the signature counts, sign-free rows are even: i/2 plus boxes each
+        forced, base = (), sum(i // 2 * rows[i] for i in unsigned)
     out = []
-    for choice in _product_of_splits(odd_parts, [mult[i] // 2 for i in odd_parts]):
-        if even_quota + sum(plus_boxes(i, a, b) for i, (a, b) in choice) == pp:
-            out.append(SignedPartitionData(family, params, p, choice))
+    for choice in _product_of_splits(signed, [rows[i] for i in signed]):
+        signs = tuple(sorted(forced + choice, reverse=True))
+        plus = base + sum(plus_boxes(i, a, b) for i, (a, b) in signs)
+        if not spec.signature_rule or plus == params[0]:
+            out.append(SignedPartitionData(family, params, p, signs))
     return out

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .errors import DomainError
+from .families import FAMILIES, family_spec
 from .orbits import SignedPartitionData
 from .rootsystems import LieType
 
@@ -44,7 +45,7 @@ EXCEPTIONAL_FORMS: Dict[str, Dict] = {
     "G2^2":   {"ambient": "G2", "dim_h": 6, "rank": 2, "roots": ((6, 1),)},
 }
 
-CLASSICAL_FAMILIES = ("su", "sl", "sustar", "so", "sostar", "spr", "sp")
+CLASSICAL_FAMILIES = tuple(FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -74,38 +75,7 @@ class RealFormDescriptor:
     def complexification(self) -> LieType:
         if self.is_exceptional:
             return LieType.of(EXCEPTIONAL_FORMS[self.family]["ambient"])
-        fam = self.family
-        if fam in ("su", "sl"):
-            return LieType.of("A", self._n() - 1)
-        if fam == "sustar":
-            return LieType.of("A", self._n() - 1)
-        if fam == "so":
-            n = self._n()
-            return LieType.of("B", (n - 1) // 2) if n % 2 else LieType.of("D", n // 2)
-        if fam == "sostar":
-            return LieType.of("D", self.params[0])
-        if fam == "spr":
-            return LieType.of("C", self.params[0])
-        return LieType.of("C", self.params[0] + self.params[1])
-
-    def _n(self) -> int:
-        """Size of the complex defining representation."""
-        fam = self.family
-        if fam in ("su", "so"):
-            return self.params[0] + self.params[1]
-        if fam == "sl":
-            return self.params[0]
-        if fam in ("sustar", "sostar"):
-            return 2 * self.params[0]
-        if fam == "spr":
-            return 2 * self.params[0]
-        if fam == "sp":
-            return 2 * (self.params[0] + self.params[1])
-        raise DomainError(f"{self.name} has no defining representation size")
-
-
-def _herm_so(p: int, q: int) -> bool:
-    return min(p, q) == 2 or max(p, q) == 2
+        return FAMILIES[self.family].complexification(self.params)
 
 
 def describe(family: str, params: Params = ()) -> RealFormDescriptor:
@@ -123,75 +93,15 @@ def describe(family: str, params: Params = ()) -> RealFormDescriptor:
             ss_rank=info["rank"],
             maximal_subtube=info.get("subtube"),
         )
-    if family not in CLASSICAL_FAMILIES:
-        raise DomainError(f"unknown real form family {family!r}")
-
-    if family == "su":
-        p, q = params
-        if p < 1 or q < 1:
-            raise DomainError("su(p,q) needs p, q >= 1")
-        n = p + q
-        return RealFormDescriptor(
-            family, params, f"su({p},{q})", n * n - 1, p * p + q * q - 1,
-            hermitian=True, tube_type=(p == q), ss_rank=min(p, q),
-            maximal_subtube=None if p == q else f"su({min(p, q)},{min(p, q)})",
-        )
-    if family == "sl":
-        (n,) = params
-        if n < 2:
-            raise DomainError("sl(n,R) needs n >= 2")
-        herm = n == 2
-        return RealFormDescriptor(
-            family, params, f"sl({n},R)", n * n - 1, n * (n - 1) // 2,
-            hermitian=herm, tube_type=True if herm else None, ss_rank=n - 1,
-            maximal_subtube=None,
-        )
-    if family == "sustar":
-        (m,) = params
-        if m < 2:
-            raise DomainError("su*(2m) needs m >= 2")
-        return RealFormDescriptor(
-            family, params, f"su*({2 * m})", 4 * m * m - 1, m * (2 * m + 1),
-            hermitian=False, tube_type=None, ss_rank=m - 1, maximal_subtube=None,
-        )
-    if family == "so":
-        p, q = params
-        if p < 1 or q < 1 or p + q < 5:
-            raise DomainError("so(p,q) needs p, q >= 1 and p + q >= 5 here")
-        n = p + q
-        herm = _herm_so(p, q)
-        return RealFormDescriptor(
-            family, params, f"so({p},{q})", n * (n - 1) // 2,
-            p * (p - 1) // 2 + q * (q - 1) // 2,
-            hermitian=herm, tube_type=True if herm else None, ss_rank=min(p, q),
-            maximal_subtube=None,
-        )
-    if family == "sostar":
-        (m,) = params
-        if m < 3:
-            raise DomainError("so*(2m) needs m >= 3 here")
-        nontube = m % 2 == 1
-        return RealFormDescriptor(
-            family, params, f"so*({2 * m})", m * (2 * m - 1), m * m,
-            hermitian=True, tube_type=not nontube, ss_rank=m // 2,
-            maximal_subtube=f"so*({2 * (m - 1)})" if nontube else None,
-        )
-    if family == "spr":
-        (n,) = params
-        if n < 1:
-            raise DomainError("sp(2n,R) needs n >= 1")
-        return RealFormDescriptor(
-            family, params, f"sp({2 * n},R)", n * (2 * n + 1), n * n,
-            hermitian=True, tube_type=True, ss_rank=n, maximal_subtube=None,
-        )
-    p, q = params
-    if p < 1 or q < 1:
-        raise DomainError("sp(2p,2q) needs p, q >= 1")
-    n = p + q
+    spec = family_spec(family, params)
+    spec.check_bounds(params)
+    hermitian = spec.hermitian(*params)
+    subtube = spec.subtube(*params) if hermitian else None
     return RealFormDescriptor(
-        family, params, f"sp({2 * p},{2 * q})", n * (2 * n + 1),
-        p * (2 * p + 1) + q * (2 * q + 1),
-        hermitian=False, tube_type=None, ss_rank=min(p, q), maximal_subtube=None,
+        family, params, spec.name(params), spec.dim_g(params), spec.dim_h(*params),
+        hermitian=hermitian, tube_type=(subtube is None) if hermitian else None,
+        ss_rank=spec.ss_rank(*params),
+        maximal_subtube=spec.name(subtube) if subtube else None,
     )
 
 
@@ -211,36 +121,10 @@ def restricted_root_data(d: RealFormDescriptor) -> Tuple[int, Tuple[Tuple[int, i
     if d.is_exceptional:
         info = EXCEPTIONAL_FORMS[d.family]
         return info["rank"], tuple(info["roots"])
-    fam, params = d.family, d.params
-    if fam == "su":
-        p, q = sorted(params)
-        if p < q:
-            return p, ((p * (p - 1), 2), (p, 2 * (q - p)), (p, 1))
-        return p, ((p * (p - 1), 2), (p, 1))
-    if fam == "sl":
-        (n,) = params
-        return n - 1, ((n * (n - 1) // 2, 1),)
-    if fam == "sustar":
-        (m,) = params
-        return m - 1, ((m * (m - 1) // 2, 4),)
-    if fam == "so":
-        p, q = sorted(params)
-        if p < q:
-            return p, ((p * (p - 1), 1), (p, q - p))
-        return p, ((p * (p - 1), 1),)
-    if fam == "sostar":
-        (m,) = params
-        k = m // 2
-        if m % 2 == 0:
-            return k, ((k * (k - 1), 4), (k, 1))
-        return k, ((k * (k - 1), 4), (k, 4), (k, 1))
-    if fam == "spr":
-        (n,) = params
-        return n, ((n * (n - 1), 1), (n, 1))
-    p, q = sorted(params)
-    if p < q:
-        return p, ((p * (p - 1), 4), (p, 4 * (q - p)), (p, 3))
-    return p, ((p * (p - 1), 4), (p, 3))
+    rank = d.ss_rank
+    mults = FAMILIES[d.family].root_mults(*d.params)
+    counts = (rank * (rank + 1) // 2,) if len(mults) == 1 else (rank * (rank - 1), rank, rank)
+    return rank, tuple((c, m) for c, m in zip(counts, mults) if m)
 
 
 def restricted_root_checksum(d: RealFormDescriptor) -> bool:
@@ -278,75 +162,23 @@ def centralizer_realform(signed: SignedPartitionData) -> CentralizerRealForm:
     so: sp(r_i,R) on even parts + so(p_i,q_i) on odd; sp(2n,R) the mirror;
     so*: sp(2p_i,2q_i) on even + so*(2 r_i) on odd; sp(2p,2q) the mirror.
     """
-    fam = signed.family
-    part_list = sorted(signed.partition.multiplicities(), reverse=True)
+    spec = FAMILIES[signed.family]
     factors = []
     compact = True
-
-    if fam == "su":
-        for i in part_list:
+    unsigned = 0
+    for i in sorted(signed.partition.multiplicities(), reverse=True):
+        if i % 2 in spec.signed_parities:
             a, b = signed.sign_split(i)
-            factors.append(f"u({a},{b})")
-            compact = compact and (a == 0 or b == 0)
-        return CentralizerRealForm(tuple(factors), compact, wrapped=True)
-
-    if fam == "sl":
-        for i in part_list:
-            factors.append(f"gl({signed.row_count(i)},R)")
-        compact = signed.partition.parts == (signed.params[0],)
-        return CentralizerRealForm(tuple(factors), compact, wrapped=True)
-
-    if fam == "sustar":
-        for i in part_list:
-            factors.append(f"u*({2 * signed.row_count(i)})")
-        m = signed.params[0]
-        compact = signed.partition.parts == (m, m)
-        return CentralizerRealForm(tuple(factors), compact, wrapped=True)
-
-    if fam == "so":
-        for i in part_list:
-            if i % 2 == 0:
-                r = signed.row_count(i)
-                factors.append(f"sp({r},R)")
-                compact = False
-            else:
-                a, b = signed.sign_split(i)
-                factors.append(f"so({a},{b})")
-                compact = compact and (a == 0 or b == 0)
-        return CentralizerRealForm(tuple(factors), compact)
-
-    if fam == "spr":
-        for i in part_list:
-            if i % 2 == 1:
-                r = signed.row_count(i)
-                factors.append(f"sp({r},R)")
-                compact = False
-            else:
-                a, b = signed.sign_split(i)
-                factors.append(f"so({a},{b})")
-                compact = compact and (a == 0 or b == 0)
-        return CentralizerRealForm(tuple(factors), compact)
-
-    if fam == "sostar":
-        for i in part_list:
-            r = signed.row_count(i)
-            if i % 2 == 0:
-                a, b = signed.sign_split(i)
-                factors.append(f"sp({2 * a},{2 * b})")
-                compact = compact and (a == 0 or b == 0)
-            else:
-                factors.append(f"so*({2 * r})")
-                compact = compact and r <= 1
-        return CentralizerRealForm(tuple(factors), compact)
-
-    # sp(2p,2q)
-    for i in part_list:
-        r = signed.row_count(i)
-        if i % 2 == 1:
-            a, b = signed.sign_split(i)
-            factors.append(f"sp({2 * a},{2 * b})")
+            factors.append(spec.signed_factor(a, b))
             compact = compact and (a == 0 or b == 0)
         else:
-            factors.append(f"so*({2 * r})")
-            compact = compact and r <= 1
-    return CentralizerRealForm(tuple(factors), compact)
+            r = signed.row_count(i)
+            factors.append(spec.unsigned_factor(r))
+            compact = compact and r <= spec.compact_rows
+            unsigned += 1
+    # gl-type centralizers sit in s(...): each sign-free factor carries a
+    # real line, and the trace condition removes only one of them
+    wrapped = spec.algebra == "gl"
+    if wrapped and unsigned > 1:
+        compact = False
+    return CentralizerRealForm(tuple(factors), compact, wrapped=wrapped)

@@ -24,7 +24,7 @@ Matrix = Tuple[Tuple[int, ...], ...]
 #: Enumeration-heavy classical code paths refuse ranks above this.
 CLASSICAL_RANK_CAP = 12
 
-_CLASSICAL_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
+CLASSICAL_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 _EXCEPTIONAL_RANK = {"G2": 2, "F4": 4, "E6": 6, "E7": 7, "E8": 8}
 
 
@@ -41,7 +41,7 @@ class LieFamily(str, Enum):
 
     @property
     def is_classical(self) -> bool:
-        return self.value in _CLASSICAL_MIN_RANK
+        return self.value in CLASSICAL_MIN_RANK
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class LieType:
     def __post_init__(self) -> None:
         fam = self.family
         if fam.is_classical:
-            lo = _CLASSICAL_MIN_RANK[fam.value]
+            lo = CLASSICAL_MIN_RANK[fam.value]
             if self.rank < lo:
                 raise RankDomainError(f"{fam.value}-type needs rank >= {lo}, got {self.rank}")
             if self.rank > CLASSICAL_RANK_CAP:
