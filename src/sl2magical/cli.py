@@ -21,12 +21,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .crosscheck import run_all
 from .dataset import evaluate_conditions, load_records
 from .errors import DatasetSchemaError, DomainError, MissingDataError
-from .magical import Verdict, classify_realform
+from .magical import Verdict, classify_realform, extended_magical_status
 from .moduli import rigidity_report
 from .orbits import Partition, enumerate_signed_data, weighted_dynkin_from_partition
 from .realforms import EXCEPTIONAL_FORMS, describe
 from .rootsystems import LieType
-from .sl2data import dim_c_formula, dim_g0_formula, dim_v_rho_formula, multiplicities_formula
+from .sl2data import (
+    dim_c_formula,
+    dim_g0_formula,
+    dim_v_rho_formula,
+    is_even_triple,
+    multiplicities_formula,
+)
 
 # ---------------------------------------------------------------- rendering
 
@@ -106,15 +112,15 @@ def _classify_rows_classical(family: str, params: Tuple[int, ...]) -> List[Dict]
 
 
 def _classify_rows_exceptional(family: str) -> List[Dict]:
+    records = [rec for rec in load_records() if rec.realform == family]
+    if not records:
+        raise MissingDataError(f"no curated records for {family}")
     rows = []
-    for rec in load_records():
-        if rec.realform != family:
-            continue
-        ev = evaluate_conditions(rec)
-        if not ev.all_hold:
+    for rec in records:
+        if not evaluate_conditions(rec).all_hold:
             continue
         data = rec.sl2_data()
-        even = all(j % 2 == 0 for j, _ in data.n)
+        even = is_even_triple(data)
         verdict = Verdict.EVEN_MAGICAL if even else Verdict.ODD_MAGICAL
         rows.append({
             "orbit": "wdd " + " ".join(str(x) for x in rec.wdd),
@@ -164,7 +170,10 @@ def cmd_slodowy(args: argparse.Namespace) -> int:
     if family in EXCEPTIONAL_FORMS:
         if not args.wdd:
             raise DomainError(f"{family} needs --wdd to pick the orbit")
-        orbit = tuple(int(x) for x in args.wdd.split(","))
+        try:
+            orbit = tuple(int(x) for x in args.wdd.split(","))
+        except ValueError:
+            raise DomainError(f"{family}: cannot parse --wdd {args.wdd!r}") from None
         report = rigidity_report(args.genus, family, params, orbit)
         orbit_str = "wdd " + " ".join(str(x) for x in orbit)
         signs = ""
@@ -175,8 +184,6 @@ def cmd_slodowy(args: argparse.Namespace) -> int:
         data = enumerate_signed_data(family, params, p)
         if not data:
             raise DomainError(f"{p} does not meet {describe(family, params).name}")
-        from .magical import extended_magical_status
-
         chosen = data[0]
         for signed in data:
             if extended_magical_status(family, params, p, signed).verdict.is_magical:
@@ -281,16 +288,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MissingDataError as exc:
+    except (MissingDataError, DatasetSchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except DatasetSchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # DomainError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

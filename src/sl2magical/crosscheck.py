@@ -17,7 +17,13 @@ from .errors import DatasetSchemaError, MissingDataError
 from .matrixoracle import build_matrix_triple, oracle_sl2_data
 from .orbits import Partition, enumerate_partitions, weighted_dynkin_from_partition
 from .realforms import describe, exceptional_s_value
-from .rootsystems import LieType, WeightedDynkinDiagram, ad_grading, build_root_system
+from .rootsystems import (
+    CLASSICAL_MIN_RANK,
+    LieType,
+    WeightedDynkinDiagram,
+    ad_grading,
+    build_root_system,
+)
 from .sl2data import (
     dim_c_formula,
     dim_g0_formula,
@@ -25,9 +31,6 @@ from .sl2data import (
     module_multiplicities,
     multiplicities_formula,
 )
-
-_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -39,7 +42,7 @@ class CheckResult:
 
 def _classical_types(max_rank: int) -> Iterator[LieType]:
     for fam in "ABCD":
-        for rank in range(_MIN_RANK[fam], max_rank + 1):
+        for rank in range(CLASSICAL_MIN_RANK[fam], max_rank + 1):
             yield LieType.of(fam, rank)
 
 

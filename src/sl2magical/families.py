@@ -1,18 +1,16 @@
 """One table of facts per classical real-form family.
 
-Every noncompact classical family is one FamilySpec: how its parameters
-name the form and size its defining representation, which complex
-algebra it is a real form of, how signed Young diagrams label its real
-nilpotent orbits, how the centralizer of a triple splits into factors,
-and the closed formulas of its Cartan decomposition.  The enumerator in
-orbits and the descriptors and centralizers in realforms read these
-facts; no other module branches on a family tag for them.
+Each noncompact classical family is one FamilySpec: how its parameters
+name the form and size the defining representation, the complex algebra
+it is a real form of, how signed Young diagrams label its real nilpotent
+orbits, the factors of a triple's centralizer, and the closed formulas
+of its Cartan decomposition.  The signed-data enumerator, descriptors
+and centralizers read these facts instead of branching on the tag.
 
-Rows of length i are counted in the family's own units: r_i is the
-Jordan multiplicity, halved for the quaternionic families.  A part whose
-parity is signed splits its rows by leading sign into (a, b); a part of
-the other parity either takes the balanced split (r_i/2, r_i/2) or
-carries no sign at all.
+Rows of length i count r_i: the Jordan multiplicity, halved for the
+quaternionic families.  Parts of a signed parity split their rows by
+leading sign into (a, b); parts of the other parity take the balanced
+split (r_i/2, r_i/2) when it is forced, and carry no sign otherwise.
 """
 
 from __future__ import annotations
@@ -29,26 +27,26 @@ Params = Tuple[int, ...]
 @dataclass(frozen=True)
 class FamilySpec:
     tag: str
-    template: str  # form name with one {} per parameter, scaled by size_factor
-    letters: str  # parameter names, one letter each
+    template: str  # form name, one {} per parameter scaled by size_factor
+    letters: str  # one letter per parameter
     size_factor: int  # defining size = size_factor * sum(params)
     algebra: str  # complex defining algebra: "gl", "so" or "sp"
-    quaternionic: bool  # r_i is half the Jordan multiplicity
-    signed_parities: Tuple[int, ...]  # part parities whose rows split by sign
-    forced_split: bool  # the other parities take the (r_i/2, r_i/2) split
-    signature_rule: bool  # plus boxes must add up to the first parameter
+    quaternionic: bool
+    signed_parities: Tuple[int, ...]  # parities i % 2 of the parts with a sign split
+    forced_split: bool
+    signature_rule: bool  # the plus boxes add up to the first parameter
     signed_factor: Optional[Callable[[int, int], str]]  # compact iff a or b is 0
     unsigned_factor: Optional[Callable[[int], str]]
-    compact_rows: int  # the unsigned factor is compact for r_i up to this
+    compact_rows: int  # an unsigned factor is compact while r_i is at most this
     min_size: int  # smallest sum(params) that describe accepts
     dim_h: Callable[..., int]
     ss_rank: Callable[..., int]
     hermitian: Callable[..., bool]
-    subtube: Callable[..., Optional[Params]]  # maximal tube subform, None for tube type
-    # Restricted-root multiplicities: one entry for type A_r (r(r+1)/2
-    # positive roots), three for type BC_r (r(r-1), r and r roots of the
-    # forms e_i +- e_j, e_i, 2e_i); a zero entry means the class is absent.
+    # Restricted-root multiplicities: one for type A_r (r(r+1)/2 positive
+    # roots), three for type BC_r (r(r-1), r and r roots e_i +- e_j, e_i,
+    # 2e_i); a zero multiplicity means the class is absent.
     root_mults: Callable[..., Tuple[int, ...]]
+    subtube: Optional[Callable[..., Optional[Params]]] = None  # None when tube type
 
     @property
     def arity(self) -> int:
@@ -64,7 +62,6 @@ class FamilySpec:
         return self.template.format(*(self.size_factor * x for x in params))
 
     def size(self, params: Params) -> int:
-        """Size of the complex defining representation."""
         return self.size_factor * sum(params)
 
     def complex_type(self, params: Params) -> Tuple[str, int]:
@@ -80,7 +77,7 @@ class FamilySpec:
         return LieType.of(*self.complex_type(params))
 
     def in_rank_window(self, params: Params) -> bool:
-        """Whether the complexification is a LieType at all."""
+        """Whether the complexification is within LieType's rank bounds."""
         letter, rank = self.complex_type(params)
         return CLASSICAL_MIN_RANK[letter] <= rank <= CLASSICAL_RANK_CAP
 
@@ -88,95 +85,65 @@ class FamilySpec:
         n = self.size(params)
         return {"gl": n * n - 1, "so": n * (n - 1) // 2, "sp": n * (n + 1) // 2}[self.algebra]
 
-    def check_bounds(self, params: Params) -> None:
-        if min(params) < 1 or sum(params) < self.min_size:
-            need = f"{' + '.join(self.letters)} >= {self.min_size}"
-            if self.arity > 1:
-                need = f"{', '.join(self.letters)} >= 1 and {need}"
-            raise DomainError(f"{self.symbol} needs {need}")
-
 
 _SPECS = (
     FamilySpec(
         tag="su", template="su({},{})", letters="pq", size_factor=1, algebra="gl",
         quaternionic=False, signed_parities=(0, 1), forced_split=False, signature_rule=True,
         signed_factor=lambda a, b: f"u({a},{b})", unsigned_factor=None, compact_rows=0,
-        min_size=2,
-        dim_h=lambda p, q: p * p + q * q - 1,
-        ss_rank=min,
-        hermitian=lambda p, q: True,
+        min_size=2, dim_h=lambda p, q: p * p + q * q - 1, ss_rank=min,
+        hermitian=lambda p, q: True, root_mults=lambda p, q: (2, 2 * abs(q - p), 1),
         subtube=lambda p, q: None if p == q else (min(p, q),) * 2,
-        root_mults=lambda p, q: (2, 2 * abs(q - p), 1),
     ),
     FamilySpec(
         tag="sl", template="sl({},R)", letters="n", size_factor=1, algebra="gl",
         quaternionic=False, signed_parities=(), forced_split=False, signature_rule=False,
         signed_factor=None, unsigned_factor=lambda r: f"gl({r},R)", compact_rows=1,
-        min_size=2,
-        dim_h=lambda n: n * (n - 1) // 2,
-        ss_rank=lambda n: n - 1,
-        hermitian=lambda n: n == 2,
-        subtube=lambda n: None,
-        root_mults=lambda n: (1,),
+        min_size=2, dim_h=lambda n: n * (n - 1) // 2, ss_rank=lambda n: n - 1,
+        hermitian=lambda n: n == 2, root_mults=lambda n: (1,),
     ),
     FamilySpec(
         tag="sustar", template="su*({})", letters="m", size_factor=2, algebra="gl",
         quaternionic=True, signed_parities=(), forced_split=False, signature_rule=False,
         signed_factor=None, unsigned_factor=lambda r: f"u*({2 * r})", compact_rows=1,
-        min_size=2,
-        dim_h=lambda m: m * (2 * m + 1),
-        ss_rank=lambda m: m - 1,
-        hermitian=lambda m: False,
-        subtube=lambda m: None,
-        root_mults=lambda m: (4,),
+        min_size=2, dim_h=lambda m: m * (2 * m + 1), ss_rank=lambda m: m - 1,
+        hermitian=lambda m: False, root_mults=lambda m: (4,),
     ),
     FamilySpec(
         tag="so", template="so({},{})", letters="pq", size_factor=1, algebra="so",
         quaternionic=False, signed_parities=(1,), forced_split=True, signature_rule=True,
         signed_factor=lambda a, b: f"so({a},{b})", unsigned_factor=lambda r: f"sp({r},R)",
-        compact_rows=0, min_size=5,
-        dim_h=lambda p, q: p * (p - 1) // 2 + q * (q - 1) // 2,
-        ss_rank=min,
-        hermitian=lambda p, q: 2 in (p, q),
-        subtube=lambda p, q: None,
+        compact_rows=0, min_size=5, dim_h=lambda p, q: p * (p - 1) // 2 + q * (q - 1) // 2,
+        ss_rank=min, hermitian=lambda p, q: 2 in (p, q),
         root_mults=lambda p, q: (1, abs(q - p), 0),
     ),
     FamilySpec(
         tag="sostar", template="so*({})", letters="m", size_factor=2, algebra="so",
         quaternionic=True, signed_parities=(0,), forced_split=False, signature_rule=False,
         signed_factor=lambda a, b: f"sp({2 * a},{2 * b})",
-        unsigned_factor=lambda r: f"so*({2 * r})", compact_rows=1, min_size=3,
-        dim_h=lambda m: m * m,
-        ss_rank=lambda m: m // 2,
-        hermitian=lambda m: True,
+        unsigned_factor=lambda r: f"so*({2 * r})", compact_rows=1,
+        min_size=3, dim_h=lambda m: m * m, ss_rank=lambda m: m // 2,
+        hermitian=lambda m: True, root_mults=lambda m: (4, 4 * (m % 2), 1),
         subtube=lambda m: (m - 1,) if m % 2 else None,
-        root_mults=lambda m: (4, 4 * (m % 2), 1),
     ),
     FamilySpec(
         tag="spr", template="sp({},R)", letters="n", size_factor=2, algebra="sp",
         quaternionic=False, signed_parities=(0,), forced_split=True, signature_rule=False,
         signed_factor=lambda a, b: f"so({a},{b})", unsigned_factor=lambda r: f"sp({r},R)",
-        compact_rows=0, min_size=1,
-        dim_h=lambda n: n * n,
-        ss_rank=lambda n: n,
-        hermitian=lambda n: True,
-        subtube=lambda n: None,
-        root_mults=lambda n: (1, 0, 1),
+        compact_rows=0, min_size=1, dim_h=lambda n: n * n, ss_rank=lambda n: n,
+        hermitian=lambda n: True, root_mults=lambda n: (1, 0, 1),
     ),
     FamilySpec(
         tag="sp", template="sp({},{})", letters="pq", size_factor=2, algebra="sp",
         quaternionic=True, signed_parities=(1,), forced_split=False, signature_rule=True,
         signed_factor=lambda a, b: f"sp({2 * a},{2 * b})",
-        unsigned_factor=lambda r: f"so*({2 * r})", compact_rows=1, min_size=2,
-        dim_h=lambda p, q: p * (2 * p + 1) + q * (2 * q + 1),
-        ss_rank=min,
-        hermitian=lambda p, q: False,
-        subtube=lambda p, q: None,
-        root_mults=lambda p, q: (4, 4 * abs(q - p), 3),
+        unsigned_factor=lambda r: f"so*({2 * r})", compact_rows=1,
+        min_size=2, dim_h=lambda p, q: p * (2 * p + 1) + q * (2 * q + 1), ss_rank=min,
+        hermitian=lambda p, q: False, root_mults=lambda p, q: (4, 4 * abs(q - p), 3),
     ),
 )
 
-#: Classical family tags, in the order of the classification.
+#: Classical families by tag, in the order of the classification.
 FAMILIES: Dict[str, FamilySpec] = {spec.tag: spec for spec in _SPECS}
 
 
@@ -186,7 +153,6 @@ def family_spec(family: str, params: Params) -> FamilySpec:
     if spec is None:
         raise DomainError(f"unknown real form family {family!r}")
     if len(params) != spec.arity:
-        plural = "s" if spec.arity > 1 else ""
-        raise DomainError(f"{spec.symbol} takes {spec.arity} parameter{plural}, "
-                          f"got {len(params)}")
+        raise DomainError(f"{spec.symbol} takes {spec.arity} parameter"
+                          f"{'s' if spec.arity > 1 else ''}, got {len(params)}")
     return spec

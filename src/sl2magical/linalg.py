@@ -36,8 +36,3 @@ def integer_rank(matrix: Sequence[Sequence[int]]) -> int:
             break
     return rank
 
-
-def nullity(matrix: Sequence[Sequence[int]], ncols: int) -> int:
-    """Dimension of the kernel of the linear map whose columns are the
-    matrix's columns (ncols of them, possibly with zero rows omitted)."""
-    return ncols - integer_rank(matrix)

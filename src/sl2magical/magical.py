@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from .errors import DomainError
 from .orbits import (
@@ -41,7 +41,7 @@ from .realforms import (
     describe,
 )
 from .rootsystems import LieType
-from .sl2data import dim_c_formula, dim_g0_formula, multiplicities_formula
+from .sl2data import Sl2Data, is_even_triple, multiplicities_formula
 
 Params = Tuple[int, ...]
 
@@ -115,13 +115,13 @@ def extended_magical_status(
 def _criterion(form: RealFormDescriptor, ambient: LieType, p: Partition,
                signed: SignedPartitionData) -> MagicalStatus:
     """The criterion on one signed datum of the described form."""
-    n = multiplicities_formula(ambient, p)
+    data = Sl2Data(tuple(sorted(multiplicities_formula(ambient, p).items())), ambient.dim)
     cz = centralizer_realform(signed)
     witness = Witness(
         m_minus_h=form.s,
-        g0_minus_2c=dim_g0_formula(ambient, p) - 2 * dim_c_formula(ambient, p),
+        g0_minus_2c=data.dim_g0 - 2 * data.dim_c,
         centralizer_compact=cz.is_compact,
-        even_triple=all(j % 2 == 0 for j in n),
+        even_triple=is_even_triple(data),
     )
     if not witness.centralizer_compact or witness.m_minus_h != witness.g0_minus_2c:
         verdict = Verdict.NOT_EXTENDED_MAGICAL

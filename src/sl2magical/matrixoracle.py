@@ -210,10 +210,6 @@ def _ad_e(m: MatrixSl2Triple, x: Sparse) -> Sparse:
     return {k: v for k, v in out.items() if v}
 
 
-def _coords_gl(m: MatrixSl2Triple, y: Sparse) -> Sparse:
-    return y
-
-
 def _coords_form(m: MatrixSl2Triple, y: Sparse) -> Sparse:
     """Coordinates A = M Y of an algebra element Y; read half of A."""
     sym = m.ambient.family is LieFamily.C
@@ -235,7 +231,6 @@ def _nullity_by_weight(
     basis: List[Tuple[Entry, Sparse, int]],
     column_filter=None,
 ) -> Dict[int, int]:
-    coords = _coords_gl if m.form is None else _coords_form
     by_weight: Dict[int, List[Sparse]] = {}
     for key, x, w in basis:
         if column_filter is not None and not column_filter(key, w):
@@ -243,7 +238,7 @@ def _nullity_by_weight(
         by_weight.setdefault(w, []).append(_ad_e(m, x))
     out: Dict[int, int] = {}
     for w, images in by_weight.items():
-        image_coords = [coords(m, y) for y in images]
+        image_coords = images if m.form is None else [_coords_form(m, y) for y in images]
         row_keys = sorted({k for c in image_coords for k in c})
         rows = [[c.get(k, 0) for c in image_coords] for k in row_keys]
         out[w] = len(images) - integer_rank(rows)

@@ -104,7 +104,7 @@ def partitions_of(n: int, max_part: Optional[int] = None) -> Iterator[Tuple[int,
             yield (first,) + rest
 
 
-def _family_letter(t: Union[LieType, LieFamily, str]) -> str:
+def family_letter(t: Union[LieType, LieFamily, str]) -> str:
     if isinstance(t, LieType):
         return t.family.value
     if isinstance(t, LieFamily):
@@ -115,7 +115,7 @@ def _family_letter(t: Union[LieType, LieFamily, str]) -> str:
 def partition_fits_family(t: Union[LieType, LieFamily, str], p: Partition) -> bool:
     """Parity test: B/D need even parts with even multiplicity, C needs odd
     parts with even multiplicity, A is unconstrained."""
-    fam = _family_letter(t)
+    fam = family_letter(t)
     if fam == "A":
         return True
     if fam in ("B", "D"):
@@ -132,7 +132,7 @@ def enumerate_partitions(t: Union[LieType, LieFamily, str], n: int) -> List[Part
     A bare family letter only needs n of the right parity (so that e.g.
     D-parity partitions of 4 are reachable even though D2 is not simple).
     """
-    fam = _family_letter(t)
+    fam = family_letter(t)
     if fam not in "ABCD":
         raise DomainError(f"no partition classification for family {fam}")
     if isinstance(t, LieType) and n != t.matrix_size:
@@ -170,7 +170,7 @@ class OrbitLabel:
 
 def enumerate_orbit_labels(t: Union[LieType, LieFamily, str], n: int) -> List[OrbitLabel]:
     """Orbit labels for the family, with very even D partitions doubled."""
-    fam = _family_letter(t)
+    fam = family_letter(t)
     labels: List[OrbitLabel] = []
     for p in enumerate_partitions(t, n):
         if fam == "D" and p.very_even:
@@ -188,7 +188,7 @@ def weighted_dynkin_from_partition(t: LieType, p: Partition) -> WeightedDynkinDi
     dominant Cartan coordinates are the largest entries of the merged
     multiset, and labels evaluate the classical simple roots on them.
     Very even D partitions get the class-I diagram; class II swaps the
-    last two labels (see very_even_partner_labels).
+    last two labels.
     """
     fam = t.family
     if not fam.is_classical:
@@ -218,14 +218,6 @@ def weighted_dynkin_from_partition(t: LieType, p: Partition) -> WeightedDynkinDi
     if bad:
         raise AssertionError(f"{t.name} {p}: labels {labels} leave {{0,1,2}}")
     return WeightedDynkinDiagram(lie_type=t, labels=tuple(labels))
-
-
-def very_even_partner_labels(w: WeightedDynkinDiagram) -> WeightedDynkinDiagram:
-    """Class-II diagram of a very even D orbit: swap the last two labels."""
-    if w.lie_type.family is not LieFamily.D:
-        raise DomainError("only D-type orbits come in very even pairs")
-    swapped = w.labels[:-2] + (w.labels[-1], w.labels[-2])
-    return WeightedDynkinDiagram(lie_type=w.lie_type, labels=swapped)
 
 
 def plus_boxes(part: int, p_i: int, q_i: int) -> int:

@@ -94,9 +94,11 @@ def describe(family: str, params: Params = ()) -> RealFormDescriptor:
             maximal_subtube=info.get("subtube"),
         )
     spec = family_spec(family, params)
-    spec.check_bounds(params)
+    if min(params) < 1 or sum(params) < spec.min_size:
+        raise DomainError(f"{spec.symbol} needs positive parameters with "
+                          f"{'+'.join(spec.letters)} >= {spec.min_size}")
     hermitian = spec.hermitian(*params)
-    subtube = spec.subtube(*params) if hermitian else None
+    subtube = spec.subtube(*params) if hermitian and spec.subtube else None
     return RealFormDescriptor(
         family, params, spec.name(params), spec.dim_g(params), spec.dim_h(*params),
         hermitian=hermitian, tube_type=(subtube is None) if hermitian else None,

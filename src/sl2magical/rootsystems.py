@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from .errors import DomainError, RankDomainError
 
@@ -185,29 +185,6 @@ def _positive_roots_by_height(cartan: Matrix) -> FrozenSet[Coeffs]:
     return frozenset(roots)
 
 
-def positive_roots_by_reflection(t: LieType) -> FrozenSet[Coeffs]:
-    """Independent enumeration: orbit of the simple roots under simple
-    reflections, filtered to nonnegative coefficient vectors."""
-    cartan = cartan_matrix(t)
-    rank = t.rank
-    simple = [tuple(1 if i == j else 0 for i in range(rank)) for j in range(rank)]
-    seen = set(simple)
-    frontier = list(simple)
-    while frontier:
-        nxt = []
-        for beta in frontier:
-            for j in range(rank):
-                k = _coroot_pairing(cartan, beta, j)
-                image = list(beta)
-                image[j] -= k
-                cand = tuple(image)
-                if cand not in seen:
-                    seen.add(cand)
-                    nxt.append(cand)
-        frontier = nxt
-    return frozenset(r for r in seen if all(c >= 0 for c in r))
-
-
 @dataclass(frozen=True)
 class RootSystem:
     """Positive roots of a simple type, as simple-root coefficient vectors."""
@@ -294,10 +271,3 @@ def ad_grading(rs: RootSystem, wdd: WeightedDynkinDiagram) -> GradingDims:
     pairs = tuple(sorted((w, d) for w, d in dims.items() if d))
     return GradingDims(lie_type=rs.lie_type, dims=pairs)
 
-
-def all_label_vectors(t: LieType, values: Iterable[int] = (0, 1, 2)):
-    """Iterate every label assignment over the given values (test helper)."""
-    from itertools import product
-
-    for combo in product(tuple(values), repeat=t.rank):
-        yield WeightedDynkinDiagram(lie_type=t, labels=combo)

@@ -1,4 +1,4 @@
-"""sl2-module multiplicities n_j and the closed dimension formulas.
+r"""sl2-module multiplicities n_j and the closed dimension formulas.
 
 Three independent routes to the same numbers meet here.  The grading
 pipeline differences dim g_j - dim g_{j+2}.  The tensor route decomposes
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple, Union
 
 from .errors import DomainError, InconsistentGradingError
-from .orbits import Partition, partition_fits_family
+from .orbits import Partition, family_letter, partition_fits_family
 from .rootsystems import GradingDims, LieFamily, LieType
 
 _FormulaType = Union[LieType, LieFamily, str]
@@ -85,16 +85,8 @@ def is_even_triple(d: Sl2Data) -> bool:
     return all(j % 2 == 0 for j, _ in d.n)
 
 
-def _family_of(t: _FormulaType) -> str:
-    if isinstance(t, LieType):
-        return t.family.value
-    if isinstance(t, LieFamily):
-        return t.value
-    return str(t)
-
-
 def _check_formula_input(t: _FormulaType, p: Partition) -> str:
-    fam = _family_of(t)
+    fam = family_letter(t)
     if fam not in "ABCD":
         raise DomainError(f"partition formulas apply to classical types, not {fam}")
     if isinstance(t, LieType) and p.n != t.matrix_size:
@@ -110,7 +102,7 @@ def _tensor_summands(k: int, l: int):
 
 
 def _alternating_summands(k: int, start_offset: int):
-    """Weights in /\^2 V_k (offset 4) or S^2 V_k (offset 2)."""
+    r"""Weights in /\^2 V_k (offset 4) or S^2 V_k (offset 2)."""
     return range(2 * k - start_offset, -1, -4)
 
 

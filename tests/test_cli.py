@@ -203,3 +203,32 @@ def test_entry_point_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("argv,form", [
+    (("classify", "su", "2"), "su(p,q)"),
+    (("classify", "sl", "3", "4"), "sl(n,R)"),
+    (("slodowy", "su", "2", "--partition", "2,1", "--genus", "2"), "su(p,q)"),
+    (("slodowy", "E6^-14", "--wdd", "1,x,0,0,0,1", "--genus", "2"), "E6^-14"),
+])
+def test_malformed_arguments_exit_2_naming_the_form(capsys, argv, form):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and form in err
+
+
+@pytest.mark.parametrize("token", ["E6^6", "E6^2", "E7^-5", "E7^-25", "E8^-24",
+                                   "F4^4", "F4^-20", "G2^2"])
+def test_classify_token_without_records_exit_3(capsys, token):
+    for fmt in ("json", "table"):
+        code, out, err = run(capsys, "classify", token, "--format", fmt)
+        assert code == 3
+        assert out == ""
+        assert f"no curated records for {token}" in err
+
+
+def test_classify_recorded_token_without_magical_row_exit_0(capsys):
+    code, out, _ = run(capsys, "classify", "E7^7")
+    assert code == 0
+    assert out == "E7^7: 0 magical orbit(s)\n"

@@ -172,3 +172,13 @@ def test_admits_even_magical_matches_scan():
             has_even = any(r.status.verdict is Verdict.EVEN_MAGICAL
                            for r in classify_realform(family, params))
             assert has_even == admits_even_magical(family, params), (family, params)
+
+
+def test_classify_family_skips_forms_above_rank_cap():
+    # su*(14) complexifies to A13, beyond the classical rank cap
+    from sl2magical.magical import family_parameter_space
+    from sl2magical.realforms import describe
+
+    assert classify_family("sustar", 8) == ()
+    largest = family_parameter_space("sustar", 8)[-1]
+    assert describe("sustar", largest).name == "su*(12)"

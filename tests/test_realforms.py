@@ -3,6 +3,7 @@
 import pytest
 
 from sl2magical.errors import DomainError
+from sl2magical.magical import family_parameter_space
 from sl2magical.orbits import Partition, enumerate_signed_data
 from sl2magical.realforms import (
     CLASSICAL_FAMILIES,
@@ -112,11 +113,13 @@ def test_split_forms_have_full_rank():
 
 
 def test_restricted_root_checksums():
-    for family, params in [("su", (2, 3)), ("su", (3, 3)), ("sl", (4,)),
-                           ("sustar", (3,)), ("so", (2, 5)), ("so", (3, 4)),
-                           ("sostar", (4,)), ("sostar", (5,)), ("spr", (3,)),
-                           ("sp", (2, 2))]:
-        assert restricted_root_checksum(describe(family, params))
+    for family in CLASSICAL_FAMILIES:
+        for params in family_parameter_space(family, 12):
+            d = describe(family, params)
+            assert restricted_root_checksum(d), d.name
+            ambient = d.complexification()
+            assert d.dim_g_real == ambient.dim, d.name
+            assert d.ss_rank <= ambient.rank, d.name
 
 
 def test_milnor_wood_values():
