@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .crosscheck import run_all
 from .dataset import evaluate_conditions, load_records
 from .errors import DatasetSchemaError, DomainError, MissingDataError
+from .families import FAMILIES
 from .magical import Verdict, classify_realform, extended_magical_status
 from .moduli import rigidity_report
 from .orbits import Partition, enumerate_signed_data, weighted_dynkin_from_partition
@@ -260,8 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orbit.set_defaults(func=cmd_orbit)
 
     p_cls = sub.add_parser("classify", help="magical orbits of one real form")
-    p_cls.add_argument("family",
-                       help="su, sl, sustar, so, sostar, spr, sp, or e.g. E6^-14")
+    p_cls.add_argument("family", help=", ".join(FAMILIES) + ", or e.g. E6^-14")
     p_cls.add_argument("params", type=int, nargs="*")
     p_cls.add_argument("--format", **fmt)
     p_cls.set_defaults(func=cmd_classify)

@@ -46,7 +46,7 @@ class FamilySpec:
     # roots), three for type BC_r (r(r-1), r and r roots e_i +- e_j, e_i,
     # 2e_i); a zero multiplicity means the class is absent.
     root_mults: Callable[..., Tuple[int, ...]]
-    subtube: Optional[Callable[..., Optional[Params]]] = None  # None when tube type
+    subtube: Optional[Callable[..., Optional[Params]]]  # None: always tube type
 
     @property
     def arity(self) -> int:
@@ -59,7 +59,7 @@ class FamilySpec:
         return self.template.format(*(scale + x for x in self.letters))
 
     def name(self, params: Params) -> str:
-        return self.template.format(*(self.size_factor * x for x in params))
+        return self.template.format(*[self.size_factor * x for x in params])
 
     def size(self, params: Params) -> int:
         return self.size_factor * sum(params)
@@ -83,7 +83,9 @@ class FamilySpec:
 
     def dim_g(self, params: Params) -> int:
         n = self.size(params)
-        return {"gl": n * n - 1, "so": n * (n - 1) // 2, "sp": n * (n + 1) // 2}[self.algebra]
+        if self.algebra == "gl":
+            return n * n - 1
+        return n * (n - 1) // 2 if self.algebra == "so" else n * (n + 1) // 2
 
 
 _SPECS = (
@@ -100,14 +102,14 @@ _SPECS = (
         quaternionic=False, signed_parities=(), forced_split=False, signature_rule=False,
         signed_factor=None, unsigned_factor=lambda r: f"gl({r},R)", compact_rows=1,
         min_size=2, dim_h=lambda n: n * (n - 1) // 2, ss_rank=lambda n: n - 1,
-        hermitian=lambda n: n == 2, root_mults=lambda n: (1,),
+        hermitian=lambda n: n == 2, root_mults=lambda n: (1,), subtube=None,
     ),
     FamilySpec(
         tag="sustar", template="su*({})", letters="m", size_factor=2, algebra="gl",
         quaternionic=True, signed_parities=(), forced_split=False, signature_rule=False,
         signed_factor=None, unsigned_factor=lambda r: f"u*({2 * r})", compact_rows=1,
         min_size=2, dim_h=lambda m: m * (2 * m + 1), ss_rank=lambda m: m - 1,
-        hermitian=lambda m: False, root_mults=lambda m: (4,),
+        hermitian=lambda m: False, root_mults=lambda m: (4,), subtube=None,
     ),
     FamilySpec(
         tag="so", template="so({},{})", letters="pq", size_factor=1, algebra="so",
@@ -115,7 +117,7 @@ _SPECS = (
         signed_factor=lambda a, b: f"so({a},{b})", unsigned_factor=lambda r: f"sp({r},R)",
         compact_rows=0, min_size=5, dim_h=lambda p, q: p * (p - 1) // 2 + q * (q - 1) // 2,
         ss_rank=min, hermitian=lambda p, q: 2 in (p, q),
-        root_mults=lambda p, q: (1, abs(q - p), 0),
+        root_mults=lambda p, q: (1, abs(q - p), 0), subtube=None,
     ),
     FamilySpec(
         tag="sostar", template="so*({})", letters="m", size_factor=2, algebra="so",
@@ -131,7 +133,7 @@ _SPECS = (
         quaternionic=False, signed_parities=(0,), forced_split=True, signature_rule=False,
         signed_factor=lambda a, b: f"so({a},{b})", unsigned_factor=lambda r: f"sp({r},R)",
         compact_rows=0, min_size=1, dim_h=lambda n: n * n, ss_rank=lambda n: n,
-        hermitian=lambda n: True, root_mults=lambda n: (1, 0, 1),
+        hermitian=lambda n: True, root_mults=lambda n: (1, 0, 1), subtube=None,
     ),
     FamilySpec(
         tag="sp", template="sp({},{})", letters="pq", size_factor=2, algebra="sp",
@@ -140,6 +142,7 @@ _SPECS = (
         unsigned_factor=lambda r: f"so*({2 * r})", compact_rows=1,
         min_size=2, dim_h=lambda p, q: p * (2 * p + 1) + q * (2 * q + 1), ss_rank=min,
         hermitian=lambda p, q: False, root_mults=lambda p, q: (4, 4 * abs(q - p), 3),
+        subtube=None,
     ),
 )
 

@@ -26,6 +26,7 @@ from enum import Enum
 from typing import List, Tuple
 
 from .errors import DomainError
+from .families import FAMILIES
 from .orbits import (
     OrbitLabel,
     Partition,
@@ -33,7 +34,6 @@ from .orbits import (
     enumerate_orbit_labels,
     enumerate_signed_data,
 )
-from .families import FAMILIES
 from .realforms import (
     CentralizerRealForm,
     RealFormDescriptor,

@@ -25,6 +25,7 @@ from .rootsystems import LieFamily, LieType, WeightedDynkinDiagram
 
 SignTable = Tuple[Tuple[int, Tuple[int, int]], ...]
 
+
 @dataclass(frozen=True)
 class Partition:
     """A weakly decreasing tuple of positive integers."""
@@ -313,7 +314,7 @@ def enumerate_signed_data(
         forced, base = (), sum(i // 2 * rows[i] for i in unsigned)
     out = []
     for choice in _product_of_splits(signed, [rows[i] for i in signed]):
-        signs = tuple(sorted(forced + choice, reverse=True))
+        signs = tuple(sorted(forced + choice, reverse=True)) if forced else choice
         plus = base + sum(plus_boxes(i, a, b) for i, (a, b) in signs)
         if not spec.signature_rule or plus == params[0]:
             out.append(SignedPartitionData(family, params, p, signs))

@@ -80,8 +80,7 @@ class RealFormDescriptor:
 
 def describe(family: str, params: Params = ()) -> RealFormDescriptor:
     """Descriptor for a noncompact real form; family is a classical tag
-    (su, sl, sustar, so, sostar, spr, sp) or an exceptional token like
-    'E6^-14'."""
+    (a key of families.FAMILIES) or an exceptional token like 'E6^-14'."""
     if family in EXCEPTIONAL_FORMS:
         info = EXCEPTIONAL_FORMS[family]
         ambient = LieType.of(info["ambient"])
