@@ -22,11 +22,11 @@ from .crosscheck import run_all
 from .dataset import evaluate_conditions, load_records
 from .errors import DatasetSchemaError, DomainError, MissingDataError
 from .families import FAMILIES
-from .magical import Verdict, classify_realform, extended_magical_status
+from .magical import Verdict, classify_realform, magical_statuses
 from .moduli import rigidity_report
 from .orbits import Partition, enumerate_signed_data, weighted_dynkin_from_partition
 from .realforms import EXCEPTIONAL_FORMS, describe
-from .rootsystems import LieType
+from .rootsystems import LieType, WeightedDynkinDiagram
 from .sl2data import (
     dim_c_formula,
     dim_g0_formula,
@@ -169,12 +169,19 @@ def cmd_slodowy(args: argparse.Namespace) -> int:
     family = args.family
     params = tuple(args.params)
     if family in EXCEPTIONAL_FORMS:
+        if params:
+            raise DomainError(f"{family} takes no parameters")
         if not args.wdd:
             raise DomainError(f"{family} needs --wdd to pick the orbit")
         try:
-            orbit = tuple(int(x) for x in args.wdd.split(","))
+            labels = tuple(int(x) for x in args.wdd.split(","))
         except ValueError:
             raise DomainError(f"{family}: cannot parse --wdd {args.wdd!r}") from None
+        form = describe(family)
+        try:
+            orbit = WeightedDynkinDiagram(form.complexification(), labels).labels
+        except DomainError as exc:
+            raise DomainError(f"{family}: {exc}") from None
         report = rigidity_report(args.genus, family, params, orbit)
         orbit_str = "wdd " + " ".join(str(x) for x in orbit)
         signs = ""
@@ -183,18 +190,17 @@ def cmd_slodowy(args: argparse.Namespace) -> int:
             raise DomainError("classical forms need --partition")
         p = Partition.parse(args.partition)
         data = enumerate_signed_data(family, params, p)
+        form = describe(family, params)
         if not data:
-            raise DomainError(f"{p} does not meet {describe(family, params).name}")
-        chosen = data[0]
-        for signed in data:
-            if extended_magical_status(family, params, p, signed).verdict.is_magical:
-                chosen = signed
-                break
+            raise DomainError(f"{p} does not meet {form.name}")
+        statuses = magical_statuses(form, p, data)
+        chosen = next((signed for signed, status in zip(data, statuses)
+                       if status.verdict.is_magical), data[0])
         report = rigidity_report(args.genus, family, params, p, chosen)
         orbit_str = str(p)
         signs = str(chosen)
     doc = {
-        "realform": describe(family, params).name,
+        "realform": form.name,
         "orbit": orbit_str,
         "genus": report.genus,
         "slodowy_param_dim": report.slodowy_param_dim,
@@ -291,7 +297,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (MissingDataError, DatasetSchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:  # DomainError included
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

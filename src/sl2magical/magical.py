@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 from .errors import DomainError
 from .families import FAMILIES
@@ -40,7 +40,6 @@ from .realforms import (
     centralizer_realform,
     describe,
 )
-from .rootsystems import LieType
 from .sl2data import Sl2Data, is_even_triple, multiplicities_formula
 
 Params = Tuple[int, ...]
@@ -109,27 +108,32 @@ def extended_magical_status(
         raise DomainError(f"signed datum {signed} does not refine {p}")
 
     form = describe(family, tuple(params))
-    return _criterion(form, form.complexification(), p, signed)
+    return next(magical_statuses(form, p, [signed]))
 
 
-def _criterion(form: RealFormDescriptor, ambient: LieType, p: Partition,
-               signed: SignedPartitionData) -> MagicalStatus:
-    """The criterion on one signed datum of the described form."""
+def magical_statuses(form: RealFormDescriptor, p: Partition,
+                     signed_data: Iterable[SignedPartitionData]) -> Iterator[MagicalStatus]:
+    """The criterion on each signed datum of one partition of the described
+    form, lazily; the partition's half of the witness is computed once."""
+    ambient = form.complexification()
     data = Sl2Data(tuple(sorted(multiplicities_formula(ambient, p).items())), ambient.dim)
-    cz = centralizer_realform(signed)
-    witness = Witness(
-        m_minus_h=form.s,
-        g0_minus_2c=data.dim_g0 - 2 * data.dim_c,
-        centralizer_compact=cz.is_compact,
-        even_triple=is_even_triple(data),
-    )
-    if not witness.centralizer_compact or witness.m_minus_h != witness.g0_minus_2c:
-        verdict = Verdict.NOT_EXTENDED_MAGICAL
-    elif witness.even_triple:
-        verdict = Verdict.EVEN_MAGICAL
-    else:
-        verdict = Verdict.ODD_MAGICAL
-    return MagicalStatus(verdict=verdict, witness=witness, centralizer=cz)
+    g0_minus_2c = data.dim_g0 - 2 * data.dim_c
+    even = is_even_triple(data)
+    for signed in signed_data:
+        cz = centralizer_realform(signed)
+        witness = Witness(
+            m_minus_h=form.s,
+            g0_minus_2c=g0_minus_2c,
+            centralizer_compact=cz.is_compact,
+            even_triple=even,
+        )
+        if not witness.centralizer_compact or witness.m_minus_h != witness.g0_minus_2c:
+            verdict = Verdict.NOT_EXTENDED_MAGICAL
+        elif witness.even_triple:
+            verdict = Verdict.EVEN_MAGICAL
+        else:
+            verdict = Verdict.ODD_MAGICAL
+        yield MagicalStatus(verdict=verdict, witness=witness, centralizer=cz)
 
 
 @dataclass(frozen=True)
@@ -165,11 +169,11 @@ def classify_realform(family: str, params: Params) -> Tuple[ClassifiedOrbit, ...
     for label in enumerate_orbit_labels(ambient, ambient.matrix_size):
         p = label.partition
         if p not in cache:
-            hits = []
-            for signed in enumerate_signed_data(family, tuple(params), p):
-                status = _criterion(form, ambient, p, signed)
-                if status.verdict.is_magical:
-                    hits.append((status, signed))
+            data = enumerate_signed_data(family, tuple(params), p)
+            # data first: an empty datum list never starts the generator
+            hits = [(status, signed)
+                    for signed, status in zip(data, magical_statuses(form, p, data))
+                    if status.verdict.is_magical]
             if hits and any(st.verdict is not hits[0][0].verdict for st, _ in hits):
                 raise DomainError(f"sign assignments of {p} disagree on the verdict")
             cache[p] = hits

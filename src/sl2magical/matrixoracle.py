@@ -7,18 +7,24 @@ isotropic for an explicit signed-permutation bilinear form M: strings of
 the self-paired parity carry M(w_k, w_{i-1-k}) = (-1)^k, the others are
 coupled in consecutive pairs.  The algebra so(M)/sp(M) then has the basis
 M^{-1}(E_ab -+ E_ba), every element of which is an ad_h weight vector, and
-n_j is the nullity of ad_e on the weight-j slice.
+n_j is the nullity of ad_e on the weight-j slice.  Matrices are sparse
+{(row, col): value} maps.
 
-Cartan involutions are realized as explicit block/sign involutions for the
-su(p,q) and sl(n,R) models, giving exact h/m splits of each highest-weight
-space.  Quaternionic and orthogonal-star involutions are not modeled (they
-need non-real matrix entries); callers get UnsupportedInvolutionError.
+Cartan-type involutions are modeled as signed permutations of the
+elementary matrices, sigma(E_ab) = eps * E_a'b', which gives exact h/m
+splits of each highest-weight space.  Two are implemented, both on the
+type A model: Ad(S) for su(p,q), with S = diag(s) alternating along each
+string, eps = s_a s_b and (a,b) fixed; and sigma(X) = -B X^T B^{-1} for
+sl(n,R), with B the per-string reversal a -> a*, eps = -1 and
+(a,b) -> (b*, a*).  The involutions of the other five classical families
+have the same shape but are not modeled yet; callers get
+UnsupportedInvolutionError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import DomainError, NormalityError, UnsupportedInvolutionError
 from .linalg import integer_rank
@@ -26,46 +32,34 @@ from .orbits import Partition, SignedPartitionData, partition_fits_family
 from .rootsystems import LieFamily, LieType
 from .sl2data import Sl2Data
 
-Matrix = Tuple[Tuple[int, ...], ...]
 Entry = Tuple[int, int]
 Sparse = Dict[Entry, int]
+Columns = Dict[int, List[Sparse]]  # ad_h weight -> basis columns of that weight
 
 
-def _to_matrix(entries: Sparse, size: int) -> Matrix:
-    rows = [[0] * size for _ in range(size)]
-    for (r, c), v in entries.items():
-        rows[r][c] = v
-    return tuple(tuple(row) for row in rows)
+def _mul(a: Sparse, b: Sparse, bracket: bool = False) -> Sparse:
+    """The product a b, or the bracket a b - b a, in one pass over a."""
+    rows: Dict[int, List[Tuple[int, int]]] = {}
+    cols: Dict[int, List[Tuple[int, int]]] = {}
+    for (k, c), w in b.items():
+        rows.setdefault(k, []).append((c, w))
+        if bracket:
+            cols.setdefault(c, []).append((k, w))
+    out: Sparse = {}
+    for (r, k), v in a.items():
+        for c, w in rows.get(k, ()):
+            out[(r, c)] = out.get((r, c), 0) + v * w
+        for s, w in cols.get(r, ()):
+            out[(s, k)] = out.get((s, k), 0) - w * v
+    return {key: v for key, v in out.items() if v}
 
 
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    size = len(a)
-    out = []
-    for r in range(size):
-        row_a = a[r]
-        out_row = [0] * size
-        for k in range(size):
-            v = row_a[k]
-            if v:
-                row_b = b[k]
-                for c in range(size):
-                    if row_b[c]:
-                        out_row[c] += v * row_b[c]
-        out.append(tuple(out_row))
-    return tuple(out)
+def _bracket(a: Sparse, b: Sparse) -> Sparse:
+    return _mul(a, b, bracket=True)
 
 
-def _bracket(a: Matrix, b: Matrix) -> Matrix:
-    ab, ba = _matmul(a, b), _matmul(b, a)
-    return tuple(tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(ab, ba))
-
-
-def _scale(a: Matrix, k: int) -> Matrix:
-    return tuple(tuple(k * x for x in row) for row in a)
-
-
-def _transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
+def _scale(a: Sparse, k: int) -> Sparse:
+    return {key: k * v for key, v in a.items()}
 
 
 @dataclass(frozen=True)
@@ -74,20 +68,20 @@ class MatrixSl2Triple:
 
     ambient: LieType
     partition: Partition
-    e: Matrix
-    h: Matrix
-    f: Matrix
-    form: Optional[Matrix]  # bilinear form for B/C/D, None in type A
+    e: Sparse
+    h: Sparse
+    f: Sparse
+    form: Optional[Sparse]  # bilinear form for B/C/D, None in type A
     strings: Tuple[Tuple[int, ...], ...]  # basis indices per Jordan string
     pairing: Tuple[int, ...]  # index involution a -> a* with h_{a*} = -h_a
     pairing_sign: Tuple[int, ...]  # mu_a = M[a][a*] (all 1 in type A)
 
     @property
     def size(self) -> int:
-        return len(self.h)
+        return len(self.pairing)
 
     def weight(self, a: int) -> int:
-        return self.h[a][a]
+        return self.h.get((a, a), 0)
 
 
 def _self_paired_parity(fam: LieFamily) -> int:
@@ -111,57 +105,52 @@ def build_matrix_triple(t: LieType, p: Partition) -> MatrixSl2Triple:
         next_index += part
     size = next_index
 
-    e_entries: Sparse = {}
-    h_entries: Sparse = {}
-    f_entries: Sparse = {}
+    e: Sparse = {}
+    h: Sparse = {}
+    f: Sparse = {}
     for s in strings:
         i = len(s)
         for k, idx in enumerate(s):
-            h_entries[(idx, idx)] = i - 1 - 2 * k
+            if i - 1 - 2 * k:
+                h[(idx, idx)] = i - 1 - 2 * k
             if k:
-                e_entries[(s[k - 1], idx)] = 1
+                e[(s[k - 1], idx)] = 1
             if k + 1 < i:
-                f_entries[(s[k + 1], idx)] = (k + 1) * (i - 1 - k)
+                f[(s[k + 1], idx)] = (k + 1) * (i - 1 - k)
 
     pairing = list(range(size))
     mu = [1] * size
-    form = None
+    form: Optional[Sparse] = None
     if fam is not LieFamily.A:
         keep = _self_paired_parity(fam)
-        m_entries: Sparse = {}
+        form = {}
         open_partner: Dict[int, Tuple[int, ...]] = {}
         for s in strings:
             i = len(s)
             if i % 2 == keep:
                 for k, idx in enumerate(s):
                     pairing[idx] = s[i - 1 - k]
-                    m_entries[(idx, s[i - 1 - k])] = (-1) ** k
+                    form[(idx, s[i - 1 - k])] = (-1) ** k
             elif i in open_partner:
                 u = open_partner.pop(i)
                 for k in range(i):
                     pairing[u[k]] = s[i - 1 - k]
                     pairing[s[k]] = u[i - 1 - k]
-                    m_entries[(u[k], s[i - 1 - k])] = (-1) ** k
-                    m_entries[(s[k], u[i - 1 - k])] = -((-1) ** k)
+                    form[(u[k], s[i - 1 - k])] = (-1) ** k
+                    form[(s[k], u[i - 1 - k])] = -((-1) ** k)
             else:
                 open_partner[i] = s
         if open_partner:
             raise AssertionError(f"unpaired strings {sorted(open_partner)} despite parity check")
-        form = _to_matrix(m_entries, size)
         for a in range(size):
-            mu[a] = form[a][pairing[a]]
-
-    e = _to_matrix(e_entries, size)
-    h = _to_matrix(h_entries, size)
-    f = _to_matrix(f_entries, size)
+            mu[a] = form[(a, pairing[a])]
 
     if _bracket(h, e) != _scale(e, 2) or _bracket(h, f) != _scale(f, -2) or _bracket(e, f) != h:
         raise AssertionError(f"{t.name} {p}: bracket relations failed")
     if form is not None:
         for x in (e, h, f):
-            lhs = _matmul(_transpose(x), form)
-            rhs = _scale(_matmul(form, x), -1)
-            if lhs != rhs:
+            x_t = {(c, r): v for (r, c), v in x.items()}
+            if _mul(x_t, form) != _scale(_mul(form, x), -1):
                 raise AssertionError(f"{t.name} {p}: triple leaves the bilinear form")
 
     return MatrixSl2Triple(
@@ -170,44 +159,28 @@ def build_matrix_triple(t: LieType, p: Partition) -> MatrixSl2Triple:
     )
 
 
-def _gl_basis(m: MatrixSl2Triple) -> List[Tuple[Entry, Sparse, int]]:
-    """(key, sparse matrix, weight) for the elementary-matrix basis."""
-    out = []
+def _gl_basis(m: MatrixSl2Triple) -> Columns:
+    """The elementary matrices E_ab, grouped by weight."""
+    cols: Columns = {}
     for a in range(m.size):
         for b in range(m.size):
-            out.append(((a, b), {(a, b): 1}, m.weight(a) - m.weight(b)))
-    return out
+            cols.setdefault(m.weight(a) - m.weight(b), []).append({(a, b): 1})
+    return cols
 
 
-def _form_basis(m: MatrixSl2Triple) -> List[Tuple[Entry, Sparse, int]]:
-    """Basis M^{-1}(E_ab -+ E_ba) of so(M)/sp(M), keyed by the (a,b) of
-    the anti/symmetric coordinate matrix A = M X."""
+def _form_basis(m: MatrixSl2Triple) -> Columns:
+    """Basis M^{-1}(E_ab -+ E_ba) of so(M)/sp(M), a <= b (a < b for so),
+    grouped by weight."""
     sym = m.ambient.family is LieFamily.C
-    out = []
+    cols: Columns = {}
     for a in range(m.size):
-        start = a if sym else a + 1
-        for b in range(start, m.size):
-            x: Sparse = {}
-            x[(m.pairing[a], b)] = x.get((m.pairing[a], b), 0) + m.pairing_sign[a]
-            second = m.pairing_sign[b] if sym else -m.pairing_sign[b]
+        for b in range(a if sym else a + 1, m.size):
+            x: Sparse = {(m.pairing[a], b): m.pairing_sign[a]}
             key = (m.pairing[b], a)
-            x[key] = x.get(key, 0) + second
+            x[key] = x.get(key, 0) + (m.pairing_sign[b] if sym else -m.pairing_sign[b])
             x = {k: v for k, v in x.items() if v}
-            w = -m.weight(a) - m.weight(b)
-            out.append(((a, b), x, w))
-    return out
-
-
-def _ad_e(m: MatrixSl2Triple, x: Sparse) -> Sparse:
-    out: Sparse = {}
-    for (r, c), v in x.items():
-        for rr in range(m.size):
-            if m.e[rr][r]:
-                out[(rr, c)] = out.get((rr, c), 0) + m.e[rr][r] * v
-        for cc in range(m.size):
-            if m.e[c][cc]:
-                out[(r, cc)] = out.get((r, cc), 0) - m.e[c][cc] * v
-    return {k: v for k, v in out.items() if v}
+            cols.setdefault(-m.weight(a) - m.weight(b), []).append(x)
+    return cols
 
 
 def _coords_form(m: MatrixSl2Triple, y: Sparse) -> Sparse:
@@ -226,29 +199,22 @@ def _coords_form(m: MatrixSl2Triple, y: Sparse) -> Sparse:
     return {k: v for k, v in coords.items() if v}
 
 
-def _nullity_by_weight(
-    m: MatrixSl2Triple,
-    basis: List[Tuple[Entry, Sparse, int]],
-    column_filter=None,
-) -> Dict[int, int]:
-    by_weight: Dict[int, List[Sparse]] = {}
-    for key, x, w in basis:
-        if column_filter is not None and not column_filter(key, w):
-            continue
-        by_weight.setdefault(w, []).append(_ad_e(m, x))
+def _nullity_by_weight(m: MatrixSl2Triple, columns: Columns) -> Dict[int, int]:
+    """Nullity of ad_e on the span of each weight's columns."""
     out: Dict[int, int] = {}
-    for w, images in by_weight.items():
-        image_coords = images if m.form is None else [_coords_form(m, y) for y in images]
-        row_keys = sorted({k for c in image_coords for k in c})
-        rows = [[c.get(k, 0) for c in image_coords] for k in row_keys]
-        out[w] = len(images) - integer_rank(rows)
+    for w, xs in columns.items():
+        images = [_bracket(m.e, x) for x in xs]
+        if m.form is not None:
+            images = [_coords_form(m, y) for y in images]
+        row_keys = sorted({k for c in images for k in c})
+        rows = [[c.get(k, 0) for c in images] for k in row_keys]
+        out[w] = len(xs) - integer_rank(rows)
     return out
 
 
 def oracle_sl2_data(m: MatrixSl2Triple) -> Sl2Data:
     """n_j as the nullity of ad_e on the weight-j slice of the algebra."""
-    basis = _gl_basis(m) if m.form is None else _form_basis(m)
-    null = _nullity_by_weight(m, basis)
+    null = _nullity_by_weight(m, _gl_basis(m) if m.form is None else _form_basis(m))
     if m.form is None:
         null[0] -= 1  # the identity matrix is not in sl
     pairs = tuple((j, v) for j, v in sorted(null.items()) if j >= 0 and v)
@@ -279,9 +245,13 @@ class SigmaSplitReport:
         return {w: hm[1] for w, hm in self.splits}
 
 
-def _su_sign_vector(m: MatrixSl2Triple, signed: SignedPartitionData) -> List[int]:
-    """Leading signs per string from the signed tableau; box k of a row with
-    leading sign eps gets eps * (-1)^k, so conjugation negates e."""
+# sigma(E_ab) = eps * E_a'b', given as (a, b) -> (eps, (a', b')).
+Involution = Callable[[int, int], Tuple[int, Entry]]
+
+
+def _su_involution(m: MatrixSl2Triple, signed: SignedPartitionData) -> Involution:
+    """Ad(S), S = diag(signs).  Leading signs per string come from the
+    signed tableau; box k of a row with leading sign eps gets eps * (-1)^k."""
     remaining = {part: pq for part, pq in signed.signs}
     signs = [0] * m.size
     for s in m.strings:
@@ -295,101 +265,65 @@ def _su_sign_vector(m: MatrixSl2Triple, signed: SignedPartitionData) -> List[int
             lead, remaining[part] = -1, (plus, minus - 1)
         for k, idx in enumerate(s):
             signs[idx] = lead * (-1) ** k
-    return signs
+    plus_count = signs.count(1)
+    if plus_count != signed.params[0]:
+        raise NormalityError(
+            f"sign vector has {plus_count} plus entries, wanted {signed.params[0]}"
+        )
+    return lambda a, b: (signs[a] * signs[b], (a, b))
+
+
+def _sl_involution(m: MatrixSl2Triple) -> Involution:
+    """-B X^T B^{-1}, B the per-string reversal: an exact normal involution
+    with fixed algebra of orthogonal type."""
+    rev = list(range(m.size))
+    for s in m.strings:
+        for k, idx in enumerate(s):
+            rev[idx] = s[len(s) - 1 - k]
+    return lambda a, b: (-1, (rev[b], rev[a]))
 
 
 def oracle_sigma_split(m: MatrixSl2Triple, signed: SignedPartitionData) -> SigmaSplitReport:
     if signed.partition != m.partition:
         raise DomainError("signed data is for a different partition")
-    if signed.family == "su":
-        return _sigma_split_su(m, signed)
-    if signed.family == "sl":
-        return _sigma_split_sl(m, signed)
-    raise UnsupportedInvolutionError(
-        f"no integer matrix involution implemented for family {signed.family!r}"
-    )
-
-
-def _sigma_split_su(m: MatrixSl2Triple, signed: SignedPartitionData) -> SigmaSplitReport:
-    if m.ambient.family is not LieFamily.A:
-        raise DomainError("su splits need a type A model")
-    p_target, q_target = signed.params
-    signs = _su_sign_vector(m, signed)
-    if sum(1 for s in signs if s == 1) != p_target:
-        raise NormalityError(
-            f"sign vector has {sum(1 for s in signs if s == 1)} plus entries, wanted {p_target}"
+    if signed.family not in ("su", "sl"):
+        raise UnsupportedInvolutionError(
+            f"no integer matrix involution implemented for family {signed.family!r}"
         )
-    # sigma = Ad(S) with S = diag(signs); sigma(e) = -e because signs
-    # alternate along every string.
-    for s in m.strings:
-        for k in range(1, len(s)):
-            if signs[s[k - 1]] * signs[s[k]] != -1:
-                raise NormalityError("signs fail to alternate along a Jordan string")
-
-    basis = _gl_basis(m)
-    h_null = _nullity_by_weight(m, basis, lambda key, w: signs[key[0]] * signs[key[1]] == 1)
-    m_null = _nullity_by_weight(m, basis, lambda key, w: signs[key[0]] * signs[key[1]] == -1)
-    h_null[0] = h_null.get(0, 0) - 1  # identity sits in the sigma = +1 part
-    weights = sorted(w for w in set(h_null) | set(m_null) if w >= 0)
-    splits = tuple(
-        (w, (h_null.get(w, 0), m_null.get(w, 0)))
-        for w in weights
-        if h_null.get(w, 0) or m_null.get(w, 0)
-    )
-    dim_h = p_target * p_target + q_target * q_target - 1
-    dim_m = 2 * p_target * q_target
-    return SigmaSplitReport(
-        family="su", params=signed.params, splits=splits, dim_h=dim_h, dim_m=dim_m
-    )
-
-
-def _sigma_split_sl(m: MatrixSl2Triple, signed: SignedPartitionData) -> SigmaSplitReport:
-    """sigma(X) = -B X^T B^{-1}, B the per-string reversal: an exact normal
-    involution with fixed algebra of orthogonal type."""
     if m.ambient.family is not LieFamily.A:
-        raise DomainError("sl(n,R) splits need a type A model")
-    (n_param,) = signed.params
-    rev = list(range(m.size))
-    for s in m.strings:
-        for k, idx in enumerate(s):
-            rev[idx] = s[len(s) - 1 - k]
+        raise DomainError(f"{signed.family} splits need a type A model")
+    sigma = _su_involution(m, signed) if signed.family == "su" else _sl_involution(m)
+    for (a, b), v in m.e.items():
+        eps, img = sigma(a, b)
+        if m.e.get(img) != -eps * v:
+            raise NormalityError(f"the {signed.family} involution does not negate e")
 
-    # sigma(E_ab) = -E_{b* a*}; orbit pairs split one h + one m vector,
-    # fixed points (b = a*, a = b*) are pure m.
-    h_cols: Dict[int, List[Sparse]] = {}
-    m_cols: Dict[int, List[Sparse]] = {}
+    # An orbit {E_ab, E_a'b'} of sigma gives E_ab + eps E_a'b' in h and
+    # E_ab - eps E_a'b' in m; a fixed E_ab lies on the side of its eps.
+    sides: Tuple[Columns, Columns] = ({}, {})  # (h, m)
     for a in range(m.size):
         for b in range(m.size):
-            img = (rev[b], rev[a])
+            eps, img = sigma(a, b)
             if img < (a, b):
                 continue
             w = m.weight(a) - m.weight(b)
             if img == (a, b):
-                m_cols.setdefault(w, []).append({(a, b): 1})
+                sides[0 if eps == 1 else 1].setdefault(w, []).append({img: 1})
             else:
-                h_cols.setdefault(w, []).append({(a, b): 1, img: -1})
-                m_cols.setdefault(w, []).append({(a, b): 1, img: 1})
+                sides[0].setdefault(w, []).append({(a, b): 1, img: eps})
+                sides[1].setdefault(w, []).append({(a, b): 1, img: -eps})
 
-    def null_by_weight(cols: Dict[int, List[Sparse]]) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for w, xs in cols.items():
-            images = [_ad_e(m, x) for x in xs]
-            row_keys = sorted({k for c in images for k in c})
-            rows = [[c.get(k, 0) for c in images] for k in row_keys]
-            out[w] = len(xs) - integer_rank(rows)
-        return out
+    nulls = [_nullity_by_weight(m, cols) for cols in sides]
+    dims = [sum(map(len, cols.values())) for cols in sides]
+    trace = 0 if sigma(0, 0)[0] == 1 else 1  # sigma(I) = +-I; I is not in sl
+    nulls[trace][0] = nulls[trace].get(0, 0) - 1
+    dims[trace] -= 1
 
-    h_null = null_by_weight(h_cols)
-    m_null = null_by_weight(m_cols)
-    m_null[0] = m_null.get(0, 0) - 1  # identity: sigma(I) = -I, not in sl
-    weights = sorted(w for w in set(h_null) | set(m_null) if w >= 0)
-    splits = tuple(
-        (w, (h_null.get(w, 0), m_null.get(w, 0)))
-        for w in weights
-        if h_null.get(w, 0) or m_null.get(w, 0)
-    )
-    dim_h = n_param * (n_param - 1) // 2
-    dim_m = n_param * (n_param + 1) // 2 - 1
+    h_null, m_null = nulls
+    splits = tuple((w, (h_null.get(w, 0), m_null.get(w, 0)))
+                   for w in sorted(set(h_null) | set(m_null))
+                   if w >= 0 and (h_null.get(w, 0) or m_null.get(w, 0)))
     return SigmaSplitReport(
-        family="sl", params=signed.params, splits=splits, dim_h=dim_h, dim_m=dim_m
+        family=signed.family, params=signed.params, splits=splits,
+        dim_h=dims[0], dim_m=dims[1],
     )

@@ -166,6 +166,23 @@ def test_slodowy_exceptional_incomplete_row_exit_3(capsys):
     assert code == 3
 
 
+def test_slodowy_exceptional_diagram_without_record_exit_3(capsys):
+    code, out, err = run(capsys, "slodowy", "E6^-14", "--wdd", "2,2,2,2,2,2",
+                         "--genus", "2")
+    assert code == 3
+    assert out == ""
+    assert "no curated record for E6^-14" in err
+
+
+def test_internal_value_error_is_not_an_argument_error(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr("sl2magical.cli.rigidity_report", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["slodowy", "su", "2", "2", "--partition", "2,2", "--genus", "2"])
+
+
 def test_verify_clean_run(capsys):
     code, out, _ = run(capsys, "verify", "--max-rank", "4")
     assert code == 0
@@ -210,6 +227,10 @@ def test_entry_point_help_exits_zero():
     (("classify", "sl", "3", "4"), "sl(n,R)"),
     (("slodowy", "su", "2", "--partition", "2,1", "--genus", "2"), "su(p,q)"),
     (("slodowy", "E6^-14", "--wdd", "1,x,0,0,0,1", "--genus", "2"), "E6^-14"),
+    (("slodowy", "E6^-14", "3", "--wdd", "1,0,0,0,0,1", "--genus", "2"),
+     "E6^-14 takes no parameters"),
+    (("slodowy", "E6^-14", "--wdd", "1,0,0,0,1", "--genus", "2"), "E6^-14"),
+    (("slodowy", "E6^-14", "--wdd", "1,0,0,0,0,3", "--genus", "2"), "E6^-14"),
 ])
 def test_malformed_arguments_exit_2_naming_the_form(capsys, argv, form):
     code, out, err = run(capsys, *argv)

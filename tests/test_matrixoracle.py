@@ -9,6 +9,7 @@ from sl2magical.matrixoracle import (
     oracle_sl2_data,
 )
 from sl2magical.orbits import Partition, enumerate_partitions, enumerate_signed_data
+from sl2magical.realforms import describe
 from sl2magical.rootsystems import LieType
 from sl2magical.sl2data import multiplicities_formula
 
@@ -57,14 +58,23 @@ def test_sigma_split_su23():
 
 
 def test_sigma_split_totals():
-    """h+m at each weight w recovers the multiplicity n_w."""
-    t = LieType.of("A", 3)
-    p = Partition.parse("2,2")
-    m = build_matrix_triple(t, p)
-    n = multiplicities_formula(t, p)
-    for signed in enumerate_signed_data("su", (2, 2), p):
-        r = oracle_sigma_split(m, signed)
-        assert {w: h + mm for w, (h, mm) in r.splits} == n
+    """h+m at each weight w recovers the multiplicity n_w, and the counted
+    Cartan dimensions match the real-form descriptor."""
+    checked = 0
+    for n in range(2, 8):
+        forms = [("su", (a, n - a)) for a in range(1, n)] + [("sl", (n,))]
+        t = LieType.of("A", n - 1)
+        for p in enumerate_partitions("A", n):
+            m = build_matrix_triple(t, p)
+            mult = multiplicities_formula(t, p)
+            for family, params in forms:
+                form = describe(family, params)
+                for signed in enumerate_signed_data(family, params, p):
+                    r = oracle_sigma_split(m, signed)
+                    assert {w: h + mm for w, (h, mm) in r.splits} == mult
+                    assert (r.dim_h, r.dim_m) == (form.dim_h, form.dim_m)
+                    checked += 1
+    assert checked == 277  # every su and sl signed datum of size <= 7
 
 
 def test_sigma_split_su12_odd_space():
