@@ -6,7 +6,7 @@ dimension), verify (the cross-check suite).  Output formats: an aligned
 text table, csv with a header row, or a single json document.
 
 Exit codes: 0 success, 1 verification mismatch, 2 argument or domain
-error, 3 missing data.
+error, 3 missing data, 4 internal error (a broken internal invariant).
 """
 
 from __future__ import annotations
@@ -300,6 +300,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -8,7 +8,16 @@ the self-paired parity carry M(w_k, w_{i-1-k}) = (-1)^k, the others are
 coupled in consecutive pairs.  The algebra so(M)/sp(M) then has the basis
 M^{-1}(E_ab -+ E_ba), every element of which is an ad_h weight vector, and
 n_j is the nullity of ad_e on the weight-j slice.  Matrices are sparse
-{(row, col): value} maps.
+{(row, col): value} maps; ad_e goes through row and column maps of e built
+once per triple, so each image costs time linear in its column.
+
+Slice ranks are taken per row-disjoint block.  ad_e maps E_ab, a in
+string s and b in string t, into the span of block (s, t), and in so/sp
+the pairing merges (s, t) with (t*, s*), so the images of one slice fall
+into groups that share no row.  The groups are found from the images
+themselves (union-find on shared row keys), so the split holds for any
+columns, the involution eigen-columns included; the slice rank is the sum
+of the Bareiss ranks of its blocks.
 
 Cartan-type involutions are modeled as signed permutations of the
 elementary matrices, sigma(E_ab) = eps * E_a'b', which gives exact h/m
@@ -24,6 +33,7 @@ UnsupportedInvolutionError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import DomainError, NormalityError, UnsupportedInvolutionError
@@ -35,27 +45,35 @@ from .sl2data import Sl2Data
 Entry = Tuple[int, int]
 Sparse = Dict[Entry, int]
 Columns = Dict[int, List[Sparse]]  # ad_h weight -> basis columns of that weight
+Index = Tuple[Dict[int, List[Tuple[int, int]]], Dict[int, List[Tuple[int, int]]]]
 
 
-def _mul(a: Sparse, b: Sparse, bracket: bool = False) -> Sparse:
-    """The product a b, or the bracket a b - b a, in one pass over a."""
+def _index(a: Sparse) -> Index:
+    """Row and column maps of a: r -> [(c, a_rc)] and c -> [(r, a_rc)]."""
     rows: Dict[int, List[Tuple[int, int]]] = {}
     cols: Dict[int, List[Tuple[int, int]]] = {}
-    for (k, c), w in b.items():
-        rows.setdefault(k, []).append((c, w))
-        if bracket:
-            cols.setdefault(c, []).append((k, w))
+    for (r, c), v in a.items():
+        rows.setdefault(r, []).append((c, v))
+        cols.setdefault(c, []).append((r, v))
+    return rows, cols
+
+
+def _mul(a: Index, b: Sparse, bracket: bool = False) -> Sparse:
+    """The product a b, or the bracket a b - b a, in one pass over b, given
+    the row and column maps of a."""
+    rows, cols = a
     out: Sparse = {}
-    for (r, k), v in a.items():
-        for c, w in rows.get(k, ()):
-            out[(r, c)] = out.get((r, c), 0) + v * w
-        for s, w in cols.get(r, ()):
-            out[(s, k)] = out.get((s, k), 0) - w * v
+    for (k, c), v in b.items():
+        for r, w in cols.get(k, ()):
+            out[(r, c)] = out.get((r, c), 0) + w * v
+        if bracket:
+            for s, w in rows.get(c, ()):
+                out[(k, s)] = out.get((k, s), 0) - v * w
     return {key: v for key, v in out.items() if v}
 
 
 def _bracket(a: Sparse, b: Sparse) -> Sparse:
-    return _mul(a, b, bracket=True)
+    return _mul(_index(a), b, bracket=True)
 
 
 def _scale(a: Sparse, k: int) -> Sparse:
@@ -80,8 +98,21 @@ class MatrixSl2Triple:
     def size(self) -> int:
         return len(self.pairing)
 
+    @cached_property
+    def weights(self) -> Tuple[int, ...]:
+        """The ad_h weight h_a of each basis index a."""
+        return tuple(self.h.get((a, a), 0) for a in range(self.size))
+
     def weight(self, a: int) -> int:
-        return self.h.get((a, a), 0)
+        return self.weights[a]
+
+    @cached_property
+    def _e_index(self) -> Index:
+        return _index(self.e)
+
+    def ad_e(self, x: Sparse) -> Sparse:
+        """[e, x], in time linear in the entries of x."""
+        return _mul(self._e_index, x, bracket=True)
 
 
 def _self_paired_parity(fam: LieFamily) -> int:
@@ -150,7 +181,7 @@ def build_matrix_triple(t: LieType, p: Partition) -> MatrixSl2Triple:
     if form is not None:
         for x in (e, h, f):
             x_t = {(c, r): v for (r, c), v in x.items()}
-            if _mul(x_t, form) != _scale(_mul(form, x), -1):
+            if _mul(_index(x_t), form) != _scale(_mul(_index(form), x), -1):
                 raise AssertionError(f"{t.name} {p}: triple leaves the bilinear form")
 
     return MatrixSl2Triple(
@@ -161,10 +192,11 @@ def build_matrix_triple(t: LieType, p: Partition) -> MatrixSl2Triple:
 
 def _gl_basis(m: MatrixSl2Triple) -> Columns:
     """The elementary matrices E_ab, grouped by weight."""
+    wt = m.weights
     cols: Columns = {}
     for a in range(m.size):
         for b in range(m.size):
-            cols.setdefault(m.weight(a) - m.weight(b), []).append({(a, b): 1})
+            cols.setdefault(wt[a] - wt[b], []).append({(a, b): 1})
     return cols
 
 
@@ -172,14 +204,15 @@ def _form_basis(m: MatrixSl2Triple) -> Columns:
     """Basis M^{-1}(E_ab -+ E_ba) of so(M)/sp(M), a <= b (a < b for so),
     grouped by weight."""
     sym = m.ambient.family is LieFamily.C
+    wt, pair, mu = m.weights, m.pairing, m.pairing_sign
     cols: Columns = {}
     for a in range(m.size):
         for b in range(a if sym else a + 1, m.size):
-            x: Sparse = {(m.pairing[a], b): m.pairing_sign[a]}
-            key = (m.pairing[b], a)
-            x[key] = x.get(key, 0) + (m.pairing_sign[b] if sym else -m.pairing_sign[b])
+            x: Sparse = {(pair[a], b): mu[a]}
+            key = (pair[b], a)
+            x[key] = x.get(key, 0) + (mu[b] if sym else -mu[b])
             x = {k: v for k, v in x.items() if v}
-            cols.setdefault(-m.weight(a) - m.weight(b), []).append(x)
+            cols.setdefault(-wt[a] - wt[b], []).append(x)
     return cols
 
 
@@ -199,17 +232,50 @@ def _coords_form(m: MatrixSl2Triple, y: Sparse) -> Sparse:
     return {k: v for k, v in coords.items() if v}
 
 
+def _ad_e_images(m: MatrixSl2Triple, xs: List[Sparse]) -> List[Sparse]:
+    """The columns [e, x] in the coordinates of the algebra."""
+    images = [m.ad_e(x) for x in xs]
+    if m.form is not None:
+        images = [_coords_form(m, y) for y in images]
+    return images
+
+
+def _row_disjoint_blocks(images: List[Sparse]) -> List[List[Sparse]]:
+    """The nonzero images grouped so that no two groups share a row:
+    union-find over the columns, joined at each shared row key."""
+    parent = list(range(len(images)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    owner: Dict[Entry, int] = {}
+    for j, y in enumerate(images):
+        for key in y:
+            i = owner.setdefault(key, j)
+            if i != j:
+                parent[find(i)] = find(j)
+    blocks: Dict[int, List[Sparse]] = {}
+    for j, y in enumerate(images):
+        if y:
+            blocks.setdefault(find(j), []).append(y)
+    return list(blocks.values())
+
+
+def _slice_rank(images: List[Sparse]) -> int:
+    """Rank of the columns, summed over their row-disjoint blocks: the rank
+    of a block-diagonal matrix is the sum of its blocks' ranks."""
+    rank = 0
+    for block in _row_disjoint_blocks(images):
+        keys = sorted({k for y in block for k in y})
+        rank += integer_rank([[y.get(k, 0) for y in block] for k in keys])
+    return rank
+
+
 def _nullity_by_weight(m: MatrixSl2Triple, columns: Columns) -> Dict[int, int]:
     """Nullity of ad_e on the span of each weight's columns."""
-    out: Dict[int, int] = {}
-    for w, xs in columns.items():
-        images = [_bracket(m.e, x) for x in xs]
-        if m.form is not None:
-            images = [_coords_form(m, y) for y in images]
-        row_keys = sorted({k for c in images for k in c})
-        rows = [[c.get(k, 0) for c in images] for k in row_keys]
-        out[w] = len(xs) - integer_rank(rows)
-    return out
+    return {w: len(xs) - _slice_rank(_ad_e_images(m, xs)) for w, xs in columns.items()}
 
 
 def oracle_sl2_data(m: MatrixSl2Triple) -> Sl2Data:
@@ -283,7 +349,10 @@ def _sl_involution(m: MatrixSl2Triple) -> Involution:
     return lambda a, b: (-1, (rev[b], rev[a]))
 
 
-def oracle_sigma_split(m: MatrixSl2Triple, signed: SignedPartitionData) -> SigmaSplitReport:
+def _sigma_columns(m: MatrixSl2Triple,
+                   signed: SignedPartitionData) -> Tuple[Tuple[Columns, Columns], int]:
+    """The h and m eigen-columns of the involution of the signed datum, and
+    the side (0 for h, 1 for m) of sigma(I) = +-I."""
     if signed.partition != m.partition:
         raise DomainError("signed data is for a different partition")
     if signed.family not in ("su", "sl"):
@@ -300,23 +369,27 @@ def oracle_sigma_split(m: MatrixSl2Triple, signed: SignedPartitionData) -> Sigma
 
     # An orbit {E_ab, E_a'b'} of sigma gives E_ab + eps E_a'b' in h and
     # E_ab - eps E_a'b' in m; a fixed E_ab lies on the side of its eps.
+    wt = m.weights
     sides: Tuple[Columns, Columns] = ({}, {})  # (h, m)
     for a in range(m.size):
         for b in range(m.size):
             eps, img = sigma(a, b)
             if img < (a, b):
                 continue
-            w = m.weight(a) - m.weight(b)
+            w = wt[a] - wt[b]
             if img == (a, b):
                 sides[0 if eps == 1 else 1].setdefault(w, []).append({img: 1})
             else:
                 sides[0].setdefault(w, []).append({(a, b): 1, img: eps})
                 sides[1].setdefault(w, []).append({(a, b): 1, img: -eps})
+    return sides, 0 if sigma(0, 0)[0] == 1 else 1
 
+
+def oracle_sigma_split(m: MatrixSl2Triple, signed: SignedPartitionData) -> SigmaSplitReport:
+    sides, trace = _sigma_columns(m, signed)
     nulls = [_nullity_by_weight(m, cols) for cols in sides]
     dims = [sum(map(len, cols.values())) for cols in sides]
-    trace = 0 if sigma(0, 0)[0] == 1 else 1  # sigma(I) = +-I; I is not in sl
-    nulls[trace][0] = nulls[trace].get(0, 0) - 1
+    nulls[trace][0] = nulls[trace].get(0, 0) - 1  # I is not in sl
     dims[trace] -= 1
 
     h_null, m_null = nulls

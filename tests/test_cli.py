@@ -253,3 +253,36 @@ def test_classify_recorded_token_without_magical_row_exit_0(capsys):
     code, out, _ = run(capsys, "classify", "E7^7")
     assert code == 0
     assert out == "E7^7: 0 magical orbit(s)\n"
+
+
+def test_internal_assertion_exits_4(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("weight-zero space lost the Cartan")
+
+    monkeypatch.setattr("sl2magical.cli.run_all", broken)
+    code, out, err = run(capsys, "verify", "--max-rank", "2")
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: weight-zero space lost the Cartan\n"
+
+
+# The verify documents for ranks 6 and 8 (272 and 742 oracle cases), byte for
+# byte: a change to how the oracle takes its ranks must not move them.
+VERIFY_JSON = {
+    "6": '{"checks": [{"name": "oracle-equivalence", "passed": true, "cases": 272, '
+         '"detail": ""}, {"name": "parity-lemma", "passed": true, "cases": 272, '
+         '"detail": ""}, {"name": "table-rows", "passed": true, "cases": 20, '
+         '"detail": ""}, {"name": "dataset-conditions", "passed": true, "cases": 4, '
+         '"detail": ""}], "mismatches": 0}\n',
+    "8": '{"checks": [{"name": "oracle-equivalence", "passed": true, "cases": 742, '
+         '"detail": ""}, {"name": "parity-lemma", "passed": true, "cases": 742, '
+         '"detail": ""}, {"name": "table-rows", "passed": true, "cases": 20, '
+         '"detail": ""}, {"name": "dataset-conditions", "passed": true, "cases": 4, '
+         '"detail": ""}], "mismatches": 0}\n',
+}
+
+
+@pytest.mark.parametrize("max_rank", sorted(VERIFY_JSON))
+def test_verify_json_byte_identical(capsys, max_rank):
+    code, out, err = run(capsys, "verify", "--max-rank", max_rank, "--format", "json")
+    assert (code, out, err) == (0, VERIFY_JSON[max_rank], "")

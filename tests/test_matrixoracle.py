@@ -3,14 +3,20 @@
 import pytest
 
 from sl2magical.errors import DomainError, UnsupportedInvolutionError
+from sl2magical.linalg import integer_rank
 from sl2magical.matrixoracle import (
+    _ad_e_images,
+    _form_basis,
+    _gl_basis,
+    _nullity_by_weight,
+    _sigma_columns,
     build_matrix_triple,
     oracle_sigma_split,
     oracle_sl2_data,
 )
 from sl2magical.orbits import Partition, enumerate_partitions, enumerate_signed_data
 from sl2magical.realforms import describe
-from sl2magical.rootsystems import LieType
+from sl2magical.rootsystems import CLASSICAL_MIN_RANK, LieType
 from sl2magical.sl2data import multiplicities_formula
 
 
@@ -27,6 +33,49 @@ def test_oracle_agrees_with_formula(name, size):
     for p in enumerate_partitions(t.family.value, size):
         m = build_matrix_triple(t, p)
         assert oracle_sl2_data(m).as_dict() == multiplicities_formula(t, p)
+
+
+def _whole_slice_nullity(m, columns):
+    """Nullity of each weight slice from one rank over all of its columns."""
+    out = {}
+    for w, xs in columns.items():
+        images = _ad_e_images(m, xs)
+        keys = sorted({k for y in images for k in y})
+        out[w] = len(xs) - integer_rank([[y.get(k, 0) for y in images] for k in keys])
+    return out
+
+
+def test_block_split_matches_whole_slice_rank():
+    """The slice nullity summed over row-disjoint blocks equals the nullity
+    from one rank of the whole slice, on every classical orbit of rank <= 5."""
+    checked = 0
+    for fam, low in CLASSICAL_MIN_RANK.items():
+        for rank in range(low, 6):
+            t = LieType.of(fam, rank)
+            for p in enumerate_partitions(t, t.matrix_size):
+                m = build_matrix_triple(t, p)
+                cols = _gl_basis(m) if m.form is None else _form_basis(m)
+                assert _nullity_by_weight(m, cols) == _whole_slice_nullity(m, cols)
+                checked += 1
+    assert checked == 154  # the oracle-equivalence cases of verify --max-rank 5
+
+
+def test_block_split_matches_whole_slice_rank_on_sigma_columns():
+    """The same on the h and m eigen-columns of every su and sl signed datum
+    of size <= 6, whose columns mix two elementary matrices."""
+    checked = 0
+    for n in range(2, 7):
+        forms = [("su", (a, n - a)) for a in range(1, n)] + [("sl", (n,))]
+        t = LieType.of("A", n - 1)
+        for p in enumerate_partitions("A", n):
+            m = build_matrix_triple(t, p)
+            for family, params in forms:
+                for signed in enumerate_signed_data(family, params, p):
+                    sides, _ = _sigma_columns(m, signed)
+                    for cols in sides:
+                        assert _nullity_by_weight(m, cols) == _whole_slice_nullity(m, cols)
+                    checked += 1
+    assert checked == 154  # every su and sl signed datum of size <= 6
 
 
 def test_partition_size_mismatch():
