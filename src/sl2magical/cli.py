@@ -51,7 +51,7 @@ def _emit_grid(header: Sequence[str], body: List[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
-def _emit_csv(header: Sequence[str], body: List[Sequence[str]]) -> str:
+def _emit_csv(header: Sequence[str], body: Sequence[Sequence[str]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -61,6 +61,17 @@ def _emit_csv(header: Sequence[str], body: List[Sequence[str]]) -> str:
 
 def _print(text: str) -> None:
     sys.stdout.write(text + "\n")
+
+
+def _print_record(fmt: str, doc: Dict, rows: List[Tuple[str, str]]) -> None:
+    """One record: the json document, or its (field, value) rows as csv or
+    as an aligned table."""
+    if fmt == "json":
+        _print(json.dumps(doc))
+    elif fmt == "csv":
+        _print(_emit_csv(("field", "value"), rows))
+    else:
+        _print(_emit_table(rows))
 
 
 # ---------------------------------------------------------------- commands
@@ -80,18 +91,12 @@ def cmd_orbit(args: argparse.Namespace) -> int:
         "dim_g0": dim_g0_formula(t, p),
         "dim_v_rho": dim_v_rho_formula(t, p),
     }
-    if args.format == "json":
-        _print(json.dumps(doc))
-        return 0
     rows = [("type", doc["type"]), ("partition", doc["partition"]),
             ("wdd", " ".join(str(x) for x in doc["wdd"]))]
     rows += [(f"n_{j}", str(n.get(j, 0))) for j in range(max(n) + 1)]
     rows += [("dim_c", str(doc["dim_c"])), ("dim_g0", str(doc["dim_g0"])),
              ("dim_v_rho", str(doc["dim_v_rho"]))]
-    if args.format == "csv":
-        _print(_emit_csv(("field", "value"), [list(r) for r in rows]))
-    else:
-        _print(_emit_table(rows))
+    _print_record(args.format, doc, rows)
     return 0
 
 
@@ -212,15 +217,9 @@ def cmd_slodowy(args: argparse.Namespace) -> int:
     }
     if signs:
         doc["signs"] = signs
-    if args.format == "json":
-        _print(json.dumps(doc))
-        return 0
     rows = [(k, json.dumps(v) if isinstance(v, dict) else str(v))
             for k, v in doc.items()]
-    if args.format == "csv":
-        _print(_emit_csv(("field", "value"), [list(r) for r in rows]))
-    else:
-        _print(_emit_table(rows))
+    _print_record(args.format, doc, rows)
     return 0
 
 

@@ -3,13 +3,32 @@
 Type A triples live in gl_N with one Jordan string per part; e raises with
 coefficient 1, f lowers with k(i-k) down a string of length i so that
 [e,f] = h holds on the nose.  For B/C/D the same strings are made
-isotropic for an explicit signed-permutation bilinear form M: strings of
-the self-paired parity carry M(w_k, w_{i-1-k}) = (-1)^k, the others are
-coupled in consecutive pairs.  The algebra so(M)/sp(M) then has the basis
-M^{-1}(E_ab -+ E_ba), every element of which is an ad_h weight vector, and
-n_j is the nullity of ad_e on the weight-j slice.  Matrices are sparse
-{(row, col): value} maps; ad_e goes through row and column maps of e built
-once per triple, so each image costs time linear in its column.
+isotropic for a signed-permutation bilinear form M = sum_a mu_a E_{a,a*}:
+strings of the self-paired parity are reversed onto themselves with
+mu = (-1)^k along the string, the others are coupled in consecutive pairs.
+Matrices are sparse {(row, col): value} maps.
+
+Every algebra the oracle ranks is an eigenspace of a signed-permutation
+involution sigma(E_ab) = eps * E_a'b' of gl_N.  One pass over the
+elementary matrices gives both eigenspaces, grouped by ad_h weight: an
+orbit {E_ab, E_a'b'} gives E_ab + eps E_a'b' (+1) and E_ab - eps E_a'b'
+(-1), and a fixed E_ab lies on the side of its eps.
+- gl_N is the +1 side of the identity.
+- so(M)/sp(M) is the +1 side of tau(X) = -M^{-1} X^T M, which sends E_ab
+  to -mu_a mu_b E_{b*a*}; tau(X) = X is the equation X^T M + M X = 0.
+- The Cartan involutions of su(p,q) and sl(n,R) split gl_N into h (+1)
+  and m (-1).  For su(p,q) it is Ad(S), S = diag(s) alternating along each
+  string: eps = s_a s_b, (a,b) fixed.  For sl(n,R) it is -B X^T B^{-1},
+  the tau of the form B of the per-string reversal with every mu = 1.
+The Cartan involutions of the other five classical families have the
+same shape, each a signed permutation commuting with tau, but are not
+modeled yet; callers get UnsupportedInvolutionError.
+
+n_j is the nullity of ad_e on the weight-j slice.  ad_e goes through row
+and column maps of e built once per triple, so each image costs time
+linear in its column.  For tau-fixed x the image [e, x] is tau-fixed too,
+so its entries on one key of each tau-orbit (the smaller key) determine
+it; images are ranked in those coordinates.
 
 Slice ranks are taken per row-disjoint block.  ad_e maps E_ab, a in
 string s and b in string t, into the span of block (s, t), and in so/sp
@@ -18,23 +37,13 @@ into groups that share no row.  The groups are found from the images
 themselves (union-find on shared row keys), so the split holds for any
 columns, the involution eigen-columns included; the slice rank is the sum
 of the Bareiss ranks of its blocks.
-
-Cartan-type involutions are modeled as signed permutations of the
-elementary matrices, sigma(E_ab) = eps * E_a'b', which gives exact h/m
-splits of each highest-weight space.  Two are implemented, both on the
-type A model: Ad(S) for su(p,q), with S = diag(s) alternating along each
-string, eps = s_a s_b and (a,b) fixed; and sigma(X) = -B X^T B^{-1} for
-sl(n,R), with B the per-string reversal a -> a*, eps = -1 and
-(a,b) -> (b*, a*).  The involutions of the other five classical families
-have the same shape but are not modeled yet; callers get
-UnsupportedInvolutionError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .errors import DomainError, NormalityError, UnsupportedInvolutionError
 from .linalg import integer_rank
@@ -46,6 +55,8 @@ Entry = Tuple[int, int]
 Sparse = Dict[Entry, int]
 Columns = Dict[int, List[Sparse]]  # ad_h weight -> basis columns of that weight
 Index = Tuple[Dict[int, List[Tuple[int, int]]], Dict[int, List[Tuple[int, int]]]]
+# sigma(E_ab) = eps * E_a'b', given as (a, b) -> (eps, (a', b')).
+Involution = Callable[[int, int], Tuple[int, Entry]]
 
 
 def _index(a: Sparse) -> Index:
@@ -58,41 +69,67 @@ def _index(a: Sparse) -> Index:
     return rows, cols
 
 
-def _mul(a: Index, b: Sparse, bracket: bool = False) -> Sparse:
-    """The product a b, or the bracket a b - b a, in one pass over b, given
-    the row and column maps of a."""
+def _bracket(a: Index, b: Sparse) -> Sparse:
+    """The bracket a b - b a in one pass over b, given the row and column
+    maps of a."""
     rows, cols = a
     out: Sparse = {}
     for (k, c), v in b.items():
         for r, w in cols.get(k, ()):
             out[(r, c)] = out.get((r, c), 0) + w * v
-        if bracket:
-            for s, w in rows.get(c, ()):
-                out[(k, s)] = out.get((k, s), 0) - v * w
+        for s, w in rows.get(c, ()):
+            out[(k, s)] = out.get((k, s), 0) - v * w
     return {key: v for key, v in out.items() if v}
-
-
-def _bracket(a: Sparse, b: Sparse) -> Sparse:
-    return _mul(_index(a), b, bracket=True)
 
 
 def _scale(a: Sparse, k: int) -> Sparse:
     return {key: k * v for key, v in a.items()}
 
 
+def _identity(a: int, b: int) -> Tuple[int, Entry]:
+    return 1, (a, b)
+
+
+def _transpose_involution(pair: Sequence[int], sign: Sequence[int]) -> Involution:
+    """X -> -M^{-1} X^T M for M = sum_a sign_a E_{a, pair_a}, pair an
+    involution of the indices: E_ab -> -sign_a sign_b E_{b*a*}."""
+    return lambda a, b: (-sign[a] * sign[b], (pair[b], pair[a]))
+
+
+def _is_eigen(sigma: Involution, x: Sparse, sign: int) -> bool:
+    """Whether sigma(x) = sign * x."""
+    for key, v in x.items():
+        eps, img = sigma(*key)
+        if x.get(img) != sign * eps * v:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class MatrixSl2Triple:
-    """An exact sl2-triple in the defining matrix model of the ambient type."""
+    """An exact sl2-triple in the defining matrix model of the ambient type.
+
+    Construction checks the bracket relations and that e, h and f lie in
+    the algebra, tau(x) = x."""
 
     ambient: LieType
     partition: Partition
     e: Sparse
     h: Sparse
     f: Sparse
-    form: Optional[Sparse]  # bilinear form for B/C/D, None in type A
     strings: Tuple[Tuple[int, ...], ...]  # basis indices per Jordan string
     pairing: Tuple[int, ...]  # index involution a -> a* with h_{a*} = -h_a
     pairing_sign: Tuple[int, ...]  # mu_a = M[a][a*] (all 1 in type A)
+
+    def __post_init__(self) -> None:
+        e, h, f = self.e, self.h, self.f
+        h_index = _index(h)
+        if (_bracket(h_index, e) != _scale(e, 2) or _bracket(h_index, f) != _scale(f, -2)
+                or self.ad_e(f) != h):
+            raise AssertionError(f"{self.ambient.name} {self.partition}: bracket relations failed")
+        if not all(_is_eigen(self.tau, x, 1) for x in (e, h, f)):
+            raise AssertionError(
+                f"{self.ambient.name} {self.partition}: triple leaves the bilinear form")
 
     @property
     def size(self) -> int:
@@ -103,8 +140,13 @@ class MatrixSl2Triple:
         """The ad_h weight h_a of each basis index a."""
         return tuple(self.h.get((a, a), 0) for a in range(self.size))
 
-    def weight(self, a: int) -> int:
-        return self.weights[a]
+    @cached_property
+    def tau(self) -> Involution:
+        """The involution whose +1 side is the ambient algebra: the identity
+        on gl_N, X -> -M^{-1} X^T M on so(M)/sp(M)."""
+        if self.ambient.family is LieFamily.A:
+            return _identity
+        return _transpose_involution(self.pairing, self.pairing_sign)
 
     @cached_property
     def _e_index(self) -> Index:
@@ -112,7 +154,7 @@ class MatrixSl2Triple:
 
     def ad_e(self, x: Sparse) -> Sparse:
         """[e, x], in time linear in the entries of x."""
-        return _mul(self._e_index, x, bracket=True)
+        return _bracket(self._e_index, x)
 
 
 def _self_paired_parity(fam: LieFamily) -> int:
@@ -151,92 +193,54 @@ def build_matrix_triple(t: LieType, p: Partition) -> MatrixSl2Triple:
 
     pairing = list(range(size))
     mu = [1] * size
-    form: Optional[Sparse] = None
     if fam is not LieFamily.A:
         keep = _self_paired_parity(fam)
-        form = {}
         open_partner: Dict[int, Tuple[int, ...]] = {}
         for s in strings:
             i = len(s)
             if i % 2 == keep:
                 for k, idx in enumerate(s):
-                    pairing[idx] = s[i - 1 - k]
-                    form[(idx, s[i - 1 - k])] = (-1) ** k
+                    pairing[idx], mu[idx] = s[i - 1 - k], (-1) ** k
             elif i in open_partner:
                 u = open_partner.pop(i)
                 for k in range(i):
-                    pairing[u[k]] = s[i - 1 - k]
-                    pairing[s[k]] = u[i - 1 - k]
-                    form[(u[k], s[i - 1 - k])] = (-1) ** k
-                    form[(s[k], u[i - 1 - k])] = -((-1) ** k)
+                    pairing[u[k]], mu[u[k]] = s[i - 1 - k], (-1) ** k
+                    pairing[s[k]], mu[s[k]] = u[i - 1 - k], -((-1) ** k)
             else:
                 open_partner[i] = s
         if open_partner:
             raise AssertionError(f"unpaired strings {sorted(open_partner)} despite parity check")
-        for a in range(size):
-            mu[a] = form[(a, pairing[a])]
-
-    if _bracket(h, e) != _scale(e, 2) or _bracket(h, f) != _scale(f, -2) or _bracket(e, f) != h:
-        raise AssertionError(f"{t.name} {p}: bracket relations failed")
-    if form is not None:
-        for x in (e, h, f):
-            x_t = {(c, r): v for (r, c), v in x.items()}
-            if _mul(_index(x_t), form) != _scale(_mul(_index(form), x), -1):
-                raise AssertionError(f"{t.name} {p}: triple leaves the bilinear form")
 
     return MatrixSl2Triple(
-        ambient=t, partition=p, e=e, h=h, f=f, form=form,
+        ambient=t, partition=p, e=e, h=h, f=f,
         strings=tuple(strings), pairing=tuple(pairing), pairing_sign=tuple(mu),
     )
 
 
-def _gl_basis(m: MatrixSl2Triple) -> Columns:
-    """The elementary matrices E_ab, grouped by weight."""
+def _eigen_columns(m: MatrixSl2Triple, sigma: Involution) -> Tuple[Columns, Columns]:
+    """The +1 and -1 eigen-columns of sigma on gl_N, grouped by weight."""
     wt = m.weights
-    cols: Columns = {}
+    sides: Tuple[Columns, Columns] = ({}, {})
     for a in range(m.size):
         for b in range(m.size):
-            cols.setdefault(wt[a] - wt[b], []).append({(a, b): 1})
-    return cols
-
-
-def _form_basis(m: MatrixSl2Triple) -> Columns:
-    """Basis M^{-1}(E_ab -+ E_ba) of so(M)/sp(M), a <= b (a < b for so),
-    grouped by weight."""
-    sym = m.ambient.family is LieFamily.C
-    wt, pair, mu = m.weights, m.pairing, m.pairing_sign
-    cols: Columns = {}
-    for a in range(m.size):
-        for b in range(a if sym else a + 1, m.size):
-            x: Sparse = {(pair[a], b): mu[a]}
-            key = (pair[b], a)
-            x[key] = x.get(key, 0) + (mu[b] if sym else -mu[b])
-            x = {k: v for k, v in x.items() if v}
-            cols.setdefault(-wt[a] - wt[b], []).append(x)
-    return cols
-
-
-def _coords_form(m: MatrixSl2Triple, y: Sparse) -> Sparse:
-    """Coordinates A = M Y of an algebra element Y; read half of A."""
-    sym = m.ambient.family is LieFamily.C
-    coords: Sparse = {}
-    for (r, c), v in y.items():
-        a, b = m.pairing[r], c
-        val = m.pairing_sign[a] * v
-        if a < b or (sym and a == b):
-            coords[(a, b)] = coords.get((a, b), 0) + val
-        elif b < a:
-            # fold onto the stored half: A antisymmetric (so) / symmetric (sp)
-            coords[(b, a)] = coords.get((b, a), 0) + (val if sym else -val)
-        # a == b in the so case contributes nothing (diagonal of antisym is 0)
-    return {k: v for k, v in coords.items() if v}
+            eps, img = sigma(a, b)
+            if img < (a, b):
+                continue
+            w = wt[a] - wt[b]
+            if img == (a, b):
+                sides[0 if eps == 1 else 1].setdefault(w, []).append({img: 1})
+            else:
+                sides[0].setdefault(w, []).append({(a, b): 1, img: eps})
+                sides[1].setdefault(w, []).append({(a, b): 1, img: -eps})
+    return sides
 
 
 def _ad_e_images(m: MatrixSl2Triple, xs: List[Sparse]) -> List[Sparse]:
-    """The columns [e, x] in the coordinates of the algebra."""
+    """The columns [e, x], each read on the smaller key of every tau-orbit."""
     images = [m.ad_e(x) for x in xs]
-    if m.form is not None:
-        images = [_coords_form(m, y) for y in images]
+    if m.ambient.family is not LieFamily.A:
+        tau = m.tau
+        images = [{k: v for k, v in y.items() if k <= tau(*k)[1]} for y in images]
     return images
 
 
@@ -280,8 +284,8 @@ def _nullity_by_weight(m: MatrixSl2Triple, columns: Columns) -> Dict[int, int]:
 
 def oracle_sl2_data(m: MatrixSl2Triple) -> Sl2Data:
     """n_j as the nullity of ad_e on the weight-j slice of the algebra."""
-    null = _nullity_by_weight(m, _gl_basis(m) if m.form is None else _form_basis(m))
-    if m.form is None:
+    null = _nullity_by_weight(m, _eigen_columns(m, m.tau)[0])
+    if m.ambient.family is LieFamily.A:
         null[0] -= 1  # the identity matrix is not in sl
     pairs = tuple((j, v) for j, v in sorted(null.items()) if j >= 0 and v)
     return Sl2Data(n=pairs, dim_g=m.ambient.dim)
@@ -309,10 +313,6 @@ class SigmaSplitReport:
 
     def m_parts(self) -> Dict[int, int]:
         return {w: hm[1] for w, hm in self.splits}
-
-
-# sigma(E_ab) = eps * E_a'b', given as (a, b) -> (eps, (a', b')).
-Involution = Callable[[int, int], Tuple[int, Entry]]
 
 
 def _su_involution(m: MatrixSl2Triple, signed: SignedPartitionData) -> Involution:
@@ -346,13 +346,11 @@ def _sl_involution(m: MatrixSl2Triple) -> Involution:
     for s in m.strings:
         for k, idx in enumerate(s):
             rev[idx] = s[len(s) - 1 - k]
-    return lambda a, b: (-1, (rev[b], rev[a]))
+    return _transpose_involution(rev, [1] * m.size)
 
 
-def _sigma_columns(m: MatrixSl2Triple,
-                   signed: SignedPartitionData) -> Tuple[Tuple[Columns, Columns], int]:
-    """The h and m eigen-columns of the involution of the signed datum, and
-    the side (0 for h, 1 for m) of sigma(I) = +-I."""
+def _involution(m: MatrixSl2Triple, signed: SignedPartitionData) -> Involution:
+    """The Cartan involution of the signed datum, checked to negate e."""
     if signed.partition != m.partition:
         raise DomainError("signed data is for a different partition")
     if signed.family not in ("su", "sl"):
@@ -362,33 +360,17 @@ def _sigma_columns(m: MatrixSl2Triple,
     if m.ambient.family is not LieFamily.A:
         raise DomainError(f"{signed.family} splits need a type A model")
     sigma = _su_involution(m, signed) if signed.family == "su" else _sl_involution(m)
-    for (a, b), v in m.e.items():
-        eps, img = sigma(a, b)
-        if m.e.get(img) != -eps * v:
-            raise NormalityError(f"the {signed.family} involution does not negate e")
-
-    # An orbit {E_ab, E_a'b'} of sigma gives E_ab + eps E_a'b' in h and
-    # E_ab - eps E_a'b' in m; a fixed E_ab lies on the side of its eps.
-    wt = m.weights
-    sides: Tuple[Columns, Columns] = ({}, {})  # (h, m)
-    for a in range(m.size):
-        for b in range(m.size):
-            eps, img = sigma(a, b)
-            if img < (a, b):
-                continue
-            w = wt[a] - wt[b]
-            if img == (a, b):
-                sides[0 if eps == 1 else 1].setdefault(w, []).append({img: 1})
-            else:
-                sides[0].setdefault(w, []).append({(a, b): 1, img: eps})
-                sides[1].setdefault(w, []).append({(a, b): 1, img: -eps})
-    return sides, 0 if sigma(0, 0)[0] == 1 else 1
+    if not _is_eigen(sigma, m.e, -1):
+        raise NormalityError(f"the {signed.family} involution does not negate e")
+    return sigma
 
 
 def oracle_sigma_split(m: MatrixSl2Triple, signed: SignedPartitionData) -> SigmaSplitReport:
-    sides, trace = _sigma_columns(m, signed)
+    sigma = _involution(m, signed)
+    sides = _eigen_columns(m, sigma)
     nulls = [_nullity_by_weight(m, cols) for cols in sides]
     dims = [sum(map(len, cols.values())) for cols in sides]
+    trace = 0 if sigma(0, 0)[0] == 1 else 1  # the side of sigma(I) = +-I
     nulls[trace][0] = nulls[trace].get(0, 0) - 1  # I is not in sl
     dims[trace] -= 1
 

@@ -286,3 +286,40 @@ VERIFY_JSON = {
 def test_verify_json_byte_identical(capsys, max_rank):
     code, out, err = run(capsys, "verify", "--max-rank", max_rank, "--format", "json")
     assert (code, out, err) == (0, VERIFY_JSON[max_rank], "")
+
+
+# One field/value record in each format, byte for byte: orbit and slodowy
+# share the renderer of these documents.
+ORBIT_ARGV = ("orbit", "A", "4", "--partition", "2,2,1")
+SLODOWY_ARGV = ("slodowy", "su", "2", "3", "--partition", "2,2,1", "--genus", "2")
+RECORD_OUTPUT = {
+    (ORBIT_ARGV, "json"):
+        '{"type": "A4", "partition": "[2^2,1]", "wdd": [0, 1, 1, 0], '
+        '"n": {"0": 4, "1": 4, "2": 4}, "dim_c": 4, "dim_g0": 8, "dim_v_rho": 12}\n',
+    (ORBIT_ARGV, "csv"):
+        'field,value\ntype,A4\npartition,"[2^2,1]"\nwdd,0 1 1 0\nn_0,4\nn_1,4\n'
+        'n_2,4\ndim_c,4\ndim_g0,8\ndim_v_rho,12\n',
+    (ORBIT_ARGV, "table"):
+        "type       A4\npartition  [2^2,1]\nwdd        0 1 1 0\nn_0        4\n"
+        "n_1        4\nn_2        4\ndim_c      4\ndim_g0     8\ndim_v_rho  12\n",
+    (SLODOWY_ARGV, "json"):
+        '{"realform": "su(2,3)", "orbit": "[2^2,1]", "genus": 2, '
+        '"slodowy_param_dim": 40, "expected_dim": 48, "gap": 8, "milnor_wood": 4, '
+        '"dim_c_cap_h": 4, "a": {"1": 2, "2": 4}, "signs": "[2^2,1]{2:(2,0),1:(0,1)}"}\n',
+    (SLODOWY_ARGV, "csv"):
+        'field,value\nrealform,"su(2,3)"\norbit,"[2^2,1]"\ngenus,2\n'
+        'slodowy_param_dim,40\nexpected_dim,48\ngap,8\nmilnor_wood,4\n'
+        'dim_c_cap_h,4\na,"{""1"": 2, ""2"": 4}"\nsigns,"[2^2,1]{2:(2,0),1:(0,1)}"\n',
+    (SLODOWY_ARGV, "table"):
+        "realform           su(2,3)\norbit              [2^2,1]\ngenus              2\n"
+        "slodowy_param_dim  40\nexpected_dim       48\ngap                8\n"
+        "milnor_wood        4\ndim_c_cap_h        4\n"
+        'a                  {"1": 2, "2": 4}\n'
+        "signs              [2^2,1]{2:(2,0),1:(0,1)}\n",
+}
+
+
+@pytest.mark.parametrize("argv,fmt", sorted(RECORD_OUTPUT))
+def test_record_output_byte_identical(capsys, argv, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, out, err) == (0, RECORD_OUTPUT[argv, fmt], "")

@@ -1,15 +1,18 @@
 """Matrix sl2-triples as an independent check on the closed formulas."""
 
+from dataclasses import replace
+
 import pytest
 
-from sl2magical.errors import DomainError, UnsupportedInvolutionError
+from sl2magical import matrixoracle
+from sl2magical.errors import DomainError, NormalityError, UnsupportedInvolutionError
 from sl2magical.linalg import integer_rank
 from sl2magical.matrixoracle import (
     _ad_e_images,
-    _form_basis,
-    _gl_basis,
+    _eigen_columns,
+    _identity,
+    _involution,
     _nullity_by_weight,
-    _sigma_columns,
     build_matrix_triple,
     oracle_sigma_split,
     oracle_sl2_data,
@@ -24,7 +27,7 @@ def test_triple_weights_come_from_jordan_blocks():
     t = LieType.of("A", 4)
     m = build_matrix_triple(t, Partition.parse("2^2,1"))
     assert m.size == 5
-    assert sorted(m.weight(a) for a in range(5)) == [-1, -1, 0, 1, 1]
+    assert sorted(m.weights) == [-1, -1, 0, 1, 1]
 
 
 @pytest.mark.parametrize("name,size", [("A4", 5), ("B3", 7), ("C3", 6), ("D4", 8)])
@@ -33,6 +36,56 @@ def test_oracle_agrees_with_formula(name, size):
     for p in enumerate_partitions(t.family.value, size):
         m = build_matrix_triple(t, p)
         assert oracle_sl2_data(m).as_dict() == multiplicities_formula(t, p)
+
+
+def test_tau_columns_satisfy_the_dense_form_equation():
+    """An M-based route to so(M)/sp(M): M is built as a dense matrix from
+    pairing and pairing_sign, and each +1 column X of tau satisfies
+    X^T M + M X = 0; the columns number dim g, on every B/C/D orbit of
+    rank <= 4."""
+    checked = 0
+    for fam in "BCD":
+        for rank in range(CLASSICAL_MIN_RANK[fam], 5):
+            t = LieType.of(fam, rank)
+            for p in enumerate_partitions(t, t.matrix_size):
+                m = build_matrix_triple(t, p)
+                n = m.size
+                form = [[0] * n for _ in range(n)]
+                for a in range(n):
+                    form[a][m.pairing[a]] = m.pairing_sign[a]
+                sym = -1 if fam == "C" else 1
+                assert all(form[b][a] == sym * form[a][b] for a in range(n) for b in range(n))
+                cols = [x for xs in _eigen_columns(m, m.tau)[0].values() for x in xs]
+                for x in cols:
+                    dense = [[x.get((r, c), 0) for c in range(n)] for r in range(n)]
+                    assert all(sum(dense[k][r] * form[k][c] + form[r][k] * dense[k][c]
+                                   for k in range(n)) == 0
+                               for r in range(n) for c in range(n))
+                assert len(cols) == t.dim
+                checked += 1
+    assert checked == 65
+
+
+def test_triple_outside_the_form_is_rejected():
+    """Flipping one sign of M moves e and f out of the algebra; flipping a
+    whole self-paired string only rescales M."""
+    m = build_matrix_triple(LieType.of("C", 3), Partition.parse("2,2,1,1"))
+    flipped = list(m.pairing_sign)
+    flipped[0] = -flipped[0]
+    with pytest.raises(AssertionError, match="triple leaves the bilinear form"):
+        replace(m, pairing_sign=tuple(flipped))
+    string = m.strings[0]
+    assert sorted(m.pairing[a] for a in string) == list(string)
+    rescaled = [-mu if a in string else mu for a, mu in enumerate(m.pairing_sign)]
+    assert replace(m, pairing_sign=tuple(rescaled)).pairing_sign == tuple(rescaled)
+
+
+def test_involution_fixing_e_is_rejected(monkeypatch):
+    m = build_matrix_triple(LieType.of("A", 2), Partition.parse("3"))
+    (signed,) = enumerate_signed_data("sl", (3,), Partition.parse("3"))
+    monkeypatch.setattr(matrixoracle, "_sl_involution", lambda m: _identity)
+    with pytest.raises(NormalityError, match="does not negate e"):
+        oracle_sigma_split(m, signed)
 
 
 def _whole_slice_nullity(m, columns):
@@ -54,7 +107,7 @@ def test_block_split_matches_whole_slice_rank():
             t = LieType.of(fam, rank)
             for p in enumerate_partitions(t, t.matrix_size):
                 m = build_matrix_triple(t, p)
-                cols = _gl_basis(m) if m.form is None else _form_basis(m)
+                cols = _eigen_columns(m, m.tau)[0]
                 assert _nullity_by_weight(m, cols) == _whole_slice_nullity(m, cols)
                 checked += 1
     assert checked == 154  # the oracle-equivalence cases of verify --max-rank 5
@@ -71,7 +124,7 @@ def test_block_split_matches_whole_slice_rank_on_sigma_columns():
             m = build_matrix_triple(t, p)
             for family, params in forms:
                 for signed in enumerate_signed_data(family, params, p):
-                    sides, _ = _sigma_columns(m, signed)
+                    sides = _eigen_columns(m, _involution(m, signed))
                     for cols in sides:
                         assert _nullity_by_weight(m, cols) == _whole_slice_nullity(m, cols)
                     checked += 1
