@@ -26,7 +26,7 @@ from .magical import Verdict, classify_realform, magical_statuses
 from .moduli import rigidity_report
 from .orbits import Partition, enumerate_signed_data, weighted_dynkin_from_partition
 from .realforms import EXCEPTIONAL_FORMS, describe
-from .rootsystems import LieType, WeightedDynkinDiagram
+from .rootsystems import CLASSICAL_RANK_CAP, LieType, WeightedDynkinDiagram
 from .sl2data import (
     dim_c_formula,
     dim_g0_formula,
@@ -224,8 +224,9 @@ def cmd_slodowy(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if not 1 <= args.max_rank <= 8:
-        raise DomainError(f"--max-rank must lie in 1..8, got {args.max_rank}")
+    if not 1 <= args.max_rank <= CLASSICAL_RANK_CAP:
+        raise DomainError(
+            f"--max-rank must lie in 1..{CLASSICAL_RANK_CAP}, got {args.max_rank}")
     results = run_all(args.max_rank)
     failures = [r for r in results if not r.passed]
     if args.format == "json":

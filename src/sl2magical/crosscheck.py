@@ -14,7 +14,7 @@ from typing import Iterator, List
 
 from .dataset import evaluate_conditions, load_records
 from .errors import DatasetSchemaError, MissingDataError
-from .matrixoracle import build_matrix_triple, oracle_sl2_data
+from .matrixoracle import BlockTables, oracle_sl2_data, string_layout
 from .orbits import Partition, enumerate_partitions, weighted_dynkin_from_partition
 from .realforms import describe, exceptional_s_value
 from .rootsystems import (
@@ -50,13 +50,14 @@ def check_oracle_equivalence(max_rank: int = 6) -> CheckResult:
     """Formula vs grading vs matrix oracle on every orbit up to the bound."""
     name = "oracle-equivalence"
     cases = 0
+    tables: BlockTables = {}
     for t in _classical_types(max_rank):
         rs = build_root_system(t)
         for p in enumerate_partitions(t, t.matrix_size):
             formula = multiplicities_formula(t, p)
             wdd = weighted_dynkin_from_partition(t, p)
             graded = module_multiplicities(ad_grading(rs, wdd)).as_dict()
-            oracle = oracle_sl2_data(build_matrix_triple(t, p)).as_dict()
+            oracle = oracle_sl2_data(string_layout(t, p), tables).as_dict()
             if not formula == graded == oracle:
                 return CheckResult(name, False, cases,
                                    f"{t.name} {p}: formula {formula}, "

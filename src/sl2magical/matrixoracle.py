@@ -6,6 +6,8 @@ coefficient 1, f lowers with k(i-k) down a string of length i so that
 isotropic for a signed-permutation bilinear form M = sum_a mu_a E_{a,a*}:
 strings of the self-paired parity are reversed onto themselves with
 mu = (-1)^k along the string, the others are coupled in consecutive pairs.
+One routine, _layout, places the strings and sets the pairing and the mu
+signs, for the orbits users name and for the template triples below alike.
 Matrices are sparse {(row, col): value} maps.
 
 Every algebra the oracle ranks is an eigenspace of a signed-permutation
@@ -30,20 +32,39 @@ linear in its column.  For tau-fixed x the image [e, x] is tau-fixed too,
 so its entries on one key of each tau-orbit (the smaller key) determine
 it; images are ranked in those coordinates.
 
+oracle_sl2_data does not rank the whole algebra.  e is block-diagonal over
+the strings, so ad_e maps each block (s, t) = span{E_ab : a in s, b in t}
+into itself, and tau, an automorphism fixing e, maps block (s, t) onto
+block (t*, s*).  The span of each tau-orbit of blocks is therefore stable
+under both ad_e and tau, and the algebra is the direct sum of the tau-fixed
+parts of these spans.  Group the strings into units: a self-paired string
+S, or a coupled pair P = {u, u*}; in gl, where tau is the identity, every
+string is a unit S of its own.  The blocks within one unit make up one
+such span, and so do the blocks between two units, so each span's nullity
+by weight depends only on a key: the algebra, the unit kinds (S, a
+diagonal block of gl, and SS, the two cross blocks of two strings; S, SS,
+P, SP, PP in so/sp) and the string lengths.  Each key's table is ranked once by exact elimination on a
+template triple that holds just those one or two units, laid out by the
+same _layout, so the tau-merging, the self-paired strings and the mu signs
+are ranked, not assumed.  n_j is then the sum of the tables over the unit
+pairs of the orbit's layout, weighted by their multiplicities.
+
 Slice ranks are taken per row-disjoint block.  ad_e maps E_ab, a in
 string s and b in string t, into the span of block (s, t), and in so/sp
 the pairing merges (s, t) with (t*, s*), so the images of one slice fall
 into groups that share no row.  The groups are found from the images
 themselves (union-find on shared row keys), so the split holds for any
 columns, the involution eigen-columns included; the slice rank is the sum
-of the Bareiss ranks of its blocks.
+of the Bareiss ranks of its blocks.  Templates hold at most two units, so
+the split matters for the sigma split, whose columns run over all of gl_N.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, NormalityError, UnsupportedInvolutionError
 from .linalg import integer_rank
@@ -57,6 +78,18 @@ Columns = Dict[int, List[Sparse]]  # ad_h weight -> basis columns of that weight
 Index = Tuple[Dict[int, List[Tuple[int, int]]], Dict[int, List[Tuple[int, int]]]]
 # sigma(E_ab) = eps * E_a'b', given as (a, b) -> (eps, (a', b')).
 Involution = Callable[[int, int], Tuple[int, Entry]]
+# (algebra, unit kinds, string length of each unit), e.g. ("so", "SP", (3, 2)).
+BlockKey = Tuple[str, str, Tuple[int, ...]]
+# Nullity of ad_e by weight on one block orbit: sorted (weight, nullity), zeros dropped.
+Table = Tuple[Tuple[int, int], ...]
+BlockTables = Dict[BlockKey, Table]
+
+_FAMILY_ALGEBRA = {LieFamily.A: "gl", LieFamily.B: "so", LieFamily.C: "sp", LieFamily.D: "so"}
+# so: odd strings are self-paired; sp: even strings are.  gl has no form.
+_SELF_PAIRED_PARITY = {"so": 1, "sp": 0}
+# The simple algebra on C^N: sl_N inside gl_N, so_N, sp_N.
+_SIMPLE_DIM = {"gl": lambda n: n * n - 1, "so": lambda n: n * (n - 1) // 2,
+               "sp": lambda n: n * (n + 1) // 2}
 
 
 def _index(a: Sparse) -> Index:
@@ -106,30 +139,21 @@ def _is_eigen(sigma: Involution, x: Sparse, sign: int) -> bool:
 
 
 @dataclass(frozen=True)
-class MatrixSl2Triple:
-    """An exact sl2-triple in the defining matrix model of the ambient type.
+class StringLayout:
+    """The Jordan strings of a partition in C^N and the form pairing them.
 
-    Construction checks the bracket relations and that e, h and f lie in
-    the algebra, tau(x) = x."""
+    algebra is "gl" (no form), "so" or "sp": the algebra is the +1 side of
+    tau, the identity on gl_N."""
 
-    ambient: LieType
+    algebra: str
     partition: Partition
-    e: Sparse
-    h: Sparse
-    f: Sparse
     strings: Tuple[Tuple[int, ...], ...]  # basis indices per Jordan string
     pairing: Tuple[int, ...]  # index involution a -> a* with h_{a*} = -h_a
-    pairing_sign: Tuple[int, ...]  # mu_a = M[a][a*] (all 1 in type A)
+    pairing_sign: Tuple[int, ...]  # mu_a = M[a][a*] (all 1 in gl)
 
-    def __post_init__(self) -> None:
-        e, h, f = self.e, self.h, self.f
-        h_index = _index(h)
-        if (_bracket(h_index, e) != _scale(e, 2) or _bracket(h_index, f) != _scale(f, -2)
-                or self.ad_e(f) != h):
-            raise AssertionError(f"{self.ambient.name} {self.partition}: bracket relations failed")
-        if not all(_is_eigen(self.tau, x, 1) for x in (e, h, f)):
-            raise AssertionError(
-                f"{self.ambient.name} {self.partition}: triple leaves the bilinear form")
+    @property
+    def name(self) -> str:
+        return f"{self.algebra}({self.size}) {self.partition}"
 
     @property
     def size(self) -> int:
@@ -137,16 +161,55 @@ class MatrixSl2Triple:
 
     @cached_property
     def weights(self) -> Tuple[int, ...]:
-        """The ad_h weight h_a of each basis index a."""
-        return tuple(self.h.get((a, a), 0) for a in range(self.size))
+        """The ad_h weight h_a of each basis index a: i-1-2k at step k of a
+        string of length i."""
+        wt = [0] * self.size
+        for s in self.strings:
+            for k, a in enumerate(s):
+                wt[a] = len(s) - 1 - 2 * k
+        return tuple(wt)
 
     @cached_property
     def tau(self) -> Involution:
-        """The involution whose +1 side is the ambient algebra: the identity
-        on gl_N, X -> -M^{-1} X^T M on so(M)/sp(M)."""
-        if self.ambient.family is LieFamily.A:
+        """The involution whose +1 side is the algebra: the identity on
+        gl_N, X -> -M^{-1} X^T M on so(M)/sp(M)."""
+        if self.algebra == "gl":
             return _identity
         return _transpose_involution(self.pairing, self.pairing_sign)
+
+    def units(self) -> List[Tuple[Tuple[int, ...], ...]]:
+        """The strings grouped into units: a self-paired string (every
+        string of gl) or a coupled pair (u, u*), in layout order."""
+        string_of = {a: s for s in self.strings for a in s}
+        out: List[Tuple[Tuple[int, ...], ...]] = []
+        for s in self.strings:
+            partner = string_of[self.pairing[s[0]]]
+            if partner is s:
+                out.append((s,))
+            elif s[0] < partner[0]:
+                out.append((s, partner))
+        return out
+
+
+@dataclass(frozen=True)
+class MatrixSl2Triple(StringLayout):
+    """An exact sl2-triple on the strings of its layout.
+
+    Construction checks the bracket relations and that e, h and f lie in
+    the algebra, tau(x) = x."""
+
+    e: Sparse
+    h: Sparse
+    f: Sparse
+
+    def __post_init__(self) -> None:
+        e, h, f = self.e, self.h, self.f
+        h_index = _index(h)
+        if (_bracket(h_index, e) != _scale(e, 2) or _bracket(h_index, f) != _scale(f, -2)
+                or self.ad_e(f) != h):
+            raise AssertionError(f"{self.name}: bracket relations failed")
+        if not all(_is_eigen(self.tau, x, 1) for x in (e, h, f)):
+            raise AssertionError(f"{self.name}: triple leaves the bilinear form")
 
     @cached_property
     def _e_index(self) -> Index:
@@ -157,44 +220,20 @@ class MatrixSl2Triple:
         return _bracket(self._e_index, x)
 
 
-def _self_paired_parity(fam: LieFamily) -> int:
-    # so: odd parts are self-paired; sp: even parts are.
-    return 1 if fam in (LieFamily.B, LieFamily.D) else 0
-
-
-def build_matrix_triple(t: LieType, p: Partition) -> MatrixSl2Triple:
-    fam = t.family
-    if not fam.is_classical:
-        raise DomainError(f"{t.name} has no partition matrix model")
-    if p.n != t.matrix_size:
-        raise DomainError(f"{t.name} needs a partition of {t.matrix_size}, got {p.n}")
-    if not partition_fits_family(t, p):
-        raise DomainError(f"{p} violates the {fam.value}-type parity rule")
-
+def _layout(algebra: str, p: Partition) -> StringLayout:
+    """One string of consecutive indices per part of p and, outside gl, the
+    form pairing them: a string of the self-paired parity is reversed onto
+    itself with mu = (-1)^k, the others are coupled in consecutive pairs of
+    equal length.  p must meet the parity rule of the algebra."""
     strings: List[Tuple[int, ...]] = []
     next_index = 0
     for part in p.parts:
         strings.append(tuple(range(next_index, next_index + part)))
         next_index += part
-    size = next_index
-
-    e: Sparse = {}
-    h: Sparse = {}
-    f: Sparse = {}
-    for s in strings:
-        i = len(s)
-        for k, idx in enumerate(s):
-            if i - 1 - 2 * k:
-                h[(idx, idx)] = i - 1 - 2 * k
-            if k:
-                e[(s[k - 1], idx)] = 1
-            if k + 1 < i:
-                f[(s[k + 1], idx)] = (k + 1) * (i - 1 - k)
-
-    pairing = list(range(size))
-    mu = [1] * size
-    if fam is not LieFamily.A:
-        keep = _self_paired_parity(fam)
+    pairing = list(range(next_index))
+    mu = [1] * next_index
+    if algebra != "gl":
+        keep = _SELF_PAIRED_PARITY[algebra]
         open_partner: Dict[int, Tuple[int, ...]] = {}
         for s in strings:
             i = len(s)
@@ -210,14 +249,43 @@ def build_matrix_triple(t: LieType, p: Partition) -> MatrixSl2Triple:
                 open_partner[i] = s
         if open_partner:
             raise AssertionError(f"unpaired strings {sorted(open_partner)} despite parity check")
+    return StringLayout(algebra=algebra, partition=p, strings=tuple(strings),
+                        pairing=tuple(pairing), pairing_sign=tuple(mu))
 
+
+def _triple(layout: StringLayout) -> MatrixSl2Triple:
+    """e, h and f on the strings of the layout."""
+    e: Sparse = {}
+    f: Sparse = {}
+    for s in layout.strings:
+        i = len(s)
+        for k in range(1, i):
+            e[(s[k - 1], s[k])] = 1
+            f[(s[k], s[k - 1])] = k * (i - k)
+    h = {(a, a): w for a, w in enumerate(layout.weights) if w}
     return MatrixSl2Triple(
-        ambient=t, partition=p, e=e, h=h, f=f,
-        strings=tuple(strings), pairing=tuple(pairing), pairing_sign=tuple(mu),
+        algebra=layout.algebra, partition=layout.partition, strings=layout.strings,
+        pairing=layout.pairing, pairing_sign=layout.pairing_sign, e=e, h=h, f=f,
     )
 
 
-def _eigen_columns(m: MatrixSl2Triple, sigma: Involution) -> Tuple[Columns, Columns]:
+def string_layout(t: LieType, p: Partition) -> StringLayout:
+    """The layout of the orbit p of the classical type t, validated."""
+    fam = t.family
+    if not fam.is_classical:
+        raise DomainError(f"{t.name} has no partition matrix model")
+    if p.n != t.matrix_size:
+        raise DomainError(f"{t.name} needs a partition of {t.matrix_size}, got {p.n}")
+    if not partition_fits_family(t, p):
+        raise DomainError(f"{p} violates the {fam.value}-type parity rule")
+    return _layout(_FAMILY_ALGEBRA[fam], p)
+
+
+def build_matrix_triple(t: LieType, p: Partition) -> MatrixSl2Triple:
+    return _triple(string_layout(t, p))
+
+
+def _eigen_columns(m: StringLayout, sigma: Involution) -> Tuple[Columns, Columns]:
     """The +1 and -1 eigen-columns of sigma on gl_N, grouped by weight."""
     wt = m.weights
     sides: Tuple[Columns, Columns] = ({}, {})
@@ -238,7 +306,7 @@ def _eigen_columns(m: MatrixSl2Triple, sigma: Involution) -> Tuple[Columns, Colu
 def _ad_e_images(m: MatrixSl2Triple, xs: List[Sparse]) -> List[Sparse]:
     """The columns [e, x], each read on the smaller key of every tau-orbit."""
     images = [m.ad_e(x) for x in xs]
-    if m.ambient.family is not LieFamily.A:
+    if m.algebra != "gl":
         tau = m.tau
         images = [{k: v for k, v in y.items() if k <= tau(*k)[1]} for y in images]
     return images
@@ -282,13 +350,53 @@ def _nullity_by_weight(m: MatrixSl2Triple, columns: Columns) -> Dict[int, int]:
     return {w: len(xs) - _slice_rank(_ad_e_images(m, xs)) for w, xs in columns.items()}
 
 
-def oracle_sl2_data(m: MatrixSl2Triple) -> Sl2Data:
-    """n_j as the nullity of ad_e on the weight-j slice of the algebra."""
-    null = _nullity_by_weight(m, _eigen_columns(m, m.tau)[0])
-    if m.ambient.family is LieFamily.A:
+def _block_keys(layout: StringLayout) -> Counter:
+    """Block-orbit key -> the number of block orbits of the layout with that
+    key: one orbit per unit, one per pair of distinct units."""
+    units = sorted(Counter((len(u), len(u[0])) for u in layout.units()).items())
+    keys: Counter = Counter()
+    for i, ((strings, length), count) in enumerate(units):
+        kind = "SP"[strings - 1]
+        keys[layout.algebra, kind, (length,)] += count
+        if count > 1:
+            keys[layout.algebra, kind * 2, (length, length)] += count * (count - 1) // 2
+        for (strings2, length2), count2 in units[i + 1:]:
+            keys[layout.algebra, kind + "SP"[strings2 - 1], (length, length2)] += count * count2
+    return keys
+
+
+def _block_table(key: BlockKey) -> Table:
+    """The nullity table of one block-orbit key, ranked on a template triple
+    holding just the key's units: over every tau-fixed column within its one
+    unit, or between its two."""
+    algebra, kind, lengths = key
+    parts = [length for unit, length in zip(kind, lengths) for _ in range("SP".index(unit) + 1)]
+    m = _triple(_layout(algebra, Partition.of(*parts)))
+    if _block_keys(m)[key] != 1:
+        raise AssertionError(f"template {m.name} does not hold the units of {key}")
+    unit_of = {a: j for j, u in enumerate(m.units()) for s in u for a in s}
+    columns = {w: [x for x in xs if len({unit_of[a] for a in next(iter(x))}) == len(kind)]
+               for w, xs in _eigen_columns(m, m.tau)[0].items()}
+    return tuple(sorted((w, v) for w, v in _nullity_by_weight(m, columns).items() if v))
+
+
+def oracle_sl2_data(layout: StringLayout, tables: Optional[BlockTables] = None) -> Sl2Data:
+    """n_j as the nullity of ad_e on the weight-j slice of the algebra,
+    summed over the block orbits of the layout.  A key missing from tables
+    is ranked and added, so callers passing one dict to many orbits rank
+    each key once."""
+    if tables is None:
+        tables = {}
+    null: Dict[int, int] = {}
+    for key, count in _block_keys(layout).items():
+        if key not in tables:
+            tables[key] = _block_table(key)
+        for w, v in tables[key]:
+            null[w] = null.get(w, 0) + count * v
+    if layout.algebra == "gl":
         null[0] -= 1  # the identity matrix is not in sl
     pairs = tuple((j, v) for j, v in sorted(null.items()) if j >= 0 and v)
-    return Sl2Data(n=pairs, dim_g=m.ambient.dim)
+    return Sl2Data(n=pairs, dim_g=_SIMPLE_DIM[layout.algebra](layout.size))
 
 
 @dataclass(frozen=True)
@@ -357,7 +465,7 @@ def _involution(m: MatrixSl2Triple, signed: SignedPartitionData) -> Involution:
         raise UnsupportedInvolutionError(
             f"no integer matrix involution implemented for family {signed.family!r}"
         )
-    if m.ambient.family is not LieFamily.A:
+    if m.algebra != "gl":
         raise DomainError(f"{signed.family} splits need a type A model")
     sigma = _su_involution(m, signed) if signed.family == "su" else _sl_involution(m)
     if not _is_eigen(sigma, m.e, -1):

@@ -11,9 +11,11 @@ attached to node 4; the long chain is 1-3-4-5-6(-7)(-8).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import mul
 from typing import Dict, FrozenSet, List, Tuple
 
 from .errors import DomainError, RankDomainError
@@ -260,12 +262,12 @@ def ad_grading(rs: RootSystem, wdd: WeightedDynkinDiagram) -> GradingDims:
     Cartan contributes rank to weight 0."""
     if wdd.lie_type != rs.lie_type:
         raise DomainError(f"diagram is for {wdd.lie_type.name}, root system for {rs.lie_type.name}")
-    dims: Dict[int, int] = {0: rs.rank}
     labels = wdd.labels
-    for root in rs.positive_roots:
-        w = sum(c * l for c, l in zip(root, labels) if c)
-        dims[w] = dims.get(w, 0) + 1
-        dims[-w] = dims.get(-w, 0) + 1
+    positive = Counter(sum(map(mul, root, labels)) for root in rs.positive_roots)
+    dims: Dict[int, int] = {0: rs.rank}
+    for w, count in positive.items():
+        dims[w] = dims.get(w, 0) + count
+        dims[-w] = dims.get(-w, 0) + count
     if dims[0] < rs.rank:
         raise AssertionError("weight-zero space lost the Cartan")
     pairs = tuple(sorted((w, d) for w, d in dims.items() if d))

@@ -200,8 +200,18 @@ def test_verify_json(capsys):
 
 
 def test_verify_rank_bound_exit_2(capsys):
-    code, _, err = run(capsys, "verify", "--max-rank", "9")
+    code, _, err = run(capsys, "verify", "--max-rank", "13")
     assert code == 2
+
+
+def test_verify_reaches_the_rank_cap(capsys):
+    """verify --max-rank 12, the classical rank cap, checks all 4,137
+    orbits of rank <= 12 on the three routes with no mismatch."""
+    code, out, err = run(capsys, "verify", "--max-rank", "12", "--format", "json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["mismatches"] == 0
+    assert {c["name"]: c["cases"] for c in doc["checks"]}["oracle-equivalence"] == 4137
 
 
 def test_verify_corrupt_dataset_exit_1(capsys, monkeypatch, tmp_path):

@@ -9,6 +9,7 @@ from sl2magical.errors import DomainError, NormalityError, UnsupportedInvolution
 from sl2magical.linalg import integer_rank
 from sl2magical.matrixoracle import (
     _ad_e_images,
+    _block_keys,
     _eigen_columns,
     _identity,
     _involution,
@@ -36,6 +37,35 @@ def test_oracle_agrees_with_formula(name, size):
     for p in enumerate_partitions(t.family.value, size):
         m = build_matrix_triple(t, p)
         assert oracle_sl2_data(m).as_dict() == multiplicities_formula(t, p)
+
+
+def _full_route(m):
+    """n_j from ranking the whole algebra at once: the nullity of ad_e on
+    every tau-fixed column of the triple, less the identity in gl."""
+    null = _nullity_by_weight(m, _eigen_columns(m, m.tau)[0])
+    if m.algebra == "gl":
+        null[0] -= 1
+    return {j: v for j, v in null.items() if j >= 0 and v}
+
+
+def test_block_tables_match_the_full_route():
+    """n_j summed from the per-key block tables equals the rank of the
+    whole tau-fixed algebra on every classical orbit of rank <= 6, and
+    those orbits reach every kind of block orbit."""
+    tables = {}
+    kinds = set()
+    checked = 0
+    for fam, low in CLASSICAL_MIN_RANK.items():
+        for rank in range(low, 7):
+            t = LieType.of(fam, rank)
+            for p in enumerate_partitions(t, t.matrix_size):
+                m = build_matrix_triple(t, p)
+                assert oracle_sl2_data(m, tables).as_dict() == _full_route(m)
+                kinds |= {(algebra, kind) for algebra, kind, _ in _block_keys(m)}
+                checked += 1
+    assert checked == 272  # the oracle-equivalence cases of verify --max-rank 6
+    assert kinds == {("gl", "S"), ("gl", "SS")} | {
+        (algebra, kind) for algebra in ("so", "sp") for kind in ("S", "SS", "P", "SP", "PP")}
 
 
 def test_tau_columns_satisfy_the_dense_form_equation():
