@@ -43,11 +43,12 @@ string is a unit S of its own.  The blocks within one unit make up one
 such span, and so do the blocks between two units, so each span's nullity
 by weight depends only on a key: the algebra, the unit kinds (S, a
 diagonal block of gl, and SS, the two cross blocks of two strings; S, SS,
-P, SP, PP in so/sp) and the string lengths.  Each key's table is ranked once by exact elimination on a
-template triple that holds just those one or two units, laid out by the
-same _layout, so the tau-merging, the self-paired strings and the mu signs
-are ranked, not assumed.  n_j is then the sum of the tables over the unit
-pairs of the orbit's layout, weighted by their multiplicities.
+P, SP, PP in so/sp) and the string lengths.  Each key's table is ranked
+once by exact elimination on a template triple that holds just those one
+or two units, laid out by the same _layout, so the tau-merging, the
+self-paired strings and the mu signs are ranked, not assumed.  n_j is
+then the sum of the tables over the units and unit pairs of the orbit's
+layout, weighted by their multiplicities.
 
 Slice ranks are taken per row-disjoint block.  ad_e maps E_ab, a in
 string s and b in string t, into the span of block (s, t), and in so/sp
