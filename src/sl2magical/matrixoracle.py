@@ -1,54 +1,34 @@
-"""Brute-force ground truth: explicit integer matrix models of sl2-triples.
+"""Brute-force ground truth: n_j and Cartan splits as nullities of ad_e.
 
-Type A triples live in gl_N with one Jordan string per part; e raises with
-coefficient 1, f lowers with k(i-k) down a string of length i so that
-[e,f] = h holds on the nose.  For B/C/D the same strings are made
-isotropic for a signed-permutation bilinear form M = sum_a mu_a E_{a,a*}:
-strings of the self-paired parity are reversed onto themselves with
-mu = (-1)^k along the string, the others are coupled in consecutive pairs.
-One routine, _layout, places the strings and sets the pairing and the mu
-signs, for the orbits users name and for the template triples below alike.
-Matrices are sparse {(row, col): value} maps.
+The matrices come from matrixmodel: sl2-triples on Jordan strings, and
+every algebra ranked here as an eigenspace of a signed-permutation
+involution of gl_N.  gl_N and so(M)/sp(M) are the +1 sides of tau.  The
+Cartan involutions of su(p,q) and sl(n,R) split gl_N into h (+1) and m
+(-1).  For su(p,q) it is Ad(S), S = diag(s) alternating along each string:
+eps = s_a s_b, (a,b) fixed.  For sl(n,R) it is -B X^T B^{-1}, the tau of
+the form B of the per-string reversal with every mu = 1.  The Cartan
+involutions of the other five classical families have the same shape,
+each a signed permutation commuting with tau, but are not modeled yet;
+callers get UnsupportedInvolutionError.
 
-Every algebra the oracle ranks is an eigenspace of a signed-permutation
-involution sigma(E_ab) = eps * E_a'b' of gl_N.  One pass over the
-elementary matrices gives both eigenspaces, grouped by ad_h weight: an
-orbit {E_ab, E_a'b'} gives E_ab + eps E_a'b' (+1) and E_ab - eps E_a'b'
-(-1), and a fixed E_ab lies on the side of its eps.
-- gl_N is the +1 side of the identity.
-- so(M)/sp(M) is the +1 side of tau(X) = -M^{-1} X^T M, which sends E_ab
-  to -mu_a mu_b E_{b*a*}; tau(X) = X is the equation X^T M + M X = 0.
-- The Cartan involutions of su(p,q) and sl(n,R) split gl_N into h (+1)
-  and m (-1).  For su(p,q) it is Ad(S), S = diag(s) alternating along each
-  string: eps = s_a s_b, (a,b) fixed.  For sl(n,R) it is -B X^T B^{-1},
-  the tau of the form B of the per-string reversal with every mu = 1.
-The Cartan involutions of the other five classical families have the
-same shape, each a signed permutation commuting with tau, but are not
-modeled yet; callers get UnsupportedInvolutionError.
-
-n_j is the nullity of ad_e on the weight-j slice.  ad_e goes through row
-and column maps of e built once per triple, so each image costs time
-linear in its column.  For tau-fixed x the image [e, x] is tau-fixed too,
-so its entries on one key of each tau-orbit (the smaller key) determine
-it; images are ranked in those coordinates.
-
-oracle_sl2_data does not rank the whole algebra.  e is block-diagonal over
-the strings, so ad_e maps each block (s, t) = span{E_ab : a in s, b in t}
-into itself, and tau, an automorphism fixing e, maps block (s, t) onto
-block (t*, s*).  The span of each tau-orbit of blocks is therefore stable
-under both ad_e and tau, and the algebra is the direct sum of the tau-fixed
-parts of these spans.  Group the strings into units: a self-paired string
-S, or a coupled pair P = {u, u*}; in gl, where tau is the identity, every
-string is a unit S of its own.  The blocks within one unit make up one
-such span, and so do the blocks between two units, so each span's nullity
-by weight depends only on a key: the algebra, the unit kinds (S, a
-diagonal block of gl, and SS, the two cross blocks of two strings; S, SS,
-P, SP, PP in so/sp) and the string lengths.  Each key's table is ranked
-once by exact elimination on a template triple that holds just those one
-or two units, laid out by the same _layout, so the tau-merging, the
-self-paired strings and the mu signs are ranked, not assumed.  n_j is
-then the sum of the tables over the units and unit pairs of the orbit's
-layout, weighted by their multiplicities.
+n_j is the nullity of ad_e on the weight-j slice, but oracle_sl2_data does
+not rank the whole algebra.  e is block-diagonal over the strings, so ad_e
+maps each block (s, t) = span{E_ab : a in s, b in t} into itself, and tau,
+an automorphism fixing e, maps block (s, t) onto block (t*, s*).  The span
+of each tau-orbit of blocks is therefore stable under both ad_e and tau,
+and the algebra is the direct sum of the tau-fixed parts of these spans.
+Group the strings into units: a self-paired string S, or a coupled pair
+P = {u, u*}; in gl, where tau is the identity, every string is a unit S of
+its own.  The blocks within one unit make up one such span, and so do the
+blocks between two units, so each span's nullity by weight depends only
+on a key: the algebra, the unit kinds (S, a diagonal block of gl, and SS,
+the two cross blocks of two strings; S, SS, P, SP, PP in so/sp) and the
+string lengths.  Each key's table is ranked once by exact elimination on a
+template triple that holds just those one or two units, laid out by the
+same matrixmodel.lay_out, so the tau-merging, the self-paired strings and
+the mu signs are ranked, not assumed.  n_j is then the sum of the tables
+over the units and unit pairs of the orbit's layout, weighted by their
+multiplicities.
 
 Slice ranks are taken per row-disjoint block.  ad_e maps E_ab, a in
 string s and b in string t, into the span of block (s, t), and in so/sp
@@ -64,21 +44,28 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import DomainError, NormalityError, UnsupportedInvolutionError
 from .linalg import integer_rank
+from .matrixmodel import (
+    Columns,
+    Entry,
+    Involution,
+    MatrixSl2Triple,
+    Sparse,
+    StringLayout,
+    ad_e_images,
+    eigen_columns,
+    is_eigen,
+    lay_out,
+    transpose_involution,
+    triple_on,
+)
 from .orbits import Partition, SignedPartitionData, partition_fits_family
 from .rootsystems import LieFamily, LieType
 from .sl2data import Sl2Data
 
-Entry = Tuple[int, int]
-Sparse = Dict[Entry, int]
-Columns = Dict[int, List[Sparse]]  # ad_h weight -> basis columns of that weight
-Index = Tuple[Dict[int, List[Tuple[int, int]]], Dict[int, List[Tuple[int, int]]]]
-# sigma(E_ab) = eps * E_a'b', given as (a, b) -> (eps, (a', b')).
-Involution = Callable[[int, int], Tuple[int, Entry]]
 # (algebra, unit kinds, string length of each unit), e.g. ("so", "SP", (3, 2)).
 BlockKey = Tuple[str, str, Tuple[int, ...]]
 # Nullity of ad_e by weight on one block orbit: sorted (weight, nullity), zeros dropped.
@@ -86,188 +73,9 @@ Table = Tuple[Tuple[int, int], ...]
 BlockTables = Dict[BlockKey, Table]
 
 _FAMILY_ALGEBRA = {LieFamily.A: "gl", LieFamily.B: "so", LieFamily.C: "sp", LieFamily.D: "so"}
-# so: odd strings are self-paired; sp: even strings are.  gl has no form.
-_SELF_PAIRED_PARITY = {"so": 1, "sp": 0}
 # The simple algebra on C^N: sl_N inside gl_N, so_N, sp_N.
 _SIMPLE_DIM = {"gl": lambda n: n * n - 1, "so": lambda n: n * (n - 1) // 2,
                "sp": lambda n: n * (n + 1) // 2}
-
-
-def _index(a: Sparse) -> Index:
-    """Row and column maps of a: r -> [(c, a_rc)] and c -> [(r, a_rc)]."""
-    rows: Dict[int, List[Tuple[int, int]]] = {}
-    cols: Dict[int, List[Tuple[int, int]]] = {}
-    for (r, c), v in a.items():
-        rows.setdefault(r, []).append((c, v))
-        cols.setdefault(c, []).append((r, v))
-    return rows, cols
-
-
-def _bracket(a: Index, b: Sparse) -> Sparse:
-    """The bracket a b - b a in one pass over b, given the row and column
-    maps of a."""
-    rows, cols = a
-    out: Sparse = {}
-    for (k, c), v in b.items():
-        for r, w in cols.get(k, ()):
-            out[(r, c)] = out.get((r, c), 0) + w * v
-        for s, w in rows.get(c, ()):
-            out[(k, s)] = out.get((k, s), 0) - v * w
-    return {key: v for key, v in out.items() if v}
-
-
-def _scale(a: Sparse, k: int) -> Sparse:
-    return {key: k * v for key, v in a.items()}
-
-
-def _identity(a: int, b: int) -> Tuple[int, Entry]:
-    return 1, (a, b)
-
-
-def _transpose_involution(pair: Sequence[int], sign: Sequence[int]) -> Involution:
-    """X -> -M^{-1} X^T M for M = sum_a sign_a E_{a, pair_a}, pair an
-    involution of the indices: E_ab -> -sign_a sign_b E_{b*a*}."""
-    return lambda a, b: (-sign[a] * sign[b], (pair[b], pair[a]))
-
-
-def _is_eigen(sigma: Involution, x: Sparse, sign: int) -> bool:
-    """Whether sigma(x) = sign * x."""
-    for key, v in x.items():
-        eps, img = sigma(*key)
-        if x.get(img) != sign * eps * v:
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class StringLayout:
-    """The Jordan strings of a partition in C^N and the form pairing them.
-
-    algebra is "gl" (no form), "so" or "sp": the algebra is the +1 side of
-    tau, the identity on gl_N."""
-
-    algebra: str
-    partition: Partition
-    strings: Tuple[Tuple[int, ...], ...]  # basis indices per Jordan string
-    pairing: Tuple[int, ...]  # index involution a -> a* with h_{a*} = -h_a
-    pairing_sign: Tuple[int, ...]  # mu_a = M[a][a*] (all 1 in gl)
-
-    @property
-    def name(self) -> str:
-        return f"{self.algebra}({self.size}) {self.partition}"
-
-    @property
-    def size(self) -> int:
-        return len(self.pairing)
-
-    @cached_property
-    def weights(self) -> Tuple[int, ...]:
-        """The ad_h weight h_a of each basis index a: i-1-2k at step k of a
-        string of length i."""
-        wt = [0] * self.size
-        for s in self.strings:
-            for k, a in enumerate(s):
-                wt[a] = len(s) - 1 - 2 * k
-        return tuple(wt)
-
-    @cached_property
-    def tau(self) -> Involution:
-        """The involution whose +1 side is the algebra: the identity on
-        gl_N, X -> -M^{-1} X^T M on so(M)/sp(M)."""
-        if self.algebra == "gl":
-            return _identity
-        return _transpose_involution(self.pairing, self.pairing_sign)
-
-    def units(self) -> List[Tuple[Tuple[int, ...], ...]]:
-        """The strings grouped into units: a self-paired string (every
-        string of gl) or a coupled pair (u, u*), in layout order."""
-        string_of = {a: s for s in self.strings for a in s}
-        out: List[Tuple[Tuple[int, ...], ...]] = []
-        for s in self.strings:
-            partner = string_of[self.pairing[s[0]]]
-            if partner is s:
-                out.append((s,))
-            elif s[0] < partner[0]:
-                out.append((s, partner))
-        return out
-
-
-@dataclass(frozen=True)
-class MatrixSl2Triple(StringLayout):
-    """An exact sl2-triple on the strings of its layout.
-
-    Construction checks the bracket relations and that e, h and f lie in
-    the algebra, tau(x) = x."""
-
-    e: Sparse
-    h: Sparse
-    f: Sparse
-
-    def __post_init__(self) -> None:
-        e, h, f = self.e, self.h, self.f
-        h_index = _index(h)
-        if (_bracket(h_index, e) != _scale(e, 2) or _bracket(h_index, f) != _scale(f, -2)
-                or self.ad_e(f) != h):
-            raise AssertionError(f"{self.name}: bracket relations failed")
-        if not all(_is_eigen(self.tau, x, 1) for x in (e, h, f)):
-            raise AssertionError(f"{self.name}: triple leaves the bilinear form")
-
-    @cached_property
-    def _e_index(self) -> Index:
-        return _index(self.e)
-
-    def ad_e(self, x: Sparse) -> Sparse:
-        """[e, x], in time linear in the entries of x."""
-        return _bracket(self._e_index, x)
-
-
-def _layout(algebra: str, p: Partition) -> StringLayout:
-    """One string of consecutive indices per part of p and, outside gl, the
-    form pairing them: a string of the self-paired parity is reversed onto
-    itself with mu = (-1)^k, the others are coupled in consecutive pairs of
-    equal length.  p must meet the parity rule of the algebra."""
-    strings: List[Tuple[int, ...]] = []
-    next_index = 0
-    for part in p.parts:
-        strings.append(tuple(range(next_index, next_index + part)))
-        next_index += part
-    pairing = list(range(next_index))
-    mu = [1] * next_index
-    if algebra != "gl":
-        keep = _SELF_PAIRED_PARITY[algebra]
-        open_partner: Dict[int, Tuple[int, ...]] = {}
-        for s in strings:
-            i = len(s)
-            if i % 2 == keep:
-                for k, idx in enumerate(s):
-                    pairing[idx], mu[idx] = s[i - 1 - k], (-1) ** k
-            elif i in open_partner:
-                u = open_partner.pop(i)
-                for k in range(i):
-                    pairing[u[k]], mu[u[k]] = s[i - 1 - k], (-1) ** k
-                    pairing[s[k]], mu[s[k]] = u[i - 1 - k], -((-1) ** k)
-            else:
-                open_partner[i] = s
-        if open_partner:
-            raise AssertionError(f"unpaired strings {sorted(open_partner)} despite parity check")
-    return StringLayout(algebra=algebra, partition=p, strings=tuple(strings),
-                        pairing=tuple(pairing), pairing_sign=tuple(mu))
-
-
-def _triple(layout: StringLayout) -> MatrixSl2Triple:
-    """e, h and f on the strings of the layout."""
-    e: Sparse = {}
-    f: Sparse = {}
-    for s in layout.strings:
-        i = len(s)
-        for k in range(1, i):
-            e[(s[k - 1], s[k])] = 1
-            f[(s[k], s[k - 1])] = k * (i - k)
-    h = {(a, a): w for a, w in enumerate(layout.weights) if w}
-    return MatrixSl2Triple(
-        algebra=layout.algebra, partition=layout.partition, strings=layout.strings,
-        pairing=layout.pairing, pairing_sign=layout.pairing_sign, e=e, h=h, f=f,
-    )
 
 
 def string_layout(t: LieType, p: Partition) -> StringLayout:
@@ -279,38 +87,11 @@ def string_layout(t: LieType, p: Partition) -> StringLayout:
         raise DomainError(f"{t.name} needs a partition of {t.matrix_size}, got {p.n}")
     if not partition_fits_family(t, p):
         raise DomainError(f"{p} violates the {fam.value}-type parity rule")
-    return _layout(_FAMILY_ALGEBRA[fam], p)
+    return lay_out(_FAMILY_ALGEBRA[fam], p)
 
 
 def build_matrix_triple(t: LieType, p: Partition) -> MatrixSl2Triple:
-    return _triple(string_layout(t, p))
-
-
-def _eigen_columns(m: StringLayout, sigma: Involution) -> Tuple[Columns, Columns]:
-    """The +1 and -1 eigen-columns of sigma on gl_N, grouped by weight."""
-    wt = m.weights
-    sides: Tuple[Columns, Columns] = ({}, {})
-    for a in range(m.size):
-        for b in range(m.size):
-            eps, img = sigma(a, b)
-            if img < (a, b):
-                continue
-            w = wt[a] - wt[b]
-            if img == (a, b):
-                sides[0 if eps == 1 else 1].setdefault(w, []).append({img: 1})
-            else:
-                sides[0].setdefault(w, []).append({(a, b): 1, img: eps})
-                sides[1].setdefault(w, []).append({(a, b): 1, img: -eps})
-    return sides
-
-
-def _ad_e_images(m: MatrixSl2Triple, xs: List[Sparse]) -> List[Sparse]:
-    """The columns [e, x], each read on the smaller key of every tau-orbit."""
-    images = [m.ad_e(x) for x in xs]
-    if m.algebra != "gl":
-        tau = m.tau
-        images = [{k: v for k, v in y.items() if k <= tau(*k)[1]} for y in images]
-    return images
+    return triple_on(string_layout(t, p))
 
 
 def _row_disjoint_blocks(images: List[Sparse]) -> List[List[Sparse]]:
@@ -348,7 +129,7 @@ def _slice_rank(images: List[Sparse]) -> int:
 
 def _nullity_by_weight(m: MatrixSl2Triple, columns: Columns) -> Dict[int, int]:
     """Nullity of ad_e on the span of each weight's columns."""
-    return {w: len(xs) - _slice_rank(_ad_e_images(m, xs)) for w, xs in columns.items()}
+    return {w: len(xs) - _slice_rank(ad_e_images(m, xs)) for w, xs in columns.items()}
 
 
 def _block_keys(layout: StringLayout) -> Counter:
@@ -372,12 +153,12 @@ def _block_table(key: BlockKey) -> Table:
     unit, or between its two."""
     algebra, kind, lengths = key
     parts = [length for unit, length in zip(kind, lengths) for _ in range("SP".index(unit) + 1)]
-    m = _triple(_layout(algebra, Partition.of(*parts)))
+    m = triple_on(lay_out(algebra, Partition.of(*parts)))
     if _block_keys(m)[key] != 1:
         raise AssertionError(f"template {m.name} does not hold the units of {key}")
     unit_of = {a: j for j, u in enumerate(m.units()) for s in u for a in s}
     columns = {w: [x for x in xs if len({unit_of[a] for a in next(iter(x))}) == len(kind)]
-               for w, xs in _eigen_columns(m, m.tau)[0].items()}
+               for w, xs in eigen_columns(m, m.tau)[0].items()}
     return tuple(sorted((w, v) for w, v in _nullity_by_weight(m, columns).items() if v))
 
 
@@ -455,7 +236,7 @@ def _sl_involution(m: MatrixSl2Triple) -> Involution:
     for s in m.strings:
         for k, idx in enumerate(s):
             rev[idx] = s[len(s) - 1 - k]
-    return _transpose_involution(rev, [1] * m.size)
+    return transpose_involution(rev, [1] * m.size)
 
 
 def _involution(m: MatrixSl2Triple, signed: SignedPartitionData) -> Involution:
@@ -469,14 +250,14 @@ def _involution(m: MatrixSl2Triple, signed: SignedPartitionData) -> Involution:
     if m.algebra != "gl":
         raise DomainError(f"{signed.family} splits need a type A model")
     sigma = _su_involution(m, signed) if signed.family == "su" else _sl_involution(m)
-    if not _is_eigen(sigma, m.e, -1):
+    if not is_eigen(sigma, m.e, -1):
         raise NormalityError(f"the {signed.family} involution does not negate e")
     return sigma
 
 
 def oracle_sigma_split(m: MatrixSl2Triple, signed: SignedPartitionData) -> SigmaSplitReport:
     sigma = _involution(m, signed)
-    sides = _eigen_columns(m, sigma)
+    sides = eigen_columns(m, sigma)
     nulls = [_nullity_by_weight(m, cols) for cols in sides]
     dims = [sum(map(len, cols.values())) for cols in sides]
     trace = 0 if sigma(0, 0)[0] == 1 else 1  # the side of sigma(I) = +-I

@@ -7,11 +7,9 @@ import pytest
 from sl2magical import matrixoracle
 from sl2magical.errors import DomainError, NormalityError, UnsupportedInvolutionError
 from sl2magical.linalg import integer_rank
+from sl2magical.matrixmodel import ad_e_images, eigen_columns, identity_involution
 from sl2magical.matrixoracle import (
-    _ad_e_images,
     _block_keys,
-    _eigen_columns,
-    _identity,
     _involution,
     _nullity_by_weight,
     build_matrix_triple,
@@ -42,7 +40,7 @@ def test_oracle_agrees_with_formula(name, size):
 def _full_route(m):
     """n_j from ranking the whole algebra at once: the nullity of ad_e on
     every tau-fixed column of the triple, less the identity in gl."""
-    null = _nullity_by_weight(m, _eigen_columns(m, m.tau)[0])
+    null = _nullity_by_weight(m, eigen_columns(m, m.tau)[0])
     if m.algebra == "gl":
         null[0] -= 1
     return {j: v for j, v in null.items() if j >= 0 and v}
@@ -85,7 +83,7 @@ def test_tau_columns_satisfy_the_dense_form_equation():
                     form[a][m.pairing[a]] = m.pairing_sign[a]
                 sym = -1 if fam == "C" else 1
                 assert all(form[b][a] == sym * form[a][b] for a in range(n) for b in range(n))
-                cols = [x for xs in _eigen_columns(m, m.tau)[0].values() for x in xs]
+                cols = [x for xs in eigen_columns(m, m.tau)[0].values() for x in xs]
                 for x in cols:
                     dense = [[x.get((r, c), 0) for c in range(n)] for r in range(n)]
                     assert all(sum(dense[k][r] * form[k][c] + form[r][k] * dense[k][c]
@@ -113,7 +111,7 @@ def test_triple_outside_the_form_is_rejected():
 def test_involution_fixing_e_is_rejected(monkeypatch):
     m = build_matrix_triple(LieType.of("A", 2), Partition.parse("3"))
     (signed,) = enumerate_signed_data("sl", (3,), Partition.parse("3"))
-    monkeypatch.setattr(matrixoracle, "_sl_involution", lambda m: _identity)
+    monkeypatch.setattr(matrixoracle, "_sl_involution", lambda m: identity_involution)
     with pytest.raises(NormalityError, match="does not negate e"):
         oracle_sigma_split(m, signed)
 
@@ -122,7 +120,7 @@ def _whole_slice_nullity(m, columns):
     """Nullity of each weight slice from one rank over all of its columns."""
     out = {}
     for w, xs in columns.items():
-        images = _ad_e_images(m, xs)
+        images = ad_e_images(m, xs)
         keys = sorted({k for y in images for k in y})
         out[w] = len(xs) - integer_rank([[y.get(k, 0) for y in images] for k in keys])
     return out
@@ -137,7 +135,7 @@ def test_block_split_matches_whole_slice_rank():
             t = LieType.of(fam, rank)
             for p in enumerate_partitions(t, t.matrix_size):
                 m = build_matrix_triple(t, p)
-                cols = _eigen_columns(m, m.tau)[0]
+                cols = eigen_columns(m, m.tau)[0]
                 assert _nullity_by_weight(m, cols) == _whole_slice_nullity(m, cols)
                 checked += 1
     assert checked == 154  # the oracle-equivalence cases of verify --max-rank 5
@@ -154,7 +152,7 @@ def test_block_split_matches_whole_slice_rank_on_sigma_columns():
             m = build_matrix_triple(t, p)
             for family, params in forms:
                 for signed in enumerate_signed_data(family, params, p):
-                    sides = _eigen_columns(m, _involution(m, signed))
+                    sides = eigen_columns(m, _involution(m, signed))
                     for cols in sides:
                         assert _nullity_by_weight(m, cols) == _whole_slice_nullity(m, cols)
                     checked += 1
