@@ -29,7 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Sequence, Tuple
+from itertools import product
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .orbits import Partition
 
@@ -220,21 +221,22 @@ def triple_on(layout: StringLayout) -> MatrixSl2Triple:
     )
 
 
-def eigen_columns(m: MatrixSl2Triple, sigma: Involution) -> Tuple[Columns, Columns]:
-    """The +1 and -1 eigen-columns of sigma on gl_N, grouped by weight."""
+def eigen_columns(m: MatrixSl2Triple, sigma: Involution,
+                  entries: Optional[Iterable[Entry]] = None) -> Tuple[Columns, Columns]:
+    """The +1 and -1 eigen-columns of sigma, grouped by weight, on the span
+    of the E_ab with (a, b) in entries, a sigma-stable set (default gl_N)."""
     wt = m.weights
     sides: Tuple[Columns, Columns] = ({}, {})
-    for a in range(m.size):
-        for b in range(m.size):
-            eps, img = sigma(a, b)
-            if img < (a, b):
-                continue
-            w = wt[a] - wt[b]
-            if img == (a, b):
-                sides[0 if eps == 1 else 1].setdefault(w, []).append({img: 1})
-            else:
-                sides[0].setdefault(w, []).append({(a, b): 1, img: eps})
-                sides[1].setdefault(w, []).append({(a, b): 1, img: -eps})
+    for a, b in product(range(m.size), repeat=2) if entries is None else entries:
+        eps, img = sigma(a, b)
+        if img < (a, b):
+            continue
+        w = wt[a] - wt[b]
+        if img == (a, b):
+            sides[0 if eps == 1 else 1].setdefault(w, []).append({img: 1})
+        else:
+            sides[0].setdefault(w, []).append({(a, b): 1, img: eps})
+            sides[1].setdefault(w, []).append({(a, b): 1, img: -eps})
     return sides
 
 

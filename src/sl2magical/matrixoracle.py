@@ -2,49 +2,44 @@
 
 The matrices come from matrixmodel: sl2-triples on Jordan strings, and
 every algebra ranked here as an eigenspace of a signed-permutation
-involution of gl_N.  gl_N and so(M)/sp(M) are the +1 sides of tau.  The
+involution of gl_N.  gl_N and so(M)/sp(M) are the +1 sides of tau; the
 Cartan involutions of su(p,q) and sl(n,R) split gl_N into h (+1) and m
-(-1).  For su(p,q) it is Ad(S), S = diag(s) alternating along each string:
-eps = s_a s_b, (a,b) fixed.  For sl(n,R) it is -B X^T B^{-1}, the tau of
-the form B of the per-string reversal with every mu = 1.  The Cartan
-involutions of the other five classical families have the same shape,
-each a signed permutation commuting with tau, but are not modeled yet;
-callers get UnsupportedInvolutionError.
+(-1).  For su(p,q) it is Ad(S), S = diag(s) alternating along each
+string; for sl(n,R) it is -B X^T B^{-1}, the tau of the per-string
+reversal B with every mu = 1.  The other five classical families have
+Cartan involutions of the same shape, not modeled yet: callers get
+UnsupportedInvolutionError.
 
-n_j is the nullity of ad_e on the weight-j slice, but oracle_sl2_data does
-not rank the whole algebra.  e is block-diagonal over the strings, so ad_e
-maps each block (s, t) = span{E_ab : a in s, b in t} into itself, and tau,
-an automorphism fixing e, maps block (s, t) onto block (t*, s*).  The span
-of each tau-orbit of blocks is therefore stable under both ad_e and tau,
-and the algebra is the direct sum of the tau-fixed parts of these spans.
-Group the strings into units: a self-paired string S, or a coupled pair
-P = {u, u*}; in gl, where tau is the identity, every string is a unit S of
-its own.  The blocks within one unit make up one such span, and so do the
-blocks between two units, so each span's nullity by weight depends only
-on a key: the algebra, the unit kinds (S, a diagonal block of gl, and SS,
-the two cross blocks of two strings; S, SS, P, SP, PP in so/sp) and the
-string lengths.  Each key's table is ranked once by exact elimination on a
-template triple that holds just those one or two units, laid out by the
-same matrixmodel.lay_out, so the tau-merging, the self-paired strings and
-the mu signs are ranked, not assumed.  n_j is then the sum of the tables
-over the units and unit pairs of the orbit's layout, weighted by their
-multiplicities.
+Neither oracle ranks the whole algebra.  e is block-diagonal over the
+strings, so ad_e maps each block (s, t) = span{E_ab : a in s, b in t}
+into itself; tau maps it onto (t*, s*), Ad(S) fixes it up to the sign
+s_a s_b and -B X^T B^{-1} maps it onto (t, s).  Group the strings into
+units: a self-paired string S, or a coupled pair P = {u, u*}; in gl
+every string is a unit S.  The blocks within one unit, or between two,
+span a space stable under ad_e and the involution, whose nullity by
+weight (and h and m column counts) depends only on a key: the algebra or
+family, the unit kinds (S, SS in gl; S, SS, P, SP, PP in so/sp), the
+string lengths and, for su SS, the product of the two strings' leading
+signs.  Each key is ranked once by exact elimination on a template
+triple of just its units, laid out by the same matrixmodel.lay_out, so
+the tau-merging, the self-paired strings and the mu signs are ranked,
+not assumed; a Cartan template's involution is checked to negate e.
+n_j and the h/m split sum the tables over the units and unit pairs of
+the orbit, weighted by multiplicity, less the identity in gl.
 
-Slice ranks are taken per row-disjoint block.  ad_e maps E_ab, a in
-string s and b in string t, into the span of block (s, t), and in so/sp
-the pairing merges (s, t) with (t*, s*), so the images of one slice fall
-into groups that share no row.  The groups are found from the images
+Slice ranks are summed over row-disjoint blocks, found from the images
 themselves (union-find on shared row keys), so the split holds for any
-columns, the involution eigen-columns included; the slice rank is the sum
-of the Bareiss ranks of its blocks.  Templates hold at most two units, so
-the split matters for the sigma split, whose columns run over all of gl_N.
+columns.  In a two-unit template they are the tau-orbits of its cross
+blocks, or the two cross blocks of two strings that Ad(S) keeps apart.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import lru_cache
+from itertools import combinations
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, NormalityError, UnsupportedInvolutionError
 from .linalg import integer_rank
@@ -71,6 +66,8 @@ BlockKey = Tuple[str, str, Tuple[int, ...]]
 # Nullity of ad_e by weight on one block orbit: sorted (weight, nullity), zeros dropped.
 Table = Tuple[Tuple[int, int], ...]
 BlockTables = Dict[BlockKey, Table]
+# (family, kinds, lengths, leading-sign product in su SS, else 1), e.g. ("su", "SS", (3, 2), -1).
+SplitKey = Tuple[str, str, Tuple[int, ...], int]
 
 _FAMILY_ALGEBRA = {LieFamily.A: "gl", LieFamily.B: "so", LieFamily.C: "sp", LieFamily.D: "so"}
 # The simple algebra on C^N: sl_N inside gl_N, so_N, sp_N.
@@ -132,6 +129,17 @@ def _nullity_by_weight(m: MatrixSl2Triple, columns: Columns) -> Dict[int, int]:
     return {w: len(xs) - _slice_rank(ad_e_images(m, xs)) for w, xs in columns.items()}
 
 
+def _table(m: MatrixSl2Triple, columns: Columns) -> Table:
+    return tuple(sorted((w, v) for w, v in _nullity_by_weight(m, columns).items() if v))
+
+
+def _unit_columns(m: MatrixSl2Triple, sigma: Involution, units: int) -> Tuple[Columns, Columns]:
+    """sigma's eigen-columns within the one unit of a template, or between its two."""
+    unit_of = {a: j for j, u in enumerate(m.units()) for s in u for a in s}
+    return eigen_columns(m, sigma, [(a, b) for a in range(m.size) for b in range(m.size)
+                                    if len({unit_of[a], unit_of[b]}) == units])
+
+
 def _block_keys(layout: StringLayout) -> Counter:
     """Block-orbit key -> the number of block orbits of the layout with that
     key: one orbit per unit, one per pair of distinct units."""
@@ -156,10 +164,7 @@ def _block_table(key: BlockKey) -> Table:
     m = triple_on(lay_out(algebra, Partition.of(*parts)))
     if _block_keys(m)[key] != 1:
         raise AssertionError(f"template {m.name} does not hold the units of {key}")
-    unit_of = {a: j for j, u in enumerate(m.units()) for s in u for a in s}
-    columns = {w: [x for x in xs if len({unit_of[a] for a in next(iter(x))}) == len(kind)]
-               for w, xs in eigen_columns(m, m.tau)[0].items()}
-    return tuple(sorted((w, v) for w, v in _nullity_by_weight(m, columns).items() if v))
+    return _table(m, _unit_columns(m, m.tau, len(kind))[0])
 
 
 def oracle_sl2_data(layout: StringLayout, tables: Optional[BlockTables] = None) -> Sl2Data:
@@ -169,12 +174,11 @@ def oracle_sl2_data(layout: StringLayout, tables: Optional[BlockTables] = None) 
     each key once."""
     if tables is None:
         tables = {}
-    null: Dict[int, int] = {}
+    null: Counter = Counter()
     for key, count in _block_keys(layout).items():
         if key not in tables:
             tables[key] = _block_table(key)
-        for w, v in tables[key]:
-            null[w] = null.get(w, 0) + count * v
+        null.update({w: count * v for w, v in tables[key]})
     if layout.algebra == "gl":
         null[0] -= 1  # the identity matrix is not in sl
     pairs = tuple((j, v) for j, v in sorted(null.items()) if j >= 0 and v)
@@ -194,39 +198,26 @@ class SigmaSplitReport:
     def split_at(self, w: int) -> Tuple[int, int]:
         return dict(self.splits).get(w, (0, 0))
 
-    def as_dict(self) -> Dict[int, Tuple[int, int]]:
-        return dict(self.splits)
-
-    @property
-    def s(self) -> int:
-        return self.dim_m - self.dim_h
-
     def m_parts(self) -> Dict[int, int]:
         return {w: hm[1] for w, hm in self.splits}
 
 
+def _ad(m: MatrixSl2Triple, leads: Sequence[int]) -> Involution:
+    """Ad(S), s = eps * (-1)^k at box k of a string with leading sign eps."""
+    signs = {idx: lead * (-1) ** k for s, lead in zip(m.strings, leads) for k, idx in enumerate(s)}
+    return lambda a, b: (signs[a] * signs[b], (a, b))
+
+
 def _su_involution(m: MatrixSl2Triple, signed: SignedPartitionData) -> Involution:
-    """Ad(S), S = diag(signs).  Leading signs per string come from the
-    signed tableau; box k of a row with leading sign eps gets eps * (-1)^k."""
-    remaining = {part: pq for part, pq in signed.signs}
-    signs = [0] * m.size
-    for s in m.strings:
-        part = len(s)
-        plus, minus = remaining[part]
-        if plus:
-            lead, remaining[part] = 1, (plus - 1, minus)
-        else:
-            if not minus:
-                raise AssertionError(f"sign budget exhausted for part {part}")
-            lead, remaining[part] = -1, (plus, minus - 1)
-        for k, idx in enumerate(s):
-            signs[idx] = lead * (-1) ** k
-    plus_count = signs.count(1)
+    """Ad(S), each length's strings led by the tableau's plus signs, then its minus."""
+    budget = {part: [-1] * minus + [1] * plus for part, (plus, minus) in signed.signs}
+    leads = [budget[len(s)].pop() for s in m.strings]
+    plus_count = sum((len(s) + (lead == 1)) // 2 for s, lead in zip(m.strings, leads))
     if plus_count != signed.params[0]:
         raise NormalityError(
             f"sign vector has {plus_count} plus entries, wanted {signed.params[0]}"
         )
-    return lambda a, b: (signs[a] * signs[b], (a, b))
+    return _ad(m, leads)
 
 
 def _sl_involution(m: MatrixSl2Triple) -> Involution:
@@ -255,20 +246,39 @@ def _involution(m: MatrixSl2Triple, signed: SignedPartitionData) -> Involution:
     return sigma
 
 
-def oracle_sigma_split(m: MatrixSl2Triple, signed: SignedPartitionData) -> SigmaSplitReport:
-    sigma = _involution(m, signed)
-    sides = eigen_columns(m, sigma)
-    nulls = [_nullity_by_weight(m, cols) for cols in sides]
-    dims = [sum(map(len, cols.values())) for cols in sides]
-    trace = 0 if sigma(0, 0)[0] == 1 else 1  # the side of sigma(I) = +-I
-    nulls[trace][0] = nulls[trace].get(0, 0) - 1  # I is not in sl
-    dims[trace] -= 1
+def _split_keys(m: MatrixSl2Triple, family: str, sigma: Involution) -> Counter:
+    """Split key -> its number of strings or string pairs; in su, sigma(s_0, t_0) = s_0 t_0."""
+    keys = Counter((family, "S", (len(s),), 1) for s in m.strings)
+    keys.update((family, "SS", (len(s), len(t)), sigma(s[0], t[0])[0] if family == "su" else 1)
+                for s, t in combinations(m.strings, 2))
+    return keys
 
+
+@lru_cache(maxsize=None)
+def _split_table(key: SplitKey) -> Tuple[Tuple[int, Table], ...]:
+    """(column count, nullity table) of the h and m sides of a key, on a gl template."""
+    family, kind, lengths, sign = key
+    m = triple_on(lay_out("gl", Partition.of(*lengths)))
+    sigma = _ad(m, (1, sign)) if family == "su" else _sl_involution(m)
+    if not is_eigen(sigma, m.e, -1):
+        raise AssertionError(f"template {m.name}: the {family} involution does not negate e")
+    return tuple((sum(map(len, cols.values())), _table(m, cols))
+                 for cols in _unit_columns(m, sigma, len(kind)))
+
+
+def oracle_sigma_split(m: MatrixSl2Triple, signed: SignedPartitionData) -> SigmaSplitReport:
+    """The h/m split of each highest-weight space, summed from the split tables."""
+    sigma = _involution(m, signed)
+    nulls, dims = (Counter(), Counter()), [0, 0]
+    for key, count in _split_keys(m, signed.family, sigma).items():
+        for side, (dim, table) in enumerate(_split_table(key)):
+            dims[side] += count * dim
+            nulls[side].update({w: count * v for w, v in table})
+    trace = 0 if sigma(0, 0)[0] == 1 else 1  # the side of sigma(I) = +-I
+    nulls[trace][0] -= 1  # I is not in sl
+    dims[trace] -= 1
     h_null, m_null = nulls
-    splits = tuple((w, (h_null.get(w, 0), m_null.get(w, 0)))
-                   for w in sorted(set(h_null) | set(m_null))
-                   if w >= 0 and (h_null.get(w, 0) or m_null.get(w, 0)))
-    return SigmaSplitReport(
-        family=signed.family, params=signed.params, splits=splits,
-        dim_h=dims[0], dim_m=dims[1],
-    )
+    splits = tuple((w, (h_null[w], m_null[w])) for w in sorted(h_null.keys() | m_null.keys())
+                   if w >= 0 and (h_null[w] or m_null[w]))
+    return SigmaSplitReport(family=signed.family, params=signed.params, splits=splits,
+                            dim_h=dims[0], dim_m=dims[1])

@@ -40,9 +40,6 @@ class SlodowyReport:
     a: Tuple[Tuple[int, int], ...]  # (weight, dim A_w), zero rows dropped
     dim_c_cap_h: int
 
-    def a_dict(self) -> Dict[int, int]:
-        return dict(self.a)
-
 
 def slodowy_parameter_dim(genus: int, dim_c_cap_h: int, a: Mapping[int, int]) -> int:
     """Real parameter count 2(g-1)[dim(c cap h) + sum_w a_w (w+1)]."""
@@ -64,11 +61,9 @@ def expected_dim(genus: int, d: RealFormDescriptor) -> int:
 
 def _classical_split(form: RealFormDescriptor, p: Partition,
                      signed: SignedPartitionData) -> Tuple[int, Dict[int, int]]:
-    triple = build_matrix_triple(form.complexification(), p)
-    report = oracle_sigma_split(triple, signed)
-    dim_c_cap_h = report.split_at(0)[0]
+    report = oracle_sigma_split(build_matrix_triple(form.complexification(), p), signed)
     a = {w: m for w, m in report.m_parts().items() if w > 0 and m > 0}
-    return dim_c_cap_h, a
+    return report.split_at(0)[0], a
 
 
 def _exceptional_split(form: RealFormDescriptor, orbit) -> Tuple[int, Dict[int, int]]:

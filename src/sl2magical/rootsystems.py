@@ -241,9 +241,6 @@ class GradingDims:
     lie_type: LieType
     dims: Tuple[Tuple[int, int], ...]  # sorted (weight, dim) pairs
 
-    def dim_at(self, j: int) -> int:
-        return dict(self.dims).get(j, 0)
-
     def as_dict(self) -> Dict[int, int]:
         return dict(self.dims)
 

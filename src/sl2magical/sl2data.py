@@ -59,10 +59,6 @@ class Sl2Data:
         """Total number of irreducible summands (= dim of ker ad_e)."""
         return sum(m for _, m in self.n)
 
-    def n_row(self) -> Tuple[int, ...]:
-        """(n_0, ..., n_max) with zeros kept, for table rendering."""
-        return tuple(self.n_at(j) for j in range(self.max_weight + 1))
-
 
 def module_multiplicities(g: GradingDims) -> Sl2Data:
     """n_j = dim g_j - dim g_{j+2}; negative values mean the label vector

@@ -1,11 +1,13 @@
 """Command-line contract: output documents, formats and exit codes."""
 
+import hashlib
 import json
 
 import pytest
 
 from sl2magical.cli import main
 from sl2magical.dataset import DATASET_ENV
+from sl2magical.orbits import enumerate_partitions
 
 
 def run(capsys, *argv):
@@ -333,3 +335,29 @@ RECORD_OUTPUT = {
 def test_record_output_byte_identical(capsys, argv, fmt):
     code, out, err = run(capsys, *argv, "--format", fmt)
     assert (code, out, err) == (0, RECORD_OUTPUT[argv, fmt], "")
+
+
+def _slodowy_sweep():
+    """Every su(p,q) and sl(n,R) slodowy command of size n <= 8, each
+    partition of n, in a fixed order."""
+    for n in range(2, 9):
+        forms = [("su", str(p), str(n - p)) for p in range(1, n)] + [("sl", str(n))]
+        for p in enumerate_partitions("A", n):
+            part = ",".join(map(str, p.parts))
+            for form in forms:
+                yield ("slodowy", *form, "--partition", part, "--genus", "2",
+                       "--format", "json")
+
+
+def test_slodowy_sweep_digest(capsys):
+    """The exit codes and output of the whole sweep, byte for byte: a
+    change to how the involution splits are ranked must not move them."""
+    digest = hashlib.sha256()
+    commands = 0
+    for argv in _slodowy_sweep():
+        code, out, err = run(capsys, *argv)
+        digest.update(f"{' '.join(argv)}\n{code}\n{out}{err}\n".encode())
+        commands += 1
+    assert commands == 415  # 267 exit 0, 148 exit 2 (no signed datum meets the form)
+    assert digest.hexdigest() == (
+        "236b6f513071453426e2b115e53040c91a7c921d78fba21e1310d6f1491ba573")

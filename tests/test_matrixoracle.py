@@ -9,9 +9,11 @@ from sl2magical.errors import DomainError, NormalityError, UnsupportedInvolution
 from sl2magical.linalg import integer_rank
 from sl2magical.matrixmodel import ad_e_images, eigen_columns, identity_involution
 from sl2magical.matrixoracle import (
+    SigmaSplitReport,
     _block_keys,
     _involution,
     _nullity_by_weight,
+    _split_keys,
     build_matrix_triple,
     oracle_sigma_split,
     oracle_sl2_data,
@@ -116,6 +118,14 @@ def test_involution_fixing_e_is_rejected(monkeypatch):
         oracle_sigma_split(m, signed)
 
 
+def test_template_involution_fixing_e_is_rejected(monkeypatch):
+    """The split tables check the involution of each template triple too;
+    the unmemoized ranker sees the patched involution."""
+    monkeypatch.setattr(matrixoracle, "_sl_involution", lambda m: identity_involution)
+    with pytest.raises(AssertionError, match="template gl.3. .3.: the sl involution"):
+        matrixoracle._split_table.__wrapped__(("sl", "S", (3,), 1))
+
+
 def _whole_slice_nullity(m, columns):
     """Nullity of each weight slice from one rank over all of its columns."""
     out = {}
@@ -159,6 +169,45 @@ def test_block_split_matches_whole_slice_rank_on_sigma_columns():
     assert checked == 154  # every su and sl signed datum of size <= 6
 
 
+def _full_sigma_route(m, signed):
+    """The h/m split from ranking every eigen-column of the involution on
+    all of gl_N at once, less the identity on the side of sigma(I)."""
+    sigma = _involution(m, signed)
+    sides = eigen_columns(m, sigma)
+    nulls = [_nullity_by_weight(m, cols) for cols in sides]
+    dims = [sum(map(len, cols.values())) for cols in sides]
+    trace = 0 if sigma(0, 0)[0] == 1 else 1
+    nulls[trace][0] -= 1
+    dims[trace] -= 1
+    weights = sorted(w for w in set(nulls[0]) | set(nulls[1])
+                     if w >= 0 and (nulls[0].get(w, 0) or nulls[1].get(w, 0)))
+    splits = tuple((w, (nulls[0].get(w, 0), nulls[1].get(w, 0))) for w in weights)
+    return SigmaSplitReport(family=signed.family, params=signed.params, splits=splits,
+                            dim_h=dims[0], dim_m=dims[1])
+
+
+def test_sigma_tables_match_the_full_route():
+    """The split summed from the per-key h/m tables equals the rank of the
+    whole of gl_N on every su and sl signed datum of size <= 8, and those
+    data reach su S, su SS with both sign products, sl S and sl SS keys."""
+    kinds = set()
+    checked = 0
+    for n in range(2, 9):
+        forms = [("su", (a, n - a)) for a in range(1, n)] + [("sl", (n,))]
+        t = LieType.of("A", n - 1)
+        for p in enumerate_partitions("A", n):
+            m = build_matrix_triple(t, p)
+            for family, params in forms:
+                for signed in enumerate_signed_data(family, params, p):
+                    assert oracle_sigma_split(m, signed) == _full_sigma_route(m, signed)
+                    keys = _split_keys(m, family, _involution(m, signed))
+                    kinds |= {(fam, kind, sign) for fam, kind, _, sign in keys}
+                    checked += 1
+    assert checked == 482  # every su and sl signed datum of size <= 8
+    assert kinds == {("su", "S", 1), ("su", "SS", 1), ("su", "SS", -1),
+                     ("sl", "S", 1), ("sl", "SS", 1)}
+
+
 def test_partition_size_mismatch():
     with pytest.raises(DomainError):
         build_matrix_triple(LieType.of("A", 4), Partition.parse("2,2"))
@@ -176,13 +225,13 @@ def test_sigma_split_su23():
     compact, mixed = None, None
     for signed in enumerate_signed_data("su", (2, 3), p):
         r = oracle_sigma_split(m, signed)
-        assert r.s == 0  # su(2,3) has dim m = dim h
+        assert r.dim_m == r.dim_h  # su(2,3) has dim m = dim h
         if signed.sign_split(2) == (1, 1):
             mixed = r
         elif compact is None:
             compact = r
-    assert compact.as_dict() == {0: (4, 0), 1: (2, 2), 2: (0, 4)}
-    assert mixed.as_dict() == {0: (2, 2), 1: (2, 2), 2: (2, 2)}
+    assert dict(compact.splits) == {0: (4, 0), 1: (2, 2), 2: (0, 4)}
+    assert dict(mixed.splits) == {0: (2, 2), 1: (2, 2), 2: (2, 2)}
     assert compact.split_at(0) == (4, 0)
     assert compact.m_parts() == {0: 0, 1: 2, 2: 4}
 
@@ -237,7 +286,7 @@ def test_sl_split_is_supported():
     m = build_matrix_triple(t, p)
     (signed,) = enumerate_signed_data("sl", (3,), p)
     r = oracle_sigma_split(m, signed)
-    assert r.s == 2  # sl(3,R): dim m - dim h = 5 - 3
+    assert r.dim_m - r.dim_h == 2  # sl(3,R): dim m - dim h = 5 - 3
     assert {w: h + mm for w, (h, mm) in r.splits} == multiplicities_formula(t, p)
 
 

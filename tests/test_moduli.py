@@ -46,7 +46,7 @@ def test_even_magical_orbit_is_unobstructed():
     assert (r.slodowy_param_dim, r.expected_dim, r.gap) == (30, 30, 0)
     assert r.milnor_wood == 4
     assert r.dim_c_cap_h == 3
-    assert r.a_dict() == {2: 4}
+    assert dict(r.a) == {2: 4}
 
 
 def test_odd_magical_orbit_has_gap():
@@ -54,7 +54,7 @@ def test_odd_magical_orbit_has_gap():
                         _signed("su", (2, 3), "2^2,1", (2, (2, 0))))
     assert (r.slodowy_param_dim, r.expected_dim, r.gap) == (40, 48, 8)
     assert r.dim_c_cap_h == 4
-    assert r.a_dict() == {1: 2, 2: 4}
+    assert dict(r.a) == {1: 2, 2: 4}
 
 
 def test_trivial_orbit_has_maximal_gap():
@@ -62,7 +62,7 @@ def test_trivial_orbit_has_maximal_gap():
                         _signed("su", (2, 3), "1^5"))
     assert (r.slodowy_param_dim, r.expected_dim, r.gap) == (24, 48, 24)
     assert r.dim_c_cap_h == 12
-    assert r.a_dict() == {}
+    assert dict(r.a) == {}
 
 
 @pytest.mark.parametrize("genus", [2, 3, 10])
@@ -91,7 +91,7 @@ def test_exceptional_report():
     assert (r.slodowy_param_dim, r.expected_dim, r.gap) == (124, 156, 32)
     assert r.milnor_wood == 4
     assert r.dim_c_cap_h == 22
-    assert r.a_dict() == {1: 8, 2: 8}
+    assert dict(r.a) == {1: 8, 2: 8}
 
 
 def test_exceptional_missing_columns():
