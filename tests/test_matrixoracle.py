@@ -1,5 +1,6 @@
 """Matrix sl2-triples as an independent check on the closed formulas."""
 
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -206,6 +207,26 @@ def test_sigma_tables_match_the_full_route():
     assert checked == 482  # every su and sl signed datum of size <= 8
     assert kinds == {("su", "S", 1), ("su", "SS", 1), ("su", "SS", -1),
                      ("sl", "S", 1), ("sl", "SS", 1)}
+
+
+def test_sigma_splits_up_to_size_12_are_pinned():
+    """The repr of every su and sl split of size <= 12, the range of the
+    slodowy workload, hashes to the digest recorded before the split tables
+    moved onto the shared per-key route."""
+    digest = hashlib.sha256()
+    checked = 0
+    for n in range(2, 13):
+        forms = [("su", (a, n - a)) for a in range(1, n)] + [("sl", (n,))]
+        t = LieType.of("A", n - 1)
+        for p in enumerate_partitions("A", n):
+            m = build_matrix_triple(t, p)
+            for family, params in forms:
+                for signed in enumerate_signed_data(family, params, p):
+                    digest.update((repr(oracle_sigma_split(m, signed)) + "\n").encode())
+                    checked += 1
+    assert checked == 3377
+    assert digest.hexdigest() == (
+        "baf751a83b5d23513d1d619619cb3ad7f189bf1193a6c9536d273fb7ff1e40b8")
 
 
 def test_partition_size_mismatch():
