@@ -14,7 +14,7 @@ from typing import Iterator, List
 
 from .dataset import evaluate_conditions, load_records
 from .errors import DatasetSchemaError, MissingDataError
-from .matrixoracle import BlockTables, oracle_sl2_data, string_layout
+from .matrixoracle import Tables, oracle_sl2_data, string_layout
 from .orbits import Partition, enumerate_partitions, weighted_dynkin_from_partition
 from .realforms import describe, exceptional_s_value
 from .rootsystems import (
@@ -50,7 +50,7 @@ def check_oracle_equivalence(max_rank: int = 6) -> CheckResult:
     """Formula vs grading vs matrix oracle on every orbit up to the bound."""
     name = "oracle-equivalence"
     cases = 0
-    tables: BlockTables = {}
+    tables: Tables = {}
     for t in _classical_types(max_rank):
         rs = build_root_system(t)
         for p in enumerate_partitions(t, t.matrix_size):

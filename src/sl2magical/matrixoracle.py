@@ -14,41 +14,36 @@ Neither oracle ranks the whole algebra.  e is block-diagonal over the
 strings, so ad_e maps each block (s, t) = span{E_ab : a in s, b in t}
 into itself; tau maps it onto (t*, s*), Ad(S) fixes it up to the sign
 s_a s_b and -B X^T B^{-1} maps it onto (t, s).  Group the strings into
-units: a self-paired string S, or a coupled pair P = {u, u*}; in gl
-every string is a unit S.  The blocks within one unit, or between two,
-span a space stable under ad_e and the involution, whose nullity by
-weight (and h and m column counts) depends only on a key: the algebra or
-family, the unit kinds (S, SS in gl; S, SS, P, SP, PP in so/sp), the
-string lengths and, for su SS, the product of the two strings' leading
-signs.  Each key is ranked once by exact elimination on a template
-triple of just its units, laid out by the same matrixmodel.lay_out, so
-the tau-merging, the self-paired strings and the mu signs are ranked,
-not assumed; a Cartan template's involution is checked to negate e.
-n_j and the h/m split sum the tables over the units and unit pairs of
-the orbit, weighted by multiplicity, less the identity in gl.
-
-Slice ranks are summed over row-disjoint blocks, found from the images
-themselves (union-find on shared row keys), so the split holds for any
-columns.  In a two-unit template they are the tau-orbits of its cross
-blocks, or the two cross blocks of two strings that Ad(S) keeps apart.
+units: a self-paired string S, or a coupled pair P = {u, u*}; in gl,
+and so under a Cartan involution, every string is a unit S.  The blocks
+within one unit, or between two, span a space stable under ad_e and the
+involution, whose column count and nullity by weight on each side depend
+only on a key (model, unit kinds, lengths, sign).  The model is gl, so
+or sp for n_j, where only the +1 side of tau is ranked, or su or sl for
+a Cartan split, where h and m are; the kinds are S or P, or SS, SP or PP
+for two units; the sign is the product of the two units' leading signs
+(1 for tau and for one unit).  Each key is ranked once, by exact
+elimination of each weight slice, on a template triple of just its
+units, laid out by the same matrixmodel.lay_out, so the tau-merging, the
+self-paired strings and the mu signs are ranked, not assumed; a tau
+template is checked to hold the key's units, a Cartan template's
+involution to negate e.  n_j and the h/m split sum the tables over the
+units and unit pairs of the orbit, weighted by multiplicity, less the
+identity matrix on the side of sigma(I) = +-I: it is in gl_N, not sl_N.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, NormalityError, UnsupportedInvolutionError
 from .linalg import integer_rank
 from .matrixmodel import (
     Columns,
-    Entry,
     Involution,
     MatrixSl2Triple,
-    Sparse,
     StringLayout,
     ad_e_images,
     eigen_columns,
@@ -57,80 +52,42 @@ from .matrixmodel import (
     transpose_involution,
     triple_on,
 )
-from .orbits import Partition, SignedPartitionData, partition_fits_family
+from .orbits import Partition, SignedPartitionData, check_partition
 from .rootsystems import LieFamily, LieType
 from .sl2data import Sl2Data
 
-# (algebra, unit kinds, string length of each unit), e.g. ("so", "SP", (3, 2)).
-BlockKey = Tuple[str, str, Tuple[int, ...]]
-# Nullity of ad_e by weight on one block orbit: sorted (weight, nullity), zeros dropped.
+# (model, unit kinds, string length of each unit, sign), e.g. ("so", "SP", (3, 2), 1).
+Key = Tuple[str, str, Tuple[int, ...], int]
+# Nullity of ad_e by weight on one side of a key: sorted (weight, nullity), zeros dropped.
 Table = Tuple[Tuple[int, int], ...]
-BlockTables = Dict[BlockKey, Table]
-# (family, kinds, lengths, leading-sign product in su SS, else 1), e.g. ("su", "SS", (3, 2), -1).
-SplitKey = Tuple[str, str, Tuple[int, ...], int]
+# Key -> (column count, nullity table) of each ranked side: tau's +1, or h and m.
+Tables = Dict[Key, Tuple[Tuple[int, Table], ...]]
+# A unit's (number of strings, string length, leading sign).
+UnitType = Tuple[int, int, int]
 
 _FAMILY_ALGEBRA = {LieFamily.A: "gl", LieFamily.B: "so", LieFamily.C: "sp", LieFamily.D: "so"}
-# The simple algebra on C^N: sl_N inside gl_N, so_N, sp_N.
-_SIMPLE_DIM = {"gl": lambda n: n * n - 1, "so": lambda n: n * (n - 1) // 2,
-               "sp": lambda n: n * (n + 1) // 2}
+_CARTAN_MODELS = ("su", "sl")
+_CARTAN_TABLES: Tables = {}  # the split tables, ranked once per process
 
 
 def string_layout(t: LieType, p: Partition) -> StringLayout:
     """The layout of the orbit p of the classical type t, validated."""
-    fam = t.family
-    if not fam.is_classical:
-        raise DomainError(f"{t.name} has no partition matrix model")
-    if p.n != t.matrix_size:
-        raise DomainError(f"{t.name} needs a partition of {t.matrix_size}, got {p.n}")
-    if not partition_fits_family(t, p):
-        raise DomainError(f"{p} violates the {fam.value}-type parity rule")
-    return lay_out(_FAMILY_ALGEBRA[fam], p)
+    check_partition(t, p)
+    return lay_out(_FAMILY_ALGEBRA[t.family], p)
 
 
 def build_matrix_triple(t: LieType, p: Partition) -> MatrixSl2Triple:
     return triple_on(string_layout(t, p))
 
 
-def _row_disjoint_blocks(images: List[Sparse]) -> List[List[Sparse]]:
-    """The nonzero images grouped so that no two groups share a row:
-    union-find over the columns, joined at each shared row key."""
-    parent = list(range(len(images)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
-    owner: Dict[Entry, int] = {}
-    for j, y in enumerate(images):
-        for key in y:
-            i = owner.setdefault(key, j)
-            if i != j:
-                parent[find(i)] = find(j)
-    blocks: Dict[int, List[Sparse]] = {}
-    for j, y in enumerate(images):
-        if y:
-            blocks.setdefault(find(j), []).append(y)
-    return list(blocks.values())
-
-
-def _slice_rank(images: List[Sparse]) -> int:
-    """Rank of the columns, summed over their row-disjoint blocks: the rank
-    of a block-diagonal matrix is the sum of its blocks' ranks."""
-    rank = 0
-    for block in _row_disjoint_blocks(images):
-        keys = sorted({k for y in block for k in y})
-        rank += integer_rank([[y.get(k, 0) for y in block] for k in keys])
-    return rank
-
-
 def _nullity_by_weight(m: MatrixSl2Triple, columns: Columns) -> Dict[int, int]:
     """Nullity of ad_e on the span of each weight's columns."""
-    return {w: len(xs) - _slice_rank(ad_e_images(m, xs)) for w, xs in columns.items()}
-
-
-def _table(m: MatrixSl2Triple, columns: Columns) -> Table:
-    return tuple(sorted((w, v) for w, v in _nullity_by_weight(m, columns).items() if v))
+    out = {}
+    for w, xs in columns.items():
+        images = ad_e_images(m, xs)
+        rows = sorted({k for y in images for k in y})
+        out[w] = len(xs) - integer_rank([[y.get(k, 0) for y in images] for k in rows])
+    return out
 
 
 def _unit_columns(m: MatrixSl2Triple, sigma: Involution, units: int) -> Tuple[Columns, Columns]:
@@ -140,49 +97,72 @@ def _unit_columns(m: MatrixSl2Triple, sigma: Involution, units: int) -> Tuple[Co
                                     if len({unit_of[a], unit_of[b]}) == units])
 
 
-def _block_keys(layout: StringLayout) -> Counter:
-    """Block-orbit key -> the number of block orbits of the layout with that
-    key: one orbit per unit, one per pair of distinct units."""
-    units = sorted(Counter((len(u), len(u[0])) for u in layout.units()).items())
+def _keys(model: str, unit_types: Iterable[UnitType]) -> Counter:
+    """Key -> the number of units, or pairs of distinct units, with that key."""
+    units = sorted(Counter(unit_types).items())
     keys: Counter = Counter()
-    for i, ((strings, length), count) in enumerate(units):
+    for i, ((strings, length, sign), count) in enumerate(units):
         kind = "SP"[strings - 1]
-        keys[layout.algebra, kind, (length,)] += count
+        keys[model, kind, (length,), 1] += count
         if count > 1:
-            keys[layout.algebra, kind * 2, (length, length)] += count * (count - 1) // 2
-        for (strings2, length2), count2 in units[i + 1:]:
-            keys[layout.algebra, kind + "SP"[strings2 - 1], (length, length2)] += count * count2
+            keys[model, kind * 2, (length, length), 1] += count * (count - 1) // 2
+        for (strings2, length2, sign2), count2 in units[i + 1:]:
+            pair = kind + "SP"[strings2 - 1]
+            keys[model, pair, (length, length2), sign * sign2] += count * count2
     return keys
 
 
-def _block_table(key: BlockKey) -> Table:
-    """The nullity table of one block-orbit key, ranked on a template triple
-    holding just the key's units: over every tau-fixed column within its one
-    unit, or between its two."""
-    algebra, kind, lengths = key
+def _tau_keys(layout: StringLayout) -> Counter:
+    return _keys(layout.algebra, ((len(u), len(u[0]), 1) for u in layout.units()))
+
+
+def _key_table(key: Key) -> Tuple[Tuple[int, Table], ...]:
+    """(column count, nullity table) of each ranked side of a key, on a
+    template triple holding just the key's units: over the columns within
+    its one unit, or between its two."""
+    model, kind, lengths, sign = key
     parts = [length for unit, length in zip(kind, lengths) for _ in range("SP".index(unit) + 1)]
-    m = triple_on(lay_out(algebra, Partition.of(*parts)))
-    if _block_keys(m)[key] != 1:
-        raise AssertionError(f"template {m.name} does not hold the units of {key}")
-    return _table(m, _unit_columns(m, m.tau, len(kind))[0])
+    cartan = model in _CARTAN_MODELS
+    m = triple_on(lay_out("gl" if cartan else model, Partition.of(*parts)))
+    if cartan:
+        sigma = _ad(m, (1, sign)) if model == "su" else _sl_involution(m)
+        if not is_eigen(sigma, m.e, -1):
+            raise AssertionError(f"template {m.name}: the {model} involution does not negate e")
+        sides = _unit_columns(m, sigma, len(kind))
+    else:
+        if _tau_keys(m)[key] != 1:
+            raise AssertionError(f"template {m.name} does not hold the units of {key}")
+        sides = _unit_columns(m, m.tau, len(kind))[:1]
+    return tuple((sum(map(len, cols.values())), tuple(sorted(
+        (w, v) for w, v in _nullity_by_weight(m, cols).items() if v))) for cols in sides)
 
 
-def oracle_sl2_data(layout: StringLayout, tables: Optional[BlockTables] = None) -> Sl2Data:
-    """n_j as the nullity of ad_e on the weight-j slice of the algebra,
-    summed over the block orbits of the layout.  A key missing from tables
-    is ranked and added, so callers passing one dict to many orbits rank
-    each key once."""
-    if tables is None:
-        tables = {}
-    null: Counter = Counter()
-    for key, count in _block_keys(layout).items():
+def _summed(keys: Counter, tables: Tables, sigma: Involution) -> Tuple[List[Counter], List[int]]:
+    """Nullity by weight and column count of each side, summed over the
+    keys; a key missing from tables is ranked and added, so callers passing
+    one dict to many orbits rank each key once."""
+    nulls, dims = [Counter(), Counter()], [0, 0]
+    for key, count in keys.items():
         if key not in tables:
-            tables[key] = _block_table(key)
-        null.update({w: count * v for w, v in tables[key]})
-    if layout.algebra == "gl":
-        null[0] -= 1  # the identity matrix is not in sl
-    pairs = tuple((j, v) for j, v in sorted(null.items()) if j >= 0 and v)
-    return Sl2Data(n=pairs, dim_g=_SIMPLE_DIM[layout.algebra](layout.size))
+            tables[key] = _key_table(key)
+        for side, (dim, table) in enumerate(tables[key]):
+            dims[side] += count * dim
+            for w, v in table:
+                nulls[side][w] += count * v
+    # I is in gl_N, not in sl_N, on the side of sigma(I) = +-I (for so/sp,
+    # the -1 side of tau, which is not ranked)
+    trace = 0 if sigma(0, 0)[0] == 1 else 1
+    nulls[trace][0] -= 1
+    dims[trace] -= 1
+    return nulls, dims
+
+
+def oracle_sl2_data(layout: StringLayout, tables: Optional[Tables] = None) -> Sl2Data:
+    """n_j as the nullity of ad_e on the weight-j slice of the algebra,
+    summed from the tau tables of the layout's units and unit pairs."""
+    nulls, dims = _summed(_tau_keys(layout), {} if tables is None else tables, layout.tau)
+    pairs = tuple((j, v) for j, v in sorted(nulls[0].items()) if j >= 0 and v)
+    return Sl2Data(n=pairs, dim_g=dims[0])
 
 
 @dataclass(frozen=True)
@@ -234,7 +214,7 @@ def _involution(m: MatrixSl2Triple, signed: SignedPartitionData) -> Involution:
     """The Cartan involution of the signed datum, checked to negate e."""
     if signed.partition != m.partition:
         raise DomainError("signed data is for a different partition")
-    if signed.family not in ("su", "sl"):
+    if signed.family not in _CARTAN_MODELS:
         raise UnsupportedInvolutionError(
             f"no integer matrix involution implemented for family {signed.family!r}"
         )
@@ -246,39 +226,15 @@ def _involution(m: MatrixSl2Triple, signed: SignedPartitionData) -> Involution:
     return sigma
 
 
-def _split_keys(m: MatrixSl2Triple, family: str, sigma: Involution) -> Counter:
-    """Split key -> its number of strings or string pairs; in su, sigma(s_0, t_0) = s_0 t_0."""
-    keys = Counter((family, "S", (len(s),), 1) for s in m.strings)
-    keys.update((family, "SS", (len(s), len(t)), sigma(s[0], t[0])[0] if family == "su" else 1)
-                for s, t in combinations(m.strings, 2))
-    return keys
-
-
-@lru_cache(maxsize=None)
-def _split_table(key: SplitKey) -> Tuple[Tuple[int, Table], ...]:
-    """(column count, nullity table) of the h and m sides of a key, on a gl template."""
-    family, kind, lengths, sign = key
-    m = triple_on(lay_out("gl", Partition.of(*lengths)))
-    sigma = _ad(m, (1, sign)) if family == "su" else _sl_involution(m)
-    if not is_eigen(sigma, m.e, -1):
-        raise AssertionError(f"template {m.name}: the {family} involution does not negate e")
-    return tuple((sum(map(len, cols.values())), _table(m, cols))
-                 for cols in _unit_columns(m, sigma, len(kind)))
-
-
 def oracle_sigma_split(m: MatrixSl2Triple, signed: SignedPartitionData) -> SigmaSplitReport:
-    """The h/m split of each highest-weight space, summed from the split tables."""
+    """The h/m split of each highest-weight space, summed from the split
+    tables of the strings and string pairs; string s leads with the sign
+    sigma(a, s_0), a the first index, so a pair's product is s_0 t_0."""
     sigma = _involution(m, signed)
-    nulls, dims = (Counter(), Counter()), [0, 0]
-    for key, count in _split_keys(m, signed.family, sigma).items():
-        for side, (dim, table) in enumerate(_split_table(key)):
-            dims[side] += count * dim
-            nulls[side].update({w: count * v for w, v in table})
-    trace = 0 if sigma(0, 0)[0] == 1 else 1  # the side of sigma(I) = +-I
-    nulls[trace][0] -= 1  # I is not in sl
-    dims[trace] -= 1
-    h_null, m_null = nulls
+    first = m.strings[0][0]
+    units = ((1, len(s), sigma(first, s[0])[0]) for s in m.strings)
+    (h_null, m_null), (dim_h, dim_m) = _summed(_keys(signed.family, units), _CARTAN_TABLES, sigma)
     splits = tuple((w, (h_null[w], m_null[w])) for w in sorted(h_null.keys() | m_null.keys())
                    if w >= 0 and (h_null[w] or m_null[w]))
     return SigmaSplitReport(family=signed.family, params=signed.params, splits=splits,
-                            dim_h=dims[0], dim_m=dims[1])
+                            dim_h=dim_h, dim_m=dim_m)

@@ -134,30 +134,18 @@ class CayleyDomain:
 
 
 def cayley_domain(family: str, params: Params = ()) -> CayleyDomain:
-    """tilde g^R and its hat-c factor for the families with odd triples:
-    su(p,q) with p < q, so*(4m+2), and E6^-14."""
+    """tilde g^R and its hat-c factor for the forms with odd triples, the
+    Hermitian forms not of tube type: su(p,q) with p != q, so*(4m+2), and
+    E6^-14.  The triple restricts to the maximal tube subform."""
+    form = describe(family, tuple(params))
+    if not form.hermitian or form.tube_type:
+        raise DomainError(f"{form.name} has no odd magical triple")
     if family == "su":
-        p, q = params
-        if not 1 <= p < q:
-            raise DomainError(f"su{params} has no odd magical triple")
-        return CayleyDomain(
-            tilde_g_real=f"sl({p},C)", twist_exponent=2,
-            extra_factor=f"s(u({q - p})+u(1))", m_c=2, l_weights=(0,),
-            tube_form=f"su({p},{p})",
-        )
-    if family == "sostar":
-        (m,) = params
-        if m < 3 or m % 2 == 0:
-            raise DomainError(f"so*({2 * m}) has no odd magical triple")
-        return CayleyDomain(
-            tilde_g_real=f"su*({m - 1})", twist_exponent=2,
-            extra_factor="u(1)", m_c=2, l_weights=(0,),
-            tube_form=f"so*({2 * (m - 1)})",
-        )
-    if family == "E6^-14":
-        return CayleyDomain(
-            tilde_g_real="so(1,7)", twist_exponent=2,
-            extra_factor="u(1)", m_c=2, l_weights=(0,),
-            tube_form="so(2,8)",
-        )
-    raise DomainError(f"{family} has no odd magical triple")
+        p, q = sorted(params)
+        tilde, extra = f"sl({p},C)", f"s(u({q - p})+u(1))"
+    elif family == "sostar":
+        tilde, extra = f"su*({params[0] - 1})", "u(1)"
+    else:  # E6^-14
+        tilde, extra = "so(1,7)", "u(1)"
+    return CayleyDomain(tilde_g_real=tilde, twist_exponent=2, extra_factor=extra, m_c=2,
+                        l_weights=(0,), tube_form=form.maximal_subtube)

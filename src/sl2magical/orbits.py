@@ -126,6 +126,18 @@ def partition_fits_family(t: Union[LieType, LieFamily, str], p: Partition) -> bo
     raise DomainError(f"no partition classification for family {fam}")
 
 
+def check_partition(t: LieType, p: Partition) -> str:
+    """The family letter of t, once p is known to label an orbit of t: t
+    classical, p a partition of its matrix size meeting the parity rule."""
+    if not t.family.is_classical:
+        raise DomainError(f"{t.name} orbits are not labeled by partitions")
+    if p.n != t.matrix_size:
+        raise DomainError(f"{t.name} needs a partition of {t.matrix_size}, got {p.n}")
+    if not partition_fits_family(t, p):
+        raise DomainError(f"{p} violates the {t.family.value}-type parity rule")
+    return t.family.value
+
+
 def enumerate_partitions(t: Union[LieType, LieFamily, str], n: int) -> List[Partition]:
     """All orbit partitions of n for the given classical family, descending.
 
@@ -191,13 +203,8 @@ def weighted_dynkin_from_partition(t: LieType, p: Partition) -> WeightedDynkinDi
     Very even D partitions get the class-I diagram; class II swaps the
     last two labels.
     """
+    check_partition(t, p)
     fam = t.family
-    if not fam.is_classical:
-        raise DomainError(f"{t.name} orbits are not labeled by partitions")
-    if p.n != t.matrix_size:
-        raise DomainError(f"{t.name} needs a partition of {t.matrix_size}, got {p.n}")
-    if not partition_fits_family(t, p):
-        raise DomainError(f"{p} violates the {fam.value}-type parity rule")
     weights: List[int] = []
     for part in p.parts:
         weights.extend(range(part - 1, -part, -2))

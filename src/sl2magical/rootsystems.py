@@ -70,13 +70,14 @@ class LieType:
 
     @classmethod
     def of(cls, name: str, rank: int | None = None) -> "LieType":
-        """Build from a name like 'A5', 'E6', or ('D', 5)."""
+        """Build from a name like 'A5', 'E6', or ('D', 5); a rank given
+        with an exceptional name must be its rank."""
         name = name.strip()
         if name in _EXCEPTIONAL_RANK:
-            return cls(LieFamily(name), _EXCEPTIONAL_RANK[name])
-        if len(name) > 1 and name[0] in "ABCD" and name[1:].isdigit():
+            return cls(LieFamily(name), _EXCEPTIONAL_RANK[name] if rank is None else rank)
+        if name[:1] in CLASSICAL_MIN_RANK and name[1:].isdigit():
             return cls(LieFamily(name[0]), int(name[1:]))
-        if name in "ABCD" and rank is not None:
+        if name in CLASSICAL_MIN_RANK and rank is not None:
             return cls(LieFamily(name), rank)
         raise DomainError(f"cannot parse Lie type {name!r}")
 

@@ -11,14 +11,11 @@ correction term for dim V_rho linear in the odd multiplicities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple, Union
+from typing import Dict, Tuple
 
-from .errors import DomainError, InconsistentGradingError
-from .orbits import Partition, family_letter, partition_fits_family
-from .rootsystems import GradingDims, LieFamily, LieType
-
-_FormulaType = Union[LieType, LieFamily, str]
-
+from .errors import InconsistentGradingError
+from .orbits import Partition, check_partition
+from .rootsystems import GradingDims, LieType
 
 @dataclass(frozen=True)
 class Sl2Data:
@@ -81,17 +78,6 @@ def is_even_triple(d: Sl2Data) -> bool:
     return all(j % 2 == 0 for j, _ in d.n)
 
 
-def _check_formula_input(t: _FormulaType, p: Partition) -> str:
-    fam = family_letter(t)
-    if fam not in "ABCD":
-        raise DomainError(f"partition formulas apply to classical types, not {fam}")
-    if isinstance(t, LieType) and p.n != t.matrix_size:
-        raise DomainError(f"{t.name} needs a partition of {t.matrix_size}, got {p.n}")
-    if not partition_fits_family(fam, p):
-        raise DomainError(f"{p} violates the {fam}-type parity rule")
-    return fam
-
-
 def _tensor_summands(k: int, l: int):
     """Highest ad_h weights in V_k (x) V_l (dims k and l)."""
     return range(k + l - 2, abs(k - l) - 1, -2)
@@ -102,14 +88,14 @@ def _alternating_summands(k: int, start_offset: int):
     return range(2 * k - start_offset, -1, -4)
 
 
-def multiplicities_formula(t: _FormulaType, p: Partition) -> Dict[int, int]:
+def multiplicities_formula(t: LieType, p: Partition) -> Dict[int, int]:
     """All n_j by Clebsch-Gordan decomposition of the adjoint module.
 
     gl_N = V (x) V with V = (+)_a V_{k_a}; so_N and sp_N are its
     alternating and symmetric halves.  Type A drops one trivial summand
     for the trace.
     """
-    fam = _check_formula_input(t, p)
+    fam = check_partition(t, p)
     parts = p.parts
     n: Dict[int, int] = {}
 
@@ -134,11 +120,11 @@ def multiplicities_formula(t: _FormulaType, p: Partition) -> Dict[int, int]:
     return {j: m for j, m in n.items() if m}
 
 
-def dim_c_formula(t: _FormulaType, p: Partition) -> int:
+def dim_c_formula(t: LieType, p: Partition) -> int:
     """Reductive centralizer of the triple (Collingwood-McGovern 6.1.3):
     A: sum r_i^2 - 1; B/D: so factors on odd parts, sp on even;
     C: the other way around."""
-    fam = _check_formula_input(t, p)
+    fam = check_partition(t, p)
     r = p.multiplicities()
     if fam == "A":
         return sum(m * m for m in r.values()) - 1
@@ -152,10 +138,10 @@ def dim_c_formula(t: _FormulaType, p: Partition) -> int:
     return total
 
 
-def dim_v_rho_formula(t: _FormulaType, p: Partition) -> int:
+def dim_v_rho_formula(t: LieType, p: Partition) -> int:
     """dim ker ad_e: A: sum s_i^2 - 1; C: (sum s_i^2 + sum_{odd} r_i)/2;
     B/D: (sum s_i^2 - sum_{odd} r_i)/2, s the dual partition."""
-    fam = _check_formula_input(t, p)
+    fam = check_partition(t, p)
     sq = sum(s * s for s in p.dual().parts)
     if fam == "A":
         return sq - 1
@@ -165,10 +151,10 @@ def dim_v_rho_formula(t: _FormulaType, p: Partition) -> int:
     return (sq - odd) // 2
 
 
-def dim_g0_formula(t: _FormulaType, p: Partition) -> int:
+def dim_g0_formula(t: LieType, p: Partition) -> int:
     """dim V_rho minus the opposite-parity correction: every pair of parts
     i < j of opposite parity costs 2i (type A) or i (B/C/D) times r_i r_j."""
-    fam = _check_formula_input(t, p)
+    fam = check_partition(t, p)
     r = p.multiplicities()
     weight = 2 if fam == "A" else 1
     correction = 0

@@ -7,19 +7,22 @@ import pytest
 
 from sl2magical import matrixoracle
 from sl2magical.errors import DomainError, NormalityError, UnsupportedInvolutionError
-from sl2magical.linalg import integer_rank
-from sl2magical.matrixmodel import ad_e_images, eigen_columns, identity_involution
+from sl2magical.matrixmodel import eigen_columns, identity_involution
 from sl2magical.matrixoracle import (
     SigmaSplitReport,
-    _block_keys,
     _involution,
+    _key_table,
     _nullity_by_weight,
-    _split_keys,
     build_matrix_triple,
     oracle_sigma_split,
     oracle_sl2_data,
 )
-from sl2magical.orbits import Partition, enumerate_partitions, enumerate_signed_data
+from sl2magical.orbits import (
+    Partition,
+    SignedPartitionData,
+    enumerate_partitions,
+    enumerate_signed_data,
+)
 from sl2magical.realforms import describe
 from sl2magical.rootsystems import CLASSICAL_MIN_RANK, LieType
 from sl2magical.sl2data import multiplicities_formula
@@ -50,11 +53,10 @@ def _full_route(m):
 
 
 def test_block_tables_match_the_full_route():
-    """n_j summed from the per-key block tables equals the rank of the
-    whole tau-fixed algebra on every classical orbit of rank <= 6, and
-    those orbits reach every kind of block orbit."""
+    """n_j summed from the per-key tau tables equals the rank of the whole
+    tau-fixed algebra on every classical orbit of rank <= 6, and those
+    orbits reach every kind of unit and unit pair."""
     tables = {}
-    kinds = set()
     checked = 0
     for fam, low in CLASSICAL_MIN_RANK.items():
         for rank in range(low, 7):
@@ -62,10 +64,9 @@ def test_block_tables_match_the_full_route():
             for p in enumerate_partitions(t, t.matrix_size):
                 m = build_matrix_triple(t, p)
                 assert oracle_sl2_data(m, tables).as_dict() == _full_route(m)
-                kinds |= {(algebra, kind) for algebra, kind, _ in _block_keys(m)}
                 checked += 1
     assert checked == 272  # the oracle-equivalence cases of verify --max-rank 6
-    assert kinds == {("gl", "S"), ("gl", "SS")} | {
+    assert {(model, kind) for model, kind, _, _ in tables} == {("gl", "S"), ("gl", "SS")} | {
         (algebra, kind) for algebra in ("so", "sp") for kind in ("S", "SS", "P", "SP", "PP")}
 
 
@@ -119,55 +120,30 @@ def test_involution_fixing_e_is_rejected(monkeypatch):
         oracle_sigma_split(m, signed)
 
 
+def test_involution_checks_each_call():
+    """The per-call checks of the Cartan involution, each with its own error."""
+    a2 = build_matrix_triple(LieType.of("A", 2), Partition.parse("3"))
+    (other,) = enumerate_signed_data("sl", (3,), Partition.parse("2,1"))
+    with pytest.raises(DomainError, match="different partition") as err:
+        _involution(a2, other)
+    assert err.type is DomainError
+    b2 = build_matrix_triple(LieType.of("B", 2), Partition.parse("3,1,1"))
+    signed = enumerate_signed_data("su", (2, 3), Partition.parse("3,1,1"))[0]
+    with pytest.raises(DomainError, match="su splits need a type A model") as err:
+        _involution(b2, signed)
+    assert err.type is DomainError
+    m = build_matrix_triple(LieType.of("A", 2), Partition.parse("2,1"))
+    wrong = SignedPartitionData("su", (1, 2), m.partition, ((2, (1, 0)), (1, (1, 0))))
+    with pytest.raises(NormalityError, match="2 plus entries, wanted 1"):
+        _involution(m, wrong)
+
+
 def test_template_involution_fixing_e_is_rejected(monkeypatch):
     """The split tables check the involution of each template triple too;
-    the unmemoized ranker sees the patched involution."""
+    the ranker behind the memo sees the patched involution."""
     monkeypatch.setattr(matrixoracle, "_sl_involution", lambda m: identity_involution)
     with pytest.raises(AssertionError, match="template gl.3. .3.: the sl involution"):
-        matrixoracle._split_table.__wrapped__(("sl", "S", (3,), 1))
-
-
-def _whole_slice_nullity(m, columns):
-    """Nullity of each weight slice from one rank over all of its columns."""
-    out = {}
-    for w, xs in columns.items():
-        images = ad_e_images(m, xs)
-        keys = sorted({k for y in images for k in y})
-        out[w] = len(xs) - integer_rank([[y.get(k, 0) for y in images] for k in keys])
-    return out
-
-
-def test_block_split_matches_whole_slice_rank():
-    """The slice nullity summed over row-disjoint blocks equals the nullity
-    from one rank of the whole slice, on every classical orbit of rank <= 5."""
-    checked = 0
-    for fam, low in CLASSICAL_MIN_RANK.items():
-        for rank in range(low, 6):
-            t = LieType.of(fam, rank)
-            for p in enumerate_partitions(t, t.matrix_size):
-                m = build_matrix_triple(t, p)
-                cols = eigen_columns(m, m.tau)[0]
-                assert _nullity_by_weight(m, cols) == _whole_slice_nullity(m, cols)
-                checked += 1
-    assert checked == 154  # the oracle-equivalence cases of verify --max-rank 5
-
-
-def test_block_split_matches_whole_slice_rank_on_sigma_columns():
-    """The same on the h and m eigen-columns of every su and sl signed datum
-    of size <= 6, whose columns mix two elementary matrices."""
-    checked = 0
-    for n in range(2, 7):
-        forms = [("su", (a, n - a)) for a in range(1, n)] + [("sl", (n,))]
-        t = LieType.of("A", n - 1)
-        for p in enumerate_partitions("A", n):
-            m = build_matrix_triple(t, p)
-            for family, params in forms:
-                for signed in enumerate_signed_data(family, params, p):
-                    sides = eigen_columns(m, _involution(m, signed))
-                    for cols in sides:
-                        assert _nullity_by_weight(m, cols) == _whole_slice_nullity(m, cols)
-                    checked += 1
-    assert checked == 154  # every su and sl signed datum of size <= 6
+        _key_table(("sl", "S", (3,), 1))
 
 
 def _full_sigma_route(m, signed):
@@ -187,11 +163,11 @@ def _full_sigma_route(m, signed):
                             dim_h=dims[0], dim_m=dims[1])
 
 
-def test_sigma_tables_match_the_full_route():
+def test_sigma_tables_match_the_full_route(monkeypatch):
     """The split summed from the per-key h/m tables equals the rank of the
     whole of gl_N on every su and sl signed datum of size <= 8, and those
     data reach su S, su SS with both sign products, sl S and sl SS keys."""
-    kinds = set()
+    monkeypatch.setattr(matrixoracle, "_CARTAN_TABLES", {})
     checked = 0
     for n in range(2, 9):
         forms = [("su", (a, n - a)) for a in range(1, n)] + [("sl", (n,))]
@@ -201,10 +177,9 @@ def test_sigma_tables_match_the_full_route():
             for family, params in forms:
                 for signed in enumerate_signed_data(family, params, p):
                     assert oracle_sigma_split(m, signed) == _full_sigma_route(m, signed)
-                    keys = _split_keys(m, family, _involution(m, signed))
-                    kinds |= {(fam, kind, sign) for fam, kind, _, sign in keys}
                     checked += 1
     assert checked == 482  # every su and sl signed datum of size <= 8
+    kinds = {(model, kind, sign) for model, kind, _, sign in matrixoracle._CARTAN_TABLES}
     assert kinds == {("su", "S", 1), ("su", "SS", 1), ("su", "SS", -1),
                      ("sl", "S", 1), ("sl", "SS", 1)}
 

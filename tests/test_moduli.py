@@ -3,6 +3,7 @@
 import pytest
 
 from sl2magical.errors import DomainError, MissingDataError
+from sl2magical.magical import Verdict, classify_realform, family_parameter_space
 from sl2magical.moduli import (
     cayley_domain,
     expected_dim,
@@ -146,3 +147,26 @@ def test_cayley_domain_guards():
         cayley_domain("spr", (3,))
     with pytest.raises(DomainError):
         cayley_domain("E7^7")
+
+
+def test_cayley_domain_exactly_on_odd_magical_forms():
+    """cayley_domain succeeds on an su or so* form up to size 12 exactly
+    when the scan finds an OddMagical row, and its tube form is the
+    descriptor's maximal tube subform; su(3,2) is su(2,3) mirrored."""
+    checked = 0
+    for family in ("su", "sostar"):
+        for params in family_parameter_space(family, 12):
+            rows = classify_realform(family, params)
+            odd = any(row.status.verdict is Verdict.ODD_MAGICAL for row in rows)
+            try:
+                c = cayley_domain(family, params)
+            except DomainError:
+                assert not odd, (family, params)
+            else:
+                assert odd, (family, params)
+                assert c.tube_form == describe(family, params).maximal_subtube
+                checked += 1
+    assert checked == 30 + 5  # su(p,q) with p < q, p + q <= 12; so*(6) to so*(22)
+    mirrored = classify_realform("su", (3, 2))
+    assert any(row.status.verdict is Verdict.ODD_MAGICAL for row in mirrored)
+    assert cayley_domain("su", (3, 2)) == cayley_domain("su", (2, 3))

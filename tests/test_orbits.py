@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl2magical import sl2data
 from sl2magical.errors import DomainError
+from sl2magical.matrixoracle import build_matrix_triple, string_layout
 from sl2magical.orbits import (
     OrbitLabel,
     Partition,
@@ -131,6 +133,23 @@ def test_weighted_dynkin_d5_sostar_row():
     wdd = weighted_dynkin_from_partition(LieType.of("D", 5),
                                          Partition.parse("2^4,1^2"))
     assert wdd.labels == (0, 0, 0, 1, 1)
+
+
+@pytest.mark.parametrize("entry", [
+    string_layout, build_matrix_triple, weighted_dynkin_from_partition,
+    sl2data.multiplicities_formula, sl2data.dim_c_formula, sl2data.dim_v_rho_formula,
+    sl2data.dim_g0_formula,
+], ids=lambda f: f.__name__)
+def test_every_partition_entry_point_validates_alike(entry):
+    """Each function taking a classical type and a partition rejects a
+    partition of the wrong size, or one breaking the parity rule, with one
+    message."""
+    with pytest.raises(DomainError, match=r"^C3 needs a partition of 6, got 5$"):
+        entry(LieType.of("C", 3), Partition.parse("3,2"))
+    with pytest.raises(DomainError, match=r"^\[3,2,1\] violates the C-type parity rule$"):
+        entry(LieType.of("C", 3), Partition.parse("3,2,1"))
+    with pytest.raises(DomainError, match=r"^E6 orbits are not labeled by partitions$"):
+        entry(LieType.of("E6"), Partition.parse("3,2,1"))
 
 
 def test_plus_boxes():

@@ -50,6 +50,12 @@ def test_rank_cap_and_garbage():
         LieType.of("A", 13)
     with pytest.raises(DomainError):
         LieType.of("H3")
+    for name, rank in (("", 3), ("AB", 3), ("BCD", 2), ("A", None), ("A0x", None)):
+        with pytest.raises(DomainError, match="cannot parse Lie type"):
+            LieType.of(name, rank)
+    with pytest.raises(RankDomainError, match="E6 has rank 6, got 5"):
+        LieType.of("E6", 5)
+    assert LieType.of("E6", 6) == LieType.of("E6")
 
 
 def test_cartan_matrix_a2():
