@@ -17,6 +17,7 @@ from .errors import InconsistentGradingError
 from .orbits import Partition, check_partition
 from .rootsystems import GradingDims, LieType
 
+
 @dataclass(frozen=True)
 class Sl2Data:
     """Multiplicities n_j of the (j+1)-dimensional summands, plus dim g."""
