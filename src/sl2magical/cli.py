@@ -22,7 +22,7 @@ from .crosscheck import run_all
 from .dataset import evaluate_conditions, load_records
 from .errors import DatasetSchemaError, DomainError, MissingDataError
 from .families import FAMILIES
-from .magical import Verdict, classify_realform, magical_statuses
+from .magical import MagicalStatus, Witness, classify_realform, magical_statuses
 from .moduli import rigidity_report
 from .orbits import Partition, enumerate_signed_data, weighted_dynkin_from_partition
 from .realforms import EXCEPTIONAL_FORMS, describe
@@ -74,6 +74,10 @@ def _print_record(fmt: str, doc: Dict, rows: List[Tuple[str, str]]) -> None:
         _print(_emit_table(rows))
 
 
+def _wdd_orbit(labels: Sequence[int]) -> str:
+    return "wdd " + " ".join(str(x) for x in labels)
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -100,44 +104,40 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     return 0
 
 
+def _classify_row(orbit: str, status: MagicalStatus, sign_choices: int) -> Dict:
+    w = status.witness
+    return {
+        "orbit": orbit,
+        "verdict": str(status.verdict),
+        "m_minus_h": w.m_minus_h,
+        "g0_minus_2c": w.g0_minus_2c,
+        "centralizer_compact": w.centralizer_compact,
+        "even_triple": w.even_triple,
+        "centralizer": str(status.centralizer),
+        "sign_choices": sign_choices,
+    }
+
+
 def _classify_rows_classical(family: str, params: Tuple[int, ...]) -> List[Dict]:
-    rows = []
-    for row in classify_realform(family, params):
-        w = row.status.witness
-        rows.append({
-            "orbit": str(row.label),
-            "verdict": str(row.status.verdict),
-            "m_minus_h": w.m_minus_h,
-            "g0_minus_2c": w.g0_minus_2c,
-            "centralizer_compact": w.centralizer_compact,
-            "even_triple": w.even_triple,
-            "centralizer": str(row.status.centralizer),
-            "sign_choices": row.data_count,
-        })
-    return rows
+    return [_classify_row(str(row.label), row.status, row.data_count)
+            for row in classify_realform(family, params)]
 
 
 def _classify_rows_exceptional(family: str) -> List[Dict]:
     records = [rec for rec in load_records() if rec.realform == family]
     if not records:
         raise MissingDataError(f"no curated records for {family}")
+    s = describe(family).s
     rows = []
     for rec in records:
         if not evaluate_conditions(rec).all_hold:
             continue
         data = rec.sl2_data()
-        even = is_even_triple(data)
-        verdict = Verdict.EVEN_MAGICAL if even else Verdict.ODD_MAGICAL
-        rows.append({
-            "orbit": "wdd " + " ".join(str(x) for x in rec.wdd),
-            "verdict": str(verdict),
-            "m_minus_h": describe(family).s,
-            "g0_minus_2c": data.dim_g0 - 2 * data.dim_c,
-            "centralizer_compact": rec.centralizer_type.is_compact,
-            "even_triple": even,
-            "centralizer": str(rec.centralizer_type),
-            "sign_choices": 1,
-        })
+        witness = Witness(m_minus_h=s, g0_minus_2c=data.dim_g0 - 2 * data.dim_c,
+                          centralizer_compact=rec.centralizer_type.is_compact,
+                          even_triple=is_even_triple(data))
+        rows.append(_classify_row(_wdd_orbit(rec.wdd),
+                                  MagicalStatus(witness, rec.centralizer_type), 1))
     return rows
 
 
@@ -176,6 +176,8 @@ def cmd_slodowy(args: argparse.Namespace) -> int:
     if family in EXCEPTIONAL_FORMS:
         if params:
             raise DomainError(f"{family} takes no parameters")
+        if args.partition:
+            raise DomainError(f"{family} takes --wdd, not --partition")
         if not args.wdd:
             raise DomainError(f"{family} needs --wdd to pick the orbit")
         try:
@@ -188,9 +190,11 @@ def cmd_slodowy(args: argparse.Namespace) -> int:
         except DomainError as exc:
             raise DomainError(f"{family}: {exc}") from None
         report = rigidity_report(args.genus, family, params, orbit)
-        orbit_str = "wdd " + " ".join(str(x) for x in orbit)
+        orbit_str = _wdd_orbit(orbit)
         signs = ""
     else:
+        if args.wdd:
+            raise DomainError(f"{describe(family, params).name} takes --partition, not --wdd")
         if not args.partition:
             raise DomainError("classical forms need --partition")
         p = Partition.parse(args.partition)

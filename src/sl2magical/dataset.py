@@ -234,11 +234,10 @@ def load_records(path: Optional[Union[str, os.PathLike]] = None) -> List[Excepti
     return records
 
 
-def find_record(realform: str, wdd) -> Optional[ExceptionalOrbitRecord]:
-    """Shipped (or overridden) record for the real form and diagram."""
-    labels = tuple(wdd.labels) if isinstance(wdd, WeightedDynkinDiagram) else tuple(wdd)
+def find_record(realform: str, wdd: Tuple[int, ...]) -> Optional[ExceptionalOrbitRecord]:
+    """Shipped (or overridden) record for the real form and diagram labels."""
     for rec in load_records():
-        if rec.realform == realform and rec.wdd == labels:
+        if rec.realform == realform and rec.wdd == tuple(wdd):
             return rec
     return None
 

@@ -32,8 +32,3 @@ class MissingDataError(LookupError):
 
 class DatasetSchemaError(ValueError):
     """A curated-data file violates the record schema."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        prefix = f"line {line}: " if line is not None else ""
-        super().__init__(prefix + message)

@@ -11,7 +11,10 @@ the right side off the complex sl2-module data of the orbit.  The verdict
 is even or odd according to whether every ad_h weight of the adjoint
 module is even.
 
-The scan in classify_family runs this criterion over every orbit label
+Witness.verdict is the one place this criterion is written; every
+verdict the package reports is read from a witness.
+
+The scan in classify_family runs the criterion over every orbit label
 and every sign assignment of a family within a size bound.  Real forms
 that admit an even magical triple fall into four families: split forms,
 Hermitian tube-type forms whose complexification is A_{2n-1}, B_n, C_n,
@@ -67,22 +70,24 @@ class Witness:
     centralizer_compact: bool
     even_triple: bool
 
+    @property
+    def verdict(self) -> Verdict:
+        """Extended magical exactly when the centralizer is compact and
+        dim m - dim h = dim g_0 - 2 dim c; even or odd by the parity of
+        the ad_h weights."""
+        if not self.centralizer_compact or self.m_minus_h != self.g0_minus_2c:
+            return Verdict.NOT_EXTENDED_MAGICAL
+        return Verdict.EVEN_MAGICAL if self.even_triple else Verdict.ODD_MAGICAL
+
 
 @dataclass(frozen=True)
 class MagicalStatus:
-    verdict: Verdict
     witness: Witness
     centralizer: CentralizerRealForm
 
-    def __post_init__(self) -> None:
-        w = self.witness
-        magical = w.centralizer_compact and w.m_minus_h == w.g0_minus_2c
-        if magical != self.verdict.is_magical:
-            raise DomainError(f"verdict {self.verdict} contradicts witness {w}")
-        if magical:
-            expected = Verdict.EVEN_MAGICAL if w.even_triple else Verdict.ODD_MAGICAL
-            if self.verdict is not expected:
-                raise DomainError(f"parity flag {w.even_triple} contradicts {self.verdict}")
+    @property
+    def verdict(self) -> Verdict:
+        return self.witness.verdict
 
 
 def involution_sign(j: int, k: int) -> int:
@@ -100,8 +105,6 @@ def extended_magical_status(
     family: str, params: Params, p: Partition, signed: SignedPartitionData
 ) -> MagicalStatus:
     """Evaluate the criterion on one real orbit of a classical form."""
-    if family not in FAMILIES:
-        raise DomainError(f"criterion evaluation needs a classical family, got {family!r}")
     if signed.family != family or tuple(signed.params) != tuple(params):
         raise DomainError(f"signed datum {signed} does not belong to {family}{params}")
     if signed.partition != p:
@@ -121,19 +124,9 @@ def magical_statuses(form: RealFormDescriptor, p: Partition,
     even = is_even_triple(data)
     for signed in signed_data:
         cz = centralizer_realform(signed)
-        witness = Witness(
-            m_minus_h=form.s,
-            g0_minus_2c=g0_minus_2c,
-            centralizer_compact=cz.is_compact,
-            even_triple=even,
-        )
-        if not witness.centralizer_compact or witness.m_minus_h != witness.g0_minus_2c:
-            verdict = Verdict.NOT_EXTENDED_MAGICAL
-        elif witness.even_triple:
-            verdict = Verdict.EVEN_MAGICAL
-        else:
-            verdict = Verdict.ODD_MAGICAL
-        yield MagicalStatus(verdict=verdict, witness=witness, centralizer=cz)
+        yield MagicalStatus(Witness(m_minus_h=form.s, g0_minus_2c=g0_minus_2c,
+                                    centralizer_compact=cz.is_compact, even_triple=even),
+                            cz)
 
 
 @dataclass(frozen=True)
@@ -144,7 +137,6 @@ class ClassifiedOrbit:
     params: Params
     label: OrbitLabel
     status: MagicalStatus
-    signed: SignedPartitionData  # representative sign assignment
     data_count: int  # how many sign assignments reach the verdict
 
     @property
@@ -160,7 +152,9 @@ def classify_realform(family: str, params: Params) -> Tuple[ClassifiedOrbit, ...
     """All magical orbits of one real form, sorted by orbit label.
 
     Very even D partitions contribute both tagged labels; the verdict is
-    a function of the partition and signs alone, so the pair agrees.
+    a function of the partition and signs alone, so the pair agrees.  The
+    sign data of one partition share its parity and dimension count, so
+    their magical verdicts agree too.
     """
     form = describe(family, tuple(params))
     ambient = form.complexification()
@@ -170,17 +164,12 @@ def classify_realform(family: str, params: Params) -> Tuple[ClassifiedOrbit, ...
         p = label.partition
         if p not in cache:
             data = enumerate_signed_data(family, tuple(params), p)
-            # data first: an empty datum list never starts the generator
-            hits = [(status, signed)
-                    for signed, status in zip(data, magical_statuses(form, p, data))
-                    if status.verdict.is_magical]
-            if hits and any(st.verdict is not hits[0][0].verdict for st, _ in hits):
-                raise DomainError(f"sign assignments of {p} disagree on the verdict")
-            cache[p] = hits
+            # a partition without sign data never computes its sl2 data
+            cache[p] = [status for status in magical_statuses(form, p, data)
+                        if status.verdict.is_magical] if data else []
         if cache[p]:
-            status, signed = cache[p][0]
-            rows.append(ClassifiedOrbit(family, tuple(params), label, status,
-                                        signed, len(cache[p])))
+            rows.append(ClassifiedOrbit(family, tuple(params), label, cache[p][0],
+                                        len(cache[p])))
     rows.sort(key=lambda row: row.sort_key)
     return tuple(rows)
 

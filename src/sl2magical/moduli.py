@@ -1,4 +1,4 @@
-"""Slodowy parameter counts, expected dimensions, and Cayley domains.
+"""Slodowy parameter counts and expected dimensions.
 
 The parameter space attached to a triple over a genus-g surface collects
 the deformations of a bundle for the compact part of the centralizer and
@@ -8,11 +8,6 @@ section count is 2(g-1)(w+1); the bundle part contributes 2(g-1) per
 dimension of c cap h.  The expected dimension of a component is
 2(g-1) dim g^R, and the shortfall (the rigidity gap) vanishes exactly
 for even magical data.
-
-Odd magical triples instead feed the Cayley correspondence: their
-maximal-component moduli are exhausted by a K^2-twisted moduli space of
-a smaller group times a rank-one factor.  cayley_domain records that
-smaller group per family.
 """
 
 from __future__ import annotations
@@ -22,12 +17,11 @@ from typing import Dict, Mapping, Optional, Tuple, Union
 
 from .errors import DomainError, MissingDataError
 from .matrixoracle import build_matrix_triple, oracle_sigma_split
-from .orbits import OrbitLabel, Partition, SignedPartitionData
+from .orbits import Partition, SignedPartitionData
 from .realforms import RealFormDescriptor
 from .realforms import describe, milnor_wood as milnor_wood_bound
 
 Params = Tuple[int, ...]
-Orbit = Union[OrbitLabel, Partition]
 
 
 @dataclass(frozen=True)
@@ -91,9 +85,11 @@ def _exceptional_split(form: RealFormDescriptor, orbit) -> Tuple[int, Dict[int, 
     return record.dim_c_cap_h, a
 
 
-def rigidity_report(genus: int, family: str, params: Params, orbit: Orbit,
+def rigidity_report(genus: int, family: str, params: Params,
+                    orbit: Union[Partition, Tuple[int, ...]],
                     signed: Optional[SignedPartitionData] = None) -> SlodowyReport:
-    """Parameter count vs. expected dimension for one real orbit.
+    """Parameter count vs. expected dimension for one real orbit, a
+    partition of a classical form or the diagram labels of an exceptional one.
 
     Classical families split every highest-weight space through the
     matrix-model involution; exceptional forms read the split off the
@@ -104,12 +100,11 @@ def rigidity_report(genus: int, family: str, params: Params, orbit: Orbit,
     if form.is_exceptional:
         dim_c_cap_h, a = _exceptional_split(form, orbit)
     else:
-        p = orbit.partition if isinstance(orbit, OrbitLabel) else orbit
         if signed is None:
             raise DomainError("classical rigidity reports need a signed datum")
-        if signed.partition != p:
-            raise DomainError(f"signed datum {signed} does not refine {p}")
-        dim_c_cap_h, a = _classical_split(form, p, signed)
+        if signed.partition != orbit:
+            raise DomainError(f"signed datum {signed} does not refine {orbit}")
+        dim_c_cap_h, a = _classical_split(form, orbit, signed)
 
     param = slodowy_parameter_dim(genus, dim_c_cap_h, a)
     expect = expected_dim(genus, form)
@@ -120,32 +115,3 @@ def rigidity_report(genus: int, family: str, params: Params, orbit: Orbit,
         a=tuple(sorted(a.items())), dim_c_cap_h=dim_c_cap_h,
     )
 
-
-@dataclass(frozen=True)
-class CayleyDomain:
-    """Domain bookkeeping of the Cayley map for an odd magical family."""
-
-    tilde_g_real: str  # semisimple part of the Cayley real form
-    twist_exponent: int  # K-power on the tilde factor
-    extra_factor: str  # the rank-one centralizer summand
-    m_c: int
-    l_weights: Tuple[int, ...]
-    tube_form: str  # maximal tube subform the triple restricts to
-
-
-def cayley_domain(family: str, params: Params = ()) -> CayleyDomain:
-    """tilde g^R and its hat-c factor for the forms with odd triples, the
-    Hermitian forms not of tube type: su(p,q) with p != q, so*(4m+2), and
-    E6^-14.  The triple restricts to the maximal tube subform."""
-    form = describe(family, tuple(params))
-    if not form.hermitian or form.tube_type:
-        raise DomainError(f"{form.name} has no odd magical triple")
-    if family == "su":
-        p, q = sorted(params)
-        tilde, extra = f"sl({p},C)", f"s(u({q - p})+u(1))"
-    elif family == "sostar":
-        tilde, extra = f"su*({params[0] - 1})", "u(1)"
-    else:  # E6^-14
-        tilde, extra = "so(1,7)", "u(1)"
-    return CayleyDomain(tilde_g_real=tilde, twist_exponent=2, extra_factor=extra, m_c=2,
-                        l_weights=(0,), tube_form=form.maximal_subtube)

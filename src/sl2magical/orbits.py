@@ -105,15 +105,11 @@ def partitions_of(n: int, max_part: Optional[int] = None) -> Iterator[Tuple[int,
             yield (first,) + rest
 
 
-def family_letter(t: Union[LieType, LieFamily, str]) -> str:
-    if isinstance(t, LieType):
-        return t.family.value
-    if isinstance(t, LieFamily):
-        return t.value
-    return str(t)
+def family_letter(t: Union[LieType, str]) -> str:
+    return t.family.value if isinstance(t, LieType) else t
 
 
-def partition_fits_family(t: Union[LieType, LieFamily, str], p: Partition) -> bool:
+def partition_fits_family(t: Union[LieType, str], p: Partition) -> bool:
     """Parity test: B/D need even parts with even multiplicity, C needs odd
     parts with even multiplicity, A is unconstrained."""
     fam = family_letter(t)
@@ -138,7 +134,7 @@ def check_partition(t: LieType, p: Partition) -> str:
     return t.family.value
 
 
-def enumerate_partitions(t: Union[LieType, LieFamily, str], n: int) -> List[Partition]:
+def enumerate_partitions(t: Union[LieType, str], n: int) -> List[Partition]:
     """All orbit partitions of n for the given classical family, descending.
 
     When t is a full LieType, n must be its defining-representation size.
@@ -181,7 +177,7 @@ class OrbitLabel:
         return tuple(-p for p in self.partition.parts), self.tag
 
 
-def enumerate_orbit_labels(t: Union[LieType, LieFamily, str], n: int) -> List[OrbitLabel]:
+def enumerate_orbit_labels(t: Union[LieType, str], n: int) -> List[OrbitLabel]:
     """Orbit labels for the family, with very even D partitions doubled."""
     fam = family_letter(t)
     labels: List[OrbitLabel] = []

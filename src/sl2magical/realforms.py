@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .errors import DomainError
+from .errors import DomainError, RankDomainError
 from .families import FAMILIES, family_spec
 from .orbits import SignedPartitionData
 from .rootsystems import LieType
@@ -44,8 +44,6 @@ EXCEPTIONAL_FORMS: Dict[str, Dict] = {
     "F4^-20": {"ambient": "F4", "dim_h": 36, "rank": 1, "roots": ((1, 8), (1, 7))},
     "G2^2":   {"ambient": "G2", "dim_h": 6, "rank": 2, "roots": ((6, 1),)},
 }
-
-CLASSICAL_FAMILIES = tuple(FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -75,7 +73,10 @@ class RealFormDescriptor:
     def complexification(self) -> LieType:
         if self.is_exceptional:
             return LieType.of(EXCEPTIONAL_FORMS[self.family]["ambient"])
-        return FAMILIES[self.family].complexification(self.params)
+        try:
+            return FAMILIES[self.family].complexification(self.params)
+        except RankDomainError as exc:
+            raise RankDomainError(f"{self.name}: {exc}") from None
 
 
 def describe(family: str, params: Params = ()) -> RealFormDescriptor:

@@ -71,11 +71,13 @@ class LieType:
     @classmethod
     def of(cls, name: str, rank: int | None = None) -> "LieType":
         """Build from a name like 'A5', 'E6', or ('D', 5); a rank given
-        with an exceptional name must be its rank."""
+        with a name that fixes one must be that rank."""
         name = name.strip()
         if name in _EXCEPTIONAL_RANK:
             return cls(LieFamily(name), _EXCEPTIONAL_RANK[name] if rank is None else rank)
         if name[:1] in CLASSICAL_MIN_RANK and name[1:].isdigit():
+            if rank not in (None, int(name[1:])):
+                raise RankDomainError(f"{name} has rank {int(name[1:])}, got {rank}")
             return cls(LieFamily(name[0]), int(name[1:]))
         if name in CLASSICAL_MIN_RANK and rank is not None:
             return cls(LieFamily(name), rank)

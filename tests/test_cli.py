@@ -7,6 +7,8 @@ import pytest
 
 from sl2magical.cli import main
 from sl2magical.dataset import DATASET_ENV
+from sl2magical.families import FAMILIES
+from sl2magical.magical import family_parameter_space
 from sl2magical.orbits import enumerate_partitions
 
 
@@ -243,6 +245,13 @@ def test_entry_point_help_exits_zero():
      "E6^-14 takes no parameters"),
     (("slodowy", "E6^-14", "--wdd", "1,0,0,0,1", "--genus", "2"), "E6^-14"),
     (("slodowy", "E6^-14", "--wdd", "1,0,0,0,0,3", "--genus", "2"), "E6^-14"),
+    (("slodowy", "E6^-14", "--partition", "2,1", "--wdd", "1,0,0,0,0,1", "--genus", "2"),
+     "E6^-14 takes --wdd, not --partition"),
+    (("slodowy", "su", "2", "3", "--partition", "2,2,1", "--wdd", "1,0", "--genus", "2"),
+     "su(2,3) takes --partition, not --wdd"),
+    (("classify", "sl", "14"), "sl(14,R): A13 exceeds the classical rank cap 12"),
+    (("slodowy", "sl", "14", "--partition", "14", "--genus", "2"), "sl(14,R)"),
+    (("classify", "spr", "1"), "sp(2,R): C-type needs rank >= 2, got 1"),
 ])
 def test_malformed_arguments_exit_2_naming_the_form(capsys, argv, form):
     code, out, err = run(capsys, *argv)
@@ -361,3 +370,32 @@ def test_slodowy_sweep_digest(capsys):
     assert commands == 415  # 267 exit 0, 148 exit 2 (no signed datum meets the form)
     assert digest.hexdigest() == (
         "236b6f513071453426e2b115e53040c91a7c921d78fba21e1310d6f1491ba573")
+
+
+EXCEPTIONAL_TOKENS = ("E6^-14", "E6^-26", "E7^7", "E8^8", "E6^6", "E6^2", "E7^-5",
+                      "E7^-25", "E8^-24", "F4^4", "F4^-20", "G2^2")
+
+
+def _classify_sweep():
+    """classify on every classical form of size <= 8 and every exceptional
+    token, each in json, csv and table format, in a fixed order."""
+    heads = [(family, *map(str, params)) for family in FAMILIES
+             for params in family_parameter_space(family, 8)]
+    heads += [(token,) for token in EXCEPTIONAL_TOKENS]
+    for head in heads:
+        for fmt in ("json", "csv", "table"):
+            yield ("classify", *head, "--format", fmt)
+
+
+def test_classify_sweep_digest(capsys):
+    """The exit codes and output of the whole sweep, byte for byte: a
+    change to how classify rows are built must not move them."""
+    digest = hashlib.sha256()
+    commands = 0
+    for argv in _classify_sweep():
+        code, out, err = run(capsys, *argv)
+        digest.update(f"{' '.join(argv)}\n{code}\n{out}{err}\n".encode())
+        commands += 1
+    assert commands == 3 * (69 + 12)  # the 8 tokens without records exit 3
+    assert digest.hexdigest() == (
+        "c4fb78c50c9a87a8469783b54a221ac5cad124da8a405386b1a3247e10d8fac1")

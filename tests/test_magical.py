@@ -127,18 +127,32 @@ def test_classify_family_scan_bounds():
 
 
 def test_status_consistency_guard():
+    """Witness.verdict on every combination of the criterion's inputs:
+    compact or not, equal counts or not, even or odd; a status reads its
+    verdict off its witness and stores no verdict of its own."""
+    from dataclasses import fields
+
     from sl2magical.magical import MagicalStatus, Witness
     from sl2magical.realforms import CentralizerRealForm
 
+    not_magical = Verdict.NOT_EXTENDED_MAGICAL
+    cases = {  # (compact, m - h == g0 - 2c, even triple): verdict
+        (True, True, True): Verdict.EVEN_MAGICAL,
+        (True, True, False): Verdict.ODD_MAGICAL,
+        (True, False, True): not_magical,
+        (True, False, False): not_magical,
+        (False, True, True): not_magical,
+        (False, True, False): not_magical,
+        (False, False, True): not_magical,
+        (False, False, False): not_magical,
+    }
     cz = CentralizerRealForm(factors=("u(1)",), is_compact=True, wrapped=False)
-    good = Witness(m_minus_h=0, g0_minus_2c=0, centralizer_compact=True,
-                   even_triple=False)
-    MagicalStatus(verdict=Verdict.ODD_MAGICAL, witness=good, centralizer=cz)
-    with pytest.raises(DomainError):
-        MagicalStatus(verdict=Verdict.EVEN_MAGICAL, witness=good, centralizer=cz)
-    with pytest.raises(DomainError):
-        MagicalStatus(verdict=Verdict.NOT_EXTENDED_MAGICAL, witness=good,
-                      centralizer=cz)
+    for (compact, equal, even), verdict in cases.items():
+        w = Witness(m_minus_h=2, g0_minus_2c=2 if equal else -2,
+                    centralizer_compact=compact, even_triple=even)
+        assert w.verdict is verdict
+        assert MagicalStatus(w, cz).verdict is verdict
+    assert [f.name for f in fields(MagicalStatus)] == ["witness", "centralizer"]
 
 
 def test_admits_even_magical_spot_checks():

@@ -1,11 +1,10 @@
-"""Slodowy parameter counts, rigidity gaps and Cayley domains."""
+"""Slodowy parameter counts and rigidity gaps."""
 
 import pytest
 
 from sl2magical.errors import DomainError, MissingDataError
 from sl2magical.magical import Verdict, classify_realform, family_parameter_space
 from sl2magical.moduli import (
-    cayley_domain,
     expected_dim,
     rigidity_report,
     slodowy_parameter_dim,
@@ -113,60 +112,16 @@ def test_nonhermitian_has_no_milnor_wood():
     assert r.gap == 0  # principal orbit of a split form
 
 
-def test_cayley_domain_su():
-    c = cayley_domain("su", (2, 4))
-    assert c.tilde_g_real == "sl(2,C)"
-    assert c.extra_factor == "s(u(2)+u(1))"
-    assert c.tube_form == "su(2,2)"
-    assert c.twist_exponent == 2
-    assert c.m_c == 2
-    assert c.l_weights == (0,)
-
-
-def test_cayley_domain_sostar():
-    c = cayley_domain("sostar", (5,))
-    assert c.tilde_g_real == "su*(4)"
-    assert c.tube_form == "so*(8)"
-    c = cayley_domain("sostar", (7,))
-    assert c.tilde_g_real == "su*(6)"
-    assert c.tube_form == "so*(12)"
-
-
-def test_cayley_domain_e6():
-    c = cayley_domain("E6^-14")
-    assert c.tilde_g_real == "so(1,7)"
-    assert c.tube_form == "so(2,8)"
-
-
-def test_cayley_domain_guards():
-    with pytest.raises(DomainError):
-        cayley_domain("su", (3, 3))  # tube type already
-    with pytest.raises(DomainError):
-        cayley_domain("sostar", (4,))
-    with pytest.raises(DomainError):
-        cayley_domain("spr", (3,))
-    with pytest.raises(DomainError):
-        cayley_domain("E7^7")
-
-
 def test_cayley_domain_exactly_on_odd_magical_forms():
-    """cayley_domain succeeds on an su or so* form up to size 12 exactly
-    when the scan finds an OddMagical row, and its tube form is the
-    descriptor's maximal tube subform; su(3,2) is su(2,3) mirrored."""
-    checked = 0
-    for family in ("su", "sostar"):
-        for params in family_parameter_space(family, 12):
-            rows = classify_realform(family, params)
-            odd = any(row.status.verdict is Verdict.ODD_MAGICAL for row in rows)
-            try:
-                c = cayley_domain(family, params)
-            except DomainError:
-                assert not odd, (family, params)
-            else:
-                assert odd, (family, params)
-                assert c.tube_form == describe(family, params).maximal_subtube
-                checked += 1
-    assert checked == 30 + 5  # su(p,q) with p < q, p + q <= 12; so*(6) to so*(22)
-    mirrored = classify_realform("su", (3, 2))
-    assert any(row.status.verdict is Verdict.ODD_MAGICAL for row in mirrored)
-    assert cayley_domain("su", (3, 2)) == cayley_domain("su", (2, 3))
+    """An su or so* form up to size 12 has an OddMagical row exactly when
+    it is Hermitian and not of tube type, the domain of the Cayley
+    correspondence; su(3,2) is su(2,3) mirrored."""
+    odd_forms = 0
+    for family, params in [(family, params) for family in ("su", "sostar")
+                           for params in family_parameter_space(family, 12)] + [("su", (3, 2))]:
+        rows = classify_realform(family, params)
+        odd = any(row.status.verdict is Verdict.ODD_MAGICAL for row in rows)
+        form = describe(family, params)
+        assert odd == (form.hermitian and not form.tube_type), (family, params)
+        odd_forms += odd
+    assert odd_forms == 30 + 5 + 1  # su(p,q), p < q, p + q <= 12; so*(6) to so*(22); su(3,2)

@@ -3,10 +3,10 @@
 import pytest
 
 from sl2magical.errors import DomainError
+from sl2magical.families import FAMILIES
 from sl2magical.magical import family_parameter_space
 from sl2magical.orbits import Partition, enumerate_signed_data
 from sl2magical.realforms import (
-    CLASSICAL_FAMILIES,
     EXCEPTIONAL_FORMS,
     centralizer_realform,
     describe,
@@ -113,7 +113,7 @@ def test_split_forms_have_full_rank():
 
 
 def test_restricted_root_checksums():
-    for family in CLASSICAL_FAMILIES:
+    for family in FAMILIES:
         for params in family_parameter_space(family, 12):
             d = describe(family, params)
             assert restricted_root_checksum(d), d.name
@@ -162,4 +162,4 @@ def test_spr_odd_part_forces_noncompact():
 
 
 def test_families_constant():
-    assert set(CLASSICAL_FAMILIES) == {"su", "sl", "sustar", "so", "sostar", "spr", "sp"}
+    assert set(FAMILIES) == {"su", "sl", "sustar", "so", "sostar", "spr", "sp"}

@@ -56,6 +56,9 @@ def test_rank_cap_and_garbage():
     with pytest.raises(RankDomainError, match="E6 has rank 6, got 5"):
         LieType.of("E6", 5)
     assert LieType.of("E6", 6) == LieType.of("E6")
+    with pytest.raises(RankDomainError, match="A5 has rank 5, got 3"):
+        LieType.of("A5", 3)
+    assert LieType.of("A5", 5) == LieType.of("A5") == LieType.of("A", 5)
 
 
 def test_cartan_matrix_a2():
