@@ -7,12 +7,16 @@ text table, csv with a header row, or a single json document.
 
 Exit codes: 0 success, 1 verification mismatch, 2 argument or domain
 error, 3 missing data, 4 internal error (a broken internal invariant).
+
+main(argv) may be called repeatedly in one process: the parser is built
+on the first call and reused by every later one.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -193,13 +197,13 @@ def cmd_slodowy(args: argparse.Namespace) -> int:
         orbit_str = _wdd_orbit(orbit)
         signs = ""
     else:
+        form = describe(family, params)
         if args.wdd:
-            raise DomainError(f"{describe(family, params).name} takes --partition, not --wdd")
+            raise DomainError(f"{form.name} takes --partition, not --wdd")
         if not args.partition:
-            raise DomainError("classical forms need --partition")
+            raise DomainError(f"{form.name} needs --partition")
         p = Partition.parse(args.partition)
         data = enumerate_signed_data(family, params, p)
-        form = describe(family, params)
         if not data:
             raise DomainError(f"{p} does not meet {form.name}")
         statuses = magical_statuses(form, p, data)
@@ -252,6 +256,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- parser
 
 
+# Built once per process.  set_defaults binds the cmd_* functions here, so a
+# patched cmd_* would not be seen; patch the names they look up instead.
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sl2magical",

@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from sl2magical import cli
 from sl2magical.cli import main
 from sl2magical.dataset import DATASET_ENV
 from sl2magical.families import FAMILIES
@@ -252,6 +257,9 @@ def test_entry_point_help_exits_zero():
     (("classify", "sl", "14"), "sl(14,R): A13 exceeds the classical rank cap 12"),
     (("slodowy", "sl", "14", "--partition", "14", "--genus", "2"), "sl(14,R)"),
     (("classify", "spr", "1"), "sp(2,R): C-type needs rank >= 2, got 1"),
+    (("slodowy", "so", "2", "2", "--genus", "2"),
+     "so(p,q) needs positive parameters with p+q >= 5"),
+    (("slodowy", "su", "2", "3", "--genus", "2"), "su(2,3) needs --partition"),
 ])
 def test_malformed_arguments_exit_2_naming_the_form(capsys, argv, form):
     code, out, err = run(capsys, *argv)
@@ -285,6 +293,40 @@ def test_internal_assertion_exits_4(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err == "internal error: weight-zero space lost the Cartan\n"
+
+
+# Commands argparse rejects (SystemExit) and the help screen, each run on a
+# parser that has served other commands before.
+REJECTED_ARGV = (
+    ("slodowy", "su", "2", "3", "--partition", "2,2,1"),  # no --genus
+    ("cluster", "su", "2", "3"),
+    ("classify", "su", "x"),
+    ("--help",),
+)
+VALID_ARGV = (
+    ("classify", "su", "2", "3", "--format", "json"),
+    ("slodowy", "su", "2", "3", "--partition", "2,2,1", "--genus", "2", "--format", "json"),
+    ("slodowy", "su", "2", "3", "--partition", "2,2,1", "--genus", "3"),
+)
+
+
+def test_main_reuses_one_parser_without_state(capsys):
+    """Repeated main calls build the parser once, and neither valid
+    commands, rejections nor --help leave anything on it: after each
+    rejection every valid command prints exactly what it printed when it
+    ran first, on a freshly built parser."""
+    first = []
+    for argv in VALID_ARGV:
+        cli.build_parser.cache_clear()
+        first.append(run(capsys, *argv))
+    assert all(code == 0 and out and err == "" for code, out, err in first)
+    cli.build_parser.cache_clear()
+    for rejected in REJECTED_ARGV:
+        with pytest.raises(SystemExit):
+            main(list(rejected))
+        capsys.readouterr()
+        assert [run(capsys, *argv) for argv in VALID_ARGV] == first
+    assert cli.build_parser.cache_info().misses == 1
 
 
 # The verify documents for ranks 6 and 8 (272 and 742 oracle cases), byte for
@@ -344,6 +386,27 @@ RECORD_OUTPUT = {
 def test_record_output_byte_identical(capsys, argv, fmt):
     code, out, err = run(capsys, *argv, "--format", fmt)
     assert (code, out, err) == (0, RECORD_OUTPUT[argv, fmt], "")
+
+
+def test_module_entry_point_in_a_fresh_interpreter():
+    """python -m sl2magical.cli: exit 0 and the json document for a valid
+    command; exit 2 and an error line on stderr for malformed ones, both an
+    argparse rejection and a domain error returned by main."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def cli_run(*argv):
+        return subprocess.run([sys.executable, "-m", "sl2magical.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    done = cli_run(*ORBIT_ARGV, "--format", "json")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, RECORD_OUTPUT[ORBIT_ARGV, "json"], "")
+    for argv in (("slodowy", "su", "2", "3", "--partition", "2,2,1"),
+                 ("orbit", "C", "2", "--partition", "3,1")):
+        done = cli_run(*argv)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert "error:" in done.stderr
 
 
 def _slodowy_sweep():
