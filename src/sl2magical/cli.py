@@ -198,6 +198,7 @@ def cmd_slodowy(args: argparse.Namespace) -> int:
         signs = ""
     else:
         form = describe(family, params)
+        form.complexification()  # the rank cap, before the flags
         if args.wdd:
             raise DomainError(f"{form.name} takes --partition, not --wdd")
         if not args.partition:

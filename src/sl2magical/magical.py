@@ -1,4 +1,4 @@
-"""Extended-magical verdicts and the exhaustive classification scan.
+"""Extended-magical verdicts and the classification scan.
 
 A real nilpotent orbit, given as a signed partition datum, carries an
 extended magical triple exactly when the reductive centralizer of the
@@ -14,12 +14,14 @@ module is even.
 Witness.verdict is the one place this criterion is written; every
 verdict the package reports is read from a witness.
 
-The scan in classify_family runs the criterion over every orbit label
-and every sign assignment of a family within a size bound.  Real forms
-that admit an even magical triple fall into four families: split forms,
-Hermitian tube-type forms whose complexification is A_{2n-1}, B_n, C_n,
-D_n or E7, the forms so(p,q) with p,q >= 3, and four exceptional forms.
-admits_even_magical encodes that membership test.
+The scan in classify_family runs the criterion over the orbits and sign
+assignments of a family, within a size bound, whose centralizer can be
+compact; the others fail its first condition, so they are never built.
+
+Real forms that admit an even magical triple fall into four families:
+split forms, Hermitian tube-type forms whose complexification is
+A_{2n-1}, B_n, C_n, D_n or E7, the forms so(p,q) with p,q >= 3, and four
+exceptional forms.  admits_even_magical encodes that membership test.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from .orbits import (
     OrbitLabel,
     Partition,
     SignedPartitionData,
-    enumerate_orbit_labels,
-    enumerate_signed_data,
+    compact_candidates,
+    orbit_labels,
 )
 from .realforms import (
     CentralizerRealForm,
@@ -139,38 +141,32 @@ class ClassifiedOrbit:
     status: MagicalStatus
     data_count: int  # how many sign assignments reach the verdict
 
-    @property
-    def sort_key(self):
-        return self.params, self.label.sort_key
-
     def __str__(self) -> str:
         name = describe(self.family, self.params).name
         return f"{name} {self.label}: {self.status.verdict}"
 
 
 def classify_realform(family: str, params: Params) -> Tuple[ClassifiedOrbit, ...]:
-    """All magical orbits of one real form, sorted by orbit label.
+    """All magical orbits of one real form, sorted by orbit label (the
+    walk's descending partition order).
 
-    Very even D partitions contribute both tagged labels; the verdict is
-    a function of the partition and signs alone, so the pair agrees.  The
-    sign data of one partition share its parity and dimension count, so
-    their magical verdicts agree too.
+    The scan walks only the orbits and sign assignments whose centralizer
+    can be compact (orbits.compact_candidates), the first half of the
+    criterion; the verdict is still read from each witness.  Very even D
+    partitions contribute both tagged labels; the verdict is a function of
+    the partition and signs alone, so the pair agrees.  The sign data of
+    one partition share its parity and dimension count, so their magical
+    verdicts agree too.
     """
     form = describe(family, tuple(params))
     ambient = form.complexification()
     rows: List[ClassifiedOrbit] = []
-    cache = {}
-    for label in enumerate_orbit_labels(ambient, ambient.matrix_size):
-        p = label.partition
-        if p not in cache:
-            data = enumerate_signed_data(family, tuple(params), p)
-            # a partition without sign data never computes its sl2 data
-            cache[p] = [status for status in magical_statuses(form, p, data)
-                        if status.verdict.is_magical] if data else []
-        if cache[p]:
-            rows.append(ClassifiedOrbit(family, tuple(params), label, cache[p][0],
-                                        len(cache[p])))
-    rows.sort(key=lambda row: row.sort_key)
+    for p, data in compact_candidates(family, tuple(params)):
+        magical = [status for status in magical_statuses(form, p, data)
+                   if status.verdict.is_magical]
+        if magical:
+            rows.extend(ClassifiedOrbit(family, tuple(params), label, magical[0], len(magical))
+                        for label in orbit_labels(ambient, p))
     return tuple(rows)
 
 
@@ -196,8 +192,8 @@ def family_parameter_space(family: str, size_bound: int) -> List[Params]:
 
 
 def classify_family(family: str, size_bound: int) -> Tuple[ClassifiedOrbit, ...]:
-    """Exhaustive scan of a classical family: every parameter tuple up to
-    the bound, every orbit label, every sign assignment."""
+    """Scan of a classical family: every parameter tuple up to the bound,
+    each orbit and sign assignment whose centralizer can be compact."""
     if family not in FAMILIES:
         raise DomainError(f"family scans cover classical families, got {family!r}")
     rows: List[ClassifiedOrbit] = []

@@ -17,10 +17,11 @@ all even; their row counts r_i are half the complex multiplicities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from itertools import product
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from .errors import DomainError
-from .families import FAMILIES, family_spec
+from .families import FAMILIES, FamilySpec, family_spec
 from .rootsystems import LieFamily, LieType, WeightedDynkinDiagram
 
 SignTable = Tuple[Tuple[int, Tuple[int, int]], ...]
@@ -94,32 +95,52 @@ class Partition:
         return "[" + ",".join(pieces) + "]"
 
 
-def partitions_of(n: int, max_part: Optional[int] = None) -> Iterator[Tuple[int, ...]]:
-    """All partitions of n in descending lexicographic order."""
-    if n == 0:
-        yield ()
-        return
-    cap = n if max_part is None else min(max_part, n)
-    for first in range(cap, 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield (first,) + rest
-
-
 def family_letter(t: Union[LieType, str]) -> str:
     return t.family.value if isinstance(t, LieType) else t
+
+
+#: The parity of the parts whose multiplicity must be even: even parts in
+#: B/D, odd parts in C, none in A.
+_PAIRED_PARITY = {"A": None, "B": 0, "C": 1, "D": 0}
+
+
+def _paired_parity(t: Union[LieType, str]) -> Optional[int]:
+    fam = family_letter(t)
+    if fam not in _PAIRED_PARITY:
+        raise DomainError(f"no partition classification for family {fam}")
+    return _PAIRED_PARITY[fam]
+
+
+def _parity_rule(t: Union[LieType, str]) -> Callable[[int, int], bool]:
+    """allowed(part, multiplicity) of the family's parity rule."""
+    paired = _paired_parity(t)
+    return lambda part, mult: part % 2 != paired or mult % 2 == 0
 
 
 def partition_fits_family(t: Union[LieType, str], p: Partition) -> bool:
     """Parity test: B/D need even parts with even multiplicity, C needs odd
     parts with even multiplicity, A is unconstrained."""
-    fam = family_letter(t)
-    if fam == "A":
-        return True
-    if fam in ("B", "D"):
-        return all(r % 2 == 0 for part, r in p.multiplicities().items() if part % 2 == 0)
-    if fam == "C":
-        return all(r % 2 == 0 for part, r in p.multiplicities().items() if part % 2 == 1)
-    raise DomainError(f"no partition classification for family {fam}")
+    paired = _paired_parity(t)
+    return paired is None or all(r % 2 == 0 for part, r in p.multiplicities().items()
+                                 if part % 2 == paired)
+
+
+def _walk(n: int, allowed: Callable[[int, int], bool]) -> Iterator[Tuple[int, ...]]:
+    """The partitions of n whose every part k occurs m times with
+    allowed(k, m), in descending lexicographic order: one distinct part at
+    a time, largest first, each with its multiplicities largest first."""
+
+    def below(rest: int, top: int) -> Iterator[Tuple[int, ...]]:
+        if rest == 0:
+            yield ()
+            return
+        for k in range(min(rest, top), 0, -1):
+            for m in range(rest // k, 0, -1):
+                if allowed(k, m):
+                    for tail in below(rest - k * m, k - 1):
+                        yield (k,) * m + tail
+
+    return below(n, n)
 
 
 def check_partition(t: LieType, p: Partition) -> str:
@@ -150,12 +171,7 @@ def enumerate_partitions(t: Union[LieType, str], n: int) -> List[Partition]:
         raise DomainError(f"B-type needs odd n, got {n}")
     if fam in ("C", "D") and n % 2 == 1:
         raise DomainError(f"{fam}-type needs even n, got {n}")
-    out = []
-    for parts in partitions_of(n):
-        cand = Partition(parts)
-        if partition_fits_family(fam, cand):
-            out.append(cand)
-    return out
+    return [Partition(parts) for parts in _walk(n, _parity_rule(fam))]
 
 
 @dataclass(frozen=True)
@@ -177,17 +193,16 @@ class OrbitLabel:
         return tuple(-p for p in self.partition.parts), self.tag
 
 
+def orbit_labels(t: Union[LieType, str], p: Partition) -> Tuple[OrbitLabel, ...]:
+    """The labels of p's orbits: a very even D partition labels two, I and II."""
+    if family_letter(t) == "D" and p.very_even:
+        return OrbitLabel(p, "I"), OrbitLabel(p, "II")
+    return (OrbitLabel(p),)
+
+
 def enumerate_orbit_labels(t: Union[LieType, str], n: int) -> List[OrbitLabel]:
     """Orbit labels for the family, with very even D partitions doubled."""
-    fam = family_letter(t)
-    labels: List[OrbitLabel] = []
-    for p in enumerate_partitions(t, n):
-        if fam == "D" and p.very_even:
-            labels.append(OrbitLabel(p, "I"))
-            labels.append(OrbitLabel(p, "II"))
-        else:
-            labels.append(OrbitLabel(p))
-    return labels
+    return [label for p in enumerate_partitions(t, n) for label in orbit_labels(t, p)]
 
 
 def weighted_dynkin_from_partition(t: LieType, p: Partition) -> WeightedDynkinDiagram:
@@ -274,17 +289,37 @@ class SignedPartitionData:
         return f"{self.partition}{{{sgn}}}"
 
 
-def _split_range(total: int):
-    return ((a, total - a) for a in range(total, -1, -1))
+def _split_range(total: int) -> List[Tuple[int, int]]:
+    return [(a, total - a) for a in range(total, -1, -1)]
 
 
-def _product_of_splits(parts: Sequence[int], totals: Sequence[int]):
-    if not parts:
-        yield ()
-        return
-    for head in _split_range(totals[0]):
-        for tail in _product_of_splits(parts[1:], totals[1:]):
-            yield ((parts[0], head),) + tail
+def _one_sign(total: int) -> List[Tuple[int, int]]:
+    return [(total, 0), (0, total)]
+
+
+def _signed_data(spec: FamilySpec, family: str, params: Tuple[int, ...], p: Partition,
+                 splits: Callable[[int], List[Tuple[int, int]]]) -> List[SignedPartitionData]:
+    """The sign data of p whose signed parts take a split from splits(r_i)
+    and whose plus boxes meet the signature rule: plus-heavy splits first,
+    larger parts varying slowest.  p must meet the form's parity rules."""
+    mult = p.multiplicities()
+    rows = {i: r // 2 if spec.quaternionic else r for i, r in mult.items()}
+    parts = sorted(mult, reverse=True)
+    signed = [i for i in parts if i % 2 in spec.signed_parities]
+    unsigned = [i for i in parts if i % 2 not in spec.signed_parities]
+    if spec.forced_split:
+        forced = tuple((i, (rows[i] // 2, rows[i] // 2)) for i in unsigned)
+        base = 0
+    else:
+        # where the signature counts, sign-free rows are even: i/2 plus boxes each
+        forced, base = (), sum(i // 2 * rows[i] for i in unsigned)
+    out = []
+    for choice in product(*[[(i, split) for split in splits(rows[i])] for i in signed]):
+        signs = tuple(sorted(forced + choice, reverse=True)) if forced else choice
+        plus = base + sum(plus_boxes(i, a, b) for i, (a, b) in signs)
+        if not spec.signature_rule or plus == params[0]:
+            out.append(SignedPartitionData(family, params, p, signs))
+    return out
 
 
 def enumerate_signed_data(
@@ -300,25 +335,35 @@ def enumerate_signed_data(
     size = spec.size(params)
     if p.n != size:
         raise DomainError(f"{spec.name(params)} needs a partition of {size}, got {p.n}")
-    mult = p.multiplicities()
-    if spec.quaternionic and any(r % 2 for r in mult.values()):
+    if spec.quaternionic and any(r % 2 for r in p.multiplicities().values()):
         return []
     if not partition_fits_family(spec.complex_type(params)[0], p):
         return []
-    rows = {i: r // 2 if spec.quaternionic else r for i, r in mult.items()}
-    parts = sorted(mult, reverse=True)
-    signed = [i for i in parts if i % 2 in spec.signed_parities]
-    unsigned = [i for i in parts if i % 2 not in spec.signed_parities]
-    if spec.forced_split:
-        forced = tuple((i, (rows[i] // 2, rows[i] // 2)) for i in unsigned)
-        base = 0
-    else:
-        # where the signature counts, sign-free rows are even: i/2 plus boxes each
-        forced, base = (), sum(i // 2 * rows[i] for i in unsigned)
-    out = []
-    for choice in _product_of_splits(signed, [rows[i] for i in signed]):
-        signs = tuple(sorted(forced + choice, reverse=True)) if forced else choice
-        plus = base + sum(plus_boxes(i, a, b) for i, (a, b) in signs)
-        if not spec.signature_rule or plus == params[0]:
-            out.append(SignedPartitionData(family, params, p, signs))
-    return out
+    return _signed_data(spec, family, params, p, _split_range)
+
+
+def compact_candidates(
+    family: str, params: Tuple[int, ...]
+) -> Iterator[Tuple[Partition, List[SignedPartitionData]]]:
+    """The orbits of the form whose centralizer can be compact: each
+    partition, descending, with its sign data in which every signed part
+    has one sign, (r,0) before (0,r); partitions without such data are
+    left out.  The partitions meet the parity rule, have even
+    multiplicities in the quaternionic families, and at most compact_rows
+    rows on each part of the unsigned parity.  This is a necessary
+    condition only; realforms.centralizer_realform decides compactness.
+    """
+    spec = family_spec(family, params)
+    parity = _parity_rule(spec.complex_type(params)[0])
+
+    def allowed(part: int, mult: int) -> bool:
+        if not parity(part, mult) or (spec.quaternionic and mult % 2):
+            return False
+        rows = mult // 2 if spec.quaternionic else mult
+        return part % 2 in spec.signed_parities or rows <= spec.compact_rows
+
+    for parts in _walk(spec.size(params), allowed):
+        p = Partition(parts)
+        data = _signed_data(spec, family, params, p, _one_sign)
+        if data:
+            yield p, data

@@ -260,6 +260,8 @@ def test_entry_point_help_exits_zero():
     (("slodowy", "so", "2", "2", "--genus", "2"),
      "so(p,q) needs positive parameters with p+q >= 5"),
     (("slodowy", "su", "2", "3", "--genus", "2"), "su(2,3) needs --partition"),
+    (("slodowy", "sl", "14", "--genus", "2"),
+     "sl(14,R): A13 exceeds the classical rank cap 12"),
 ])
 def test_malformed_arguments_exit_2_naming_the_form(capsys, argv, form):
     code, out, err = run(capsys, *argv)

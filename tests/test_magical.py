@@ -11,7 +11,15 @@ from sl2magical.magical import (
     extended_magical_status,
     involution_sign,
 )
-from sl2magical.orbits import Partition, enumerate_signed_data
+from sl2magical.families import FAMILIES
+from sl2magical.orbits import (
+    Partition,
+    compact_candidates,
+    enumerate_orbit_labels,
+    enumerate_partitions,
+    enumerate_signed_data,
+)
+from sl2magical.realforms import centralizer_realform, describe
 
 
 def test_involution_sign_table():
@@ -196,3 +204,38 @@ def test_classify_family_skips_forms_above_rank_cap():
     assert classify_family("sustar", 8) == ()
     largest = family_parameter_space("sustar", 8)[-1]
     assert describe("sustar", largest).name == "su*(12)"
+
+
+def _row(row):
+    return str(row.label), row.data_count, str(row.status.centralizer), row.status.witness
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_classify_realform_matches_the_full_scan(family):
+    """On every form of size <= 12, the walk over compact candidates gives
+    the rows of the full scan (every orbit label, every sign assignment,
+    the criterion on each), and misses no datum with a compact centralizer."""
+    from sl2magical.magical import family_parameter_space, magical_statuses
+
+    for params in family_parameter_space(family, 12):
+        form = describe(family, params)
+        ambient = form.complexification()
+        reference = []
+        for label in enumerate_orbit_labels(ambient, ambient.matrix_size):
+            data = enumerate_signed_data(family, params, label.partition)
+            magical = [status for status in magical_statuses(form, label.partition, data)
+                       if status.verdict.is_magical]
+            if magical:
+                reference.append((str(label), len(magical), str(magical[0].centralizer),
+                                  magical[0].witness))
+        rows = classify_realform(family, params)
+        assert [_row(row) for row in rows] == reference, params
+        assert [row.label.sort_key for row in rows] == sorted(row.label.sort_key
+                                                              for row in rows)
+
+        compact = [signed for p in enumerate_partitions(ambient, ambient.matrix_size)
+                   for signed in enumerate_signed_data(family, params, p)
+                   if centralizer_realform(signed).is_compact]
+        candidates = iter(signed for _, data in compact_candidates(family, params)
+                          for signed in data)
+        assert all(signed in candidates for signed in compact), params  # in order

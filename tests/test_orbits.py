@@ -10,11 +10,11 @@ from sl2magical.matrixoracle import build_matrix_triple, string_layout
 from sl2magical.orbits import (
     OrbitLabel,
     Partition,
+    compact_candidates,
     enumerate_orbit_labels,
     enumerate_partitions,
     enumerate_signed_data,
     partition_fits_family,
-    partitions_of,
     plus_boxes,
     weighted_dynkin_from_partition,
 )
@@ -68,9 +68,9 @@ def test_dual_is_an_involution(parts):
     assert p.dual().n == p.n
 
 
-def test_partitions_of_counts():
-    assert sum(1 for _ in partitions_of(5)) == 7
-    assert sum(1 for _ in partitions_of(8)) == 22
+def test_enumerate_partitions_counts():
+    assert len(enumerate_partitions("A", 5)) == 7
+    assert len(enumerate_partitions("A", 8)) == 22
 
 
 def test_parity_constraints():
@@ -208,6 +208,21 @@ def test_row_count_halved_for_quaternionic():
     assert signed.row_count(2) == 1
     data = enumerate_signed_data("su", (2, 2), Partition.parse("2,2"))
     assert any(s.row_count(2) == 2 for s in data)
+
+
+def test_compact_candidates_small():
+    """sl(n,R) keeps the partitions with distinct parts, su*(2m) those with
+    every part twice, so(p,q) those with only odd parts; each signed part
+    carries one sign, (r,0) before (0,r)."""
+    def listed(family, params):
+        return [(str(p), [str(s) for s in data])
+                for p, data in compact_candidates(family, params)]
+
+    assert listed("sl", (4,)) == [("[4]", ["[4]"]), ("[3,1]", ["[3,1]"])]
+    assert listed("sustar", (3,)) == [("[3^2]", ["[3^2]"]), ("[2^2,1^2]", ["[2^2,1^2]"])]
+    assert listed("so", (2, 3)) == [("[5]", ["[5]{5:(0,1)}"]),
+                                    ("[3,1^2]", ["[3,1^2]{3:(1,0),1:(0,2)}"])]
+    assert listed("spr", (3,))[0] == ("[6]", ["[6]{6:(1,0)}", "[6]{6:(0,1)}"])
 
 
 def test_signed_str_round_trip_info():
