@@ -5,12 +5,15 @@ counterexample it finds, if any.  The oracle check is the backbone: on
 every classical partition orbit up to a rank bound, the closed
 Clebsch-Gordan formulas, the root-space grading pipeline, and the matrix
 nullity oracle must produce identical multiplicities and dimensions.
+The oracle check and the parity lemma share one walk over those orbits:
+each orbit's closed dims are computed once and read by both, while each
+check keeps its own case count and first counterexample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator, List, Tuple
 
 from .dataset import evaluate_conditions, load_records
 from .errors import DatasetSchemaError, MissingDataError
@@ -20,6 +23,7 @@ from .realforms import describe, exceptional_s_value
 from .rootsystems import (
     CLASSICAL_MIN_RANK,
     LieType,
+    RootSystem,
     WeightedDynkinDiagram,
     ad_grading,
     build_root_system,
@@ -40,53 +44,74 @@ class CheckResult:
     detail: str = ""  # minimal counterexample, empty when passed
 
 
-def _classical_types(max_rank: int) -> Iterator[LieType]:
+def _orbits(max_rank: int) -> Iterator[Tuple[LieType, RootSystem, Partition]]:
+    """Every classical orbit up to the rank bound, with its root system."""
     for fam in "ABCD":
         for rank in range(CLASSICAL_MIN_RANK[fam], max_rank + 1):
-            yield LieType.of(fam, rank)
+            t = LieType.of(fam, rank)
+            rs = build_root_system(t)
+            for p in enumerate_partitions(t, t.matrix_size):
+                yield t, rs, p
+
+
+def _oracle_mismatch(t: LieType, p: Partition, rs: RootSystem, tables: Tables,
+                     g0: int, v: int) -> str:
+    """Formula vs grading vs matrix oracle vs closed dims on one orbit: the
+    counterexample, or "" when all agree."""
+    formula = multiplicities_formula(t, p)
+    graded = module_multiplicities(ad_grading(rs, weighted_dynkin_from_partition(t, p))).as_dict()
+    oracle = oracle_sl2_data(string_layout(t, p), tables).as_dict()
+    if not formula == graded == oracle:
+        return f"{t.name} {p}: formula {formula}, grading {graded}, oracle {oracle}"
+    sums = (formula.get(0, 0), sum(m for j, m in formula.items() if j % 2 == 0),
+            sum(formula.values()))
+    dims = (dim_c_formula(t, p), g0, v)
+    if dims != sums:
+        return f"{t.name} {p}: closed dims {dims} != {sums}"
+    return ""
+
+
+def _parity_mismatch(t: LieType, p: Partition, g0: int, v: int) -> str:
+    """dim g_0 = dim V_rho against single parity on one orbit: the
+    counterexample, or "" when they agree."""
+    single_parity = len({part % 2 for part in p.parts}) == 1
+    if (g0 == v) == single_parity:
+        return ""
+    return f"{t.name} {p}: dim g_0 = dim V_rho is {g0 == v}, single parity is {single_parity}"
+
+
+def _orbit_checks(max_rank: int) -> Tuple[CheckResult, CheckResult]:
+    """Oracle equivalence and the parity lemma in one walk over the orbits
+    up to the bound.  Each orbit's closed dim g_0 and dim V_rho are
+    computed once and read by both checks.  Each check counts its cases up
+    to its own first counterexample; the walk ends when both have one."""
+    oracle = parity = ""
+    oracle_cases = parity_cases = 0
+    tables: Tables = {}
+    for t, rs, p in _orbits(max_rank):
+        g0, v = dim_g0_formula(t, p), dim_v_rho_formula(t, p)
+        if not oracle:
+            oracle = _oracle_mismatch(t, p, rs, tables, g0, v)
+            if not oracle:
+                oracle_cases += 1
+        if not parity:
+            parity = _parity_mismatch(t, p, g0, v)
+            if not parity:
+                parity_cases += 1
+        if oracle and parity:
+            break
+    return (CheckResult("oracle-equivalence", not oracle, oracle_cases, oracle),
+            CheckResult("parity-lemma", not parity, parity_cases, parity))
 
 
 def check_oracle_equivalence(max_rank: int = 6) -> CheckResult:
     """Formula vs grading vs matrix oracle on every orbit up to the bound."""
-    name = "oracle-equivalence"
-    cases = 0
-    tables: Tables = {}
-    for t in _classical_types(max_rank):
-        rs = build_root_system(t)
-        for p in enumerate_partitions(t, t.matrix_size):
-            formula = multiplicities_formula(t, p)
-            wdd = weighted_dynkin_from_partition(t, p)
-            graded = module_multiplicities(ad_grading(rs, wdd)).as_dict()
-            oracle = oracle_sl2_data(string_layout(t, p), tables).as_dict()
-            if not formula == graded == oracle:
-                return CheckResult(name, False, cases,
-                                   f"{t.name} {p}: formula {formula}, "
-                                   f"grading {graded}, oracle {oracle}")
-            n0 = formula.get(0, 0)
-            g0 = sum(m for j, m in formula.items() if j % 2 == 0)
-            v = sum(formula.values())
-            dims = (dim_c_formula(t, p), dim_g0_formula(t, p), dim_v_rho_formula(t, p))
-            if dims != (n0, g0, v):
-                return CheckResult(name, False, cases,
-                                   f"{t.name} {p}: closed dims {dims} != {(n0, g0, v)}")
-            cases += 1
-    return CheckResult(name, True, cases)
+    return _orbit_checks(max_rank)[0]
 
 
 def check_parity_lemma(max_rank: int = 6) -> CheckResult:
     """dim g_0 = dim V_rho exactly when all parts share one parity."""
-    name = "parity-lemma"
-    cases = 0
-    for t in _classical_types(max_rank):
-        for p in enumerate_partitions(t, t.matrix_size):
-            single_parity = len({part % 2 for part in p.parts}) == 1
-            equal = dim_g0_formula(t, p) == dim_v_rho_formula(t, p)
-            if equal != single_parity:
-                return CheckResult(name, False, cases,
-                                   f"{t.name} {p}: dim g_0 = dim V_rho is {equal}, "
-                                   f"single parity is {single_parity}")
-            cases += 1
-    return CheckResult(name, True, cases)
+    return _orbit_checks(max_rank)[1]
 
 
 def _n_row(t: LieType, p: Partition, top: int) -> tuple:
@@ -163,8 +188,7 @@ def check_dataset_conditions() -> CheckResult:
 
 def run_all(max_rank: int = 6) -> List[CheckResult]:
     return [
-        check_oracle_equivalence(max_rank),
-        check_parity_lemma(max_rank),
+        *_orbit_checks(max_rank),
         check_table_rows(),
         check_dataset_conditions(),
     ]

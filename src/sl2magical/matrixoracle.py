@@ -23,13 +23,16 @@ or sp for n_j, where only the +1 side of tau is ranked, or su or sl for
 a Cartan split, where h and m are; the kinds are S or P, or SS, SP or PP
 for two units; the sign is the product of the two units' leading signs
 (1 for tau and for one unit).  Each key is ranked once, by exact
-elimination of each weight slice, on a template triple of just its
+elimination of each weight slice w >= 0, on a template triple of just its
 units, laid out by the same matrixmodel.lay_out, so the tau-merging, the
 self-paired strings and the mu signs are ranked, not assumed; a tau
 template is checked to hold the key's units, a Cartan template's
 involution to negate e.  n_j and the h/m split sum the tables over the
 units and unit pairs of the orbit, weighted by multiplicity, less the
 identity matrix on the side of sigma(I) = +-I: it is in gl_N, not sl_N.
+The slices w < 0 are counted as columns but not ranked: ad_e is injective
+below weight 0, since its kernel holds highest-weight vectors only, so
+their nullity is 0 (tests/test_matrixoracle.py ranks them to check it).
 """
 
 from __future__ import annotations
@@ -81,9 +84,14 @@ def build_matrix_triple(t: LieType, p: Partition) -> MatrixSl2Triple:
 
 
 def _nullity_by_weight(m: MatrixSl2Triple, columns: Columns) -> Dict[int, int]:
-    """Nullity of ad_e on the span of each weight's columns."""
+    """Nullity of ad_e on the span of each weight's columns, for the
+    weights w >= 0 only: below weight 0 ad_e is injective (a kernel vector
+    is a highest-weight vector), so those slices are not ranked; a test
+    in tests/test_matrixoracle.py ranks them to check it."""
     out = {}
     for w, xs in columns.items():
+        if w < 0:
+            continue
         images = ad_e_images(m, xs)
         rows = sorted({k for y in images for k in y})
         out[w] = len(xs) - integer_rank([[y.get(k, 0) for y in images] for k in rows])

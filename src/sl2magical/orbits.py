@@ -17,6 +17,7 @@ all even; their row counts r_i are half the complex multiplicities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -41,6 +42,10 @@ class Partition:
         ordered = tuple(sorted(self.parts, reverse=True))
         if ordered != self.parts:
             object.__setattr__(self, "parts", ordered)
+        counts: Dict[int, int] = {}  # part -> multiplicity, parts descending
+        for part in ordered:
+            counts[part] = counts.get(part, 0) + 1
+        object.__setattr__(self, "_counts", counts)
 
     @classmethod
     def of(cls, *parts: int) -> "Partition":
@@ -70,17 +75,18 @@ class Partition:
         return sum(self.parts)
 
     def multiplicity(self, part: int) -> int:
-        return self.parts.count(part)
+        return self._counts.get(part, 0)
 
     def multiplicities(self) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for p in self.parts:
-            out[p] = out.get(p, 0) + 1
-        return out
+        return dict(self._counts)
 
-    def dual(self) -> "Partition":
+    @cached_property
+    def _dual(self) -> "Partition":
         return Partition(tuple(sum(1 for p in self.parts if p >= k)
                                for k in range(1, self.parts[0] + 1)))
+
+    def dual(self) -> "Partition":
+        return self._dual
 
     @property
     def very_even(self) -> bool:
@@ -88,10 +94,7 @@ class Partition:
         return all(p % 2 == 0 for p in self.parts)
 
     def __str__(self) -> str:
-        pieces = []
-        for part in sorted(set(self.parts), reverse=True):
-            r = self.multiplicity(part)
-            pieces.append(f"{part}^{r}" if r > 1 else f"{part}")
+        pieces = (f"{part}^{r}" if r > 1 else f"{part}" for part, r in self._counts.items())
         return "[" + ",".join(pieces) + "]"
 
 
@@ -121,7 +124,7 @@ def partition_fits_family(t: Union[LieType, str], p: Partition) -> bool:
     """Parity test: B/D need even parts with even multiplicity, C needs odd
     parts with even multiplicity, A is unconstrained."""
     paired = _paired_parity(t)
-    return paired is None or all(r % 2 == 0 for part, r in p.multiplicities().items()
+    return paired is None or all(r % 2 == 0 for part, r in p._counts.items()
                                  if part % 2 == paired)
 
 

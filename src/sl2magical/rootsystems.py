@@ -14,9 +14,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from operator import mul
-from typing import Dict, FrozenSet, List, Tuple
+from functools import cached_property, lru_cache
+from operator import add
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from .errors import DomainError, RankDomainError
 
@@ -206,6 +206,11 @@ class RootSystem:
     def dim(self) -> int:
         return 2 * len(self.positive_roots) + self.rank
 
+    @cached_property
+    def columns(self) -> Tuple[Coeffs, ...]:
+        """Per node, its coefficient in each positive root, in root order."""
+        return tuple(zip(*self.positive_roots))
+
 
 @lru_cache(maxsize=None)
 def build_root_system(t: LieType) -> RootSystem:
@@ -258,12 +263,17 @@ class GradingDims:
 
 def ad_grading(rs: RootSystem, wdd: WeightedDynkinDiagram) -> GradingDims:
     """Eigenspace dimensions of ad_h for the semisimple element h defined by
-    alpha_i(h) = label_i.  Counts run over positive and negative roots; the
+    alpha_i(h) = label_i.  The weights of the positive roots are the sum of
+    the nodes' coefficient columns, node i's added label_i times (labels
+    are 0, 1 or 2); counts run over positive and negative roots, and the
     Cartan contributes rank to weight 0."""
     if wdd.lie_type != rs.lie_type:
         raise DomainError(f"diagram is for {wdd.lie_type.name}, root system for {rs.lie_type.name}")
-    labels = wdd.labels
-    positive = Counter(sum(map(mul, root, labels)) for root in rs.positive_roots)
+    weights: Iterable[int] = [0] * len(rs.positive_roots)
+    for column, label in zip(rs.columns, wdd.labels):
+        for _ in range(label):
+            weights = map(add, weights, column)
+    positive = Counter(weights)
     dims: Dict[int, int] = {0: rs.rank}
     for w, count in positive.items():
         dims[w] = dims.get(w, 0) + count

@@ -10,6 +10,7 @@ correction term for dim V_rho linear in the odd multiplicities.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -92,32 +93,33 @@ def _alternating_summands(k: int, start_offset: int):
 def multiplicities_formula(t: LieType, p: Partition) -> Dict[int, int]:
     """All n_j by Clebsch-Gordan decomposition of the adjoint module.
 
-    gl_N = V (x) V with V = (+)_a V_{k_a}; so_N and sp_N are its
-    alternating and symmetric halves.  Type A drops one trivial summand
+    gl_N = V (x) V with V = (+)_k r_k V_k; so_N and sp_N are its
+    alternating and symmetric halves.  The sums run over the distinct
+    parts k, l: V_k (x) V_l comes r_k r_l times, and outside type A the
+    r_k copies of V_k give r_k(r_k-1)/2 products V_k (x) V_k and r_k
+    alternating or symmetric squares.  Type A drops one trivial summand
     for the trace.
     """
     fam = check_partition(t, p)
-    parts = p.parts
-    n: Dict[int, int] = {}
+    r = list(p.multiplicities().items())
+    n: Counter = Counter()
 
-    def add(j: int, count: int = 1) -> None:
-        n[j] = n.get(j, 0) + count
+    def add(weights: range, count: int) -> None:
+        for j in weights:
+            n[j] += count
 
     if fam == "A":
-        for k in parts:
-            for l in parts:
-                for j in _tensor_summands(k, l):
-                    add(j)
-        add(0, -1)
+        for k, rk in r:
+            for l, rl in r:
+                add(_tensor_summands(k, l), rk * rl)
+        n[0] -= 1
     else:
-        for a, k in enumerate(parts):
-            for l in parts[a + 1:]:
-                for j in _tensor_summands(k, l):
-                    add(j)
         offset = 2 if fam == "C" else 4
-        for k in parts:
-            for j in _alternating_summands(k, offset):
-                add(j)
+        for a, (k, rk) in enumerate(r):
+            add(_tensor_summands(k, k), rk * (rk - 1) // 2)
+            add(_alternating_summands(k, offset), rk)
+            for l, rl in r[a + 1:]:
+                add(_tensor_summands(k, l), rk * rl)
     return {j: m for j, m in n.items() if m}
 
 

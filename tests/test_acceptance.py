@@ -156,7 +156,7 @@ def test_6_oracle_equivalence():
     """Formulas, diagram grading and matrix oracle agree on every orbit."""
     result = check_oracle_equivalence(6)
     assert result.passed, result.detail
-    assert result.cases >= 250
+    assert result.cases == 272  # every A/B/C/D orbit of rank <= 6
     print(f"PASS: oracle equivalence on {result.cases} orbits of rank <= 6")
 
 
@@ -164,7 +164,7 @@ def test_7_parity_lemma():
     """dim g0 = dim V_rho exactly for single-parity partitions."""
     result = check_parity_lemma(6)
     assert result.passed, result.detail
-    assert result.cases >= 250
+    assert result.cases == 272  # every A/B/C/D orbit of rank <= 6
     print(f"PASS: parity lemma on {result.cases} orbits of rank <= 6")
 
 

@@ -7,7 +7,8 @@ import pytest
 
 from sl2magical import matrixoracle
 from sl2magical.errors import DomainError, NormalityError, UnsupportedInvolutionError
-from sl2magical.matrixmodel import eigen_columns, identity_involution
+from sl2magical.linalg import integer_rank
+from sl2magical.matrixmodel import ad_e_images, eigen_columns, identity_involution
 from sl2magical.matrixoracle import (
     SigmaSplitReport,
     _involution,
@@ -182,6 +183,47 @@ def test_sigma_tables_match_the_full_route(monkeypatch):
     kinds = {(model, kind, sign) for model, kind, _, sign in matrixoracle._CARTAN_TABLES}
     assert kinds == {("su", "S", 1), ("su", "SS", 1), ("su", "SS", -1),
                      ("sl", "S", 1), ("sl", "SS", 1)}
+
+
+def _negative_slice_nullities(m, columns):
+    """The nullity of ad_e on each weight slice w < 0, ranked directly."""
+    out = []
+    for w, xs in columns.items():
+        if w < 0:
+            images = ad_e_images(m, xs)
+            rows = sorted({k for y in images for k in y})
+            out.append(len(xs) - integer_rank([[y.get(k, 0) for y in images] for k in rows]))
+    return out
+
+
+def test_ad_e_is_injective_below_weight_0():
+    """The oracle ranks only the slices w >= 0; ranking the rest shows
+    nullity 0 on the tau columns of every classical orbit of rank <= 6 and
+    on the h and m columns of every su and sl signed datum of size <= 8."""
+    slices = 0
+    for fam, low in CLASSICAL_MIN_RANK.items():
+        for rank in range(low, 7):
+            t = LieType.of(fam, rank)
+            for p in enumerate_partitions(t, t.matrix_size):
+                m = build_matrix_triple(t, p)
+                nullities = _negative_slice_nullities(m, eigen_columns(m, m.tau)[0])
+                assert set(nullities) <= {0}, f"{m.name}: {nullities}"
+                slices += len(nullities)
+    data = 0
+    for n in range(2, 9):
+        forms = [("su", (a, n - a)) for a in range(1, n)] + [("sl", (n,))]
+        t = LieType.of("A", n - 1)
+        for p in enumerate_partitions("A", n):
+            m = build_matrix_triple(t, p)
+            for family, params in forms:
+                for signed in enumerate_signed_data(family, params, p):
+                    for side in eigen_columns(m, _involution(m, signed)):
+                        nullities = _negative_slice_nullities(m, side)
+                        assert set(nullities) <= {0}, f"{signed}: {nullities}"
+                        slices += len(nullities)
+                    data += 1
+    assert data == 482  # every su and sl signed datum of size <= 8
+    assert slices > data
 
 
 def test_sigma_splits_up_to_size_12_are_pinned():

@@ -44,6 +44,20 @@ def test_multiplicity_and_n():
     assert p.n == 8
     assert p.multiplicity(2) == 2
     assert p.multiplicities() == {3: 1, 2: 2, 1: 1}
+    assert p.multiplicity(5) == 0
+
+
+def test_counts_are_cached_and_copied_out():
+    """A partition counts its parts and builds its dual once; the dict
+    multiplicities() returns is a fresh copy each call."""
+    p = Partition.parse("3,2,2,1")
+    counts = p.multiplicities()
+    counts[2] = 7
+    assert p.multiplicities() == {3: 1, 2: 2, 1: 1}
+    assert list(p.multiplicities()) == [3, 2, 1]
+    assert p.multiplicities() is not p.multiplicities()
+    assert p.dual() is p.dual()
+    assert p == Partition.of(1, 2, 3, 2) and hash(p) == hash(Partition.of(1, 2, 3, 2))
 
 
 def test_dual_example():

@@ -1,5 +1,8 @@
 """Root systems, Cartan matrices and ad_h gradings."""
 
+import hashlib
+import itertools
+
 import pytest
 
 from sl2magical.errors import DomainError, RankDomainError
@@ -124,3 +127,21 @@ def test_zero_diagram_is_the_whole_algebra():
     rs = build_root_system(t)
     g = ad_grading(rs, WeightedDynkinDiagram(lie_type=t, labels=(0, 0, 0)))
     assert g.as_dict() == {0: t.dim}
+
+
+def test_exceptional_gradings_are_pinned():
+    """The grading of every label vector in {0,1,2}^rank of G2, F4, E6 and
+    E7 hashes to the digest recorded before ad_grading summed coefficient
+    columns."""
+    digest = hashlib.sha256()
+    checked = 0
+    for name in ("G2", "F4", "E6", "E7"):
+        t = LieType.of(name)
+        rs = build_root_system(t)
+        for labels in itertools.product((0, 1, 2), repeat=t.rank):
+            dims = ad_grading(rs, WeightedDynkinDiagram(lie_type=t, labels=labels)).dims
+            digest.update(f"{name} {labels} {dims}\n".encode())
+            checked += 1
+    assert checked == 3006
+    assert digest.hexdigest() == (
+        "2529df955a753a7cf559efa8a51b9d9b2db87dd2ab487f4d7529637f14e13a27")

@@ -1,5 +1,7 @@
 """Adjoint sl2-module data: grading pipeline vs closed formulas."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,7 @@ from sl2magical.orbits import (
     enumerate_partitions,
     weighted_dynkin_from_partition,
 )
-from sl2magical.rootsystems import LieType, ad_grading, build_root_system
+from sl2magical.rootsystems import CLASSICAL_MIN_RANK, LieType, ad_grading, build_root_system
 from sl2magical.sl2data import (
     dim_c_formula,
     dim_g0_formula,
@@ -108,3 +110,24 @@ def test_grading_weights_symmetric(letter, data):
     d = module_multiplicities(g)
     assert all(v > 0 for v in d.as_dict().values())
     assert sum(m * (j + 1) for j, m in d.n) == t.dim
+
+
+def test_formula_and_grading_routes_are_pinned():
+    """The Clebsch-Gordan n_j and the diagram grading of every classical
+    orbit of rank <= 12 hash to the digest recorded before both routes
+    were rewritten (the formula over distinct parts, the grading as a sum
+    of coefficient columns)."""
+    digest = hashlib.sha256()
+    checked = 0
+    for fam, low in CLASSICAL_MIN_RANK.items():
+        for rank in range(low, 13):
+            t = LieType.of(fam, rank)
+            rs = build_root_system(t)
+            for p in enumerate_partitions(t, t.matrix_size):
+                n = sorted(multiplicities_formula(t, p).items())
+                dims = ad_grading(rs, weighted_dynkin_from_partition(t, p)).dims
+                digest.update(f"{t.name} {p} {n} {dims}\n".encode())
+                checked += 1
+    assert checked == 4137
+    assert digest.hexdigest() == (
+        "26d31da8ca1121b39064e6480d0d6ed80fc1cf9b4bc0cc036690ec0ebd71bd8c")
