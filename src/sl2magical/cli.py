@@ -23,7 +23,7 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .crosscheck import run_all
-from .dataset import evaluate_conditions, load_records
+from .dataset import load_records
 from .errors import DatasetSchemaError, DomainError, MissingDataError
 from .families import FAMILIES
 from .magical import MagicalStatus, Witness, classify_realform, magical_statuses
@@ -134,12 +134,12 @@ def _classify_rows_exceptional(family: str) -> List[Dict]:
     s = describe(family).s
     rows = []
     for rec in records:
-        if not evaluate_conditions(rec).all_hold:
-            continue
         data = rec.sl2_data()
         witness = Witness(m_minus_h=s, g0_minus_2c=data.dim_g0 - 2 * data.dim_c,
                           centralizer_compact=rec.centralizer_type.is_compact,
                           even_triple=is_even_triple(data))
+        if not witness.verdict.is_magical:
+            continue
         rows.append(_classify_row(_wdd_orbit(rec.wdd),
                                   MagicalStatus(witness, rec.centralizer_type), 1))
     return rows

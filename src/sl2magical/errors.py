@@ -19,7 +19,7 @@ class InconsistentGradingError(DomainError):
 
 
 class NormalityError(DomainError):
-    """No basis ordering makes a triple normal for the requested involution."""
+    """An su(p,q) signed datum whose rows do not hold p plus boxes."""
 
 
 class UnsupportedInvolutionError(DomainError):

@@ -30,6 +30,9 @@ template is checked to hold the key's units, a Cartan template's
 involution to negate e.  n_j and the h/m split sum the tables over the
 units and unit pairs of the orbit, weighted by multiplicity, less the
 identity matrix on the side of sigma(I) = +-I: it is in gl_N, not sl_N.
+A split builds no triple of the orbit: its units are the rows of the
+signed datum, each su unit led by the row's sign there, and the orbit's
+involution on one unit or two is the template's, checked there.
 The slices w < 0 are counted as columns but not ranked: ad_e is injective
 below weight 0, since its kernel holds highest-weight vectors only, so
 their nullity is 0 (tests/test_matrixoracle.py ranks them to check it).
@@ -55,7 +58,7 @@ from .matrixmodel import (
     transpose_involution,
     triple_on,
 )
-from .orbits import Partition, SignedPartitionData, check_partition
+from .orbits import Partition, SignedPartitionData, check_partition, plus_boxes
 from .rootsystems import LieFamily, LieType
 from .sl2data import Sl2Data
 
@@ -145,10 +148,11 @@ def _key_table(key: Key) -> Tuple[Tuple[int, Table], ...]:
         (w, v) for w, v in _nullity_by_weight(m, cols).items() if v))) for cols in sides)
 
 
-def _summed(keys: Counter, tables: Tables, sigma: Involution) -> Tuple[List[Counter], List[int]]:
+def _summed(keys: Counter, tables: Tables, identity: int) -> Tuple[List[Counter], List[int]]:
     """Nullity by weight and column count of each side, summed over the
-    keys; a key missing from tables is ranked and added, so callers passing
-    one dict to many orbits rank each key once."""
+    keys, less the identity matrix on side identity (0 or 1): it is in
+    gl_N, not in sl_N.  A key missing from tables is ranked and added, so
+    callers passing one dict to many orbits rank each key once."""
     nulls, dims = [Counter(), Counter()], [0, 0]
     for key, count in keys.items():
         if key not in tables:
@@ -157,18 +161,17 @@ def _summed(keys: Counter, tables: Tables, sigma: Involution) -> Tuple[List[Coun
             dims[side] += count * dim
             for w, v in table:
                 nulls[side][w] += count * v
-    # I is in gl_N, not in sl_N, on the side of sigma(I) = +-I (for so/sp,
-    # the -1 side of tau, which is not ranked)
-    trace = 0 if sigma(0, 0)[0] == 1 else 1
-    nulls[trace][0] -= 1
-    dims[trace] -= 1
+    nulls[identity][0] -= 1
+    dims[identity] -= 1
     return nulls, dims
 
 
 def oracle_sl2_data(layout: StringLayout, tables: Optional[Tables] = None) -> Sl2Data:
     """n_j as the nullity of ad_e on the weight-j slice of the algebra,
     summed from the tau tables of the layout's units and unit pairs."""
-    nulls, dims = _summed(_tau_keys(layout), {} if tables is None else tables, layout.tau)
+    # tau fixes I in gl; in so/sp it negates I, onto the side not ranked
+    identity = 0 if layout.algebra == "gl" else 1
+    nulls, dims = _summed(_tau_keys(layout), {} if tables is None else tables, identity)
     pairs = tuple((j, v) for j, v in sorted(nulls[0].items()) if j >= 0 and v)
     return Sl2Data(n=pairs, dim_g=dims[0])
 
@@ -196,18 +199,6 @@ def _ad(m: MatrixSl2Triple, leads: Sequence[int]) -> Involution:
     return lambda a, b: (signs[a] * signs[b], (a, b))
 
 
-def _su_involution(m: MatrixSl2Triple, signed: SignedPartitionData) -> Involution:
-    """Ad(S), each length's strings led by the tableau's plus signs, then its minus."""
-    budget = {part: [-1] * minus + [1] * plus for part, (plus, minus) in signed.signs}
-    leads = [budget[len(s)].pop() for s in m.strings]
-    plus_count = sum((len(s) + (lead == 1)) // 2 for s, lead in zip(m.strings, leads))
-    if plus_count != signed.params[0]:
-        raise NormalityError(
-            f"sign vector has {plus_count} plus entries, wanted {signed.params[0]}"
-        )
-    return _ad(m, leads)
-
-
 def _sl_involution(m: MatrixSl2Triple) -> Involution:
     """-B X^T B^{-1}, B the per-string reversal: an exact normal involution
     with fixed algebra of orthogonal type."""
@@ -218,30 +209,35 @@ def _sl_involution(m: MatrixSl2Triple) -> Involution:
     return transpose_involution(rev, [1] * m.size)
 
 
-def _involution(m: MatrixSl2Triple, signed: SignedPartitionData) -> Involution:
-    """The Cartan involution of the signed datum, checked to negate e."""
-    if signed.partition != m.partition:
-        raise DomainError("signed data is for a different partition")
-    if signed.family not in _CARTAN_MODELS:
+def _cartan_units(signed: SignedPartitionData) -> List[UnitType]:
+    """One unit per row of the signed datum: for su, led by the row's sign
+    in the tableau, whose plus boxes must number p; for sl, led by +1."""
+    if signed.family == "sl":
+        return [(1, part, 1) for part in signed.partition.parts]
+    if signed.family != "su":
         raise UnsupportedInvolutionError(
             f"no integer matrix involution implemented for family {signed.family!r}"
         )
-    if m.algebra != "gl":
-        raise DomainError(f"{signed.family} splits need a type A model")
-    sigma = _su_involution(m, signed) if signed.family == "su" else _sl_involution(m)
-    if not is_eigen(sigma, m.e, -1):
-        raise NormalityError(f"the {signed.family} involution does not negate e")
-    return sigma
+    units = [(1, part, lead) for part, (plus, minus) in signed.signs
+             for lead in [1] * plus + [-1] * minus]
+    if sorted((part for _, part, _ in units), reverse=True) != list(signed.partition.parts):
+        raise DomainError(f"the signs of {signed} do not cover each row once")
+    plus_count = sum(plus_boxes(part, plus, minus) for part, (plus, minus) in signed.signs)
+    if plus_count != signed.params[0]:
+        raise NormalityError(
+            f"sign vector has {plus_count} plus entries, wanted {signed.params[0]}"
+        )
+    return units
 
 
-def oracle_sigma_split(m: MatrixSl2Triple, signed: SignedPartitionData) -> SigmaSplitReport:
+def oracle_sigma_split(signed: SignedPartitionData) -> SigmaSplitReport:
     """The h/m split of each highest-weight space, summed from the split
-    tables of the strings and string pairs; string s leads with the sign
-    sigma(a, s_0), a the first index, so a pair's product is s_0 t_0."""
-    sigma = _involution(m, signed)
-    first = m.strings[0][0]
-    units = ((1, len(s), sigma(first, s[0])[0]) for s in m.strings)
-    (h_null, m_null), (dim_h, dim_m) = _summed(_keys(signed.family, units), _CARTAN_TABLES, sigma)
+    tables of the rows and row pairs of the signed datum; a row's unit
+    sign is its leading sign there, so a pair's sign is their product."""
+    # I is in h for su (Ad(S) fixes it), in m for sl (-X^T negates it)
+    identity = 0 if signed.family == "su" else 1
+    keys = _keys(signed.family, _cartan_units(signed))
+    (h_null, m_null), (dim_h, dim_m) = _summed(keys, _CARTAN_TABLES, identity)
     splits = tuple((w, (h_null[w], m_null[w])) for w in sorted(h_null.keys() | m_null.keys())
                    if w >= 0 and (h_null[w] or m_null[w]))
     return SigmaSplitReport(family=signed.family, params=signed.params, splits=splits,

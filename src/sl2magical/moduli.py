@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple, Union
 
 from .errors import DomainError, MissingDataError
-from .matrixoracle import build_matrix_triple, oracle_sigma_split
-from .orbits import Partition, SignedPartitionData
+from .matrixoracle import oracle_sigma_split
+from .orbits import Partition, SignedPartitionData, check_partition
 from .realforms import RealFormDescriptor
 from .realforms import describe, milnor_wood as milnor_wood_bound
 
@@ -55,7 +55,8 @@ def expected_dim(genus: int, d: RealFormDescriptor) -> int:
 
 def _classical_split(form: RealFormDescriptor, p: Partition,
                      signed: SignedPartitionData) -> Tuple[int, Dict[int, int]]:
-    report = oracle_sigma_split(build_matrix_triple(form.complexification(), p), signed)
+    check_partition(form.complexification(), p)  # the rank cap, then the orbit
+    report = oracle_sigma_split(signed)
     a = {w: m for w, m in report.m_parts().items() if w > 0 and m > 0}
     return report.split_at(0)[0], a
 
@@ -102,6 +103,8 @@ def rigidity_report(genus: int, family: str, params: Params,
     else:
         if signed is None:
             raise DomainError("classical rigidity reports need a signed datum")
+        if signed.family != family or tuple(signed.params) != tuple(params):
+            raise DomainError(f"signed datum {signed} does not belong to {family}{params}")
         if signed.partition != orbit:
             raise DomainError(f"signed datum {signed} does not refine {orbit}")
         dim_c_cap_h, a = _classical_split(form, orbit, signed)

@@ -116,6 +116,19 @@ def test_classify_exceptional_failures_empty(capsys):
         assert json.loads(out)["rows"] == []
 
 
+def test_classify_keeps_rows_by_the_verdict(capsys, monkeypatch, tmp_path):
+    """classify keeps a record by the verdict of its witness, which does
+    not read dim_Veven_cap_m: the E6^-14 row without it is still a row."""
+    path = tmp_path / "no_veven.jsonl"
+    path.write_text(json.dumps({
+        "realform": "E6^-14", "wdd": [1, 0, 0, 0, 0, 1], "dim_V_cap_h": 30,
+        "dim_c_cap_h": 22, "centralizer": "so(7)+so(2)", "source_row": "x"}) + "\n")
+    monkeypatch.setenv(DATASET_ENV, str(path))
+    code, out, _ = run(capsys, "classify", "E6^-14", "--format", "json")
+    assert code == 0
+    assert [row["verdict"] for row in json.loads(out)["rows"]] == ["OddMagical"]
+
+
 def test_classify_unknown_family_exit_2(capsys):
     code, _, err = run(capsys, "classify", "magic", "3")
     assert code == 2

@@ -8,16 +8,16 @@ import pytest
 from sl2magical import matrixoracle
 from sl2magical.errors import DomainError, NormalityError, UnsupportedInvolutionError
 from sl2magical.linalg import integer_rank
-from sl2magical.matrixmodel import ad_e_images, eigen_columns, identity_involution
+from sl2magical.matrixmodel import ad_e_images, eigen_columns, identity_involution, is_eigen
 from sl2magical.matrixoracle import (
     SigmaSplitReport,
-    _involution,
     _key_table,
     _nullity_by_weight,
     build_matrix_triple,
     oracle_sigma_split,
     oracle_sl2_data,
 )
+from sl2magical.moduli import rigidity_report
 from sl2magical.orbits import (
     Partition,
     SignedPartitionData,
@@ -113,30 +113,17 @@ def test_triple_outside_the_form_is_rejected():
     assert replace(m, pairing_sign=tuple(rescaled)).pairing_sign == tuple(rescaled)
 
 
-def test_involution_fixing_e_is_rejected(monkeypatch):
-    m = build_matrix_triple(LieType.of("A", 2), Partition.parse("3"))
-    (signed,) = enumerate_signed_data("sl", (3,), Partition.parse("3"))
-    monkeypatch.setattr(matrixoracle, "_sl_involution", lambda m: identity_involution)
-    with pytest.raises(NormalityError, match="does not negate e"):
-        oracle_sigma_split(m, signed)
-
-
 def test_involution_checks_each_call():
-    """The per-call checks of the Cartan involution, each with its own error."""
-    a2 = build_matrix_triple(LieType.of("A", 2), Partition.parse("3"))
-    (other,) = enumerate_signed_data("sl", (3,), Partition.parse("2,1"))
-    with pytest.raises(DomainError, match="different partition") as err:
-        _involution(a2, other)
-    assert err.type is DomainError
-    b2 = build_matrix_triple(LieType.of("B", 2), Partition.parse("3,1,1"))
-    signed = enumerate_signed_data("su", (2, 3), Partition.parse("3,1,1"))[0]
-    with pytest.raises(DomainError, match="su splits need a type A model") as err:
-        _involution(b2, signed)
-    assert err.type is DomainError
-    m = build_matrix_triple(LieType.of("A", 2), Partition.parse("2,1"))
-    wrong = SignedPartitionData("su", (1, 2), m.partition, ((2, (1, 0)), (1, (1, 0))))
+    """Each split checks its su datum: its signs cover every row once, and
+    the rows hold p plus boxes."""
+    p = Partition.parse("2,1")
+    for signs in [((2, (0, 1)),), ((2, (1, 0)), (2, (1, 0)))]:
+        with pytest.raises(DomainError, match="do not cover each row once") as err:
+            oracle_sigma_split(SignedPartitionData("su", (2, 1), p, signs))
+        assert err.type is DomainError
+    wrong = SignedPartitionData("su", (1, 2), p, ((2, (1, 0)), (1, (1, 0))))
     with pytest.raises(NormalityError, match="2 plus entries, wanted 1"):
-        _involution(m, wrong)
+        oracle_sigma_split(wrong)
 
 
 def test_template_involution_fixing_e_is_rejected(monkeypatch):
@@ -147,10 +134,24 @@ def test_template_involution_fixing_e_is_rejected(monkeypatch):
         _key_table(("sl", "S", (3,), 1))
 
 
+def _orbit_involution(m, signed):
+    """The Cartan involution of the whole orbit, on its triple m: Ad(S),
+    each length's strings led by the datum's plus rows, then its minus
+    rows, for su; -B X^T B^{-1} for sl.  Checked to negate e."""
+    if signed.family == "su":
+        budget = {part: [-1] * minus + [1] * plus for part, (plus, minus) in signed.signs}
+        sigma = matrixoracle._ad(m, [budget[len(s)].pop() for s in m.strings])
+    else:
+        sigma = matrixoracle._sl_involution(m)
+    assert is_eigen(sigma, m.e, -1), signed
+    return sigma
+
+
 def _full_sigma_route(m, signed):
-    """The h/m split from ranking every eigen-column of the involution on
-    all of gl_N at once, less the identity on the side of sigma(I)."""
-    sigma = _involution(m, signed)
+    """The h/m split from ranking every eigen-column of the orbit's
+    involution on all of gl_N at once, less the identity on the side of
+    sigma(I)."""
+    sigma = _orbit_involution(m, signed)
     sides = eigen_columns(m, sigma)
     nulls = [_nullity_by_weight(m, cols) for cols in sides]
     dims = [sum(map(len, cols.values())) for cols in sides]
@@ -177,12 +178,31 @@ def test_sigma_tables_match_the_full_route(monkeypatch):
             m = build_matrix_triple(t, p)
             for family, params in forms:
                 for signed in enumerate_signed_data(family, params, p):
-                    assert oracle_sigma_split(m, signed) == _full_sigma_route(m, signed)
+                    assert oracle_sigma_split(signed) == _full_sigma_route(m, signed)
                     checked += 1
     assert checked == 482  # every su and sl signed datum of size <= 8
     kinds = {(model, kind, sign) for model, kind, _, sign in matrixoracle._CARTAN_TABLES}
     assert kinds == {("su", "S", 1), ("su", "SS", 1), ("su", "SS", -1),
                      ("sl", "S", 1), ("sl", "SS", 1)}
+
+
+def test_warm_splits_build_no_triple(monkeypatch):
+    """Once the split tables are warm, a rigidity report of an su or sl
+    orbit builds no triple: its units come from the signed datum."""
+    monkeypatch.setattr(matrixoracle, "_CARTAN_TABLES", {})
+    cases = [((family, params), signed)
+             for n in range(2, 7)
+             for family, params in [("su", (a, n - a)) for a in range(1, n)] + [("sl", (n,))]
+             for p in enumerate_partitions("A", n)
+             for signed in enumerate_signed_data(family, params, p)]
+    warm = [rigidity_report(2, *form, signed.partition, signed) for form, signed in cases]
+    built = []
+    triple_on = matrixoracle.triple_on
+    monkeypatch.setattr(matrixoracle, "triple_on", lambda layout: built.append(layout)
+                        or triple_on(layout))
+    assert [rigidity_report(2, *form, signed.partition, signed) for form, signed in cases] == warm
+    assert built == []
+    assert len(cases) == 154  # every su and sl signed datum of size <= 6
 
 
 def _negative_slice_nullities(m, columns):
@@ -217,7 +237,7 @@ def test_ad_e_is_injective_below_weight_0():
             m = build_matrix_triple(t, p)
             for family, params in forms:
                 for signed in enumerate_signed_data(family, params, p):
-                    for side in eigen_columns(m, _involution(m, signed)):
+                    for side in eigen_columns(m, _orbit_involution(m, signed)):
                         nullities = _negative_slice_nullities(m, side)
                         assert set(nullities) <= {0}, f"{signed}: {nullities}"
                         slices += len(nullities)
@@ -234,12 +254,10 @@ def test_sigma_splits_up_to_size_12_are_pinned():
     checked = 0
     for n in range(2, 13):
         forms = [("su", (a, n - a)) for a in range(1, n)] + [("sl", (n,))]
-        t = LieType.of("A", n - 1)
         for p in enumerate_partitions("A", n):
-            m = build_matrix_triple(t, p)
             for family, params in forms:
                 for signed in enumerate_signed_data(family, params, p):
-                    digest.update((repr(oracle_sigma_split(m, signed)) + "\n").encode())
+                    digest.update((repr(oracle_sigma_split(signed)) + "\n").encode())
                     checked += 1
     assert checked == 3377
     assert digest.hexdigest() == (
@@ -257,12 +275,10 @@ def test_parity_rule_enforced():
 
 
 def test_sigma_split_su23():
-    t = LieType.of("A", 4)
     p = Partition.parse("2^2,1")
-    m = build_matrix_triple(t, p)
     compact, mixed = None, None
     for signed in enumerate_signed_data("su", (2, 3), p):
-        r = oracle_sigma_split(m, signed)
+        r = oracle_sigma_split(signed)
         assert r.dim_m == r.dim_h  # su(2,3) has dim m = dim h
         if signed.sign_split(2) == (1, 1):
             mixed = r
@@ -282,12 +298,11 @@ def test_sigma_split_totals():
         forms = [("su", (a, n - a)) for a in range(1, n)] + [("sl", (n,))]
         t = LieType.of("A", n - 1)
         for p in enumerate_partitions("A", n):
-            m = build_matrix_triple(t, p)
             mult = multiplicities_formula(t, p)
             for family, params in forms:
                 form = describe(family, params)
                 for signed in enumerate_signed_data(family, params, p):
-                    r = oracle_sigma_split(m, signed)
+                    r = oracle_sigma_split(signed)
                     assert {w: h + mm for w, (h, mm) in r.splits} == mult
                     assert (r.dim_h, r.dim_m) == (form.dim_h, form.dim_m)
                     checked += 1
@@ -296,24 +311,20 @@ def test_sigma_split_totals():
 
 def test_sigma_split_su12_odd_space():
     # V_1 of [2,1] in su(1,2) splits (1,1) whatever the free sign choice
-    t = LieType.of("A", 2)
     p = Partition.parse("2,1")
-    m = build_matrix_triple(t, p)
     for signed in enumerate_signed_data("su", (1, 2), p):
         assert signed.sign_split(1) == (0, 1)  # signature forces the 1-row
-        r = oracle_sigma_split(m, signed)
+        r = oracle_sigma_split(signed)
         assert r.split_at(1) == (1, 1)
 
 
 def test_sigma_split_su22_even_orbit():
     # [2,2] has no odd weight space and V_2 lies entirely in m for the
     # definite sign choice
-    t = LieType.of("A", 3)
     p = Partition.parse("2,2")
-    m = build_matrix_triple(t, p)
     signed = next(s for s in enumerate_signed_data("su", (2, 2), p)
                   if s.sign_split(2) == (2, 0))
-    r = oracle_sigma_split(m, signed)
+    r = oracle_sigma_split(signed)
     assert r.split_at(1) == (0, 0)
     assert r.split_at(2) == (0, 4)
 
@@ -321,17 +332,14 @@ def test_sigma_split_su22_even_orbit():
 def test_sl_split_is_supported():
     t = LieType.of("A", 2)
     p = Partition.parse("3")
-    m = build_matrix_triple(t, p)
     (signed,) = enumerate_signed_data("sl", (3,), p)
-    r = oracle_sigma_split(m, signed)
+    r = oracle_sigma_split(signed)
     assert r.dim_m - r.dim_h == 2  # sl(3,R): dim m - dim h = 5 - 3
     assert {w: h + mm for w, (h, mm) in r.splits} == multiplicities_formula(t, p)
 
 
 def test_orthogonal_involutions_unsupported():
-    t = LieType.of("B", 2)
     p = Partition.parse("3,1,1")
-    m = build_matrix_triple(t, p)
     for signed in enumerate_signed_data("so", (2, 3), p):
         with pytest.raises(UnsupportedInvolutionError):
-            oracle_sigma_split(m, signed)
+            oracle_sigma_split(signed)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from sl2magical.errors import DomainError, MissingDataError
+from sl2magical.errors import DomainError, MissingDataError, RankDomainError
 from sl2magical.magical import Verdict, classify_realform, family_parameter_space
 from sl2magical.moduli import (
     expected_dim,
@@ -84,6 +84,21 @@ def test_genus_scaling_is_linear():
 def test_classical_requires_signed_datum():
     with pytest.raises(DomainError):
         rigidity_report(2, "su", (2, 2), Partition.parse("2^2"))
+
+
+def test_signed_datum_of_another_form_is_rejected():
+    """A datum is read for its own form only: the sl(3,R) datum of [3]
+    splits as sl(3,R) does, not as su(1,2), whose [3] has gap 10."""
+    p = Partition.parse("3")
+    with pytest.raises(DomainError, match="does not belong to su"):
+        rigidity_report(2, "su", (1, 2), p, _signed("sl", (3,), "3"))
+    assert rigidity_report(2, "su", (1, 2), p, _signed("su", (1, 2), "3")).gap == 10
+
+
+def test_rank_cap_is_checked_before_the_split():
+    p = Partition.parse("14")
+    with pytest.raises(RankDomainError, match=r"sl\(14,R\): A13 exceeds the classical rank cap"):
+        rigidity_report(2, "sl", (14,), p, _signed("sl", (14,), "14"))
 
 
 def test_exceptional_report():

@@ -1,7 +1,9 @@
-"""Every module of the package compiles without a warning, and every
-function and class it defines is used."""
+"""Every module of the package compiles without a warning, every
+function and class it defines is used, and every function the benchmark
+tracer wraps exists."""
 
 import ast
+import importlib
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -10,6 +12,7 @@ import sl2magical
 
 PACKAGE = Path(sl2magical.__file__).parent
 TESTS = Path(__file__).parent
+TRACER = TESTS.parent / "perfbench" / "tracer.py"
 
 
 def test_modules_compile_without_warnings():
@@ -49,3 +52,20 @@ def test_every_definition_is_referenced():
                 if used[node.name] == own:
                     unused.append(node.name)
     assert unused == []
+
+
+def test_traced_layers_exist():
+    """Each "module.function" key of the tracer's LAYERS names a function
+    of the package, so deleting a traced function fails here, not only in
+    a traced benchmark run.  The keys are read from the tracer's source."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    (layers,) = [node.value for node in ast.walk(tree)
+                 if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", "") == "LAYERS"]
+    names = [ast.literal_eval(key) for key in layers.keys]
+    assert names
+    missing = []
+    for name in names:
+        module, function = name.rsplit(".", 1)
+        if not callable(getattr(importlib.import_module(f"sl2magical.{module}"), function, None)):
+            missing.append(name)
+    assert missing == []
