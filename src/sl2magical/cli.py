@@ -31,13 +31,7 @@ from .moduli import rigidity_report
 from .orbits import Partition, enumerate_signed_data, weighted_dynkin_from_partition
 from .realforms import EXCEPTIONAL_FORMS, describe
 from .rootsystems import CLASSICAL_RANK_CAP, LieType, WeightedDynkinDiagram
-from .sl2data import (
-    dim_c_formula,
-    dim_g0_formula,
-    dim_v_rho_formula,
-    is_even_triple,
-    multiplicities_formula,
-)
+from .sl2data import closed_dims, is_even_triple, multiplicities_formula
 
 # ---------------------------------------------------------------- rendering
 
@@ -90,14 +84,15 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     p = Partition.parse(args.partition)
     wdd = weighted_dynkin_from_partition(t, p)
     n = multiplicities_formula(t, p)
+    dim_c, dim_g0, dim_v_rho = closed_dims(t, p)
     doc = {
         "type": t.name,
         "partition": str(p),
         "wdd": list(wdd.labels),
         "n": {str(j): n[j] for j in sorted(n)},
-        "dim_c": dim_c_formula(t, p),
-        "dim_g0": dim_g0_formula(t, p),
-        "dim_v_rho": dim_v_rho_formula(t, p),
+        "dim_c": dim_c,
+        "dim_g0": dim_g0,
+        "dim_v_rho": dim_v_rho,
     }
     rows = [("type", doc["type"]), ("partition", doc["partition"]),
             ("wdd", " ".join(str(x) for x in doc["wdd"]))]

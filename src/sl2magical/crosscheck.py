@@ -17,7 +17,7 @@ from typing import Iterator, List, Tuple
 
 from .dataset import evaluate_conditions, load_records
 from .errors import DatasetSchemaError, MissingDataError
-from .matrixoracle import Tables, oracle_sl2_data, string_layout
+from .matrixoracle import Tables, oracle_sl2_data
 from .orbits import Partition, enumerate_partitions, weighted_dynkin_from_partition
 from .realforms import describe, exceptional_s_value
 from .rootsystems import (
@@ -28,13 +28,7 @@ from .rootsystems import (
     ad_grading,
     build_root_system,
 )
-from .sl2data import (
-    dim_c_formula,
-    dim_g0_formula,
-    dim_v_rho_formula,
-    module_multiplicities,
-    multiplicities_formula,
-)
+from .sl2data import closed_dims, module_multiplicities, multiplicities_formula
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -55,17 +49,16 @@ def _orbits(max_rank: int) -> Iterator[Tuple[LieType, RootSystem, Partition]]:
 
 
 def _oracle_mismatch(t: LieType, p: Partition, rs: RootSystem, tables: Tables,
-                     g0: int, v: int) -> str:
+                     dims: Tuple[int, int, int]) -> str:
     """Formula vs grading vs matrix oracle vs closed dims on one orbit: the
     counterexample, or "" when all agree."""
     formula = multiplicities_formula(t, p)
     graded = module_multiplicities(ad_grading(rs, weighted_dynkin_from_partition(t, p))).as_dict()
-    oracle = oracle_sl2_data(string_layout(t, p), tables).as_dict()
+    oracle = oracle_sl2_data(t, p, tables).as_dict()
     if not formula == graded == oracle:
         return f"{t.name} {p}: formula {formula}, grading {graded}, oracle {oracle}"
     sums = (formula.get(0, 0), sum(m for j, m in formula.items() if j % 2 == 0),
             sum(formula.values()))
-    dims = (dim_c_formula(t, p), g0, v)
     if dims != sums:
         return f"{t.name} {p}: closed dims {dims} != {sums}"
     return ""
@@ -82,20 +75,20 @@ def _parity_mismatch(t: LieType, p: Partition, g0: int, v: int) -> str:
 
 def _orbit_checks(max_rank: int) -> Tuple[CheckResult, CheckResult]:
     """Oracle equivalence and the parity lemma in one walk over the orbits
-    up to the bound.  Each orbit's closed dim g_0 and dim V_rho are
-    computed once and read by both checks.  Each check counts its cases up
+    up to the bound.  Each orbit's closed dims are computed once, by one
+    closed_dims call, and read by both checks.  Each check counts its cases up
     to its own first counterexample; the walk ends when both have one."""
     oracle = parity = ""
     oracle_cases = parity_cases = 0
     tables: Tables = {}
     for t, rs, p in _orbits(max_rank):
-        g0, v = dim_g0_formula(t, p), dim_v_rho_formula(t, p)
+        dims = closed_dims(t, p)
         if not oracle:
-            oracle = _oracle_mismatch(t, p, rs, tables, g0, v)
+            oracle = _oracle_mismatch(t, p, rs, tables, dims)
             if not oracle:
                 oracle_cases += 1
         if not parity:
-            parity = _parity_mismatch(t, p, g0, v)
+            parity = _parity_mismatch(t, p, dims[1], dims[2])
             if not parity:
                 parity_cases += 1
         if oracle and parity:

@@ -42,7 +42,7 @@ Index = Tuple[Dict[int, List[Tuple[int, int]]], Dict[int, List[Tuple[int, int]]]
 Involution = Callable[[int, int], Tuple[int, Entry]]
 
 # so: odd strings are self-paired; sp: even strings are.  gl has no form.
-_SELF_PAIRED_PARITY = {"so": 1, "sp": 0}
+SELF_PAIRED_PARITY = {"so": 1, "sp": 0}
 
 
 def _index(a: Sparse) -> Index:
@@ -181,7 +181,7 @@ def lay_out(algebra: str, p: Partition) -> StringLayout:
     pairing = list(range(next_index))
     mu = [1] * next_index
     if algebra != "gl":
-        keep = _SELF_PAIRED_PARITY[algebra]
+        keep = SELF_PAIRED_PARITY[algebra]
         open_partner: Dict[int, Tuple[int, ...]] = {}
         for s in strings:
             i = len(s)

@@ -30,9 +30,13 @@ template is checked to hold the key's units, a Cartan template's
 involution to negate e.  n_j and the h/m split sum the tables over the
 units and unit pairs of the orbit, weighted by multiplicity, less the
 identity matrix on the side of sigma(I) = +-I: it is in gl_N, not sl_N.
-A split builds no triple of the orbit: its units are the rows of the
-signed datum, each su unit led by the row's sign there, and the orbit's
-involution on one unit or two is the template's, checked there.
+Neither lays out the orbit itself.  For n_j an orbit's units come from
+its multiplicity table: a part k of multiplicity r gives r units S in gl,
+and in so/sp when k has the self-paired parity, else r/2 units P; each
+tau template is checked to hold, by lay_out's grouping, the units this
+rule gives it.  A split's units are the rows of the signed datum, each
+su unit led by the row's sign there, and the orbit's involution on one
+unit or two is the template's, checked there.
 The slices w < 0 are counted as columns but not ranked: ad_e is injective
 below weight 0, since its kernel holds highest-weight vectors only, so
 their nullity is 0 (tests/test_matrixoracle.py ranks them to check it).
@@ -42,11 +46,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import DomainError, NormalityError, UnsupportedInvolutionError
+from .errors import NormalityError, UnsupportedInvolutionError
 from .linalg import integer_rank
 from .matrixmodel import (
+    SELF_PAIRED_PARITY,
     Columns,
     Involution,
     MatrixSl2Triple,
@@ -59,7 +64,7 @@ from .matrixmodel import (
     triple_on,
 )
 from .orbits import Partition, SignedPartitionData, check_partition, plus_boxes
-from .rootsystems import LieFamily, LieType
+from .rootsystems import LieType
 from .sl2data import Sl2Data
 
 # (model, unit kinds, string length of each unit, sign), e.g. ("so", "SP", (3, 2), 1).
@@ -71,19 +76,15 @@ Tables = Dict[Key, Tuple[Tuple[int, Table], ...]]
 # A unit's (number of strings, string length, leading sign).
 UnitType = Tuple[int, int, int]
 
-_FAMILY_ALGEBRA = {LieFamily.A: "gl", LieFamily.B: "so", LieFamily.C: "sp", LieFamily.D: "so"}
+_FAMILY_ALGEBRA = {"A": "gl", "B": "so", "C": "sp", "D": "so"}
 _CARTAN_MODELS = ("su", "sl")
 _CARTAN_TABLES: Tables = {}  # the split tables, ranked once per process
 
 
-def string_layout(t: LieType, p: Partition) -> StringLayout:
-    """The layout of the orbit p of the classical type t, validated."""
-    check_partition(t, p)
-    return lay_out(_FAMILY_ALGEBRA[t.family], p)
-
-
 def build_matrix_triple(t: LieType, p: Partition) -> MatrixSl2Triple:
-    return triple_on(string_layout(t, p))
+    """The triple on the layout of the orbit p of the classical type t,
+    validated."""
+    return triple_on(lay_out(_FAMILY_ALGEBRA[check_partition(t, p)], p))
 
 
 def _nullity_by_weight(m: MatrixSl2Triple, columns: Columns) -> Dict[int, int]:
@@ -108,9 +109,10 @@ def _unit_columns(m: MatrixSl2Triple, sigma: Involution, units: int) -> Tuple[Co
                                     if len({unit_of[a], unit_of[b]}) == units])
 
 
-def _keys(model: str, unit_types: Iterable[UnitType]) -> Counter:
-    """Key -> the number of units, or pairs of distinct units, with that key."""
-    units = sorted(Counter(unit_types).items())
+def _keys(model: str, unit_counts: Mapping[UnitType, int]) -> Counter:
+    """Key -> the number of units, or pairs of distinct units, with that
+    key, from the count of each unit type."""
+    units = sorted(unit_counts.items())
     keys: Counter = Counter()
     for i, ((strings, length, sign), count) in enumerate(units):
         kind = "SP"[strings - 1]
@@ -123,8 +125,19 @@ def _keys(model: str, unit_types: Iterable[UnitType]) -> Counter:
     return keys
 
 
-def _tau_keys(layout: StringLayout) -> Counter:
-    return _keys(layout.algebra, ((len(u), len(u[0]), 1) for u in layout.units()))
+def _tau_units(algebra: str, p: Partition) -> Dict[UnitType, int]:
+    """The count of each unit type of p in the algebra, from its
+    multiplicity table: a part of multiplicity r gives r self-paired
+    strings S in gl, and in so/sp when of the self-paired parity; any
+    other part gives r/2 coupled pairs P."""
+    keep = SELF_PAIRED_PARITY.get(algebra)
+    units = {}
+    for part, r in p.multiplicities().items():
+        if keep is None or part % 2 == keep:
+            units[1, part, 1] = r
+        else:
+            units[2, part, 1] = r // 2
+    return units
 
 
 def _key_table(key: Key) -> Tuple[Tuple[int, Table], ...]:
@@ -141,7 +154,9 @@ def _key_table(key: Key) -> Tuple[Tuple[int, Table], ...]:
             raise AssertionError(f"template {m.name}: the {model} involution does not negate e")
         sides = _unit_columns(m, sigma, len(kind))
     else:
-        if _tau_keys(m)[key] != 1:
+        units = _tau_units(model, m.partition)
+        laid_out = Counter((len(u), len(u[0]), 1) for u in m.units())
+        if laid_out != units or _keys(model, units)[key] != 1:
             raise AssertionError(f"template {m.name} does not hold the units of {key}")
         sides = _unit_columns(m, m.tau, len(kind))[:1]
     return tuple((sum(map(len, cols.values())), tuple(sorted(
@@ -166,12 +181,20 @@ def _summed(keys: Counter, tables: Tables, identity: int) -> Tuple[List[Counter]
     return nulls, dims
 
 
-def oracle_sl2_data(layout: StringLayout, tables: Optional[Tables] = None) -> Sl2Data:
-    """n_j as the nullity of ad_e on the weight-j slice of the algebra,
-    summed from the tau tables of the layout's units and unit pairs."""
+def oracle_sl2_data(t: Union[LieType, StringLayout], p: Optional[Partition] = None,
+                    tables: Optional[Tables] = None) -> Sl2Data:
+    """n_j of the orbit p of the classical type t, validated, as the
+    nullity of ad_e on the weight-j slice of the algebra, summed from the
+    tau tables of its units and unit pairs.  A laid-out orbit t carries
+    its algebra and partition, and p is then left out."""
+    if p is None:
+        algebra, p = t.algebra, t.partition
+    else:
+        algebra = _FAMILY_ALGEBRA[check_partition(t, p)]
     # tau fixes I in gl; in so/sp it negates I, onto the side not ranked
-    identity = 0 if layout.algebra == "gl" else 1
-    nulls, dims = _summed(_tau_keys(layout), {} if tables is None else tables, identity)
+    identity = 0 if algebra == "gl" else 1
+    keys = _keys(algebra, _tau_units(algebra, p))
+    nulls, dims = _summed(keys, {} if tables is None else tables, identity)
     pairs = tuple((j, v) for j, v in sorted(nulls[0].items()) if j >= 0 and v)
     return Sl2Data(n=pairs, dim_g=dims[0])
 
@@ -220,8 +243,6 @@ def _cartan_units(signed: SignedPartitionData) -> List[UnitType]:
         )
     units = [(1, part, lead) for part, (plus, minus) in signed.signs
              for lead in [1] * plus + [-1] * minus]
-    if sorted((part for _, part, _ in units), reverse=True) != list(signed.partition.parts):
-        raise DomainError(f"the signs of {signed} do not cover each row once")
     plus_count = sum(plus_boxes(part, plus, minus) for part, (plus, minus) in signed.signs)
     if plus_count != signed.params[0]:
         raise NormalityError(
@@ -236,7 +257,7 @@ def oracle_sigma_split(signed: SignedPartitionData) -> SigmaSplitReport:
     sign is its leading sign there, so a pair's sign is their product."""
     # I is in h for su (Ad(S) fixes it), in m for sl (-X^T negates it)
     identity = 0 if signed.family == "su" else 1
-    keys = _keys(signed.family, _cartan_units(signed))
+    keys = _keys(signed.family, Counter(_cartan_units(signed)))
     (h_null, m_null), (dim_h, dim_m) = _summed(keys, _CARTAN_TABLES, identity)
     splits = tuple((w, (h_null[w], m_null[w])) for w in sorted(h_null.keys() | m_null.keys())
                    if w >= 0 and (h_null[w] or m_null[w]))

@@ -264,8 +264,15 @@ class SignedPartitionData:
     signs: SignTable = ()
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
+        spec = FAMILIES.get(self.family)
+        if spec is None:
             raise DomainError(f"unknown real-form family {self.family!r}")
+        listed = [part for part, _ in self.signs]
+        wanted = [part for part in self.partition._counts
+                  if spec.forced_split or part % 2 in spec.signed_parities]
+        if listed != wanted:
+            raise DomainError(f"the signs of {self} list the parts {listed}, "
+                              f"not each of {wanted} once, descending")
         for part, (a, b) in self.signs:
             if a < 0 or b < 0:
                 raise DomainError(f"negative sign count on part {part}")

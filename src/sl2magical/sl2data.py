@@ -5,7 +5,10 @@ pipeline differences dim g_j - dim g_{j+2}.  The tensor route decomposes
 the adjoint representation by Clebsch-Gordan (gl = V (x) V, so = /\^2 V,
 sp = S^2 V) straight from the partition.  The closed formulas for dim c,
 dim V_rho, dim g_0 follow Collingwood-McGovern, Cor. 6.1.4, with the
-correction term for dim V_rho linear in the odd multiplicities.
+correction term for dim V_rho linear in the odd multiplicities; one call,
+closed_dims, gives all three and validates the orbit once.  Both routes
+read the partition's multiplicity table, as the matrix oracle does for
+the units it sums its nullity tables over.
 """
 
 from __future__ import annotations
@@ -123,46 +126,34 @@ def multiplicities_formula(t: LieType, p: Partition) -> Dict[int, int]:
     return {j: m for j, m in n.items() if m}
 
 
-def dim_c_formula(t: LieType, p: Partition) -> int:
-    """Reductive centralizer of the triple (Collingwood-McGovern 6.1.3):
-    A: sum r_i^2 - 1; B/D: so factors on odd parts, sp on even;
-    C: the other way around."""
+def closed_dims(t: LieType, p: Partition) -> Tuple[int, int, int]:
+    """(dim c, dim g_0, dim V_rho) of the orbit by the closed formulas of
+    Collingwood-McGovern, Cor. 6.1.4, with the orbit validated once.
+
+    dim c, the reductive centralizer (6.1.3): A: sum r_i^2 - 1; B/D: so
+    factors on odd parts, sp on even; C: the other way around.
+    dim V_rho = dim ker ad_e: A: sum s_i^2 - 1; C: (sum s_i^2 + sum_{odd}
+    r_i)/2; B/D: (sum s_i^2 - sum_{odd} r_i)/2, s the dual partition.
+    dim g_0 is dim V_rho less the opposite-parity correction: every pair of
+    parts i < j of opposite parity costs 2i (type A) or i (B/C/D) times
+    r_i r_j.
+    """
     fam = check_partition(t, p)
     r = p.multiplicities()
-    if fam == "A":
-        return sum(m * m for m in r.values()) - 1
-    so_parity = 1 if fam in ("B", "D") else 0
-    total = 0
-    for part, m in r.items():
-        if part % 2 == so_parity:
-            total += m * (m - 1) // 2
-        else:
-            total += m * (m + 1) // 2
-    return total
-
-
-def dim_v_rho_formula(t: LieType, p: Partition) -> int:
-    """dim ker ad_e: A: sum s_i^2 - 1; C: (sum s_i^2 + sum_{odd} r_i)/2;
-    B/D: (sum s_i^2 - sum_{odd} r_i)/2, s the dual partition."""
-    fam = check_partition(t, p)
     sq = sum(s * s for s in p.dual().parts)
     if fam == "A":
-        return sq - 1
-    odd = sum(m for part, m in p.multiplicities().items() if part % 2)
-    if fam == "C":
-        return (sq + odd) // 2
-    return (sq - odd) // 2
-
-
-def dim_g0_formula(t: LieType, p: Partition) -> int:
-    """dim V_rho minus the opposite-parity correction: every pair of parts
-    i < j of opposite parity costs 2i (type A) or i (B/C/D) times r_i r_j."""
-    fam = check_partition(t, p)
-    r = p.multiplicities()
+        dim_c = sum(m * m for m in r.values()) - 1
+        dim_v_rho = sq - 1
+    else:
+        so_parity = 0 if fam == "C" else 1
+        dim_c = sum(m * (m - 1) // 2 if part % 2 == so_parity else m * (m + 1) // 2
+                    for part, m in r.items())
+        odd = sum(m for part, m in r.items() if part % 2)
+        dim_v_rho = (sq + odd) // 2 if fam == "C" else (sq - odd) // 2
     weight = 2 if fam == "A" else 1
     correction = 0
-    for i, ri in r.items():
-        for j, rj in r.items():
-            if i < j and (i + j) % 2 == 1:
-                correction += weight * i * ri * rj
-    return dim_v_rho_formula(t, p) - correction
+    above = [0, 0]  # multiplicities of the larger parts, by parity
+    for i, ri in r.items():  # parts descending
+        correction += weight * i * ri * above[1 - i % 2]
+        above[i % 2] += ri
+    return dim_c, dim_v_rho - correction, dim_v_rho

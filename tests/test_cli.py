@@ -15,6 +15,7 @@ from sl2magical.dataset import DATASET_ENV
 from sl2magical.families import FAMILIES
 from sl2magical.magical import family_parameter_space
 from sl2magical.orbits import enumerate_partitions
+from sl2magical.rootsystems import CLASSICAL_MIN_RANK, LieType
 
 
 def run(capsys, *argv):
@@ -448,6 +449,31 @@ def test_slodowy_sweep_digest(capsys):
     assert commands == 415  # 267 exit 0, 148 exit 2 (no signed datum meets the form)
     assert digest.hexdigest() == (
         "236b6f513071453426e2b115e53040c91a7c921d78fba21e1310d6f1491ba573")
+
+
+def _orbit_sweep():
+    """orbit on every classical orbit of rank <= 6 in json, families A, B,
+    C, D, ranks ascending, partitions descending."""
+    for fam, low in CLASSICAL_MIN_RANK.items():
+        for rank in range(low, 7):
+            t = LieType.of(fam, rank)
+            for p in enumerate_partitions(t, t.matrix_size):
+                yield ("orbit", fam, str(rank), "--partition", ",".join(map(str, p.parts)),
+                       "--format", "json")
+
+
+def test_orbit_sweep_digest(capsys):
+    """The exit codes and output of the whole sweep, byte for byte, as
+    recorded while the closed dims were three separate formulas."""
+    digest = hashlib.sha256()
+    commands = 0
+    for argv in _orbit_sweep():
+        code, out, err = run(capsys, *argv)
+        digest.update(f"{' '.join(argv)}\n{code}\n{out}{err}\n".encode())
+        commands += 1
+    assert commands == 272  # the oracle-equivalence cases of verify --max-rank 6
+    assert digest.hexdigest() == (
+        "ba01701e02cba203e1edaa8a3cf23c16fc599566445ca6e05dd5564568144255")
 
 
 EXCEPTIONAL_TOKENS = ("E6^-14", "E6^-26", "E7^7", "E8^8", "E6^6", "E6^2", "E7^-5",

@@ -14,6 +14,7 @@ from sl2magical.magical import (
 from sl2magical.families import FAMILIES
 from sl2magical.orbits import (
     Partition,
+    SignedPartitionData,
     compact_candidates,
     enumerate_orbit_labels,
     enumerate_partitions,
@@ -70,6 +71,23 @@ def test_witness_numbers_su22():
     assert st.witness.m_minus_h == 1  # dim m - dim h = 8 - 7
     assert st.witness.g0_minus_2c == 1  # 7 - 2*3
     assert st.witness.even_triple
+
+
+@pytest.mark.parametrize("family,params,partition,signs", [
+    ("su", (2, 1), "2,1", ((2, (0, 1)),)),
+    ("su", (2, 1), "2,1", ((2, (1, 0)), (2, (1, 0)), (1, (1, 0)))),
+    ("su", (2, 1), "2,1", ((1, (1, 0)), (2, (1, 0)))),
+    ("so", (3, 2), "2^2,1", ((1, (1, 0)),)),
+], ids=["part-left-out", "part-listed-twice", "ascending", "forced-split-left-out"])
+def test_signs_must_list_each_part_once(family, params, partition, signs):
+    """A sign table must list, in descending order, each part of a signed
+    parity, and every part when the split is forced; otherwise the datum
+    is rejected with a DomainError before the criterion reads it."""
+    p = Partition.parse(partition)
+    with pytest.raises(DomainError, match="the signs of .* list the parts") as err:
+        extended_magical_status(family, params, p,
+                                SignedPartitionData(family, params, p, signs))
+    assert err.type is DomainError
 
 
 def test_classify_su23():

@@ -1,6 +1,7 @@
 """Matrix sl2-triples as an independent check on the closed formulas."""
 
 import hashlib
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -8,7 +9,13 @@ import pytest
 from sl2magical import matrixoracle
 from sl2magical.errors import DomainError, NormalityError, UnsupportedInvolutionError
 from sl2magical.linalg import integer_rank
-from sl2magical.matrixmodel import ad_e_images, eigen_columns, identity_involution, is_eigen
+from sl2magical.matrixmodel import (
+    ad_e_images,
+    eigen_columns,
+    identity_involution,
+    is_eigen,
+    lay_out,
+)
 from sl2magical.matrixoracle import (
     SigmaSplitReport,
     _key_table,
@@ -41,7 +48,8 @@ def test_oracle_agrees_with_formula(name, size):
     t = LieType.of(name)
     for p in enumerate_partitions(t.family.value, size):
         m = build_matrix_triple(t, p)
-        assert oracle_sl2_data(m).as_dict() == multiplicities_formula(t, p)
+        n = multiplicities_formula(t, p)
+        assert oracle_sl2_data(t, p).as_dict() == oracle_sl2_data(m).as_dict() == n
 
 
 def _full_route(m):
@@ -64,11 +72,27 @@ def test_block_tables_match_the_full_route():
             t = LieType.of(fam, rank)
             for p in enumerate_partitions(t, t.matrix_size):
                 m = build_matrix_triple(t, p)
-                assert oracle_sl2_data(m, tables).as_dict() == _full_route(m)
+                assert oracle_sl2_data(t, p, tables).as_dict() == _full_route(m)
                 checked += 1
     assert checked == 272  # the oracle-equivalence cases of verify --max-rank 6
     assert {(model, kind) for model, kind, _, _ in tables} == {("gl", "S"), ("gl", "SS")} | {
         (algebra, kind) for algebra in ("so", "sp") for kind in ("S", "SS", "P", "SP", "PP")}
+
+
+def test_multiplicity_units_match_the_layout():
+    """On every classical orbit of rank <= 8 the units the oracle reads
+    from the multiplicity table are lay_out's units, counted by (number of
+    strings, length)."""
+    checked = 0
+    for fam, low in CLASSICAL_MIN_RANK.items():
+        algebra = matrixoracle._FAMILY_ALGEBRA[fam]
+        for rank in range(low, 9):
+            t = LieType.of(fam, rank)
+            for p in enumerate_partitions(t, t.matrix_size):
+                laid_out = Counter((len(u), len(u[0]), 1) for u in lay_out(algebra, p).units())
+                assert matrixoracle._tau_units(algebra, p) == laid_out, f"{t.name} {p}"
+                checked += 1
+    assert checked == 742
 
 
 def test_tau_columns_satisfy_the_dense_form_equation():
@@ -114,12 +138,12 @@ def test_triple_outside_the_form_is_rejected():
 
 
 def test_involution_checks_each_call():
-    """Each split checks its su datum: its signs cover every row once, and
-    the rows hold p plus boxes."""
+    """Each su datum covers every row once, checked when it is made, and
+    each split checks that its rows hold p plus boxes."""
     p = Partition.parse("2,1")
     for signs in [((2, (0, 1)),), ((2, (1, 0)), (2, (1, 0)))]:
-        with pytest.raises(DomainError, match="do not cover each row once") as err:
-            oracle_sigma_split(SignedPartitionData("su", (2, 1), p, signs))
+        with pytest.raises(DomainError, match=r"not each of \[2, 1\] once") as err:
+            SignedPartitionData("su", (2, 1), p, signs)
         assert err.type is DomainError
     wrong = SignedPartitionData("su", (1, 2), p, ((2, (1, 0)), (1, (1, 0))))
     with pytest.raises(NormalityError, match="2 plus entries, wanted 1"):

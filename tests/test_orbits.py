@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from sl2magical import sl2data
 from sl2magical.errors import DomainError
-from sl2magical.matrixoracle import build_matrix_triple, string_layout
+from sl2magical.matrixoracle import build_matrix_triple, oracle_sl2_data
 from sl2magical.orbits import (
     OrbitLabel,
     Partition,
@@ -150,9 +150,8 @@ def test_weighted_dynkin_d5_sostar_row():
 
 
 @pytest.mark.parametrize("entry", [
-    string_layout, build_matrix_triple, weighted_dynkin_from_partition,
-    sl2data.multiplicities_formula, sl2data.dim_c_formula, sl2data.dim_v_rho_formula,
-    sl2data.dim_g0_formula,
+    build_matrix_triple, oracle_sl2_data, weighted_dynkin_from_partition,
+    sl2data.multiplicities_formula, sl2data.closed_dims,
 ], ids=lambda f: f.__name__)
 def test_every_partition_entry_point_validates_alike(entry):
     """Each function taking a classical type and a partition rejects a

@@ -13,9 +13,7 @@ from sl2magical.orbits import (
 )
 from sl2magical.rootsystems import CLASSICAL_MIN_RANK, LieType, ad_grading, build_root_system
 from sl2magical.sl2data import (
-    dim_c_formula,
-    dim_g0_formula,
-    dim_v_rho_formula,
+    closed_dims,
     is_even_triple,
     module_multiplicities,
     multiplicities_formula,
@@ -61,9 +59,10 @@ def test_closed_dims_are_sums():
     t = LieType.of("C", 3)
     for p in enumerate_partitions("C", 6):
         n = multiplicities_formula(t, p)
-        assert dim_c_formula(t, p) == n.get(0, 0)
-        assert dim_g0_formula(t, p) == sum(v for j, v in n.items() if j % 2 == 0)
-        assert dim_v_rho_formula(t, p) == sum(n.values())
+        dim_c, dim_g0, dim_v_rho = closed_dims(t, p)
+        assert dim_c == n.get(0, 0)
+        assert dim_g0 == sum(v for j, v in n.items() if j % 2 == 0)
+        assert dim_v_rho == sum(n.values())
         assert sum(v * (j + 1) for j, v in n.items()) == t.dim
 
 
@@ -71,7 +70,7 @@ def test_trivial_orbit_data():
     t = LieType.of("A", 3)
     p = Partition.parse("1^4")
     assert multiplicities_formula(t, p) == {0: t.dim}
-    assert dim_c_formula(t, p) == t.dim
+    assert closed_dims(t, p)[0] == t.dim
 
 
 def test_even_triple_flag():
