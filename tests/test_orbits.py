@@ -151,7 +151,11 @@ def test_weighted_dynkin_d5_sostar_row():
 
 @pytest.mark.parametrize("entry", [
     build_matrix_triple, oracle_sl2_data, weighted_dynkin_from_partition,
-    sl2data.multiplicities_formula, sl2data.closed_dims,
+    sl2data.multiplicities_formula,
+    # one case per closed formula that closed_dims evaluates
+    pytest.param(lambda t, p: sl2data.closed_dims(t, p)[0], id="dim_c_formula"),
+    pytest.param(lambda t, p: sl2data.closed_dims(t, p)[1], id="dim_g0_formula"),
+    pytest.param(lambda t, p: sl2data.closed_dims(t, p)[2], id="dim_v_rho_formula"),
 ], ids=lambda f: f.__name__)
 def test_every_partition_entry_point_validates_alike(entry):
     """Each function taking a classical type and a partition rejects a
