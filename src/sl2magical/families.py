@@ -53,6 +53,17 @@ class FamilySpec:
         return len(self.letters)
 
     @property
+    def wrapped(self) -> bool:
+        """Whether a triple's centralizer sits in s(...): the gl-type families."""
+        return self.algebra == "gl"
+
+    def compact_unsigned(self, count: int) -> bool:
+        """Whether a centralizer with count sign-free factors can be compact.
+        Inside s(...) each sign-free factor carries a real line, and the
+        trace condition removes only one of them."""
+        return count <= 1 or not self.wrapped
+
+    @property
     def symbol(self) -> str:
         """Generic name, e.g. sp(2p,2q)."""
         scale = str(self.size_factor) if self.size_factor > 1 else ""

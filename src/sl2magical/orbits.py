@@ -19,13 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, TypeVar, Union
 
 from .errors import DomainError
 from .families import FAMILIES, FamilySpec, family_spec
 from .rootsystems import LieFamily, LieType, WeightedDynkinDiagram
 
 SignTable = Tuple[Tuple[int, Tuple[int, int]], ...]
+State = TypeVar("State")
 
 
 @dataclass(frozen=True)
@@ -128,22 +129,31 @@ def partition_fits_family(t: Union[LieType, str], p: Partition) -> bool:
                                  if part % 2 == paired)
 
 
-def _walk(n: int, allowed: Callable[[int, int], bool]) -> Iterator[Tuple[int, ...]]:
-    """The partitions of n whose every part k occurs m times with
-    allowed(k, m), in descending lexicographic order: one distinct part at
-    a time, largest first, each with its multiplicities largest first."""
+def _walk(n: int, step: Callable[[State, int, int], Optional[State]],
+          root: State) -> Iterator[Tuple[Tuple[int, ...], State]]:
+    """The partitions of n that step lets through, in descending
+    lexicographic order, each with the state step carried down to it: one
+    distinct part at a time, largest first, each with its multiplicities
+    largest first.  step(state, k, m) gives the state after part k is added
+    m times, or None to cut the branch; the walk starts from root."""
 
-    def below(rest: int, top: int) -> Iterator[Tuple[int, ...]]:
-        if rest == 0:
-            yield ()
-            return
-        for k in range(min(rest, top), 0, -1):
+    def below(prefix: Tuple[int, ...], rest: int, top: int,
+              state: State) -> Iterator[Tuple[Tuple[int, ...], State]]:
+        for k in range(min(rest, top), 1, -1):
             for m in range(rest // k, 0, -1):
-                if allowed(k, m):
-                    for tail in below(rest - k * m, k - 1):
-                        yield (k,) * m + tail
+                child = step(state, k, m)
+                if child is None:
+                    continue
+                if rest > k * m:
+                    yield from below(prefix + (k,) * m, rest - k * m, k - 1, child)
+                else:
+                    yield prefix + (k,) * m, child
+        # parts of 1 come last, and only all of the rest at once fills n
+        child = step(state, 1, rest)
+        if child is not None:
+            yield prefix + (1,) * rest, child
 
-    return below(n, n)
+    return below((), n, n, root)
 
 
 def check_partition(t: LieType, p: Partition) -> str:
@@ -174,7 +184,9 @@ def enumerate_partitions(t: Union[LieType, str], n: int) -> List[Partition]:
         raise DomainError(f"B-type needs odd n, got {n}")
     if fam in ("C", "D") and n % 2 == 1:
         raise DomainError(f"{fam}-type needs even n, got {n}")
-    return [Partition(parts) for parts in _walk(n, _parity_rule(fam))]
+    allowed = _parity_rule(fam)
+    return [Partition(parts) for parts, _ in
+            _walk(n, lambda state, k, m: state if allowed(k, m) else None, ())]
 
 
 @dataclass(frozen=True)
@@ -267,19 +279,19 @@ class SignedPartitionData:
         spec = FAMILIES.get(self.family)
         if spec is None:
             raise DomainError(f"unknown real-form family {self.family!r}")
-        listed = [part for part, _ in self.signs]
-        wanted = [part for part in self.partition._counts
+        counts = self.partition._counts
+        wanted = [part for part in counts
                   if spec.forced_split or part % 2 in spec.signed_parities]
+        listed = [part for part, _ in self.signs]
         if listed != wanted:
             raise DomainError(f"the signs of {self} list the parts {listed}, "
                               f"not each of {wanted} once, descending")
         for part, (a, b) in self.signs:
             if a < 0 or b < 0:
                 raise DomainError(f"negative sign count on part {part}")
-            if a + b != self.row_count(part):
-                raise DomainError(
-                    f"part {part}: signs {(a, b)} do not sum to r_i = {self.row_count(part)}"
-                )
+            r = counts[part] // 2 if spec.quaternionic else counts[part]
+            if a + b != r:
+                raise DomainError(f"part {part}: signs {(a, b)} do not sum to r_i = {r}")
 
     def row_count(self, part: int) -> int:
         """r_i: rows of length part, in the family's own counting."""
@@ -357,23 +369,42 @@ def compact_candidates(
 ) -> Iterator[Tuple[Partition, List[SignedPartitionData]]]:
     """The orbits of the form whose centralizer can be compact: each
     partition, descending, with its sign data in which every signed part
-    has one sign, (r,0) before (0,r); partitions without such data are
-    left out.  The partitions meet the parity rule, have even
-    multiplicities in the quaternionic families, and at most compact_rows
-    rows on each part of the unsigned parity.  This is a necessary
-    condition only; realforms.centralizer_realform decides compactness.
+    has one sign, (r,0) before (0,r).  The walk cuts every branch that
+    cannot reach such a datum, so each partition it yields has one.  It
+    keeps the parity rule, even multiplicities in the quaternionic
+    families, at most compact_rows rows on each unsigned part, as many
+    unsigned parts as FamilySpec.compact_unsigned allows, and, under the
+    signature rule, the (plus, minus) box counts that one sign per signed
+    part reaches within (p, q); a leaf holds p + q boxes, so the one count
+    left there is (p, q).  This is a necessary condition only;
+    realforms.centralizer_realform decides compactness.
     """
     spec = family_spec(family, params)
     parity = _parity_rule(spec.complex_type(params)[0])
+    bound = params if spec.signature_rule else None
 
-    def allowed(part: int, mult: int) -> bool:
-        if not parity(part, mult) or (spec.quaternionic and mult % 2):
-            return False
-        rows = mult // 2 if spec.quaternionic else mult
-        return part % 2 in spec.signed_parities or rows <= spec.compact_rows
+    def step(state: Tuple[int, Set[Tuple[int, int]]], k: int,
+             m: int) -> Optional[Tuple[int, Set[Tuple[int, int]]]]:
+        unsigned, reach = state
+        if not parity(k, m) or (spec.quaternionic and m % 2):
+            return None
+        rows = m // 2 if spec.quaternionic else m
+        if k % 2 in spec.signed_parities:
+            up, down = (k + 1) // 2 * rows, k // 2 * rows
+            moves = ((up, down), (down, up))
+        elif rows <= spec.compact_rows and spec.compact_unsigned(unsigned + 1):
+            unsigned += 1
+            moves = ((k // 2 * rows,) * 2,)  # even k under the signature rule
+        else:
+            return None
+        if bound:
+            p, q = bound
+            reach = {(a + da, b + db) for a, b in reach for da, db in moves
+                     if a + da <= p and b + db <= q}
+            if not reach:
+                return None
+        return unsigned, reach
 
-    for parts in _walk(spec.size(params), allowed):
+    for parts, _ in _walk(spec.size(params), step, (0, {(0, 0)})):
         p = Partition(parts)
-        data = _signed_data(spec, family, params, p, _one_sign)
-        if data:
-            yield p, data
+        yield p, _signed_data(spec, family, params, p, _one_sign)

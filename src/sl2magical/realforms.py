@@ -178,9 +178,5 @@ def centralizer_realform(signed: SignedPartitionData) -> CentralizerRealForm:
             factors.append(spec.unsigned_factor(r))
             compact = compact and r <= spec.compact_rows
             unsigned += 1
-    # gl-type centralizers sit in s(...): each sign-free factor carries a
-    # real line, and the trace condition removes only one of them
-    wrapped = spec.algebra == "gl"
-    if wrapped and unsigned > 1:
-        compact = False
-    return CentralizerRealForm(tuple(factors), compact, wrapped=wrapped)
+    compact = compact and spec.compact_unsigned(unsigned)
+    return CentralizerRealForm(tuple(factors), compact, wrapped=spec.wrapped)

@@ -503,3 +503,21 @@ def test_classify_sweep_digest(capsys):
     assert commands == 3 * (69 + 12)  # the 8 tokens without records exit 3
     assert digest.hexdigest() == (
         "c4fb78c50c9a87a8469783b54a221ac5cad124da8a405386b1a3247e10d8fac1")
+
+
+def test_classify_size12_json_digest(capsys):
+    """classify --format json on all 141 classical forms of size <= 12, in
+    the family table's order: the exit codes and output, byte for byte, as
+    recorded while the candidate walk still built partitions that yield
+    no compact sign datum."""
+    digest = hashlib.sha256()
+    commands = 0
+    for family in FAMILIES:
+        for params in family_parameter_space(family, 12):
+            argv = ("classify", family, *map(str, params), "--format", "json")
+            code, out, err = run(capsys, *argv)
+            digest.update(f"{' '.join(argv)}\n{code}\n{out}{err}\n".encode())
+            commands += 1
+    assert commands == 141
+    assert digest.hexdigest() == (
+        "5f6f8bef2c5437edbe7e4c53243f67c7649bb0fdddea925e5f4678a9e6865c8e")

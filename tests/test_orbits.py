@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2magical import sl2data
+from sl2magical import orbits, sl2data
 from sl2magical.errors import DomainError
+from sl2magical.families import FAMILIES
+from sl2magical.magical import family_parameter_space
 from sl2magical.matrixoracle import build_matrix_triple, oracle_sl2_data
 from sl2magical.orbits import (
     OrbitLabel,
@@ -228,18 +230,41 @@ def test_row_count_halved_for_quaternionic():
 
 
 def test_compact_candidates_small():
-    """sl(n,R) keeps the partitions with distinct parts, su*(2m) those with
-    every part twice, so(p,q) those with only odd parts; each signed part
-    carries one sign, (r,0) before (0,r)."""
+    """sl(n,R) keeps only [n] and su*(2m) only [m^2], since a compact
+    centralizer inside s(...) has one sign-free factor; so(p,q) keeps the
+    partitions with only odd parts; each signed part carries one sign,
+    (r,0) before (0,r)."""
     def listed(family, params):
         return [(str(p), [str(s) for s in data])
                 for p, data in compact_candidates(family, params)]
 
-    assert listed("sl", (4,)) == [("[4]", ["[4]"]), ("[3,1]", ["[3,1]"])]
-    assert listed("sustar", (3,)) == [("[3^2]", ["[3^2]"]), ("[2^2,1^2]", ["[2^2,1^2]"])]
+    assert listed("sl", (4,)) == [("[4]", ["[4]"])]
+    assert listed("sustar", (3,)) == [("[3^2]", ["[3^2]"])]
     assert listed("so", (2, 3)) == [("[5]", ["[5]{5:(0,1)}"]),
                                     ("[3,1^2]", ["[3,1^2]{3:(1,0),1:(0,2)}"])]
     assert listed("spr", (3,))[0] == ("[6]", ["[6]{6:(1,0)}", "[6]{6:(0,1)}"])
+
+
+def test_compact_candidates_build_no_barren_partition(monkeypatch):
+    """The walk cuts every branch that has no compact sign datum, so over
+    the 141 forms of size <= 12 each partition it builds yields a datum."""
+    sizes = []
+
+    def counted(*args):
+        data = signed_data(*args)
+        sizes.append(len(data))
+        return data
+
+    signed_data = orbits._signed_data
+    monkeypatch.setattr(orbits, "_signed_data", counted)
+    forms = 0
+    for family in FAMILIES:
+        for params in family_parameter_space(family, 12):
+            for _ in compact_candidates(family, params):
+                pass
+            forms += 1
+    assert 0 not in sizes
+    assert (forms, len(sizes), sum(sizes)) == (141, 1162, 3089)
 
 
 def test_signed_str_round_trip_info():
