@@ -508,8 +508,8 @@ def test_classify_sweep_digest(capsys):
 def test_classify_size12_json_digest(capsys):
     """classify --format json on all 141 classical forms of size <= 12, in
     the family table's order: the exit codes and output, byte for byte, as
-    recorded while the candidate walk still built partitions that yield
-    no compact sign datum."""
+    recorded while the candidate walk still built partitions without a
+    one-sign datum that meets the form."""
     digest = hashlib.sha256()
     commands = 0
     for family in FAMILIES:

@@ -246,8 +246,10 @@ def test_compact_candidates_small():
 
 
 def test_compact_candidates_build_no_barren_partition(monkeypatch):
-    """The walk cuts every branch that has no compact sign datum, so over
-    the 141 forms of size <= 12 each partition it builds yields a datum."""
+    """The walk cuts every branch without a one-sign datum that meets the
+    form, so over the 141 forms of size <= 12 each partition it builds
+    yields a datum."""
+    signed_data = orbits._signed_data
     sizes = []
 
     def counted(*args):
@@ -255,7 +257,6 @@ def test_compact_candidates_build_no_barren_partition(monkeypatch):
         sizes.append(len(data))
         return data
 
-    signed_data = orbits._signed_data
     monkeypatch.setattr(orbits, "_signed_data", counted)
     forms = 0
     for family in FAMILIES:
