@@ -26,7 +26,7 @@ from .crosscheck import run_all
 from .dataset import load_records
 from .errors import DatasetSchemaError, DomainError, MissingDataError
 from .families import FAMILIES
-from .magical import MagicalStatus, Witness, classify_realform, magical_statuses
+from .magical import MagicalStatus, Witness, classify_realform, magical_statuses, partition_witness
 from .moduli import rigidity_report
 from .orbits import Partition, enumerate_signed_data, weighted_dynkin_from_partition
 from .realforms import EXCEPTIONAL_FORMS, describe
@@ -193,7 +193,7 @@ def cmd_slodowy(args: argparse.Namespace) -> int:
         signs = ""
     else:
         form = describe(family, params)
-        form.complexification()  # the rank cap, before the flags
+        ambient = form.complexification()  # the rank cap, before the flags
         if args.wdd:
             raise DomainError(f"{form.name} takes --partition, not --wdd")
         if not args.partition:
@@ -202,7 +202,8 @@ def cmd_slodowy(args: argparse.Namespace) -> int:
         data = enumerate_signed_data(family, params, p)
         if not data:
             raise DomainError(f"{p} does not meet {form.name}")
-        statuses = magical_statuses(form, p, data)
+        best = partition_witness(form, ambient, p)
+        statuses = magical_statuses(best, data) if best.verdict.is_magical else ()
         chosen = next((signed for signed, status in zip(data, statuses)
                        if status.verdict.is_magical), data[0])
         report = rigidity_report(args.genus, family, params, p, chosen)

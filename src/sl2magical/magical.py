@@ -14,9 +14,10 @@ module is even.
 Witness.verdict is the one place this criterion is written; every
 verdict the package reports is read from a witness.
 
-The scan in classify_family runs the criterion over the orbits and sign
-assignments of a family, within a size bound, whose centralizer can be
-compact; the others fail its first condition, so they are never built.
+The scan in classify_family walks the orbits of a family, within a size
+bound, whose centralizer can be compact.  It decides each partition's
+half of the witness first and builds sign data and centralizers only
+where that half can pass.
 
 Real forms that admit an even magical triple fall into four families:
 split forms, Hermitian tube-type forms whose complexification is
@@ -26,7 +27,7 @@ exceptional forms.  admits_even_magical encodes that membership test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Iterator, List, Tuple
 
@@ -37,6 +38,7 @@ from .orbits import (
     Partition,
     SignedPartitionData,
     compact_candidates,
+    one_sign_data,
     orbit_labels,
 )
 from .realforms import (
@@ -45,6 +47,7 @@ from .realforms import (
     centralizer_realform,
     describe,
 )
+from .rootsystems import LieType
 from .sl2data import Sl2Data, is_even_triple, multiplicities_formula
 
 Params = Tuple[int, ...]
@@ -113,22 +116,26 @@ def extended_magical_status(
         raise DomainError(f"signed datum {signed} does not refine {p}")
 
     form = describe(family, tuple(params))
-    return next(magical_statuses(form, p, [signed]))
+    return next(magical_statuses(partition_witness(form, form.complexification(), p),
+                                 [signed]))
 
 
-def magical_statuses(form: RealFormDescriptor, p: Partition,
-                     signed_data: Iterable[SignedPartitionData]) -> Iterator[MagicalStatus]:
-    """The criterion on each signed datum of one partition of the described
-    form, lazily; the partition's half of the witness is computed once."""
-    ambient = form.complexification()
+def partition_witness(form: RealFormDescriptor, ambient: LieType, p: Partition) -> Witness:
+    """p's half of the witness, at its best case: a compact centralizer.  A
+    sign datum enters the witness only through that flag, so when this
+    verdict is not magical, no datum of p is magical."""
     data = Sl2Data(tuple(sorted(multiplicities_formula(ambient, p).items())), ambient.dim)
-    g0_minus_2c = data.dim_g0 - 2 * data.dim_c
-    even = is_even_triple(data)
+    return Witness(m_minus_h=form.s, g0_minus_2c=data.dim_g0 - 2 * data.dim_c,
+                   centralizer_compact=True, even_triple=is_even_triple(data))
+
+
+def magical_statuses(best: Witness,
+                     signed_data: Iterable[SignedPartitionData]) -> Iterator[MagicalStatus]:
+    """The criterion on each signed datum of one partition, lazily, from
+    the partition's half of the witness and the datum's centralizer."""
     for signed in signed_data:
         cz = centralizer_realform(signed)
-        yield MagicalStatus(Witness(m_minus_h=form.s, g0_minus_2c=g0_minus_2c,
-                                    centralizer_compact=cz.is_compact, even_triple=even),
-                            cz)
+        yield MagicalStatus(replace(best, centralizer_compact=cz.is_compact), cz)
 
 
 @dataclass(frozen=True)
@@ -150,20 +157,24 @@ def classify_realform(family: str, params: Params) -> Tuple[ClassifiedOrbit, ...
     """All magical orbits of one real form, sorted by orbit label (the
     walk's descending partition order).
 
-    The scan walks only the orbits and sign assignments whose centralizer
-    can be compact (orbits.compact_candidates), the first half of the
-    criterion; the verdict is still read from each witness.  Very even D
-    partitions contribute both tagged labels; the verdict is a function of
-    the partition and signs alone, so the pair agrees.  The sign data of
-    one partition share its parity and dimension count, so their magical
-    verdicts agree too.
+    The scan walks only the partitions whose centralizer can be compact
+    (orbits.compact_candidates), decides each one's half of the witness
+    first (partition_witness), and builds one-sign data and centralizers
+    only where that half can pass; each verdict is read from a witness.
+    Very even D partitions contribute both tagged labels; the verdict is a
+    function of the partition and signs alone, so the pair agrees.  The
+    sign data of one partition share its parity and dimension count, so
+    their magical verdicts agree too.
     """
     form = describe(family, tuple(params))
     ambient = form.complexification()
     rows: List[ClassifiedOrbit] = []
-    for p, data in compact_candidates(family, tuple(params)):
-        magical = [status for status in magical_statuses(form, p, data)
-                   if status.verdict.is_magical]
+    for p in compact_candidates(family, tuple(params)):
+        best = partition_witness(form, ambient, p)
+        if not best.verdict.is_magical:
+            continue
+        data = one_sign_data(family, tuple(params), p)
+        magical = [status for status in magical_statuses(best, data) if status.verdict.is_magical]
         if magical:
             rows.extend(ClassifiedOrbit(family, tuple(params), label, magical[0], len(magical))
                         for label in orbit_labels(ambient, p))

@@ -364,19 +364,16 @@ def enumerate_signed_data(
     return _signed_data(spec, family, params, p, _split_range)
 
 
-def compact_candidates(
-    family: str, params: Tuple[int, ...]
-) -> Iterator[Tuple[Partition, List[SignedPartitionData]]]:
-    """The orbits of the form whose centralizer can be compact: each
-    partition, descending, with its sign data in which every signed part
-    has one sign, (r,0) before (0,r).  The walk cuts every branch that
-    cannot reach such a datum, so each partition it yields has one.  It
-    keeps the parity rule, even multiplicities in the quaternionic
-    families, at most compact_rows rows on each unsigned part, as many
-    unsigned parts as FamilySpec.compact_unsigned allows, and, under the
-    signature rule, the (plus, minus) box counts that one sign per signed
-    part reaches within (p, q); a leaf holds p + q boxes, so the one count
-    left there is (p, q).  This is a necessary condition only;
+def compact_candidates(family: str, params: Tuple[int, ...]) -> Iterator[Partition]:
+    """The partitions of the form whose centralizer can be compact,
+    descending, with no sign data built.  The walk cuts every branch that
+    one_sign_data would leave without a datum.  It keeps the parity rule,
+    even multiplicities in the quaternionic families, at most compact_rows
+    rows on each unsigned part, as many unsigned parts as
+    FamilySpec.compact_unsigned allows, and, under the signature rule, the
+    (plus, minus) box counts that one sign per signed part reaches within
+    (p, q); a leaf holds p + q boxes, so the one count left there is
+    (p, q).  This is a necessary condition only;
     realforms.centralizer_realform decides compactness.
     """
     spec = family_spec(family, params)
@@ -405,6 +402,11 @@ def compact_candidates(
                 return None
         return unsigned, reach
 
-    for parts, _ in _walk(spec.size(params), step, (0, {(0, 0)})):
-        p = Partition(parts)
-        yield p, _signed_data(spec, family, params, p, _one_sign)
+    return (Partition(parts) for parts, _ in _walk(spec.size(params), step, (0, {(0, 0)})))
+
+
+def one_sign_data(family: str, params: Tuple[int, ...],
+                  p: Partition) -> List[SignedPartitionData]:
+    """The sign data of a partition that compact_candidates yields in
+    which every signed part has one sign, (r,0) before (0,r)."""
+    return _signed_data(family_spec(family, params), family, params, p, _one_sign)

@@ -163,6 +163,24 @@ def test_slodowy_prefers_magical_datum(capsys):
     assert json.loads(out)["gap"] == 0
 
 
+def test_slodowy_builds_no_centralizer_when_the_partition_cannot_pass(capsys, monkeypatch):
+    # [3,1^2] of su(2,3) fails dim m - dim h = dim g_0 - 2 dim c whatever
+    # the signs, so the report takes the first datum without testing any
+    from sl2magical import magical
+
+    calls = []
+    centralizer = magical.centralizer_realform
+    monkeypatch.setattr(magical, "centralizer_realform",
+                        lambda signed: calls.append(signed) or centralizer(signed))
+    code, out, _ = run(capsys, "slodowy", "su", "2", "3", "--partition", "3,1,1",
+                       "--genus", "2", "--format", "json")
+    assert (code, calls) == (0, [])
+    assert out == (
+        '{"realform": "su(2,3)", "orbit": "[3,1^2]", "genus": 2, "slodowy_param_dim": 38, '
+        '"expected_dim": 48, "gap": 10, "milnor_wood": 4, "dim_c_cap_h": 4, "a": {"2": 5}, '
+        '"signs": "[3,1^2]{3:(1,0),1:(0,2)}"}\n')
+
+
 def test_slodowy_genus_guard_exit_2(capsys):
     code, _, err = run(capsys, "slodowy", "su", "2", "2", "--partition", "2,2",
                        "--genus", "1")

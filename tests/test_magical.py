@@ -19,6 +19,7 @@ from sl2magical.orbits import (
     enumerate_orbit_labels,
     enumerate_partitions,
     enumerate_signed_data,
+    one_sign_data,
 )
 from sl2magical.realforms import centralizer_realform, describe
 
@@ -233,7 +234,7 @@ def test_classify_realform_matches_the_full_scan(family):
     """On every form of size <= 12, the walk over compact candidates gives
     the rows of the full scan (every orbit label, every sign assignment,
     the criterion on each), and misses no datum with a compact centralizer."""
-    from sl2magical.magical import family_parameter_space, magical_statuses
+    from sl2magical.magical import family_parameter_space, magical_statuses, partition_witness
 
     for params in family_parameter_space(family, 12):
         form = describe(family, params)
@@ -241,7 +242,8 @@ def test_classify_realform_matches_the_full_scan(family):
         reference = []
         for label in enumerate_orbit_labels(ambient, ambient.matrix_size):
             data = enumerate_signed_data(family, params, label.partition)
-            magical = [status for status in magical_statuses(form, label.partition, data)
+            best = partition_witness(form, ambient, label.partition)
+            magical = [status for status in magical_statuses(best, data)
                        if status.verdict.is_magical]
             if magical:
                 reference.append((str(label), len(magical), str(magical[0].centralizer),
@@ -254,6 +256,38 @@ def test_classify_realform_matches_the_full_scan(family):
         compact = [signed for p in enumerate_partitions(ambient, ambient.matrix_size)
                    for signed in enumerate_signed_data(family, params, p)
                    if centralizer_realform(signed).is_compact]
-        candidates = iter(signed for _, data in compact_candidates(family, params)
-                          for signed in data)
+        candidates = iter(signed for p in compact_candidates(family, params)
+                          for signed in one_sign_data(family, params, p))
         assert all(signed in candidates for signed in compact), params  # in order
+
+
+def test_classify_builds_sign_data_only_where_the_partition_can_pass(monkeypatch):
+    """Over the 141 forms of size <= 12 the walk yields 1,162 partitions,
+    but only the 107 whose half of the witness can pass get one-sign data
+    (179 in all) and centralizers; they give the 112 magical rows."""
+    from sl2magical import magical
+    from sl2magical.magical import family_parameter_space
+
+    walked, built, centralizers = [], [], []
+
+    def counting(calls, fn):
+        def counted(*args):
+            result = fn(*args)
+            calls.append(result)
+            return result
+        return counted
+
+    walk = magical.compact_candidates
+    monkeypatch.setattr(magical, "compact_candidates",
+                        counting(walked, lambda *args: list(walk(*args))))
+    monkeypatch.setattr(magical, "one_sign_data", counting(built, magical.one_sign_data))
+    monkeypatch.setattr(magical, "centralizer_realform",
+                        counting(centralizers, magical.centralizer_realform))
+    forms = rows = 0
+    for family in FAMILIES:
+        for params in family_parameter_space(family, 12):
+            rows += len(classify_realform(family, params))
+            forms += 1
+    assert (forms, sum(map(len, walked))) == (141, 1162)
+    assert (len(built), sum(map(len, built))) == (107, 179)
+    assert (len(centralizers), rows) == (179, 112)

@@ -16,6 +16,7 @@ from sl2magical.orbits import (
     enumerate_orbit_labels,
     enumerate_partitions,
     enumerate_signed_data,
+    one_sign_data,
     partition_fits_family,
     plus_boxes,
     weighted_dynkin_from_partition,
@@ -232,11 +233,11 @@ def test_row_count_halved_for_quaternionic():
 def test_compact_candidates_small():
     """sl(n,R) keeps only [n] and su*(2m) only [m^2], since a compact
     centralizer inside s(...) has one sign-free factor; so(p,q) keeps the
-    partitions with only odd parts; each signed part carries one sign,
-    (r,0) before (0,r)."""
+    partitions with only odd parts; in one_sign_data each signed part
+    carries one sign, (r,0) before (0,r)."""
     def listed(family, params):
-        return [(str(p), [str(s) for s in data])
-                for p, data in compact_candidates(family, params)]
+        return [(str(p), [str(s) for s in one_sign_data(family, params, p)])
+                for p in compact_candidates(family, params)]
 
     assert listed("sl", (4,)) == [("[4]", ["[4]"])]
     assert listed("sustar", (3,)) == [("[3^2]", ["[3^2]"])]
@@ -247,8 +248,8 @@ def test_compact_candidates_small():
 
 def test_compact_candidates_build_no_barren_partition(monkeypatch):
     """The walk cuts every branch without a one-sign datum that meets the
-    form, so over the 141 forms of size <= 12 each partition it builds
-    yields a datum."""
+    form, so over the 141 forms of size <= 12 one_sign_data gives each
+    partition the walk yields a datum."""
     signed_data = orbits._signed_data
     sizes = []
 
@@ -261,8 +262,8 @@ def test_compact_candidates_build_no_barren_partition(monkeypatch):
     forms = 0
     for family in FAMILIES:
         for params in family_parameter_space(family, 12):
-            for _ in compact_candidates(family, params):
-                pass
+            for p in compact_candidates(family, params):
+                one_sign_data(family, params, p)
             forms += 1
     assert 0 not in sizes
     assert (forms, len(sizes), sum(sizes)) == (141, 1162, 3089)
