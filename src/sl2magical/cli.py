@@ -29,9 +29,9 @@ from .families import FAMILIES
 from .magical import MagicalStatus, Witness, classify_realform, magical_statuses, partition_witness
 from .moduli import rigidity_report
 from .orbits import Partition, enumerate_signed_data, weighted_dynkin_from_partition
-from .realforms import EXCEPTIONAL_FORMS, describe
+from .realforms import RealFormDescriptor, describe
 from .rootsystems import CLASSICAL_RANK_CAP, LieType, WeightedDynkinDiagram
-from .sl2data import closed_dims, is_even_triple, multiplicities_formula
+from .sl2data import closed_dims, multiplicities_formula
 
 # ---------------------------------------------------------------- rendering
 
@@ -117,22 +117,16 @@ def _classify_row(orbit: str, status: MagicalStatus, sign_choices: int) -> Dict:
     }
 
 
-def _classify_rows_classical(family: str, params: Tuple[int, ...]) -> List[Dict]:
-    return [_classify_row(str(row.label), row.status, row.data_count)
-            for row in classify_realform(family, params)]
-
-
-def _classify_rows_exceptional(family: str) -> List[Dict]:
-    records = [rec for rec in load_records() if rec.realform == family]
+def _classify_rows_exceptional(form: RealFormDescriptor) -> List[Dict]:
+    records = [rec for rec in load_records() if rec.realform == form.family]
     if not records:
-        raise MissingDataError(f"no curated records for {family}")
-    s = describe(family).s
+        raise MissingDataError(f"no curated records for {form.family}")
     rows = []
     for rec in records:
         data = rec.sl2_data()
-        witness = Witness(m_minus_h=s, g0_minus_2c=data.dim_g0 - 2 * data.dim_c,
+        witness = Witness(m_minus_h=form.s, g0_minus_2c=data.dim_g0 - 2 * data.dim_c,
                           centralizer_compact=rec.centralizer_type.is_compact,
-                          even_triple=is_even_triple(data))
+                          even_triple=data.dim_g0 == data.dim_v_rho)
         if not witness.verdict.is_magical:
             continue
         rows.append(_classify_row(_wdd_orbit(rec.wdd),
@@ -141,18 +135,14 @@ def _classify_rows_exceptional(family: str) -> List[Dict]:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    family = args.family
-    params = tuple(args.params)
-    if family in EXCEPTIONAL_FORMS:
-        if params:
-            raise DomainError(f"{family} takes no parameters")
-        name = family
-        rows = _classify_rows_exceptional(family)
+    form = describe(args.family, tuple(args.params))
+    if form.is_exceptional:
+        rows = _classify_rows_exceptional(form)
     else:
-        name = describe(family, params).name
-        rows = _classify_rows_classical(family, params)
+        rows = [_classify_row(str(row.label), row.status, row.data_count)
+                for row in classify_realform(form.family, form.params)]
     if args.format == "json":
-        _print(json.dumps({"realform": name, "rows": rows}))
+        _print(json.dumps({"realform": form.name, "rows": rows}))
         return 0
     header = ("orbit", "verdict", "m-h", "g0-2c", "compact", "parity",
               "centralizer", "signs")
@@ -163,7 +153,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _print(_emit_csv(header, body))
     else:
-        _print(f"{name}: {len(rows)} magical orbit(s)")
+        _print(f"{form.name}: {len(rows)} magical orbit(s)")
         if body:
             _print(_emit_grid(header, body))
     return 0
@@ -172,9 +162,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_slodowy(args: argparse.Namespace) -> int:
     family = args.family
     params = tuple(args.params)
-    if family in EXCEPTIONAL_FORMS:
-        if params:
-            raise DomainError(f"{family} takes no parameters")
+    form = describe(family, params)
+    if form.is_exceptional:
         if args.partition:
             raise DomainError(f"{family} takes --wdd, not --partition")
         if not args.wdd:
@@ -183,7 +172,6 @@ def cmd_slodowy(args: argparse.Namespace) -> int:
             labels = tuple(int(x) for x in args.wdd.split(","))
         except ValueError:
             raise DomainError(f"{family}: cannot parse --wdd {args.wdd!r}") from None
-        form = describe(family)
         try:
             orbit = WeightedDynkinDiagram(form.complexification(), labels).labels
         except DomainError as exc:
@@ -192,7 +180,6 @@ def cmd_slodowy(args: argparse.Namespace) -> int:
         orbit_str = _wdd_orbit(orbit)
         signs = ""
     else:
-        form = describe(family, params)
         ambient = form.complexification()  # the rank cap, before the flags
         if args.wdd:
             raise DomainError(f"{form.name} takes --partition, not --wdd")

@@ -97,16 +97,6 @@ def _orbit_checks(max_rank: int) -> Tuple[CheckResult, CheckResult]:
             CheckResult("parity-lemma", not parity, parity_cases, parity))
 
 
-def check_oracle_equivalence(max_rank: int = 6) -> CheckResult:
-    """Formula vs grading vs matrix oracle on every orbit up to the bound."""
-    return _orbit_checks(max_rank)[0]
-
-
-def check_parity_lemma(max_rank: int = 6) -> CheckResult:
-    """dim g_0 = dim V_rho exactly when all parts share one parity."""
-    return _orbit_checks(max_rank)[1]
-
-
 def _n_row(t: LieType, p: Partition, top: int) -> tuple:
     n = multiplicities_formula(t, p)
     return tuple(n.get(j, 0) for j in range(top + 1))

@@ -48,7 +48,7 @@ from .realforms import (
     describe,
 )
 from .rootsystems import LieType
-from .sl2data import Sl2Data, is_even_triple, multiplicities_formula
+from .sl2data import closed_dims
 
 Params = Tuple[int, ...]
 
@@ -123,10 +123,12 @@ def extended_magical_status(
 def partition_witness(form: RealFormDescriptor, ambient: LieType, p: Partition) -> Witness:
     """p's half of the witness, at its best case: a compact centralizer.  A
     sign datum enters the witness only through that flag, so when this
-    verdict is not magical, no datum of p is magical."""
-    data = Sl2Data(tuple(sorted(multiplicities_formula(ambient, p).items())), ambient.dim)
-    return Witness(m_minus_h=form.s, g0_minus_2c=data.dim_g0 - 2 * data.dim_c,
-                   centralizer_compact=True, even_triple=is_even_triple(data))
+    verdict is not magical, no datum of p is magical.  The closed dims give
+    it all: dim V_rho sums every n_j and dim g_0 the even ones, so every
+    weight is even exactly when the two agree."""
+    dim_c, dim_g0, dim_v_rho = closed_dims(ambient, p)
+    return Witness(m_minus_h=form.s, g0_minus_2c=dim_g0 - 2 * dim_c,
+                   centralizer_compact=True, even_triple=dim_g0 == dim_v_rho)
 
 
 def magical_statuses(best: Witness,

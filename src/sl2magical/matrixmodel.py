@@ -6,9 +6,10 @@ coefficient 1, f lowers with k(i-k) down a string of length i so that
 isotropic for a signed-permutation bilinear form M = sum_a mu_a E_{a,a*}:
 strings of the self-paired parity are reversed onto themselves with
 mu = (-1)^k along the string, the others are coupled in consecutive pairs.
-One routine, lay_out, places the strings and sets the pairing and the mu
-signs, for the orbits users name and for the oracle's small template
-triples alike.  Matrices are sparse {(row, col): value} maps.
+One function, triple_on, places the strings, sets the pairing and the mu
+signs, and then e, h and f, for the orbits users name and for the
+oracle's small template triples alike.  Matrices are sparse
+{(row, col): value} maps.
 
 Every algebra the oracle ranks is an eigenspace of a signed-permutation
 involution sigma(E_ab) = eps * E_a'b' of gl_N.  One pass over the
@@ -92,17 +93,31 @@ def is_eigen(sigma: Involution, x: Sparse, sign: int) -> bool:
 
 
 @dataclass(frozen=True)
-class StringLayout:
-    """The Jordan strings of a partition in C^N and the form pairing them.
+class MatrixSl2Triple:
+    """An exact sl2-triple on the Jordan strings of a partition in C^N,
+    with the form pairing them.
 
     algebra is "gl" (no form), "so" or "sp": the algebra is the +1 side of
-    tau, the identity on gl_N."""
+    tau, the identity on gl_N.  Construction checks the bracket relations
+    and that e, h and f lie in the algebra, tau(x) = x."""
 
     algebra: str
     partition: Partition
     strings: Tuple[Tuple[int, ...], ...]  # basis indices per Jordan string
     pairing: Tuple[int, ...]  # index involution a -> a* with h_{a*} = -h_a
     pairing_sign: Tuple[int, ...]  # mu_a = M[a][a*] (all 1 in gl)
+    e: Sparse
+    h: Sparse
+    f: Sparse
+
+    def __post_init__(self) -> None:
+        e, h, f = self.e, self.h, self.f
+        h_index = _index(h)
+        if (_bracket(h_index, e) != _scale(e, 2) or _bracket(h_index, f) != _scale(f, -2)
+                or self.ad_e(f) != h):
+            raise AssertionError(f"{self.name}: bracket relations failed")
+        if not all(is_eigen(self.tau, x, 1) for x in (e, h, f)):
+            raise AssertionError(f"{self.name}: triple leaves the bilinear form")
 
     @property
     def name(self) -> str:
@@ -133,27 +148,6 @@ class StringLayout:
                 out.append((s, partner))
         return out
 
-
-@dataclass(frozen=True)
-class MatrixSl2Triple(StringLayout):
-    """An exact sl2-triple on the strings of its layout.
-
-    Construction checks the bracket relations and that e, h and f lie in
-    the algebra, tau(x) = x."""
-
-    e: Sparse
-    h: Sparse
-    f: Sparse
-
-    def __post_init__(self) -> None:
-        e, h, f = self.e, self.h, self.f
-        h_index = _index(h)
-        if (_bracket(h_index, e) != _scale(e, 2) or _bracket(h_index, f) != _scale(f, -2)
-                or self.ad_e(f) != h):
-            raise AssertionError(f"{self.name}: bracket relations failed")
-        if not all(is_eigen(self.tau, x, 1) for x in (e, h, f)):
-            raise AssertionError(f"{self.name}: triple leaves the bilinear form")
-
     @cached_property
     def weights(self) -> Tuple[int, ...]:
         """The ad_h weight h_a of each basis index a."""
@@ -168,11 +162,12 @@ class MatrixSl2Triple(StringLayout):
         return _bracket(self._e_index, x)
 
 
-def lay_out(algebra: str, p: Partition) -> StringLayout:
-    """One string of consecutive indices per part of p and, outside gl, the
-    form pairing them: a string of the self-paired parity is reversed onto
-    itself with mu = (-1)^k, the others are coupled in consecutive pairs of
-    equal length.  p must meet the parity rule of the algebra."""
+def triple_on(algebra: str, p: Partition) -> MatrixSl2Triple:
+    """The triple on one string of consecutive indices per part of p and,
+    outside gl, the form pairing them: a string of the self-paired parity
+    is reversed onto itself with mu = (-1)^k, the others are coupled in
+    consecutive pairs of equal length.  e raises along each string, f
+    lowers with k(i-k).  p must meet the parity rule of the algebra."""
     strings: List[Tuple[int, ...]] = []
     next_index = 0
     for part in p.parts:
@@ -197,16 +192,10 @@ def lay_out(algebra: str, p: Partition) -> StringLayout:
                 open_partner[i] = s
         if open_partner:
             raise AssertionError(f"unpaired strings {sorted(open_partner)} despite parity check")
-    return StringLayout(algebra=algebra, partition=p, strings=tuple(strings),
-                        pairing=tuple(pairing), pairing_sign=tuple(mu))
-
-
-def triple_on(layout: StringLayout) -> MatrixSl2Triple:
-    """e, h and f on the strings of the layout."""
     e: Sparse = {}
     h: Sparse = {}
     f: Sparse = {}
-    for s in layout.strings:
+    for s in strings:
         i = len(s)
         for k, idx in enumerate(s):
             if i - 1 - 2 * k:
@@ -215,10 +204,8 @@ def triple_on(layout: StringLayout) -> MatrixSl2Triple:
                 e[(s[k - 1], idx)] = 1
             if k + 1 < i:
                 f[(s[k + 1], idx)] = (k + 1) * (i - 1 - k)
-    return MatrixSl2Triple(
-        algebra=layout.algebra, partition=layout.partition, strings=layout.strings,
-        pairing=layout.pairing, pairing_sign=layout.pairing_sign, e=e, h=h, f=f,
-    )
+    return MatrixSl2Triple(algebra=algebra, partition=p, strings=tuple(strings),
+                           pairing=tuple(pairing), pairing_sign=tuple(mu), e=e, h=h, f=f)
 
 
 def eigen_columns(m: MatrixSl2Triple, sigma: Involution,

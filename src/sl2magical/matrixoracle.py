@@ -24,7 +24,7 @@ a Cartan split, where h and m are; the kinds are S or P, or SS, SP or PP
 for two units; the sign is the product of the two units' leading signs
 (1 for tau and for one unit).  Each key is ranked once, by exact
 elimination of each weight slice w >= 0, on a template triple of just its
-units, laid out by the same matrixmodel.lay_out, so the tau-merging, the
+units, built by the same matrixmodel.triple_on, so the tau-merging, the
 self-paired strings and the mu signs are ranked, not assumed; a tau
 template is checked to hold the key's units, a Cartan template's
 involution to negate e.  n_j and the h/m split sum the tables over the
@@ -33,8 +33,8 @@ identity matrix on the side of sigma(I) = +-I: it is in gl_N, not sl_N.
 Neither lays out the orbit itself.  For n_j an orbit's units come from
 its multiplicity table: a part k of multiplicity r gives r units S in gl,
 and in so/sp when k has the self-paired parity, else r/2 units P; each
-tau template is checked to hold, by lay_out's grouping, the units this
-rule gives it.  A split's units are the rows of the signed datum, each
+tau template is checked to hold, by MatrixSl2Triple.units, the units
+this rule gives it.  A split's units are the rows of the signed datum, each
 su unit led by the row's sign there, and the orbit's involution on one
 unit or two is the template's, checked there.
 The slices w < 0 are counted as columns but not ranked: ad_e is injective
@@ -55,11 +55,9 @@ from .matrixmodel import (
     Columns,
     Involution,
     MatrixSl2Triple,
-    StringLayout,
     ad_e_images,
     eigen_columns,
     is_eigen,
-    lay_out,
     transpose_involution,
     triple_on,
 )
@@ -84,7 +82,7 @@ _CARTAN_TABLES: Tables = {}  # the split tables, ranked once per process
 def build_matrix_triple(t: LieType, p: Partition) -> MatrixSl2Triple:
     """The triple on the layout of the orbit p of the classical type t,
     validated."""
-    return triple_on(lay_out(_FAMILY_ALGEBRA[check_partition(t, p)], p))
+    return triple_on(_FAMILY_ALGEBRA[check_partition(t, p)], p)
 
 
 def _nullity_by_weight(m: MatrixSl2Triple, columns: Columns) -> Dict[int, int]:
@@ -147,7 +145,7 @@ def _key_table(key: Key) -> Tuple[Tuple[int, Table], ...]:
     model, kind, lengths, sign = key
     parts = [length for unit, length in zip(kind, lengths) for _ in range("SP".index(unit) + 1)]
     cartan = model in _CARTAN_MODELS
-    m = triple_on(lay_out("gl" if cartan else model, Partition.of(*parts)))
+    m = triple_on("gl" if cartan else model, Partition.of(*parts))
     if cartan:
         sigma = _ad(m, (1, sign)) if model == "su" else _sl_involution(m)
         if not is_eigen(sigma, m.e, -1):
@@ -181,12 +179,12 @@ def _summed(keys: Counter, tables: Tables, identity: int) -> Tuple[List[Counter]
     return nulls, dims
 
 
-def oracle_sl2_data(t: Union[LieType, StringLayout], p: Optional[Partition] = None,
+def oracle_sl2_data(t: Union[LieType, MatrixSl2Triple], p: Optional[Partition] = None,
                     tables: Optional[Tables] = None) -> Sl2Data:
     """n_j of the orbit p of the classical type t, validated, as the
     nullity of ad_e on the weight-j slice of the algebra, summed from the
-    tau tables of its units and unit pairs.  A laid-out orbit t carries
-    its algebra and partition, and p is then left out."""
+    tau tables of its units and unit pairs.  A triple t carries its
+    algebra and partition, and p is then left out."""
     if p is None:
         algebra, p = t.algebra, t.partition
     else:

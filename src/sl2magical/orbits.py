@@ -23,10 +23,13 @@ from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, TypeVar
 
 from .errors import DomainError
 from .families import FAMILIES, FamilySpec, family_spec
-from .rootsystems import LieFamily, LieType, WeightedDynkinDiagram
+from .rootsystems import CLASSICAL_RANK_CAP, LieFamily, LieType, WeightedDynkinDiagram
 
 SignTable = Tuple[Tuple[int, Tuple[int, int]], ...]
 State = TypeVar("State")
+
+#: The largest matrix size of any LieType: B12 acts on C^25.
+MAX_BOXES = 2 * CLASSICAL_RANK_CAP + 1
 
 
 @dataclass(frozen=True)
@@ -54,11 +57,13 @@ class Partition:
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
-        """Parse '2,2,1', exponent shorthand '2^2,1', or bracketed '[2^2,1]'."""
+        """Parse '2,2,1', exponent shorthand '2^2,1', or bracketed '[2^2,1]',
+        of at most MAX_BOXES boxes, counted before any token is expanded."""
         body = text.strip().strip("[]").replace(" ", "")
         if not body:
             raise DomainError(f"cannot parse partition {text!r}")
         parts: List[int] = []
+        boxes = 0
         for token in body.split(","):
             base, _, exp = token.partition("^")
             try:
@@ -66,8 +71,12 @@ class Partition:
                 count = int(exp) if exp else 1
             except ValueError:
                 raise DomainError(f"cannot parse partition token {token!r}") from None
-            if count < 1:
-                raise DomainError(f"nonpositive exponent in {token!r}")
+            if value < 1 or count < 1:
+                raise DomainError(f"nonpositive part or exponent in {token!r}")
+            boxes += value * count
+            if boxes > MAX_BOXES:
+                raise DomainError(f"partition {text!r} has more than {MAX_BOXES} boxes, "
+                                  "the largest matrix size of any classical type")
             parts.extend([value] * count)
         return cls(tuple(parts))
 
@@ -203,21 +212,12 @@ class OrbitLabel:
     def __str__(self) -> str:
         return f"{self.partition}_{self.tag}" if self.tag else str(self.partition)
 
-    @property
-    def sort_key(self):
-        return tuple(-p for p in self.partition.parts), self.tag
-
 
 def orbit_labels(t: Union[LieType, str], p: Partition) -> Tuple[OrbitLabel, ...]:
     """The labels of p's orbits: a very even D partition labels two, I and II."""
     if family_letter(t) == "D" and p.very_even:
         return OrbitLabel(p, "I"), OrbitLabel(p, "II")
     return (OrbitLabel(p),)
-
-
-def enumerate_orbit_labels(t: Union[LieType, str], n: int) -> List[OrbitLabel]:
-    """Orbit labels for the family, with very even D partitions doubled."""
-    return [label for p in enumerate_partitions(t, n) for label in orbit_labels(t, p)]
 
 
 def weighted_dynkin_from_partition(t: LieType, p: Partition) -> WeightedDynkinDiagram:

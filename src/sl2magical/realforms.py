@@ -81,8 +81,11 @@ class RealFormDescriptor:
 
 def describe(family: str, params: Params = ()) -> RealFormDescriptor:
     """Descriptor for a noncompact real form; family is a classical tag
-    (a key of families.FAMILIES) or an exceptional token like 'E6^-14'."""
+    (a key of families.FAMILIES) or an exceptional token like 'E6^-14',
+    which takes no parameters."""
     if family in EXCEPTIONAL_FORMS:
+        if params:
+            raise DomainError(f"{family} takes no parameters")
         info = EXCEPTIONAL_FORMS[family]
         ambient = LieType.of(info["ambient"])
         return RealFormDescriptor(

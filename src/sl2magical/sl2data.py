@@ -79,10 +79,6 @@ def module_multiplicities(g: GradingDims) -> Sl2Data:
     return Sl2Data(n=tuple(pairs), dim_g=g.total)
 
 
-def is_even_triple(d: Sl2Data) -> bool:
-    return all(j % 2 == 0 for j, _ in d.n)
-
-
 def _tensor_summands(k: int, l: int):
     """Highest ad_h weights in V_k (x) V_l (dims k and l)."""
     return range(k + l - 2, abs(k - l) - 1, -2)

@@ -6,7 +6,7 @@ as an ordinary pytest failure for that claim.
 
 from pathlib import Path
 
-from sl2magical.crosscheck import check_oracle_equivalence, check_parity_lemma
+from sl2magical.crosscheck import run_all
 from sl2magical.dataset import evaluate_conditions, load_records
 from sl2magical.magical import (
     Verdict,
@@ -18,8 +18,9 @@ from sl2magical.magical import (
 from sl2magical.moduli import rigidity_report
 from sl2magical.orbits import (
     Partition,
-    enumerate_orbit_labels,
+    enumerate_partitions,
     enumerate_signed_data,
+    orbit_labels,
 )
 from sl2magical.realforms import (
     centralizer_realform,
@@ -154,7 +155,7 @@ def test_5_classification_theorem_exceptional():
 
 def test_6_oracle_equivalence():
     """Formulas, diagram grading and matrix oracle agree on every orbit."""
-    result = check_oracle_equivalence(6)
+    result = run_all(6)[0]
     assert result.passed, result.detail
     assert result.cases == 272  # every A/B/C/D orbit of rank <= 6
     print(f"PASS: oracle equivalence on {result.cases} orbits of rank <= 6")
@@ -162,7 +163,7 @@ def test_6_oracle_equivalence():
 
 def test_7_parity_lemma():
     """dim g0 = dim V_rho exactly for single-parity partitions."""
-    result = check_parity_lemma(6)
+    result = run_all(6)[1]
     assert result.passed, result.detail
     assert result.cases == 272  # every A/B/C/D orbit of rank <= 6
     print(f"PASS: parity lemma on {result.cases} orbits of rank <= 6")
@@ -173,18 +174,18 @@ def test_8_moduli_arithmetic():
     checked = 0
     for params in family_parameter_space("su", 6):
         ambient = describe("su", params).complexification()
-        for label in enumerate_orbit_labels(ambient, ambient.matrix_size):
-            for signed in enumerate_signed_data("su", params, label.partition):
-                if not centralizer_realform(signed).is_compact:
-                    continue
-                status = extended_magical_status("su", params, label.partition,
-                                                 signed)
-                report = rigidity_report(2, "su", params, label.partition, signed)
-                if status.verdict is Verdict.EVEN_MAGICAL:
-                    assert report.gap == 0, (params, str(label))
-                else:
-                    assert report.gap > 0, (params, str(label))
-                checked += 1
+        for p in enumerate_partitions(ambient, ambient.matrix_size):
+            for label in orbit_labels(ambient, p):
+                for signed in enumerate_signed_data("su", params, p):
+                    if not centralizer_realform(signed).is_compact:
+                        continue
+                    status = extended_magical_status("su", params, p, signed)
+                    report = rigidity_report(2, "su", params, p, signed)
+                    if status.verdict is Verdict.EVEN_MAGICAL:
+                        assert report.gap == 0, (params, str(label))
+                    else:
+                        assert report.gap > 0, (params, str(label))
+                    checked += 1
 
     for g in range(2, 11):
         (signed,) = enumerate_signed_data("sl", (2,), Partition((2,)))

@@ -294,6 +294,11 @@ def test_entry_point_help_exits_zero():
     (("slodowy", "su", "2", "3", "--genus", "2"), "su(2,3) needs --partition"),
     (("slodowy", "sl", "14", "--genus", "2"),
      "sl(14,R): A13 exceeds the classical rank cap 12"),
+    (("orbit", "A", "4", "--partition", "1^100000000000000000000"),
+     "'1^100000000000000000000' has more than 25 boxes"),
+    (("slodowy", "su", "2", "3", "--partition", "1^26", "--genus", "2"),
+     "'1^26' has more than 25 boxes"),
+    (("classify", "E6^-14", "3"), "E6^-14 takes no parameters"),
 ])
 def test_malformed_arguments_exit_2_naming_the_form(capsys, argv, form):
     code, out, err = run(capsys, *argv)

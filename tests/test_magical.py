@@ -1,5 +1,7 @@
 """The compact-centralizer criterion, the involution signs and the scan."""
 
+import sys
+
 import pytest
 
 from sl2magical.errors import DomainError
@@ -16,10 +18,10 @@ from sl2magical.orbits import (
     Partition,
     SignedPartitionData,
     compact_candidates,
-    enumerate_orbit_labels,
     enumerate_partitions,
     enumerate_signed_data,
     one_sign_data,
+    orbit_labels,
 )
 from sl2magical.realforms import centralizer_realform, describe
 
@@ -240,18 +242,18 @@ def test_classify_realform_matches_the_full_scan(family):
         form = describe(family, params)
         ambient = form.complexification()
         reference = []
-        for label in enumerate_orbit_labels(ambient, ambient.matrix_size):
-            data = enumerate_signed_data(family, params, label.partition)
-            best = partition_witness(form, ambient, label.partition)
+        for p in enumerate_partitions(ambient, ambient.matrix_size):
+            data = enumerate_signed_data(family, params, p)
+            best = partition_witness(form, ambient, p)
             magical = [status for status in magical_statuses(best, data)
                        if status.verdict.is_magical]
             if magical:
-                reference.append((str(label), len(magical), str(magical[0].centralizer),
-                                  magical[0].witness))
+                reference.extend((str(label), len(magical), str(magical[0].centralizer),
+                                  magical[0].witness) for label in orbit_labels(ambient, p))
         rows = classify_realform(family, params)
         assert [_row(row) for row in rows] == reference, params
-        assert [row.label.sort_key for row in rows] == sorted(row.label.sort_key
-                                                              for row in rows)
+        keys = [(tuple(-k for k in row.label.partition.parts), row.label.tag) for row in rows]
+        assert keys == sorted(keys)
 
         compact = [signed for p in enumerate_partitions(ambient, ambient.matrix_size)
                    for signed in enumerate_signed_data(family, params, p)
@@ -264,11 +266,14 @@ def test_classify_realform_matches_the_full_scan(family):
 def test_classify_builds_sign_data_only_where_the_partition_can_pass(monkeypatch):
     """Over the 141 forms of size <= 12 the walk yields 1,162 partitions,
     but only the 107 whose half of the witness can pass get one-sign data
-    (179 in all) and centralizers; they give the 112 magical rows."""
-    from sl2magical import magical
+    (179 in all) and centralizers; they give the 112 magical rows.  Each
+    walked partition's half reads one closed_dims call and builds no n_j
+    table: every module's binding of either function is counted."""
+    from sl2magical import magical, sl2data
     from sl2magical.magical import family_parameter_space
 
     walked, built, centralizers = [], [], []
+    formulas = {"multiplicities_formula": [], "closed_dims": []}
 
     def counting(calls, fn):
         def counted(*args):
@@ -283,6 +288,11 @@ def test_classify_builds_sign_data_only_where_the_partition_can_pass(monkeypatch
     monkeypatch.setattr(magical, "one_sign_data", counting(built, magical.one_sign_data))
     monkeypatch.setattr(magical, "centralizer_realform",
                         counting(centralizers, magical.centralizer_realform))
+    for formula, calls in formulas.items():
+        original = getattr(sl2data, formula)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("sl2magical") and getattr(module, formula, None) is original:
+                monkeypatch.setattr(module, formula, counting(calls, original))
     forms = rows = 0
     for family in FAMILIES:
         for params in family_parameter_space(family, 12):
@@ -291,3 +301,5 @@ def test_classify_builds_sign_data_only_where_the_partition_can_pass(monkeypatch
     assert (forms, sum(map(len, walked))) == (141, 1162)
     assert (len(built), sum(map(len, built))) == (107, 179)
     assert (len(centralizers), rows) == (179, 112)
+    assert {formula: len(calls) for formula, calls in formulas.items()} == {
+        "multiplicities_formula": 0, "closed_dims": 1162}

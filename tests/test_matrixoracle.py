@@ -14,7 +14,7 @@ from sl2magical.matrixmodel import (
     eigen_columns,
     identity_involution,
     is_eigen,
-    lay_out,
+    triple_on,
 )
 from sl2magical.matrixoracle import (
     SigmaSplitReport,
@@ -81,15 +81,15 @@ def test_block_tables_match_the_full_route():
 
 def test_multiplicity_units_match_the_layout():
     """On every classical orbit of rank <= 8 the units the oracle reads
-    from the multiplicity table are lay_out's units, counted by (number of
-    strings, length)."""
+    from the multiplicity table are the units of its triple, counted by
+    (number of strings, length)."""
     checked = 0
     for fam, low in CLASSICAL_MIN_RANK.items():
         algebra = matrixoracle._FAMILY_ALGEBRA[fam]
         for rank in range(low, 9):
             t = LieType.of(fam, rank)
             for p in enumerate_partitions(t, t.matrix_size):
-                laid_out = Counter((len(u), len(u[0]), 1) for u in lay_out(algebra, p).units())
+                laid_out = Counter((len(u), len(u[0]), 1) for u in triple_on(algebra, p).units())
                 assert matrixoracle._tau_units(algebra, p) == laid_out, f"{t.name} {p}"
                 checked += 1
     assert checked == 742
@@ -221,9 +221,9 @@ def test_warm_splits_build_no_triple(monkeypatch):
              for signed in enumerate_signed_data(family, params, p)]
     warm = [rigidity_report(2, *form, signed.partition, signed) for form, signed in cases]
     built = []
-    triple_on = matrixoracle.triple_on
-    monkeypatch.setattr(matrixoracle, "triple_on", lambda layout: built.append(layout)
-                        or triple_on(layout))
+    build = matrixoracle.triple_on
+    monkeypatch.setattr(matrixoracle, "triple_on", lambda algebra, p: built.append(p)
+                        or build(algebra, p))
     assert [rigidity_report(2, *form, signed.partition, signed) for form, signed in cases] == warm
     assert built == []
     assert len(cases) == 154  # every su and sl signed datum of size <= 6

@@ -109,6 +109,15 @@ def test_exceptional_report():
     assert dict(r.a) == {1: 8, 2: 8}
 
 
+def test_exceptional_token_with_parameters_is_rejected():
+    """An exceptional token takes no parameters, in the descriptor and so
+    in every report built on it."""
+    with pytest.raises(DomainError, match="E6\\^-14 takes no parameters"):
+        describe("E6^-14", (3,))
+    with pytest.raises(DomainError, match="E6\\^-14 takes no parameters"):
+        rigidity_report(2, "E6^-14", (3, 4), (1, 0, 0, 0, 0, 1))
+
+
 def test_exceptional_missing_columns():
     # the split form row ships without the V-intersection column
     with pytest.raises(MissingDataError):

@@ -13,10 +13,10 @@ from sl2magical.orbits import (
     OrbitLabel,
     Partition,
     compact_candidates,
-    enumerate_orbit_labels,
     enumerate_partitions,
     enumerate_signed_data,
     one_sign_data,
+    orbit_labels,
     partition_fits_family,
     plus_boxes,
     weighted_dynkin_from_partition,
@@ -37,8 +37,19 @@ def test_parts_auto_sorted():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "0", "2,-1", "a,b", "2^0"):
+    for bad in ("", "0", "2,-1", "a,b", "2^0", "-1^100000000000000000000"):
         with pytest.raises(DomainError):
+            Partition.parse(bad)
+
+
+def test_parse_bounds_the_box_count_before_expanding():
+    """A partition of more than 25 boxes, the matrix size of B12, is
+    rejected as a domain error, token by token, so a huge exponent is never
+    expanded."""
+    assert orbits.MAX_BOXES == 25 == LieType.of("B", 12).matrix_size
+    assert Partition.parse("1^25").n == Partition.parse("5^4,4,1").n == 25
+    for bad in ("1^26", "13,13", "1^100000000000000000000", "1^3000000,2"):
+        with pytest.raises(DomainError, match="more than 25 boxes"):
             Partition.parse(bad)
 
 
@@ -121,11 +132,12 @@ def test_orbit_label_str_and_sort():
     a = OrbitLabel(Partition.parse("2^4"), "I")
     b = OrbitLabel(Partition.parse("2^4"), "II")
     assert str(a) == "[2^4]_I"
-    assert sorted([b, a], key=lambda x: x.sort_key) == [a, b]
+    assert orbit_labels(LieType.of("D", 4), a.partition) == (a, b)  # I before II
 
 
 def test_very_even_labels_doubled_in_d():
-    labels = enumerate_orbit_labels(LieType.of("D", 4), 8)
+    d4 = LieType.of("D", 4)
+    labels = [label for p in enumerate_partitions(d4, 8) for label in orbit_labels(d4, p)]
     tags = [str(l) for l in labels if l.partition == Partition.parse("2^4")]
     assert tags == ["[2^4]_I", "[2^4]_II"]
     tags31 = [str(l) for l in labels if l.partition == Partition.parse("3,3,1,1")]

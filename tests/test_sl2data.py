@@ -14,7 +14,6 @@ from sl2magical.orbits import (
 from sl2magical.rootsystems import CLASSICAL_MIN_RANK, LieType, ad_grading, build_root_system
 from sl2magical.sl2data import (
     closed_dims,
-    is_even_triple,
     module_multiplicities,
     multiplicities_formula,
 )
@@ -74,11 +73,16 @@ def test_trivial_orbit_data():
 
 
 def test_even_triple_flag():
+    """Every weight is even exactly when dim g_0 = dim V_rho, the flag the
+    criterion reads off the closed dims."""
     t = LieType.of("A", 3)
-    even = _data_via_grading(t, Partition.parse("2^2"))
-    odd = _data_via_grading(t, Partition.parse("2,1,1"))
-    assert is_even_triple(even)
-    assert not is_even_triple(odd)
+    for parts, even in (("2^2", True), ("2,1,1", False)):
+        p = Partition.parse(parts)
+        data = _data_via_grading(t, p)
+        assert all(j % 2 == 0 for j, _ in data.n) is even
+        assert (data.dim_g0 == data.dim_v_rho) is even
+        _, dim_g0, dim_v_rho = closed_dims(t, p)
+        assert (dim_g0 == dim_v_rho) is even
 
 
 def test_data_accessors():

@@ -1,6 +1,6 @@
 """Every module of the package compiles without a warning, every
-function and class it defines is used, and every function the benchmark
-tracer wraps exists."""
+function and class it defines has a caller in the package, and every
+function the benchmark tracer wraps exists."""
 
 import ast
 import importlib
@@ -11,8 +11,16 @@ from pathlib import Path
 import sl2magical
 
 PACKAGE = Path(sl2magical.__file__).parent
-TESTS = Path(__file__).parent
-TRACER = TESTS.parent / "perfbench" / "tracer.py"
+TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"
+
+#: Definitions with no caller in the package yet, each kept for the open
+#: ROADMAP item that gives it one.
+EARMARKED = {
+    "involution_sign": "item 6: the signs of the magical involution sigma_e",
+    "admits_even_magical": "items 2, 6 and 7: a hand list to be checked or derived",
+    "restricted_root_checksum": "item 3: a registered check of verify",
+    "classify_family": "item 2: the family scan that lifts classify's size bound",
+}
 
 
 def test_modules_compile_without_warnings():
@@ -36,32 +44,41 @@ def _references(tree):
             yield node.value.rsplit(".", 1)[-1]
 
 
+def _traced_layers():
+    """The "module.function" keys of the tracer's LAYERS, read from its
+    source."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    (layers,) = [node.value for node in ast.walk(tree)
+                 if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", "") == "LAYERS"]
+    return [ast.literal_eval(key) for key in layers.keys]
+
+
 def test_every_definition_is_referenced():
     """Each function and class defined in the package is referenced in the
-    package or the tests outside its own definition (dunder methods, which
-    the language calls, excepted)."""
+    package outside its own definition; a test alone does not keep a
+    definition.  Exempt are dunder methods, which the language calls, the
+    functions the benchmark tracer wraps, and the EARMARKED names."""
     package = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))]
-    tests = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(TESTS.glob("*.py"))]
-    used = Counter(name for tree in package + tests for name in _references(tree))
-    unused = []
+    used = Counter(name for tree in package for name in _references(tree))
+    exempt = {name.rsplit(".", 1)[1] for name in _traced_layers()} | set(EARMARKED)
+    defined, unused = set(), []
     for tree in package:
         for node in ast.walk(tree):
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                     and not node.name.startswith("__")):
+                defined.add(node.name)
                 own = sum(1 for name in _references(node) if name == node.name)
-                if used[node.name] == own:
+                if used[node.name] == own and node.name not in exempt:
                     unused.append(node.name)
     assert unused == []
+    assert set(EARMARKED) <= defined
 
 
 def test_traced_layers_exist():
     """Each "module.function" key of the tracer's LAYERS names a function
     of the package, so deleting a traced function fails here, not only in
     a traced benchmark run.  The keys are read from the tracer's source."""
-    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
-    (layers,) = [node.value for node in ast.walk(tree)
-                 if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", "") == "LAYERS"]
-    names = [ast.literal_eval(key) for key in layers.keys]
+    names = _traced_layers()
     assert names
     missing = []
     for name in names:
