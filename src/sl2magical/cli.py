@@ -23,7 +23,7 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .crosscheck import run_all
-from .dataset import load_records
+from .dataset import find_record, load_records
 from .errors import DatasetSchemaError, DomainError, MissingDataError
 from .families import FAMILIES
 from .magical import MagicalStatus, Witness, classify_realform, magical_statuses, partition_witness
@@ -173,14 +173,17 @@ def cmd_slodowy(args: argparse.Namespace) -> int:
         except ValueError:
             raise DomainError(f"{family}: cannot parse --wdd {args.wdd!r}") from None
         try:
-            orbit = WeightedDynkinDiagram(form.complexification(), labels).labels
+            orbit = WeightedDynkinDiagram(form.ambient, labels).labels
         except DomainError as exc:
             raise DomainError(f"{family}: {exc}") from None
-        report = rigidity_report(args.genus, family, params, orbit)
+        record = find_record(family, orbit)
+        if record is None:
+            raise MissingDataError(f"no curated record for {family} orbit {orbit}")
+        report = rigidity_report(args.genus, record)
         orbit_str = _wdd_orbit(orbit)
         signs = ""
     else:
-        ambient = form.complexification()  # the rank cap, before the flags
+        form.ambient  # the rank cap, before the flags
         if args.wdd:
             raise DomainError(f"{form.name} takes --partition, not --wdd")
         if not args.partition:
@@ -189,11 +192,11 @@ def cmd_slodowy(args: argparse.Namespace) -> int:
         data = enumerate_signed_data(family, params, p)
         if not data:
             raise DomainError(f"{p} does not meet {form.name}")
-        best = partition_witness(form, ambient, p)
+        best = partition_witness(form, p)
         statuses = magical_statuses(best, data) if best.verdict.is_magical else ()
         chosen = next((signed for signed, status in zip(data, statuses)
                        if status.verdict.is_magical), data[0])
-        report = rigidity_report(args.genus, family, params, p, chosen)
+        report = rigidity_report(args.genus, chosen)
         orbit_str = str(p)
         signs = str(chosen)
     doc = {

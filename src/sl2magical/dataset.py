@@ -113,6 +113,24 @@ class ExceptionalOrbitRecord:
         """Sum of n_j over positive even weights."""
         return sum(m for j, m in self.sl2_data().n if j > 0 and j % 2 == 0)
 
+    def slodowy_split(self) -> Tuple[int, Dict[int, int]]:
+        """dim(c cap h) and the positive-weight dims a_w of the
+        highest-weight spaces in m, read off the columns; they localize
+        the involution only up to weight 2."""
+        data = self.sl2_data()
+        if data.max_weight > 2:
+            raise MissingDataError(f"{self.realform} {self.wdd}: records only localize "
+                                   "the involution up to weight 2")
+        missing = [c for c in _OPTIONAL_KEYS if getattr(self, c) is None]
+        if missing:
+            raise MissingDataError(f"{self.realform} record lacks columns {missing}")
+        a2 = self.dim_Veven_cap_m
+        a1 = (data.dim_v_rho - self.dim_V_cap_h) - a2 - (data.dim_c - self.dim_c_cap_h)
+        if a1 < 0:
+            raise MissingDataError(
+                f"{self.realform} record columns are inconsistent: a_1 = {a1}")
+        return self.dim_c_cap_h, {w: v for w, v in ((1, a1), (2, a2)) if v > 0}
+
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -207,7 +225,8 @@ def load_records(path: Optional[Union[str, os.PathLike]] = None) -> List[Excepti
     """Read and validate the record file.
 
     Resolution order: explicit path argument, then the MAGICAL_DATASET
-    environment variable, then the file shipped with the package.
+    environment variable, then the file shipped with the package.  A
+    real form has at most one record per diagram.
     """
     if path is None:
         path = os.environ.get(DATASET_ENV)
@@ -222,6 +241,7 @@ def load_records(path: Optional[Union[str, os.PathLike]] = None) -> List[Excepti
             raise MissingDataError(f"cannot read dataset {path}: {exc}") from exc
         source = str(path)
     records: List[ExceptionalOrbitRecord] = []
+    first_line: Dict[Tuple[str, Tuple[int, ...]], int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -230,7 +250,12 @@ def load_records(path: Optional[Union[str, os.PathLike]] = None) -> List[Excepti
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DatasetSchemaError(f"{where}: invalid JSON ({exc})") from exc
-        records.append(_record_from_json(obj, where))
+        rec = _record_from_json(obj, where)
+        first = first_line.setdefault((rec.realform, rec.wdd), lineno)
+        if first != lineno:
+            raise DatasetSchemaError(f"{where}: second {rec.realform} record for wdd "
+                                     f"{list(rec.wdd)}, first on line {first}")
+        records.append(rec)
     return records
 
 

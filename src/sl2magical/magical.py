@@ -47,7 +47,6 @@ from .realforms import (
     centralizer_realform,
     describe,
 )
-from .rootsystems import LieType
 from .sl2data import closed_dims
 
 Params = Tuple[int, ...]
@@ -106,27 +105,19 @@ def involution_sign(j: int, k: int) -> int:
     return 1 if (k + 1) % 2 == 0 else -1
 
 
-def extended_magical_status(
-    family: str, params: Params, p: Partition, signed: SignedPartitionData
-) -> MagicalStatus:
+def extended_magical_status(signed: SignedPartitionData) -> MagicalStatus:
     """Evaluate the criterion on one real orbit of a classical form."""
-    if signed.family != family or tuple(signed.params) != tuple(params):
-        raise DomainError(f"signed datum {signed} does not belong to {family}{params}")
-    if signed.partition != p:
-        raise DomainError(f"signed datum {signed} does not refine {p}")
-
-    form = describe(family, tuple(params))
-    return next(magical_statuses(partition_witness(form, form.complexification(), p),
-                                 [signed]))
+    form = describe(signed.family, signed.params)
+    return next(magical_statuses(partition_witness(form, signed.partition), [signed]))
 
 
-def partition_witness(form: RealFormDescriptor, ambient: LieType, p: Partition) -> Witness:
+def partition_witness(form: RealFormDescriptor, p: Partition) -> Witness:
     """p's half of the witness, at its best case: a compact centralizer.  A
     sign datum enters the witness only through that flag, so when this
     verdict is not magical, no datum of p is magical.  The closed dims give
     it all: dim V_rho sums every n_j and dim g_0 the even ones, so every
     weight is even exactly when the two agree."""
-    dim_c, dim_g0, dim_v_rho = closed_dims(ambient, p)
+    dim_c, dim_g0, dim_v_rho = closed_dims(form.ambient, p)
     return Witness(m_minus_h=form.s, g0_minus_2c=dim_g0 - 2 * dim_c,
                    centralizer_compact=True, even_triple=dim_g0 == dim_v_rho)
 
@@ -169,17 +160,16 @@ def classify_realform(family: str, params: Params) -> Tuple[ClassifiedOrbit, ...
     their magical verdicts agree too.
     """
     form = describe(family, tuple(params))
-    ambient = form.complexification()
     rows: List[ClassifiedOrbit] = []
     for p in compact_candidates(family, tuple(params)):
-        best = partition_witness(form, ambient, p)
+        best = partition_witness(form, p)
         if not best.verdict.is_magical:
             continue
         data = one_sign_data(family, tuple(params), p)
         magical = [status for status in magical_statuses(best, data) if status.verdict.is_magical]
         if magical:
             rows.extend(ClassifiedOrbit(family, tuple(params), label, magical[0], len(magical))
-                        for label in orbit_labels(ambient, p))
+                        for label in orbit_labels(form.ambient, p))
     return tuple(rows)
 
 
@@ -224,7 +214,7 @@ def admits_even_magical(family: str, params: Params = ()) -> bool:
     so(p,q) with p, q >= 3; and E6^2, E7^-5, E8^-24, F4^4.
     """
     form = describe(family, tuple(params))
-    ambient = form.complexification()
+    ambient = form.ambient
     if form.ss_rank == ambient.rank:  # split forms have full restricted rank
         return True
     if form.hermitian and form.tube_type:

@@ -13,15 +13,14 @@ for even magical data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Mapping, Optional, Tuple, Union
 
-from .errors import DomainError, MissingDataError
+from .dataset import ExceptionalOrbitRecord
+from .errors import DomainError
 from .matrixoracle import oracle_sigma_split
-from .orbits import Partition, SignedPartitionData, check_partition
+from .orbits import SignedPartitionData, check_partition
 from .realforms import RealFormDescriptor
 from .realforms import describe, milnor_wood as milnor_wood_bound
-
-Params = Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -53,61 +52,25 @@ def expected_dim(genus: int, d: RealFormDescriptor) -> int:
     return 2 * (genus - 1) * d.dim_g_real
 
 
-def _classical_split(form: RealFormDescriptor, p: Partition,
-                     signed: SignedPartitionData) -> Tuple[int, Dict[int, int]]:
-    check_partition(form.complexification(), p)  # the rank cap, then the orbit
-    report = oracle_sigma_split(signed)
-    a = {w: m for w, m in report.m_parts().items() if w > 0 and m > 0}
-    return report.split_at(0)[0], a
-
-
-def _exceptional_split(form: RealFormDescriptor, orbit) -> Tuple[int, Dict[int, int]]:
-    # deferred import: the dataset module is optional for classical work
-    from .dataset import find_record
-
-    record = find_record(form.family, orbit)
-    if record is None:
-        raise MissingDataError(f"no curated record for {form.family} orbit {orbit}")
-    data = record.sl2_data()
-    if data.max_weight > 2:
-        raise MissingDataError(
-            f"{form.family} {record.wdd}: records only localize the involution "
-            "up to weight 2"
-        )
-    missing = [c for c in ("dim_V_cap_h", "dim_c_cap_h", "dim_Veven_cap_m")
-               if getattr(record, c) is None]
-    if missing:
-        raise MissingDataError(f"{form.family} record lacks columns {missing}")
-    a2 = record.dim_Veven_cap_m
-    a1 = (data.dim_v_rho - record.dim_V_cap_h) - a2 - (data.dim_c - record.dim_c_cap_h)
-    if a1 < 0:
-        raise MissingDataError(f"{form.family} record columns are inconsistent: a_1 = {a1}")
-    a = {w: v for w, v in ((1, a1), (2, a2)) if v > 0}
-    return record.dim_c_cap_h, a
-
-
-def rigidity_report(genus: int, family: str, params: Params,
-                    orbit: Union[Partition, Tuple[int, ...]],
-                    signed: Optional[SignedPartitionData] = None) -> SlodowyReport:
-    """Parameter count vs. expected dimension for one real orbit, a
-    partition of a classical form or the diagram labels of an exceptional one.
+def rigidity_report(genus: int,
+                    orbit: Union[SignedPartitionData, ExceptionalOrbitRecord]) -> SlodowyReport:
+    """Parameter count vs. expected dimension for one real orbit: the
+    signed datum of a classical form or the curated record of an
+    exceptional one.
 
     Classical families split every highest-weight space through the
     matrix-model involution; exceptional forms read the split off the
-    curated record for the orbit's weighted diagram.  The gap is zero
-    exactly on even magical data.
+    record's columns.  The gap is zero exactly on even magical data.
     """
-    form = describe(family, tuple(params))
-    if form.is_exceptional:
-        dim_c_cap_h, a = _exceptional_split(form, orbit)
+    if isinstance(orbit, SignedPartitionData):
+        form = describe(orbit.family, orbit.params)
+        check_partition(form.ambient, orbit.partition)  # the rank cap, then the orbit
+        split = oracle_sigma_split(orbit)
+        dim_c_cap_h = split.split_at(0)[0]
+        a = {w: m for w, m in split.m_parts().items() if w > 0 and m > 0}
     else:
-        if signed is None:
-            raise DomainError("classical rigidity reports need a signed datum")
-        if signed.family != family or tuple(signed.params) != tuple(params):
-            raise DomainError(f"signed datum {signed} does not belong to {family}{params}")
-        if signed.partition != orbit:
-            raise DomainError(f"signed datum {signed} does not refine {orbit}")
-        dim_c_cap_h, a = _classical_split(form, orbit, signed)
+        form = describe(orbit.realform)
+        dim_c_cap_h, a = orbit.slodowy_split()
 
     param = slodowy_parameter_dim(genus, dim_c_cap_h, a)
     expect = expected_dim(genus, form)
@@ -117,4 +80,3 @@ def rigidity_report(genus: int, family: str, params: Params,
         gap=expect - param, milnor_wood=mw,
         a=tuple(sorted(a.items())), dim_c_cap_h=dim_c_cap_h,
     )
-

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 from .errors import DomainError, RankDomainError
@@ -70,7 +71,9 @@ class RealFormDescriptor:
     def is_exceptional(self) -> bool:
         return self.family in EXCEPTIONAL_FORMS
 
-    def complexification(self) -> LieType:
+    @cached_property
+    def ambient(self) -> LieType:
+        """The complexification, found once per descriptor."""
         if self.is_exceptional:
             return LieType.of(EXCEPTIONAL_FORMS[self.family]["ambient"])
         try:

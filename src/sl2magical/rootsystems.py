@@ -202,10 +202,6 @@ class RootSystem:
     def rank(self) -> int:
         return self.lie_type.rank
 
-    @property
-    def dim(self) -> int:
-        return 2 * len(self.positive_roots) + self.rank
-
     @cached_property
     def columns(self) -> Tuple[Coeffs, ...]:
         """Per node, its coefficient in each positive root, in root order."""

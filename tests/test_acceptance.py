@@ -173,14 +173,14 @@ def test_8_moduli_arithmetic():
     """Rigidity: gap 0 iff even magical; Teichmueller count; MW bounds."""
     checked = 0
     for params in family_parameter_space("su", 6):
-        ambient = describe("su", params).complexification()
+        ambient = describe("su", params).ambient
         for p in enumerate_partitions(ambient, ambient.matrix_size):
             for label in orbit_labels(ambient, p):
                 for signed in enumerate_signed_data("su", params, p):
                     if not centralizer_realform(signed).is_compact:
                         continue
-                    status = extended_magical_status("su", params, p, signed)
-                    report = rigidity_report(2, "su", params, p, signed)
+                    status = extended_magical_status(signed)
+                    report = rigidity_report(2, signed)
                     if status.verdict is Verdict.EVEN_MAGICAL:
                         assert report.gap == 0, (params, str(label))
                     else:
@@ -189,7 +189,7 @@ def test_8_moduli_arithmetic():
 
     for g in range(2, 11):
         (signed,) = enumerate_signed_data("sl", (2,), Partition((2,)))
-        r = rigidity_report(g, "sl", (2,), Partition((2,)), signed)
+        r = rigidity_report(g, signed)
         assert r.slodowy_param_dim == 6 * g - 6, g
         assert r.gap == 0, g
 

@@ -130,6 +130,26 @@ def test_classify_keeps_rows_by_the_verdict(capsys, monkeypatch, tmp_path):
     assert [row["verdict"] for row in json.loads(out)["rows"]] == ["OddMagical"]
 
 
+@pytest.mark.parametrize("command", [
+    ("classify", "E6^-14"),
+    ("slodowy", "E6^-14", "--wdd", "1,0,0,0,0,1", "--genus", "2"),
+], ids=["classify", "slodowy"])
+def test_duplicate_record_exit_3(capsys, monkeypatch, tmp_path, command):
+    """A table listing the E6^-14 row twice is refused, also when the copy
+    contradicts the first, before any row is printed or read."""
+    row = {"realform": "E6^-14", "wdd": [1, 0, 0, 0, 0, 1], "dim_V_cap_h": 30,
+           "dim_c_cap_h": 22, "dim_Veven_cap_m": 8, "centralizer": "so(7)+so(2)",
+           "source_row": "x"}
+    path = tmp_path / "twice.jsonl"
+    for second in (row, {**row, "dim_c_cap_h": 21, "centralizer": "so(7)+R"}):
+        path.write_text(json.dumps(row) + "\n" + json.dumps(second) + "\n")
+        monkeypatch.setenv(DATASET_ENV, str(path))
+        code, out, err = run(capsys, *command)
+        assert (code, out) == (3, "")
+        assert err == (f"error: {path}:2: second E6^-14 record for wdd "
+                       "[1, 0, 0, 0, 0, 1], first on line 1\n")
+
+
 def test_classify_unknown_family_exit_2(capsys):
     code, _, err = run(capsys, "classify", "magic", "3")
     assert code == 2
@@ -273,32 +293,40 @@ def test_entry_point_help_exits_zero():
     assert exc.value.code == 0
 
 
+def _case(number, argv, form):
+    """A case with a fixed id: a new case takes the next unused number
+    wherever it is inserted, so no other case is renamed."""
+    return pytest.param(argv, form, id=f"argv{number}-{form}")
+
+
 @pytest.mark.parametrize("argv,form", [
-    (("classify", "su", "2"), "su(p,q)"),
-    (("classify", "sl", "3", "4"), "sl(n,R)"),
-    (("slodowy", "su", "2", "--partition", "2,1", "--genus", "2"), "su(p,q)"),
-    (("slodowy", "E6^-14", "--wdd", "1,x,0,0,0,1", "--genus", "2"), "E6^-14"),
-    (("slodowy", "E6^-14", "3", "--wdd", "1,0,0,0,0,1", "--genus", "2"),
-     "E6^-14 takes no parameters"),
-    (("slodowy", "E6^-14", "--wdd", "1,0,0,0,1", "--genus", "2"), "E6^-14"),
-    (("slodowy", "E6^-14", "--wdd", "1,0,0,0,0,3", "--genus", "2"), "E6^-14"),
-    (("slodowy", "E6^-14", "--partition", "2,1", "--wdd", "1,0,0,0,0,1", "--genus", "2"),
-     "E6^-14 takes --wdd, not --partition"),
-    (("slodowy", "su", "2", "3", "--partition", "2,2,1", "--wdd", "1,0", "--genus", "2"),
-     "su(2,3) takes --partition, not --wdd"),
-    (("classify", "sl", "14"), "sl(14,R): A13 exceeds the classical rank cap 12"),
-    (("slodowy", "sl", "14", "--partition", "14", "--genus", "2"), "sl(14,R)"),
-    (("classify", "spr", "1"), "sp(2,R): C-type needs rank >= 2, got 1"),
-    (("slodowy", "so", "2", "2", "--genus", "2"),
-     "so(p,q) needs positive parameters with p+q >= 5"),
-    (("slodowy", "su", "2", "3", "--genus", "2"), "su(2,3) needs --partition"),
-    (("slodowy", "sl", "14", "--genus", "2"),
-     "sl(14,R): A13 exceeds the classical rank cap 12"),
-    (("orbit", "A", "4", "--partition", "1^100000000000000000000"),
-     "'1^100000000000000000000' has more than 25 boxes"),
-    (("slodowy", "su", "2", "3", "--partition", "1^26", "--genus", "2"),
-     "'1^26' has more than 25 boxes"),
-    (("classify", "E6^-14", "3"), "E6^-14 takes no parameters"),
+    _case(0, ("classify", "su", "2"), "su(p,q)"),
+    _case(1, ("classify", "sl", "3", "4"), "sl(n,R)"),
+    _case(2, ("slodowy", "su", "2", "--partition", "2,1", "--genus", "2"), "su(p,q)"),
+    _case(3, ("slodowy", "E6^-14", "--wdd", "1,x,0,0,0,1", "--genus", "2"), "E6^-14"),
+    _case(4, ("slodowy", "E6^-14", "3", "--wdd", "1,0,0,0,0,1", "--genus", "2"),
+          "E6^-14 takes no parameters"),
+    _case(5, ("slodowy", "E6^-14", "--wdd", "1,0,0,0,1", "--genus", "2"), "E6^-14"),
+    _case(6, ("slodowy", "E6^-14", "--wdd", "1,0,0,0,0,3", "--genus", "2"), "E6^-14"),
+    _case(7, ("slodowy", "E6^-14", "--partition", "2,1", "--wdd", "1,0,0,0,0,1",
+              "--genus", "2"),
+          "E6^-14 takes --wdd, not --partition"),
+    _case(8, ("slodowy", "su", "2", "3", "--partition", "2,2,1", "--wdd", "1,0",
+              "--genus", "2"),
+          "su(2,3) takes --partition, not --wdd"),
+    _case(9, ("classify", "sl", "14"), "sl(14,R): A13 exceeds the classical rank cap 12"),
+    _case(10, ("slodowy", "sl", "14", "--partition", "14", "--genus", "2"), "sl(14,R)"),
+    _case(11, ("classify", "spr", "1"), "sp(2,R): C-type needs rank >= 2, got 1"),
+    _case(12, ("slodowy", "so", "2", "2", "--genus", "2"),
+          "so(p,q) needs positive parameters with p+q >= 5"),
+    _case(13, ("slodowy", "su", "2", "3", "--genus", "2"), "su(2,3) needs --partition"),
+    _case(14, ("slodowy", "sl", "14", "--genus", "2"),
+          "sl(14,R): A13 exceeds the classical rank cap 12"),
+    _case(15, ("orbit", "A", "4", "--partition", "1^100000000000000000000"),
+          "'1^100000000000000000000' has more than 25 boxes"),
+    _case(16, ("slodowy", "su", "2", "3", "--partition", "1^26", "--genus", "2"),
+          "'1^26' has more than 25 boxes"),
+    _case(17, ("classify", "E6^-14", "3"), "E6^-14 takes no parameters"),
 ])
 def test_malformed_arguments_exit_2_naming_the_form(capsys, argv, form):
     code, out, err = run(capsys, *argv)

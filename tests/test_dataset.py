@@ -31,6 +31,15 @@ GOOD_ROW = {
     "source_row": "test",
 }
 
+#: The compact form's row: the same diagram as GOOD_ROW, another real form.
+OTHER_FORM_ROW = {
+    "realform": "E6^-26",
+    "wdd": [1, 0, 0, 0, 0, 1],
+    "dim_c_cap_h": 21,
+    "centralizer": "so(7)+R",
+    "source_row": "test",
+}
+
 
 def test_shipped_table_loads():
     records = load_records()
@@ -123,8 +132,20 @@ def test_empty_file_gives_empty_list(tmp_path):
 
 def test_blank_lines_skipped(tmp_path):
     path = tmp_path / "table.jsonl"
-    path.write_text(json.dumps(GOOD_ROW) + "\n\n" + json.dumps(GOOD_ROW) + "\n")
+    path.write_text(json.dumps(GOOD_ROW) + "\n\n" + json.dumps(OTHER_FORM_ROW) + "\n")
     assert len(load_records(path)) == 2
+
+
+def test_duplicate_record_names_both_lines(tmp_path):
+    """A second record of one real form and diagram is rejected, even when
+    it agrees with the first; the same diagram under another form is not
+    a duplicate."""
+    for second in (GOOD_ROW, {**GOOD_ROW, "dim_c_cap_h": 21, "centralizer": "so(7)+R"}):
+        path = _write(tmp_path, [GOOD_ROW, OTHER_FORM_ROW, second])
+        with pytest.raises(DatasetSchemaError,
+                           match=r"table\.jsonl:3: second E6\^-14 record for wdd "
+                                 r"\[1, 0, 0, 0, 0, 1\], first on line 1"):
+            load_records(path)
 
 
 def test_centralizer_parsing():

@@ -37,8 +37,8 @@ def test_scan_stays_inside_the_rank_window(tag):
     spec = FAMILIES[tag]
     for params in family_parameter_space(tag, 16):
         d = describe(tag, params)
-        assert d.complexification().matrix_size == spec.size(params)
-        assert d.dim_g_real == d.complexification().dim
+        assert d.ambient.matrix_size == spec.size(params)
+        assert d.dim_g_real == d.ambient.dim
 
 
 def test_gl_type_centralizer_compact_only_with_one_real_line():

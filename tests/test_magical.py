@@ -50,7 +50,7 @@ def test_su23_oddmagical_orbit():
     p = Partition.parse("2^2,1")
     verdicts = []
     for signed in enumerate_signed_data("su", (2, 3), p):
-        st = extended_magical_status("su", (2, 3), p, signed)
+        st = extended_magical_status(signed)
         verdicts.append((signed.sign_split(2), st.verdict))
     assert ((2, 0), Verdict.ODD_MAGICAL) in verdicts
     assert ((0, 2), Verdict.ODD_MAGICAL) in verdicts
@@ -60,7 +60,7 @@ def test_su23_oddmagical_orbit():
 def test_su23_trivial_orbit_not_magical():
     p = Partition.parse("1^5")
     (signed,) = enumerate_signed_data("su", (2, 3), p)
-    st = extended_magical_status("su", (2, 3), p, signed)
+    st = extended_magical_status(signed)
     assert st.verdict is Verdict.NOT_EXTENDED_MAGICAL
     assert not st.witness.centralizer_compact
 
@@ -69,7 +69,7 @@ def test_witness_numbers_su22():
     p = Partition.parse("2^2")
     signed = next(s for s in enumerate_signed_data("su", (2, 2), p)
                   if s.sign_split(2) == (2, 0))
-    st = extended_magical_status("su", (2, 2), p, signed)
+    st = extended_magical_status(signed)
     assert st.verdict is Verdict.EVEN_MAGICAL
     assert st.witness.m_minus_h == 1  # dim m - dim h = 8 - 7
     assert st.witness.g0_minus_2c == 1  # 7 - 2*3
@@ -88,8 +88,7 @@ def test_signs_must_list_each_part_once(family, params, partition, signs):
     is rejected with a DomainError before the criterion reads it."""
     p = Partition.parse(partition)
     with pytest.raises(DomainError, match="the signs of .* list the parts") as err:
-        extended_magical_status(family, params, p,
-                                SignedPartitionData(family, params, p, signs))
+        extended_magical_status(SignedPartitionData(family, params, p, signs))
     assert err.type is DomainError
 
 
@@ -240,11 +239,11 @@ def test_classify_realform_matches_the_full_scan(family):
 
     for params in family_parameter_space(family, 12):
         form = describe(family, params)
-        ambient = form.complexification()
+        ambient = form.ambient
         reference = []
         for p in enumerate_partitions(ambient, ambient.matrix_size):
             data = enumerate_signed_data(family, params, p)
-            best = partition_witness(form, ambient, p)
+            best = partition_witness(form, p)
             magical = [status for status in magical_statuses(best, data)
                        if status.verdict.is_magical]
             if magical:

@@ -214,17 +214,17 @@ def test_warm_splits_build_no_triple(monkeypatch):
     """Once the split tables are warm, a rigidity report of an su or sl
     orbit builds no triple: its units come from the signed datum."""
     monkeypatch.setattr(matrixoracle, "_CARTAN_TABLES", {})
-    cases = [((family, params), signed)
+    cases = [signed
              for n in range(2, 7)
              for family, params in [("su", (a, n - a)) for a in range(1, n)] + [("sl", (n,))]
              for p in enumerate_partitions("A", n)
              for signed in enumerate_signed_data(family, params, p)]
-    warm = [rigidity_report(2, *form, signed.partition, signed) for form, signed in cases]
+    warm = [rigidity_report(2, signed) for signed in cases]
     built = []
     build = matrixoracle.triple_on
     monkeypatch.setattr(matrixoracle, "triple_on", lambda algebra, p: built.append(p)
                         or build(algebra, p))
-    assert [rigidity_report(2, *form, signed.partition, signed) for form, signed in cases] == warm
+    assert [rigidity_report(2, signed) for signed in cases] == warm
     assert built == []
     assert len(cases) == 154  # every su and sl signed datum of size <= 6
 

@@ -1,7 +1,10 @@
 """Slodowy parameter counts and rigidity gaps."""
 
+from dataclasses import replace
+
 import pytest
 
+from sl2magical.dataset import find_record
 from sl2magical.errors import DomainError, MissingDataError, RankDomainError
 from sl2magical.magical import Verdict, classify_realform, family_parameter_space
 from sl2magical.moduli import (
@@ -11,6 +14,8 @@ from sl2magical.moduli import (
 )
 from sl2magical.orbits import Partition, enumerate_signed_data
 from sl2magical.realforms import describe
+
+E6_ROW = (1, 0, 0, 0, 0, 1)  # the diagram of the shipped E6^-14 and E6^-26 rows
 
 
 def _signed(family, params, spec, split=None):
@@ -41,8 +46,7 @@ def test_expected_dim():
 
 
 def test_even_magical_orbit_is_unobstructed():
-    r = rigidity_report(2, "su", (2, 2), Partition.parse("2^2"),
-                        _signed("su", (2, 2), "2^2", (2, (2, 0))))
+    r = rigidity_report(2, _signed("su", (2, 2), "2^2", (2, (2, 0))))
     assert (r.slodowy_param_dim, r.expected_dim, r.gap) == (30, 30, 0)
     assert r.milnor_wood == 4
     assert r.dim_c_cap_h == 3
@@ -50,16 +54,14 @@ def test_even_magical_orbit_is_unobstructed():
 
 
 def test_odd_magical_orbit_has_gap():
-    r = rigidity_report(2, "su", (2, 3), Partition.parse("2^2,1"),
-                        _signed("su", (2, 3), "2^2,1", (2, (2, 0))))
+    r = rigidity_report(2, _signed("su", (2, 3), "2^2,1", (2, (2, 0))))
     assert (r.slodowy_param_dim, r.expected_dim, r.gap) == (40, 48, 8)
     assert r.dim_c_cap_h == 4
     assert dict(r.a) == {1: 2, 2: 4}
 
 
 def test_trivial_orbit_has_maximal_gap():
-    r = rigidity_report(2, "su", (2, 3), Partition.parse("1^5"),
-                        _signed("su", (2, 3), "1^5"))
+    r = rigidity_report(2, _signed("su", (2, 3), "1^5"))
     assert (r.slodowy_param_dim, r.expected_dim, r.gap) == (24, 48, 24)
     assert r.dim_c_cap_h == 12
     assert dict(r.a) == {}
@@ -67,42 +69,32 @@ def test_trivial_orbit_has_maximal_gap():
 
 @pytest.mark.parametrize("genus", [2, 3, 10])
 def test_principal_sl2r_teichmueller_count(genus):
-    r = rigidity_report(genus, "sl", (2,), Partition.parse("2"),
-                        _signed("sl", (2,), "2"))
+    r = rigidity_report(genus, _signed("sl", (2,), "2"))
     assert r.slodowy_param_dim == 6 * genus - 6
     assert r.gap == 0
 
 
 def test_genus_scaling_is_linear():
-    base = rigidity_report(2, "su", (2, 3), Partition.parse("2^2,1"),
-                           _signed("su", (2, 3), "2^2,1", (2, (2, 0))))
-    tall = rigidity_report(5, "su", (2, 3), Partition.parse("2^2,1"),
-                           _signed("su", (2, 3), "2^2,1", (2, (2, 0))))
+    signed = _signed("su", (2, 3), "2^2,1", (2, (2, 0)))
+    base = rigidity_report(2, signed)
+    tall = rigidity_report(5, signed)
     assert tall.slodowy_param_dim * (2 - 1) == base.slodowy_param_dim * (5 - 1)
 
 
-def test_classical_requires_signed_datum():
-    with pytest.raises(DomainError):
-        rigidity_report(2, "su", (2, 2), Partition.parse("2^2"))
-
-
-def test_signed_datum_of_another_form_is_rejected():
-    """A datum is read for its own form only: the sl(3,R) datum of [3]
-    splits as sl(3,R) does, not as su(1,2), whose [3] has gap 10."""
-    p = Partition.parse("3")
-    with pytest.raises(DomainError, match="does not belong to su"):
-        rigidity_report(2, "su", (1, 2), p, _signed("sl", (3,), "3"))
-    assert rigidity_report(2, "su", (1, 2), p, _signed("su", (1, 2), "3")).gap == 10
+def test_signed_datum_is_read_for_its_own_form():
+    """A datum carries its form: the sl(3,R) datum of [3] splits as
+    sl(3,R) does, with gap 0, and the su(1,2) datum of [3] has gap 10."""
+    assert rigidity_report(2, _signed("sl", (3,), "3")).gap == 0
+    assert rigidity_report(2, _signed("su", (1, 2), "3")).gap == 10
 
 
 def test_rank_cap_is_checked_before_the_split():
-    p = Partition.parse("14")
     with pytest.raises(RankDomainError, match=r"sl\(14,R\): A13 exceeds the classical rank cap"):
-        rigidity_report(2, "sl", (14,), p, _signed("sl", (14,), "14"))
+        rigidity_report(2, _signed("sl", (14,), "14"))
 
 
 def test_exceptional_report():
-    r = rigidity_report(2, "E6^-14", (), (1, 0, 0, 0, 0, 1))
+    r = rigidity_report(2, find_record("E6^-14", E6_ROW))
     assert (r.slodowy_param_dim, r.expected_dim, r.gap) == (124, 156, 32)
     assert r.milnor_wood == 4
     assert r.dim_c_cap_h == 22
@@ -110,28 +102,34 @@ def test_exceptional_report():
 
 
 def test_exceptional_token_with_parameters_is_rejected():
-    """An exceptional token takes no parameters, in the descriptor and so
-    in every report built on it."""
+    """An exceptional token takes no parameters; a report reads the form
+    off the record, which carries none."""
     with pytest.raises(DomainError, match="E6\\^-14 takes no parameters"):
         describe("E6^-14", (3,))
-    with pytest.raises(DomainError, match="E6\\^-14 takes no parameters"):
-        rigidity_report(2, "E6^-14", (3, 4), (1, 0, 0, 0, 0, 1))
+
+
+def test_exceptional_split_stops_at_weight_2():
+    # the E7^7 orbit reaches weight 3, past what the record's columns localize
+    with pytest.raises(MissingDataError, match="only localize the involution up to weight 2"):
+        rigidity_report(2, find_record("E7^7", (1, 0, 0, 1, 0, 1, 0)))
 
 
 def test_exceptional_missing_columns():
-    # the split form row ships without the V-intersection column
-    with pytest.raises(MissingDataError):
-        rigidity_report(2, "E7^7", (), (1, 0, 0, 1, 0, 1, 0))
+    # the compact form's row ships without the two V-intersection columns
+    with pytest.raises(MissingDataError, match=r"E6\^-26 record lacks columns "
+                                               r"\['dim_V_cap_h', 'dim_Veven_cap_m'\]"):
+        rigidity_report(2, find_record("E6^-26", E6_ROW))
 
 
-def test_exceptional_unknown_orbit():
-    with pytest.raises(MissingDataError):
-        rigidity_report(2, "E6^-14", (), (2, 0, 0, 0, 0, 2))
+def test_exceptional_inconsistent_columns():
+    record = replace(find_record("E6^-14", E6_ROW), dim_V_cap_h=40)
+    with pytest.raises(MissingDataError, match="E6\\^-14 record columns are inconsistent: "
+                                               "a_1 = -2"):
+        rigidity_report(2, record)
 
 
 def test_nonhermitian_has_no_milnor_wood():
-    r = rigidity_report(2, "sl", (3,), Partition.parse("3"),
-                        _signed("sl", (3,), "3"))
+    r = rigidity_report(2, _signed("sl", (3,), "3"))
     assert r.milnor_wood is None
     assert r.gap == 0  # principal orbit of a split form
 

@@ -42,7 +42,7 @@ def test_compact_dual_dimension_splits():
                            ("spr", (4,)), ("sp", (2, 2)), ("sustar", (3,)),
                            ("sl", (6,))]:
         d = describe(family, params)
-        assert d.dim_g_real == d.complexification().dim
+        assert d.dim_g_real == d.ambient.dim
 
 
 def test_hermitian_and_tube_flags():
@@ -108,7 +108,7 @@ def test_split_forms_have_full_rank():
     for family, params in [("sl", (5,)), ("so", (3, 4)), ("so", (4, 4)),
                            ("spr", (3,))]:
         d = describe(family, params)
-        assert d.ss_rank == d.complexification().rank
+        assert d.ss_rank == d.ambient.rank
     assert describe("su", (2, 3)).ss_rank == 2
 
 
@@ -117,7 +117,7 @@ def test_restricted_root_checksums():
         for params in family_parameter_space(family, 12):
             d = describe(family, params)
             assert restricted_root_checksum(d), d.name
-            ambient = d.complexification()
+            ambient = d.ambient
             assert d.dim_g_real == ambient.dim, d.name
             assert d.ss_rank <= ambient.rank, d.name
 

@@ -77,7 +77,7 @@ def test_cartan_matrix_b2_asymmetry():
 @pytest.mark.parametrize("name", ["A4", "B3", "C3", "D4", "F4", "E6", "G2"])
 def test_root_count_matches_dimension(name):
     rs = build_root_system(LieType.of(name))
-    assert rs.dim == rs.rank + 2 * len(rs.positive_roots)
+    assert rs.lie_type.dim == rs.rank + 2 * len(rs.positive_roots)
 
 
 @pytest.mark.parametrize("name,count", [("A2", 3), ("D5", 20), ("E6", 36)])
