@@ -28,7 +28,7 @@ from .errors import DatasetSchemaError, DomainError, MissingDataError
 from .families import FAMILIES
 from .magical import MagicalStatus, Witness, classify_realform, magical_statuses, partition_witness
 from .moduli import rigidity_report
-from .orbits import Partition, enumerate_signed_data, weighted_dynkin_from_partition
+from .orbits import Partition, enumerate_signed_data, signed_data, weighted_dynkin_from_partition
 from .realforms import RealFormDescriptor, describe
 from .rootsystems import CLASSICAL_RANK_CAP, LieType, WeightedDynkinDiagram
 from .sl2data import closed_dims, multiplicities_formula
@@ -61,12 +61,16 @@ def _print(text: str) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _print_record(fmt: str, doc: Dict, rows: List[Tuple[str, str]]) -> None:
+def _print_record(fmt: str, doc: Dict, rows: Optional[List[Tuple[str, str]]] = None) -> None:
     """One record: the json document, or its (field, value) rows as csv or
-    as an aligned table."""
+    as an aligned table.  Without rows, each field of doc is one row, a
+    dict value written as json, built for csv and table only."""
     if fmt == "json":
         _print(json.dumps(doc))
-    elif fmt == "csv":
+        return
+    if rows is None:
+        rows = [(k, json.dumps(v) if isinstance(v, dict) else str(v)) for k, v in doc.items()]
+    if fmt == "csv":
         _print(_emit_csv(("field", "value"), rows))
     else:
         _print(_emit_table(rows))
@@ -135,7 +139,7 @@ def _classify_rows_exceptional(form: RealFormDescriptor) -> List[Dict]:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    form = describe(args.family, tuple(args.params))
+    form = describe(args.family, args.params)
     if form.is_exceptional:
         rows = _classify_rows_exceptional(form)
     else:
@@ -161,10 +165,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_slodowy(args: argparse.Namespace) -> int:
     family = args.family
-    params = tuple(args.params)
-    form = describe(family, params)
+    form = describe(family, args.params)
     if form.is_exceptional:
-        if args.partition:
+        if args.partition is not None:
             raise DomainError(f"{family} takes --wdd, not --partition")
         if not args.wdd:
             raise DomainError(f"{family} needs --wdd to pick the orbit")
@@ -184,18 +187,19 @@ def cmd_slodowy(args: argparse.Namespace) -> int:
         signs = ""
     else:
         form.ambient  # the rank cap, before the flags
-        if args.wdd:
+        if args.wdd is not None:
             raise DomainError(f"{form.name} takes --partition, not --wdd")
         if not args.partition:
             raise DomainError(f"{form.name} needs --partition")
         p = Partition.parse(args.partition)
-        data = enumerate_signed_data(family, params, p)
-        if not data:
+        chosen = next(signed_data(family, form.params, p), None)
+        if chosen is None:
             raise DomainError(f"{p} does not meet {form.name}")
         best = partition_witness(form, p)
-        statuses = magical_statuses(best, data) if best.verdict.is_magical else ()
-        chosen = next((signed for signed, status in zip(data, statuses)
-                       if status.verdict.is_magical), data[0])
+        if best.verdict.is_magical:  # else no datum of p is magical: keep the first
+            data = enumerate_signed_data(family, form.params, p)
+            chosen = next((signed for signed, status in zip(data, magical_statuses(best, data))
+                           if status.verdict.is_magical), chosen)
         report = rigidity_report(args.genus, chosen)
         orbit_str = str(p)
         signs = str(chosen)
@@ -212,9 +216,7 @@ def cmd_slodowy(args: argparse.Namespace) -> int:
     }
     if signs:
         doc["signs"] = signs
-    rows = [(k, json.dumps(v) if isinstance(v, dict) else str(v))
-            for k, v in doc.items()]
-    _print_record(args.format, doc, rows)
+    _print_record(args.format, doc)
     return 0
 
 

@@ -226,7 +226,8 @@ def load_records(path: Optional[Union[str, os.PathLike]] = None) -> List[Excepti
 
     Resolution order: explicit path argument, then the MAGICAL_DATASET
     environment variable, then the file shipped with the package.  A
-    real form has at most one record per diagram.
+    real form has at most one record per diagram.  The file is read on
+    every call, and parsed again only when its source or text is new.
     """
     if path is None:
         path = os.environ.get(DATASET_ENV)
@@ -240,6 +241,12 @@ def load_records(path: Optional[Union[str, os.PathLike]] = None) -> List[Excepti
         except OSError as exc:
             raise MissingDataError(f"cannot read dataset {path}: {exc}") from exc
         source = str(path)
+    return list(_parse_records(source, text))
+
+
+@lru_cache(maxsize=8)
+def _parse_records(source: str, text: str) -> Tuple[ExceptionalOrbitRecord, ...]:
+    """The validated records of one text; source names it in errors."""
     records: List[ExceptionalOrbitRecord] = []
     first_line: Dict[Tuple[str, Tuple[int, ...]], int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -256,7 +263,7 @@ def load_records(path: Optional[Union[str, os.PathLike]] = None) -> List[Excepti
             raise DatasetSchemaError(f"{where}: second {rec.realform} record for wdd "
                                      f"{list(rec.wdd)}, first on line {first}")
         records.append(rec)
-    return records
+    return tuple(records)
 
 
 def find_record(realform: str, wdd: Tuple[int, ...]) -> Optional[ExceptionalOrbitRecord]:

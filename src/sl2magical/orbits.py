@@ -320,7 +320,7 @@ def _one_sign(total: int) -> List[Tuple[int, int]]:
 
 
 def _signed_data(spec: FamilySpec, family: str, params: Tuple[int, ...], p: Partition,
-                 splits: Callable[[int], List[Tuple[int, int]]]) -> List[SignedPartitionData]:
+                 splits: Callable[[int], List[Tuple[int, int]]]) -> Iterator[SignedPartitionData]:
     """The sign data of p whose signed parts take a split from splits(r_i)
     and whose plus boxes meet the signature rule: plus-heavy splits first,
     larger parts varying slowest.  p must meet the form's parity rules."""
@@ -335,33 +335,34 @@ def _signed_data(spec: FamilySpec, family: str, params: Tuple[int, ...], p: Part
     else:
         # where the signature counts, sign-free rows are even: i/2 plus boxes each
         forced, base = (), sum(i // 2 * rows[i] for i in unsigned)
-    out = []
     for choice in product(*[[(i, split) for split in splits(rows[i])] for i in signed]):
         signs = tuple(sorted(forced + choice, reverse=True)) if forced else choice
         plus = base + sum(plus_boxes(i, a, b) for i, (a, b) in signs)
         if not spec.signature_rule or plus == params[0]:
-            out.append(SignedPartitionData(family, params, p, signs))
-    return out
+            yield SignedPartitionData(family, params, p, signs)
 
 
-def enumerate_signed_data(
-    family: str, params: Tuple[int, ...], p: Partition
-) -> List[SignedPartitionData]:
-    """All leading-sign assignments realizing the orbit inside the form.
-
-    Returns [] when the partition does not meet the real form at all (wrong
-    signature, or odd multiplicities for a quaternionic family).  Output is
-    deterministic: plus-heavy splits first, larger parts varying slowest.
-    """
+def signed_data(family: str, params: Tuple[int, ...],
+                p: Partition) -> Iterator[SignedPartitionData]:
+    """All leading-sign assignments realizing the orbit inside the form,
+    each built when it is read; none when the partition does not meet the
+    form (wrong signature, or odd multiplicities for a quaternionic
+    family).  Plus-heavy splits first, larger parts varying slowest."""
     spec = family_spec(family, params)
     size = spec.size(params)
     if p.n != size:
         raise DomainError(f"{spec.name(params)} needs a partition of {size}, got {p.n}")
     if spec.quaternionic and any(r % 2 for r in p.multiplicities().values()):
-        return []
+        return iter(())
     if not partition_fits_family(spec.complex_type(params)[0], p):
-        return []
+        return iter(())
     return _signed_data(spec, family, params, p, _split_range)
+
+
+def enumerate_signed_data(family: str, params: Tuple[int, ...],
+                          p: Partition) -> List[SignedPartitionData]:
+    """signed_data as a list: [] when the partition does not meet the form."""
+    return list(signed_data(family, params, p))
 
 
 def compact_candidates(family: str, params: Tuple[int, ...]) -> Iterator[Partition]:
@@ -409,4 +410,4 @@ def one_sign_data(family: str, params: Tuple[int, ...],
                   p: Partition) -> List[SignedPartitionData]:
     """The sign data of a partition that compact_candidates yields in
     which every signed part has one sign, (r,0) before (0,r)."""
-    return _signed_data(family_spec(family, params), family, params, p, _one_sign)
+    return list(_signed_data(family_spec(family, params), family, params, p, _one_sign))

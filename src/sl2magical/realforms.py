@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, Optional, Tuple
+from functools import cached_property, lru_cache
+from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import DomainError, RankDomainError
 from .families import FAMILIES, family_spec
@@ -82,10 +82,16 @@ class RealFormDescriptor:
             raise RankDomainError(f"{self.name}: {exc}") from None
 
 
-def describe(family: str, params: Params = ()) -> RealFormDescriptor:
+def describe(family: str, params: Sequence[int] = ()) -> RealFormDescriptor:
     """Descriptor for a noncompact real form; family is a classical tag
     (a key of families.FAMILIES) or an exceptional token like 'E6^-14',
-    which takes no parameters."""
+    which takes no parameters.  One descriptor per form and process, so
+    its ambient is found once; params may be any sequence."""
+    return _descriptor(family, tuple(params))
+
+
+@lru_cache(maxsize=None)
+def _descriptor(family: str, params: Params) -> RealFormDescriptor:
     if family in EXCEPTIONAL_FORMS:
         if params:
             raise DomainError(f"{family} takes no parameters")

@@ -9,12 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from sl2magical import cli
+from sl2magical import cli, realforms
 from sl2magical.cli import main
 from sl2magical.dataset import DATASET_ENV
-from sl2magical.families import FAMILIES
-from sl2magical.magical import family_parameter_space
-from sl2magical.orbits import enumerate_partitions
+from sl2magical.families import FAMILIES, FamilySpec
+from sl2magical.magical import family_parameter_space, partition_witness
+from sl2magical.orbits import SignedPartitionData, enumerate_partitions, enumerate_signed_data
+from sl2magical.realforms import describe
 from sl2magical.rootsystems import CLASSICAL_MIN_RANK, LieType
 
 
@@ -201,6 +202,53 @@ def test_slodowy_builds_no_centralizer_when_the_partition_cannot_pass(capsys, mo
         '"signs": "[3,1^2]{3:(1,0),1:(0,2)}"}\n')
 
 
+def _slodowy_workload():
+    """The 889 argv of the slodowy benchmark workload at genus 2, each with
+    whether its partition's half of the witness can pass: su(p,q), p <= q,
+    on each partition that meets it and sl(n,R) on each partition, n from
+    2 to 12, then E6^-14 on its odd diagram (None: no partition)."""
+    out = []
+    for n in range(2, 13):
+        forms = [("su", (p, n - p)) for p in range(1, n // 2 + 1)] + [("sl", (n,))]
+        for family, params in forms:
+            form = describe(family, params)
+            for p in enumerate_partitions("A", n):
+                if family == "su" and not enumerate_signed_data(family, params, p):
+                    continue
+                out.append((("slodowy", family, *map(str, params),
+                             "--partition", ",".join(map(str, p.parts))),
+                            partition_witness(form, p).verdict.is_magical))
+    out.append((("slodowy", "E6^-14", "--wdd", "1,0,0,0,0,1"), None))
+    return [(argv + ("--genus", "2", "--format", "json"), can_pass) for argv, can_pass in out]
+
+
+def test_slodowy_workload_builds_what_it_prints(capsys, monkeypatch):
+    """Over the slodowy workload, each of the 47 classical forms is
+    complexified once (1,776 times when each command described its form
+    twice), and a command builds one sign datum unless its partition can
+    pass (2,139 data in all when every datum was built)."""
+    workload = _slodowy_workload()
+    built, complexified = [], []
+
+    def count(seen, original):
+        return lambda *args: seen.append(1) or original(*args)
+
+    monkeypatch.setattr(SignedPartitionData, "__post_init__",
+                        count(built, SignedPartitionData.__post_init__))
+    monkeypatch.setattr(FamilySpec, "complexification",
+                        count(complexified, FamilySpec.complexification))
+    realforms._descriptor.cache_clear()
+    per_command = []
+    for argv, can_pass in workload:
+        before = len(built)
+        assert run(capsys, *argv)[0] == 0
+        per_command.append((can_pass, len(built) - before))
+    assert len(workload) == 889
+    assert sum(1 for can_pass, _ in per_command if can_pass) == 84
+    assert all(n == 1 for can_pass, n in per_command if can_pass is False)
+    assert (len(complexified), len(built)) == (47, 1083)
+
+
 def test_slodowy_genus_guard_exit_2(capsys):
     code, _, err = run(capsys, "slodowy", "su", "2", "2", "--partition", "2,2",
                        "--genus", "1")
@@ -327,6 +375,11 @@ def _case(number, argv, form):
     _case(16, ("slodowy", "su", "2", "3", "--partition", "1^26", "--genus", "2"),
           "'1^26' has more than 25 boxes"),
     _case(17, ("classify", "E6^-14", "3"), "E6^-14 takes no parameters"),
+    _case(18, ("slodowy", "E6^-14", "--partition", "", "--wdd", "1,0,0,0,0,1",
+               "--genus", "2"),
+          "E6^-14 takes --wdd, not --partition"),
+    _case(19, ("slodowy", "sl", "3", "--partition", "3", "--wdd", "", "--genus", "2"),
+          "sl(3,R) takes --partition, not --wdd"),
 ])
 def test_malformed_arguments_exit_2_naming_the_form(capsys, argv, form):
     code, out, err = run(capsys, *argv)
@@ -500,6 +553,28 @@ def test_slodowy_sweep_digest(capsys):
     assert commands == 415  # 267 exit 0, 148 exit 2 (no signed datum meets the form)
     assert digest.hexdigest() == (
         "236b6f513071453426e2b115e53040c91a7c921d78fba21e1310d6f1491ba573")
+
+
+def test_slodowy_large_sweep_digest(capsys):
+    """Every su(p,q) with p <= q and sl(n,R) of size 9..12, each partition
+    of n, at genus 2 in json: the exit codes and output, byte for byte, as
+    recorded while slodowy built every sign datum of its partition and
+    described its form twice."""
+    digest = hashlib.sha256()
+    commands = 0
+    for n in range(9, 13):
+        forms = [("su", str(p), str(n - p)) for p in range(1, n // 2 + 1)] + [("sl", str(n))]
+        for p in enumerate_partitions("A", n):
+            part = ",".join(map(str, p.parts))
+            for form in forms:
+                argv = ("slodowy", *form, "--partition", part, "--genus", "2",
+                        "--format", "json")
+                code, out, err = run(capsys, *argv)
+                digest.update(f"{' '.join(argv)}\n{code}\n{out}{err}\n".encode())
+                commands += 1
+    assert commands == 1277  # 702 exit 0, 575 exit 2 (no signed datum meets the form)
+    assert digest.hexdigest() == (
+        "aa764b39add9b4a88c0775d8bbc8f54fb3088d215f5e64252870ac3266ea57b5")
 
 
 def _orbit_sweep():

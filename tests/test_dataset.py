@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from sl2magical import dataset
 from sl2magical.dataset import (
     DATASET_ENV,
     ExceptionalOrbitRecord,
@@ -89,6 +90,24 @@ def test_explicit_path_wins_over_env(tmp_path, monkeypatch):
     monkeypatch.setenv(DATASET_ENV, "/nonexistent.jsonl")
     path = _write(tmp_path, [GOOD_ROW])
     assert len(load_records(path)) == 1
+
+
+def test_a_text_is_parsed_once_and_a_rewritten_file_again(tmp_path, monkeypatch):
+    """load_records reads the file on every call but parses a (source,
+    text) pair once; each call returns a list of its own."""
+    parsed = []
+    parse_row = dataset._record_from_json
+    monkeypatch.setattr(dataset, "_record_from_json",
+                        lambda obj, where: parsed.append(where) or parse_row(obj, where))
+    path = _write(tmp_path, [GOOD_ROW, OTHER_FORM_ROW])
+    first, second = load_records(path), load_records(path)
+    assert first == second and first is not second
+    assert parsed == [f"{path}:1", f"{path}:2"]
+    first.clear()
+    assert len(load_records(path)) == 2
+    _write(tmp_path, [OTHER_FORM_ROW])
+    assert [rec.realform for rec in load_records(path)] == ["E6^-26"]
+    assert parsed == [f"{path}:1", f"{path}:2", f"{path}:1"]
 
 
 def test_missing_file(monkeypatch):

@@ -262,13 +262,13 @@ def test_compact_candidates_build_no_barren_partition(monkeypatch):
     """The walk cuts every branch without a one-sign datum that meets the
     form, so over the 141 forms of size <= 12 one_sign_data gives each
     partition the walk yields a datum."""
-    signed_data = orbits._signed_data
+    build = orbits._signed_data
     sizes = []
 
     def counted(*args):
-        data = signed_data(*args)
+        data = list(build(*args))
         sizes.append(len(data))
-        return data
+        return iter(data)
 
     monkeypatch.setattr(orbits, "_signed_data", counted)
     forms = 0

@@ -36,6 +36,16 @@ def test_classical_descriptors(family, params, name, dim_h, dim_m):
     assert d.dim_g_real == dim_h + dim_m
 
 
+def test_describe_gives_one_descriptor_per_form():
+    """A repeated form, its params as a list or a tuple, is the same
+    descriptor, so its ambient is found once."""
+    form = describe("su", [2, 3])
+    assert describe("su", (2, 3)) is form and form.params == (2, 3)
+    assert form.ambient is describe("su", [2, 3]).ambient
+    assert describe("E6^-14") is describe("E6^-14", [])
+    assert describe("su", (3, 2)) is not form
+
+
 def test_compact_dual_dimension_splits():
     # dim h + dim m must always equal the real dimension of the form
     for family, params in [("su", (3, 3)), ("so", (4, 4)), ("sostar", (5,)),
