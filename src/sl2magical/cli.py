@@ -8,8 +8,12 @@ text table, csv with a header row, or a single json document.
 Exit codes: 0 success, 1 verification mismatch, 2 argument or domain
 error, 3 missing data, 4 internal error (a broken internal invariant).
 
-main(argv) may be called repeatedly in one process: the parser is built
-on the first call and reused by every later one.
+main(argv) may be called repeatedly in one process.  Both parsers read
+one argument table, COMMANDS.  A plain command (the subcommand, its
+positionals, then each flag spelled in full as --flag value) is read
+straight from the table.  argparse is built only when a command needs it,
+that is for help, an error, or any other spelling, on the first such call,
+and reused by every later one.  The results are the same either way.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import functools
 import io
 import json
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .crosscheck import run_all
 from .dataset import find_record, load_records
@@ -169,7 +173,7 @@ def cmd_slodowy(args: argparse.Namespace) -> int:
     if form.is_exceptional:
         if args.partition is not None:
             raise DomainError(f"{family} takes --wdd, not --partition")
-        if not args.wdd:
+        if args.wdd is None:
             raise DomainError(f"{family} needs --wdd to pick the orbit")
         try:
             labels = tuple(int(x) for x in args.wdd.split(","))
@@ -189,7 +193,7 @@ def cmd_slodowy(args: argparse.Namespace) -> int:
         form.ambient  # the rank cap, before the flags
         if args.wdd is not None:
             raise DomainError(f"{form.name} takes --partition, not --wdd")
-        if not args.partition:
+        if args.partition is None:
             raise DomainError(f"{form.name} needs --partition")
         p = Partition.parse(args.partition)
         chosen = next(signed_data(family, form.params, p), None)
@@ -242,11 +246,46 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-# ---------------------------------------------------------------- parser
+# ---------------------------------------------------------------- arguments
 
 
-# Built once per process.  set_defaults binds the cmd_* functions here, so a
-# patched cmd_* would not be seen; patch the names they look up instead.
+class Subcommand(NamedTuple):
+    """One subcommand: its help line, its cmd_* function, and its
+    positionals and flags, each a name with its argparse keywords."""
+
+    help: str
+    func: Callable[[argparse.Namespace], int]
+    positionals: Tuple[Tuple[str, Dict], ...]
+    flags: Tuple[Tuple[str, Dict], ...]
+
+
+_PARAMS = ("params", {"type": int, "nargs": "*"})
+_FORMAT = ("--format", {"choices": ("json", "csv", "table"), "default": "table"})
+
+# Both parsers read this table.  It binds the cmd_* functions themselves, so
+# a patched cmd_* would not be seen; patch the names they look up instead.
+COMMANDS = {
+    "orbit": Subcommand(
+        "sl2-data of one complex nilpotent orbit", cmd_orbit,
+        (("type", {"choices": ("A", "B", "C", "D")}), ("rank", {"type": int})),
+        (("--partition", {"required": True, "help": "e.g. 2,2,1 or 2^2,1"}), _FORMAT)),
+    "classify": Subcommand(
+        "magical orbits of one real form", cmd_classify,
+        (("family", {"help": ", ".join(FAMILIES) + ", or e.g. E6^-14"}), _PARAMS),
+        (_FORMAT,)),
+    "slodowy": Subcommand(
+        "parameter count vs expected dimension", cmd_slodowy,
+        (("family", {}), _PARAMS),
+        (("--partition", {"help": "orbit partition (classical forms)"}),
+         ("--wdd", {"help": "orbit diagram labels (exceptional forms)"}),
+         ("--genus", {"type": int, "required": True}), _FORMAT)),
+    "verify": Subcommand(
+        "run the consistency suite", cmd_verify, (),
+        (("--max-rank", {"type": int, "default": 6}), _FORMAT)),
+}
+
+
+# Built once per process, and only for a command _fast_args declines.
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -255,43 +294,63 @@ def build_parser() -> argparse.ArgumentParser:
                     "Slodowy dimension arithmetic.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    fmt = {"choices": ("json", "csv", "table"), "default": "table"}
-
-    p_orbit = sub.add_parser("orbit", help="sl2-data of one complex nilpotent orbit")
-    p_orbit.add_argument("type", choices=("A", "B", "C", "D"))
-    p_orbit.add_argument("rank", type=int)
-    p_orbit.add_argument("--partition", required=True,
-                         help="e.g. 2,2,1 or 2^2,1")
-    p_orbit.add_argument("--format", **fmt)
-    p_orbit.set_defaults(func=cmd_orbit)
-
-    p_cls = sub.add_parser("classify", help="magical orbits of one real form")
-    p_cls.add_argument("family", help=", ".join(FAMILIES) + ", or e.g. E6^-14")
-    p_cls.add_argument("params", type=int, nargs="*")
-    p_cls.add_argument("--format", **fmt)
-    p_cls.set_defaults(func=cmd_classify)
-
-    p_slo = sub.add_parser("slodowy", help="parameter count vs expected dimension")
-    p_slo.add_argument("family")
-    p_slo.add_argument("params", type=int, nargs="*")
-    p_slo.add_argument("--partition", help="orbit partition (classical forms)")
-    p_slo.add_argument("--wdd", help="orbit diagram labels (exceptional forms)")
-    p_slo.add_argument("--genus", type=int, required=True)
-    p_slo.add_argument("--format", **fmt)
-    p_slo.set_defaults(func=cmd_slodowy)
-
-    p_ver = sub.add_parser("verify", help="run the consistency suite")
-    p_ver.add_argument("--max-rank", type=int, default=6)
-    p_ver.add_argument("--format", **fmt)
-    p_ver.set_defaults(func=cmd_verify)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for arg, keywords in command.positionals + command.flags:
+            p.add_argument(arg, **keywords)
+        p.set_defaults(func=command.func)
     return parser
 
 
+def _convert(keywords: Dict, token: str):
+    """The value argparse stores for token, or ValueError where it errors."""
+    value = keywords.get("type", str)(token)
+    if value not in keywords.get("choices", (value,)):
+        raise ValueError(token)
+    return value
+
+
+def _fast_args(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """argparse's namespace for a plain command: the subcommand, every
+    positional, then each flag once, spelled in full as --flag value.  None
+    for anything else, help and errors included, which argparse parses: no
+    other token may start with "-", so a negative number goes there too."""
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    tokens = list(argv[1:])
+    split = next((i for i, token in enumerate(tokens) if token.startswith("-")), len(tokens))
+    heads, tail = tokens[:split], tokens[split:]
+    given = dict(zip(tail[::2], tail[1::2]))
+    if (len(tail) != 2 * len(given)  # a flag without its value, or given twice
+            or not given.keys() <= {flag for flag, _ in command.flags}
+            or any(token.startswith("-") for token in given.values())):
+        return None
+    values = {"command": argv[0], "func": command.func}
+    try:
+        for name, keywords in command.positionals:
+            if keywords.get("nargs") == "*":
+                values[name], heads = [_convert(keywords, token) for token in heads], []
+            elif heads:
+                values[name] = _convert(keywords, heads.pop(0))
+            else:
+                return None
+        for flag, keywords in command.flags:
+            if flag in given:
+                value = _convert(keywords, given[flag])
+            elif keywords.get("required"):
+                return None
+            else:
+                value = keywords.get("default")
+            values[flag.lstrip("-").replace("-", "_")] = value
+    except ValueError:
+        return None
+    return None if heads else argparse.Namespace(**values)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _fast_args(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (MissingDataError, DatasetSchemaError) as exc:

@@ -1,6 +1,8 @@
 """Command-line contract: output documents, formats and exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2magical import cli, realforms
 from sl2magical.cli import main
@@ -347,7 +351,7 @@ def _case(number, argv, form):
     return pytest.param(argv, form, id=f"argv{number}-{form}")
 
 
-@pytest.mark.parametrize("argv,form", [
+MALFORMED_CASES = [
     _case(0, ("classify", "su", "2"), "su(p,q)"),
     _case(1, ("classify", "sl", "3", "4"), "sl(n,R)"),
     _case(2, ("slodowy", "su", "2", "--partition", "2,1", "--genus", "2"), "su(p,q)"),
@@ -380,7 +384,14 @@ def _case(number, argv, form):
           "E6^-14 takes --wdd, not --partition"),
     _case(19, ("slodowy", "sl", "3", "--partition", "3", "--wdd", "", "--genus", "2"),
           "sl(3,R) takes --partition, not --wdd"),
-])
+    _case(20, ("slodowy", "sl", "3", "--partition", "", "--genus", "2"),
+          "cannot parse partition ''"),
+    _case(21, ("slodowy", "E6^-14", "--wdd", "", "--genus", "2"),
+          "E6^-14: cannot parse --wdd ''"),
+]
+
+
+@pytest.mark.parametrize("argv,form", MALFORMED_CASES)
 def test_malformed_arguments_exit_2_naming_the_form(capsys, argv, form):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -447,6 +458,141 @@ def test_main_reuses_one_parser_without_state(capsys):
         capsys.readouterr()
         assert [run(capsys, *argv) for argv in VALID_ARGV] == first
     assert cli.build_parser.cache_info().misses == 1
+
+
+def _classify_workload():
+    """The 153 argv of the classify benchmark workload: every classical
+    form of size <= 12 (141) and every exceptional token, in json."""
+    heads = [(family, *map(str, params)) for family in FAMILIES
+             for params in family_parameter_space(family, 12)]
+    heads += [(token,) for token in EXCEPTIONAL_TOKENS]
+    return [("classify", *head, "--format", "json") for head in heads]
+
+
+def _workload_argv():
+    """The 1,042 argv of the classify and slodowy benchmark workloads."""
+    return _classify_workload() + [argv for argv, _ in _slodowy_workload()]
+
+
+def _argparse_args(argv):
+    """argparse's namespace for argv, or None where argparse exits; what it
+    prints on the way out is dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.build_parser().parse_args(list(argv))
+        except SystemExit:
+            return None
+
+
+def _assert_fast_path_agrees(argv):
+    """The fast path declines argv or returns argparse's namespace, which
+    argparse then gives without exiting."""
+    fast = cli._fast_args(argv)
+    assert fast is None or fast == _argparse_args(argv), argv
+    return fast
+
+
+def test_fast_path_takes_every_workload_argv_as_argparse_does():
+    argvs = _workload_argv()
+    assert len(argvs) == 1042
+    for argv in argvs:
+        assert _assert_fast_path_agrees(argv) is not None, argv
+
+
+def test_fast_path_declines_or_agrees_on_rejected_and_malformed_argv():
+    argvs = [case.values[0] for case in MALFORMED_CASES] + list(REJECTED_ARGV)
+    assert [argv for argv in argvs if _assert_fast_path_agrees(argv) is None] == list(REJECTED_ARGV)
+
+
+@pytest.mark.parametrize("argv", [
+    ("slodowy", "su", "2", "--partition", "2,1", "3", "--genus", "2"),  # positional after a flag
+    ("classify", "su", "-2", "3"),  # negative param
+    ("slodowy", "su", "2", "3", "--partition=2,2,1", "--genus", "2"),
+    ("verify", "--max", "3"),  # abbreviation
+    ("verify", "--max-rank", "3", "--max-rank", "4"),
+    ("verify", "-h"),
+    ("classify", "--", "su", "2"),
+    ("slodowy", "su", "2", "3", "--partition", "-1", "--genus", "2"),
+    ("classify", "su", "2", "--format"),  # missing value
+    ("classify", "su", "2", "--format", "xml"),  # unknown choice
+    ("orbit", "A", "x", "--partition", "2,1"),  # int() fails
+    ("orbit", "A", "--partition", "2,1"),  # missing positional
+    ("orbit", "A", "2", "3", "--partition", "2,1"),  # leftover positional
+    ("slodowy", "su", "2", "1", "--partition", "2,1"),  # missing required flag
+    ("cluster",),
+    (),
+])
+def test_fast_path_declines_what_is_not_plain(argv):
+    assert cli._fast_args(argv) is None
+
+
+# Tokens near the argument grammar: valid and unknown values, negative and
+# malformed numbers, each flag in full, abbreviated and with "=", help, "--".
+GRAMMAR_VALUES = ("2", "3", "-2", "0", " 4", "x", "", "2,2,1", "2^2,1", "1,0,0,0,0,1",
+                  "json", "csv", "table", "xml", "su", "sl", "E6^-14", "A", "Q")
+GRAMMAR_FLAGS = ("--partition", "--wdd", "--genus", "--format", "--max-rank", "--part",
+                 "--gen", "--form", "--max", "--genus=2", "--format=json", "-h", "--help",
+                 "--", "-p")
+PLAIN_ARGV = (
+    ("orbit", "A", "4", "--partition", "2,2,1", "--format", "csv"),
+    ("classify", "su", "2", "3", "--format", "json"),
+    ("slodowy", "su", "2", "3", "--partition", "2,2,1", "--genus", "2"),
+    ("slodowy", "E6^-14", "--wdd", "1,0,0,0,0,1", "--genus", "3", "--format", "table"),
+    ("verify", "--max-rank", "4"),
+)
+
+
+@st.composite
+def near_grammar(draw):
+    """A plain argv or a random one, then up to two edits: a flag
+    abbreviated or joined to its value by "=", or a token replaced,
+    inserted, dropped or swapped.  Among the results: repeated or missing
+    flags and values, negative params, unknown choices, positionals after
+    flags, -h."""
+    value, flag = st.sampled_from(GRAMMAR_VALUES), st.sampled_from(GRAMMAR_FLAGS)
+    if draw(st.integers(0, 3)):
+        argv = list(draw(st.sampled_from(PLAIN_ARGV)))
+    else:
+        argv = [draw(st.sampled_from(tuple(cli.COMMANDS) + ("cluster", "-h")))]
+        argv += draw(st.lists(value, max_size=3))
+        argv += [token for pair in draw(st.lists(st.tuples(flag, value), max_size=4))
+                 for token in pair]
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(("respell", "replace", "insert", "drop", "swap")))
+        at = draw(st.integers(0, len(argv) - 1))
+        if edit == "respell" and argv[at].startswith("--") and at + 1 < len(argv):
+            if draw(st.booleans()):  # a prefix, the whole flag included
+                argv[at] = argv[at][:draw(st.integers(3, len(argv[at])))]
+            else:
+                argv[at:at + 2] = [f"{argv[at]}={argv[at + 1]}"]
+        elif edit == "replace":
+            argv[at] = draw(st.one_of(value, flag))
+        elif edit == "insert":
+            argv.insert(at + 1, draw(st.one_of(value, flag)))
+        elif edit == "drop":
+            del argv[at]
+        elif at + 1 < len(argv):
+            argv[at], argv[at + 1] = argv[at + 1], argv[at]
+        if not argv:
+            break
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_grammar())
+def test_fast_path_declines_or_agrees_near_the_grammar(argv):
+    _assert_fast_path_agrees(argv)
+
+
+def test_workload_never_builds_the_parser(capsys):
+    """Every benchmark workload command is a plain one, so it runs without
+    argparse; test_main_reuses_one_parser_without_state covers the rest."""
+    cli.build_parser.cache_clear()
+    codes = {0: 0, 3: 0}
+    for argv in _workload_argv():
+        codes[run(capsys, *argv)[0]] += 1
+    assert codes == {0: 1034, 3: 8}  # the 8 exceptional tokens without records
+    assert cli.build_parser.cache_info().misses == 0
 
 
 # The verify documents for ranks 6 and 8 (272 and 742 oracle cases), byte for
