@@ -561,8 +561,9 @@ def near_grammar(draw):
         edit = draw(st.sampled_from(("respell", "replace", "insert", "drop", "swap")))
         at = draw(st.integers(0, len(argv) - 1))
         if edit == "respell" and argv[at].startswith("--") and at + 1 < len(argv):
-            if draw(st.booleans()):  # a prefix, the whole flag included
-                argv[at] = argv[at][:draw(st.integers(3, len(argv[at])))]
+            if draw(st.booleans()):  # a prefix, the whole flag included ("--" too)
+                size = len(argv[at])
+                argv[at] = argv[at][:draw(st.integers(min(3, size), size))]
             else:
                 argv[at:at + 2] = [f"{argv[at]}={argv[at + 1]}"]
         elif edit == "replace":
