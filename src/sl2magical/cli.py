@@ -32,7 +32,13 @@ from .errors import DatasetSchemaError, DomainError, MissingDataError
 from .families import FAMILIES
 from .magical import MagicalStatus, Witness, classify_realform, magical_statuses, partition_witness
 from .moduli import rigidity_report
-from .orbits import Partition, enumerate_signed_data, signed_data, weighted_dynkin_from_partition
+from .orbits import (
+    Partition,
+    enumerate_signed_data,
+    parse_digits,
+    signed_data,
+    weighted_dynkin_from_partition,
+)
 from .realforms import RealFormDescriptor, describe
 from .rootsystems import CLASSICAL_RANK_CAP, LieType, WeightedDynkinDiagram
 from .sl2data import closed_dims, multiplicities_formula
@@ -176,7 +182,7 @@ def cmd_slodowy(args: argparse.Namespace) -> int:
         if args.wdd is None:
             raise DomainError(f"{family} needs --wdd to pick the orbit")
         try:
-            labels = tuple(int(x) for x in args.wdd.split(","))
+            labels = tuple(parse_digits(x.strip(" ")) for x in args.wdd.split(","))
         except ValueError:
             raise DomainError(f"{family}: cannot parse --wdd {args.wdd!r}") from None
         try:

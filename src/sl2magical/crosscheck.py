@@ -44,7 +44,7 @@ def _orbits(max_rank: int) -> Iterator[Tuple[LieType, RootSystem, Partition]]:
         for rank in range(CLASSICAL_MIN_RANK[fam], max_rank + 1):
             t = LieType.of(fam, rank)
             rs = build_root_system(t)
-            for p in enumerate_partitions(t, t.matrix_size):
+            for p in enumerate_partitions(t):
                 yield t, rs, p
 
 

@@ -1,11 +1,11 @@
 """Exact integer matrix models of sl2-triples, the input of the matrix oracle.
 
-Type A triples live in gl_N with one Jordan string per part; e raises with
+A triple of gl_N has one Jordan string per part; e raises with
 coefficient 1, f lowers with k(i-k) down a string of length i so that
-[e,f] = h holds on the nose.  For B/C/D the same strings are made
+[e,f] = h holds on the nose.  In so_N and sp_N the same strings are made
 isotropic for a signed-permutation bilinear form M = sum_a mu_a E_{a,a*}:
-strings of the self-paired parity are reversed onto themselves with
-mu = (-1)^k along the string, the others are coupled in consecutive pairs.
+strings of the parity rootsystems.SELF_PAIRED_PARITY gives are reversed
+onto themselves with mu = (-1)^k, the others coupled in consecutive pairs.
 One function, triple_on, places the strings, sets the pairing and the mu
 signs, and then e, h and f, for the orbits users name and for the
 oracle's small template triples alike.  Matrices are sparse
@@ -34,6 +34,7 @@ from itertools import product
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .orbits import Partition
+from .rootsystems import SELF_PAIRED_PARITY
 
 Entry = Tuple[int, int]
 Sparse = Dict[Entry, int]
@@ -41,9 +42,6 @@ Columns = Dict[int, List[Sparse]]  # ad_h weight -> basis columns of that weight
 Index = Tuple[Dict[int, List[Tuple[int, int]]], Dict[int, List[Tuple[int, int]]]]
 # sigma(E_ab) = eps * E_a'b', given as (a, b) -> (eps, (a', b')).
 Involution = Callable[[int, int], Tuple[int, Entry]]
-
-# so: odd strings are self-paired; sp: even strings are.  gl has no form.
-SELF_PAIRED_PARITY = {"so": 1, "sp": 0}
 
 
 def _index(a: Sparse) -> Index:
@@ -175,8 +173,8 @@ def triple_on(algebra: str, p: Partition) -> MatrixSl2Triple:
         next_index += part
     pairing = list(range(next_index))
     mu = [1] * next_index
-    if algebra != "gl":
-        keep = SELF_PAIRED_PARITY[algebra]
+    keep = SELF_PAIRED_PARITY[algebra]
+    if keep is not None:
         open_partner: Dict[int, Tuple[int, ...]] = {}
         for s in strings:
             i = len(s)
@@ -191,7 +189,7 @@ def triple_on(algebra: str, p: Partition) -> MatrixSl2Triple:
             else:
                 open_partner[i] = s
         if open_partner:
-            raise AssertionError(f"unpaired strings {sorted(open_partner)} despite parity check")
+            raise AssertionError(f"{algebra} {p}: strings {sorted(open_partner)} unpaired")
     e: Sparse = {}
     h: Sparse = {}
     f: Sparse = {}

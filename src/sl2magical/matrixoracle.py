@@ -51,7 +51,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from .errors import NormalityError, UnsupportedInvolutionError
 from .linalg import integer_rank
 from .matrixmodel import (
-    SELF_PAIRED_PARITY,
     Columns,
     Involution,
     MatrixSl2Triple,
@@ -62,7 +61,7 @@ from .matrixmodel import (
     triple_on,
 )
 from .orbits import Partition, SignedPartitionData, check_partition, plus_boxes
-from .rootsystems import LieType
+from .rootsystems import SELF_PAIRED_PARITY, LieType
 from .sl2data import Sl2Data
 
 # (model, unit kinds, string length of each unit, sign), e.g. ("so", "SP", (3, 2), 1).
@@ -74,7 +73,6 @@ Tables = Dict[Key, Tuple[Tuple[int, Table], ...]]
 # A unit's (number of strings, string length, leading sign).
 UnitType = Tuple[int, int, int]
 
-_FAMILY_ALGEBRA = {"A": "gl", "B": "so", "C": "sp", "D": "so"}
 _CARTAN_MODELS = ("su", "sl")
 _CARTAN_TABLES: Tables = {}  # the split tables, ranked once per process
 
@@ -82,7 +80,7 @@ _CARTAN_TABLES: Tables = {}  # the split tables, ranked once per process
 def build_matrix_triple(t: LieType, p: Partition) -> MatrixSl2Triple:
     """The triple on the layout of the orbit p of the classical type t,
     validated."""
-    return triple_on(_FAMILY_ALGEBRA[check_partition(t, p)], p)
+    return triple_on(check_partition(t, p), p)
 
 
 def _nullity_by_weight(m: MatrixSl2Triple, columns: Columns) -> Dict[int, int]:
@@ -128,7 +126,7 @@ def _tau_units(algebra: str, p: Partition) -> Dict[UnitType, int]:
     multiplicity table: a part of multiplicity r gives r self-paired
     strings S in gl, and in so/sp when of the self-paired parity; any
     other part gives r/2 coupled pairs P."""
-    keep = SELF_PAIRED_PARITY.get(algebra)
+    keep = SELF_PAIRED_PARITY[algebra]
     units = {}
     for part, r in p.multiplicities().items():
         if keep is None or part % 2 == keep:
@@ -188,7 +186,7 @@ def oracle_sl2_data(t: Union[LieType, MatrixSl2Triple], p: Optional[Partition] =
     if p is None:
         algebra, p = t.algebra, t.partition
     else:
-        algebra = _FAMILY_ALGEBRA[check_partition(t, p)]
+        algebra = check_partition(t, p)
     # tau fixes I in gl; in so/sp it negates I, onto the side not ranked
     identity = 0 if algebra == "gl" else 1
     keys = _keys(algebra, _tau_units(algebra, p))

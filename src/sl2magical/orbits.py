@@ -2,9 +2,10 @@
 
 Complex nilpotent orbits of the classical algebras are labeled by Jordan
 type, a partition of the defining representation's dimension, subject to
-the usual parity constraints (even parts of B/D partitions and odd parts
-of C partitions occur with even multiplicity).  Very even D partitions
-label two orbits, tagged I and II.
+the parity rule of the algebra: a part whose strings the form of so or sp
+does not pair with themselves (rootsystems.SELF_PAIRED_PARITY) occurs
+with even multiplicity.  Very even D partitions label two orbits, tagged
+I and II.
 
 Real forms refine the label with row signs in the signed-Young-diagram
 sense: a row of length i carries a leading sign, and a row starting with
@@ -19,11 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, TypeVar, Union
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, TypeVar
 
 from .errors import DomainError
 from .families import FAMILIES, FamilySpec, family_spec
-from .rootsystems import CLASSICAL_RANK_CAP, LieFamily, LieType, WeightedDynkinDiagram
+from .rootsystems import (
+    CLASSICAL_RANK_CAP,
+    SELF_PAIRED_PARITY,
+    LieFamily,
+    LieType,
+    WeightedDynkinDiagram,
+)
 
 SignTable = Tuple[Tuple[int, Tuple[int, int]], ...]
 State = TypeVar("State")
@@ -58,17 +65,19 @@ class Partition:
     @classmethod
     def parse(cls, text: str) -> "Partition":
         """Parse '2,2,1', exponent shorthand '2^2,1', or bracketed '[2^2,1]',
-        of at most MAX_BOXES boxes, counted before any token is expanded."""
-        body = text.strip().strip("[]").replace(" ", "")
+        of at most MAX_BOXES boxes, counted before any token is expanded.
+        A token is a part, or a part ^ an exponent, in ASCII digits, with
+        spaces around it allowed: '2, 2, 1' parses, '2 2 1' does not."""
+        body = text.strip().strip("[]")
         if not body:
             raise DomainError(f"cannot parse partition {text!r}")
         parts: List[int] = []
         boxes = 0
         for token in body.split(","):
-            base, _, exp = token.partition("^")
+            base, caret, exp = token.strip(" ").partition("^")
             try:
-                value = int(base)
-                count = int(exp) if exp else 1
+                value = parse_digits(base)
+                count = parse_digits(exp) if caret else 1
             except ValueError:
                 raise DomainError(f"cannot parse partition token {token!r}") from None
             if value < 1 or count < 1:
@@ -108,34 +117,25 @@ class Partition:
         return "[" + ",".join(pieces) + "]"
 
 
-def family_letter(t: Union[LieType, str]) -> str:
-    return t.family.value if isinstance(t, LieType) else t
+def parse_digits(text: str) -> int:
+    """int(text) for ASCII digits alone: int() also takes spaces, signs, "_"
+    and other scripts' digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a run of ASCII digits: {text!r}")
+    return int(text)
 
 
-#: The parity of the parts whose multiplicity must be even: even parts in
-#: B/D, odd parts in C, none in A.
-_PAIRED_PARITY = {"A": None, "B": 0, "C": 1, "D": 0}
+def _parity_rule(algebra: str) -> Callable[[int, int], bool]:
+    """allowed(part, multiplicity) of the algebra's parity rule: a part
+    whose strings the form does not pair with themselves comes in pairs."""
+    keep = SELF_PAIRED_PARITY[algebra]
+    return lambda part, mult: keep is None or part % 2 == keep or mult % 2 == 0
 
 
-def _paired_parity(t: Union[LieType, str]) -> Optional[int]:
-    fam = family_letter(t)
-    if fam not in _PAIRED_PARITY:
-        raise DomainError(f"no partition classification for family {fam}")
-    return _PAIRED_PARITY[fam]
-
-
-def _parity_rule(t: Union[LieType, str]) -> Callable[[int, int], bool]:
-    """allowed(part, multiplicity) of the family's parity rule."""
-    paired = _paired_parity(t)
-    return lambda part, mult: part % 2 != paired or mult % 2 == 0
-
-
-def partition_fits_family(t: Union[LieType, str], p: Partition) -> bool:
-    """Parity test: B/D need even parts with even multiplicity, C needs odd
-    parts with even multiplicity, A is unconstrained."""
-    paired = _paired_parity(t)
-    return paired is None or all(r % 2 == 0 for part, r in p._counts.items()
-                                 if part % 2 == paired)
+def partition_fits_family(algebra: str, p: Partition) -> bool:
+    """Whether p meets the parity rule of the algebra: gl, so or sp."""
+    allowed = _parity_rule(algebra)
+    return all(map(allowed, p._counts, p._counts.values()))
 
 
 def _walk(n: int, step: Callable[[State, int, int], Optional[State]],
@@ -166,36 +166,24 @@ def _walk(n: int, step: Callable[[State, int, int], Optional[State]],
 
 
 def check_partition(t: LieType, p: Partition) -> str:
-    """The family letter of t, once p is known to label an orbit of t: t
-    classical, p a partition of its matrix size meeting the parity rule."""
-    if not t.family.is_classical:
-        raise DomainError(f"{t.name} orbits are not labeled by partitions")
+    """The algebra of t ("gl", "so" or "sp"), once p is known to label an
+    orbit of t: t classical, p a partition of its matrix size meeting the
+    parity rule."""
+    algebra = t.algebra
     if p.n != t.matrix_size:
         raise DomainError(f"{t.name} needs a partition of {t.matrix_size}, got {p.n}")
-    if not partition_fits_family(t, p):
+    if not partition_fits_family(algebra, p):
         raise DomainError(f"{p} violates the {t.family.value}-type parity rule")
-    return t.family.value
+    return algebra
 
 
-def enumerate_partitions(t: Union[LieType, str], n: int) -> List[Partition]:
-    """All orbit partitions of n for the given classical family, descending.
-
-    When t is a full LieType, n must be its defining-representation size.
-    A bare family letter only needs n of the right parity (so that e.g.
-    D-parity partitions of 4 are reachable even though D2 is not simple).
-    """
-    fam = family_letter(t)
-    if fam not in "ABCD":
-        raise DomainError(f"no partition classification for family {fam}")
-    if isinstance(t, LieType) and n != t.matrix_size:
-        raise DomainError(f"{t.name} acts on dimension {t.matrix_size}, got n={n}")
-    if fam == "B" and n % 2 == 0:
-        raise DomainError(f"B-type needs odd n, got {n}")
-    if fam in ("C", "D") and n % 2 == 1:
-        raise DomainError(f"{fam}-type needs even n, got {n}")
-    allowed = _parity_rule(fam)
+def enumerate_partitions(t: LieType) -> List[Partition]:
+    """The orbit partitions of the classical type t, descending: the
+    partitions of its matrix size that meet the parity rule of its
+    algebra."""
+    allowed = _parity_rule(t.algebra)
     return [Partition(parts) for parts, _ in
-            _walk(n, lambda state, k, m: state if allowed(k, m) else None, ())]
+            _walk(t.matrix_size, lambda state, k, m: state if allowed(k, m) else None, ())]
 
 
 @dataclass(frozen=True)
@@ -213,9 +201,9 @@ class OrbitLabel:
         return f"{self.partition}_{self.tag}" if self.tag else str(self.partition)
 
 
-def orbit_labels(t: Union[LieType, str], p: Partition) -> Tuple[OrbitLabel, ...]:
+def orbit_labels(t: LieType, p: Partition) -> Tuple[OrbitLabel, ...]:
     """The labels of p's orbits: a very even D partition labels two, I and II."""
-    if family_letter(t) == "D" and p.very_even:
+    if t.family is LieFamily.D and p.very_even:
         return OrbitLabel(p, "I"), OrbitLabel(p, "II")
     return (OrbitLabel(p),)
 
@@ -354,7 +342,7 @@ def signed_data(family: str, params: Tuple[int, ...],
         raise DomainError(f"{spec.name(params)} needs a partition of {size}, got {p.n}")
     if spec.quaternionic and any(r % 2 for r in p.multiplicities().values()):
         return iter(())
-    if not partition_fits_family(spec.complex_type(params)[0], p):
+    if not partition_fits_family(spec.algebra, p):
         return iter(())
     return _signed_data(spec, family, params, p, _split_range)
 
@@ -378,7 +366,7 @@ def compact_candidates(family: str, params: Tuple[int, ...]) -> Iterator[Partiti
     realforms.centralizer_realform decides compactness.
     """
     spec = family_spec(family, params)
-    parity = _parity_rule(spec.complex_type(params)[0])
+    parity = _parity_rule(spec.algebra)
     bound = params if spec.signature_rule else None
 
     def step(state: Tuple[int, Set[Tuple[int, int]]], k: int,

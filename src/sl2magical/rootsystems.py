@@ -27,6 +27,14 @@ Matrix = Tuple[Tuple[int, ...], ...]
 CLASSICAL_RANK_CAP = 12
 
 CLASSICAL_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
+#: The algebra of each classical family on C^N: gl_N, so_N or sp_N.
+CLASSICAL_ALGEBRA = {"A": "gl", "B": "so", "C": "sp", "D": "so"}
+#: The parity of the Jordan strings that the form pairs with themselves: the
+#: invariant form of a string of length i is symmetric for odd i, alternating
+#: for even i (Collingwood-McGovern, ch. 5).  Other strings come in coupled
+#: pairs, so their parts have even multiplicity.  gl has no form.
+SELF_PAIRED_PARITY = {"gl": None, "so": 1, "sp": 0}
+
 _EXCEPTIONAL_RANK = {"G2": 2, "F4": 4, "E6": 6, "E7": 7, "E8": 8}
 
 
@@ -89,17 +97,19 @@ class LieType:
             return f"{self.family.value}{self.rank}"
         return self.family.value
 
-    @property
+    @cached_property
+    def algebra(self) -> str:
+        """The complex algebra of a classical type: "gl", "so" or "sp"."""
+        if not self.family.is_classical:
+            raise DomainError(f"{self.name} orbits are not labeled by partitions")
+        return CLASSICAL_ALGEBRA[self.family.value]
+
+    @cached_property
     def matrix_size(self) -> int:
         """Size of the defining matrix representation (A: sl_{r+1}, B: so_{2r+1}, ...)."""
-        fam, r = self.family, self.rank
-        if fam is LieFamily.A:
-            return r + 1
-        if fam is LieFamily.B:
-            return 2 * r + 1
-        if fam in (LieFamily.C, LieFamily.D):
-            return 2 * r
-        raise DomainError(f"{self.name} has no partition-indexed matrix model")
+        if self.algebra == "gl":
+            return self.rank + 1
+        return 2 * self.rank + 1 if self.family is LieFamily.B else 2 * self.rank
 
     @property
     def dim(self) -> int:

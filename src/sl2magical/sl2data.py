@@ -19,7 +19,7 @@ from typing import Dict, Tuple
 
 from .errors import InconsistentGradingError
 from .orbits import Partition, check_partition
-from .rootsystems import GradingDims, LieType
+from .rootsystems import SELF_PAIRED_PARITY, GradingDims, LieType
 
 
 @dataclass(frozen=True)
@@ -84,22 +84,17 @@ def _tensor_summands(k: int, l: int):
     return range(k + l - 2, abs(k - l) - 1, -2)
 
 
-def _alternating_summands(k: int, start_offset: int):
-    r"""Weights in /\^2 V_k (offset 4) or S^2 V_k (offset 2)."""
-    return range(2 * k - start_offset, -1, -4)
-
-
 def multiplicities_formula(t: LieType, p: Partition) -> Dict[int, int]:
     """All n_j by Clebsch-Gordan decomposition of the adjoint module.
 
     gl_N = V (x) V with V = (+)_k r_k V_k; so_N and sp_N are its
     alternating and symmetric halves.  The sums run over the distinct
-    parts k, l: V_k (x) V_l comes r_k r_l times, and outside type A the
+    parts k, l: V_k (x) V_l comes r_k r_l times, and outside gl the
     r_k copies of V_k give r_k(r_k-1)/2 products V_k (x) V_k and r_k
-    alternating or symmetric squares.  Type A drops one trivial summand
-    for the trace.
+    alternating or symmetric squares.  gl drops one trivial summand for
+    the trace.
     """
-    fam = check_partition(t, p)
+    algebra = check_partition(t, p)
     r = list(p.multiplicities().items())
     n: Counter = Counter()
 
@@ -107,16 +102,17 @@ def multiplicities_formula(t: LieType, p: Partition) -> Dict[int, int]:
         for j in weights:
             n[j] += count
 
-    if fam == "A":
+    if algebra == "gl":
         for k, rk in r:
             for l, rl in r:
                 add(_tensor_summands(k, l), rk * rl)
         n[0] -= 1
     else:
-        offset = 2 if fam == "C" else 4
+        # the weights of S^2 V_k (sp) or /\^2 V_k (so): 2k - offset down by 4
+        offset = 2 if algebra == "sp" else 4
         for a, (k, rk) in enumerate(r):
             add(_tensor_summands(k, k), rk * (rk - 1) // 2)
-            add(_alternating_summands(k, offset), rk)
+            add(range(2 * k - offset, -1, -4), rk)
             for l, rl in r[a + 1:]:
                 add(_tensor_summands(k, l), rk * rl)
     return {j: m for j, m in n.items() if m}
@@ -126,27 +122,27 @@ def closed_dims(t: LieType, p: Partition) -> Tuple[int, int, int]:
     """(dim c, dim g_0, dim V_rho) of the orbit by the closed formulas of
     Collingwood-McGovern, Cor. 6.1.4, with the orbit validated once.
 
-    dim c, the reductive centralizer (6.1.3): A: sum r_i^2 - 1; B/D: so
-    factors on odd parts, sp on even; C: the other way around.
-    dim V_rho = dim ker ad_e: A: sum s_i^2 - 1; C: (sum s_i^2 + sum_{odd}
-    r_i)/2; B/D: (sum s_i^2 - sum_{odd} r_i)/2, s the dual partition.
-    dim g_0 is dim V_rho less the opposite-parity correction: every pair of
-    parts i < j of opposite parity costs 2i (type A) or i (B/C/D) times
-    r_i r_j.
+    dim c, the reductive centralizer (6.1.3): gl: sum r_i^2 - 1; so/sp: an
+    so(r_i) factor on each part of the self-paired parity, sp(r_i) on the
+    others.  dim V_rho = dim ker ad_e: gl: sum s_i^2 - 1; sp: (sum s_i^2 +
+    sum_{odd} r_i)/2; so: (sum s_i^2 - sum_{odd} r_i)/2, s the dual
+    partition.  dim g_0 is dim V_rho less the opposite-parity correction:
+    every pair of parts i < j of opposite parity costs 2i (gl) or i (so/sp)
+    times r_i r_j.
     """
-    fam = check_partition(t, p)
+    algebra = check_partition(t, p)
     r = p.multiplicities()
     sq = sum(s * s for s in p.dual().parts)
-    if fam == "A":
+    if algebra == "gl":
         dim_c = sum(m * m for m in r.values()) - 1
         dim_v_rho = sq - 1
     else:
-        so_parity = 0 if fam == "C" else 1
-        dim_c = sum(m * (m - 1) // 2 if part % 2 == so_parity else m * (m + 1) // 2
+        keep = SELF_PAIRED_PARITY[algebra]
+        dim_c = sum(m * (m - 1) // 2 if part % 2 == keep else m * (m + 1) // 2
                     for part, m in r.items())
         odd = sum(m for part, m in r.items() if part % 2)
-        dim_v_rho = (sq + odd) // 2 if fam == "C" else (sq - odd) // 2
-    weight = 2 if fam == "A" else 1
+        dim_v_rho = (sq + odd) // 2 if algebra == "sp" else (sq - odd) // 2
+    weight = 2 if algebra == "gl" else 1
     correction = 0
     above = [0, 0]  # multiplicities of the larger parts, by parity
     for i, ri in r.items():  # parts descending

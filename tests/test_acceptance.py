@@ -6,6 +6,7 @@ as an ordinary pytest failure for that claim.
 
 from pathlib import Path
 
+from sl2magical.cli import main
 from sl2magical.crosscheck import run_all
 from sl2magical.dataset import evaluate_conditions, load_records
 from sl2magical.magical import (
@@ -174,7 +175,7 @@ def test_8_moduli_arithmetic():
     checked = 0
     for params in family_parameter_space("su", 6):
         ambient = describe("su", params).ambient
-        for p in enumerate_partitions(ambient, ambient.matrix_size):
+        for p in enumerate_partitions(ambient):
             for label in orbit_labels(ambient, p):
                 for signed in enumerate_signed_data("su", params, p):
                     if not centralizer_realform(signed).is_compact:
@@ -205,11 +206,36 @@ def test_8_moduli_arithmetic():
           "principal sl(2,R) count 6g-6, Milnor-Wood = rank (2g-2)")
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def test_9_geometric_results_out_of_scope():
     """The geometric theorems are documented as out of scope, not computed."""
-    readme = Path(__file__).resolve().parent.parent / "README.md"
-    text = readme.read_text()
+    text = README.read_text()
     assert "out of scope" in text.lower()
     for phrase in ("Cayley", "Hodge"):
         assert phrase in text, phrase
     print("PASS: geometric theorems documented as out of scope in README")
+
+
+def test_10_readme_examples_print_what_it_shows(capsys):
+    """The README's orbit command prints, byte for byte, the json shown in
+    the comment lines under it, and each print of its library example
+    prints the comment on its line."""
+    text = README.read_text()
+    lines = text.splitlines()
+    start = lines.index("sl2magical orbit A 4 --partition 2,2,1 --format json")
+    shown = []
+    for line in lines[start + 1:]:
+        if not line.startswith("#"):
+            break
+        shown.append(line[1:].strip())
+    assert main(lines[start].split()[1:]) == 0
+    assert capsys.readouterr().out == " ".join(shown) + "\n"
+
+    code = text.split("```python\n", 1)[1].split("```", 1)[0]
+    comments = [line.split("# ", 1)[1] for line in code.splitlines() if "print(" in line]
+    assert comments == ["su(2,3) [2^2,1]: OddMagical", "8"]
+    exec(code, {})
+    assert capsys.readouterr().out.splitlines() == comments
+    print("PASS: README orbit json and library example reproduced")

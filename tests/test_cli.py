@@ -216,7 +216,7 @@ def _slodowy_workload():
         forms = [("su", (p, n - p)) for p in range(1, n // 2 + 1)] + [("sl", (n,))]
         for family, params in forms:
             form = describe(family, params)
-            for p in enumerate_partitions("A", n):
+            for p in enumerate_partitions(LieType.of("A", n - 1)):
                 if family == "su" and not enumerate_signed_data(family, params, p):
                     continue
                 out.append((("slodowy", family, *map(str, params),
@@ -388,6 +388,9 @@ MALFORMED_CASES = [
           "cannot parse partition ''"),
     _case(21, ("slodowy", "E6^-14", "--wdd", "", "--genus", "2"),
           "E6^-14: cannot parse --wdd ''"),
+    _case(22, ("orbit", "A", "9", "--partition", "1 0"), "cannot parse partition token '1 0'"),
+    _case(23, ("slodowy", "E6^-14", "--wdd", "0_1,0,0,0,0,1", "--genus", "2"),
+          "E6^-14: cannot parse --wdd '0_1,0,0,0,0,1'"),
 ]
 
 
@@ -681,7 +684,7 @@ def _slodowy_sweep():
     partition of n, in a fixed order."""
     for n in range(2, 9):
         forms = [("su", str(p), str(n - p)) for p in range(1, n)] + [("sl", str(n))]
-        for p in enumerate_partitions("A", n):
+        for p in enumerate_partitions(LieType.of("A", n - 1)):
             part = ",".join(map(str, p.parts))
             for form in forms:
                 yield ("slodowy", *form, "--partition", part, "--genus", "2",
@@ -711,7 +714,7 @@ def test_slodowy_large_sweep_digest(capsys):
     commands = 0
     for n in range(9, 13):
         forms = [("su", str(p), str(n - p)) for p in range(1, n // 2 + 1)] + [("sl", str(n))]
-        for p in enumerate_partitions("A", n):
+        for p in enumerate_partitions(LieType.of("A", n - 1)):
             part = ",".join(map(str, p.parts))
             for form in forms:
                 argv = ("slodowy", *form, "--partition", part, "--genus", "2",
@@ -730,7 +733,7 @@ def _orbit_sweep():
     for fam, low in CLASSICAL_MIN_RANK.items():
         for rank in range(low, 7):
             t = LieType.of(fam, rank)
-            for p in enumerate_partitions(t, t.matrix_size):
+            for p in enumerate_partitions(t):
                 yield ("orbit", fam, str(rank), "--partition", ",".join(map(str, p.parts)),
                        "--format", "json")
 

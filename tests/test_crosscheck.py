@@ -16,7 +16,7 @@ def _walk_index(name, p, max_rank=6):
     for fam, low in CLASSICAL_MIN_RANK.items():
         for rank in range(low, max_rank + 1):
             t = LieType.of(fam, rank)
-            for q in enumerate_partitions(t, t.matrix_size):
+            for q in enumerate_partitions(t):
                 if (t.name, q) == (name, p):
                     return index
                 index += 1

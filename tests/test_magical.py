@@ -241,7 +241,7 @@ def test_classify_realform_matches_the_full_scan(family):
         form = describe(family, params)
         ambient = form.ambient
         reference = []
-        for p in enumerate_partitions(ambient, ambient.matrix_size):
+        for p in enumerate_partitions(ambient):
             data = enumerate_signed_data(family, params, p)
             best = partition_witness(form, p)
             magical = [status for status in magical_statuses(best, data)
@@ -254,7 +254,7 @@ def test_classify_realform_matches_the_full_scan(family):
         keys = [(tuple(-k for k in row.label.partition.parts), row.label.tag) for row in rows]
         assert keys == sorted(keys)
 
-        compact = [signed for p in enumerate_partitions(ambient, ambient.matrix_size)
+        compact = [signed for p in enumerate_partitions(ambient)
                    for signed in enumerate_signed_data(family, params, p)
                    if centralizer_realform(signed).is_compact]
         candidates = iter(signed for p in compact_candidates(family, params)

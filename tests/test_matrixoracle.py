@@ -30,6 +30,7 @@ from sl2magical.orbits import (
     SignedPartitionData,
     enumerate_partitions,
     enumerate_signed_data,
+    partition_fits_family,
 )
 from sl2magical.realforms import describe
 from sl2magical.rootsystems import CLASSICAL_MIN_RANK, LieType
@@ -46,7 +47,8 @@ def test_triple_weights_come_from_jordan_blocks():
 @pytest.mark.parametrize("name,size", [("A4", 5), ("B3", 7), ("C3", 6), ("D4", 8)])
 def test_oracle_agrees_with_formula(name, size):
     t = LieType.of(name)
-    for p in enumerate_partitions(t.family.value, size):
+    assert t.matrix_size == size
+    for p in enumerate_partitions(t):
         m = build_matrix_triple(t, p)
         n = multiplicities_formula(t, p)
         assert oracle_sl2_data(t, p).as_dict() == oracle_sl2_data(m).as_dict() == n
@@ -70,7 +72,7 @@ def test_block_tables_match_the_full_route():
     for fam, low in CLASSICAL_MIN_RANK.items():
         for rank in range(low, 7):
             t = LieType.of(fam, rank)
-            for p in enumerate_partitions(t, t.matrix_size):
+            for p in enumerate_partitions(t):
                 m = build_matrix_triple(t, p)
                 assert oracle_sl2_data(t, p, tables).as_dict() == _full_route(m)
                 checked += 1
@@ -85,14 +87,34 @@ def test_multiplicity_units_match_the_layout():
     (number of strings, length)."""
     checked = 0
     for fam, low in CLASSICAL_MIN_RANK.items():
-        algebra = matrixoracle._FAMILY_ALGEBRA[fam]
         for rank in range(low, 9):
             t = LieType.of(fam, rank)
-            for p in enumerate_partitions(t, t.matrix_size):
-                laid_out = Counter((len(u), len(u[0]), 1) for u in triple_on(algebra, p).units())
-                assert matrixoracle._tau_units(algebra, p) == laid_out, f"{t.name} {p}"
+            for p in enumerate_partitions(t):
+                laid_out = Counter((len(u), len(u[0]), 1) for u in triple_on(t.algebra, p).units())
+                assert matrixoracle._tau_units(t.algebra, p) == laid_out, f"{t.name} {p}"
                 checked += 1
     assert checked == 742
+
+
+def test_parity_rule_holds_exactly_when_the_form_pairs_every_string():
+    """For so and sp and every partition of n <= 12, valid or not, the
+    parity rule accepts p exactly when triple_on pairs every string of p:
+    each one with itself, or with another string of its length."""
+    verdicts = Counter()
+    for n in range(1, 13):
+        partitions = enumerate_partitions(LieType.of("A", n - 1)) if n > 1 else [Partition.of(1)]
+        for algebra in ("so", "sp"):
+            for p in partitions:
+                fits = partition_fits_family(algebra, p)
+                try:
+                    m = triple_on(algebra, p)
+                except AssertionError as exc:
+                    assert not fits and "unpaired" in str(exc), f"{algebra} {p}: {exc}"
+                else:
+                    assert fits, f"{algebra} {p}: the rule rejects a triple that was built"
+                    assert sorted(s for u in m.units() for s in u) == sorted(m.strings)
+                verdicts[algebra, fits] += 1
+    assert verdicts == {("so", True): 111, ("so", False): 160, ("sp", True): 92, ("sp", False): 179}
 
 
 def test_tau_columns_satisfy_the_dense_form_equation():
@@ -104,7 +126,7 @@ def test_tau_columns_satisfy_the_dense_form_equation():
     for fam in "BCD":
         for rank in range(CLASSICAL_MIN_RANK[fam], 5):
             t = LieType.of(fam, rank)
-            for p in enumerate_partitions(t, t.matrix_size):
+            for p in enumerate_partitions(t):
                 m = build_matrix_triple(t, p)
                 n = m.size
                 form = [[0] * n for _ in range(n)]
@@ -198,7 +220,7 @@ def test_sigma_tables_match_the_full_route(monkeypatch):
     for n in range(2, 9):
         forms = [("su", (a, n - a)) for a in range(1, n)] + [("sl", (n,))]
         t = LieType.of("A", n - 1)
-        for p in enumerate_partitions("A", n):
+        for p in enumerate_partitions(t):
             m = build_matrix_triple(t, p)
             for family, params in forms:
                 for signed in enumerate_signed_data(family, params, p):
@@ -217,7 +239,7 @@ def test_warm_splits_build_no_triple(monkeypatch):
     cases = [signed
              for n in range(2, 7)
              for family, params in [("su", (a, n - a)) for a in range(1, n)] + [("sl", (n,))]
-             for p in enumerate_partitions("A", n)
+             for p in enumerate_partitions(LieType.of("A", n - 1))
              for signed in enumerate_signed_data(family, params, p)]
     warm = [rigidity_report(2, signed) for signed in cases]
     built = []
@@ -248,7 +270,7 @@ def test_ad_e_is_injective_below_weight_0():
     for fam, low in CLASSICAL_MIN_RANK.items():
         for rank in range(low, 7):
             t = LieType.of(fam, rank)
-            for p in enumerate_partitions(t, t.matrix_size):
+            for p in enumerate_partitions(t):
                 m = build_matrix_triple(t, p)
                 nullities = _negative_slice_nullities(m, eigen_columns(m, m.tau)[0])
                 assert set(nullities) <= {0}, f"{m.name}: {nullities}"
@@ -257,7 +279,7 @@ def test_ad_e_is_injective_below_weight_0():
     for n in range(2, 9):
         forms = [("su", (a, n - a)) for a in range(1, n)] + [("sl", (n,))]
         t = LieType.of("A", n - 1)
-        for p in enumerate_partitions("A", n):
+        for p in enumerate_partitions(t):
             m = build_matrix_triple(t, p)
             for family, params in forms:
                 for signed in enumerate_signed_data(family, params, p):
@@ -278,7 +300,7 @@ def test_sigma_splits_up_to_size_12_are_pinned():
     checked = 0
     for n in range(2, 13):
         forms = [("su", (a, n - a)) for a in range(1, n)] + [("sl", (n,))]
-        for p in enumerate_partitions("A", n):
+        for p in enumerate_partitions(LieType.of("A", n - 1)):
             for family, params in forms:
                 for signed in enumerate_signed_data(family, params, p):
                     digest.update((repr(oracle_sigma_split(signed)) + "\n").encode())
@@ -321,7 +343,7 @@ def test_sigma_split_totals():
     for n in range(2, 8):
         forms = [("su", (a, n - a)) for a in range(1, n)] + [("sl", (n,))]
         t = LieType.of("A", n - 1)
-        for p in enumerate_partitions("A", n):
+        for p in enumerate_partitions(t):
             mult = multiplicities_formula(t, p)
             for family, params in forms:
                 form = describe(family, params)

@@ -29,6 +29,7 @@ def test_parse_forms_agree():
     assert Partition.parse("2,2,1") == p
     assert Partition.parse("2^2,1") == p
     assert Partition.parse("[2^2,1]") == p
+    assert Partition.parse(" [2^2 , 1] ") == Partition.parse("2, 2, 1") == p
     assert str(p) == "[2^2,1]"
 
 
@@ -39,6 +40,11 @@ def test_parts_auto_sorted():
 def test_parse_rejects_garbage():
     for bad in ("", "0", "2,-1", "a,b", "2^0", "-1^100000000000000000000"):
         with pytest.raises(DomainError):
+            Partition.parse(bad)
+    # a space inside a token, "_", a sign, another script's digit or an
+    # empty exponent: none of these is read as some other number
+    for bad in ("1 0", "1_0", "2^0_1", "2 2 1", "2 ^2,1", "+2,1", "\uff12,1", "2^,1", "2,,1"):
+        with pytest.raises(DomainError, match="cannot parse partition token"):
             Partition.parse(bad)
 
 
@@ -97,34 +103,31 @@ def test_dual_is_an_involution(parts):
 
 
 def test_enumerate_partitions_counts():
-    assert len(enumerate_partitions("A", 5)) == 7
-    assert len(enumerate_partitions("A", 8)) == 22
+    assert len(enumerate_partitions(LieType.of("A", 4))) == 7
+    assert len(enumerate_partitions(LieType.of("A", 7))) == 22
 
 
 def test_parity_constraints():
-    # B/D: even parts have even multiplicity; C: odd parts do
-    assert partition_fits_family("D", Partition.parse("2^4"))
-    assert not partition_fits_family("B", Partition.parse("2,1"))
-    assert partition_fits_family("C", Partition.parse("2,2"))
-    assert not partition_fits_family("C", Partition.parse("3,1"))
-    assert partition_fits_family("A", Partition.parse("3,1"))
+    # so: even parts have even multiplicity; sp: odd parts do
+    assert partition_fits_family("so", Partition.parse("2^4"))
+    assert not partition_fits_family("so", Partition.parse("2,1"))
+    assert partition_fits_family("sp", Partition.parse("2,2"))
+    assert not partition_fits_family("sp", Partition.parse("3,1"))
+    assert partition_fits_family("gl", Partition.parse("3,1"))
 
 
 def test_enumerate_partitions_b3():
-    got = list(enumerate_partitions("B", 7))
+    got = list(enumerate_partitions(LieType.of("B", 3)))
     assert Partition.parse("7") in got
     assert Partition.parse("3,2,2") in got
     assert Partition.parse("2,2,2,1") not in got  # three 2s, odd multiplicity
 
 
 def test_enumerate_partitions_small():
-    assert [str(p) for p in enumerate_partitions("A", 3)] == ["[3]", "[2,1]", "[1^3]"]
-    assert [str(p) for p in enumerate_partitions("C", 4)] == [
+    assert [str(p) for p in enumerate_partitions(LieType.of("A", 2))] == [
+        "[3]", "[2,1]", "[1^3]"]
+    assert [str(p) for p in enumerate_partitions(LieType.of("C", 2))] == [
         "[4]", "[2^2]", "[2,1^2]", "[1^4]"]
-    # the D list at n=4 exists at partition level even though D2 itself
-    # is excluded from the type catalog
-    assert [str(p) for p in enumerate_partitions("D", 4)] == [
-        "[3,1]", "[2^2]", "[1^4]"]
     assert Partition.parse("2^2").very_even
 
 
@@ -137,7 +140,7 @@ def test_orbit_label_str_and_sort():
 
 def test_very_even_labels_doubled_in_d():
     d4 = LieType.of("D", 4)
-    labels = [label for p in enumerate_partitions(d4, 8) for label in orbit_labels(d4, p)]
+    labels = [label for p in enumerate_partitions(d4) for label in orbit_labels(d4, p)]
     tags = [str(l) for l in labels if l.partition == Partition.parse("2^4")]
     assert tags == ["[2^4]_I", "[2^4]_II"]
     tags31 = [str(l) for l in labels if l.partition == Partition.parse("3,3,1,1")]
@@ -290,7 +293,7 @@ def test_signed_str_round_trip_info():
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4))
 def test_su_signed_data_mirror(p, q):
     """Swapping the two signature slots mirrors the datum list."""
-    for part in enumerate_partitions("A", p + q):
+    for part in enumerate_partitions(LieType.of("A", p + q - 1)):
         left = enumerate_signed_data("su", (p, q), part)
         right = enumerate_signed_data("su", (q, p), part)
         flipped = sorted(tuple((k, (b, a)) for k, (a, b) in s.signs) for s in right)

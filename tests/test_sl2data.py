@@ -49,14 +49,14 @@ def test_b2_subregular_row():
 @pytest.mark.parametrize("name", ["A3", "B2", "C3", "D4"])
 def test_formula_matches_grading(name):
     t = LieType.of(name)
-    for p in enumerate_partitions(t.family.value, t.matrix_size):
+    for p in enumerate_partitions(t):
         d = _data_via_grading(t, p)
         assert multiplicities_formula(t, p) == d.as_dict()
 
 
 def test_closed_dims_are_sums():
     t = LieType.of("C", 3)
-    for p in enumerate_partitions("C", 6):
+    for p in enumerate_partitions(t):
         n = multiplicities_formula(t, p)
         dim_c, dim_g0, dim_v_rho = closed_dims(t, p)
         assert dim_c == n.get(0, 0)
@@ -102,7 +102,7 @@ def test_data_accessors():
 def test_grading_weights_symmetric(letter, data):
     rank = {"A": 1, "B": 2, "C": 2, "D": 3}[letter]
     t = LieType.of(letter, data.draw(st.integers(min_value=rank, max_value=5)))
-    parts = list(enumerate_partitions(letter, t.matrix_size))
+    parts = list(enumerate_partitions(t))
     p = data.draw(st.sampled_from(parts))
     rs = build_root_system(t)
     g = ad_grading(rs, weighted_dynkin_from_partition(t, p))
@@ -126,7 +126,7 @@ def test_formula_and_grading_routes_are_pinned():
         for rank in range(low, 13):
             t = LieType.of(fam, rank)
             rs = build_root_system(t)
-            for p in enumerate_partitions(t, t.matrix_size):
+            for p in enumerate_partitions(t):
                 n = sorted(multiplicities_formula(t, p).items())
                 dims = ad_grading(rs, weighted_dynkin_from_partition(t, p)).dims
                 digest.update(f"{t.name} {p} {n} {dims}\n".encode())
