@@ -196,7 +196,6 @@ def cmd_slodowy(args: argparse.Namespace) -> int:
         orbit_str = _wdd_orbit(orbit)
         signs = ""
     else:
-        form.ambient  # the rank cap, before the flags
         if args.wdd is not None:
             raise DomainError(f"{form.name} takes --partition, not --wdd")
         if args.partition is None:
@@ -265,7 +264,7 @@ class Subcommand(NamedTuple):
     flags: Tuple[Tuple[str, Dict], ...]
 
 
-_PARAMS = ("params", {"type": int, "nargs": "*"})
+_PARAMS = ("params", {"type": parse_digits, "nargs": "*"})
 _FORMAT = ("--format", {"choices": ("json", "csv", "table"), "default": "table"})
 
 # Both parsers read this table.  It binds the cmd_* functions themselves, so
@@ -273,7 +272,7 @@ _FORMAT = ("--format", {"choices": ("json", "csv", "table"), "default": "table"}
 COMMANDS = {
     "orbit": Subcommand(
         "sl2-data of one complex nilpotent orbit", cmd_orbit,
-        (("type", {"choices": ("A", "B", "C", "D")}), ("rank", {"type": int})),
+        (("type", {"choices": ("A", "B", "C", "D")}), ("rank", {"type": parse_digits})),
         (("--partition", {"required": True, "help": "e.g. 2,2,1 or 2^2,1"}), _FORMAT)),
     "classify": Subcommand(
         "magical orbits of one real form", cmd_classify,
@@ -284,10 +283,10 @@ COMMANDS = {
         (("family", {}), _PARAMS),
         (("--partition", {"help": "orbit partition (classical forms)"}),
          ("--wdd", {"help": "orbit diagram labels (exceptional forms)"}),
-         ("--genus", {"type": int, "required": True}), _FORMAT)),
+         ("--genus", {"type": parse_digits, "required": True}), _FORMAT)),
     "verify": Subcommand(
         "run the consistency suite", cmd_verify, (),
-        (("--max-rank", {"type": int, "default": 6}), _FORMAT)),
+        (("--max-rank", {"type": parse_digits, "default": 6}), _FORMAT)),
 }
 
 

@@ -19,7 +19,7 @@ from .dataset import evaluate_conditions, load_records
 from .errors import DatasetSchemaError, MissingDataError
 from .matrixoracle import Tables, oracle_sl2_data
 from .orbits import Partition, enumerate_partitions, weighted_dynkin_from_partition
-from .realforms import describe, exceptional_s_value
+from .realforms import describe
 from .rootsystems import (
     CLASSICAL_MIN_RANK,
     LieType,
@@ -132,7 +132,7 @@ def check_table_rows() -> CheckResult:
     wdd = WeightedDynkinDiagram(lie_type=t, labels=(1, 0, 0, 0, 0, 1))
     data = module_multiplicities(ad_grading(build_root_system(t), wdd))
     row = tuple(data.n_at(j) for j in range(3))
-    s = exceptional_s_value("E6^-14")
+    s = describe("E6^-14").s
     total = sum(m * (j + 1) for j, m in data.n)
     if row != (22, 16, 8) or total != 78 or s != row[2] - row[0]:
         return CheckResult(name, False, cases,

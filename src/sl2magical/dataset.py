@@ -24,7 +24,7 @@ from importlib import resources
 from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import DatasetSchemaError, InconsistentGradingError, MissingDataError
-from .realforms import EXCEPTIONAL_FORMS, CentralizerRealForm, exceptional_s_value
+from .realforms import EXCEPTIONAL_FORMS, CentralizerRealForm, describe
 from .rootsystems import LieType, WeightedDynkinDiagram, ad_grading, build_root_system
 from .sl2data import Sl2Data, module_multiplicities
 
@@ -84,10 +84,9 @@ def _compact_part_dim(cz: CentralizerRealForm) -> Optional[int]:
 
 
 @lru_cache(maxsize=None)
-def _sl2_data_of(ambient: str, labels: Tuple[int, ...]) -> Sl2Data:
-    t = LieType.of(ambient)
-    wdd = WeightedDynkinDiagram(lie_type=t, labels=labels)
-    return module_multiplicities(ad_grading(build_root_system(t), wdd))
+def _sl2_data_of(ambient: LieType, labels: Tuple[int, ...]) -> Sl2Data:
+    wdd = WeightedDynkinDiagram(lie_type=ambient, labels=labels)
+    return module_multiplicities(ad_grading(build_root_system(ambient), wdd))
 
 
 @dataclass(frozen=True)
@@ -101,8 +100,8 @@ class ExceptionalOrbitRecord:
     source_row: str
 
     @property
-    def ambient(self) -> str:
-        return EXCEPTIONAL_FORMS[self.realform]["ambient"]
+    def ambient(self) -> LieType:
+        return describe(self.realform).ambient
 
     def sl2_data(self) -> Sl2Data:
         """Multiplicities recomputed from the diagram, never read from disk."""
@@ -153,10 +152,10 @@ class ConditionReport:
 def _validate(rec: ExceptionalOrbitRecord, where: str) -> None:
     if rec.realform not in EXCEPTIONAL_FORMS:
         raise DatasetSchemaError(f"{where}: unknown real form {rec.realform!r}")
-    ambient = LieType.of(rec.ambient)
+    ambient = rec.ambient
     if len(rec.wdd) != ambient.rank:
         raise DatasetSchemaError(
-            f"{where}: wdd length {len(rec.wdd)} != rank {ambient.rank} of {rec.ambient}"
+            f"{where}: wdd length {len(rec.wdd)} != rank {ambient.rank} of {ambient.name}"
         )
     if any(x not in (0, 1, 2) for x in rec.wdd):
         raise DatasetSchemaError(f"{where}: wdd labels must lie in {{0,1,2}}")
@@ -200,10 +199,11 @@ def _record_from_json(obj: Dict, where: str) -> ExceptionalOrbitRecord:
     if missing:
         raise DatasetSchemaError(f"{where}: missing fields {missing}")
     wdd = obj["wdd"]
-    if not isinstance(wdd, list) or not all(isinstance(x, int) for x in wdd):
+    # type() is int, not isinstance: JSON true and false load as bool, an int
+    if not isinstance(wdd, list) or not all(type(x) is int for x in wdd):
         raise DatasetSchemaError(f"{where}: wdd must be a list of integers")
     for key in _OPTIONAL_KEYS:
-        if key in obj and not isinstance(obj[key], int):
+        if key in obj and type(obj[key]) is not int:
             raise DatasetSchemaError(f"{where}: {key} must be an integer")
     for key in ("realform", "centralizer", "source_row"):
         if not isinstance(obj[key], str):
@@ -302,6 +302,6 @@ def evaluate_conditions(rec: ExceptionalOrbitRecord) -> ConditionReport:
         c = False
         notes.append("condition (c): insufficient data")
     else:
-        c = rec.dim_Veven_cap_m - rec.dim_c_cap_h == exceptional_s_value(rec.realform)
+        c = rec.dim_Veven_cap_m - rec.dim_c_cap_h == describe(rec.realform).s
 
     return ConditionReport(a=a, b=b, c=c, notes=tuple(notes))

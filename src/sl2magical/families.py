@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from .errors import DomainError
-from .rootsystems import CLASSICAL_MIN_RANK, CLASSICAL_RANK_CAP, LieType
+from .rootsystems import LieType
 
 Params = Tuple[int, ...]
 
@@ -38,7 +38,7 @@ class FamilySpec:
     signed_factor: Optional[Callable[[int, int], str]]  # compact iff a or b is 0
     unsigned_factor: Optional[Callable[[int], str]]
     compact_rows: int  # an unsigned factor is compact while r_i is at most this
-    min_size: int  # smallest sum(params) that describe accepts
+    min_size: int  # smallest sum(params) that describe accepts, rank window aside
     dim_h: Callable[..., int]
     ss_rank: Callable[..., int]
     hermitian: Callable[..., bool]
@@ -75,28 +75,13 @@ class FamilySpec:
     def size(self, params: Params) -> int:
         return self.size_factor * sum(params)
 
-    def complex_type(self, params: Params) -> Tuple[str, int]:
-        """Letter and rank of the complexification."""
-        n = self.size(params)
-        if self.algebra == "gl":
-            return "A", n - 1
-        if self.algebra == "so":
-            return ("B", (n - 1) // 2) if n % 2 else ("D", n // 2)
-        return "C", n // 2
-
     def complexification(self, params: Params) -> LieType:
-        return LieType.of(*self.complex_type(params))
+        return LieType.classical(self.algebra, self.size(params))
 
-    def in_rank_window(self, params: Params) -> bool:
-        """Whether the complexification is within LieType's rank bounds."""
-        letter, rank = self.complex_type(params)
-        return CLASSICAL_MIN_RANK[letter] <= rank <= CLASSICAL_RANK_CAP
-
-    def dim_g(self, params: Params) -> int:
-        n = self.size(params)
-        if self.algebra == "gl":
-            return n * n - 1
-        return n * (n - 1) // 2 if self.algebra == "so" else n * (n + 1) // 2
+    def rows(self, multiplicity: int) -> int:
+        """r_i of a part of this multiplicity: halved in the quaternionic
+        families."""
+        return multiplicity // 2 if self.quaternionic else multiplicity
 
 
 _SPECS = (

@@ -178,9 +178,10 @@ def family_parameter_space(family: str, size_bound: int) -> List[Params]:
 
     Sizes count sum(params): p+q for su, so and sp(2p,2q), n for sl(n,R)
     and sp(2n,R), and m for su*(2m) and so*(2m).  Pairs are canonicalized
-    to p <= q.  Forms below the family's smallest size, or whose
+    to p <= q.  Only the forms that realforms.describe accepts are kept:
+    none below the family's smallest size, and none whose
     complexification lies outside the rank window of LieType (sp(2,R) of
-    rank 1, anything above CLASSICAL_RANK_CAP), are skipped.
+    rank 1, anything above CLASSICAL_RANK_CAP).
     """
     if family not in FAMILIES:
         raise DomainError(f"no parameter space for family {family!r}")
@@ -190,8 +191,15 @@ def family_parameter_space(family: str, size_bound: int) -> List[Params]:
     else:
         candidates = [(p, q) for q in range(1, size_bound) for p in range(1, q + 1)
                       if p + q <= size_bound]
-    return [params for params in candidates
-            if sum(params) >= spec.min_size and spec.in_rank_window(params)]
+    return [params for params in candidates if _describable(family, params)]
+
+
+def _describable(family: str, params: Params) -> bool:
+    try:
+        describe(family, params)
+    except DomainError:
+        return False
+    return True
 
 
 def classify_family(family: str, size_bound: int) -> Tuple[ClassifiedOrbit, ...]:

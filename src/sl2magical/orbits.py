@@ -64,11 +64,14 @@ class Partition:
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
-        """Parse '2,2,1', exponent shorthand '2^2,1', or bracketed '[2^2,1]',
-        of at most MAX_BOXES boxes, counted before any token is expanded.
+        """Parse '2,2,1', exponent shorthand '2^2,1', or either inside one
+        pair of brackets, '[2^2,1]', of at most MAX_BOXES boxes, counted
+        before any token is expanded.
         A token is a part, or a part ^ an exponent, in ASCII digits, with
         spaces around it allowed: '2, 2, 1' parses, '2 2 1' does not."""
-        body = text.strip().strip("[]")
+        body = text.strip()
+        if body[:1] == "[" and body[-1:] == "]":
+            body = body[1:-1]
         if not body:
             raise DomainError(f"cannot parse partition {text!r}")
         parts: List[int] = []
@@ -277,14 +280,13 @@ class SignedPartitionData:
         for part, (a, b) in self.signs:
             if a < 0 or b < 0:
                 raise DomainError(f"negative sign count on part {part}")
-            r = counts[part] // 2 if spec.quaternionic else counts[part]
+            r = spec.rows(counts[part])
             if a + b != r:
                 raise DomainError(f"part {part}: signs {(a, b)} do not sum to r_i = {r}")
 
     def row_count(self, part: int) -> int:
         """r_i: rows of length part, in the family's own counting."""
-        r = self.partition.multiplicity(part)
-        return r // 2 if FAMILIES[self.family].quaternionic else r
+        return FAMILIES[self.family].rows(self.partition.multiplicity(part))
 
     def sign_split(self, part: int) -> Optional[Tuple[int, int]]:
         for entry, pq in self.signs:
@@ -313,7 +315,7 @@ def _signed_data(spec: FamilySpec, family: str, params: Tuple[int, ...], p: Part
     and whose plus boxes meet the signature rule: plus-heavy splits first,
     larger parts varying slowest.  p must meet the form's parity rules."""
     mult = p.multiplicities()
-    rows = {i: r // 2 if spec.quaternionic else r for i, r in mult.items()}
+    rows = {i: spec.rows(r) for i, r in mult.items()}
     parts = sorted(mult, reverse=True)
     signed = [i for i in parts if i % 2 in spec.signed_parities]
     unsigned = [i for i in parts if i % 2 not in spec.signed_parities]
@@ -374,7 +376,7 @@ def compact_candidates(family: str, params: Tuple[int, ...]) -> Iterator[Partiti
         unsigned, reach = state
         if not parity(k, m) or (spec.quaternionic and m % 2):
             return None
-        rows = m // 2 if spec.quaternionic else m
+        rows = spec.rows(m)
         if k % 2 in spec.signed_parities:
             up, down = (k + 1) // 2 * rows, k // 2 * rows
             moves = ((up, down), (down, up))

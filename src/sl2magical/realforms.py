@@ -14,9 +14,8 @@ split and star factors of positive rank are not).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import DomainError, RankDomainError
@@ -27,23 +26,22 @@ from .rootsystems import LieType
 Params = Tuple[int, ...]
 
 EXCEPTIONAL_FORMS: Dict[str, Dict] = {
-    # token: ambient complex type, dim h, symmetric-space rank,
-    #        restricted positive roots as (count, multiplicity) classes,
-    #        hermitian, tube, maximal subtube
-    "E6^6":   {"ambient": "E6", "dim_h": 36, "rank": 6, "roots": ((36, 1),)},
-    "E6^2":   {"ambient": "E6", "dim_h": 38, "rank": 4, "roots": ((12, 1), (12, 2))},
-    "E6^-14": {"ambient": "E6", "dim_h": 46, "rank": 2, "roots": ((2, 6), (2, 8), (2, 1)),
+    # token X^s: complex type X and s = dim m - dim h (Cartan's notation);
+    #        symmetric-space rank, restricted positive roots as
+    #        (count, multiplicity) classes, hermitian, tube, maximal subtube
+    "E6^6":   {"rank": 6, "roots": ((36, 1),)},
+    "E6^2":   {"rank": 4, "roots": ((12, 1), (12, 2))},
+    "E6^-14": {"rank": 2, "roots": ((2, 6), (2, 8), (2, 1)),
                "hermitian": True, "tube": False, "subtube": "so(2,8)"},
-    "E6^-26": {"ambient": "E6", "dim_h": 52, "rank": 2, "roots": ((3, 8),)},
-    "E7^7":   {"ambient": "E7", "dim_h": 63, "rank": 7, "roots": ((63, 1),)},
-    "E7^-5":  {"ambient": "E7", "dim_h": 69, "rank": 4, "roots": ((12, 1), (12, 4))},
-    "E7^-25": {"ambient": "E7", "dim_h": 79, "rank": 3, "roots": ((6, 8), (3, 1)),
-               "hermitian": True, "tube": True},
-    "E8^8":   {"ambient": "E8", "dim_h": 120, "rank": 8, "roots": ((120, 1),)},
-    "E8^-24": {"ambient": "E8", "dim_h": 136, "rank": 4, "roots": ((12, 1), (12, 8))},
-    "F4^4":   {"ambient": "F4", "dim_h": 24, "rank": 4, "roots": ((24, 1),)},
-    "F4^-20": {"ambient": "F4", "dim_h": 36, "rank": 1, "roots": ((1, 8), (1, 7))},
-    "G2^2":   {"ambient": "G2", "dim_h": 6, "rank": 2, "roots": ((6, 1),)},
+    "E6^-26": {"rank": 2, "roots": ((3, 8),)},
+    "E7^7":   {"rank": 7, "roots": ((63, 1),)},
+    "E7^-5":  {"rank": 4, "roots": ((12, 1), (12, 4))},
+    "E7^-25": {"rank": 3, "roots": ((6, 8), (3, 1)), "hermitian": True, "tube": True},
+    "E8^8":   {"rank": 8, "roots": ((120, 1),)},
+    "E8^-24": {"rank": 4, "roots": ((12, 1), (12, 8))},
+    "F4^4":   {"rank": 4, "roots": ((24, 1),)},
+    "F4^-20": {"rank": 1, "roots": ((1, 8), (1, 7))},
+    "G2^2":   {"rank": 2, "roots": ((6, 1),)},
 }
 
 
@@ -52,12 +50,16 @@ class RealFormDescriptor:
     family: str
     params: Params
     name: str
-    dim_g_real: int
+    ambient: LieType  # the complexification
     dim_h: int
     hermitian: bool
     tube_type: Optional[bool]  # None when not Hermitian
     ss_rank: int
     maximal_subtube: Optional[str]
+
+    @property
+    def dim_g_real(self) -> int:
+        return self.ambient.dim
 
     @property
     def dim_m(self) -> int:
@@ -71,22 +73,14 @@ class RealFormDescriptor:
     def is_exceptional(self) -> bool:
         return self.family in EXCEPTIONAL_FORMS
 
-    @cached_property
-    def ambient(self) -> LieType:
-        """The complexification, found once per descriptor."""
-        if self.is_exceptional:
-            return LieType.of(EXCEPTIONAL_FORMS[self.family]["ambient"])
-        try:
-            return FAMILIES[self.family].complexification(self.params)
-        except RankDomainError as exc:
-            raise RankDomainError(f"{self.name}: {exc}") from None
-
 
 def describe(family: str, params: Sequence[int] = ()) -> RealFormDescriptor:
     """Descriptor for a noncompact real form; family is a classical tag
     (a key of families.FAMILIES) or an exceptional token like 'E6^-14',
-    which takes no parameters.  One descriptor per form and process, so
-    its ambient is found once; params may be any sequence."""
+    which takes no parameters.  A classical form whose complexification
+    lies outside LieType's rank window is refused.  One descriptor per
+    form and process, so its ambient is found once; params may be any
+    sequence."""
     return _descriptor(family, tuple(params))
 
 
@@ -96,10 +90,11 @@ def _descriptor(family: str, params: Params) -> RealFormDescriptor:
         if params:
             raise DomainError(f"{family} takes no parameters")
         info = EXCEPTIONAL_FORMS[family]
-        ambient = LieType.of(info["ambient"])
+        type_name, _, s = family.partition("^")
+        ambient = LieType.of(type_name)
         return RealFormDescriptor(
-            family=family, params=(), name=family,
-            dim_g_real=ambient.dim, dim_h=info["dim_h"],
+            family=family, params=(), name=family, ambient=ambient,
+            dim_h=(ambient.dim - int(s)) // 2,  # s = dim g - 2 dim h
             hermitian=info.get("hermitian", False),
             tube_type=info.get("tube") if info.get("hermitian") else None,
             ss_rank=info["rank"],
@@ -109,24 +104,19 @@ def _descriptor(family: str, params: Params) -> RealFormDescriptor:
     if min(params) < 1 or sum(params) < spec.min_size:
         raise DomainError(f"{spec.symbol} needs positive parameters with "
                           f"{'+'.join(spec.letters)} >= {spec.min_size}")
+    name = spec.name(params)
+    try:
+        ambient = spec.complexification(params)
+    except RankDomainError as exc:
+        raise RankDomainError(f"{name}: {exc}") from None
     hermitian = spec.hermitian(*params)
     subtube = spec.subtube(*params) if hermitian and spec.subtube else None
     return RealFormDescriptor(
-        family, params, spec.name(params), spec.dim_g(params), spec.dim_h(*params),
+        family, params, name, ambient, spec.dim_h(*params),
         hermitian=hermitian, tube_type=(subtube is None) if hermitian else None,
         ss_rank=spec.ss_rank(*params),
         maximal_subtube=spec.name(subtube) if subtube else None,
     )
-
-
-_TOKEN_RE = re.compile(r"^([A-G][0-9])\^(-?[0-9]+)$")
-
-
-def exceptional_s_value(token: str) -> int:
-    match = _TOKEN_RE.match(token)
-    if not match or token not in EXCEPTIONAL_FORMS:
-        raise DomainError(f"unknown exceptional real form {token!r}")
-    return int(match.group(2))
 
 
 def restricted_root_data(d: RealFormDescriptor) -> Tuple[int, Tuple[Tuple[int, int], ...]]:

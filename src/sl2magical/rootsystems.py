@@ -111,7 +111,17 @@ class LieType:
             return self.rank + 1
         return 2 * self.rank + 1 if self.family is LieFamily.B else 2 * self.rank
 
-    @property
+    @classmethod
+    def classical(cls, algebra: str, size: int) -> "LieType":
+        """The type whose algebra ("gl", "so" or "sp") acts on C^size: the
+        inverse of matrix_size, within the same rank window."""
+        if algebra == "gl":
+            return cls(LieFamily.A, size - 1)
+        if algebra == "so":
+            return cls(LieFamily.B if size % 2 else LieFamily.D, size // 2)
+        return cls(LieFamily.C, size // 2)
+
+    @cached_property
     def dim(self) -> int:
         return 2 * _positive_root_count(self) + self.rank
 

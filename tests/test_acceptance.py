@@ -26,7 +26,6 @@ from sl2magical.orbits import (
 from sl2magical.realforms import (
     centralizer_realform,
     describe,
-    exceptional_s_value,
     milnor_wood,
 )
 from sl2magical.rootsystems import (
@@ -76,7 +75,7 @@ def test_3_e6_odd_diagram():
     d = module_multiplicities(ad_grading(build_root_system(t), wdd))
     assert d.as_dict() == {0: 22, 1: 16, 2: 8}
     assert sum(m * (j + 1) for j, m in d.n) == 78
-    s = exceptional_s_value("E6^-14")
+    s = describe("E6^-14").s
     assert s == -14
     assert s == d.n_at(2) - d.n_at(0)
     print("PASS: E6 odd diagram (1,0,0,0,0,1) gives n=(22,16,8), s=-14=n2-n0")

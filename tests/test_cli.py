@@ -155,6 +155,19 @@ def test_duplicate_record_exit_3(capsys, monkeypatch, tmp_path, command):
                        "[1, 0, 0, 0, 0, 1], first on line 1\n")
 
 
+def test_boolean_wdd_dataset_exit_3(capsys, monkeypatch, tmp_path):
+    """JSON true and false are not the labels 1 and 0."""
+    path = tmp_path / "bool.jsonl"
+    path.write_text(json.dumps({
+        "realform": "E6^-14", "wdd": [True, False, False, False, False, True],
+        "dim_V_cap_h": 30, "dim_c_cap_h": 22, "dim_Veven_cap_m": 8,
+        "centralizer": "so(7)+so(2)", "source_row": "x"}) + "\n")
+    monkeypatch.setenv(DATASET_ENV, str(path))
+    code, out, err = run(capsys, "classify", "E6^-14")
+    assert (code, out) == (3, "")
+    assert "wdd must be a list of integers" in err
+
+
 def test_classify_unknown_family_exit_2(capsys):
     code, _, err = run(capsys, "classify", "magic", "3")
     assert code == 2
@@ -391,6 +404,8 @@ MALFORMED_CASES = [
     _case(22, ("orbit", "A", "9", "--partition", "1 0"), "cannot parse partition token '1 0'"),
     _case(23, ("slodowy", "E6^-14", "--wdd", "0_1,0,0,0,0,1", "--genus", "2"),
           "E6^-14: cannot parse --wdd '0_1,0,0,0,0,1'"),
+    _case(24, ("orbit", "A", "4", "--partition", "]]2,2,1["),
+          "cannot parse partition token ']]2'"),
 ]
 
 
@@ -429,6 +444,13 @@ def test_internal_assertion_exits_4(capsys, monkeypatch):
     assert err == "internal error: weight-zero space lost the Cartan\n"
 
 
+# An integer argument takes ASCII digits only (orbits.parse_digits): argparse
+# refuses each of these, naming the token.
+NON_DIGIT_ARGV = (
+    (("classify", "sl", "1_2"), "'1_2'"),
+    (("slodowy", "su", "2", "3", "--partition", "2,2,1", "--genus", "+0_2"), "'+0_2'"),
+    (("verify", "--max-rank", " 2"), "' 2'"),
+)
 # Commands argparse rejects (SystemExit) and the help screen, each run on a
 # parser that has served other commands before.
 REJECTED_ARGV = (
@@ -436,12 +458,21 @@ REJECTED_ARGV = (
     ("cluster", "su", "2", "3"),
     ("classify", "su", "x"),
     ("--help",),
-)
+) + tuple(argv for argv, _ in NON_DIGIT_ARGV)
 VALID_ARGV = (
     ("classify", "su", "2", "3", "--format", "json"),
     ("slodowy", "su", "2", "3", "--partition", "2,2,1", "--genus", "2", "--format", "json"),
     ("slodowy", "su", "2", "3", "--partition", "2,2,1", "--genus", "3"),
 )
+
+
+@pytest.mark.parametrize("argv,token", NON_DIGIT_ARGV)
+def test_integer_arguments_take_ascii_digits_only(capsys, argv, token):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert token in err
 
 
 def test_main_reuses_one_parser_without_state(capsys):

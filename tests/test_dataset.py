@@ -125,6 +125,9 @@ def test_missing_file(monkeypatch):
     (lambda r: r.update(dim_c_cap_h=999), "exceeds"),
     (lambda r: r.update(extra_column=1), "unknown"),
     (lambda r: r.update(centralizer="xyz(3)"), "centralizer"),
+    # JSON true and false load as Python bools, which are ints
+    (lambda r: r.update(wdd=[True, False, False, False, False, True]), "wdd must be a list"),
+    (lambda r: r.update(dim_c_cap_h=True), "dim_c_cap_h must be an integer"),
 ])
 def test_schema_rejections(tmp_path, mangle, fragment):
     row = dict(GOOD_ROW)

@@ -37,8 +37,11 @@ def test_scan_stays_inside_the_rank_window(tag):
     spec = FAMILIES[tag]
     for params in family_parameter_space(tag, 16):
         d = describe(tag, params)
-        assert d.ambient.matrix_size == spec.size(params)
-        assert d.dim_g_real == d.ambient.dim
+        n = spec.size(params)
+        assert d.ambient.matrix_size == n
+        # dim gl_N - 1, so_N, sp_N by their own formulas
+        assert d.dim_g_real == {"gl": n * n - 1, "so": n * (n - 1) // 2,
+                                "sp": n * (n + 1) // 2}[spec.algebra]
 
 
 def test_gl_type_centralizer_compact_only_with_one_real_line():

@@ -38,9 +38,12 @@ def test_parts_auto_sorted():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "0", "2,-1", "a,b", "2^0", "-1^100000000000000000000"):
+    for bad in ("", "0", "2,-1", "a,b", "2^0", "-1^100000000000000000000",
+                "[[2,1]]", "2,1]", "[2,1", "]]2,2,1[", "[]", "]2,1["):
         with pytest.raises(DomainError):
             Partition.parse(bad)
+    # one matched pair of brackets around the whole text, no more
+    assert Partition.parse(" [2^2,1] ") == Partition.parse("2^2,1") == Partition.of(2, 2, 1)
     # a space inside a token, "_", a sign, another script's digit or an
     # empty exponent: none of these is read as some other number
     for bad in ("1 0", "1_0", "2^0_1", "2 2 1", "2 ^2,1", "+2,1", "\uff12,1", "2^,1", "2,,1"):

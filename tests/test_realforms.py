@@ -10,7 +10,6 @@ from sl2magical.realforms import (
     EXCEPTIONAL_FORMS,
     centralizer_realform,
     describe,
-    exceptional_s_value,
     milnor_wood,
     restricted_root_checksum,
 )
@@ -48,11 +47,12 @@ def test_describe_gives_one_descriptor_per_form():
 
 def test_compact_dual_dimension_splits():
     # dim h + dim m must always equal the real dimension of the form
-    for family, params in [("su", (3, 3)), ("so", (4, 4)), ("sostar", (5,)),
-                           ("spr", (4,)), ("sp", (2, 2)), ("sustar", (3,)),
-                           ("sl", (6,))]:
+    for family, params, dim_g in [("su", (3, 3), 35), ("so", (4, 4), 28),
+                                  ("sostar", (5,), 45), ("spr", (4,), 36),
+                                  ("sp", (2, 2), 36), ("sustar", (3,), 35),
+                                  ("sl", (6,), 35)]:
         d = describe(family, params)
-        assert d.dim_g_real == d.ambient.dim
+        assert d.dim_h + d.dim_m == d.dim_g_real == dim_g
 
 
 def test_hermitian_and_tube_flags():
@@ -85,10 +85,15 @@ def test_descriptor_guards():
 
 
 def test_exceptional_tokens_complete():
-    assert len(EXCEPTIONAL_FORMS) == 12
-    for token in EXCEPTIONAL_FORMS:
+    """Each token X^s gives its type X and s; dim h = (dim g - s)/2 is
+    pinned here for all twelve."""
+    dim_h = {"E6^6": 36, "E6^2": 38, "E6^-14": 46, "E6^-26": 52, "E7^7": 63,
+             "E7^-5": 69, "E7^-25": 79, "E8^8": 120, "E8^-24": 136, "F4^4": 24,
+             "F4^-20": 36, "G2^2": 6}
+    assert list(EXCEPTIONAL_FORMS) == list(dim_h)
+    for token, want in dim_h.items():
         d = describe(token)
-        assert d.s == exceptional_s_value(token)
+        assert (d.dim_h, d.ambient.name) == (want, token.split("^")[0])
         assert d.name == token
         assert d.is_exceptional
 
@@ -123,13 +128,14 @@ def test_split_forms_have_full_rank():
 
 
 def test_restricted_root_checksums():
-    for family in FAMILIES:
-        for params in family_parameter_space(family, 12):
-            d = describe(family, params)
-            assert restricted_root_checksum(d), d.name
-            ambient = d.ambient
-            assert d.dim_g_real == ambient.dim, d.name
-            assert d.ss_rank <= ambient.rank, d.name
+    """rank + sum of root multiplicities = dim m, for every classical form
+    of size <= 12 and each exceptional token, whose dim h is derived from
+    the token."""
+    forms = [describe(family, params) for family in FAMILIES
+             for params in family_parameter_space(family, 12)]
+    for d in forms + [describe(token) for token in EXCEPTIONAL_FORMS]:
+        assert restricted_root_checksum(d), d.name
+        assert d.ss_rank <= d.ambient.rank, d.name
 
 
 def test_milnor_wood_values():

@@ -7,6 +7,8 @@ import pytest
 
 from sl2magical.errors import DomainError, RankDomainError
 from sl2magical.rootsystems import (
+    CLASSICAL_MIN_RANK,
+    CLASSICAL_RANK_CAP,
     LieType,
     WeightedDynkinDiagram,
     ad_grading,
@@ -46,6 +48,22 @@ def test_exceptional_dimensions():
 def test_rank_floors(family, rank):
     with pytest.raises(RankDomainError):
         LieType.of(family, rank)
+
+
+def test_classical_inverts_matrix_size():
+    """LieType.classical(algebra, size) gives back every classical type in
+    the rank window from its algebra and matrix size, and refuses a size
+    outside the window with LieType's own message."""
+    for letter, low in CLASSICAL_MIN_RANK.items():
+        for rank in range(low, CLASSICAL_RANK_CAP + 1):
+            t = LieType.of(letter, rank)
+            assert LieType.classical(t.algebra, t.matrix_size) == t
+    for algebra, size, message in (("sp", 2, "C-type needs rank >= 2, got 1"),
+                                   ("so", 3, "B-type needs rank >= 2, got 1"),
+                                   ("so", 4, "D-type needs rank >= 3, got 2"),
+                                   ("gl", 14, "A13 exceeds the classical rank cap 12")):
+        with pytest.raises(RankDomainError, match=message):
+            LieType.classical(algebra, size)
 
 
 def test_rank_cap_and_garbage():

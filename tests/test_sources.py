@@ -1,6 +1,7 @@
 """Every module of the package compiles without a warning, every
-function and class it defines has a caller in the package, and every
-function the benchmark tracer wraps exists."""
+function and class it defines has a caller in the package, every name it
+imports at module level is used in it, and every function the benchmark
+tracer wraps exists."""
 
 import ast
 import importlib
@@ -86,3 +87,26 @@ def test_traced_layers_exist():
         if not callable(getattr(importlib.import_module(f"sl2magical.{module}"), function, None)):
             missing.append(name)
     assert missing == []
+
+
+def _module_imports(tree):
+    """(bound name, line) of each module-level import of a tree, future
+    imports aside."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+
+
+def test_every_module_import_is_used():
+    """Each name a module of the package imports at module level is
+    referenced in that module, so a deletion leaves no stale import."""
+    stale = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = set(_references(tree))
+        stale += [f"{path.name}:{line} {name}" for name, line in _module_imports(tree)
+                  if name not in used]
+    assert stale == []
