@@ -108,22 +108,22 @@ def check_table_rows() -> CheckResult:
     cases = 0
     for q in range(2, 7):
         for p in range(1, q):
-            t = LieType.of("A", p + q - 1)
+            form = describe("su", (p, q))
             part = Partition.of(*([2] * p + [1] * (q - p)))
             want = (p * p - 1 + (q - p) ** 2, 2 * p * (q - p), p * p)
-            got = _n_row(t, part, 2)
-            s = describe("su", (p, q)).s
+            got = _n_row(form.ambient, part, 2)
+            s = form.s
             if got != want or s != got[2] - got[0] or s != 1 - (q - p) ** 2:
                 return CheckResult(name, False, cases,
                                    f"su({p},{q}): n {got}, expected {want}, s {s}")
             cases += 1
     for m in range(1, 5):
         mm = 2 * m + 1  # so*(2 mm) = so*(4m+2)
-        t = LieType.of("D", mm)
+        form = describe("sostar", (mm,))
         part = Partition.of(*([2] * (mm - 1) + [1, 1]))
         want = (m * (2 * m + 1) + 1, 4 * m, m * (2 * m - 1))
-        got = _n_row(t, part, 2)
-        s = describe("sostar", (mm,)).s
+        got = _n_row(form.ambient, part, 2)
+        s = form.s
         if got != want or s != got[2] - got[0] or s != -(2 * m + 1):
             return CheckResult(name, False, cases,
                                f"so*({2 * mm}): n {got}, expected {want}, s {s}")
