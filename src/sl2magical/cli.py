@@ -264,7 +264,17 @@ class Subcommand(NamedTuple):
     flags: Tuple[Tuple[str, Dict], ...]
 
 
-_PARAMS = ("params", {"type": parse_digits, "nargs": "*"})
+def _digits(token: str) -> int:
+    """An integer argument: parse_digits, refused with what was expected.
+    argparse prints an ArgumentTypeError's message as it is, where any
+    other error would name the converter."""
+    try:
+        return parse_digits(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected ASCII digits, got {token!r}") from None
+
+
+_PARAMS = ("params", {"type": _digits, "nargs": "*"})
 _FORMAT = ("--format", {"choices": ("json", "csv", "table"), "default": "table"})
 
 # Both parsers read this table.  It binds the cmd_* functions themselves, so
@@ -272,7 +282,7 @@ _FORMAT = ("--format", {"choices": ("json", "csv", "table"), "default": "table"}
 COMMANDS = {
     "orbit": Subcommand(
         "sl2-data of one complex nilpotent orbit", cmd_orbit,
-        (("type", {"choices": ("A", "B", "C", "D")}), ("rank", {"type": parse_digits})),
+        (("type", {"choices": ("A", "B", "C", "D")}), ("rank", {"type": _digits})),
         (("--partition", {"required": True, "help": "e.g. 2,2,1 or 2^2,1"}), _FORMAT)),
     "classify": Subcommand(
         "magical orbits of one real form", cmd_classify,
@@ -283,10 +293,10 @@ COMMANDS = {
         (("family", {}), _PARAMS),
         (("--partition", {"help": "orbit partition (classical forms)"}),
          ("--wdd", {"help": "orbit diagram labels (exceptional forms)"}),
-         ("--genus", {"type": parse_digits, "required": True}), _FORMAT)),
+         ("--genus", {"type": _digits, "required": True}), _FORMAT)),
     "verify": Subcommand(
         "run the consistency suite", cmd_verify, (),
-        (("--max-rank", {"type": parse_digits, "default": 6}), _FORMAT)),
+        (("--max-rank", {"type": _digits, "default": 6}), _FORMAT)),
 }
 
 
@@ -308,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _convert(keywords: Dict, token: str):
-    """The value argparse stores for token, or ValueError where it errors."""
+    """The value argparse stores for token, or ValueError or
+    ArgumentTypeError where it errors."""
     value = keywords.get("type", str)(token)
     if value not in keywords.get("choices", (value,)):
         raise ValueError(token)
@@ -348,7 +359,7 @@ def _fast_args(argv: Sequence[str]) -> Optional[argparse.Namespace]:
             else:
                 value = keywords.get("default")
             values[flag.lstrip("-").replace("-", "_")] = value
-    except ValueError:
+    except (ValueError, argparse.ArgumentTypeError):
         return None
     return None if heads else argparse.Namespace(**values)
 

@@ -27,25 +27,29 @@ elimination of each weight slice w >= 0, on a template triple of just its
 units, built by the same matrixmodel.triple_on, so the tau-merging, the
 self-paired strings and the mu signs are ranked, not assumed; a tau
 template is checked to hold the key's units, a Cartan template's
-involution to negate e.  n_j and the h/m split sum the tables over the
-units and unit pairs of the orbit, weighted by multiplicity, less the
-identity matrix on the side of sigma(I) = +-I: it is in gl_N, not sl_N.
-Neither lays out the orbit itself.  For n_j an orbit's units come from
-its multiplicity table: a part k of multiplicity r gives r units S in gl,
+involution to negate e.  A template's entries are listed straight from
+its one unit block, or the two blocks between its two units, and an
+entry is made a column only at weight w >= 0; the slices w < 0 are
+counted, not built or ranked: ad_e is injective below weight 0, since
+its kernel holds highest-weight vectors only, so their nullity is 0
+(tests/test_matrixoracle.py ranks them to check it).  n_j and the h/m
+split sum the tables over the units and unit pairs of the orbit,
+weighted by multiplicity, into one dict per side, less the identity
+matrix on the side of sigma(I) = +-I: it is in gl_N, not sl_N.  Neither
+lays out the orbit itself.  For n_j an orbit's units come from its
+multiplicity table: a part k of multiplicity r gives r units S in gl,
 and in so/sp when k has the self-paired parity, else r/2 units P; each
 tau template is checked to hold, by MatrixSl2Triple.units, the units
-this rule gives it.  A split's units are the rows of the signed datum, each
-su unit led by the row's sign there, and the orbit's involution on one
-unit or two is the template's, checked there.
-The slices w < 0 are counted as columns but not ranked: ad_e is injective
-below weight 0, since its kernel holds highest-weight vectors only, so
-their nullity is 0 (tests/test_matrixoracle.py ranks them to check it).
+this rule gives it.  A split's units are the rows of the signed datum,
+each su unit led by the row's sign there, and the orbit's involution on
+one unit or two is the template's, checked there.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, product
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import NormalityError, UnsupportedInvolutionError
@@ -98,26 +102,47 @@ def _nullity_by_weight(m: MatrixSl2Triple, columns: Columns) -> Dict[int, int]:
     return out
 
 
-def _unit_columns(m: MatrixSl2Triple, sigma: Involution, units: int) -> Tuple[Columns, Columns]:
-    """sigma's eigen-columns within the one unit of a template, or between its two."""
-    unit_of = {a: j for j, u in enumerate(m.units()) for s in u for a in s}
-    return eigen_columns(m, sigma, [(a, b) for a in range(m.size) for b in range(m.size)
-                                    if len({unit_of[a], unit_of[b]}) == units])
+def _block_sides(m: MatrixSl2Triple, sigma: Involution) -> Tuple[Tuple[int, Columns], ...]:
+    """(column count, eigen-columns of weight w >= 0) of each side of sigma
+    on the entries within the one unit of a template, or between its two.
+    The columns of weight w < 0 are counted as eigen_columns would make
+    them, not built: a pair of entries sigma swaps gives one on each side,
+    an entry it fixes one on the side of its sign."""
+    blocks = [[a for s in u for a in s] for u in m.units()]
+    pairs = (product(blocks[0], repeat=2) if len(blocks) == 1
+             else chain(product(*blocks), product(*blocks[::-1])))
+    wt = m.weights
+    upper, counts = [], [0, 0]
+    for a, b in pairs:
+        if wt[a] >= wt[b]:
+            upper.append((a, b))
+            continue
+        eps, img = sigma(a, b)
+        if img == (a, b):
+            counts[eps < 0] += 1
+        elif (a, b) < img:
+            counts[0] += 1
+            counts[1] += 1
+    sides = eigen_columns(m, sigma, upper)
+    return tuple((count + sum(map(len, cols.values())), cols)
+                 for count, cols in zip(counts, sides))
 
 
-def _keys(model: str, unit_counts: Mapping[UnitType, int]) -> Counter:
+def _keys(model: str, unit_counts: Mapping[UnitType, int]) -> Dict[Key, int]:
     """Key -> the number of units, or pairs of distinct units, with that
     key, from the count of each unit type."""
     units = sorted(unit_counts.items())
-    keys: Counter = Counter()
+    keys: Dict[Key, int] = {}
     for i, ((strings, length, sign), count) in enumerate(units):
         kind = "SP"[strings - 1]
-        keys[model, kind, (length,), 1] += count
+        key = model, kind, (length,), 1
+        keys[key] = keys.get(key, 0) + count
         if count > 1:
-            keys[model, kind * 2, (length, length), 1] += count * (count - 1) // 2
+            key = model, kind * 2, (length, length), 1
+            keys[key] = keys.get(key, 0) + count * (count - 1) // 2
         for (strings2, length2, sign2), count2 in units[i + 1:]:
-            pair = kind + "SP"[strings2 - 1]
-            keys[model, pair, (length, length2), sign * sign2] += count * count2
+            key = model, kind + "SP"[strings2 - 1], (length, length2), sign * sign2
+            keys[key] = keys.get(key, 0) + count * count2
     return keys
 
 
@@ -148,31 +173,35 @@ def _key_table(key: Key) -> Tuple[Tuple[int, Table], ...]:
         sigma = _ad(m, (1, sign)) if model == "su" else _sl_involution(m)
         if not is_eigen(sigma, m.e, -1):
             raise AssertionError(f"template {m.name}: the {model} involution does not negate e")
-        sides = _unit_columns(m, sigma, len(kind))
+        sides = _block_sides(m, sigma)
     else:
         units = _tau_units(model, m.partition)
         laid_out = Counter((len(u), len(u[0]), 1) for u in m.units())
-        if laid_out != units or _keys(model, units)[key] != 1:
+        if laid_out != units or _keys(model, units).get(key) != 1:
             raise AssertionError(f"template {m.name} does not hold the units of {key}")
-        sides = _unit_columns(m, m.tau, len(kind))[:1]
-    return tuple((sum(map(len, cols.values())), tuple(sorted(
-        (w, v) for w, v in _nullity_by_weight(m, cols).items() if v))) for cols in sides)
+        sides = _block_sides(m, m.tau)[:1]
+    return tuple((count, tuple(sorted((w, v) for w, v in _nullity_by_weight(m, cols).items() if v)))
+                 for count, cols in sides)
 
 
-def _summed(keys: Counter, tables: Tables, identity: int) -> Tuple[List[Counter], List[int]]:
+def _summed(keys: Dict[Key, int], tables: Tables,
+            identity: int) -> Tuple[List[Dict[int, int]], List[int]]:
     """Nullity by weight and column count of each side, summed over the
     keys, less the identity matrix on side identity (0 or 1): it is in
     gl_N, not in sl_N.  A key missing from tables is ranked and added, so
     callers passing one dict to many orbits rank each key once."""
-    nulls, dims = [Counter(), Counter()], [0, 0]
+    nulls: List[Dict[int, int]] = [{}, {}]
+    dims = [0, 0]
     for key, count in keys.items():
         if key not in tables:
             tables[key] = _key_table(key)
         for side, (dim, table) in enumerate(tables[key]):
             dims[side] += count * dim
+            null = nulls[side]
             for w, v in table:
-                nulls[side][w] += count * v
-    nulls[identity][0] -= 1
+                null[w] = null.get(w, 0) + count * v
+    null = nulls[identity]
+    null[0] = null.get(0, 0) - 1
     dims[identity] -= 1
     return nulls, dims
 
@@ -255,7 +284,8 @@ def oracle_sigma_split(signed: SignedPartitionData) -> SigmaSplitReport:
     identity = 0 if signed.family == "su" else 1
     keys = _keys(signed.family, Counter(_cartan_units(signed)))
     (h_null, m_null), (dim_h, dim_m) = _summed(keys, _CARTAN_TABLES, identity)
-    splits = tuple((w, (h_null[w], m_null[w])) for w in sorted(h_null.keys() | m_null.keys())
-                   if w >= 0 and (h_null[w] or m_null[w]))
+    splits = tuple((w, (h_null.get(w, 0), m_null.get(w, 0)))
+                   for w in sorted(h_null.keys() | m_null.keys())
+                   if w >= 0 and (h_null.get(w, 0) or m_null.get(w, 0)))
     return SigmaSplitReport(family=signed.family, params=signed.params, splits=splits,
                             dim_h=dim_h, dim_m=dim_m)

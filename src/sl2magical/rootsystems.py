@@ -15,8 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from operator import add
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from .errors import DomainError, RankDomainError
 
@@ -172,60 +171,52 @@ def cartan_matrix(t: LieType) -> Matrix:
     return tuple(tuple(row) for row in m)
 
 
-def _coroot_pairing(cartan: Matrix, coeffs: Coeffs, j: int) -> int:
-    return sum(c * cartan[i][j] for i, c in enumerate(coeffs) if c)
-
-
 def _positive_roots_by_height(cartan: Matrix) -> FrozenSet[Coeffs]:
     """Close the simple roots upward by height using root-string arithmetic.
 
-    beta + alpha_j is a root iff q > 0 in the string through beta, where
-    q = p - <beta, alpha_j^vee> and p counts how far beta - k*alpha_j stays
-    a root.  All smaller-height roots are already present, so membership
-    lookups are exact.
+    beta + alpha_j is a root iff p > <beta, alpha_j^vee> in the alpha_j
+    string through beta, where p counts how far beta - k*alpha_j stays a
+    root.  Each root carries both per j: a step up by alpha_j adds Cartan
+    row j to the pairings and, the string being unbroken, sets p_j to one
+    more than beta's.  A root of height h + 1 is reached from every root
+    root - alpha_j, all of height h, so its p is complete before its own
+    layer is stepped from.
     """
     rank = len(cartan)
     simple = [tuple(1 if i == j else 0 for i in range(rank)) for j in range(rank)]
-    roots = set(simple)
-    layer = list(simple)
+    pairings: Dict[Coeffs, Coeffs] = dict(zip(simple, cartan))
+    depths: Dict[Coeffs, List[int]] = {beta: [0] * rank for beta in simple}  # p per j
+    layer = simple
     while layer:
         nxt = []
         for beta in layer:
+            pairing, p = pairings[beta], depths[beta]
             for j in range(rank):
-                p = 0
-                down = list(beta)
-                while True:
-                    down[j] -= 1
-                    if down[j] < 0 or tuple(down) not in roots:
-                        break
-                    p += 1
-                if p - _coroot_pairing(cartan, beta, j) > 0:
-                    up = list(beta)
-                    up[j] += 1
-                    cand = tuple(up)
-                    if cand not in roots:
-                        roots.add(cand)
-                        nxt.append(cand)
+                if p[j] > pairing[j]:
+                    up = beta[:j] + (beta[j] + 1,) + beta[j + 1:]
+                    if up not in pairings:
+                        pairings[up] = tuple(x + y for x, y in zip(pairing, cartan[j]))
+                        depths[up] = [0] * rank
+                        nxt.append(up)
+                    depths[up][j] = p[j] + 1
         layer = nxt
-    return frozenset(roots)
+    return frozenset(pairings)
 
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Positive roots of a simple type, as simple-root coefficient vectors."""
+    """Positive roots of a simple type, as simple-root coefficient vectors,
+    and per node its coefficients packed into one integer: byte r holds
+    the node's coefficient in positive root r, in root order."""
 
     lie_type: LieType
     cartan: Matrix
     positive_roots: Tuple[Coeffs, ...]
+    packed: Tuple[int, ...]
 
     @property
     def rank(self) -> int:
         return self.lie_type.rank
-
-    @cached_property
-    def columns(self) -> Tuple[Coeffs, ...]:
-        """Per node, its coefficient in each positive root, in root order."""
-        return tuple(zip(*self.positive_roots))
 
 
 @lru_cache(maxsize=None)
@@ -238,7 +229,12 @@ def build_root_system(t: LieType) -> RootSystem:
             f"{t.name}: enumerated {len(roots)} positive roots, expected {expected}"
         )
     ordered = tuple(sorted(roots, key=lambda r: (sum(r), r)))
-    return RootSystem(lie_type=t, cartan=cartan, positive_roots=ordered)
+    # a weight is at most 2 ht(theta), theta = ordered[-1]: 58 for E8, so
+    # each fits its byte and the packed sums of ad_grading never carry
+    if 2 * sum(ordered[-1]) > 255:
+        raise AssertionError(f"{t.name}: root weights overflow a byte")
+    packed = tuple(int.from_bytes(bytes(column), "little") for column in zip(*ordered))
+    return RootSystem(lie_type=t, cartan=cartan, positive_roots=ordered, packed=packed)
 
 
 @dataclass(frozen=True)
@@ -279,23 +275,15 @@ class GradingDims:
 
 def ad_grading(rs: RootSystem, wdd: WeightedDynkinDiagram) -> GradingDims:
     """Eigenspace dimensions of ad_h for the semisimple element h defined by
-    alpha_i(h) = label_i.  The weights of the positive roots are the sum of
-    the nodes' coefficient columns, node i's added label_i times (labels
-    are 0, 1 or 2); counts run over positive and negative roots, and the
-    Cartan contributes rank to weight 0."""
+    alpha_i(h) = label_i.  The weights of the positive roots are the bytes
+    of sum_i label_i * packed_i (each below 256, see build_root_system);
+    each positive weight w counts once at w and once at -w, and weight 0
+    twice plus the rank of the Cartan."""
     if wdd.lie_type != rs.lie_type:
         raise DomainError(f"diagram is for {wdd.lie_type.name}, root system for {rs.lie_type.name}")
-    weights: Iterable[int] = [0] * len(rs.positive_roots)
-    for column, label in zip(rs.columns, wdd.labels):
-        for _ in range(label):
-            weights = map(add, weights, column)
-    positive = Counter(weights)
-    dims: Dict[int, int] = {0: rs.rank}
-    for w, count in positive.items():
-        dims[w] = dims.get(w, 0) + count
-        dims[-w] = dims.get(-w, 0) + count
-    if dims[0] < rs.rank:
-        raise AssertionError("weight-zero space lost the Cartan")
-    pairs = tuple(sorted((w, d) for w, d in dims.items() if d))
+    total = sum(label * column for label, column in zip(wdd.labels, rs.packed))
+    positive = Counter(total.to_bytes(len(rs.positive_roots), "little"))
+    zero = rs.rank + 2 * positive.pop(0, 0)
+    above = sorted(positive.items())
+    pairs = tuple((-w, d) for w, d in reversed(above)) + ((0, zero),) + tuple(above)
     return GradingDims(lie_type=rs.lie_type, dims=pairs)
-

@@ -445,11 +445,12 @@ def test_internal_assertion_exits_4(capsys, monkeypatch):
 
 
 # An integer argument takes ASCII digits only (orbits.parse_digits): argparse
-# refuses each of these, naming the token.
+# refuses each of these, saying what it expected and naming the token.
 NON_DIGIT_ARGV = (
     (("classify", "sl", "1_2"), "'1_2'"),
     (("slodowy", "su", "2", "3", "--partition", "2,2,1", "--genus", "+0_2"), "'+0_2'"),
     (("verify", "--max-rank", " 2"), "' 2'"),
+    (("verify", "--max-rank", "x2"), "'x2'"),
 )
 # Commands argparse rejects (SystemExit) and the help screen, each run on a
 # parser that has served other commands before.
@@ -472,7 +473,8 @@ def test_integer_arguments_take_ascii_digits_only(capsys, argv, token):
         main(list(argv))
     out, err = capsys.readouterr()
     assert (exc.value.code, out) == (2, "")
-    assert token in err
+    assert f"expected ASCII digits, got {token}" in err
+    assert "parse_digits" not in err
 
 
 def test_main_reuses_one_parser_without_state(capsys):

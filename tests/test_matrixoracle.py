@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from sl2magical import matrixoracle
+from sl2magical import crosscheck, matrixoracle
 from sl2magical.errors import DomainError, NormalityError, UnsupportedInvolutionError
 from sl2magical.linalg import integer_rank
 from sl2magical.matrixmodel import (
@@ -308,6 +308,42 @@ def test_sigma_splits_up_to_size_12_are_pinned():
     assert checked == 3377
     assert digest.hexdigest() == (
         "baf751a83b5d23513d1d619619cb3ad7f189bf1193a6c9536d273fb7ff1e40b8")
+
+
+def _tau_keys_of_verify(max_rank):
+    """The tau keys of every orbit verify walks up to max_rank."""
+    return {key for t, _, p in crosscheck._orbits(max_rank)
+            for key in matrixoracle._keys(t.algebra, matrixoracle._tau_units(t.algebra, p))}
+
+
+def _split_keys_up_to(size):
+    """The split keys of every su and sl signed datum of size <= size."""
+    keys = set()
+    for n in range(2, size + 1):
+        forms = [("su", (a, n - a)) for a in range(1, n)] + [("sl", (n,))]
+        for p in enumerate_partitions(LieType.of("A", n - 1)):
+            for family, params in forms:
+                for signed in enumerate_signed_data(family, params, p):
+                    units = Counter(matrixoracle._cartan_units(signed))
+                    keys |= set(matrixoracle._keys(family, units))
+    return keys
+
+
+@pytest.mark.parametrize("side,count,expected", [
+    ("tau", 192, "13f08ef3f9facb6bbd92a025a3bb384d7ae5a5ff094491753f58478169829716"),
+    ("split", 132, "abf71a7858b740b33e39de593eca80b334d6f326eafc1af2d93e8f3e7b6fadcf"),
+], ids=["tau", "split"])
+def test_key_tables_are_pinned(side, count, expected):
+    """The table of every tau key verify --max-rank 10 ranks, and of every
+    split key of an su or sl signed datum of size <= 12, hashes to the
+    digest recorded while the templates still filtered all size^2 entries
+    and built the columns of every weight."""
+    keys = sorted(_tau_keys_of_verify(10) if side == "tau" else _split_keys_up_to(12))
+    digest = hashlib.sha256()
+    for key in keys:
+        digest.update(f"{key} {_key_table(key)}\n".encode())
+    assert len(keys) == count
+    assert digest.hexdigest() == expected
 
 
 def test_partition_size_mismatch():

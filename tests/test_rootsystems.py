@@ -2,10 +2,13 @@
 
 import hashlib
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
 from sl2magical.errors import DomainError, RankDomainError
+from sl2magical.orbits import enumerate_partitions, weighted_dynkin_from_partition
 from sl2magical.rootsystems import (
     CLASSICAL_MIN_RANK,
     CLASSICAL_RANK_CAP,
@@ -163,3 +166,99 @@ def test_exceptional_gradings_are_pinned():
     assert checked == 3006
     assert digest.hexdigest() == (
         "2529df955a753a7cf559efa8a51b9d9b2db87dd2ab487f4d7529637f14e13a27")
+
+
+def _window_and_exceptional_types():
+    """Every classical type of the rank window, then the five exceptional
+    types."""
+    for family, low in CLASSICAL_MIN_RANK.items():
+        for rank in range(low, CLASSICAL_RANK_CAP + 1):
+            yield LieType.of(family, rank)
+    for name in ("G2", "F4", "E6", "E7", "E8"):
+        yield LieType.of(name)
+
+
+def _plain_weights(rs, labels):
+    """The ad_h weight of each positive root, in root order, as the plain
+    sum of its coefficients times the labels."""
+    return [sum(c * label for c, label in zip(root, labels)) for root in rs.positive_roots]
+
+
+def _assert_packed_kernel(rs, labels):
+    """Byte r of sum_i label_i * packed_i is the plain weight of positive
+    root r, and ad_grading's dims are the histogram of those weights, each
+    positive weight at w and -w, weight 0 twice plus the rank."""
+    weights = _plain_weights(rs, labels)
+    total = sum(label * column for label, column in zip(labels, rs.packed))
+    assert list(total.to_bytes(len(rs.positive_roots), "little")) == weights, labels
+    dims = Counter({0: rs.rank})
+    for w in weights:
+        dims[w] += 1
+        dims[-w] += 1
+    grading = ad_grading(rs, WeightedDynkinDiagram(lie_type=rs.lie_type, labels=labels))
+    assert grading.dims == tuple(sorted(dims.items())), labels
+
+
+def test_packed_kernel_on_every_exceptional_label_vector():
+    checked = 0
+    for name in ("G2", "F4", "E6"):
+        t = LieType.of(name)
+        rs = build_root_system(t)
+        for labels in itertools.product((0, 1, 2), repeat=t.rank):
+            _assert_packed_kernel(rs, labels)
+            checked += 1
+    assert checked == 9 + 81 + 729
+
+
+def test_packed_kernel_on_every_classical_orbit_diagram():
+    """Every orbit diagram of A-D up to the rank cap."""
+    checked = 0
+    for family, low in CLASSICAL_MIN_RANK.items():
+        for rank in range(low, CLASSICAL_RANK_CAP + 1):
+            t = LieType.of(family, rank)
+            rs = build_root_system(t)
+            for p in enumerate_partitions(t):
+                _assert_packed_kernel(rs, weighted_dynkin_from_partition(t, p).labels)
+                checked += 1
+    assert checked == 4137  # the oracle-equivalence cases of verify --max-rank 12
+
+
+def test_packed_kernel_on_seeded_e7_and_e8_samples():
+    rng = random.Random(0)
+    for name in ("E7", "E8"):
+        t = LieType.of(name)
+        rs = build_root_system(t)
+        for _ in range(300):
+            _assert_packed_kernel(rs, tuple(rng.choice((0, 1, 2)) for _ in range(t.rank)))
+
+
+# The Coxeter number h of each classical family at rank n.
+COXETER = {"A": lambda n: n + 1, "B": lambda n: 2 * n, "C": lambda n: 2 * n,
+           "D": lambda n: 2 * n - 2}
+
+
+def test_largest_weight_of_each_type_is_pinned():
+    """The largest ad_h weight of a type is 2 ht(theta) = 2(h - 1), reached
+    by the principal diagram (every label 2): at most 58, E8's, so every
+    weight fits the byte the packed kernel gives it."""
+    pinned = {"G2": 10, "F4": 22, "E6": 22, "E7": 34, "E8": 58}
+    for t in _window_and_exceptional_types():
+        rs = build_root_system(t)
+        principal = ad_grading(rs, WeightedDynkinDiagram(lie_type=t, labels=(2,) * t.rank))
+        want = pinned.get(t.name) or 2 * (COXETER[t.family.value](t.rank) - 1)
+        assert max(principal.weights) == 2 * sum(rs.positive_roots[-1]) == want, t.name
+        assert want <= 58
+
+
+def test_root_sets_are_pinned():
+    """The ordered positive roots of every classical type of the window and
+    of the five exceptional types hash to the digest recorded while the
+    closure still recomputed each coroot pairing from the coefficients."""
+    digest = hashlib.sha256()
+    checked = 0
+    for t in _window_and_exceptional_types():
+        digest.update(f"{t.name} {build_root_system(t).positive_roots}\n".encode())
+        checked += 1
+    assert checked == 49
+    assert digest.hexdigest() == (
+        "99547c2fe7cdf0814cb0437c17dbce64e3de4487816b3a3c7c5585f9043dbbca")
