@@ -207,9 +207,11 @@ def triple_on(algebra: str, p: Partition) -> MatrixSl2Triple:
 
 
 def eigen_columns(m: MatrixSl2Triple, sigma: Involution,
-                  entries: Optional[Iterable[Entry]] = None) -> Tuple[Columns, Columns]:
+                  entries: Optional[Iterable[Entry]] = None,
+                  minus: bool = True) -> Tuple[Columns, Columns]:
     """The +1 and -1 eigen-columns of sigma, grouped by weight, on the span
-    of the E_ab with (a, b) in entries, a sigma-stable set (default gl_N)."""
+    of the E_ab with (a, b) in entries, a sigma-stable set (default gl_N);
+    the -1 side is left empty unless minus."""
     wt = m.weights
     sides: Tuple[Columns, Columns] = ({}, {})
     for a, b in product(range(m.size), repeat=2) if entries is None else entries:
@@ -217,11 +219,12 @@ def eigen_columns(m: MatrixSl2Triple, sigma: Involution,
         if img < (a, b):
             continue
         w = wt[a] - wt[b]
-        if img == (a, b):
-            sides[0 if eps == 1 else 1].setdefault(w, []).append({img: 1})
-        else:
+        if img != (a, b):
             sides[0].setdefault(w, []).append({(a, b): 1, img: eps})
-            sides[1].setdefault(w, []).append({(a, b): 1, img: -eps})
+            if minus:
+                sides[1].setdefault(w, []).append({(a, b): 1, img: -eps})
+        elif eps == 1 or minus:
+            sides[eps != 1].setdefault(w, []).append({img: 1})
     return sides
 
 

@@ -102,12 +102,14 @@ def _nullity_by_weight(m: MatrixSl2Triple, columns: Columns) -> Dict[int, int]:
     return out
 
 
-def _block_sides(m: MatrixSl2Triple, sigma: Involution) -> Tuple[Tuple[int, Columns], ...]:
-    """(column count, eigen-columns of weight w >= 0) of each side of sigma
-    on the entries within the one unit of a template, or between its two.
-    The columns of weight w < 0 are counted as eigen_columns would make
-    them, not built: a pair of entries sigma swaps gives one on each side,
-    an entry it fixes one on the side of its sign."""
+def _block_sides(m: MatrixSl2Triple, sigma: Involution,
+                 minus: bool = True) -> Tuple[Tuple[int, Columns], ...]:
+    """(column count, eigen-columns of weight w >= 0) of the +1 side of
+    sigma, and of the -1 side unless minus is False, on the entries within
+    the one unit of a template, or between its two.  The columns of weight
+    w < 0 are counted as eigen_columns would make them, not built: a pair
+    of entries sigma swaps gives one on each side, an entry it fixes one on
+    the side of its sign."""
     blocks = [[a for s in u for a in s] for u in m.units()]
     pairs = (product(blocks[0], repeat=2) if len(blocks) == 1
              else chain(product(*blocks), product(*blocks[::-1])))
@@ -123,9 +125,9 @@ def _block_sides(m: MatrixSl2Triple, sigma: Involution) -> Tuple[Tuple[int, Colu
         elif (a, b) < img:
             counts[0] += 1
             counts[1] += 1
-    sides = eigen_columns(m, sigma, upper)
+    sides = eigen_columns(m, sigma, upper, minus)
     return tuple((count + sum(map(len, cols.values())), cols)
-                 for count, cols in zip(counts, sides))
+                 for count, cols in zip(counts[:1 + minus], sides))
 
 
 def _keys(model: str, unit_counts: Mapping[UnitType, int]) -> Dict[Key, int]:
@@ -179,7 +181,7 @@ def _key_table(key: Key) -> Tuple[Tuple[int, Table], ...]:
         laid_out = Counter((len(u), len(u[0]), 1) for u in m.units())
         if laid_out != units or _keys(model, units).get(key) != 1:
             raise AssertionError(f"template {m.name} does not hold the units of {key}")
-        sides = _block_sides(m, m.tau)[:1]
+        sides = _block_sides(m, m.tau, minus=False)
     return tuple((count, tuple(sorted((w, v) for w, v in _nullity_by_weight(m, cols).items() if v)))
                  for count, cols in sides)
 

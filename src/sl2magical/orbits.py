@@ -18,7 +18,6 @@ all even; their row counts r_i are half the complex multiplicities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, TypeVar
 
@@ -101,14 +100,6 @@ class Partition:
 
     def multiplicities(self) -> Dict[int, int]:
         return dict(self._counts)
-
-    @cached_property
-    def _dual(self) -> "Partition":
-        return Partition(tuple(sum(1 for p in self.parts if p >= k)
-                               for k in range(1, self.parts[0] + 1)))
-
-    def dual(self) -> "Partition":
-        return self._dual
 
     @property
     def very_even(self) -> bool:

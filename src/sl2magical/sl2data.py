@@ -124,28 +124,32 @@ def closed_dims(t: LieType, p: Partition) -> Tuple[int, int, int]:
 
     dim c, the reductive centralizer (6.1.3): gl: sum r_i^2 - 1; so/sp: an
     so(r_i) factor on each part of the self-paired parity, sp(r_i) on the
-    others.  dim V_rho = dim ker ad_e: gl: sum s_i^2 - 1; sp: (sum s_i^2 +
-    sum_{odd} r_i)/2; so: (sum s_i^2 - sum_{odd} r_i)/2, s the dual
+    others.  dim V_rho = dim ker ad_e: gl: sum s_j^2 - 1; sp: (sum s_j^2 +
+    sum_{odd} r_i)/2; so: (sum s_j^2 - sum_{odd} r_i)/2, s the dual
     partition.  dim g_0 is dim V_rho less the opposite-parity correction:
     every pair of parts i < j of opposite parity costs 2i (gl) or i (so/sp)
     times r_i r_j.
+
+    All three are read in one descending pass over the multiplicity table,
+    with no dual built: sum_j s_j^2 = sum_i (2i - 1) lambda_i for parts
+    lambda_1 >= lambda_2 >= ... (Macdonald, Symmetric Functions and Hall
+    Polynomials, ch. I, (1.6)), so a part k of multiplicity r below `rows`
+    longer rows adds k r (2 rows + r).
     """
     algebra = check_partition(t, p)
-    r = p.multiplicities()
-    sq = sum(s * s for s in p.dual().parts)
-    if algebra == "gl":
-        dim_c = sum(m * m for m in r.values()) - 1
-        dim_v_rho = sq - 1
-    else:
-        keep = SELF_PAIRED_PARITY[algebra]
-        dim_c = sum(m * (m - 1) // 2 if part % 2 == keep else m * (m + 1) // 2
-                    for part, m in r.items())
-        odd = sum(m for part, m in r.items() if part % 2)
-        dim_v_rho = (sq + odd) // 2 if algebra == "sp" else (sq - odd) // 2
+    keep = SELF_PAIRED_PARITY[algebra]
     weight = 2 if algebra == "gl" else 1
-    correction = 0
+    sq = dim_c = odd = correction = rows = 0
     above = [0, 0]  # multiplicities of the larger parts, by parity
-    for i, ri in r.items():  # parts descending
+    for i, ri in p.multiplicities().items():  # parts descending
+        sq += i * ri * (2 * rows + ri)
+        rows += ri
+        dim_c += ri * ri if keep is None else ri * (ri - 1 if i % 2 == keep else ri + 1) // 2
+        odd += ri * (i % 2)
         correction += weight * i * ri * above[1 - i % 2]
         above[i % 2] += ri
+    if algebra == "gl":
+        dim_c, dim_v_rho = dim_c - 1, sq - 1
+    else:
+        dim_v_rho = (sq + odd) // 2 if algebra == "sp" else (sq - odd) // 2
     return dim_c, dim_v_rho - correction, dim_v_rho

@@ -18,7 +18,13 @@ from sl2magical.cli import main
 from sl2magical.dataset import DATASET_ENV
 from sl2magical.families import FAMILIES, FamilySpec
 from sl2magical.magical import family_parameter_space, partition_witness
-from sl2magical.orbits import SignedPartitionData, enumerate_partitions, enumerate_signed_data
+from sl2magical.orbits import (
+    Partition,
+    SignedPartitionData,
+    compact_candidates,
+    enumerate_partitions,
+    enumerate_signed_data,
+)
 from sl2magical.realforms import describe
 from sl2magical.rootsystems import CLASSICAL_MIN_RANK, LieType
 
@@ -264,6 +270,26 @@ def test_slodowy_workload_builds_what_it_prints(capsys, monkeypatch):
     assert sum(1 for can_pass, _ in per_command if can_pass) == 84
     assert all(n == 1 for can_pass, n in per_command if can_pass is False)
     assert (len(complexified), len(built)) == (47, 1083)
+
+
+def test_classify_workload_builds_one_partition_per_walked_partition(capsys, monkeypatch):
+    """Over the classify workload, each of the 1,162 partitions the walk
+    yields on the 141 classical forms is built once (2,324 when the closed
+    dims built each one's dual), and the 12 exceptional tokens build none."""
+    workload = _classify_workload()
+    leaves = sum(1 for family in FAMILIES for params in family_parameter_space(family, 12)
+                 for _ in compact_candidates(family, params))
+    built = []
+    original = Partition.__post_init__
+    monkeypatch.setattr(Partition, "__post_init__",
+                        lambda self: built.append(1) or original(self))
+    per_command = []
+    for argv in workload:
+        before = len(built)
+        run(capsys, *argv)
+        per_command.append(len(built) - before)
+    assert (len(workload), leaves) == (153, 1162)
+    assert sum(per_command[:141]) == leaves and per_command[141:] == [0] * 12
 
 
 def test_slodowy_genus_guard_exit_2(capsys):

@@ -10,6 +10,7 @@ from sl2magical.families import FAMILIES
 from sl2magical.magical import family_parameter_space
 from sl2magical.matrixoracle import build_matrix_triple, oracle_sl2_data
 from sl2magical.orbits import (
+    MAX_BOXES,
     OrbitLabel,
     Partition,
     compact_candidates,
@@ -21,7 +22,12 @@ from sl2magical.orbits import (
     plus_boxes,
     weighted_dynkin_from_partition,
 )
-from sl2magical.rootsystems import LieType
+from sl2magical.rootsystems import (
+    CLASSICAL_MIN_RANK,
+    CLASSICAL_RANK_CAP,
+    SELF_PAIRED_PARITY,
+    LieType,
+)
 
 
 def test_parse_forms_agree():
@@ -71,22 +77,15 @@ def test_multiplicity_and_n():
 
 
 def test_counts_are_cached_and_copied_out():
-    """A partition counts its parts and builds its dual once; the dict
-    multiplicities() returns is a fresh copy each call."""
+    """A partition counts its parts once; the dict multiplicities()
+    returns is a fresh copy each call."""
     p = Partition.parse("3,2,2,1")
     counts = p.multiplicities()
     counts[2] = 7
     assert p.multiplicities() == {3: 1, 2: 2, 1: 1}
     assert list(p.multiplicities()) == [3, 2, 1]
     assert p.multiplicities() is not p.multiplicities()
-    assert p.dual() is p.dual()
     assert p == Partition.of(1, 2, 3, 2) and hash(p) == hash(Partition.of(1, 2, 3, 2))
-
-
-def test_dual_example():
-    assert Partition.parse("3,2,2,1").dual() == Partition.parse("4,3,1")
-    assert Partition.parse("2,2,1").dual() == Partition.parse("3,2")
-    assert Partition.parse("1^4").dual() == Partition.parse("4")
 
 
 def test_very_even():
@@ -97,12 +96,68 @@ def test_very_even():
     assert not Partition.parse("4,2,1,1").very_even
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=7))
-def test_dual_is_an_involution(parts):
-    p = Partition(tuple(parts))
-    assert p.dual().dual() == p
-    assert p.dual().n == p.n
+def _dual(parts):
+    """The conjugate partition: column k counts the parts >= k."""
+    return [sum(1 for p in parts if p >= k) for k in range(1, parts[0] + 1)]
+
+
+def _dim_v_rho_by_dual(algebra, parts):
+    """dim V_rho by Collingwood-McGovern, Cor. 6.1.4, from the dual's
+    squared parts; odd counts the odd parts."""
+    sq = sum(s * s for s in _dual(parts))
+    odd = sum(p % 2 for p in parts)
+    return {"gl": sq - 1, "sp": (sq + odd) // 2, "so": (sq - odd) // 2}[algebra]
+
+
+def _partitions(n, top=None):
+    """Every partition of n, parts descending, each at most top."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, top or n), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+CLASSICAL_TYPES = [LieType.of(letter, rank) for letter, low in CLASSICAL_MIN_RANK.items()
+                   for rank in range(low, CLASSICAL_RANK_CAP + 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(CLASSICAL_TYPES), st.lists(st.integers(min_value=2, max_value=MAX_BOXES)))
+def test_dim_v_rho_matches_the_dual(t, drawn):
+    """closed_dims reads sum s_j^2 off the multiplicity table; the dual
+    built here gives the same dim V_rho on the gl, so and sp branches.  A
+    drawn part the parity rule pairs comes twice; 1s fill the rest."""
+    keep = SELF_PAIRED_PARITY[t.algebra]
+    parts, rest = [], t.matrix_size
+    for k in drawn:
+        copies = 1 if keep is None or k % 2 == keep else 2
+        if k * copies <= rest:
+            parts += [k] * copies
+            rest -= k * copies
+    parts = tuple(sorted(parts, reverse=True)) + (1,) * rest
+    assert sl2data.closed_dims(t, Partition(parts))[2] == _dim_v_rho_by_dual(t.algebra, parts)
+
+
+def test_dim_v_rho_matches_the_dual_on_every_partition():
+    """Every partition of n <= MAX_BOXES, against each algebra that has a
+    type on C^n and whose parity rule it meets: these are exactly the orbit
+    partitions of every classical type in the rank window."""
+    assert [_dual(parts) for parts in ((3, 2, 2, 1), (2, 2, 1), (1, 1, 1, 1))] == [
+        [4, 3, 1], [3, 2], [4]]
+    by_size = {}
+    for t in CLASSICAL_TYPES:
+        by_size.setdefault(t.matrix_size, []).append(t)
+    checked = 0
+    for n in range(1, MAX_BOXES + 1):
+        for parts in _partitions(n):
+            p = Partition(parts)
+            for t in by_size.get(n, ()):
+                if partition_fits_family(t.algebra, p):
+                    assert sl2data.closed_dims(t, p)[2] == _dim_v_rho_by_dual(t.algebra, parts)
+                    checked += 1
+    assert checked == sum(len(enumerate_partitions(t)) for t in CLASSICAL_TYPES)
 
 
 def test_enumerate_partitions_counts():
