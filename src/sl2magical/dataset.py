@@ -225,22 +225,24 @@ def load_records(path: Optional[Union[str, os.PathLike]] = None) -> List[Excepti
     """Read and validate the record file.
 
     Resolution order: explicit path argument, then the MAGICAL_DATASET
-    environment variable, then the file shipped with the package.  A
+    environment variable, then the file shipped with the package; a file
+    that cannot be read, the shipped one included, is MissingDataError.  A
     real form has at most one record per diagram.  The file is read on
     every call, and parsed again only when its source or text is new.
     """
     if path is None:
         path = os.environ.get(DATASET_ENV)
-    if path is None:
-        text = resources.files(_DATA_PACKAGE).joinpath(_DATA_FILE).read_text()
-        source = "shipped dataset"
-    else:
-        try:
+    try:
+        if path is None:
+            text = resources.files(_DATA_PACKAGE).joinpath(_DATA_FILE).read_text()
+            source = "shipped dataset"
+        else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise MissingDataError(f"cannot read dataset {path}: {exc}") from exc
-        source = str(path)
+            source = str(path)
+    except OSError as exc:
+        raise MissingDataError(
+            f"cannot read dataset {_DATA_FILE if path is None else path}: {exc}") from exc
     return list(_parse_records(source, text))
 
 

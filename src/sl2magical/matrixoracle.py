@@ -22,17 +22,20 @@ only on a key (model, unit kinds, lengths, sign).  The model is gl, so
 or sp for n_j, where only the +1 side of tau is ranked, or su or sl for
 a Cartan split, where h and m are; the kinds are S or P, or SS, SP or PP
 for two units; the sign is the product of the two units' leading signs
-(1 for tau and for one unit).  Each key is ranked once, by exact
+(1 for tau and for one unit).  A tau key is ranked once, by exact
 elimination of each weight slice w >= 0, on a template triple of just its
 units, built by the same matrixmodel.triple_on, so the tau-merging, the
 self-paired strings and the mu signs are ranked, not assumed; a tau
-template is checked to hold the key's units, a Cartan template's
-involution to negate e.  A template's entries are listed straight from
-its one unit block, or the two blocks between its two units, and an
-entry is made a column only at weight w >= 0; the slices w < 0 are
-counted, not built or ranked: ad_e is injective below weight 0, since
-its kernel holds highest-weight vectors only, so their nullity is 0
-(tests/test_matrixoracle.py ranks them to check it).  n_j and the h/m
+template is checked to hold the key's units.  A split key is read from
+the signed Clebsch-Gordan rule (_split_table), which ranks nothing; the
+same ranked templates (_key_table), each Cartan template's involution
+checked to negate e, are its exhaustive check: tier-1 compares the two
+on every split key of the rank window.  A template's entries are listed
+straight from its one unit block, or the two blocks between its two
+units, and an entry is made a column only at weight w >= 0; the slices
+w < 0 are counted, not built or ranked: ad_e is injective below weight
+0, since its kernel holds highest-weight vectors only, so their nullity
+is 0 (tests/test_matrixoracle.py ranks them to check it).  n_j and the h/m
 split sum the tables over the units and unit pairs of the orbit,
 weighted by multiplicity, into one dict per side, less the identity
 matrix on the side of sigma(I) = +-I: it is in gl_N, not sl_N.  Neither
@@ -42,7 +45,7 @@ and in so/sp when k has the self-paired parity, else r/2 units P; each
 tau template is checked to hold, by MatrixSl2Triple.units, the units
 this rule gives it.  A split's units are the rows of the signed datum,
 each su unit led by the row's sign there, and the orbit's involution on
-one unit or two is the template's, checked there.
+one unit or two is the template's.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ Tables = Dict[Key, Tuple[Tuple[int, Table], ...]]
 UnitType = Tuple[int, int, int]
 
 _CARTAN_MODELS = ("su", "sl")
-_CARTAN_TABLES: Tables = {}  # the split tables, ranked once per process
+_CARTAN_TABLES: Tables = {}  # the split tables, each read once per process
 
 
 def build_matrix_triple(t: LieType, p: Partition) -> MatrixSl2Triple:
@@ -186,17 +189,50 @@ def _key_table(key: Key) -> Tuple[Tuple[int, Table], ...]:
                  for count, cols in sides)
 
 
+def _split_table(key: Key) -> Tuple[Tuple[int, Table], ...]:
+    """(column count, nullity table) of h and of m of an su or sl key, by
+    the signed Clebsch-Gordan rule, ranking nothing.  A row pair (a, b)
+    gives the weights w_i = a+b-2-2i, i < min(a, b), once in each of its
+    two blocks, and one row of length k gives them once with a = b = k:
+    gl(V_{k-1}) = V_0 + V_2 + ... + V_{2k-2}.  Ad(S) scales E_xy by
+    sign * (-1)^(x+y), so it puts w_i on the side of
+    sign * (-1)^(i+length+1) for the length of each row, which keeps the
+    top vector e^j of V_2j of one row in h iff j is even.  B X^T B^{-1}
+    fixes e, so -B X^T B^{-1} negates every e^j of one row, and it swaps
+    a pair's two blocks, so each w_i lies once on each side.  _key_table
+    ranks the same tables on template triples; tests/test_matrixoracle.py
+    checks that the two agree on every key of the rank window."""
+    model, kind, lengths, sign = key
+    a, b = lengths * 2 if kind == "S" else lengths
+    weights = [a + b - 2 - 2 * i for i in range(min(a, b))]
+    if model == "su":
+        sides: List[List[int]] = [[], []]
+        for i, w in enumerate(weights):
+            for length in lengths:
+                sides[sign * (-1) ** (i + length + 1) < 0].append(w)
+        plus = (a * b + 1) // 2 * len(lengths)  # the entries E_xy with x + y even
+        dims = [plus, a * b * len(lengths) - plus][::sign]  # sign -1 swaps h and m
+    elif kind == "S":
+        sides = [[], weights]
+        dims = [a * (a - 1) // 2, a * (a + 1) // 2]
+    else:
+        sides = [weights, weights]
+        dims = [a * b, a * b]
+    return tuple((dim, tuple(sorted(Counter(ws).items()))) for dim, ws in zip(dims, sides))
+
+
 def _summed(keys: Dict[Key, int], tables: Tables,
             identity: int) -> Tuple[List[Dict[int, int]], List[int]]:
     """Nullity by weight and column count of each side, summed over the
     keys, less the identity matrix on side identity (0 or 1): it is in
-    gl_N, not in sl_N.  A key missing from tables is ranked and added, so
-    callers passing one dict to many orbits rank each key once."""
+    gl_N, not in sl_N.  A key missing from tables is added, a split key
+    from the closed form and a tau key ranked, so callers passing one dict
+    to many orbits find or rank each key once."""
     nulls: List[Dict[int, int]] = [{}, {}]
     dims = [0, 0]
     for key, count in keys.items():
         if key not in tables:
-            tables[key] = _key_table(key)
+            tables[key] = (_split_table if key[0] in _CARTAN_MODELS else _key_table)(key)
         for side, (dim, table) in enumerate(tables[key]):
             dims[side] += count * dim
             null = nulls[side]

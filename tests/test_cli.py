@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2magical import cli, realforms
+from sl2magical import cli, dataset, realforms
 from sl2magical.cli import main
 from sl2magical.dataset import DATASET_ENV
 from sl2magical.families import FAMILIES, FamilySpec
@@ -185,6 +185,14 @@ def test_classify_missing_dataset_exit_3(capsys, monkeypatch):
     code, _, err = run(capsys, "classify", "E6^-14")
     assert code == 3
     assert "nonexistent" in err
+
+
+def test_classify_missing_shipped_dataset_exit_3(capsys, monkeypatch):
+    monkeypatch.delenv(DATASET_ENV, raising=False)
+    monkeypatch.setattr(dataset, "_DATA_FILE", "data/missing.jsonl")
+    code, out, err = run(capsys, "classify", "E6^-14")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: cannot read dataset data/missing.jsonl")
 
 
 def test_slodowy_even_magical_gap_zero(capsys):

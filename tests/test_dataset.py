@@ -116,6 +116,15 @@ def test_missing_file(monkeypatch):
         load_records()
 
 
+def test_missing_shipped_file(monkeypatch):
+    """A package whose shipped table is missing is refused with
+    MissingDataError, as a missing MAGICAL_DATASET file is."""
+    monkeypatch.delenv(DATASET_ENV, raising=False)
+    monkeypatch.setattr(dataset, "_DATA_FILE", "data/missing.jsonl")
+    with pytest.raises(MissingDataError, match="cannot read dataset data/missing.jsonl"):
+        load_records()
+
+
 @pytest.mark.parametrize("mangle,fragment", [
     (lambda r: r.pop("realform"), "realform"),
     (lambda r: r.update(realform="E9^1"), "E9^1"),

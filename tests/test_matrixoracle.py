@@ -20,6 +20,7 @@ from sl2magical.matrixoracle import (
     SigmaSplitReport,
     _key_table,
     _nullity_by_weight,
+    _split_table,
     build_matrix_triple,
     oracle_sigma_split,
     oracle_sl2_data,
@@ -33,7 +34,7 @@ from sl2magical.orbits import (
     partition_fits_family,
 )
 from sl2magical.realforms import describe
-from sl2magical.rootsystems import CLASSICAL_MIN_RANK, LieType
+from sl2magical.rootsystems import CLASSICAL_MIN_RANK, CLASSICAL_RANK_CAP, LieType
 from sl2magical.sl2data import multiplicities_formula
 
 
@@ -173,8 +174,9 @@ def test_involution_checks_each_call():
 
 
 def test_template_involution_fixing_e_is_rejected(monkeypatch):
-    """The split tables check the involution of each template triple too;
-    the ranker behind the memo sees the patched involution."""
+    """The ranked split tables, the check of the closed form, check the
+    involution of each template triple: a patched involution that fixes
+    e is refused."""
     monkeypatch.setattr(matrixoracle, "_sl_involution", lambda m: identity_involution)
     with pytest.raises(AssertionError, match="template gl.3. .3.: the sl involution"):
         _key_table(("sl", "S", (3,), 1))
@@ -232,22 +234,29 @@ def test_sigma_tables_match_the_full_route(monkeypatch):
                      ("sl", "S", 1), ("sl", "SS", 1)}
 
 
+def _refuse(*args):
+    raise AssertionError("a template was built or ranked")
+
+
 def test_warm_splits_build_no_triple(monkeypatch):
-    """Once the split tables are warm, a rigidity report of an su or sl
-    orbit builds no triple: its units come from the signed datum."""
-    monkeypatch.setattr(matrixoracle, "_CARTAN_TABLES", {})
+    """A rigidity report of an su or sl orbit builds no triple and ranks
+    nothing, from a cold start on: its units come from the signed datum
+    and its split tables from the closed form.  Cold and warm, the reports
+    equal those summed from the ranked template tables."""
     cases = [signed
              for n in range(2, 7)
              for family, params in [("su", (a, n - a)) for a in range(1, n)] + [("sl", (n,))]
              for p in enumerate_partitions(LieType.of("A", n - 1))
              for signed in enumerate_signed_data(family, params, p)]
-    warm = [rigidity_report(2, signed) for signed in cases]
-    built = []
-    build = matrixoracle.triple_on
-    monkeypatch.setattr(matrixoracle, "triple_on", lambda algebra, p: built.append(p)
-                        or build(algebra, p))
-    assert [rigidity_report(2, signed) for signed in cases] == warm
-    assert built == []
+    monkeypatch.setattr(matrixoracle, "_CARTAN_TABLES", {})
+    monkeypatch.setattr(matrixoracle, "_split_table", _key_table)
+    ranked = [rigidity_report(2, signed) for signed in cases]
+    monkeypatch.undo()
+    monkeypatch.setattr(matrixoracle, "_CARTAN_TABLES", {})
+    monkeypatch.setattr(matrixoracle, "triple_on", _refuse)
+    monkeypatch.setattr(matrixoracle, "integer_rank", _refuse)
+    assert [rigidity_report(2, signed) for signed in cases] == ranked
+    assert [rigidity_report(2, signed) for signed in cases] == ranked
     assert len(cases) == 154  # every su and sl signed datum of size <= 6
 
 
@@ -327,6 +336,22 @@ def _split_keys_up_to(size):
                     units = Counter(matrixoracle._cartan_units(signed))
                     keys |= set(matrixoracle._keys(family, units))
     return keys
+
+
+def test_split_tables_match_the_ranked_templates():
+    """The closed split table of every key an su or sl signed datum of the
+    rank window can produce, sizes up to CLASSICAL_RANK_CAP + 1, equals
+    the table ranked on its template.  Those keys are every su and sl row
+    of length <= that size, and every row pair of total length <= it, su
+    with both sign products."""
+    size = CLASSICAL_RANK_CAP + 1
+    keys = _split_keys_up_to(size)
+    pairs = [(a, b) for a in range(1, size) for b in range(a, size - a + 1)]
+    assert keys == {(model, "S", (k,), 1) for model in ("su", "sl") for k in range(1, size + 1)} | {
+        ("su", "SS", ab, sign) for ab in pairs for sign in (1, -1)} | {
+        ("sl", "SS", ab, 1) for ab in pairs}
+    for key in sorted(keys):
+        assert _split_table(key) == _key_table(key), key
 
 
 @pytest.mark.parametrize("side,count,expected", [
