@@ -27,10 +27,10 @@ import sys
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .crosscheck import run_all
-from .dataset import find_record, load_records
+from .dataset import evaluate_conditions, find_record, load_records
 from .errors import DatasetSchemaError, DomainError, MissingDataError
 from .families import FAMILIES
-from .magical import MagicalStatus, Witness, classify_realform, magical_statuses, partition_witness
+from .magical import MagicalStatus, classify_realform, magical_statuses, partition_witness
 from .moduli import rigidity_report
 from .orbits import (
     Partition,
@@ -135,17 +135,9 @@ def _classify_rows_exceptional(form: RealFormDescriptor) -> List[Dict]:
     records = [rec for rec in load_records() if rec.realform == form.family]
     if not records:
         raise MissingDataError(f"no curated records for {form.family}")
-    rows = []
-    for rec in records:
-        data = rec.sl2_data()
-        witness = Witness(m_minus_h=form.s, g0_minus_2c=data.dim_g0 - 2 * data.dim_c,
-                          centralizer_compact=rec.centralizer_type.is_compact,
-                          even_triple=data.dim_g0 == data.dim_v_rho)
-        if not witness.verdict.is_magical:
-            continue
-        rows.append(_classify_row(_wdd_orbit(rec.wdd),
-                                  MagicalStatus(witness, rec.centralizer_type), 1))
-    return rows
+    statuses = [(rec, evaluate_conditions(rec)) for rec in records]
+    return [_classify_row(_wdd_orbit(rec.wdd), status, 1)
+            for rec, status in statuses if status.verdict.is_magical]
 
 
 def cmd_classify(args: argparse.Namespace) -> int:

@@ -141,32 +141,33 @@ def check_table_rows() -> CheckResult:
     return CheckResult(name, True, cases)
 
 
+#: Each shipped record's (compact centralizer, dim m - dim h = dim g_0 - 2 dim c).
+_RECORD_WITNESSES = {"E6^-14": (True, True), "E7^7": (True, False),
+                     "E8^8": (True, False), "E6^-26": (False, False)}
+
+
 def check_dataset_conditions() -> CheckResult:
-    """Exactly the odd E6^-14 record passes all of (a), (b), (c)."""
+    """Exactly the odd E6^-14 record is magical, and each record of a
+    shipped form has that form's (compact, equality) pair."""
     name = "dataset-conditions"
     try:
         records = load_records()
     except (DatasetSchemaError, MissingDataError) as exc:
         return CheckResult(name, False, 0, str(exc))
-    cases = 0
     winners = []
-    for rec in records:
-        ev = evaluate_conditions(rec)
-        if ev.all_hold:
+    for cases, rec in enumerate(records):
+        w = evaluate_conditions(rec).witness
+        if w.verdict.is_magical:
             winners.append(rec.realform)
-        cases += 1
-    if winners != ["E6^-14"]:
-        return CheckResult(name, False, cases,
-                           f"all-true records {winners}, expected ['E6^-14']")
-    by_form = {rec.realform: evaluate_conditions(rec) for rec in records}
-    for form in ("E7^7", "E8^8"):
-        if form in by_form and tuple(by_form[form]) != (True, False, True):
+        got = (w.centralizer_compact, w.m_minus_h == w.g0_minus_2c)
+        want = _RECORD_WITNESSES.get(rec.realform, got)
+        if got != want:
             return CheckResult(name, False, cases,
-                               f"{form} conditions {tuple(by_form[form])}, "
-                               "expected (True, False, True)")
-    if "E6^-26" in by_form and by_form["E6^-26"].a:
-        return CheckResult(name, False, cases, "E6^-26 unexpectedly passes (a)")
-    return CheckResult(name, True, cases)
+                               f"{rec.realform} (compact, equality) {got}, expected {want}")
+    if winners != ["E6^-14"]:
+        return CheckResult(name, False, len(records),
+                           f"magical records {winners}, expected ['E6^-14']")
+    return CheckResult(name, True, len(records))
 
 
 def run_all(max_rank: int = 6) -> List[CheckResult]:

@@ -1,16 +1,15 @@
-"""Curated exceptional-orbit records and the (a)/(b)/(c) condition check.
+"""Curated exceptional-orbit records.
 
 Weighted Dynkin diagrams pin down exceptional nilpotent orbits, but the
-real-form data needed by the extended-magical criterion (how the Cartan
-involution splits the centralizer and the highest-weight spaces) comes
-from the published tables of Djokovic.  This module ships the rows the
-classification consults as one-record-per-line JSON and re-derives every
-complex quantity (the multiplicities n_j, dim c, dim V_even) from the
-diagram at load time; only genuinely real data is trusted from the file.
-
-A record may lack columns its source table does not print.  Conditions
-evaluated against absent columns come back false, flagged with an
-"insufficient data" note instead of a guessed value.
+real-form data of an orbit (its centralizer's real form, and how the
+Cartan involution splits the centralizer and the highest-weight spaces)
+comes from the published tables of Djokovic.  This module ships the rows
+the classification consults as one-record-per-line JSON and re-derives
+every complex quantity (the multiplicities n_j, dim c, dim V_even) from
+the diagram at load time; only genuinely real data is trusted from the
+file, and none that an identity fixes.  A record's verdict is the one
+criterion of the magical module, on the diagram's dims and the
+centralizer's compactness.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from importlib import resources
 from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import DatasetSchemaError, InconsistentGradingError, MissingDataError
+from .magical import MagicalStatus, orbit_witness
 from .realforms import EXCEPTIONAL_FORMS, CentralizerRealForm, describe
 from .rootsystems import LieType, WeightedDynkinDiagram, ad_grading, build_root_system
 from .sl2data import Sl2Data, module_multiplicities
@@ -35,7 +35,7 @@ _DATA_PACKAGE = "sl2magical"
 _DATA_FILE = "data/exceptional_orbits.jsonl"
 
 _REQUIRED_KEYS = ("realform", "wdd", "centralizer", "source_row")
-_OPTIONAL_KEYS = ("dim_V_cap_h", "dim_c_cap_h", "dim_Veven_cap_m")
+_OPTIONAL_KEYS = ("dim_V_cap_h", "dim_c_cap_h")
 
 _FACTOR_RE = re.compile(r"^(so|su|sp|u)\((\d+)(?:,(\d+))?\)$")
 
@@ -95,7 +95,6 @@ class ExceptionalOrbitRecord:
     wdd: Tuple[int, ...]
     dim_V_cap_h: Optional[int]
     dim_c_cap_h: Optional[int]
-    dim_Veven_cap_m: Optional[int]
     centralizer_type: CentralizerRealForm
     source_row: str
 
@@ -112,10 +111,27 @@ class ExceptionalOrbitRecord:
         """Sum of n_j over positive even weights."""
         return sum(m for j, m in self.sl2_data().n if j > 0 and j % 2 == 0)
 
+    @property
+    def dim_Veven_cap_m(self) -> Optional[int]:
+        """dim(V_even cap m), derived, never stored; None without dim_c_cap_h.
+
+        Down the weight string of each sl2 summand of a normal triple, h
+        and m alternate, so dim m - dim h = sum over even j of
+        (dim V_j cap m - dim V_j cap h), with V_0 = c.  Solved for V_even:
+        (s - dim c + 2 dim(c cap h) + dim V_even) / 2.  The numerator is
+        even: s = dim g - 2 dim h and dim g_0 = dim c + dim V_even are both
+        congruent to the rank mod 2 (g_0 holds the Cartan and root pairs).
+        """
+        if self.dim_c_cap_h is None:
+            return None
+        s = describe(self.realform).s
+        return (s - self.sl2_data().dim_c + 2 * self.dim_c_cap_h + self.dim_v_even) // 2
+
     def slodowy_split(self) -> Tuple[int, Dict[int, int]]:
         """dim(c cap h) and the positive-weight dims a_w of the
-        highest-weight spaces in m, read off the columns; they localize
-        the involution only up to weight 2."""
+        highest-weight spaces in m, read off the columns and the derived
+        dim(V_even cap m); they localize the involution only up to weight
+        2."""
         data = self.sl2_data()
         if data.max_weight > 2:
             raise MissingDataError(f"{self.realform} {self.wdd}: records only localize "
@@ -129,24 +145,6 @@ class ExceptionalOrbitRecord:
             raise MissingDataError(
                 f"{self.realform} record columns are inconsistent: a_1 = {a1}")
         return self.dim_c_cap_h, {w: v for w, v in ((1, a1), (2, a2)) if v > 0}
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """Truth values of the three record-level criteria, with notes for
-    any condition that could not be evaluated from the stored columns."""
-
-    a: bool
-    b: bool
-    c: bool
-    notes: Tuple[str, ...] = ()
-
-    def __iter__(self):
-        return iter((self.a, self.b, self.c))
-
-    @property
-    def all_hold(self) -> bool:
-        return self.a and self.b and self.c
 
 
 def _validate(rec: ExceptionalOrbitRecord, where: str) -> None:
@@ -171,18 +169,26 @@ def _validate(rec: ExceptionalOrbitRecord, where: str) -> None:
         raise DatasetSchemaError(
             f"{where}: dim_c_cap_h = {rec.dim_c_cap_h} exceeds dim c = {data.dim_c}"
         )
-    if rec.dim_Veven_cap_m is not None and rec.dim_Veven_cap_m > rec.dim_v_even:
-        raise DatasetSchemaError(
-            f"{where}: dim_Veven_cap_m = {rec.dim_Veven_cap_m} exceeds "
-            f"dim V_even = {rec.dim_v_even}"
-        )
     if rec.dim_V_cap_h is not None and rec.dim_V_cap_h > data.dim_v_rho:
         raise DatasetSchemaError(
             f"{where}: dim_V_cap_h = {rec.dim_V_cap_h} exceeds dim V = {data.dim_v_rho}"
         )
+    if rec.dim_c_cap_h is None:
+        return
+    veven_m = rec.dim_Veven_cap_m
+    if not 0 <= veven_m <= rec.dim_v_even:
+        raise DatasetSchemaError(
+            f"{where}: dim_c_cap_h = {rec.dim_c_cap_h} gives dim(V_even cap m) = "
+            f"{veven_m}, outside 0..dim V_even = {rec.dim_v_even}"
+        )
+    if rec.centralizer_type.is_compact != (rec.dim_c_cap_h == data.dim_c):
+        raise DatasetSchemaError(
+            f"{where}: centralizer {rec.centralizer_type} is "
+            f"{'' if rec.centralizer_type.is_compact else 'not '}compact, but "
+            f"dim_c_cap_h = {rec.dim_c_cap_h} and dim c = {data.dim_c}"
+        )
     compact_dim = _compact_part_dim(rec.centralizer_type)
-    if (rec.dim_c_cap_h is not None and compact_dim is not None
-            and compact_dim != rec.dim_c_cap_h):
+    if compact_dim is not None and compact_dim != rec.dim_c_cap_h:
         raise DatasetSchemaError(
             f"{where}: centralizer {rec.centralizer_type} has compact part of "
             f"dim {compact_dim}, but dim_c_cap_h = {rec.dim_c_cap_h}"
@@ -213,7 +219,6 @@ def _record_from_json(obj: Dict, where: str) -> ExceptionalOrbitRecord:
         wdd=tuple(wdd),
         dim_V_cap_h=obj.get("dim_V_cap_h"),
         dim_c_cap_h=obj.get("dim_c_cap_h"),
-        dim_Veven_cap_m=obj.get("dim_Veven_cap_m"),
         centralizer_type=parse_centralizer(obj["centralizer"]),
         source_row=obj["source_row"],
     )
@@ -276,34 +281,9 @@ def find_record(realform: str, wdd: Tuple[int, ...]) -> Optional[ExceptionalOrbi
     return None
 
 
-def evaluate_conditions(rec: ExceptionalOrbitRecord) -> ConditionReport:
-    """The three tests an exceptional candidate must pass.
-
-    (a) the stored dim(c cap h) equals dim c of the diagram and the
-        centralizer is compact;
-    (b) the stored dim(V_even cap m) equals the full dim V_even;
-    (c) the stored column difference equals the real form's signature
-        dim m - dim h.
-    """
-    data = rec.sl2_data()
-    notes: List[str] = []
-
-    if rec.dim_c_cap_h is None:
-        a = False
-        notes.append("condition (a): insufficient data (dim_c_cap_h absent)")
-    else:
-        a = rec.dim_c_cap_h == data.dim_c and rec.centralizer_type.is_compact
-
-    if rec.dim_Veven_cap_m is None:
-        b = False
-        notes.append("condition (b): insufficient data (dim_Veven_cap_m absent)")
-    else:
-        b = rec.dim_Veven_cap_m == rec.dim_v_even
-
-    if rec.dim_Veven_cap_m is None or rec.dim_c_cap_h is None:
-        c = False
-        notes.append("condition (c): insufficient data")
-    else:
-        c = rec.dim_Veven_cap_m - rec.dim_c_cap_h == describe(rec.realform).s
-
-    return ConditionReport(a=a, b=b, c=c, notes=tuple(notes))
+def evaluate_conditions(rec: ExceptionalOrbitRecord) -> MagicalStatus:
+    """The record's status: the one criterion, on the diagram's (dim c,
+    dim g_0, dim V_rho) and the compactness of the centralizer string."""
+    cz = rec.centralizer_type
+    return MagicalStatus(orbit_witness(describe(rec.realform), rec.sl2_data().dims,
+                                       cz.is_compact), cz)

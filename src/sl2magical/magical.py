@@ -11,8 +11,10 @@ the right side off the complex sl2-module data of the orbit.  The verdict
 is even or odd according to whether every ad_h weight of the adjoint
 module is even.
 
-Witness.verdict is the one place this criterion is written; every
-verdict the package reports is read from a witness.
+Witness.verdict is the one place this criterion is written, and
+orbit_witness the one place a witness is built, for the classical
+partitions and the curated exceptional records alike; every verdict the
+package reports is read from a witness.
 
 The scan in classify_family walks the orbits of a family, within a size
 bound, whose centralizer can be compact.  It decides each partition's
@@ -111,15 +113,23 @@ def extended_magical_status(signed: SignedPartitionData) -> MagicalStatus:
     return next(magical_statuses(partition_witness(form, signed.partition), [signed]))
 
 
+def orbit_witness(form: RealFormDescriptor, dims: Tuple[int, int, int],
+                  compact: bool) -> Witness:
+    """The witness of one real orbit of the form, from its (dim c, dim g_0,
+    dim V_rho) and whether its centralizer is compact; every Witness is
+    built here.  dim V_rho sums every n_j and dim g_0 the even ones, so
+    every weight is even exactly when the two agree."""
+    dim_c, dim_g0, dim_v_rho = dims
+    return Witness(m_minus_h=form.s, g0_minus_2c=dim_g0 - 2 * dim_c,
+                   centralizer_compact=compact, even_triple=dim_g0 == dim_v_rho)
+
+
 def partition_witness(form: RealFormDescriptor, p: Partition) -> Witness:
     """p's half of the witness, at its best case: a compact centralizer.  A
     sign datum enters the witness only through that flag, so when this
     verdict is not magical, no datum of p is magical.  The closed dims give
-    it all: dim V_rho sums every n_j and dim g_0 the even ones, so every
-    weight is even exactly when the two agree."""
-    dim_c, dim_g0, dim_v_rho = closed_dims(form.ambient, p)
-    return Witness(m_minus_h=form.s, g0_minus_2c=dim_g0 - 2 * dim_c,
-                   centralizer_compact=True, even_triple=dim_g0 == dim_v_rho)
+    the rest."""
+    return orbit_witness(form, closed_dims(form.ambient, p), True)
 
 
 def magical_statuses(best: Witness,

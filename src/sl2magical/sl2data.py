@@ -61,6 +61,11 @@ class Sl2Data:
         """Total number of irreducible summands (= dim of ker ad_e)."""
         return sum(m for _, m in self.n)
 
+    @property
+    def dims(self) -> Tuple[int, int, int]:
+        """(dim c, dim g_0, dim V_rho), in the order of closed_dims."""
+        return self.dim_c, self.dim_g0, self.dim_v_rho
+
 
 def module_multiplicities(g: GradingDims) -> Sl2Data:
     """n_j = dim g_j - dim g_{j+2}; negative values mean the label vector

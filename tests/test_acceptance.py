@@ -136,20 +136,24 @@ def test_4_classification_theorem_classical():
 
 
 def test_5_classification_theorem_exceptional():
-    """Dataset conditions: E6^-14 all-true, E7^7 fails (b), E6^-26 fails (a)."""
+    """Dataset verdicts: E6^-14 all-true, E7^7 fails (b), E6^-26 fails (a)."""
     records = {(r.realform, tuple(r.wdd)): r for r in load_records()}
     winners = [r.realform for r in records.values()
-               if evaluate_conditions(r).all_hold]
+               if evaluate_conditions(r).verdict.is_magical]
     assert winners == ["E6^-14"]
 
-    e7 = evaluate_conditions(records[("E7^7", (1, 0, 0, 1, 0, 1, 0))])
-    assert (e7.a, e7.b, e7.c) == (True, False, True)
+    e7 = records[("E7^7", (1, 0, 0, 1, 0, 1, 0))]
+    w = evaluate_conditions(e7).witness
+    a = w.centralizer_compact and e7.dim_c_cap_h == e7.sl2_data().dim_c
+    b = e7.dim_Veven_cap_m == e7.dim_v_even  # derived 11, dim V_even 13
+    c = e7.dim_Veven_cap_m - e7.dim_c_cap_h == w.m_minus_h
+    assert (a, b, c) == (True, False, False)
 
     e6o = records[("E6^-26", (1, 0, 0, 0, 0, 1))]
     assert e6o.sl2_data().n_at(0) == 22
     assert e6o.dim_c_cap_h == 21  # 22 != 21 sinks condition (a)
-    assert not evaluate_conditions(e6o).a
-    print("PASS: dataset conditions pick exactly E6^-14; E7^7 fails (b); "
+    assert not evaluate_conditions(e6o).witness.centralizer_compact
+    print("PASS: dataset verdicts pick exactly E6^-14; E7^7 fails (b); "
           "E6^-26 fails (a) via 22 != 21")
 
 

@@ -129,11 +129,11 @@ def test_classify_exceptional_failures_empty(capsys):
 
 
 def test_classify_keeps_rows_by_the_verdict(capsys, monkeypatch, tmp_path):
-    """classify keeps a record by the verdict of its witness, which does
-    not read dim_Veven_cap_m: the E6^-14 row without it is still a row."""
-    path = tmp_path / "no_veven.jsonl"
+    """classify keeps a record by the verdict of its witness, which reads
+    no optional column: the E6^-14 row without dim_V_cap_h is still a row."""
+    path = tmp_path / "no_v_cap_h.jsonl"
     path.write_text(json.dumps({
-        "realform": "E6^-14", "wdd": [1, 0, 0, 0, 0, 1], "dim_V_cap_h": 30,
+        "realform": "E6^-14", "wdd": [1, 0, 0, 0, 0, 1],
         "dim_c_cap_h": 22, "centralizer": "so(7)+so(2)", "source_row": "x"}) + "\n")
     monkeypatch.setenv(DATASET_ENV, str(path))
     code, out, _ = run(capsys, "classify", "E6^-14", "--format", "json")
@@ -149,8 +149,7 @@ def test_duplicate_record_exit_3(capsys, monkeypatch, tmp_path, command):
     """A table listing the E6^-14 row twice is refused, also when the copy
     contradicts the first, before any row is printed or read."""
     row = {"realform": "E6^-14", "wdd": [1, 0, 0, 0, 0, 1], "dim_V_cap_h": 30,
-           "dim_c_cap_h": 22, "dim_Veven_cap_m": 8, "centralizer": "so(7)+so(2)",
-           "source_row": "x"}
+           "dim_c_cap_h": 22, "centralizer": "so(7)+so(2)", "source_row": "x"}
     path = tmp_path / "twice.jsonl"
     for second in (row, {**row, "dim_c_cap_h": 21, "centralizer": "so(7)+R"}):
         path.write_text(json.dumps(row) + "\n" + json.dumps(second) + "\n")
@@ -166,7 +165,7 @@ def test_boolean_wdd_dataset_exit_3(capsys, monkeypatch, tmp_path):
     path = tmp_path / "bool.jsonl"
     path.write_text(json.dumps({
         "realform": "E6^-14", "wdd": [True, False, False, False, False, True],
-        "dim_V_cap_h": 30, "dim_c_cap_h": 22, "dim_Veven_cap_m": 8,
+        "dim_V_cap_h": 30, "dim_c_cap_h": 22,
         "centralizer": "so(7)+so(2)", "source_row": "x"}) + "\n")
     monkeypatch.setenv(DATASET_ENV, str(path))
     code, out, err = run(capsys, "classify", "E6^-14")
@@ -324,6 +323,15 @@ def test_slodowy_exceptional_incomplete_row_exit_3(capsys):
     code, _, err = run(capsys, "slodowy", "E7^7", "--wdd", "1,0,0,1,0,1,0",
                        "--genus", "2")
     assert code == 3
+
+
+def test_slodowy_exceptional_missing_column_exit_3(capsys):
+    """The E6^-26 row has no dim_V_cap_h; dim(V_even cap m) is derived, so
+    that is the one column the message names."""
+    code, out, err = run(capsys, "slodowy", "E6^-26", "--wdd", "1,0,0,0,0,1",
+                         "--genus", "2")
+    assert (code, out) == (3, "")
+    assert err == "error: E6^-26 record lacks columns ['dim_V_cap_h']\n"
 
 
 def test_slodowy_exceptional_diagram_without_record_exit_3(capsys):

@@ -1,4 +1,5 @@
-"""The shipped exceptional-orbit table: loading, validation, conditions."""
+"""The shipped exceptional-orbit table: loading, validation, verdicts, and
+the identity that derives dim(V_even cap m)."""
 
 import json
 
@@ -14,6 +15,10 @@ from sl2magical.dataset import (
     parse_centralizer,
 )
 from sl2magical.errors import DatasetSchemaError, MissingDataError
+from sl2magical.magical import family_parameter_space
+from sl2magical.matrixoracle import oracle_sigma_split
+from sl2magical.orbits import enumerate_partitions, enumerate_signed_data
+from sl2magical.realforms import EXCEPTIONAL_FORMS, describe
 
 
 def _write(tmp_path, rows):
@@ -27,7 +32,6 @@ GOOD_ROW = {
     "wdd": [1, 0, 0, 0, 0, 1],
     "dim_V_cap_h": 30,
     "dim_c_cap_h": 22,
-    "dim_Veven_cap_m": 8,
     "centralizer": "so(7)+so(2)",
     "source_row": "test",
 }
@@ -61,21 +65,60 @@ def test_record_derived_data():
 
 
 def test_conditions_on_shipped_rows():
+    """(a) c in h with c compact, (b) V_even in m, (c) dim(V_even cap m) -
+    dim(c cap h) = s, read off the witness and the derived column.  (c) is
+    the witness's equality whatever (a) is, and given (a) so is (b), so no
+    real orbit has (True, False, True)."""
     verdicts = {}
     for rec in load_records():
-        ev = evaluate_conditions(rec)
-        verdicts.setdefault(rec.realform, []).append((ev.a, ev.b, ev.c))
+        w = evaluate_conditions(rec).witness
+        a = w.centralizer_compact and rec.dim_c_cap_h == rec.sl2_data().dim_c
+        b = rec.dim_Veven_cap_m == rec.dim_v_even
+        c = rec.dim_Veven_cap_m - rec.dim_c_cap_h == describe(rec.realform).s
+        assert c == (w.m_minus_h == w.g0_minus_2c)
+        verdicts.setdefault(rec.realform, []).append((a, b, c))
     assert verdicts["E6^-14"] == [(True, True, True)]
-    assert verdicts["E7^7"] == [(True, False, True)]
-    assert verdicts["E8^8"] == [(True, False, True)]
+    assert verdicts["E7^7"] == [(True, False, False)]
+    assert verdicts["E8^8"] == [(True, False, False)]
     assert verdicts["E6^-26"] == [(False, False, False)]
 
 
-def test_missing_columns_noted():
-    (rec,) = [r for r in load_records() if r.realform == "E6^-26"]
-    ev = evaluate_conditions(rec)
-    assert any("insufficient data" in note for note in ev.notes)
-    assert not ev.all_hold
+def test_derived_veven_cap_m():
+    """(s - dim c + 2 dim(c cap h) + dim V_even) / 2 on each shipped row;
+    E6^-14's 8 is the value its row used to store from Djokovic's table."""
+    derived = {rec.realform: rec.dim_Veven_cap_m for rec in load_records()}
+    assert derived == {"E6^-14": 8, "E7^7": 11, "E8^8": 18, "E6^-26": 1}
+    assert find_record("E6^-14", (1, 0, 0, 0, 0, 1)).slodowy_split() == (22, {1: 8, 2: 8})
+    no_c = ExceptionalOrbitRecord("E6^-14", (1, 0, 0, 0, 0, 1), None, None,
+                                  parse_centralizer("so(7)+so(2)"), "test")
+    assert no_c.dim_Veven_cap_m is None
+
+
+def test_derived_numerator_is_even():
+    """s = dim g - 2 dim h and dim g_0 (the Cartan and root pairs) are both
+    the rank mod 2, so no row's numerator is odd."""
+    for token in EXCEPTIONAL_FORMS:
+        form = describe(token)
+        assert (form.s - form.ambient.rank) % 2 == 0, token
+    for rec in load_records():
+        assert (rec.sl2_data().dim_g0 - rec.ambient.rank) % 2 == 0, rec.realform
+
+
+def test_signature_is_the_even_weight_split():
+    """dim m - dim h = sum over even w of (dim V_w cap m - dim V_w cap h),
+    the identity that derives dim(V_even cap m), on every su and sl signed
+    datum of size <= 10."""
+    checked = 0
+    for family in ("su", "sl"):
+        for params in family_parameter_space(family, 10):
+            form = describe(family, params)
+            for p in enumerate_partitions(form.ambient):
+                for signed in enumerate_signed_data(family, params, p):
+                    r = oracle_sigma_split(signed)
+                    even = sum(m - h for w, (h, m) in r.splits if w % 2 == 0)
+                    assert r.dim_m - r.dim_h == form.s == even, signed
+                    checked += 1
+    assert checked == 869
 
 
 def test_env_override(tmp_path, monkeypatch):
@@ -133,6 +176,13 @@ def test_missing_shipped_file(monkeypatch):
     (lambda r: r.update(dim_c_cap_h=-5), "negative"),
     (lambda r: r.update(dim_c_cap_h=999), "exceeds"),
     (lambda r: r.update(extra_column=1), "unknown"),
+    (lambda r: r.update(dim_Veven_cap_m=8), "unknown fields ['dim_Veven_cap_m']"),
+    (lambda r: r.update(dim_c_cap_h=21, centralizer="so(7)"),
+     "so(7) is compact, but dim_c_cap_h = 21 and dim c = 22"),
+    (lambda r: r.update(dim_c_cap_h=10, centralizer="su(2,1)"),
+     "gives dim(V_even cap m) = -4, outside 0..dim V_even = 8"),
+    (lambda r: r.update(centralizer="su(2,1)"),
+     "su(2,1) is not compact, but dim_c_cap_h = 22 and dim c = 22"),
     (lambda r: r.update(centralizer="xyz(3)"), "centralizer"),
     # JSON true and false load as Python bools, which are ints
     (lambda r: r.update(wdd=[True, False, False, False, False, True]), "wdd must be a list"),

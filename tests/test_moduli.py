@@ -115,9 +115,9 @@ def test_exceptional_split_stops_at_weight_2():
 
 
 def test_exceptional_missing_columns():
-    # the compact form's row ships without the two V-intersection columns
+    # the compact form's row ships without the dim(V cap h) column
     with pytest.raises(MissingDataError, match=r"E6\^-26 record lacks columns "
-                                               r"\['dim_V_cap_h', 'dim_Veven_cap_m'\]"):
+                                               r"\['dim_V_cap_h'\]"):
         rigidity_report(2, find_record("E6^-26", E6_ROW))
 
 

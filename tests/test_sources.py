@@ -110,3 +110,18 @@ def test_every_module_import_is_used():
         stale += [f"{path.name}:{line} {name}" for name, line in _module_imports(tree)
                   if name not in used]
     assert stale == []
+
+
+def test_one_witness_constructor():
+    """Every Witness the package reports is built by magical.orbit_witness,
+    so the classical partitions and the curated exceptional records share
+    one rule for the four fields; replace() may change a built one."""
+    builders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                builders += [f"{path.name}:{func.name}" for node in ast.walk(func)
+                             if isinstance(node, ast.Call)
+                             and getattr(node.func, "id", "") == "Witness"]
+    assert builders == ["magical.py:orbit_witness"]
