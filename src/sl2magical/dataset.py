@@ -127,20 +127,28 @@ class ExceptionalOrbitRecord:
         s = describe(self.realform).s
         return (s - self.sl2_data().dim_c + 2 * self.dim_c_cap_h + self.dim_v_even) // 2
 
+    @property
+    def a_1(self) -> Optional[int]:
+        """dim(V_1 cap m) = dim(V cap m) - dim(c cap m) - dim(V_even cap m);
+        None without both columns, or when some weight exceeds 2."""
+        data = self.sl2_data()
+        if data.max_weight > 2 or self.dim_V_cap_h is None or self.dim_c_cap_h is None:
+            return None
+        v_cap_m, c_cap_m = data.dim_v_rho - self.dim_V_cap_h, data.dim_c - self.dim_c_cap_h
+        return v_cap_m - c_cap_m - self.dim_Veven_cap_m
+
     def slodowy_split(self) -> Tuple[int, Dict[int, int]]:
         """dim(c cap h) and the positive-weight dims a_w of the
         highest-weight spaces in m, read off the columns and the derived
         dim(V_even cap m); they localize the involution only up to weight
         2."""
-        data = self.sl2_data()
-        if data.max_weight > 2:
+        if self.sl2_data().max_weight > 2:
             raise MissingDataError(f"{self.realform} {self.wdd}: records only localize "
                                    "the involution up to weight 2")
         missing = [c for c in _OPTIONAL_KEYS if getattr(self, c) is None]
         if missing:
             raise MissingDataError(f"{self.realform} record lacks columns {missing}")
-        a2 = self.dim_Veven_cap_m
-        a1 = (data.dim_v_rho - self.dim_V_cap_h) - a2 - (data.dim_c - self.dim_c_cap_h)
+        a1, a2 = self.a_1, self.dim_Veven_cap_m
         if a1 < 0:
             raise MissingDataError(
                 f"{self.realform} record columns are inconsistent: a_1 = {a1}")
@@ -181,6 +189,9 @@ def _validate(rec: ExceptionalOrbitRecord, where: str) -> None:
             f"{where}: dim_c_cap_h = {rec.dim_c_cap_h} gives dim(V_even cap m) = "
             f"{veven_m}, outside 0..dim V_even = {rec.dim_v_even}"
         )
+    a1 = rec.a_1
+    if a1 is not None and a1 < 0:
+        raise DatasetSchemaError(f"{where}: dim_V_cap_h = {rec.dim_V_cap_h} gives a_1 = {a1}")
     if rec.centralizer_type.is_compact != (rec.dim_c_cap_h == data.dim_c):
         raise DatasetSchemaError(
             f"{where}: centralizer {rec.centralizer_type} is "

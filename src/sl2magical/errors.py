@@ -18,10 +18,6 @@ class InconsistentGradingError(DomainError):
     """A grading that is not the ad_h eigenspace grading of any sl2-triple."""
 
 
-class NormalityError(DomainError):
-    """An su(p,q) signed datum whose rows do not hold p plus boxes."""
-
-
 class UnsupportedInvolutionError(DomainError):
     """The real form needs an involution outside the exact-integer models."""
 

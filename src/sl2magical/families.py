@@ -38,7 +38,6 @@ class FamilySpec:
     signed_factor: Optional[Callable[[int, int], str]]  # compact iff a or b is 0
     unsigned_factor: Optional[Callable[[int], str]]
     compact_rows: int  # an unsigned factor is compact while r_i is at most this
-    min_size: int  # smallest sum(params) that describe accepts, rank window aside
     dim_h: Callable[..., int]
     ss_rank: Callable[..., int]
     hermitian: Callable[..., bool]
@@ -89,7 +88,7 @@ _SPECS = (
         tag="su", template="su({},{})", letters="pq", size_factor=1, algebra="gl",
         quaternionic=False, signed_parities=(0, 1), forced_split=False, signature_rule=True,
         signed_factor=lambda a, b: f"u({a},{b})", unsigned_factor=None, compact_rows=0,
-        min_size=2, dim_h=lambda p, q: p * p + q * q - 1, ss_rank=min,
+        dim_h=lambda p, q: p * p + q * q - 1, ss_rank=min,
         hermitian=lambda p, q: True, root_mults=lambda p, q: (2, 2 * abs(q - p), 1),
         subtube=lambda p, q: None if p == q else (min(p, q),) * 2,
     ),
@@ -97,21 +96,21 @@ _SPECS = (
         tag="sl", template="sl({},R)", letters="n", size_factor=1, algebra="gl",
         quaternionic=False, signed_parities=(), forced_split=False, signature_rule=False,
         signed_factor=None, unsigned_factor=lambda r: f"gl({r},R)", compact_rows=1,
-        min_size=2, dim_h=lambda n: n * (n - 1) // 2, ss_rank=lambda n: n - 1,
+        dim_h=lambda n: n * (n - 1) // 2, ss_rank=lambda n: n - 1,
         hermitian=lambda n: n == 2, root_mults=lambda n: (1,), subtube=None,
     ),
     FamilySpec(
         tag="sustar", template="su*({})", letters="m", size_factor=2, algebra="gl",
         quaternionic=True, signed_parities=(), forced_split=False, signature_rule=False,
         signed_factor=None, unsigned_factor=lambda r: f"u*({2 * r})", compact_rows=1,
-        min_size=2, dim_h=lambda m: m * (2 * m + 1), ss_rank=lambda m: m - 1,
+        dim_h=lambda m: m * (2 * m + 1), ss_rank=lambda m: m - 1,
         hermitian=lambda m: False, root_mults=lambda m: (4,), subtube=None,
     ),
     FamilySpec(
         tag="so", template="so({},{})", letters="pq", size_factor=1, algebra="so",
         quaternionic=False, signed_parities=(1,), forced_split=True, signature_rule=True,
         signed_factor=lambda a, b: f"so({a},{b})", unsigned_factor=lambda r: f"sp({r},R)",
-        compact_rows=0, min_size=5, dim_h=lambda p, q: p * (p - 1) // 2 + q * (q - 1) // 2,
+        compact_rows=0, dim_h=lambda p, q: p * (p - 1) // 2 + q * (q - 1) // 2,
         ss_rank=min, hermitian=lambda p, q: 2 in (p, q),
         root_mults=lambda p, q: (1, abs(q - p), 0), subtube=None,
     ),
@@ -120,7 +119,7 @@ _SPECS = (
         quaternionic=True, signed_parities=(0,), forced_split=False, signature_rule=False,
         signed_factor=lambda a, b: f"sp({2 * a},{2 * b})",
         unsigned_factor=lambda r: f"so*({2 * r})", compact_rows=1,
-        min_size=3, dim_h=lambda m: m * m, ss_rank=lambda m: m // 2,
+        dim_h=lambda m: m * m, ss_rank=lambda m: m // 2,
         hermitian=lambda m: True, root_mults=lambda m: (4, 4 * (m % 2), 1),
         subtube=lambda m: (m - 1,) if m % 2 else None,
     ),
@@ -128,7 +127,7 @@ _SPECS = (
         tag="spr", template="sp({},R)", letters="n", size_factor=2, algebra="sp",
         quaternionic=False, signed_parities=(0,), forced_split=True, signature_rule=False,
         signed_factor=lambda a, b: f"so({a},{b})", unsigned_factor=lambda r: f"sp({r},R)",
-        compact_rows=0, min_size=1, dim_h=lambda n: n * n, ss_rank=lambda n: n,
+        compact_rows=0, dim_h=lambda n: n * n, ss_rank=lambda n: n,
         hermitian=lambda n: True, root_mults=lambda n: (1, 0, 1), subtube=None,
     ),
     FamilySpec(
@@ -136,9 +135,8 @@ _SPECS = (
         quaternionic=True, signed_parities=(1,), forced_split=False, signature_rule=True,
         signed_factor=lambda a, b: f"sp({2 * a},{2 * b})",
         unsigned_factor=lambda r: f"so*({2 * r})", compact_rows=1,
-        min_size=2, dim_h=lambda p, q: p * (2 * p + 1) + q * (2 * q + 1), ss_rank=min,
+        dim_h=lambda p, q: p * (2 * p + 1) + q * (2 * q + 1), ss_rank=min, subtube=None,
         hermitian=lambda p, q: False, root_mults=lambda p, q: (4, 4 * abs(q - p), 3),
-        subtube=None,
     ),
 )
 

@@ -189,9 +189,9 @@ def family_parameter_space(family: str, size_bound: int) -> List[Params]:
     Sizes count sum(params): p+q for su, so and sp(2p,2q), n for sl(n,R)
     and sp(2n,R), and m for su*(2m) and so*(2m).  Pairs are canonicalized
     to p <= q.  Only the forms that realforms.describe accepts are kept:
-    none below the family's smallest size, and none whose
-    complexification lies outside the rank window of LieType (sp(2,R) of
-    rank 1, anything above CLASSICAL_RANK_CAP).
+    none whose complexification lies outside the rank window of LieType
+    (so(2,2) of rank 2, sp(2,R) of rank 1, anything above
+    CLASSICAL_RANK_CAP), and not the compact su*(2).
     """
     if family not in FAMILIES:
         raise DomainError(f"no parameter space for family {family!r}")

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from itertools import chain, product
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import NormalityError, UnsupportedInvolutionError
+from .errors import UnsupportedInvolutionError
 from .linalg import integer_rank
 from .matrixmodel import (
     Columns,
@@ -67,7 +67,7 @@ from .matrixmodel import (
     transpose_involution,
     triple_on,
 )
-from .orbits import Partition, SignedPartitionData, check_partition, plus_boxes
+from .orbits import Partition, SignedPartitionData, check_partition
 from .rootsystems import SELF_PAIRED_PARITY, LieType
 from .sl2data import Sl2Data
 
@@ -297,21 +297,14 @@ def _sl_involution(m: MatrixSl2Triple) -> Involution:
 
 def _cartan_units(signed: SignedPartitionData) -> List[UnitType]:
     """One unit per row of the signed datum: for su, led by the row's sign
-    in the tableau, whose plus boxes must number p; for sl, led by +1."""
+    in the tableau; for sl, led by +1."""
     if signed.family == "sl":
         return [(1, part, 1) for part in signed.partition.parts]
     if signed.family != "su":
         raise UnsupportedInvolutionError(
-            f"no integer matrix involution implemented for family {signed.family!r}"
-        )
-    units = [(1, part, lead) for part, (plus, minus) in signed.signs
-             for lead in [1] * plus + [-1] * minus]
-    plus_count = sum(plus_boxes(part, plus, minus) for part, (plus, minus) in signed.signs)
-    if plus_count != signed.params[0]:
-        raise NormalityError(
-            f"sign vector has {plus_count} plus entries, wanted {signed.params[0]}"
-        )
-    return units
+            f"no integer matrix involution implemented for family {signed.family!r}")
+    return [(1, part, lead) for part, (plus, minus) in signed.signs
+            for lead in [1] * plus + [-1] * minus]
 
 
 def oracle_sigma_split(signed: SignedPartitionData) -> SigmaSplitReport:

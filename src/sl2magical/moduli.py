@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Tuple, Union
 from .dataset import ExceptionalOrbitRecord
 from .errors import DomainError
 from .matrixoracle import oracle_sigma_split
-from .orbits import SignedPartitionData, check_partition
+from .orbits import SignedPartitionData
 from .realforms import RealFormDescriptor
 from .realforms import describe, milnor_wood as milnor_wood_bound
 
@@ -63,8 +63,7 @@ def rigidity_report(genus: int,
     record's columns.  The gap is zero exactly on even magical data.
     """
     if isinstance(orbit, SignedPartitionData):
-        form = describe(orbit.family, orbit.params)
-        check_partition(form.ambient, orbit.partition)  # the rank cap, then the orbit
+        form = describe(orbit.family, orbit.params)  # the rank cap; the datum is an orbit
         split = oracle_sigma_split(orbit)
         dim_c_cap_h = split.split_at(0)[0]
         a = {w: m for w, m in split.m_parts().items() if w > 0 and m > 0}

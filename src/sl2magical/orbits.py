@@ -119,17 +119,34 @@ def parse_digits(text: str) -> int:
     return int(text)
 
 
-def _parity_rule(algebra: str) -> Callable[[int, int], bool]:
+def _parity_rule(algebra: str, quaternionic: bool = False) -> Callable[[int, int], bool]:
     """allowed(part, multiplicity) of the algebra's parity rule: a part
-    whose strings the form does not pair with themselves comes in pairs."""
+    whose strings the form does not pair with themselves comes in pairs.
+    A quaternionic form meets only orbits whose parts all come in pairs."""
     keep = SELF_PAIRED_PARITY[algebra]
-    return lambda part, mult: keep is None or part % 2 == keep or mult % 2 == 0
+    return lambda part, mult: mult % 2 == 0 or not quaternionic and (
+        keep is None or part % 2 == keep)
+
+
+def _meets_form(spec: FamilySpec, params: Tuple[int, ...], p: Partition) -> bool:
+    """Whether the complex orbit p meets the form, by its parity rule; a
+    partition of another size is a DomainError."""
+    size = spec.size(params)
+    if p.n != size:
+        raise DomainError(f"{spec.name(params)} needs a partition of {size}, got {p.n}")
+    return all(map(_parity_rule(spec.algebra, spec.quaternionic), p._counts, p._counts.values()))
+
+
+def _sign_free_plus(spec: FamilySpec, counts: Dict[int, int]) -> int:
+    """The plus boxes of the rows that carry no sign, which a sign table
+    does not list; under the signature rule they are even, i/2 each."""
+    return 0 if spec.forced_split else sum(i // 2 * spec.rows(r) for i, r in counts.items()
+                                           if i % 2 not in spec.signed_parities)
 
 
 def partition_fits_family(algebra: str, p: Partition) -> bool:
     """Whether p meets the parity rule of the algebra: gl, so or sp."""
-    allowed = _parity_rule(algebra)
-    return all(map(allowed, p._counts, p._counts.values()))
+    return all(map(_parity_rule(algebra), p._counts, p._counts.values()))
 
 
 def _walk(n: int, step: Callable[[State, int, int], Optional[State]],
@@ -250,6 +267,9 @@ class SignedPartitionData:
     rows of so(p,q), odd rows of sp(2n,R)) are materialized too so that
     downstream centralizer code never rederives them.  Families without
     sign decorations (sl, su*) have empty signs.
+    A datum that is no real orbit of its form is a DomainError when made:
+    the form's size, parity rule, sign listing, splits (nonnegative, of sum
+    r_i, balanced where forced) and, under the signature rule, p plus boxes.
     """
 
     family: str
@@ -258,9 +278,9 @@ class SignedPartitionData:
     signs: SignTable = ()
 
     def __post_init__(self) -> None:
-        spec = FAMILIES.get(self.family)
-        if spec is None:
-            raise DomainError(f"unknown real-form family {self.family!r}")
+        spec = family_spec(self.family, self.params)
+        if not _meets_form(spec, self.params, self.partition):
+            raise DomainError(f"{self.partition} does not meet {spec.name(self.params)}")
         counts = self.partition._counts
         wanted = [part for part in counts
                   if spec.forced_split or part % 2 in spec.signed_parities]
@@ -268,22 +288,23 @@ class SignedPartitionData:
         if listed != wanted:
             raise DomainError(f"the signs of {self} list the parts {listed}, "
                               f"not each of {wanted} once, descending")
+        plus = _sign_free_plus(spec, counts) if spec.signature_rule else 0
         for part, (a, b) in self.signs:
-            if a < 0 or b < 0:
-                raise DomainError(f"negative sign count on part {part}")
             r = spec.rows(counts[part])
-            if a + b != r:
-                raise DomainError(f"part {part}: signs {(a, b)} do not sum to r_i = {r}")
+            signed = part % 2 in spec.signed_parities
+            if min(a, b) < 0 or a + b != r or not (signed or a == b):
+                raise DomainError(f"part {part}: signs {(a, b)} are not a "
+                                  f"{'' if signed else 'balanced '}split of r_i = {r}")
+            plus += plus_boxes(part, a, b)
+        if spec.signature_rule and plus != self.params[0]:
+            raise DomainError(f"{self} has {plus} plus boxes, not p = {self.params[0]}")
 
     def row_count(self, part: int) -> int:
         """r_i: rows of length part, in the family's own counting."""
         return FAMILIES[self.family].rows(self.partition.multiplicity(part))
 
     def sign_split(self, part: int) -> Optional[Tuple[int, int]]:
-        for entry, pq in self.signs:
-            if entry == part:
-                return pq
-        return None
+        return dict(self.signs).get(part)
 
     def __str__(self) -> str:
         if not self.signs:
@@ -292,32 +313,16 @@ class SignedPartitionData:
         return f"{self.partition}{{{sgn}}}"
 
 
-def _split_range(total: int) -> List[Tuple[int, int]]:
-    return [(a, total - a) for a in range(total, -1, -1)]
-
-
-def _one_sign(total: int) -> List[Tuple[int, int]]:
-    return [(total, 0), (0, total)]
-
-
 def _signed_data(spec: FamilySpec, family: str, params: Tuple[int, ...], p: Partition,
                  splits: Callable[[int], List[Tuple[int, int]]]) -> Iterator[SignedPartitionData]:
     """The sign data of p whose signed parts take a split from splits(r_i)
     and whose plus boxes meet the signature rule: plus-heavy splits first,
-    larger parts varying slowest.  p must meet the form's parity rules."""
-    mult = p.multiplicities()
-    rows = {i: spec.rows(r) for i, r in mult.items()}
-    parts = sorted(mult, reverse=True)
-    signed = [i for i in parts if i % 2 in spec.signed_parities]
-    unsigned = [i for i in parts if i % 2 not in spec.signed_parities]
-    if spec.forced_split:
-        forced = tuple((i, (rows[i] // 2, rows[i] // 2)) for i in unsigned)
-        base = 0
-    else:
-        # where the signature counts, sign-free rows are even: i/2 plus boxes each
-        forced, base = (), sum(i // 2 * rows[i] for i in unsigned)
-    for choice in product(*[[(i, split) for split in splits(rows[i])] for i in signed]):
-        signs = tuple(sorted(forced + choice, reverse=True)) if forced else choice
+    larger parts varying slowest.  p must meet the form (_meets_form)."""
+    choices = [[(i, split) for split in splits(spec.rows(m))] if i % 2 in spec.signed_parities
+               else [(i, (spec.rows(m) // 2,) * 2)]  # the forced split
+               for i, m in p._counts.items() if spec.forced_split or i % 2 in spec.signed_parities]
+    base = _sign_free_plus(spec, p._counts)
+    for signs in product(*choices):
         plus = base + sum(plus_boxes(i, a, b) for i, (a, b) in signs)
         if not spec.signature_rule or plus == params[0]:
             yield SignedPartitionData(family, params, p, signs)
@@ -327,17 +332,12 @@ def signed_data(family: str, params: Tuple[int, ...],
                 p: Partition) -> Iterator[SignedPartitionData]:
     """All leading-sign assignments realizing the orbit inside the form,
     each built when it is read; none when the partition does not meet the
-    form (wrong signature, or odd multiplicities for a quaternionic
-    family).  Plus-heavy splits first, larger parts varying slowest."""
+    form's parity rule (_meets_form) or no sign table has p plus boxes.
+    Plus-heavy splits first, larger parts varying slowest."""
     spec = family_spec(family, params)
-    size = spec.size(params)
-    if p.n != size:
-        raise DomainError(f"{spec.name(params)} needs a partition of {size}, got {p.n}")
-    if spec.quaternionic and any(r % 2 for r in p.multiplicities().values()):
+    if not _meets_form(spec, params, p):
         return iter(())
-    if not partition_fits_family(spec.algebra, p):
-        return iter(())
-    return _signed_data(spec, family, params, p, _split_range)
+    return _signed_data(spec, family, params, p, lambda r: [(a, r - a) for a in range(r, -1, -1)])
 
 
 def enumerate_signed_data(family: str, params: Tuple[int, ...],
@@ -349,23 +349,23 @@ def enumerate_signed_data(family: str, params: Tuple[int, ...],
 def compact_candidates(family: str, params: Tuple[int, ...]) -> Iterator[Partition]:
     """The partitions of the form whose centralizer can be compact,
     descending, with no sign data built.  The walk cuts every branch that
-    one_sign_data would leave without a datum.  It keeps the parity rule,
-    even multiplicities in the quaternionic families, at most compact_rows
-    rows on each unsigned part, as many unsigned parts as
-    FamilySpec.compact_unsigned allows, and, under the signature rule, the
-    (plus, minus) box counts that one sign per signed part reaches within
-    (p, q); a leaf holds p + q boxes, so the one count left there is
-    (p, q).  This is a necessary condition only;
-    realforms.centralizer_realform decides compactness.
+    one_sign_data would leave without a datum.  It keeps the form's parity
+    rule, at most compact_rows rows on each unsigned part, as many unsigned
+    parts as FamilySpec.compact_unsigned allows, and, under the signature
+    rule, the (plus, minus) box counts that one sign per signed part
+    reaches within (p, q); a leaf holds p + q boxes, so the one count left
+    there is (p, q).  These are centralizer_realform's compactness rules,
+    so the walk is exact: its partitions' one-sign data are the form's data
+    with a compact centralizer (tests/test_orbits.py checks size <= 10).
     """
     spec = family_spec(family, params)
-    parity = _parity_rule(spec.algebra)
+    allowed = _parity_rule(spec.algebra, spec.quaternionic)
     bound = params if spec.signature_rule else None
 
     def step(state: Tuple[int, Set[Tuple[int, int]]], k: int,
              m: int) -> Optional[Tuple[int, Set[Tuple[int, int]]]]:
         unsigned, reach = state
-        if not parity(k, m) or (spec.quaternionic and m % 2):
+        if not allowed(k, m):
             return None
         rows = spec.rows(m)
         if k % 2 in spec.signed_parities:
@@ -391,4 +391,5 @@ def one_sign_data(family: str, params: Tuple[int, ...],
                   p: Partition) -> List[SignedPartitionData]:
     """The sign data of a partition that compact_candidates yields in
     which every signed part has one sign, (r,0) before (0,r)."""
-    return list(_signed_data(family_spec(family, params), family, params, p, _one_sign))
+    spec = family_spec(family, params)
+    return list(_signed_data(spec, family, params, p, lambda r: [(r, 0), (0, r)]))

@@ -78,7 +78,8 @@ def describe(family: str, params: Sequence[int] = ()) -> RealFormDescriptor:
     """Descriptor for a noncompact real form; family is a classical tag
     (a key of families.FAMILIES) or an exceptional token like 'E6^-14',
     which takes no parameters.  A classical form whose complexification
-    lies outside LieType's rank window is refused.  One descriptor per
+    lies outside LieType's rank window is refused, and so is a compact one
+    (dim m = 0), su*(2) the one inside it.  One descriptor per
     form and process, so its ambient is found once; params may be any
     sequence."""
     return _descriptor(family, tuple(params))
@@ -101,14 +102,15 @@ def _descriptor(family: str, params: Params) -> RealFormDescriptor:
             maximal_subtube=info.get("subtube"),
         )
     spec = family_spec(family, params)
-    if min(params) < 1 or sum(params) < spec.min_size:
-        raise DomainError(f"{spec.symbol} needs positive parameters with "
-                          f"{'+'.join(spec.letters)} >= {spec.min_size}")
+    if min(params) < 1:
+        raise DomainError(f"{spec.symbol} needs positive parameters")
     name = spec.name(params)
     try:
         ambient = spec.complexification(params)
     except RankDomainError as exc:
         raise RankDomainError(f"{name}: {exc}") from None
+    if spec.dim_h(*params) == ambient.dim:
+        raise DomainError(f"{name} is compact: dim m = 0")
     hermitian = spec.hermitian(*params)
     subtube = spec.subtube(*params) if hermitian and spec.subtube else None
     return RealFormDescriptor(

@@ -160,6 +160,23 @@ def test_duplicate_record_exit_3(capsys, monkeypatch, tmp_path, command):
                        "[1, 0, 0, 0, 0, 1], first on line 1\n")
 
 
+@pytest.mark.parametrize("command", [
+    ("classify", "E6^-14"),
+    ("slodowy", "E6^-14", "--wdd", "1,0,0,0,0,1", "--genus", "2"),
+], ids=["classify", "slodowy"])
+def test_negative_a1_dataset_exit_3(capsys, monkeypatch, tmp_path, command):
+    """A row whose columns give a_1 < 0 is refused when the table is
+    loaded, so classify prints no row from it, as slodowy refuses it."""
+    path = tmp_path / "a1.jsonl"
+    path.write_text(json.dumps({
+        "realform": "E6^-14", "wdd": [1, 0, 0, 0, 0, 1], "dim_V_cap_h": 40,
+        "dim_c_cap_h": 22, "centralizer": "so(7)+so(2)", "source_row": "x"}) + "\n")
+    monkeypatch.setenv(DATASET_ENV, str(path))
+    code, out, err = run(capsys, *command)
+    assert (code, out) == (3, "")
+    assert err == f"error: {path}:1: dim_V_cap_h = 40 gives a_1 = -2\n"
+
+
 def test_boolean_wdd_dataset_exit_3(capsys, monkeypatch, tmp_path):
     """JSON true and false are not the labels 1 and 0."""
     path = tmp_path / "bool.jsonl"
@@ -425,7 +442,7 @@ MALFORMED_CASES = [
     _case(10, ("slodowy", "sl", "14", "--partition", "14", "--genus", "2"), "sl(14,R)"),
     _case(11, ("classify", "spr", "1"), "sp(2,R): C-type needs rank >= 2, got 1"),
     _case(12, ("slodowy", "so", "2", "2", "--genus", "2"),
-          "so(p,q) needs positive parameters with p+q >= 5"),
+          "so(2,2): D-type needs rank >= 3, got 2"),
     _case(13, ("slodowy", "su", "2", "3", "--genus", "2"), "su(2,3) needs --partition"),
     _case(14, ("slodowy", "sl", "14", "--genus", "2"),
           "sl(14,R): A13 exceeds the classical rank cap 12"),

@@ -251,10 +251,16 @@ def test_compact_dimension_cross_check(tmp_path):
 
 
 def test_wdd_must_grade_consistently(tmp_path):
-    # labels that produce a negative multiplicity are rejected at load time
-    row = dict(GOOD_ROW, wdd=[0, 1, 0, 0, 1, 0])
-    path = _write(tmp_path, [row])
-    try:
+    """Labels that grade E6 with a negative multiplicity label no orbit,
+    and are refused at load time: [0,0,0,0,1,2] gives n_2 = 1 - 5."""
+    path = _write(tmp_path, [dict(GOOD_ROW, wdd=[0, 0, 0, 0, 1, 2])])
+    with pytest.raises(DatasetSchemaError, match=r"labels no orbit \(n_2 = 1 - 5 < 0\)"):
         load_records(path)
-    except DatasetSchemaError:
-        pass  # either the grading or a dimension bound catches it
+
+
+def test_columns_must_fit_the_diagram(tmp_path):
+    """[0,1,0,0,1,0] grades without a negative multiplicity, but its
+    centralizer has dim 8, below the row's dim_c_cap_h."""
+    path = _write(tmp_path, [dict(GOOD_ROW, wdd=[0, 1, 0, 0, 1, 0])])
+    with pytest.raises(DatasetSchemaError, match="dim_c_cap_h = 22 exceeds dim c = 8"):
+        load_records(path)

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from sl2magical import crosscheck, matrixoracle
-from sl2magical.errors import DomainError, NormalityError, UnsupportedInvolutionError
+from sl2magical.errors import DomainError, UnsupportedInvolutionError
 from sl2magical.linalg import integer_rank
 from sl2magical.matrixmodel import (
     ad_e_images,
@@ -161,16 +161,17 @@ def test_triple_outside_the_form_is_rejected():
 
 
 def test_involution_checks_each_call():
-    """Each su datum covers every row once, checked when it is made, and
-    each split checks that its rows hold p plus boxes."""
+    """Each su datum covers every row once and its rows hold p plus boxes,
+    both checked when it is made, so no split is asked of one that does
+    not."""
     p = Partition.parse("2,1")
     for signs in [((2, (0, 1)),), ((2, (1, 0)), (2, (1, 0)))]:
         with pytest.raises(DomainError, match=r"not each of \[2, 1\] once") as err:
             SignedPartitionData("su", (2, 1), p, signs)
         assert err.type is DomainError
-    wrong = SignedPartitionData("su", (1, 2), p, ((2, (1, 0)), (1, (1, 0))))
-    with pytest.raises(NormalityError, match="2 plus entries, wanted 1"):
-        oracle_sigma_split(wrong)
+    with pytest.raises(DomainError, match="has 2 plus boxes, not p = 1") as err:
+        SignedPartitionData("su", (1, 2), p, ((2, (1, 0)), (1, (1, 0))))
+    assert err.type is DomainError
 
 
 def test_template_involution_fixing_e_is_rejected(monkeypatch):

@@ -1,11 +1,12 @@
 """Slodowy parameter counts and rigidity gaps."""
 
+import json
 from dataclasses import replace
 
 import pytest
 
-from sl2magical.dataset import find_record
-from sl2magical.errors import DomainError, MissingDataError, RankDomainError
+from sl2magical.dataset import find_record, load_records
+from sl2magical.errors import DatasetSchemaError, DomainError, MissingDataError, RankDomainError
 from sl2magical.magical import Verdict, classify_realform, family_parameter_space
 from sl2magical.moduli import (
     expected_dim,
@@ -126,6 +127,18 @@ def test_exceptional_inconsistent_columns():
     with pytest.raises(MissingDataError, match="E6\\^-14 record columns are inconsistent: "
                                                "a_1 = -2"):
         rigidity_report(2, record)
+
+
+def test_exceptional_inconsistent_columns_refused_at_load(tmp_path):
+    """The same row read from a file is refused when it is loaded, before
+    any command reads it; a_1 is stated once, on the record."""
+    assert find_record("E6^-14", E6_ROW).a_1 == 8
+    row = {"realform": "E6^-14", "wdd": list(E6_ROW), "dim_V_cap_h": 40,
+           "dim_c_cap_h": 22, "centralizer": "so(7)+so(2)", "source_row": "x"}
+    path = tmp_path / "a1.jsonl"
+    path.write_text(json.dumps(row) + "\n")
+    with pytest.raises(DatasetSchemaError, match=r"a1.jsonl:1: dim_V_cap_h = 40 gives a_1 = -2$"):
+        load_records(path)
 
 
 def test_nonhermitian_has_no_milnor_wood():
