@@ -1,38 +1,37 @@
-"""Exact integer linear algebra: fraction-free rank (Bareiss elimination).
+"""Exact integer linear algebra: the rank of sparse integer vectors.
 
 Kernels here are only ever needed as dimensions, so rank is the single
-primitive.  Division in the elimination step is exact by the Bareiss
-identity; everything stays in Python integers.
+primitive.  A vector is a sparse {key: int} map, keys of any one ordered
+type (the oracle's are (row, col) entries), and the rank of a list of
+them is found by fraction-free echelon on the least key: a vector c whose
+least nonzero key k leads a pivot p is reduced to p[k] c - c[k] p, which
+cancels k, so its least key strictly increases; a vector whose least key
+leads no pivot becomes one.  There is no division: every step stays in
+Python integers, and the rank is exact.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Dict, Hashable, Iterable, Mapping
 
 
-def integer_rank(matrix: Sequence[Sequence[int]]) -> int:
-    m: List[List[int]] = [list(row) for row in matrix if any(row)]
-    if not m:
-        return 0
-    cols = len(m[0])
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(cols):
-        pivot = next((r for r in range(row, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        lead = m[row][col]
-        for r in range(row + 1, len(m)):
-            factor = m[r][col]
-            for c in range(col + 1, cols):
-                m[r][c] = (m[r][c] * lead - factor * m[row][c]) // prev
-            m[r][col] = 0
-        prev = lead
-        rank += 1
-        row += 1
-        if row == len(m):
-            break
-    return rank
-
+def integer_rank(vectors: Iterable[Mapping[Hashable, int]]) -> int:
+    """The dimension of the span of the vectors; the maps are not modified."""
+    pivots: Dict[Hashable, Dict[Hashable, int]] = {}
+    for vector in vectors:
+        c = {k: v for k, v in vector.items() if v}
+        while c:
+            lead = min(c)
+            p = pivots.get(lead)
+            if p is None:
+                pivots[lead] = c
+                break
+            a, b = p[lead], c[lead]
+            c = {k: a * v for k, v in c.items()}
+            for k, v in p.items():
+                v = c.get(k, 0) - b * v
+                if v:
+                    c[k] = v
+                else:
+                    del c[k]
+    return len(pivots)

@@ -23,7 +23,8 @@ X^T M + M X = 0.
 ad_e goes through row and column maps of e built once per triple, so each
 image costs time linear in its column.  For tau-fixed x the image [e, x]
 is tau-fixed too, so its entries on one key of each tau-orbit (the smaller
-key) determine it; images are read in those coordinates.
+key, (a, b) <= (b*, a*) by the pairing) determine it; images are read in
+those coordinates.
 """
 
 from __future__ import annotations
@@ -229,9 +230,20 @@ def eigen_columns(m: MatrixSl2Triple, sigma: Involution,
 
 
 def ad_e_images(m: MatrixSl2Triple, xs: List[Sparse]) -> List[Sparse]:
-    """The columns [e, x], each read on the smaller key of every tau-orbit."""
-    images = [m.ad_e(x) for x in xs]
-    if m.algebra != "gl":
-        tau = m.tau
-        images = [{k: v for k, v in y.items() if k <= tau(*k)[1]} for y in images]
+    """The columns [e, x], from e's row and column maps, each read on the
+    smaller key of every tau-orbit, (a, b) <= (b*, a*); an entry whose
+    terms cancel is kept as a zero."""
+    rows, cols = m._e_index
+    pair = None if m.algebra == "gl" else m.pairing
+    images = []
+    for x in xs:
+        y: Sparse = {}
+        for (k, c), v in x.items():
+            for r, w in cols.get(k, ()):
+                if pair is None or (r, c) <= (pair[c], pair[r]):
+                    y[r, c] = y.get((r, c), 0) + w * v
+            for s, w in rows.get(c, ()):
+                if pair is None or (k, s) <= (pair[s], pair[k]):
+                    y[k, s] = y.get((k, s), 0) - v * w
+        images.append(y)
     return images

@@ -22,20 +22,22 @@ only on a key (model, unit kinds, lengths, sign).  The model is gl, so
 or sp for n_j, where only the +1 side of tau is ranked, or su or sl for
 a Cartan split, where h and m are; the kinds are S or P, or SS, SP or PP
 for two units; the sign is the product of the two units' leading signs
-(1 for tau and for one unit).  A tau key is ranked once, by exact
-elimination of each weight slice w >= 0, on a template triple of just its
-units, built by the same matrixmodel.triple_on, so the tau-merging, the
-self-paired strings and the mu signs are ranked, not assumed; a tau
-template is checked to hold the key's units.  A split key is read from
-the signed Clebsch-Gordan rule (_split_table), which ranks nothing; the
-same ranked templates (_key_table), each Cartan template's involution
-checked to negate e, are its exhaustive check: tier-1 compares the two
-on every split key of the rank window.  A template's entries are listed
-straight from its one unit block, or the two blocks between its two
-units, and an entry is made a column only at weight w >= 0; the slices
-w < 0 are counted, not built or ranked: ad_e is injective below weight
-0, since its kernel holds highest-weight vectors only, so their nullity
-is 0 (tests/test_matrixoracle.py ranks them to check it).  n_j and the h/m
+(1 for tau and for one unit).  A tau key is ranked once, on a template
+triple of just its units: each weight slice w >= 0 by the exact rank of
+ad_e's images of its columns, sparse maps passed as they are to
+linalg.integer_rank.  The template is built by the same
+matrixmodel.triple_on, so the tau-merging, the self-paired strings and
+the mu signs are ranked, not assumed; a tau template is checked to hold
+the key's units.  A split key is read from the signed Clebsch-Gordan
+rule (_split_table), which ranks nothing; the same ranked templates
+(_key_table), each Cartan template's involution checked to negate e, are
+its exhaustive check: tier-1 compares the two on every split key of the
+rank window.  A template's entries are listed straight from its one unit
+block, or the two blocks between its two units, and an entry is made a
+column only at weight w >= 0; the slices w < 0 are counted, not built or
+ranked: ad_e is injective below weight 0, since its kernel holds
+highest-weight vectors only, so their nullity is 0
+(tests/test_matrixoracle.py ranks them to check it).  n_j and the h/m
 split sum the tables over the units and unit pairs of the orbit,
 weighted by multiplicity, into one dict per side, less the identity
 matrix on the side of sigma(I) = +-I: it is in gl_N, not sl_N.  Neither
@@ -99,9 +101,7 @@ def _nullity_by_weight(m: MatrixSl2Triple, columns: Columns) -> Dict[int, int]:
     for w, xs in columns.items():
         if w < 0:
             continue
-        images = ad_e_images(m, xs)
-        rows = sorted({k for y in images for k in y})
-        out[w] = len(xs) - integer_rank([[y.get(k, 0) for y in images] for k in rows])
+        out[w] = len(xs) - integer_rank(ad_e_images(m, xs))
     return out
 
 

@@ -17,7 +17,7 @@ all even; their row counts r_i are half the complex multiplicities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, TypeVar
 
@@ -33,6 +33,7 @@ from .rootsystems import (
 
 SignTable = Tuple[Tuple[int, Tuple[int, int]], ...]
 State = TypeVar("State")
+Rule = Callable[[int, int], bool]  # allowed(part, multiplicity)
 
 #: The largest matrix size of any LieType: B12 acts on C^25.
 MAX_BOXES = 2 * CLASSICAL_RANK_CAP + 1
@@ -43,6 +44,7 @@ class Partition:
     """A weakly decreasing tuple of positive integers."""
 
     parts: Tuple[int, ...]
+    n: int = field(init=False, repr=False, compare=False)  # the sum of the parts
 
     def __post_init__(self) -> None:
         if not self.parts:
@@ -56,6 +58,7 @@ class Partition:
         for part in ordered:
             counts[part] = counts.get(part, 0) + 1
         object.__setattr__(self, "_counts", counts)
+        object.__setattr__(self, "n", sum(ordered))
 
     @classmethod
     def of(cls, *parts: int) -> "Partition":
@@ -91,10 +94,6 @@ class Partition:
             parts.extend([value] * count)
         return cls(tuple(parts))
 
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
     def multiplicity(self, part: int) -> int:
         return self._counts.get(part, 0)
 
@@ -119,13 +118,26 @@ def parse_digits(text: str) -> int:
     return int(text)
 
 
-def _parity_rule(algebra: str, quaternionic: bool = False) -> Callable[[int, int], bool]:
-    """allowed(part, multiplicity) of the algebra's parity rule: a part
-    whose strings the form does not pair with themselves comes in pairs.
-    A quaternionic form meets only orbits whose parts all come in pairs."""
-    keep = SELF_PAIRED_PARITY[algebra]
-    return lambda part, mult: mult % 2 == 0 or not quaternionic and (
-        keep is None or part % 2 == keep)
+def _parity_rule(keep: Optional[int], quaternionic: bool) -> Optional[Rule]:
+    """allowed(part, multiplicity) of a parity rule: a part whose strings
+    the form does not pair with themselves, those not of the parity keep,
+    comes in pairs.  A quaternionic form meets only orbits whose parts all
+    come in pairs.  None when every part is allowed: gl, not quaternionic."""
+    if quaternionic:
+        return lambda part, mult: mult % 2 == 0
+    if keep is None:
+        return None
+    return lambda part, mult: mult % 2 == 0 or part % 2 == keep
+
+
+#: The parity rule of each (algebra, quaternionic), stated once.
+_PARITY_RULES = {(algebra, quaternionic): _parity_rule(keep, quaternionic)
+                 for algebra, keep in SELF_PAIRED_PARITY.items() for quaternionic in (False, True)}
+
+
+def _meets_rule(rule: Optional[Rule], p: Partition) -> bool:
+    """Whether every part of p and its multiplicity pass the rule."""
+    return rule is None or all(map(rule, p._counts, p._counts.values()))
 
 
 def _meets_form(spec: FamilySpec, params: Tuple[int, ...], p: Partition) -> bool:
@@ -134,7 +146,7 @@ def _meets_form(spec: FamilySpec, params: Tuple[int, ...], p: Partition) -> bool
     size = spec.size(params)
     if p.n != size:
         raise DomainError(f"{spec.name(params)} needs a partition of {size}, got {p.n}")
-    return all(map(_parity_rule(spec.algebra, spec.quaternionic), p._counts, p._counts.values()))
+    return _meets_rule(_PARITY_RULES[spec.algebra, spec.quaternionic], p)
 
 
 def _sign_free_plus(spec: FamilySpec, counts: Dict[int, int]) -> int:
@@ -146,7 +158,7 @@ def _sign_free_plus(spec: FamilySpec, counts: Dict[int, int]) -> int:
 
 def partition_fits_family(algebra: str, p: Partition) -> bool:
     """Whether p meets the parity rule of the algebra: gl, so or sp."""
-    return all(map(_parity_rule(algebra), p._counts, p._counts.values()))
+    return _meets_rule(_PARITY_RULES[algebra, False], p)
 
 
 def _walk(n: int, step: Callable[[State, int, int], Optional[State]],
@@ -192,9 +204,9 @@ def enumerate_partitions(t: LieType) -> List[Partition]:
     """The orbit partitions of the classical type t, descending: the
     partitions of its matrix size that meet the parity rule of its
     algebra."""
-    allowed = _parity_rule(t.algebra)
-    return [Partition(parts) for parts, _ in
-            _walk(t.matrix_size, lambda state, k, m: state if allowed(k, m) else None, ())]
+    allowed = _PARITY_RULES[t.algebra, False]
+    return [Partition(parts) for parts, _ in _walk(
+        t.matrix_size, lambda state, k, m: state if allowed is None or allowed(k, m) else None, ())]
 
 
 @dataclass(frozen=True)
@@ -359,13 +371,13 @@ def compact_candidates(family: str, params: Tuple[int, ...]) -> Iterator[Partiti
     with a compact centralizer (tests/test_orbits.py checks size <= 10).
     """
     spec = family_spec(family, params)
-    allowed = _parity_rule(spec.algebra, spec.quaternionic)
+    allowed = _PARITY_RULES[spec.algebra, spec.quaternionic]
     bound = params if spec.signature_rule else None
 
     def step(state: Tuple[int, Set[Tuple[int, int]]], k: int,
              m: int) -> Optional[Tuple[int, Set[Tuple[int, int]]]]:
         unsigned, reach = state
-        if not allowed(k, m):
+        if allowed is not None and not allowed(k, m):
             return None
         rows = spec.rows(m)
         if k % 2 in spec.signed_parities:

@@ -266,9 +266,7 @@ def _negative_slice_nullities(m, columns):
     out = []
     for w, xs in columns.items():
         if w < 0:
-            images = ad_e_images(m, xs)
-            rows = sorted({k for y in images for k in y})
-            out.append(len(xs) - integer_rank([[y.get(k, 0) for y in images] for k in rows]))
+            out.append(len(xs) - integer_rank(ad_e_images(m, xs)))
     return out
 
 
@@ -370,6 +368,24 @@ def test_key_tables_are_pinned(side, count, expected):
         digest.update(f"{key} {_key_table(key)}\n".encode())
     assert len(keys) == count
     assert digest.hexdigest() == expected
+
+
+def test_verify_ranks_each_tau_key_once(monkeypatch):
+    """One verify --max-rank 10 pass builds one template per tau key, 192,
+    and ranks 1,141 weight slices on them, one integer_rank call each; no
+    other route ranks anything."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(matrixoracle, "_key_table", counted("templates", _key_table))
+    monkeypatch.setattr(matrixoracle, "integer_rank", counted("slices", integer_rank))
+    assert all(check.passed for check in crosscheck.run_all(10))
+    assert calls == {"templates": 192, "slices": 1141}
 
 
 def test_partition_size_mismatch():
