@@ -46,11 +46,6 @@ from .sl2data import closed_dims, multiplicities_formula
 # ---------------------------------------------------------------- rendering
 
 
-def _emit_table(rows: List[Tuple[str, str]]) -> str:
-    width = max(len(k) for k, _ in rows)
-    return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
-
-
 def _emit_grid(header: Sequence[str], body: List[Sequence[str]]) -> str:
     table = [list(header)] + [list(r) for r in body]
     widths = [max(len(row[i]) for row in table) for i in range(len(header))]
@@ -83,7 +78,7 @@ def _print_record(fmt: str, doc: Dict, rows: Optional[List[Tuple[str, str]]] = N
     if fmt == "csv":
         _print(_emit_csv(("field", "value"), rows))
     else:
-        _print(_emit_table(rows))
+        _print(_emit_grid(rows[0], rows[1:]))
 
 
 def _wdd_orbit(labels: Sequence[int]) -> str:

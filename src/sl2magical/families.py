@@ -1,11 +1,14 @@
 """One table of facts per classical real-form family.
 
-Each noncompact classical family is one FamilySpec: how its parameters
-name the form and size the defining representation, the complex algebra
-it is a real form of, how signed Young diagrams label its real nilpotent
-orbits, the factors of a triple's centralizer, and the closed formulas
-of its Cartan decomposition.  The signed-data enumerator, descriptors
-and centralizers read these facts instead of branching on the tag.
+Each noncompact classical family is one FamilySpec.  It states its name
+template and parameter letters, its complex algebra (gl, so or sp),
+whether its form is quaternionic, and the closed formulas of its Cartan
+decomposition.  Its sign rules, size factor, compact row bound and
+centralizer factor names are derived once, when the spec is made, from
+the algebra's SELF_PAIRED_PARITY, the quaternionic flag and the arity,
+by the signed-Young-diagram and centralizer rules of Collingwood-McGovern,
+Thms 9.3.3-9.3.5.  The signed-data enumerator, descriptors and
+centralizers read these facts instead of branching on the tag.
 
 Rows of length i count r_i: the Jordan multiplicity, halved for the
 quaternionic families.  Parts of a signed parity split their rows by
@@ -15,13 +18,25 @@ split (r_i/2, r_i/2) when it is forced, and carry no sign otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from .errors import DomainError
-from .rootsystems import LieType
+from .rootsystems import SELF_PAIRED_PARITY, LieType
 
 Params = Tuple[int, ...]
+
+
+#: Centralizer factor names, keyed by (algebra is gl, quaternionic): the
+#: signed factor of a part split (a, b) and the unsigned factor of a part
+#: with r_i rows (Collingwood-McGovern, Thms 9.3.3-9.3.5).  su*(2m) has no
+#: signed parts.
+_FACTORS = {
+    (True, False): (lambda a, b: f"u({a},{b})", lambda r: f"gl({r},R)"),
+    (True, True): (None, lambda r: f"u*({2 * r})"),
+    (False, False): (lambda a, b: f"so({a},{b})", lambda r: f"sp({r},R)"),
+    (False, True): (lambda a, b: f"sp({2 * a},{2 * b})", lambda r: f"so*({2 * r})"),
+}
 
 
 @dataclass(frozen=True)
@@ -29,15 +44,8 @@ class FamilySpec:
     tag: str
     template: str  # form name, one {} per parameter scaled by size_factor
     letters: str  # one letter per parameter
-    size_factor: int  # defining size = size_factor * sum(params)
     algebra: str  # complex defining algebra: "gl", "so" or "sp"
     quaternionic: bool
-    signed_parities: Tuple[int, ...]  # parities i % 2 of the parts with a sign split
-    forced_split: bool
-    signature_rule: bool  # the plus boxes add up to the first parameter
-    signed_factor: Optional[Callable[[int, int], str]]  # compact iff a or b is 0
-    unsigned_factor: Optional[Callable[[int], str]]
-    compact_rows: int  # an unsigned factor is compact while r_i is at most this
     dim_h: Callable[..., int]
     ss_rank: Callable[..., int]
     hermitian: Callable[..., bool]
@@ -46,6 +54,31 @@ class FamilySpec:
     # 2e_i); a zero multiplicity means the class is absent.
     root_mults: Callable[..., Tuple[int, ...]]
     subtube: Optional[Callable[..., Optional[Params]]]  # None: always tube type
+    # Derived in __post_init__ from algebra, quaternionic and arity.
+    size_factor: int = field(init=False)  # defining size = size_factor * sum(params)
+    signature_rule: bool = field(init=False)  # the plus boxes add up to the first parameter
+    signed_parities: Tuple[int, ...] = field(init=False)  # parities i % 2 with a sign split
+    forced_split: bool = field(init=False)  # the other parts split (r_i/2, r_i/2)
+    compact_rows: int = field(init=False)  # an unsigned factor is compact while r_i <= this
+    signed_factor: Optional[Callable[[int, int], str]] = field(init=False)  # compact: a or b is 0
+    unsigned_factor: Callable[[int], str] = field(init=False)
+
+    def __post_init__(self) -> None:
+        gl, quaternionic, signature = self.algebra == "gl", self.quaternionic, self.arity == 2
+        forced = not (gl or quaternionic)
+        derived = {
+            "size_factor": 2 if quaternionic or self.algebra == "sp" else 1,
+            "signature_rule": signature,
+            # gl: both parities under a signature, none otherwise; so and sp:
+            # the self-paired parity, the other one in a quaternionic form
+            "signed_parities": ((0, 1) if signature else ()) if gl
+            else (SELF_PAIRED_PARITY[self.algebra] ^ quaternionic,),
+            "forced_split": forced,
+            "compact_rows": 0 if forced else 1,
+        }
+        derived["signed_factor"], derived["unsigned_factor"] = _FACTORS[gl, quaternionic]
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def arity(self) -> int:
@@ -84,60 +117,30 @@ class FamilySpec:
 
 
 _SPECS = (
-    FamilySpec(
-        tag="su", template="su({},{})", letters="pq", size_factor=1, algebra="gl",
-        quaternionic=False, signed_parities=(0, 1), forced_split=False, signature_rule=True,
-        signed_factor=lambda a, b: f"u({a},{b})", unsigned_factor=None, compact_rows=0,
-        dim_h=lambda p, q: p * p + q * q - 1, ss_rank=min,
-        hermitian=lambda p, q: True, root_mults=lambda p, q: (2, 2 * abs(q - p), 1),
-        subtube=lambda p, q: None if p == q else (min(p, q),) * 2,
-    ),
-    FamilySpec(
-        tag="sl", template="sl({},R)", letters="n", size_factor=1, algebra="gl",
-        quaternionic=False, signed_parities=(), forced_split=False, signature_rule=False,
-        signed_factor=None, unsigned_factor=lambda r: f"gl({r},R)", compact_rows=1,
-        dim_h=lambda n: n * (n - 1) // 2, ss_rank=lambda n: n - 1,
-        hermitian=lambda n: n == 2, root_mults=lambda n: (1,), subtube=None,
-    ),
-    FamilySpec(
-        tag="sustar", template="su*({})", letters="m", size_factor=2, algebra="gl",
-        quaternionic=True, signed_parities=(), forced_split=False, signature_rule=False,
-        signed_factor=None, unsigned_factor=lambda r: f"u*({2 * r})", compact_rows=1,
-        dim_h=lambda m: m * (2 * m + 1), ss_rank=lambda m: m - 1,
-        hermitian=lambda m: False, root_mults=lambda m: (4,), subtube=None,
-    ),
-    FamilySpec(
-        tag="so", template="so({},{})", letters="pq", size_factor=1, algebra="so",
-        quaternionic=False, signed_parities=(1,), forced_split=True, signature_rule=True,
-        signed_factor=lambda a, b: f"so({a},{b})", unsigned_factor=lambda r: f"sp({r},R)",
-        compact_rows=0, dim_h=lambda p, q: p * (p - 1) // 2 + q * (q - 1) // 2,
-        ss_rank=min, hermitian=lambda p, q: 2 in (p, q),
-        root_mults=lambda p, q: (1, abs(q - p), 0), subtube=None,
-    ),
-    FamilySpec(
-        tag="sostar", template="so*({})", letters="m", size_factor=2, algebra="so",
-        quaternionic=True, signed_parities=(0,), forced_split=False, signature_rule=False,
-        signed_factor=lambda a, b: f"sp({2 * a},{2 * b})",
-        unsigned_factor=lambda r: f"so*({2 * r})", compact_rows=1,
-        dim_h=lambda m: m * m, ss_rank=lambda m: m // 2,
-        hermitian=lambda m: True, root_mults=lambda m: (4, 4 * (m % 2), 1),
-        subtube=lambda m: (m - 1,) if m % 2 else None,
-    ),
-    FamilySpec(
-        tag="spr", template="sp({},R)", letters="n", size_factor=2, algebra="sp",
-        quaternionic=False, signed_parities=(0,), forced_split=True, signature_rule=False,
-        signed_factor=lambda a, b: f"so({a},{b})", unsigned_factor=lambda r: f"sp({r},R)",
-        compact_rows=0, dim_h=lambda n: n * n, ss_rank=lambda n: n,
-        hermitian=lambda n: True, root_mults=lambda n: (1, 0, 1), subtube=None,
-    ),
-    FamilySpec(
-        tag="sp", template="sp({},{})", letters="pq", size_factor=2, algebra="sp",
-        quaternionic=True, signed_parities=(1,), forced_split=False, signature_rule=True,
-        signed_factor=lambda a, b: f"sp({2 * a},{2 * b})",
-        unsigned_factor=lambda r: f"so*({2 * r})", compact_rows=1,
-        dim_h=lambda p, q: p * (2 * p + 1) + q * (2 * q + 1), ss_rank=min, subtube=None,
-        hermitian=lambda p, q: False, root_mults=lambda p, q: (4, 4 * abs(q - p), 3),
-    ),
+    FamilySpec(tag="su", template="su({},{})", letters="pq", algebra="gl", quaternionic=False,
+               dim_h=lambda p, q: p * p + q * q - 1, ss_rank=min,
+               hermitian=lambda p, q: True, root_mults=lambda p, q: (2, 2 * abs(q - p), 1),
+               subtube=lambda p, q: None if p == q else (min(p, q),) * 2),
+    FamilySpec(tag="sl", template="sl({},R)", letters="n", algebra="gl", quaternionic=False,
+               dim_h=lambda n: n * (n - 1) // 2, ss_rank=lambda n: n - 1,
+               hermitian=lambda n: n == 2, root_mults=lambda n: (1,), subtube=None),
+    FamilySpec(tag="sustar", template="su*({})", letters="m", algebra="gl", quaternionic=True,
+               dim_h=lambda m: m * (2 * m + 1), ss_rank=lambda m: m - 1,
+               hermitian=lambda m: False, root_mults=lambda m: (4,), subtube=None),
+    FamilySpec(tag="so", template="so({},{})", letters="pq", algebra="so", quaternionic=False,
+               dim_h=lambda p, q: p * (p - 1) // 2 + q * (q - 1) // 2,
+               ss_rank=min, hermitian=lambda p, q: 2 in (p, q),
+               root_mults=lambda p, q: (1, abs(q - p), 0), subtube=None),
+    FamilySpec(tag="sostar", template="so*({})", letters="m", algebra="so", quaternionic=True,
+               dim_h=lambda m: m * m, ss_rank=lambda m: m // 2,
+               hermitian=lambda m: True, root_mults=lambda m: (4, 4 * (m % 2), 1),
+               subtube=lambda m: (m - 1,) if m % 2 else None),
+    FamilySpec(tag="spr", template="sp({},R)", letters="n", algebra="sp", quaternionic=False,
+               dim_h=lambda n: n * n, ss_rank=lambda n: n,
+               hermitian=lambda n: True, root_mults=lambda n: (1, 0, 1), subtube=None),
+    FamilySpec(tag="sp", template="sp({},{})", letters="pq", algebra="sp", quaternionic=True,
+               dim_h=lambda p, q: p * (2 * p + 1) + q * (2 * q + 1), ss_rank=min, subtube=None,
+               hermitian=lambda p, q: False, root_mults=lambda p, q: (4, 4 * abs(q - p), 3)),
 )
 
 #: Classical families by tag, in the order of the classification.

@@ -362,7 +362,8 @@ def compact_candidates(family: str, params: Tuple[int, ...]) -> Iterator[Partiti
     """The partitions of the form whose centralizer can be compact,
     descending, with no sign data built.  The walk cuts every branch that
     one_sign_data would leave without a datum.  It keeps the form's parity
-    rule, at most compact_rows rows on each unsigned part, as many unsigned
+    rule, at most FamilySpec.compact_rows rows on each unsigned part (0
+    where the split is forced, else 1, as derived there), as many unsigned
     parts as FamilySpec.compact_unsigned allows, and, under the signature
     rule, the (plus, minus) box counts that one sign per signed part
     reaches within (p, q); a leaf holds p + q boxes, so the one count left

@@ -162,10 +162,10 @@ class CentralizerRealForm:
 
 
 def centralizer_realform(signed: SignedPartitionData) -> CentralizerRealForm:
-    """Factor list and compactness per the signed-data conventions.
-
-    su: s(sum u(p_i,q_i)); sl: s(sum gl(r_i,R)); su*: s(sum u*(2 r_i));
-    so: sp(r_i,R) on even parts + so(p_i,q_i) on odd; sp(2n,R) the mirror;
+    """Factor list and compactness per the signed-data conventions, with
+    the factor names FamilySpec derives from (gl, quaternionic).  su:
+    s(sum u(p_i,q_i)); sl: s(sum gl(r_i,R)); su*: s(sum u*(2 r_i)); so:
+    sp(r_i,R) on even parts + so(p_i,q_i) on odd; sp(2n,R) the mirror;
     so*: sp(2p_i,2q_i) on even + so*(2 r_i) on odd; sp(2p,2q) the mirror.
     """
     spec = FAMILIES[signed.family]
