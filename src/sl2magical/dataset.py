@@ -7,9 +7,11 @@ comes from the published tables of Djokovic.  This module ships the rows
 the classification consults as one-record-per-line JSON and re-derives
 every complex quantity (the multiplicities n_j, dim c, dim V_even) from
 the diagram at load time; only genuinely real data is trusted from the
-file, and none that an identity fixes.  A record's verdict is the one
-criterion of the magical module, on the diagram's dims and the
-centralizer's compactness.
+file, and none that an identity fixes.  Each factor of a centralizer
+string has a fixed (dim h, dim m), and the sums must be (dim_c_cap_h,
+dim c - dim_c_cap_h).  A record's verdict is the one criterion of the
+magical module, on the diagram's dims and the centralizer's compactness,
+dim m = 0.
 """
 
 from __future__ import annotations
@@ -39,48 +41,38 @@ _OPTIONAL_KEYS = ("dim_V_cap_h", "dim_c_cap_h")
 
 _FACTOR_RE = re.compile(r"^(so|su|sp|u)\((\d+)(?:,(\d+))?\)$")
 
-#: dim of the compact group attached to a single-argument factor name.
-_COMPACT_DIM = {
-    "so": lambda n: n * (n - 1) // 2,
-    "su": lambda n: n * n - 1,
-    "sp": lambda n: n * (2 * n + 1),
-    "u": lambda n: n * n,
+#: Per factor name: the dim of its compact group of size n, and the dim m
+#: per a*b of its two-argument real form, whose dim h is the rest; a
+#: one-argument factor is the compact group, b = 0.
+_FACTOR_DIMS = {
+    "so": (lambda n: n * (n - 1) // 2, 1),
+    "su": (lambda n: n * n - 1, 2),
+    "sp": (lambda n: n * (2 * n + 1), 4),
+    "u": (lambda n: n * n, 2),
 }
 
 
-def _parse_factor(token: str) -> Tuple[bool, Optional[int]]:
-    """(is_compact, dim of the compact part when known)."""
+def _factor_dims(token: str) -> Tuple[int, int]:
+    """(dim h, dim m) of one factor: R, or so, su, sp or u of n or of a,b,
+    of size n or a + b at least 1 (su(0) would count -1)."""
     if token == "R":
-        return False, 0
+        return 0, 1
     m = _FACTOR_RE.match(token)
     if not m:
         raise DatasetSchemaError(f"unrecognized centralizer factor {token!r}")
-    name, first, second = m.group(1), int(m.group(2)), m.group(3)
-    if second is None:
-        return True, _COMPACT_DIM[name](first)
-    a, b = first, int(second)
-    if a == 0 or b == 0:
-        return True, _COMPACT_DIM[name](a + b)
-    return False, None
+    compact_dim, per_ab = _FACTOR_DIMS[m.group(1)]
+    a, b = int(m.group(2)), int(m.group(3) or 0)
+    if a + b < 1:
+        raise DatasetSchemaError(f"centralizer factor {token!r} has size 0")
+    return compact_dim(a + b) - per_ab * a * b, per_ab * a * b
 
 
 def parse_centralizer(text: str) -> CentralizerRealForm:
     tokens = tuple(t.strip() for t in text.split("+"))
     if not all(tokens):
         raise DatasetSchemaError(f"malformed centralizer string {text!r}")
-    compact = all(_parse_factor(t)[0] for t in tokens)
-    return CentralizerRealForm(factors=tokens, is_compact=compact)
-
-
-def _compact_part_dim(cz: CentralizerRealForm) -> Optional[int]:
-    total = 0
-    for token in cz.factors:
-        is_compact, dim = _parse_factor(token)
-        if dim is None:
-            return None
-        if is_compact:
-            total += dim
-    return total
+    dims = [_factor_dims(t) for t in tokens]
+    return CentralizerRealForm(tokens, sum(h for h, _ in dims), sum(m for _, m in dims))
 
 
 @lru_cache(maxsize=None)
@@ -181,29 +173,22 @@ def _validate(rec: ExceptionalOrbitRecord, where: str) -> None:
         raise DatasetSchemaError(
             f"{where}: dim_V_cap_h = {rec.dim_V_cap_h} exceeds dim V = {data.dim_v_rho}"
         )
-    if rec.dim_c_cap_h is None:
-        return
-    veven_m = rec.dim_Veven_cap_m
-    if not 0 <= veven_m <= rec.dim_v_even:
+    if rec.dim_c_cap_h is not None:
+        veven_m = rec.dim_Veven_cap_m
+        if not 0 <= veven_m <= rec.dim_v_even:
+            raise DatasetSchemaError(
+                f"{where}: dim_c_cap_h = {rec.dim_c_cap_h} gives dim(V_even cap m) = "
+                f"{veven_m}, outside 0..dim V_even = {rec.dim_v_even}"
+            )
+        a1 = rec.a_1
+        if a1 is not None and a1 < 0:
+            raise DatasetSchemaError(f"{where}: dim_V_cap_h = {rec.dim_V_cap_h} gives a_1 = {a1}")
+    cz, dim_c, c_h = rec.centralizer_type, data.dim_c, rec.dim_c_cap_h
+    if cz.dim_h + cz.dim_m != dim_c or c_h not in (None, cz.dim_h):
+        want = (f"of total dim c = {dim_c}" if c_h is None
+                else f"({c_h}, {dim_c - c_h}) = (dim_c_cap_h, dim c - dim_c_cap_h)")
         raise DatasetSchemaError(
-            f"{where}: dim_c_cap_h = {rec.dim_c_cap_h} gives dim(V_even cap m) = "
-            f"{veven_m}, outside 0..dim V_even = {rec.dim_v_even}"
-        )
-    a1 = rec.a_1
-    if a1 is not None and a1 < 0:
-        raise DatasetSchemaError(f"{where}: dim_V_cap_h = {rec.dim_V_cap_h} gives a_1 = {a1}")
-    if rec.centralizer_type.is_compact != (rec.dim_c_cap_h == data.dim_c):
-        raise DatasetSchemaError(
-            f"{where}: centralizer {rec.centralizer_type} is "
-            f"{'' if rec.centralizer_type.is_compact else 'not '}compact, but "
-            f"dim_c_cap_h = {rec.dim_c_cap_h} and dim c = {data.dim_c}"
-        )
-    compact_dim = _compact_part_dim(rec.centralizer_type)
-    if compact_dim is not None and compact_dim != rec.dim_c_cap_h:
-        raise DatasetSchemaError(
-            f"{where}: centralizer {rec.centralizer_type} has compact part of "
-            f"dim {compact_dim}, but dim_c_cap_h = {rec.dim_c_cap_h}"
-        )
+            f"{where}: centralizer {cz}: (dim h, dim m) = ({cz.dim_h}, {cz.dim_m}), not {want}")
 
 
 def _record_from_json(obj: Dict, where: str) -> ExceptionalOrbitRecord:

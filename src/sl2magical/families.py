@@ -3,12 +3,13 @@
 Each noncompact classical family is one FamilySpec.  It states its name
 template and parameter letters, its complex algebra (gl, so or sp),
 whether its form is quaternionic, and the closed formulas of its Cartan
-decomposition.  Its sign rules, size factor, compact row bound and
-centralizer factor names are derived once, when the spec is made, from
-the algebra's SELF_PAIRED_PARITY, the quaternionic flag and the arity,
-by the signed-Young-diagram and centralizer rules of Collingwood-McGovern,
-Thms 9.3.3-9.3.5.  The signed-data enumerator, descriptors and
-centralizers read these facts instead of branching on the tag.
+decomposition.  Its sign rules, size factor, trace line and centralizer
+factors, each a name with its (dim h, dim m), are derived once, when the
+spec is made, from the algebra's SELF_PAIRED_PARITY, the quaternionic
+flag and the arity, by the signed-Young-diagram and centralizer rules of
+Collingwood-McGovern, Thms 9.3.3-9.3.5.  The signed-data enumerator,
+descriptors and centralizers read these facts instead of branching on
+the tag; a centralizer is compact when its dim m is 0.
 
 Rows of length i count r_i: the Jordan multiplicity, halved for the
 quaternionic families.  Parts of a signed parity split their rows by
@@ -27,16 +28,28 @@ from .rootsystems import SELF_PAIRED_PARITY, LieType
 Params = Tuple[int, ...]
 
 
-#: Centralizer factor names, keyed by (algebra is gl, quaternionic): the
-#: signed factor of a part split (a, b) and the unsigned factor of a part
-#: with r_i rows (Collingwood-McGovern, Thms 9.3.3-9.3.5).  su*(2m) has no
-#: signed parts.
+#: Centralizer factors, keyed by (algebra is gl, quaternionic): the signed
+#: factor of a part split (a, b) and the unsigned factor of a part with r_i
+#: rows, each its name and its (dim h, dim m) (Collingwood-McGovern, Thms
+#: 9.3.3-9.3.5).  sp(r,R) takes the matrix size r, which is even there.
+#: su*(2m) has no signed parts.
 _FACTORS = {
-    (True, False): (lambda a, b: f"u({a},{b})", lambda r: f"gl({r},R)"),
-    (True, True): (None, lambda r: f"u*({2 * r})"),
-    (False, False): (lambda a, b: f"so({a},{b})", lambda r: f"sp({r},R)"),
-    (False, True): (lambda a, b: f"sp({2 * a},{2 * b})", lambda r: f"so*({2 * r})"),
+    (True, False): (
+        (lambda a, b: f"u({a},{b})", lambda a, b: (a * a + b * b, 2 * a * b)),
+        (lambda r: f"gl({r},R)", lambda r: (r * (r - 1) // 2, r * (r + 1) // 2))),
+    (True, True): (
+        None,
+        (lambda r: f"u*({2 * r})", lambda r: (r * (2 * r + 1), r * (2 * r - 1)))),
+    (False, False): (
+        (lambda a, b: f"so({a},{b})", lambda a, b: (a * (a - 1) // 2 + b * (b - 1) // 2, a * b)),
+        (lambda r: f"sp({r},R)", lambda r: (r * r // 4, r * (r + 2) // 4))),
+    (False, True): (
+        (lambda a, b: f"sp({2 * a},{2 * b})",
+         lambda a, b: (a * (2 * a + 1) + b * (2 * b + 1), 4 * a * b)),
+        (lambda r: f"so*({2 * r})", lambda r: (r * r, r * (r - 1)))),
 }
+
+Factor = Tuple[Callable[..., str], Callable[..., Tuple[int, int]]]  # name, (dim h, dim m)
 
 
 @dataclass(frozen=True)
@@ -59,13 +72,12 @@ class FamilySpec:
     signature_rule: bool = field(init=False)  # the plus boxes add up to the first parameter
     signed_parities: Tuple[int, ...] = field(init=False)  # parities i % 2 with a sign split
     forced_split: bool = field(init=False)  # the other parts split (r_i/2, r_i/2)
-    compact_rows: int = field(init=False)  # an unsigned factor is compact while r_i <= this
-    signed_factor: Optional[Callable[[int, int], str]] = field(init=False)  # compact: a or b is 0
-    unsigned_factor: Callable[[int], str] = field(init=False)
+    trace: Tuple[int, int] = field(init=False)  # the (dim h, dim m) line s(...) removes
+    signed_factor: Optional[Factor] = field(init=False)  # of a split (a, b)
+    unsigned_factor: Factor = field(init=False)  # of r_i rows
 
     def __post_init__(self) -> None:
         gl, quaternionic, signature = self.algebra == "gl", self.quaternionic, self.arity == 2
-        forced = not (gl or quaternionic)
         derived = {
             "size_factor": 2 if quaternionic or self.algebra == "sp" else 1,
             "signature_rule": signature,
@@ -73,8 +85,9 @@ class FamilySpec:
             # the self-paired parity, the other one in a quaternionic form
             "signed_parities": ((0, 1) if signature else ()) if gl
             else (SELF_PAIRED_PARITY[self.algebra] ^ quaternionic,),
-            "forced_split": forced,
-            "compact_rows": 0 if forced else 1,
+            "forced_split": not (gl or quaternionic),
+            # the centers of u(a,b) are compact, those of gl(r,R) and u*(2r) split
+            "trace": ((1, 0) if signature else (0, 1)) if gl else (0, 0),
         }
         derived["signed_factor"], derived["unsigned_factor"] = _FACTORS[gl, quaternionic]
         for name, value in derived.items():
@@ -88,12 +101,6 @@ class FamilySpec:
     def wrapped(self) -> bool:
         """Whether a triple's centralizer sits in s(...): the gl-type families."""
         return self.algebra == "gl"
-
-    def compact_unsigned(self, count: int) -> bool:
-        """Whether a centralizer with count sign-free factors can be compact.
-        Inside s(...) each sign-free factor carries a real line, and the
-        trace condition removes only one of them."""
-        return count <= 1 or not self.wrapped
 
     @property
     def symbol(self) -> str:

@@ -362,40 +362,44 @@ def compact_candidates(family: str, params: Tuple[int, ...]) -> Iterator[Partiti
     """The partitions of the form whose centralizer can be compact,
     descending, with no sign data built.  The walk cuts every branch that
     one_sign_data would leave without a datum.  It keeps the form's parity
-    rule, at most FamilySpec.compact_rows rows on each unsigned part (0
-    where the split is forced, else 1, as derived there), as many unsigned
-    parts as FamilySpec.compact_unsigned allows, and, under the signature
-    rule, the (plus, minus) box counts that one sign per signed part
-    reaches within (p, q); a leaf holds p + q boxes, so the one count left
-    there is (p, q).  These are centralizer_realform's compactness rules,
-    so the walk is exact: its partitions' one-sign data are the form's data
-    with a compact centralizer (tests/test_orbits.py checks size <= 10).
+    rule, a running dim m of the unsigned factors (FamilySpec's table)
+    within the trace line of s(...), since a signed factor with one sign,
+    u(r,0), so(r,0) or sp(2r,0), lies in h, and, under the signature rule,
+    the (plus, minus) box counts that one sign per signed part reaches
+    within (p, q); a leaf holds p + q boxes, so the one count left there
+    is (p, q).  A compact centralizer is one of dim m 0 net of the trace
+    line, so the walk is exact: its partitions' one-sign data are the
+    form's data with a compact centralizer (tests/test_orbits.py checks
+    size <= 10).
     """
     spec = family_spec(family, params)
     allowed = _PARITY_RULES[spec.algebra, spec.quaternionic]
     bound = params if spec.signature_rule else None
+    # bound once: step runs for each part of each branch the walk tries
+    signed, rows_of, unsigned_dims = spec.signed_parities, spec.rows, spec.unsigned_factor[1]
+    budget = spec.trace[1]
 
     def step(state: Tuple[int, Set[Tuple[int, int]]], k: int,
              m: int) -> Optional[Tuple[int, Set[Tuple[int, int]]]]:
-        unsigned, reach = state
+        dim_m, reach = state
         if allowed is not None and not allowed(k, m):
             return None
-        rows = spec.rows(m)
-        if k % 2 in spec.signed_parities:
+        rows = rows_of(m)
+        if k % 2 in signed:
             up, down = (k + 1) // 2 * rows, k // 2 * rows
             moves = ((up, down), (down, up))
-        elif rows <= spec.compact_rows and spec.compact_unsigned(unsigned + 1):
-            unsigned += 1
-            moves = ((k // 2 * rows,) * 2,)  # even k under the signature rule
         else:
-            return None
+            dim_m += unsigned_dims(rows)[1]
+            if dim_m > budget:
+                return None
+            moves = ((k // 2 * rows,) * 2,)  # even k under the signature rule
         if bound:
             p, q = bound
             reach = {(a + da, b + db) for a, b in reach for da, db in moves
                      if a + da <= p and b + db <= q}
             if not reach:
                 return None
-        return unsigned, reach
+        return dim_m, reach
 
     return (Partition(parts) for parts, _ in _walk(spec.size(params), step, (0, {(0, 0)})))
 

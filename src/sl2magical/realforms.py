@@ -7,9 +7,9 @@ stored ranks are validated by a restricted-root checksum: the rank plus
 the total multiplicity of the positive restricted roots must equal dim m.
 
 Centralizers of triples are assembled factor-by-factor from signed
-partition data, with compactness decided by the closed per-family
-conditions (definite unitary/orthogonal/quaternionic factors are compact,
-split and star factors of positive rank are not).
+partition data.  Each factor name of families.FamilySpec comes with its
+(dim h, dim m), so a centralizer carries the two sums, net of the trace
+line of s(...), and it is compact exactly when its dim m is 0.
 """
 
 from __future__ import annotations
@@ -148,11 +148,17 @@ def milnor_wood(d: RealFormDescriptor, genus: int) -> int:
 
 @dataclass(frozen=True)
 class CentralizerRealForm:
-    """Reductive centralizer of a triple inside the real form."""
+    """Reductive centralizer of a triple inside the real form, with the
+    dims of its intersections with h and m."""
 
     factors: Tuple[str, ...]
-    is_compact: bool
+    dim_h: int
+    dim_m: int
     wrapped: bool = False  # True when the factors sit inside an s(...) trace condition
+
+    @property
+    def is_compact(self) -> bool:
+        return self.dim_m == 0
 
     def __str__(self) -> str:
         if not self.factors:
@@ -162,25 +168,21 @@ class CentralizerRealForm:
 
 
 def centralizer_realform(signed: SignedPartitionData) -> CentralizerRealForm:
-    """Factor list and compactness per the signed-data conventions, with
-    the factor names FamilySpec derives from (gl, quaternionic).  su:
+    """Factor list and dims per the signed-data conventions, with the
+    factors FamilySpec derives from (gl, quaternionic).  su:
     s(sum u(p_i,q_i)); sl: s(sum gl(r_i,R)); su*: s(sum u*(2 r_i)); so:
     sp(r_i,R) on even parts + so(p_i,q_i) on odd; sp(2n,R) the mirror;
     so*: sp(2p_i,2q_i) on even + so*(2 r_i) on odd; sp(2p,2q) the mirror.
     """
     spec = FAMILIES[signed.family]
-    factors = []
-    compact = True
-    unsigned = 0
+    factors, dim_h, dim_m = [], 0, 0
     for i in sorted(signed.partition.multiplicities(), reverse=True):
         if i % 2 in spec.signed_parities:
-            a, b = signed.sign_split(i)
-            factors.append(spec.signed_factor(a, b))
-            compact = compact and (a == 0 or b == 0)
+            args, (name, dims) = signed.sign_split(i), spec.signed_factor
         else:
-            r = signed.row_count(i)
-            factors.append(spec.unsigned_factor(r))
-            compact = compact and r <= spec.compact_rows
-            unsigned += 1
-    compact = compact and spec.compact_unsigned(unsigned)
-    return CentralizerRealForm(tuple(factors), compact, wrapped=spec.wrapped)
+            args, (name, dims) = (signed.row_count(i),), spec.unsigned_factor
+        factors.append(name(*args))
+        h, m = dims(*args)
+        dim_h, dim_m = dim_h + h, dim_m + m
+    line_h, line_m = spec.trace
+    return CentralizerRealForm(tuple(factors), dim_h - line_h, dim_m - line_m, spec.wrapped)

@@ -178,11 +178,16 @@ def test_missing_shipped_file(monkeypatch):
     (lambda r: r.update(extra_column=1), "unknown"),
     (lambda r: r.update(dim_Veven_cap_m=8), "unknown fields ['dim_Veven_cap_m']"),
     (lambda r: r.update(dim_c_cap_h=21, centralizer="so(7)"),
-     "so(7) is compact, but dim_c_cap_h = 21 and dim c = 22"),
+     "so(7): (dim h, dim m) = (21, 0), not (21, 1)"),
     (lambda r: r.update(dim_c_cap_h=10, centralizer="su(2,1)"),
      "gives dim(V_even cap m) = -4, outside 0..dim V_even = 8"),
     (lambda r: r.update(centralizer="su(2,1)"),
-     "su(2,1) is not compact, but dim_c_cap_h = 22 and dim c = 22"),
+     "su(2,1): (dim h, dim m) = (4, 4), not (22, 0)"),
+    # consistent in compactness, but su(2,1) has dim 8, not dim c = 22
+    (lambda r: r.update(dim_c_cap_h=21, centralizer="su(2,1)"),
+     "su(2,1): (dim h, dim m) = (4, 4), not (21, 1)"),
+    (lambda r: (r.pop("dim_c_cap_h"), r.update(centralizer="su(2,1)")),
+     "su(2,1): (dim h, dim m) = (4, 4), not of total dim c = 22"),
     (lambda r: r.update(centralizer="xyz(3)"), "centralizer"),
     # JSON true and false load as Python bools, which are ints
     (lambda r: r.update(wdd=[True, False, False, False, False, True]), "wdd must be a list"),
@@ -230,16 +235,19 @@ def test_duplicate_record_names_both_lines(tmp_path):
 
 
 def test_centralizer_parsing():
-    c = parse_centralizer("so(7)+so(2)")
-    assert c.is_compact
-    c = parse_centralizer("so(7)+R")
-    assert not c.is_compact
-    c = parse_centralizer("su(2,1)")
-    assert not c.is_compact
-    c = parse_centralizer("sp(3)+u(1)")
-    assert c.is_compact
+    """(dim h, dim m) of each factor, summed; compact iff dim m = 0.  su(2,1)
+    is su(3) of dim 8 with m of dim 2ab = 4; so(2,1), sp(1,1) and u(1,1)
+    have m of dim ab, 4ab and 2ab in so(3), sp(2) and u(2)."""
+    dims = {"so(7)+so(2)": (22, 0), "so(7)+R": (21, 1), "su(2,1)": (4, 4),
+            "sp(3)+u(1)": (22, 0), "so(2,1)+sp(1,1)+u(1,1)+R": (9, 9)}
+    for text, (h, m) in dims.items():
+        c = parse_centralizer(text)
+        assert (c.dim_h, c.dim_m, c.is_compact) == (h, m, m == 0), text
     with pytest.raises(DatasetSchemaError):
         parse_centralizer("so(7)+magic(3)")
+    # su(0) would count -1 and cancel the u(1) beside it
+    with pytest.raises(DatasetSchemaError, match="'su\\(0\\)' has size 0"):
+        parse_centralizer("so(7)+so(2)+su(0)+u(1)")
 
 
 def test_compact_dimension_cross_check(tmp_path):

@@ -7,8 +7,10 @@ import pytest
 from sl2magical.errors import DomainError
 from sl2magical.families import FAMILIES, family_spec
 from sl2magical.magical import family_parameter_space
+from sl2magical.matrixoracle import oracle_sigma_split
 from sl2magical.orbits import Partition, enumerate_partitions, enumerate_signed_data
 from sl2magical.realforms import centralizer_realform, describe
+from sl2magical.sl2data import closed_dims
 
 
 def test_one_spec_per_classical_tag():
@@ -58,34 +60,29 @@ def test_gl_type_centralizer_compact_only_with_one_real_line():
 
 # The sign rules and centralizer factors of each family, written out from
 # Collingwood-McGovern, Thms 9.3.3-9.3.5: signed parities, forced split,
-# signature rule, size factor, signed_factor(1, 2) (None: no signed part)
-# and unsigned_factor(3).  sl's signed and su's unsigned name follow from
-# the gl row of the factor table; neither family has such a part.
+# signature rule, size factor, the (dim h, dim m) line that s(...) removes,
+# and the name and (dim h, dim m) of signed_factor(1, 2) (None: no signed
+# part) and of unsigned_factor(4).  dim h is that of the factor's maximal
+# compact subalgebra.  sl's signed and su's unsigned factor follow from the
+# gl row of the factor table; neither family has such a part.
 SIGN_RULES = {
-    "su": ((0, 1), False, True, 1, "u(1,2)", "gl(3,R)"),
-    "sl": ((), False, False, 1, "u(1,2)", "gl(3,R)"),
-    "sustar": ((), False, False, 2, None, "u*(6)"),
-    "so": ((1,), True, True, 1, "so(1,2)", "sp(3,R)"),
-    "sostar": ((0,), False, False, 2, "sp(2,4)", "so*(6)"),
-    "spr": ((0,), True, False, 2, "so(1,2)", "sp(3,R)"),
-    "sp": ((1,), False, True, 2, "sp(2,4)", "so*(6)"),
+    "su": ((0, 1), False, True, 1, (1, 0), ("u(1,2)", (5, 4)), ("gl(4,R)", (6, 10))),
+    "sl": ((), False, False, 1, (0, 1), ("u(1,2)", (5, 4)), ("gl(4,R)", (6, 10))),
+    "sustar": ((), False, False, 2, (0, 1), None, ("u*(8)", (36, 28))),
+    "so": ((1,), True, True, 1, (0, 0), ("so(1,2)", (1, 2)), ("sp(4,R)", (4, 6))),
+    "sostar": ((0,), False, False, 2, (0, 0), ("sp(2,4)", (13, 8)), ("so*(8)", (16, 12))),
+    "spr": ((0,), True, False, 2, (0, 0), ("so(1,2)", (1, 2)), ("sp(4,R)", (4, 6))),
+    "sp": ((1,), False, True, 2, (0, 0), ("sp(2,4)", (13, 8)), ("so*(8)", (16, 12))),
 }
 
 
 @pytest.mark.parametrize("tag", sorted(FAMILIES))
 def test_derived_sign_rules_and_factors(tag):
     spec = FAMILIES[tag]
-    signed = spec.signed_factor(1, 2) if spec.signed_factor else None
+    signed = tuple(f(1, 2) for f in spec.signed_factor) if spec.signed_factor else None
+    unsigned = tuple(f(4) for f in spec.unsigned_factor)
     assert (spec.signed_parities, spec.forced_split, spec.signature_rule, spec.size_factor,
-            signed, spec.unsigned_factor(3)) == SIGN_RULES[tag]
-
-
-def test_derived_compact_rows():
-    # an unsigned factor with a forced balanced split is split, hence never
-    # compact; otherwise it is compact with one row (u*(2), so*(2), gl(1,R)
-    # inside s(...)).  su has no unsigned part, so its bound is never read.
-    assert {tag: spec.compact_rows for tag, spec in FAMILIES.items() if tag != "su"} == {
-        "sl": 1, "sustar": 1, "so": 0, "sostar": 1, "spr": 0, "sp": 1}
+            spec.trace, signed, unsigned) == SIGN_RULES[tag]
 
 
 def test_su_data_never_reach_the_unsigned_branch():
@@ -103,18 +100,36 @@ def test_centralizer_digest():
     """str(centralizer_realform(d)) and is_compact of every signed datum of
     every form of size <= 8, compact or not, hashed to the digest recorded
     while each family still stated its sign rules and factor names by hand:
-    69 forms, 1,861 data, 575 compact."""
+    69 forms, 1,861 data, 575 compact.  The factors' dims, net of the trace
+    line, sum to the closed formula's dim c on each."""
     digest = hashlib.sha256()
     forms = data = compact = 0
     for family in FAMILIES:
         for params in family_parameter_space(family, 8):
             forms += 1
-            for p in enumerate_partitions(describe(family, params).ambient):
+            ambient = describe(family, params).ambient
+            for p in enumerate_partitions(ambient):
                 for d in enumerate_signed_data(family, params, p):
                     c = centralizer_realform(d)
+                    assert c.dim_h + c.dim_m == closed_dims(ambient, p)[0], d
                     digest.update(f"{family} {params} {d} {c} {c.is_compact}\n".encode())
                     data += 1
                     compact += c.is_compact
     assert (forms, data, compact) == (69, 1861, 575)
     assert digest.hexdigest() == (
         "5232c7ab2b1ab7e1c1d52643be84e07c68586435779550d2c7283c3340b541d4")
+
+
+def test_centralizer_dims_are_the_oracle_split():
+    """On su and sl, the factors' (dim h, dim m), net of the trace line,
+    are the oracle's split of c = V_0 by the Cartan involution, on each of
+    the 869 signed data of size <= 10."""
+    checked = 0
+    for family in ("su", "sl"):
+        for params in family_parameter_space(family, 10):
+            for p in enumerate_partitions(describe(family, params).ambient):
+                for d in enumerate_signed_data(family, params, p):
+                    c = centralizer_realform(d)
+                    assert (c.dim_h, c.dim_m) == oracle_sigma_split(d).split_at(0), d
+                    checked += 1
+    assert checked == 869

@@ -174,7 +174,7 @@ def test_status_consistency_guard():
         (False, False, True): not_magical,
         (False, False, False): not_magical,
     }
-    cz = CentralizerRealForm(factors=("u(1)",), is_compact=True, wrapped=False)
+    cz = CentralizerRealForm(factors=("u(1)",), dim_h=1, dim_m=0, wrapped=False)
     for (compact, equal, even), verdict in cases.items():
         w = Witness(m_minus_h=2, g0_minus_2c=2 if equal else -2,
                     centralizer_compact=compact, even_triple=even)
