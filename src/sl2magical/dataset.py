@@ -210,12 +210,16 @@ def _record_from_json(obj: Dict, where: str) -> ExceptionalOrbitRecord:
     for key in ("realform", "centralizer", "source_row"):
         if not isinstance(obj[key], str):
             raise DatasetSchemaError(f"{where}: {key} must be a string")
+    try:
+        centralizer = parse_centralizer(obj["centralizer"])
+    except DatasetSchemaError as exc:
+        raise DatasetSchemaError(f"{where}: {exc}") from None
     rec = ExceptionalOrbitRecord(
         realform=obj["realform"],
         wdd=tuple(wdd),
         dim_V_cap_h=obj.get("dim_V_cap_h"),
         dim_c_cap_h=obj.get("dim_c_cap_h"),
-        centralizer_type=parse_centralizer(obj["centralizer"]),
+        centralizer_type=centralizer,
         source_row=obj["source_row"],
     )
     _validate(rec, where)

@@ -114,6 +114,14 @@ class FamilySpec:
     def size(self, params: Params) -> int:
         return self.size_factor * sum(params)
 
+    def s(self, params: Params) -> int:
+        """dim m - dim h of the form, dim g less twice dim h, at any size:
+        describe refuses the compact forms and those below the rank
+        window, which the classify walk's rows so far may span."""
+        n, algebra = self.size(params), self.algebra
+        dim_g = n * n - 1 if algebra == "gl" else n * (n - 1 if algebra == "so" else n + 1) // 2
+        return dim_g - 2 * self.dim_h(*params)
+
     def complexification(self, params: Params) -> LieType:
         return LieType.classical(self.algebra, self.size(params))
 

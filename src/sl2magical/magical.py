@@ -16,10 +16,9 @@ orbit_witness the one place a witness is built, for the classical
 partitions and the curated exceptional records alike; every verdict the
 package reports is read from a witness.
 
-The scan in classify_family walks the orbits of a family, within a size
-bound, whose centralizer can be compact.  It decides each partition's
-half of the witness first and builds sign data and centralizers only
-where that half can pass.
+The scan in classify_family walks, within a size bound, only the
+partitions of a family's forms that carry a compact sign datum on which
+the equality holds, and reads each verdict from a witness there.
 
 Real forms that admit an even magical triple fall into four families:
 split forms, Hermitian tube-type forms whose complexification is
@@ -39,7 +38,7 @@ from .orbits import (
     OrbitLabel,
     Partition,
     SignedPartitionData,
-    compact_candidates,
+    magical_candidates,
     one_sign_data,
     orbit_labels,
 )
@@ -160,10 +159,14 @@ def classify_realform(family: str, params: Params) -> Tuple[ClassifiedOrbit, ...
     """All magical orbits of one real form, sorted by orbit label (the
     walk's descending partition order).
 
-    The scan walks only the partitions whose centralizer can be compact
-    (orbits.compact_candidates), decides each one's half of the witness
-    first (partition_witness), and builds one-sign data and centralizers
-    only where that half can pass; each verdict is read from a witness.
+    The scan walks only the partitions with a compact sign datum of gap
+    g_0 - 2c - s = 0 (orbits.magical_candidates): it cuts a branch once
+    its rows so far have a positive gap, since by the even-weight identity
+    the gap of a compact datum is twice the h-part of ker ad_e in the even
+    weights >= 2, which rows only add to, and it reads compactness off the
+    centralizer factor table (Collingwood-McGovern, 9.3).  Each leaf's
+    half of the witness (partition_witness) and each one-sign datum's
+    centralizer still decide: every verdict is read from a witness.
     Very even D partitions contribute both tagged labels; the verdict is a
     function of the partition and signs alone, so the pair agrees.  The
     sign data of one partition share its parity and dimension count, so
@@ -171,12 +174,10 @@ def classify_realform(family: str, params: Params) -> Tuple[ClassifiedOrbit, ...
     """
     form = describe(family, tuple(params))
     rows: List[ClassifiedOrbit] = []
-    for p in compact_candidates(family, tuple(params)):
-        best = partition_witness(form, p)
-        if not best.verdict.is_magical:
-            continue
+    for p in magical_candidates(family, tuple(params)):
         data = one_sign_data(family, tuple(params), p)
-        magical = [status for status in magical_statuses(best, data) if status.verdict.is_magical]
+        magical = [status for status in magical_statuses(partition_witness(form, p), data)
+                   if status.verdict.is_magical]
         if magical:
             rows.extend(ClassifiedOrbit(family, tuple(params), label, magical[0], len(magical))
                         for label in orbit_labels(form.ambient, p))

@@ -188,6 +188,55 @@ def _walk(n: int, step: Callable[[State, int, int], Optional[State]],
     return below((), n, n, root)
 
 
+#: The running sums of closed_dims' descending pass over a multiplicity
+#: table: sum_j s_j^2, dim c, the odd rows, the opposite-parity correction
+#: and the rows, s the dual partition.
+Fold = Tuple[int, int, int, int, int]
+EMPTY_FOLD: Fold = (0, 0, 0, 0, 0)
+
+
+def _dims_fold(algebra: str) -> Tuple[Callable[[Fold, int, int], Fold],
+                                       Callable[[Fold], Tuple[int, int, int]]]:
+    """(add, dims) of the algebra: add(fold, i, r) adds a part i of
+    multiplicity r below the parts folded so far, and dims(fold) gives
+    their (dim c, dim g_0, dim V_rho) by sl2data.closed_dims' formulas."""
+    keep = SELF_PAIRED_PARITY[algebra]
+    weight = 2 if keep is None else 1
+
+    def add(fold: Fold, i: int, r: int) -> Fold:
+        sq, dim_c, odd, correction, rows = fold
+        parity = i % 2
+        return (sq + i * r * (2 * rows + r),
+                dim_c + (r * r if keep is None else r * (r - 1 if parity == keep else r + 1) // 2),
+                odd + r * parity,
+                # the larger rows of the other parity
+                correction + weight * i * r * (rows - odd if parity else odd),
+                rows + r)
+
+    def dims(fold: Fold) -> Tuple[int, int, int]:
+        sq, dim_c, odd, correction, _ = fold
+        if keep is None:
+            dim_c, dim_v_rho = dim_c - 1, sq - 1
+        else:
+            dim_v_rho = (sq + odd) // 2 if algebra == "sp" else (sq - odd) // 2
+        return dim_c, dim_v_rho - correction, dim_v_rho
+
+    return add, dims
+
+
+#: The fold of each algebra, made once.
+_FOLDS = {algebra: _dims_fold(algebra) for algebra in SELF_PAIRED_PARITY}
+
+
+def fold_dims(algebra: str, p: Partition) -> Tuple[int, int, int]:
+    """(dim c, dim g_0, dim V_rho) of p in the algebra, by the fold."""
+    add, dims = _FOLDS[algebra]
+    fold = EMPTY_FOLD
+    for i, r in p._counts.items():  # parts descending
+        fold = add(fold, i, r)
+    return dims(fold)
+
+
 def check_partition(t: LieType, p: Partition) -> str:
     """The algebra of t ("gl", "so" or "sp"), once p is known to label an
     orbit of t: t classical, p a partition of its matrix size meeting the
@@ -358,30 +407,36 @@ def enumerate_signed_data(family: str, params: Tuple[int, ...],
     return list(signed_data(family, params, p))
 
 
-def compact_candidates(family: str, params: Tuple[int, ...]) -> Iterator[Partition]:
-    """The partitions of the form whose centralizer can be compact,
-    descending, with no sign data built.  The walk cuts every branch that
-    one_sign_data would leave without a datum.  It keeps the form's parity
-    rule, a running dim m of the unsigned factors (FamilySpec's table)
-    within the trace line of s(...), since a signed factor with one sign,
-    u(r,0), so(r,0) or sp(2r,0), lies in h, and, under the signature rule,
-    the (plus, minus) box counts that one sign per signed part reaches
-    within (p, q); a leaf holds p + q boxes, so the one count left there
-    is (p, q).  A compact centralizer is one of dim m 0 net of the trace
-    line, so the walk is exact: its partitions' one-sign data are the
-    form's data with a compact centralizer (tests/test_orbits.py checks
-    size <= 10).
+def magical_candidates(family: str, params: Tuple[int, ...]) -> Iterator[Partition]:
+    """The partitions of the form's extended magical orbits, descending,
+    with no sign data built: those with a compact sign datum of gap
+    g_0 - 2c - s = 0, s = dim m - dim h.  The walk keeps the parity rule, a
+    running dim m of the unsigned factors (FamilySpec's table,
+    Collingwood-McGovern, Thms 9.3.3-9.3.5) within the trace line of
+    s(...), since a signed factor with one sign, u(r,0), so(r,0) or
+    sp(2r,0), lies in h, and the prefix forms that one sign per signed
+    part reaches: under the signature rule the (plus, minus) box counts
+    within (p, q), else the size.  It cuts a branch once the gap of its
+    rows so far, (c, g_0) by closed_dims' fold (fold_dims) and s by
+    FamilySpec.s, is positive on every reached form.  On a compact datum
+    the even-weight identity makes the gap 2 sum_{even j >= 2} dim(ker
+    ad_e cap g_j cap h), which only grows as rows are added, each row and
+    row pair spanning a sigma-stable sl2-submodule; a negative or odd gap
+    is an AssertionError.  A leaf's one reached form is the form itself,
+    so its one-sign data are the form's compact data of gap 0
+    (tests/test_orbits.py checks size <= 10).
     """
     spec = family_spec(family, params)
     allowed = _PARITY_RULES[spec.algebra, spec.quaternionic]
     bound = params if spec.signature_rule else None
     # bound once: step runs for each part of each branch the walk tries
     signed, rows_of, unsigned_dims = spec.signed_parities, spec.rows, spec.unsigned_factor[1]
-    budget = spec.trace[1]
+    budget, factor, form_s = spec.trace[1], spec.size_factor, spec.s
+    add, dims = _FOLDS[spec.algebra]
 
-    def step(state: Tuple[int, Set[Tuple[int, int]]], k: int,
-             m: int) -> Optional[Tuple[int, Set[Tuple[int, int]]]]:
-        dim_m, reach = state
+    def step(state: Tuple[int, Set[Tuple[int, ...]], Fold], k: int,
+             m: int) -> Optional[Tuple[int, Set[Tuple[int, ...]], Fold]]:
+        dim_m, reach, fold = state
         if allowed is not None and not allowed(k, m):
             return None
         rows = rows_of(m)
@@ -397,16 +452,27 @@ def compact_candidates(family: str, params: Tuple[int, ...]) -> Iterator[Partiti
             p, q = bound
             reach = {(a + da, b + db) for a, b in reach for da, db in moves
                      if a + da <= p and b + db <= q}
-            if not reach:
-                return None
-        return dim_m, reach
+        else:
+            reach = {(n + k * m // factor,) for n, in reach}
+        fold = add(fold, k, m)
+        dim_c, dim_g0, _ = dims(fold)
+        kept = set()
+        for form in reach:
+            gap = dim_g0 - 2 * dim_c - form_s(form)
+            if gap < 0 or gap % 2:
+                raise AssertionError(f"{spec.name(form)}: g_0 - 2c - s = {gap} after {k}^{m}")
+            if not gap:
+                kept.add(form)
+        return (dim_m, kept, fold) if kept else None
 
-    return (Partition(parts) for parts, _ in _walk(spec.size(params), step, (0, {(0, 0)})))
+    root = (0, {(0,) * spec.arity}, EMPTY_FOLD)
+    return (Partition(parts) for parts, _ in _walk(spec.size(params), step, root))
 
 
 def one_sign_data(family: str, params: Tuple[int, ...],
                   p: Partition) -> List[SignedPartitionData]:
-    """The sign data of a partition that compact_candidates yields in
-    which every signed part has one sign, (r,0) before (0,r)."""
+    """The sign data of a partition that magical_candidates yields in
+    which every signed part has one sign, (r,0) before (0,r): its compact
+    data, each with the gap 0 the walk read on the partition."""
     spec = family_spec(family, params)
     return list(_signed_data(spec, family, params, p, lambda r: [(r, 0), (0, r)]))

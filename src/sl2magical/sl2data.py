@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from .errors import InconsistentGradingError
-from .orbits import Partition, check_partition
-from .rootsystems import SELF_PAIRED_PARITY, GradingDims, LieType
+from .orbits import Partition, check_partition, fold_dims
+from .rootsystems import GradingDims, LieType
 
 
 @dataclass(frozen=True)
@@ -139,22 +139,7 @@ def closed_dims(t: LieType, p: Partition) -> Tuple[int, int, int]:
     with no dual built: sum_j s_j^2 = sum_i (2i - 1) lambda_i for parts
     lambda_1 >= lambda_2 >= ... (Macdonald, Symmetric Functions and Hall
     Polynomials, ch. I, (1.6)), so a part k of multiplicity r below `rows`
-    longer rows adds k r (2 rows + r).
+    longer rows adds k r (2 rows + r).  The pass is orbits.fold_dims, whose
+    fold the classify walk carries from part to part.
     """
-    algebra = check_partition(t, p)
-    keep = SELF_PAIRED_PARITY[algebra]
-    weight = 2 if algebra == "gl" else 1
-    sq = dim_c = odd = correction = rows = 0
-    above = [0, 0]  # multiplicities of the larger parts, by parity
-    for i, ri in p.multiplicities().items():  # parts descending
-        sq += i * ri * (2 * rows + ri)
-        rows += ri
-        dim_c += ri * ri if keep is None else ri * (ri - 1 if i % 2 == keep else ri + 1) // 2
-        odd += ri * (i % 2)
-        correction += weight * i * ri * above[1 - i % 2]
-        above[i % 2] += ri
-    if algebra == "gl":
-        dim_c, dim_v_rho = dim_c - 1, sq - 1
-    else:
-        dim_v_rho = (sq + odd) // 2 if algebra == "sp" else (sq - odd) // 2
-    return dim_c, dim_v_rho - correction, dim_v_rho
+    return fold_dims(check_partition(t, p), p)

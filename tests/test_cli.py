@@ -21,9 +21,9 @@ from sl2magical.magical import family_parameter_space, partition_witness
 from sl2magical.orbits import (
     Partition,
     SignedPartitionData,
-    compact_candidates,
     enumerate_partitions,
     enumerate_signed_data,
+    magical_candidates,
 )
 from sl2magical.realforms import describe
 from sl2magical.rootsystems import CLASSICAL_MIN_RANK, LieType
@@ -177,6 +177,24 @@ def test_negative_a1_dataset_exit_3(capsys, monkeypatch, tmp_path, command):
     assert err == f"error: {path}:1: dim_V_cap_h = 40 gives a_1 = -2\n"
 
 
+@pytest.mark.parametrize("centralizer,message", [
+    ("xyz(3)", "unrecognized centralizer factor 'xyz(3)'"),
+    ("so(7)+su(0)", "centralizer factor 'su(0)' has size 0"),
+], ids=["unrecognized", "size-0"])
+def test_centralizer_error_names_the_line_exit_3(capsys, monkeypatch, tmp_path,
+                                                 centralizer, message):
+    """A centralizer string the grammar refuses is reported at its file
+    and line, as every other record error is."""
+    path = tmp_path / "centralizer.jsonl"
+    path.write_text(json.dumps({
+        "realform": "E6^-14", "wdd": [1, 0, 0, 0, 0, 1], "dim_V_cap_h": 30,
+        "dim_c_cap_h": 22, "centralizer": centralizer, "source_row": "x"}) + "\n")
+    monkeypatch.setenv(DATASET_ENV, str(path))
+    code, out, err = run(capsys, "classify", "E6^-14")
+    assert (code, out) == (3, "")
+    assert err == f"error: {path}:1: {message}\n"
+
+
 def test_boolean_wdd_dataset_exit_3(capsys, monkeypatch, tmp_path):
     """JSON true and false are not the labels 1 and 0."""
     path = tmp_path / "bool.jsonl"
@@ -297,12 +315,12 @@ def test_slodowy_workload_builds_what_it_prints(capsys, monkeypatch):
 
 
 def test_classify_workload_builds_one_partition_per_walked_partition(capsys, monkeypatch):
-    """Over the classify workload, each of the 1,162 partitions the walk
-    yields on the 141 classical forms is built once (2,324 when the closed
-    dims built each one's dual), and the 12 exceptional tokens build none."""
+    """Over the classify workload, each of the 107 partitions the walk
+    yields on the 141 classical forms is built once, and the 12 exceptional
+    tokens build none."""
     workload = _classify_workload()
     leaves = sum(1 for family in FAMILIES for params in family_parameter_space(family, 12)
-                 for _ in compact_candidates(family, params))
+                 for _ in magical_candidates(family, params))
     built = []
     original = Partition.__post_init__
     monkeypatch.setattr(Partition, "__post_init__",
@@ -312,7 +330,7 @@ def test_classify_workload_builds_one_partition_per_walked_partition(capsys, mon
         before = len(built)
         run(capsys, *argv)
         per_command.append(len(built) - before)
-    assert (len(workload), leaves) == (153, 1162)
+    assert (len(workload), leaves) == (153, 107)
     assert sum(per_command[:141]) == leaves and per_command[141:] == [0] * 12
 
 

@@ -46,6 +46,7 @@ def test_scan_stays_inside_the_rank_window(tag):
         # dim gl_N - 1, so_N, sp_N by their own formulas
         assert d.dim_g_real == {"gl": n * n - 1, "so": n * (n - 1) // 2,
                                 "sp": n * (n + 1) // 2}[spec.algebra]
+        assert spec.s(params) == d.s  # the table's s, which the classify walk reads
 
 
 def test_gl_type_centralizer_compact_only_with_one_real_line():

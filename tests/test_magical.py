@@ -17,9 +17,9 @@ from sl2magical.families import FAMILIES
 from sl2magical.orbits import (
     Partition,
     SignedPartitionData,
-    compact_candidates,
     enumerate_partitions,
     enumerate_signed_data,
+    magical_candidates,
     one_sign_data,
     orbit_labels,
 )
@@ -232,9 +232,11 @@ def _row(row):
 
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_classify_realform_matches_the_full_scan(family):
-    """On every form of size <= 12, the walk over compact candidates gives
+    """On every form of size <= 12, the walk over magical candidates gives
     the rows of the full scan (every orbit label, every sign assignment,
-    the criterion on each), and misses no datum with a compact centralizer."""
+    the criterion on each), and its one-sign data are, in order, the data
+    with a compact centralizer whose partition's half of the witness
+    passes."""
     from sl2magical.magical import family_parameter_space, magical_statuses, partition_witness
 
     for params in family_parameter_space(family, 12):
@@ -254,18 +256,19 @@ def test_classify_realform_matches_the_full_scan(family):
         keys = [(tuple(-k for k in row.label.partition.parts), row.label.tag) for row in rows]
         assert keys == sorted(keys)
 
+        best = {p: partition_witness(form, p) for p in enumerate_partitions(ambient)}
         compact = [signed for p in enumerate_partitions(ambient)
                    for signed in enumerate_signed_data(family, params, p)
-                   if centralizer_realform(signed).is_compact]
-        candidates = iter(signed for p in compact_candidates(family, params)
-                          for signed in one_sign_data(family, params, p))
-        assert all(signed in candidates for signed in compact), params  # in order
+                   if centralizer_realform(signed).is_compact and best[p].verdict.is_magical]
+        candidates = [signed for p in magical_candidates(family, params)
+                      for signed in one_sign_data(family, params, p)]
+        assert candidates == compact, params  # in order
 
 
 def test_classify_builds_sign_data_only_where_the_partition_can_pass(monkeypatch):
-    """Over the 141 forms of size <= 12 the walk yields 1,162 partitions,
-    but only the 107 whose half of the witness can pass get one-sign data
-    (179 in all) and centralizers; they give the 112 magical rows.  Each
+    """Over the 141 forms of size <= 12 the walk yields only the 107
+    partitions whose half of the witness passes; they get one-sign data
+    (179 in all) and centralizers, and give the 112 magical rows.  Each
     walked partition's half reads one closed_dims call and builds no n_j
     table: every module's binding of either function is counted."""
     from sl2magical import magical, sl2data
@@ -281,8 +284,8 @@ def test_classify_builds_sign_data_only_where_the_partition_can_pass(monkeypatch
             return result
         return counted
 
-    walk = magical.compact_candidates
-    monkeypatch.setattr(magical, "compact_candidates",
+    walk = magical.magical_candidates
+    monkeypatch.setattr(magical, "magical_candidates",
                         counting(walked, lambda *args: list(walk(*args))))
     monkeypatch.setattr(magical, "one_sign_data", counting(built, magical.one_sign_data))
     monkeypatch.setattr(magical, "centralizer_realform",
@@ -297,8 +300,8 @@ def test_classify_builds_sign_data_only_where_the_partition_can_pass(monkeypatch
         for params in family_parameter_space(family, 12):
             rows += len(classify_realform(family, params))
             forms += 1
-    assert (forms, sum(map(len, walked))) == (141, 1162)
+    assert (forms, sum(map(len, walked))) == (141, 107)
     assert (len(built), sum(map(len, built))) == (107, 179)
     assert (len(centralizers), rows) == (179, 112)
     assert {formula: len(calls) for formula, calls in formulas.items()} == {
-        "multiplicities_formula": 0, "closed_dims": 1162}
+        "multiplicities_formula": 0, "closed_dims": 107}

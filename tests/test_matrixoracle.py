@@ -25,12 +25,14 @@ from sl2magical.matrixoracle import (
     oracle_sigma_split,
     oracle_sl2_data,
 )
+from sl2magical.families import FAMILIES
 from sl2magical.moduli import rigidity_report
 from sl2magical.orbits import (
     Partition,
     SignedPartitionData,
     enumerate_partitions,
     enumerate_signed_data,
+    fold_dims,
     partition_fits_family,
 )
 from sl2magical.realforms import describe
@@ -351,6 +353,35 @@ def test_split_tables_match_the_ranked_templates():
         ("sl", "SS", ab, 1) for ab in pairs}
     for key in sorted(keys):
         assert _split_table(key) == _key_table(key), key
+
+
+def _su_gap(*rows):
+    """g_0 - 2c - s of su rows each led by +, read as the classify walk
+    reads a prefix: closed_dims' fold and the family table's s."""
+    plus, minus = sum((k + 1) // 2 for k in rows), sum(k // 2 for k in rows)
+    dim_c, dim_g0, _ = fold_dims("gl", Partition(rows))
+    return dim_g0 - 2 * dim_c - FAMILIES["su"].s((plus, minus))
+
+
+def _even_h_nullity(key):
+    """The h-part of ker ad_e in the even weights >= 2 of a split key."""
+    (_, h_table), _ = _split_table(key)
+    return sum(v for w, v in h_table if w >= 2 and w % 2 == 0)
+
+
+def test_su_walk_gap_is_the_closed_split():
+    """The su cut of the classify walk is the oracle's closed split: one
+    row of length k has gap/2 = floor((k-1)/2), the h-part of its even
+    weights >= 2, and a same-sign row pair (a, b) adds, over its two
+    rows alone, the h-part of its SS key, for every key of the rank
+    window."""
+    size = CLASSICAL_RANK_CAP + 1
+    for k in range(1, size + 1):
+        assert _su_gap(k) // 2 == (k - 1) // 2 == _even_h_nullity(("su", "S", (k,), 1)), k
+    pairs = [(a, b) for a in range(1, size) for b in range(a, size - a + 1)]
+    for a, b in pairs:
+        joint = (_su_gap(a, b) - _su_gap(a) - _su_gap(b)) // 2
+        assert joint == _even_h_nullity(("su", "SS", (a, b), 1)), (a, b)
 
 
 @pytest.mark.parametrize("side,count,expected", [

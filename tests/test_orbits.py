@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sl2magical import orbits, sl2data
 from sl2magical.errors import DomainError
-from sl2magical.families import FAMILIES
+from sl2magical.families import FAMILIES, FamilySpec
 from sl2magical.magical import family_parameter_space
 from sl2magical.matrixoracle import build_matrix_triple, oracle_sl2_data
 from sl2magical.orbits import (
@@ -16,9 +16,9 @@ from sl2magical.orbits import (
     OrbitLabel,
     Partition,
     SignedPartitionData,
-    compact_candidates,
     enumerate_partitions,
     enumerate_signed_data,
+    magical_candidates,
     one_sign_data,
     orbit_labels,
     partition_fits_family,
@@ -347,21 +347,50 @@ def test_constructor_accepts_exactly_the_enumerated_data():
     assert (forms, tried, len(accepted)) == (69, 18595, 1861)
 
 
+def _compact_data(family, params):
+    """The form's sign data with a compact centralizer, each with its gap
+    g_0 - 2c - s, in the order of the full enumeration."""
+    form = describe(family, params)
+    for p in enumerate_partitions(form.ambient):
+        dim_c, dim_g0, _ = sl2data.closed_dims(form.ambient, p)
+        for signed in enumerate_signed_data(family, params, p):
+            if centralizer_realform(signed).is_compact:
+                yield signed, dim_g0 - 2 * dim_c - form.s
+
+
 def test_compact_walk_is_exact():
-    """On every form of size <= 10 the one-sign data of the compact
-    candidates are the data with a compact centralizer, in the same order:
-    102 forms, 1,383 data."""
-    forms = data = 0
+    """On every form of size <= 10 the one-sign data of the walk's
+    partitions are the data with a compact centralizer and gap 0, in the
+    same order: 102 forms, 132 of their 1,383 compact data."""
+    forms = data = compact = 0
     for family in FAMILIES:
         for params in family_parameter_space(family, 10):
-            walked = [signed for p in compact_candidates(family, params)
+            walked = [signed for p in magical_candidates(family, params)
                       for signed in one_sign_data(family, params, p)]
-            compact = [signed for p in enumerate_partitions(describe(family, params).ambient)
-                       for signed in enumerate_signed_data(family, params, p)
-                       if centralizer_realform(signed).is_compact]
-            assert walked == compact, (family, params)
-            forms, data = forms + 1, data + len(compact)
-    assert (forms, data) == (102, 1383)
+            gaps = list(_compact_data(family, params))
+            assert walked == [signed for signed, gap in gaps if gap == 0], (family, params)
+            forms, data, compact = forms + 1, data + len(walked), compact + len(gaps)
+    assert (forms, data, compact) == (102, 132, 1383)
+
+
+def test_gap_of_compact_data_is_even_and_nonnegative():
+    """The premise of the walk's cut, on all seven families: on each of the
+    3,089 compact data of the 141 forms of size <= 12, g_0 - 2c - s is even
+    and >= 0 (twice the h-part of ker ad_e in even weights >= 2), and it
+    is 0 on exactly 179 of them."""
+    gaps = [gap for family in FAMILIES for params in family_parameter_space(family, 12)
+            for _, gap in _compact_data(family, params)]
+    assert all(gap >= 0 and gap % 2 == 0 for gap in gaps)
+    assert (len(gaps), gaps.count(0)) == (3089, 179)
+
+
+def test_walk_refuses_an_odd_gap(monkeypatch):
+    """A gap the even-weight identity rules out, here from an s off by
+    one, stops the walk with an AssertionError rather than a wrong cut."""
+    s = FamilySpec.s
+    monkeypatch.setattr(FamilySpec, "s", lambda spec, params: s(spec, params) + 1)
+    with pytest.raises(AssertionError, match=r"g_0 - 2c - s = -?\d+ after"):
+        list(magical_candidates("su", (2, 3)))
 
 
 def test_row_count_halved_for_quaternionic():
@@ -371,43 +400,53 @@ def test_row_count_halved_for_quaternionic():
     assert any(s.row_count(2) == 2 for s in data)
 
 
-def test_compact_candidates_small():
-    """sl(n,R) keeps only [n] and su*(2m) only [m^2], since a compact
-    centralizer inside s(...) has one sign-free factor; so(p,q) keeps the
-    partitions with only odd parts; in one_sign_data each signed part
-    carries one sign, (r,0) before (0,r)."""
+def test_magical_candidates_small():
+    """sl(n,R) keeps only [n], and su*(2m) nothing, since a compact
+    centralizer inside s(...) has one sign-free factor and [m^2] has gap
+    6m - 6; so(p,q) keeps partitions with only odd parts, su(p,q) only
+    [2^p,1^(q-p)]; in one_sign_data each signed part carries one sign,
+    (r,0) before (0,r)."""
     def listed(family, params):
         return [(str(p), [str(s) for s in one_sign_data(family, params, p)])
-                for p in compact_candidates(family, params)]
+                for p in magical_candidates(family, params)]
 
     assert listed("sl", (4,)) == [("[4]", ["[4]"])]
-    assert listed("sustar", (3,)) == [("[3^2]", ["[3^2]"])]
+    assert listed("sustar", (3,)) == []
     assert listed("so", (2, 3)) == [("[5]", ["[5]{5:(0,1)}"]),
                                     ("[3,1^2]", ["[3,1^2]{3:(1,0),1:(0,2)}"])]
-    assert listed("spr", (3,))[0] == ("[6]", ["[6]{6:(1,0)}", "[6]{6:(0,1)}"])
+    assert listed("su", (2, 3)) == [("[2^2,1]", ["[2^2,1]{2:(2,0),1:(0,1)}",
+                                                 "[2^2,1]{2:(0,2),1:(0,1)}"])]
+    assert listed("spr", (3,)) == [("[6]", ["[6]{6:(1,0)}", "[6]{6:(0,1)}"]),
+                                   ("[2^3]", ["[2^3]{2:(3,0)}", "[2^3]{2:(0,3)}"])]
 
 
-def test_compact_candidates_build_no_barren_partition(monkeypatch):
-    """The walk cuts every branch without a one-sign datum that meets the
-    form, so over the 141 forms of size <= 12 one_sign_data gives each
-    partition the walk yields a datum."""
-    build = orbits._signed_data
-    sizes = []
+def test_magical_candidates_build_no_barren_partition(monkeypatch):
+    """The walk cuts every branch without a one-sign datum of gap 0, so
+    over the 141 forms of size <= 12 one_sign_data gives each of the 107
+    partitions the walk yields a datum, 179 in all, and the walk's step
+    runs at most 4,527 times."""
+    build, walk = orbits._signed_data, orbits._walk
+    sizes, steps = [], []
 
     def counted(*args):
         data = list(build(*args))
         sizes.append(len(data))
         return iter(data)
 
+    def counted_walk(n, step, root):
+        return walk(n, lambda *args: steps.append(1) or step(*args), root)
+
     monkeypatch.setattr(orbits, "_signed_data", counted)
+    monkeypatch.setattr(orbits, "_walk", counted_walk)
     forms = 0
     for family in FAMILIES:
         for params in family_parameter_space(family, 12):
-            for p in compact_candidates(family, params):
+            for p in magical_candidates(family, params):
                 one_sign_data(family, params, p)
             forms += 1
     assert 0 not in sizes
-    assert (forms, len(sizes), sum(sizes)) == (141, 1162, 3089)
+    assert (forms, len(sizes), sum(sizes)) == (141, 107, 179)
+    assert len(steps) <= 4527
 
 
 def test_signed_str_round_trip_info():
