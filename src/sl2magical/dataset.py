@@ -25,6 +25,7 @@ from importlib import resources
 from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import DatasetSchemaError, InconsistentGradingError, MissingDataError
+from .families import FACTOR_DIMS
 from .magical import MagicalStatus, orbit_witness
 from .realforms import EXCEPTIONAL_FORMS, CentralizerRealForm, describe
 from .rootsystems import LieType, WeightedDynkinDiagram, ad_grading, build_root_system
@@ -41,30 +42,20 @@ _OPTIONAL_KEYS = ("dim_V_cap_h", "dim_c_cap_h")
 
 _FACTOR_RE = re.compile(r"^(so|su|sp|u)\((\d+)(?:,(\d+))?\)$")
 
-#: Per factor name: the dim of its compact group of size n, and the dim m
-#: per a*b of its two-argument real form, whose dim h is the rest; a
-#: one-argument factor is the compact group, b = 0.
-_FACTOR_DIMS = {
-    "so": (lambda n: n * (n - 1) // 2, 1),
-    "su": (lambda n: n * n - 1, 2),
-    "sp": (lambda n: n * (2 * n + 1), 4),
-    "u": (lambda n: n * n, 2),
-}
-
-
 def _factor_dims(token: str) -> Tuple[int, int]:
     """(dim h, dim m) of one factor: R, or so, su, sp or u of n or of a,b,
-    of size n or a + b at least 1 (su(0) would count -1)."""
+    of size n or a + b at least 1, from FACTOR_DIMS: n is (n, 0), and
+    su(a,b) is u(a,b) less its (1, 0) trace line (su(0) would count -1)."""
     if token == "R":
         return 0, 1
     m = _FACTOR_RE.match(token)
     if not m:
         raise DatasetSchemaError(f"unrecognized centralizer factor {token!r}")
-    compact_dim, per_ab = _FACTOR_DIMS[m.group(1)]
-    a, b = int(m.group(2)), int(m.group(3) or 0)
+    kind, a, b = m.group(1), int(m.group(2)), int(m.group(3) or 0)
     if a + b < 1:
         raise DatasetSchemaError(f"centralizer factor {token!r} has size 0")
-    return compact_dim(a + b) - per_ab * a * b, per_ab * a * b
+    dim_h, dim_m = FACTOR_DIMS["u" if kind == "su" else kind](a, b)
+    return dim_h - (kind == "su"), dim_m
 
 
 def parse_centralizer(text: str) -> CentralizerRealForm:
@@ -231,9 +222,10 @@ def load_records(path: Optional[Union[str, os.PathLike]] = None) -> List[Excepti
 
     Resolution order: explicit path argument, then the MAGICAL_DATASET
     environment variable, then the file shipped with the package; a file
-    that cannot be read, the shipped one included, is MissingDataError.  A
-    real form has at most one record per diagram.  The file is read on
-    every call, and parsed again only when its source or text is new.
+    that cannot be read or is not UTF-8, the shipped one included, is
+    MissingDataError.  A real form has at most one record per diagram.
+    The file is read on every call, and parsed again only when its source
+    or text is new.
     """
     if path is None:
         path = os.environ.get(DATASET_ENV)
@@ -245,7 +237,7 @@ def load_records(path: Optional[Union[str, os.PathLike]] = None) -> List[Excepti
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
             source = str(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MissingDataError(
             f"cannot read dataset {_DATA_FILE if path is None else path}: {exc}") from exc
     return list(_parse_records(source, text))

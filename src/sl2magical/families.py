@@ -2,14 +2,16 @@
 
 Each noncompact classical family is one FamilySpec.  It states its name
 template and parameter letters, its complex algebra (gl, so or sp),
-whether its form is quaternionic, and the closed formulas of its Cartan
-decomposition.  Its sign rules, size factor, trace line and centralizer
-factors, each a name with its (dim h, dim m), are derived once, when the
-spec is made, from the algebra's SELF_PAIRED_PARITY, the quaternionic
-flag and the arity, by the signed-Young-diagram and centralizer rules of
-Collingwood-McGovern, Thms 9.3.3-9.3.5.  The signed-data enumerator,
-descriptors and centralizers read these facts instead of branching on
-the tag; a centralizer is compact when its dim m is 0.
+whether its form is quaternionic, and the closed formulas of its
+restricted roots and Hermitian type.  Its sign rules, size factor, trace
+line and centralizer factors, each a name with its (dim h, dim m), are
+derived once, when the spec is made, from the algebra's
+SELF_PAIRED_PARITY, the quaternionic flag and the arity, by the
+signed-Young-diagram and centralizer rules of Collingwood-McGovern, Thms
+9.3.3-9.3.5.  The form's own dim h and dim m are those of the centralizer
+of its zero orbit [1^N], one factor less the trace line.  The signed-data
+enumerator, descriptors and centralizers read these facts instead of
+branching on the tag; a centralizer is compact when its dim m is 0.
 
 Rows of length i count r_i: the Jordan multiplicity, halved for the
 quaternionic families.  Parts of a signed parity split their rows by
@@ -28,25 +30,29 @@ from .rootsystems import SELF_PAIRED_PARITY, LieType
 Params = Tuple[int, ...]
 
 
+#: (dim h, dim m) of the two-argument real forms u(a,b), so(a,b) and
+#: sp(a,b), sp in quaternionic sizes; b = 0 gives the compact group.
+FACTOR_DIMS = {
+    "u": lambda a, b: (a * a + b * b, 2 * a * b),
+    "so": lambda a, b: (a * (a - 1) // 2 + b * (b - 1) // 2, a * b),
+    "sp": lambda a, b: (a * (2 * a + 1) + b * (2 * b + 1), 4 * a * b),
+}
+
 #: Centralizer factors, keyed by (algebra is gl, quaternionic): the signed
 #: factor of a part split (a, b) and the unsigned factor of a part with r_i
 #: rows, each its name and its (dim h, dim m) (Collingwood-McGovern, Thms
 #: 9.3.3-9.3.5).  sp(r,R) takes the matrix size r, which is even there.
 #: su*(2m) has no signed parts.
 _FACTORS = {
-    (True, False): (
-        (lambda a, b: f"u({a},{b})", lambda a, b: (a * a + b * b, 2 * a * b)),
-        (lambda r: f"gl({r},R)", lambda r: (r * (r - 1) // 2, r * (r + 1) // 2))),
+    (True, False): ((lambda a, b: f"u({a},{b})", FACTOR_DIMS["u"]),
+                    (lambda r: f"gl({r},R)", lambda r: (r * (r - 1) // 2, r * (r + 1) // 2))),
     (True, True): (
         None,
         (lambda r: f"u*({2 * r})", lambda r: (r * (2 * r + 1), r * (2 * r - 1)))),
-    (False, False): (
-        (lambda a, b: f"so({a},{b})", lambda a, b: (a * (a - 1) // 2 + b * (b - 1) // 2, a * b)),
-        (lambda r: f"sp({r},R)", lambda r: (r * r // 4, r * (r + 2) // 4))),
-    (False, True): (
-        (lambda a, b: f"sp({2 * a},{2 * b})",
-         lambda a, b: (a * (2 * a + 1) + b * (2 * b + 1), 4 * a * b)),
-        (lambda r: f"so*({2 * r})", lambda r: (r * r, r * (r - 1)))),
+    (False, False): ((lambda a, b: f"so({a},{b})", FACTOR_DIMS["so"]),
+                     (lambda r: f"sp({r},R)", lambda r: (r * r // 4, r * (r + 2) // 4))),
+    (False, True): ((lambda a, b: f"sp({2 * a},{2 * b})", FACTOR_DIMS["sp"]),
+                    (lambda r: f"so*({2 * r})", lambda r: (r * r, r * (r - 1)))),
 }
 
 Factor = Tuple[Callable[..., str], Callable[..., Tuple[int, int]]]  # name, (dim h, dim m)
@@ -59,7 +65,6 @@ class FamilySpec:
     letters: str  # one letter per parameter
     algebra: str  # complex defining algebra: "gl", "so" or "sp"
     quaternionic: bool
-    dim_h: Callable[..., int]
     ss_rank: Callable[..., int]
     hermitian: Callable[..., bool]
     # Restricted-root multiplicities: one for type A_r (r(r+1)/2 positive
@@ -98,11 +103,6 @@ class FamilySpec:
         return len(self.letters)
 
     @property
-    def wrapped(self) -> bool:
-        """Whether a triple's centralizer sits in s(...): the gl-type families."""
-        return self.algebra == "gl"
-
-    @property
     def symbol(self) -> str:
         """Generic name, e.g. sp(2p,2q)."""
         scale = str(self.size_factor) if self.size_factor > 1 else ""
@@ -114,13 +114,18 @@ class FamilySpec:
     def size(self, params: Params) -> int:
         return self.size_factor * sum(params)
 
+    def cartan(self, params: Params) -> Tuple[int, int]:
+        """(dim h, dim m) of the form, those of the centralizer of its zero
+        orbit [1^N]: one factor, at (p, q) or at N's rows, less the trace line."""
+        h, m = (self.signed_factor[1](*params) if self.arity == 2
+                else self.unsigned_factor[1](self.rows(self.size(params))))
+        return h - self.trace[0], m - self.trace[1]
+
     def s(self, params: Params) -> int:
-        """dim m - dim h of the form, dim g less twice dim h, at any size:
-        describe refuses the compact forms and those below the rank
-        window, which the classify walk's rows so far may span."""
-        n, algebra = self.size(params), self.algebra
-        dim_g = n * n - 1 if algebra == "gl" else n * (n - 1 if algebra == "so" else n + 1) // 2
-        return dim_g - 2 * self.dim_h(*params)
+        """dim m - dim h of the form, at any size: the classify walk reads it
+        on the prefix forms its rows reach, which describe may refuse."""
+        h, m = self.cartan(params)
+        return m - h
 
     def complexification(self, params: Params) -> LieType:
         return LieType.classical(self.algebra, self.size(params))
@@ -133,28 +138,26 @@ class FamilySpec:
 
 _SPECS = (
     FamilySpec(tag="su", template="su({},{})", letters="pq", algebra="gl", quaternionic=False,
-               dim_h=lambda p, q: p * p + q * q - 1, ss_rank=min,
                hermitian=lambda p, q: True, root_mults=lambda p, q: (2, 2 * abs(q - p), 1),
-               subtube=lambda p, q: None if p == q else (min(p, q),) * 2),
+               ss_rank=min, subtube=lambda p, q: None if p == q else (min(p, q),) * 2),
     FamilySpec(tag="sl", template="sl({},R)", letters="n", algebra="gl", quaternionic=False,
-               dim_h=lambda n: n * (n - 1) // 2, ss_rank=lambda n: n - 1,
+               ss_rank=lambda n: n - 1,
                hermitian=lambda n: n == 2, root_mults=lambda n: (1,), subtube=None),
     FamilySpec(tag="sustar", template="su*({})", letters="m", algebra="gl", quaternionic=True,
-               dim_h=lambda m: m * (2 * m + 1), ss_rank=lambda m: m - 1,
+               ss_rank=lambda m: m - 1,
                hermitian=lambda m: False, root_mults=lambda m: (4,), subtube=None),
     FamilySpec(tag="so", template="so({},{})", letters="pq", algebra="so", quaternionic=False,
-               dim_h=lambda p, q: p * (p - 1) // 2 + q * (q - 1) // 2,
                ss_rank=min, hermitian=lambda p, q: 2 in (p, q),
                root_mults=lambda p, q: (1, abs(q - p), 0), subtube=None),
     FamilySpec(tag="sostar", template="so*({})", letters="m", algebra="so", quaternionic=True,
-               dim_h=lambda m: m * m, ss_rank=lambda m: m // 2,
+               ss_rank=lambda m: m // 2,
                hermitian=lambda m: True, root_mults=lambda m: (4, 4 * (m % 2), 1),
                subtube=lambda m: (m - 1,) if m % 2 else None),
     FamilySpec(tag="spr", template="sp({},R)", letters="n", algebra="sp", quaternionic=False,
-               dim_h=lambda n: n * n, ss_rank=lambda n: n,
+               ss_rank=lambda n: n,
                hermitian=lambda n: True, root_mults=lambda n: (1, 0, 1), subtube=None),
     FamilySpec(tag="sp", template="sp({},{})", letters="pq", algebra="sp", quaternionic=True,
-               dim_h=lambda p, q: p * (2 * p + 1) + q * (2 * q + 1), ss_rank=min, subtube=None,
+               ss_rank=min, subtube=None,
                hermitian=lambda p, q: False, root_mults=lambda p, q: (4, 4 * abs(q - p), 3)),
 )
 

@@ -58,6 +58,7 @@ from itertools import chain, product
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import UnsupportedInvolutionError
+from .families import FAMILIES
 from .linalg import integer_rank
 from .matrixmodel import (
     Columns,
@@ -311,9 +312,9 @@ def oracle_sigma_split(signed: SignedPartitionData) -> SigmaSplitReport:
     """The h/m split of each highest-weight space, summed from the split
     tables of the rows and row pairs of the signed datum; a row's unit
     sign is its leading sign there, so a pair's sign is their product."""
-    # I is in h for su (Ad(S) fixes it), in m for sl (-X^T negates it)
-    identity = 0 if signed.family == "su" else 1
     keys = _keys(signed.family, Counter(_cartan_units(signed)))
+    # the trace line's side: I is in h for su (Ad(S) fixes it), in m for sl
+    identity = FAMILIES[signed.family].trace[1]
     (h_null, m_null), (dim_h, dim_m) = _summed(keys, _CARTAN_TABLES, identity)
     splits = tuple((w, (h_null.get(w, 0), m_null.get(w, 0)))
                    for w in sorted(h_null.keys() | m_null.keys())

@@ -109,12 +109,13 @@ def _descriptor(family: str, params: Params) -> RealFormDescriptor:
         ambient = spec.complexification(params)
     except RankDomainError as exc:
         raise RankDomainError(f"{name}: {exc}") from None
-    if spec.dim_h(*params) == ambient.dim:
+    dim_h, dim_m = spec.cartan(params)
+    if dim_m == 0:
         raise DomainError(f"{name} is compact: dim m = 0")
     hermitian = spec.hermitian(*params)
     subtube = spec.subtube(*params) if hermitian and spec.subtube else None
     return RealFormDescriptor(
-        family, params, name, ambient, spec.dim_h(*params),
+        family, params, name, ambient, dim_h,
         hermitian=hermitian, tube_type=(subtube is None) if hermitian else None,
         ss_rank=spec.ss_rank(*params),
         maximal_subtube=spec.name(subtube) if subtube else None,
@@ -184,5 +185,5 @@ def centralizer_realform(signed: SignedPartitionData) -> CentralizerRealForm:
         factors.append(name(*args))
         h, m = dims(*args)
         dim_h, dim_m = dim_h + h, dim_m + m
-    line_h, line_m = spec.trace
-    return CentralizerRealForm(tuple(factors), dim_h - line_h, dim_m - line_m, spec.wrapped)
+    line_h, line_m = spec.trace  # the line s(...) removes, if it wraps the factors
+    return CentralizerRealForm(tuple(factors), dim_h - line_h, dim_m - line_m, any(spec.trace))

@@ -229,6 +229,25 @@ def test_classify_missing_shipped_dataset_exit_3(capsys, monkeypatch):
     assert err.startswith("error: cannot read dataset data/missing.jsonl")
 
 
+def test_non_utf8_dataset_exit_3(capsys, monkeypatch, tmp_path):
+    """A table that is not UTF-8 cannot be read: classify and slodowy exit
+    3 and verify fails its dataset check, each naming the path, with no
+    traceback."""
+    path = tmp_path / "utf16.jsonl"
+    path.write_bytes(b"\xff\xfe" + '{"realform": "E6^-14"}\n'.encode("utf-16-le"))
+    monkeypatch.setenv(DATASET_ENV, str(path))
+    for command in (("classify", "E6^-14"),
+                    ("slodowy", "E6^-14", "--wdd", "1,0,0,0,0,1", "--genus", "2")):
+        code, out, err = run(capsys, *command)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: cannot read dataset {path}: 'utf-8' codec")
+    code, out, _ = run(capsys, "verify", "--max-rank", "2", "--format", "json")
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 1
+    assert not checks["dataset-conditions"]["passed"]
+    assert f"cannot read dataset {path}" in checks["dataset-conditions"]["detail"]
+
+
 def test_slodowy_even_magical_gap_zero(capsys):
     code, out, _ = run(capsys, "slodowy", "su", "2", "2", "--partition", "2,2",
                        "--genus", "2", "--format", "json")

@@ -49,6 +49,22 @@ def test_scan_stays_inside_the_rank_window(tag):
         assert spec.s(params) == d.s  # the table's s, which the classify walk reads
 
 
+def test_cartan_dims_two_routes():
+    """The form's (dim h, dim m), read off the factor table at its zero
+    orbit, against the root count of its complexification and against the
+    centralizer of its one zero datum [1^N], on all 141 forms of size <= 12."""
+    forms = 0
+    for tag, spec in FAMILIES.items():
+        for params in family_parameter_space(tag, 12):
+            dims = spec.cartan(params)
+            assert sum(dims) == describe(tag, params).ambient.dim, (tag, params)
+            (zero,) = enumerate_signed_data(tag, params, Partition((1,) * spec.size(params)))
+            c = centralizer_realform(zero)
+            assert (c.dim_h, c.dim_m) == dims, (tag, params)
+            forms += 1
+    assert forms == 141
+
+
 def test_gl_type_centralizer_compact_only_with_one_real_line():
     # the trace condition of s(...) removes one real line, not two
     (one,) = enumerate_signed_data("sustar", (3,), Partition.parse("3,3"))
