@@ -12,8 +12,7 @@ check keeps its own case count and first counterexample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, NamedTuple, Tuple
 
 from .dataset import evaluate_conditions, load_records
 from .errors import DatasetSchemaError, MissingDataError
@@ -30,8 +29,8 @@ from .rootsystems import (
 )
 from .sl2data import closed_dims, module_multiplicities, multiplicities_formula
 
-@dataclass(frozen=True)
-class CheckResult:
+
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     cases: int

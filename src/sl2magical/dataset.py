@@ -19,10 +19,9 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import DatasetSchemaError, InconsistentGradingError, MissingDataError
 from .families import FACTOR_DIMS
@@ -72,8 +71,7 @@ def _sl2_data_of(ambient: LieType, labels: Tuple[int, ...]) -> Sl2Data:
     return module_multiplicities(ad_grading(build_root_system(ambient), wdd))
 
 
-@dataclass(frozen=True)
-class ExceptionalOrbitRecord:
+class ExceptionalOrbitRecord(NamedTuple):
     realform: str
     wdd: Tuple[int, ...]
     dim_V_cap_h: Optional[int]

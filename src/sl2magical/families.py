@@ -21,10 +21,10 @@ split (r_i/2, r_i/2) when it is forced, and carry no sign otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from .errors import DomainError
+from .records import Frozen
 from .rootsystems import SELF_PAIRED_PARITY, LieType
 
 Params = Tuple[int, ...]
@@ -58,8 +58,11 @@ _FACTORS = {
 Factor = Tuple[Callable[..., str], Callable[..., Tuple[int, int]]]  # name, (dim h, dim m)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Frozen):
+    _fields = ("tag", "template", "letters", "algebra", "quaternionic", "ss_rank", "hermitian",
+               "root_mults", "subtube")
+    __slots__ = _fields + ("size_factor", "signature_rule", "signed_parities", "forced_split",
+                           "trace", "signed_factor", "unsigned_factor")
     tag: str
     template: str  # form name, one {} per parameter scaled by size_factor
     letters: str  # one letter per parameter
@@ -72,30 +75,36 @@ class FamilySpec:
     # 2e_i); a zero multiplicity means the class is absent.
     root_mults: Callable[..., Tuple[int, ...]]
     subtube: Optional[Callable[..., Optional[Params]]]  # None: always tube type
-    # Derived in __post_init__ from algebra, quaternionic and arity.
-    size_factor: int = field(init=False)  # defining size = size_factor * sum(params)
-    signature_rule: bool = field(init=False)  # the plus boxes add up to the first parameter
-    signed_parities: Tuple[int, ...] = field(init=False)  # parities i % 2 with a sign split
-    forced_split: bool = field(init=False)  # the other parts split (r_i/2, r_i/2)
-    trace: Tuple[int, int] = field(init=False)  # the (dim h, dim m) line s(...) removes
-    signed_factor: Optional[Factor] = field(init=False)  # of a split (a, b)
-    unsigned_factor: Factor = field(init=False)  # of r_i rows
+    # Derived in __init__ from algebra, quaternionic and arity.
+    size_factor: int  # defining size = size_factor * sum(params)
+    signature_rule: bool  # the plus boxes add up to the first parameter
+    signed_parities: Tuple[int, ...]  # parities i % 2 with a sign split
+    forced_split: bool  # the other parts split (r_i/2, r_i/2)
+    trace: Tuple[int, int]  # the (dim h, dim m) line s(...) removes
+    signed_factor: Optional[Factor]  # of a split (a, b)
+    unsigned_factor: Factor  # of r_i rows
 
-    def __post_init__(self) -> None:
-        gl, quaternionic, signature = self.algebra == "gl", self.quaternionic, self.arity == 2
-        derived = {
-            "size_factor": 2 if quaternionic or self.algebra == "sp" else 1,
+    def __init__(self, tag: str, template: str, letters: str, algebra: str,
+                 quaternionic: bool, ss_rank: Callable[..., int],
+                 hermitian: Callable[..., bool], root_mults: Callable[..., Tuple[int, ...]],
+                 subtube: Optional[Callable[..., Optional[Params]]]) -> None:
+        gl, signature = algebra == "gl", len(letters) == 2
+        fields = {
+            "tag": tag, "template": template, "letters": letters, "algebra": algebra,
+            "quaternionic": quaternionic, "ss_rank": ss_rank, "hermitian": hermitian,
+            "root_mults": root_mults, "subtube": subtube,
+            "size_factor": 2 if quaternionic or algebra == "sp" else 1,
             "signature_rule": signature,
             # gl: both parities under a signature, none otherwise; so and sp:
             # the self-paired parity, the other one in a quaternionic form
             "signed_parities": ((0, 1) if signature else ()) if gl
-            else (SELF_PAIRED_PARITY[self.algebra] ^ quaternionic,),
+            else (SELF_PAIRED_PARITY[algebra] ^ quaternionic,),
             "forced_split": not (gl or quaternionic),
             # the centers of u(a,b) are compact, those of gl(r,R) and u*(2r) split
             "trace": ((1, 0) if signature else (0, 1)) if gl else (0, 0),
         }
-        derived["signed_factor"], derived["unsigned_factor"] = _FACTORS[gl, quaternionic]
-        for name, value in derived.items():
+        fields["signed_factor"], fields["unsigned_factor"] = _FACTORS[gl, quaternionic]
+        for name, value in fields.items():
             object.__setattr__(self, name, value)
 
     @property

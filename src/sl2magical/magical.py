@@ -28,9 +28,8 @@ exceptional forms.  admits_even_magical encodes that membership test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Tuple
 
 from .errors import DomainError
 from .families import FAMILIES
@@ -66,8 +65,7 @@ class Verdict(Enum):
         return self is not Verdict.NOT_EXTENDED_MAGICAL
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """The two integers and two flags the criterion compares."""
 
     m_minus_h: int
@@ -85,8 +83,7 @@ class Witness:
         return Verdict.EVEN_MAGICAL if self.even_triple else Verdict.ODD_MAGICAL
 
 
-@dataclass(frozen=True)
-class MagicalStatus:
+class MagicalStatus(NamedTuple):
     witness: Witness
     centralizer: CentralizerRealForm
 
@@ -137,11 +134,10 @@ def magical_statuses(best: Witness,
     the partition's half of the witness and the datum's centralizer."""
     for signed in signed_data:
         cz = centralizer_realform(signed)
-        yield MagicalStatus(replace(best, centralizer_compact=cz.is_compact), cz)
+        yield MagicalStatus(best._replace(centralizer_compact=cz.is_compact), cz)
 
 
-@dataclass(frozen=True)
-class ClassifiedOrbit:
+class ClassifiedOrbit(NamedTuple):
     """One magical row of a classification scan."""
 
     family: str

@@ -29,12 +29,12 @@ those coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .orbits import Partition
+from .records import Checked
 from .rootsystems import SELF_PAIRED_PARITY
 
 Entry = Tuple[int, int]
@@ -91,15 +91,7 @@ def is_eigen(sigma: Involution, x: Sparse, sign: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class MatrixSl2Triple:
-    """An exact sl2-triple on the Jordan strings of a partition in C^N,
-    with the form pairing them.
-
-    algebra is "gl" (no form), "so" or "sp": the algebra is the +1 side of
-    tau, the identity on gl_N.  Construction checks the bracket relations
-    and that e, h and f lie in the algebra, tau(x) = x."""
-
+class _TripleFields(NamedTuple):
     algebra: str
     partition: Partition
     strings: Tuple[Tuple[int, ...], ...]  # basis indices per Jordan string
@@ -109,14 +101,27 @@ class MatrixSl2Triple:
     h: Sparse
     f: Sparse
 
-    def __post_init__(self) -> None:
-        e, h, f = self.e, self.h, self.f
+
+class MatrixSl2Triple(Checked, _TripleFields):
+    """An exact sl2-triple on the Jordan strings of a partition in C^N,
+    with the form pairing them.
+
+    algebra is "gl" (no form), "so" or "sp": the algebra is the +1 side of
+    tau, the identity on gl_N.  Construction checks the bracket relations
+    and that e, h and f lie in the algebra, tau(x) = x.  An instance's
+    __dict__ holds its cached properties."""
+
+    def __new__(cls, algebra: str, partition: Partition, strings: Tuple[Tuple[int, ...], ...],
+                pairing: Tuple[int, ...], pairing_sign: Tuple[int, ...], e: Sparse, h: Sparse,
+                f: Sparse) -> "MatrixSl2Triple":
+        self = super().__new__(cls, algebra, partition, strings, pairing, pairing_sign, e, h, f)
         h_index = _index(h)
         if (_bracket(h_index, e) != _scale(e, 2) or _bracket(h_index, f) != _scale(f, -2)
                 or self.ad_e(f) != h):
             raise AssertionError(f"{self.name}: bracket relations failed")
         if not all(is_eigen(self.tau, x, 1) for x in (e, h, f)):
             raise AssertionError(f"{self.name}: triple leaves the bilinear form")
+        return self
 
     @property
     def name(self) -> str:

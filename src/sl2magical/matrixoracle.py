@@ -53,9 +53,8 @@ one unit or two is the template's.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, product
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import UnsupportedInvolutionError
 from .families import FAMILIES
@@ -263,8 +262,7 @@ def oracle_sl2_data(t: Union[LieType, MatrixSl2Triple], p: Optional[Partition] =
     return Sl2Data(n=pairs, dim_g=dims[0])
 
 
-@dataclass(frozen=True)
-class SigmaSplitReport:
+class SigmaSplitReport(NamedTuple):
     """h/m split of each highest-weight space under a Cartan-type involution."""
 
     family: str

@@ -12,8 +12,7 @@ for even magical data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional, Tuple, Union
+from typing import Mapping, NamedTuple, Optional, Tuple, Union
 
 from .dataset import ExceptionalOrbitRecord
 from .errors import DomainError
@@ -23,8 +22,7 @@ from .realforms import RealFormDescriptor
 from .realforms import describe, milnor_wood as milnor_wood_bound
 
 
-@dataclass(frozen=True)
-class SlodowyReport:
+class SlodowyReport(NamedTuple):
     genus: int
     slodowy_param_dim: int
     expected_dim: int

@@ -17,12 +17,12 @@ all even; their row counts r_i are half the complex multiplicities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, TypeVar
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple, TypeVar
 
 from .errors import DomainError
 from .families import FAMILIES, FamilySpec, family_spec
+from .records import Checked, Frozen
 from .rootsystems import (
     CLASSICAL_RANK_CAP,
     SELF_PAIRED_PARITY,
@@ -39,24 +39,25 @@ Rule = Callable[[int, int], bool]  # allowed(part, multiplicity)
 MAX_BOXES = 2 * CLASSICAL_RANK_CAP + 1
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A weakly decreasing tuple of positive integers."""
+class Partition(Frozen):
+    """A weakly decreasing tuple of positive integers, compared on its
+    parts alone."""
 
+    __slots__ = ("parts", "n", "_counts")
+    _fields = ("parts",)
     parts: Tuple[int, ...]
-    n: int = field(init=False, repr=False, compare=False)  # the sum of the parts
+    n: int  # the sum of the parts
 
-    def __post_init__(self) -> None:
-        if not self.parts:
+    def __init__(self, parts: Tuple[int, ...]) -> None:
+        if not parts:
             raise DomainError("empty partition")
-        if any(p < 1 for p in self.parts):
-            raise DomainError(f"partition parts must be positive, got {self.parts}")
-        ordered = tuple(sorted(self.parts, reverse=True))
-        if ordered != self.parts:
-            object.__setattr__(self, "parts", ordered)
+        if any(p < 1 for p in parts):
+            raise DomainError(f"partition parts must be positive, got {parts}")
+        ordered = tuple(sorted(parts, reverse=True))
         counts: Dict[int, int] = {}  # part -> multiplicity, parts descending
         for part in ordered:
             counts[part] = counts.get(part, 0) + 1
+        object.__setattr__(self, "parts", ordered)
         object.__setattr__(self, "_counts", counts)
         object.__setattr__(self, "n", sum(ordered))
 
@@ -258,16 +259,20 @@ def enumerate_partitions(t: LieType) -> List[Partition]:
         t.matrix_size, lambda state, k, m: state if allowed is None or allowed(k, m) else None, ())]
 
 
-@dataclass(frozen=True)
-class OrbitLabel:
-    """A complex-orbit label: partition plus I/II tag for very even D pairs."""
-
+class _OrbitLabelFields(NamedTuple):
     partition: Partition
     tag: str = ""
 
-    def __post_init__(self) -> None:
-        if self.tag not in ("", "I", "II"):
-            raise DomainError(f"orbit tag must be '', 'I' or 'II', got {self.tag!r}")
+
+class OrbitLabel(Checked, _OrbitLabelFields):
+    """A complex-orbit label: partition plus I/II tag for very even D pairs."""
+
+    __slots__ = ()
+
+    def __new__(cls, partition: Partition, tag: str = "") -> "OrbitLabel":
+        if tag not in ("", "I", "II"):
+            raise DomainError(f"orbit tag must be '', 'I' or 'II', got {tag!r}")
+        return super().__new__(cls, partition, tag)
 
     def __str__(self) -> str:
         return f"{self.partition}_{self.tag}" if self.tag else str(self.partition)
@@ -319,8 +324,7 @@ def plus_boxes(part: int, p_i: int, q_i: int) -> int:
     return (part + 1) // 2 * p_i + part // 2 * q_i
 
 
-@dataclass(frozen=True)
-class SignedPartitionData:
+class SignedPartitionData(Frozen):
     """A real nilpotent orbit label: partition plus leading-sign counts.
 
     signs holds (part, (p_i, q_i)) for exactly the parts whose rows carry
@@ -333,32 +337,38 @@ class SignedPartitionData:
     r_i, balanced where forced) and, under the signature rule, p plus boxes.
     """
 
+    __slots__ = _fields = ("family", "params", "partition", "signs")
     family: str
     params: Tuple[int, ...]
     partition: Partition
-    signs: SignTable = ()
+    signs: SignTable
 
-    def __post_init__(self) -> None:
-        spec = family_spec(self.family, self.params)
-        if not _meets_form(spec, self.params, self.partition):
-            raise DomainError(f"{self.partition} does not meet {spec.name(self.params)}")
-        counts = self.partition._counts
+    def __init__(self, family: str, params: Tuple[int, ...], partition: Partition,
+                 signs: SignTable = ()) -> None:
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "signs", signs)
+        spec = family_spec(family, params)
+        if not _meets_form(spec, params, partition):
+            raise DomainError(f"{partition} does not meet {spec.name(params)}")
+        counts = partition._counts
         wanted = [part for part in counts
                   if spec.forced_split or part % 2 in spec.signed_parities]
-        listed = [part for part, _ in self.signs]
+        listed = [part for part, _ in signs]
         if listed != wanted:
             raise DomainError(f"the signs of {self} list the parts {listed}, "
                               f"not each of {wanted} once, descending")
         plus = _sign_free_plus(spec, counts) if spec.signature_rule else 0
-        for part, (a, b) in self.signs:
+        for part, (a, b) in signs:
             r = spec.rows(counts[part])
             signed = part % 2 in spec.signed_parities
             if min(a, b) < 0 or a + b != r or not (signed or a == b):
                 raise DomainError(f"part {part}: signs {(a, b)} are not a "
                                   f"{'' if signed else 'balanced '}split of r_i = {r}")
             plus += plus_boxes(part, a, b)
-        if spec.signature_rule and plus != self.params[0]:
-            raise DomainError(f"{self} has {plus} plus boxes, not p = {self.params[0]}")
+        if spec.signature_rule and plus != params[0]:
+            raise DomainError(f"{self} has {plus} plus boxes, not p = {params[0]}")
 
     def row_count(self, part: int) -> int:
         """r_i: rows of length part, in the family's own counting."""

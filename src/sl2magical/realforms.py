@@ -14,13 +14,13 @@ line of s(...), and it is compact exactly when its dim m is 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, RankDomainError
 from .families import FAMILIES, family_spec
 from .orbits import SignedPartitionData
+from .records import Frozen
 from .rootsystems import LieType
 
 Params = Tuple[int, ...]
@@ -45,8 +45,9 @@ EXCEPTIONAL_FORMS: Dict[str, Dict] = {
 }
 
 
-@dataclass(frozen=True)
-class RealFormDescriptor:
+class RealFormDescriptor(Frozen):
+    __slots__ = _fields = ("family", "params", "name", "ambient", "dim_h", "hermitian",
+                           "tube_type", "ss_rank", "maximal_subtube")
     family: str
     params: Params
     name: str
@@ -56,6 +57,13 @@ class RealFormDescriptor:
     tube_type: Optional[bool]  # None when not Hermitian
     ss_rank: int
     maximal_subtube: Optional[str]
+
+    def __init__(self, family: str, params: Params, name: str, ambient: LieType, dim_h: int,
+                 hermitian: bool, tube_type: Optional[bool], ss_rank: int,
+                 maximal_subtube: Optional[str]) -> None:
+        for field, value in zip(self._fields, (family, params, name, ambient, dim_h, hermitian,
+                                               tube_type, ss_rank, maximal_subtube)):
+            object.__setattr__(self, field, value)
 
     @property
     def dim_g_real(self) -> int:
@@ -147,8 +155,7 @@ def milnor_wood(d: RealFormDescriptor, genus: int) -> int:
     return d.ss_rank * (2 * genus - 2)
 
 
-@dataclass(frozen=True)
-class CentralizerRealForm:
+class CentralizerRealForm(NamedTuple):
     """Reductive centralizer of a triple inside the real form, with the
     dims of its intersections with h and m."""
 

@@ -12,12 +12,12 @@ attached to node 4; the long chain is 1-3-4-5-6(-7)(-8).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Tuple
 
 from .errors import DomainError, RankDomainError
+from .records import Checked, Frozen
 
 Coeffs = Tuple[int, ...]
 Matrix = Tuple[Tuple[int, ...], ...]
@@ -53,27 +53,30 @@ class LieFamily(str, Enum):
         return self.value in CLASSICAL_MIN_RANK
 
 
-@dataclass(frozen=True)
-class LieType:
-    """A simple complex Lie algebra: classical family + rank, or exceptional."""
+class LieType(Frozen):
+    """A simple complex Lie algebra: classical family + rank, or exceptional.
+    Its __dict__ holds the cached properties."""
 
+    __slots__ = ("family", "rank", "__dict__")
+    _fields = ("family", "rank")
     family: LieFamily
     rank: int
 
-    def __post_init__(self) -> None:
-        fam = self.family
-        if fam.is_classical:
-            lo = CLASSICAL_MIN_RANK[fam.value]
-            if self.rank < lo:
-                raise RankDomainError(f"{fam.value}-type needs rank >= {lo}, got {self.rank}")
-            if self.rank > CLASSICAL_RANK_CAP:
+    def __init__(self, family: LieFamily, rank: int) -> None:
+        if family.is_classical:
+            lo = CLASSICAL_MIN_RANK[family.value]
+            if rank < lo:
+                raise RankDomainError(f"{family.value}-type needs rank >= {lo}, got {rank}")
+            if rank > CLASSICAL_RANK_CAP:
                 raise RankDomainError(
-                    f"{fam.value}{self.rank} exceeds the classical rank cap {CLASSICAL_RANK_CAP}"
+                    f"{family.value}{rank} exceeds the classical rank cap {CLASSICAL_RANK_CAP}"
                 )
         else:
-            fixed = _EXCEPTIONAL_RANK[fam.value]
-            if self.rank != fixed:
-                raise RankDomainError(f"{fam.value} has rank {fixed}, got {self.rank}")
+            fixed = _EXCEPTIONAL_RANK[family.value]
+            if rank != fixed:
+                raise RankDomainError(f"{family.value} has rank {fixed}, got {rank}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
 
     @classmethod
     def of(cls, name: str, rank: int | None = None) -> "LieType":
@@ -203,8 +206,7 @@ def _positive_roots_by_height(cartan: Matrix) -> FrozenSet[Coeffs]:
     return frozenset(pairings)
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     """Positive roots of a simple type, as simple-root coefficient vectors,
     and per node its coefficients packed into one integer: byte r holds
     the node's coefficient in positive root r, in root order."""
@@ -237,25 +239,26 @@ def build_root_system(t: LieType) -> RootSystem:
     return RootSystem(lie_type=t, cartan=cartan, positive_roots=ordered, packed=packed)
 
 
-@dataclass(frozen=True)
-class WeightedDynkinDiagram:
-    """A dominant weighted Dynkin diagram: one label in {0,1,2} per node."""
-
+class _DiagramFields(NamedTuple):
     lie_type: LieType
     labels: Tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.labels) != self.lie_type.rank:
-            raise DomainError(
-                f"{self.lie_type.name} needs {self.lie_type.rank} labels, got {len(self.labels)}"
-            )
-        bad = [x for x in self.labels if x not in (0, 1, 2)]
+
+class WeightedDynkinDiagram(Checked, _DiagramFields):
+    """A dominant weighted Dynkin diagram: one label in {0,1,2} per node."""
+
+    __slots__ = ()
+
+    def __new__(cls, lie_type: LieType, labels: Tuple[int, ...]) -> "WeightedDynkinDiagram":
+        if len(labels) != lie_type.rank:
+            raise DomainError(f"{lie_type.name} needs {lie_type.rank} labels, got {len(labels)}")
+        bad = [x for x in labels if x not in (0, 1, 2)]
         if bad:
             raise DomainError(f"weighted Dynkin labels must lie in {{0,1,2}}, got {bad}")
+        return super().__new__(cls, lie_type, labels)
 
 
-@dataclass(frozen=True)
-class GradingDims:
+class GradingDims(NamedTuple):
     """Dimensions of the ad_h eigenspaces g_j, keyed by integer weight j."""
 
     lie_type: LieType

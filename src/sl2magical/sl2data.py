@@ -14,28 +14,31 @@ the units it sums its nullity tables over.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .errors import InconsistentGradingError
 from .orbits import Partition, check_partition, fold_dims
+from .records import Checked
 from .rootsystems import GradingDims, LieType
 
 
-@dataclass(frozen=True)
-class Sl2Data:
-    """Multiplicities n_j of the (j+1)-dimensional summands, plus dim g."""
-
+class _Sl2Fields(NamedTuple):
     n: Tuple[Tuple[int, int], ...]  # sorted (weight, multiplicity), zeros dropped
     dim_g: int
 
-    def __post_init__(self) -> None:
-        if sum(m * (j + 1) for j, m in self.n) != self.dim_g:
-            raise InconsistentGradingError(
-                f"sum n_j (j+1) = {sum(m * (j + 1) for j, m in self.n)} != dim g = {self.dim_g}"
-            )
-        if any(m < 0 or j < 0 for j, m in self.n):
-            raise InconsistentGradingError(f"negative weight or multiplicity in {self.n}")
+
+class Sl2Data(Checked, _Sl2Fields):
+    """Multiplicities n_j of the (j+1)-dimensional summands, plus dim g."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: Tuple[Tuple[int, int], ...], dim_g: int) -> "Sl2Data":
+        total = sum(m * (j + 1) for j, m in n)
+        if total != dim_g:
+            raise InconsistentGradingError(f"sum n_j (j+1) = {total} != dim g = {dim_g}")
+        if any(m < 0 or j < 0 for j, m in n):
+            raise InconsistentGradingError(f"negative weight or multiplicity in {n}")
+        return super().__new__(cls, n, dim_g)
 
     def n_at(self, j: int) -> int:
         return dict(self.n).get(j, 0)

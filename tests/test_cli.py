@@ -317,8 +317,8 @@ def test_slodowy_workload_builds_what_it_prints(capsys, monkeypatch):
     def count(seen, original):
         return lambda *args: seen.append(1) or original(*args)
 
-    monkeypatch.setattr(SignedPartitionData, "__post_init__",
-                        count(built, SignedPartitionData.__post_init__))
+    monkeypatch.setattr(SignedPartitionData, "__init__",
+                        count(built, SignedPartitionData.__init__))
     monkeypatch.setattr(FamilySpec, "complexification",
                         count(complexified, FamilySpec.complexification))
     realforms._descriptor.cache_clear()
@@ -341,9 +341,9 @@ def test_classify_workload_builds_one_partition_per_walked_partition(capsys, mon
     leaves = sum(1 for family in FAMILIES for params in family_parameter_space(family, 12)
                  for _ in magical_candidates(family, params))
     built = []
-    original = Partition.__post_init__
-    monkeypatch.setattr(Partition, "__post_init__",
-                        lambda self: built.append(1) or original(self))
+    original = Partition.__init__
+    monkeypatch.setattr(Partition, "__init__",
+                        lambda self, parts: built.append(1) or original(self, parts))
     per_command = []
     for argv in workload:
         before = len(built)

@@ -158,8 +158,6 @@ def test_status_consistency_guard():
     """Witness.verdict on every combination of the criterion's inputs:
     compact or not, equal counts or not, even or odd; a status reads its
     verdict off its witness and stores no verdict of its own."""
-    from dataclasses import fields
-
     from sl2magical.magical import MagicalStatus, Witness
     from sl2magical.realforms import CentralizerRealForm
 
@@ -180,7 +178,7 @@ def test_status_consistency_guard():
                     centralizer_compact=compact, even_triple=even)
         assert w.verdict is verdict
         assert MagicalStatus(w, cz).verdict is verdict
-    assert [f.name for f in fields(MagicalStatus)] == ["witness", "centralizer"]
+    assert MagicalStatus._fields == ("witness", "centralizer")
 
 
 def test_admits_even_magical_spot_checks():

@@ -2,7 +2,6 @@
 
 import hashlib
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -155,11 +154,11 @@ def test_triple_outside_the_form_is_rejected():
     flipped = list(m.pairing_sign)
     flipped[0] = -flipped[0]
     with pytest.raises(AssertionError, match="triple leaves the bilinear form"):
-        replace(m, pairing_sign=tuple(flipped))
+        m._replace(pairing_sign=tuple(flipped))
     string = m.strings[0]
     assert sorted(m.pairing[a] for a in string) == list(string)
     rescaled = [-mu if a in string else mu for a, mu in enumerate(m.pairing_sign)]
-    assert replace(m, pairing_sign=tuple(rescaled)).pairing_sign == tuple(rescaled)
+    assert m._replace(pairing_sign=tuple(rescaled)).pairing_sign == tuple(rescaled)
 
 
 def test_involution_checks_each_call():

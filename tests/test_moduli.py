@@ -1,7 +1,6 @@
 """Slodowy parameter counts and rigidity gaps."""
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -123,7 +122,7 @@ def test_exceptional_missing_columns():
 
 
 def test_exceptional_inconsistent_columns():
-    record = replace(find_record("E6^-14", E6_ROW), dim_V_cap_h=40)
+    record = find_record("E6^-14", E6_ROW)._replace(dim_V_cap_h=40)
     with pytest.raises(MissingDataError, match="E6\\^-14 record columns are inconsistent: "
                                                "a_1 = -2"):
         rigidity_report(2, record)

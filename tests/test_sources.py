@@ -1,10 +1,13 @@
 """Every module of the package compiles without a warning, every
 function and class it defines has a caller in the package, every name it
-imports at module level is used in it, and every function the benchmark
-tracer wraps exists."""
+imports at module level is used in it, none imports dataclasses, and every
+function the benchmark tracer wraps exists."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -115,7 +118,7 @@ def test_every_module_import_is_used():
 def test_one_witness_constructor():
     """Every Witness the package reports is built by magical.orbit_witness,
     so the classical partitions and the curated exceptional records share
-    one rule for the four fields; replace() may change a built one."""
+    one rule for the four fields; _replace() may change a built one."""
     builders = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -125,3 +128,41 @@ def test_one_witness_constructor():
                              if isinstance(node, ast.Call)
                              and getattr(node.func, "id", "") == "Witness"]
     assert builders == ["magical.py:orbit_witness"]
+
+
+def test_no_module_imports_dataclasses():
+    """The records generate no code when their classes are defined, which
+    dataclasses would do on every import (records.py)."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
+SET_UP = """
+import importlib, pkgutil, sys
+sys.modules.pop("dataclasses", None)  # in case site imported it
+import sl2magical
+for info in pkgutil.iter_modules(sl2magical.__path__):
+    importlib.import_module("sl2magical." + info.name)
+from sl2magical import cli, dataset
+dataset.load_records()
+cli.build_parser()
+print("dataclasses" in sys.modules)
+"""
+
+
+def test_set_up_leaves_dataclasses_unimported():
+    """A fresh interpreter that imports every module, loads the dataset
+    and builds the parser, the work of a command's set-up, never imports
+    dataclasses."""
+    env = {k: v for k, v in os.environ.items() if k != "MAGICAL_DATASET"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", SET_UP], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"
