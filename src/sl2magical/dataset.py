@@ -20,7 +20,6 @@ import json
 import os
 import re
 from functools import lru_cache
-from importlib import resources
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import DatasetSchemaError, InconsistentGradingError, MissingDataError
@@ -33,7 +32,6 @@ from .sl2data import Sl2Data, module_multiplicities
 #: Environment variable naming an alternative dataset file.
 DATASET_ENV = "MAGICAL_DATASET"
 
-_DATA_PACKAGE = "sl2magical"
 _DATA_FILE = "data/exceptional_orbits.jsonl"
 
 _REQUIRED_KEYS = ("realform", "wdd", "centralizer", "source_row")
@@ -219,26 +217,22 @@ def load_records(path: Optional[Union[str, os.PathLike]] = None) -> List[Excepti
     """Read and validate the record file.
 
     Resolution order: explicit path argument, then the MAGICAL_DATASET
-    environment variable, then the file shipped with the package; a file
-    that cannot be read or is not UTF-8, the shipped one included, is
-    MissingDataError.  A real form has at most one record per diagram.
-    The file is read on every call, and parsed again only when its source
-    or text is new.
+    environment variable, then the file shipped in the package directory,
+    each opened by its path; a file that cannot be read or is not UTF-8,
+    the shipped one included, is MissingDataError.  A real form has at
+    most one record per diagram.  The file is read on every call, and
+    parsed again only when its source or text is new.
     """
     if path is None:
         path = os.environ.get(DATASET_ENV)
     try:
-        if path is None:
-            text = resources.files(_DATA_PACKAGE).joinpath(_DATA_FILE).read_text()
-            source = "shipped dataset"
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-            source = str(path)
+        with open(os.path.join(os.path.dirname(__file__), _DATA_FILE) if path is None else path,
+                  "r", encoding="utf-8") as fh:
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise MissingDataError(
             f"cannot read dataset {_DATA_FILE if path is None else path}: {exc}") from exc
-    return list(_parse_records(source, text))
+    return list(_parse_records("shipped dataset" if path is None else str(path), text))
 
 
 @lru_cache(maxsize=8)

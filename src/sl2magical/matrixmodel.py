@@ -68,10 +68,6 @@ def _bracket(a: Index, b: Sparse) -> Sparse:
     return {key: v for key, v in out.items() if v}
 
 
-def _scale(a: Sparse, k: int) -> Sparse:
-    return {key: k * v for key, v in a.items()}
-
-
 def identity_involution(a: int, b: int) -> Tuple[int, Entry]:
     return 1, (a, b)
 
@@ -107,16 +103,20 @@ class MatrixSl2Triple(Checked, _TripleFields):
     with the form pairing them.
 
     algebra is "gl" (no form), "so" or "sp": the algebra is the +1 side of
-    tau, the identity on gl_N.  Construction checks the bracket relations
-    and that e, h and f lie in the algebra, tau(x) = x.  An instance's
-    __dict__ holds its cached properties."""
+    tau, the identity on gl_N.  Construction checks that h is diagonal,
+    the bracket relations and that e, h and f lie in the algebra,
+    tau(x) = x.  An instance's __dict__ holds its cached properties."""
 
     def __new__(cls, algebra: str, partition: Partition, strings: Tuple[Tuple[int, ...], ...],
                 pairing: Tuple[int, ...], pairing_sign: Tuple[int, ...], e: Sparse, h: Sparse,
                 f: Sparse) -> "MatrixSl2Triple":
         self = super().__new__(cls, algebra, partition, strings, pairing, pairing_sign, e, h, f)
-        h_index = _index(h)
-        if (_bracket(h_index, e) != _scale(e, 2) or _bracket(h_index, f) != _scale(f, -2)
+        if any(a != b for a, b in h):
+            raise AssertionError(f"{self.name}: h is not diagonal")
+        # [h, x] = (h_a - h_b) x_ab for the diagonal h
+        wt = self.weights
+        if (not all(v and wt[a] - wt[b] == 2 for (a, b), v in e.items())
+                or not all(v and wt[a] - wt[b] == -2 for (a, b), v in f.items())
                 or self.ad_e(f) != h):
             raise AssertionError(f"{self.name}: bracket relations failed")
         if not all(is_eigen(self.tau, x, 1) for x in (e, h, f)):
@@ -220,15 +220,16 @@ def eigen_columns(m: MatrixSl2Triple, sigma: Involution,
     the -1 side is left empty unless minus."""
     wt = m.weights
     sides: Tuple[Columns, Columns] = ({}, {})
-    for a, b in product(range(m.size), repeat=2) if entries is None else entries:
-        eps, img = sigma(a, b)
-        if img < (a, b):
+    for entry in product(range(m.size), repeat=2) if entries is None else entries:
+        eps, img = sigma(*entry)
+        if img < entry:
             continue
+        a, b = entry
         w = wt[a] - wt[b]
-        if img != (a, b):
-            sides[0].setdefault(w, []).append({(a, b): 1, img: eps})
+        if img != entry:
+            sides[0].setdefault(w, []).append({entry: 1, img: eps})
             if minus:
-                sides[1].setdefault(w, []).append({(a, b): 1, img: -eps})
+                sides[1].setdefault(w, []).append({entry: 1, img: -eps})
         elif eps == 1 or minus:
             sides[eps != 1].setdefault(w, []).append({img: 1})
     return sides

@@ -118,14 +118,15 @@ def _block_sides(m: MatrixSl2Triple, sigma: Involution,
              else chain(product(*blocks), product(*blocks[::-1])))
     wt = m.weights
     upper, counts = [], [0, 0]
-    for a, b in pairs:
+    for entry in pairs:
+        a, b = entry
         if wt[a] >= wt[b]:
-            upper.append((a, b))
+            upper.append(entry)
             continue
         eps, img = sigma(a, b)
-        if img == (a, b):
+        if img == entry:
             counts[eps < 0] += 1
-        elif (a, b) < img:
+        elif entry < img:
             counts[0] += 1
             counts[1] += 1
     sides = eigen_columns(m, sigma, upper, minus)
@@ -231,9 +232,10 @@ def _summed(keys: Dict[Key, int], tables: Tables,
     nulls: List[Dict[int, int]] = [{}, {}]
     dims = [0, 0]
     for key, count in keys.items():
-        if key not in tables:
-            tables[key] = (_split_table if key[0] in _CARTAN_MODELS else _key_table)(key)
-        for side, (dim, table) in enumerate(tables[key]):
+        sides = tables.get(key)
+        if sides is None:
+            sides = tables[key] = (_split_table if key[0] in _CARTAN_MODELS else _key_table)(key)
+        for side, (dim, table) in enumerate(sides):
             dims[side] += count * dim
             null = nulls[side]
             for w, v in table:

@@ -18,6 +18,7 @@ all even; their row counts r_i are half the complex multiplicities.
 from __future__ import annotations
 
 from itertools import product
+from operator import sub
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple, TypeVar
 
 from .errors import DomainError
@@ -51,7 +52,7 @@ class Partition(Frozen):
     def __init__(self, parts: Tuple[int, ...]) -> None:
         if not parts:
             raise DomainError("empty partition")
-        if any(p < 1 for p in parts):
+        if min(parts) < 1:
             raise DomainError(f"partition parts must be positive, got {parts}")
         ordered = tuple(sorted(parts, reverse=True))
         counts: Dict[int, int] = {}  # part -> multiplicity, parts descending
@@ -291,21 +292,19 @@ def weighted_dynkin_from_partition(t: LieType, p: Partition) -> WeightedDynkinDi
     Each part i contributes the weight string (i-1, i-3, ..., 1-i); the
     dominant Cartan coordinates are the largest entries of the merged
     multiset, and labels evaluate the classical simple roots on them.
-    Very even D partitions get the class-I diagram; class II swaps the
-    last two labels.
+    A very even D partition labels two orbits, I and II, whose diagrams
+    differ by a swap of the last two labels.  The class is not an
+    argument: both get the class-I diagram, whose last label is larger.
     """
     check_partition(t, p)
     fam = t.family
-    weights: List[int] = []
-    for part in p.parts:
-        weights.extend(range(part - 1, -part, -2))
-    weights.sort(reverse=True)
+    weights = sorted([w for part in p.parts for w in range(part - 1, -part, -2)], reverse=True)
     rank = t.rank
     if fam is LieFamily.A:
-        labels = [weights[k] - weights[k + 1] for k in range(rank)]
+        labels = list(map(sub, weights, weights[1:]))
     else:
         h = weights[:rank]
-        labels = [h[k] - h[k + 1] for k in range(rank - 1)]
+        labels = list(map(sub, h, h[1:]))
         if fam is LieFamily.B:
             labels.append(h[-1])
         elif fam is LieFamily.C:
@@ -313,8 +312,7 @@ def weighted_dynkin_from_partition(t: LieType, p: Partition) -> WeightedDynkinDi
         else:
             labels[-1] = h[-2] - h[-1]
             labels.append(h[-2] + h[-1])
-    bad = [x for x in labels if x not in (0, 1, 2)]
-    if bad:
+    if not {0, 1, 2}.issuperset(labels):
         raise AssertionError(f"{t.name} {p}: labels {labels} leave {{0,1,2}}")
     return WeightedDynkinDiagram(lie_type=t, labels=tuple(labels))
 

@@ -11,9 +11,10 @@ attached to node 4; the long chain is 1-3-4-5-6(-7)(-8).
 
 from __future__ import annotations
 
-from collections import Counter
 from enum import Enum
 from functools import cached_property, lru_cache
+from itertools import compress
+from operator import add, gt, mul
 from typing import Dict, FrozenSet, List, NamedTuple, Tuple
 
 from .errors import DomainError, RankDomainError
@@ -194,14 +195,13 @@ def _positive_roots_by_height(cartan: Matrix) -> FrozenSet[Coeffs]:
         nxt = []
         for beta in layer:
             pairing, p = pairings[beta], depths[beta]
-            for j in range(rank):
-                if p[j] > pairing[j]:
-                    up = beta[:j] + (beta[j] + 1,) + beta[j + 1:]
-                    if up not in pairings:
-                        pairings[up] = tuple(x + y for x, y in zip(pairing, cartan[j]))
-                        depths[up] = [0] * rank
-                        nxt.append(up)
-                    depths[up][j] = p[j] + 1
+            for j in compress(range(rank), map(gt, p, pairing)):
+                up = beta[:j] + (beta[j] + 1,) + beta[j + 1:]
+                if up not in pairings:
+                    pairings[up] = tuple(map(add, pairing, cartan[j]))
+                    depths[up] = [0] * rank
+                    nxt.append(up)
+                depths[up][j] = p[j] + 1
         layer = nxt
     return frozenset(pairings)
 
@@ -267,14 +267,6 @@ class GradingDims(NamedTuple):
     def as_dict(self) -> Dict[int, int]:
         return dict(self.dims)
 
-    @property
-    def total(self) -> int:
-        return sum(d for _, d in self.dims)
-
-    @property
-    def weights(self) -> List[int]:
-        return [w for w, _ in self.dims]
-
 
 def ad_grading(rs: RootSystem, wdd: WeightedDynkinDiagram) -> GradingDims:
     """Eigenspace dimensions of ad_h for the semisimple element h defined by
@@ -284,9 +276,7 @@ def ad_grading(rs: RootSystem, wdd: WeightedDynkinDiagram) -> GradingDims:
     twice plus the rank of the Cartan."""
     if wdd.lie_type != rs.lie_type:
         raise DomainError(f"diagram is for {wdd.lie_type.name}, root system for {rs.lie_type.name}")
-    total = sum(label * column for label, column in zip(wdd.labels, rs.packed))
-    positive = Counter(total.to_bytes(len(rs.positive_roots), "little"))
-    zero = rs.rank + 2 * positive.pop(0, 0)
-    above = sorted(positive.items())
-    pairs = tuple((-w, d) for w, d in reversed(above)) + ((0, zero),) + tuple(above)
-    return GradingDims(lie_type=rs.lie_type, dims=pairs)
+    weights = sum(map(mul, wdd.labels, rs.packed)).to_bytes(len(rs.positive_roots), "little")
+    above = [(w, weights.count(w)) for w in sorted(set(weights)) if w]
+    pairs = [(-w, d) for w, d in reversed(above)] + [(0, rs.rank + 2 * weights.count(0))] + above
+    return GradingDims(lie_type=rs.lie_type, dims=tuple(pairs))

@@ -13,7 +13,6 @@ the units it sums its nullity tables over.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, NamedTuple, Tuple
 
 from .errors import InconsistentGradingError
@@ -33,10 +32,13 @@ class Sl2Data(Checked, _Sl2Fields):
     __slots__ = ()
 
     def __new__(cls, n: Tuple[Tuple[int, int], ...], dim_g: int) -> "Sl2Data":
-        total = sum(m * (j + 1) for j, m in n)
+        total, negative = 0, False
+        for j, m in n:  # one pass for both checks, the sum's reported first
+            total += m * (j + 1)
+            negative = negative or m < 0 or j < 0
         if total != dim_g:
             raise InconsistentGradingError(f"sum n_j (j+1) = {total} != dim g = {dim_g}")
-        if any(m < 0 or j < 0 for j, m in n):
+        if negative:
             raise InconsistentGradingError(f"negative weight or multiplicity in {n}")
         return super().__new__(cls, n, dim_g)
 
@@ -71,25 +73,19 @@ class Sl2Data(Checked, _Sl2Fields):
 
 
 def module_multiplicities(g: GradingDims) -> Sl2Data:
-    """n_j = dim g_j - dim g_{j+2}; negative values mean the label vector
-    was not the weighted Dynkin diagram of any nilpotent orbit."""
+    """n_j = dim g_j - dim g_{j+2} for every j from 0 to the top weight;
+    negative values mean the label vector was not the weighted Dynkin
+    diagram of any nilpotent orbit."""
     dims = g.as_dict()
-    top = max(g.weights)
+    get = dims.get
     pairs = []
-    for j in range(0, top + 1):
-        m = dims.get(j, 0) - dims.get(j + 2, 0)
+    for j in range(max(dims) + 1):
+        m = get(j, 0) - get(j + 2, 0)
         if m < 0:
-            raise InconsistentGradingError(
-                f"n_{j} = {dims.get(j, 0)} - {dims.get(j + 2, 0)} < 0"
-            )
+            raise InconsistentGradingError(f"n_{j} = {get(j, 0)} - {get(j + 2, 0)} < 0")
         if m:
             pairs.append((j, m))
-    return Sl2Data(n=tuple(pairs), dim_g=g.total)
-
-
-def _tensor_summands(k: int, l: int):
-    """Highest ad_h weights in V_k (x) V_l (dims k and l)."""
-    return range(k + l - 2, abs(k - l) - 1, -2)
+    return Sl2Data(n=tuple(pairs), dim_g=sum(dims.values()))
 
 
 def multiplicities_formula(t: LieType, p: Partition) -> Dict[int, int]:
@@ -97,33 +93,35 @@ def multiplicities_formula(t: LieType, p: Partition) -> Dict[int, int]:
 
     gl_N = V (x) V with V = (+)_k r_k V_k; so_N and sp_N are its
     alternating and symmetric halves.  The sums run over the distinct
-    parts k, l: V_k (x) V_l comes r_k r_l times, and outside gl the
-    r_k copies of V_k give r_k(r_k-1)/2 products V_k (x) V_k and r_k
-    alternating or symmetric squares.  gl drops one trivial summand for
-    the trace.
+    parts k >= l: V_k (x) V_l, whose highest weights are k+l-2, k+l-4,
+    ..., k-l, comes r_k r_l times (twice that in gl for k > l), and
+    outside gl the r_k copies of V_k give r_k(r_k-1)/2 products
+    V_k (x) V_k and r_k alternating or symmetric squares.  gl drops one
+    trivial summand for the trace.
     """
     algebra = check_partition(t, p)
-    r = list(p.multiplicities().items())
-    n: Counter = Counter()
-
-    def add(weights: range, count: int) -> None:
-        for j in weights:
-            n[j] += count
-
-    if algebra == "gl":
-        for k, rk in r:
-            for l, rl in r:
-                add(_tensor_summands(k, l), rk * rl)
+    r = list(p.multiplicities().items())  # parts descending
+    gl = algebra == "gl"
+    # the weights of S^2 V_k (sp) or /\^2 V_k (so): 2k - offset down by 4
+    offset = 2 if algebra == "sp" else 4
+    n: Dict[int, int] = {}
+    for a, (k, rk) in enumerate(r):
+        count = rk * rk if gl else rk * (rk - 1) // 2
+        if count:
+            for j in range(2 * k - 2, -1, -2):
+                n[j] = n.get(j, 0) + count
+        if not gl:
+            for j in range(2 * k - offset, -1, -4):
+                n[j] = n.get(j, 0) + rk
+        for l, rl in r[a + 1:]:
+            count = (2 if gl else 1) * rk * rl
+            for j in range(k + l - 2, k - l - 1, -2):
+                n[j] = n.get(j, 0) + count
+    if gl:
         n[0] -= 1
-    else:
-        # the weights of S^2 V_k (sp) or /\^2 V_k (so): 2k - offset down by 4
-        offset = 2 if algebra == "sp" else 4
-        for a, (k, rk) in enumerate(r):
-            add(_tensor_summands(k, k), rk * (rk - 1) // 2)
-            add(range(2 * k - offset, -1, -4), rk)
-            for l, rl in r[a + 1:]:
-                add(_tensor_summands(k, l), rk * rl)
-    return {j: m for j, m in n.items() if m}
+        if not n[0]:
+            del n[0]
+    return n
 
 
 def closed_dims(t: LieType, p: Partition) -> Tuple[int, int, int]:

@@ -6,12 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl2magical.errors import InconsistentGradingError
 from sl2magical.orbits import (
     Partition,
     enumerate_partitions,
     weighted_dynkin_from_partition,
 )
-from sl2magical.rootsystems import CLASSICAL_MIN_RANK, LieType, ad_grading, build_root_system
+from sl2magical.rootsystems import (
+    CLASSICAL_MIN_RANK,
+    GradingDims,
+    LieType,
+    ad_grading,
+    build_root_system,
+)
 from sl2magical.sl2data import (
     closed_dims,
     module_multiplicities,
@@ -97,6 +104,15 @@ def test_data_accessors():
     assert tuple(d.n_at(j) for j in range(d.max_weight + 1)) == (4, 4, 4)
 
 
+def test_grading_checks_every_weight_up_to_the_top():
+    """n_j = dim g_j - dim g_{j+2} is checked for every j from 0 to the top
+    weight, the weights the grading does not list included: here n_1 reads
+    dim g_1 = 0 less dim g_3 = 1."""
+    grading = GradingDims(LieType.of("A", 1), ((-3, 1), (0, 1), (3, 1)))
+    with pytest.raises(InconsistentGradingError, match=r"^n_1 = 0 - 1 < 0$"):
+        module_multiplicities(grading)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.sampled_from(["A", "B", "C", "D"]), st.data())
 def test_grading_weights_symmetric(letter, data):
@@ -108,7 +124,7 @@ def test_grading_weights_symmetric(letter, data):
     g = ad_grading(rs, weighted_dynkin_from_partition(t, p))
     # ad_h spectrum is symmetric and its weight-j multiples recombine into
     # nonnegative module multiplicities
-    for w in g.weights:
+    for w, _ in g.dims:
         assert g.as_dict().get(w, 0) == g.as_dict().get(-w, 0)
     d = module_multiplicities(g)
     assert all(v > 0 for v in d.as_dict().values())

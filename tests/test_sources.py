@@ -1,7 +1,8 @@
 """Every module of the package compiles without a warning, every
 function and class it defines has a caller in the package, every name it
-imports at module level is used in it, none imports dataclasses, and every
-function the benchmark tracer wraps exists."""
+imports at module level is used in it, none imports dataclasses or
+importlib.resources, and every function the benchmark tracer wraps
+exists."""
 
 import ast
 import importlib
@@ -164,5 +165,39 @@ def test_set_up_leaves_dataclasses_unimported():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
                                                       env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", SET_UP], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"
+
+
+def test_no_module_imports_importlib_resources():
+    """The shipped dataset is opened by its path in the package directory
+    (dataset.load_records), so no module imports importlib.resources."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [f"{node.module}.{alias.name}" for alias in node.names]
+                     if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.startswith("importlib.resources")]
+    assert found == []
+
+
+LOAD = """
+import sys
+from sl2magical import cli, crosscheck, dataset
+dataset.load_records()
+print("importlib.resources" in sys.modules)
+"""
+
+
+def test_loading_the_dataset_leaves_importlib_resources_unimported():
+    """An interpreter started without site, which can import
+    importlib.resources on its own, imports cli, crosscheck and dataset and
+    loads the shipped dataset without importing importlib.resources."""
+    env = {k: v for k, v in os.environ.items() if k != "MAGICAL_DATASET"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-S", "-c", LOAD], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "False\n"
