@@ -9,11 +9,11 @@ Exit codes: 0 success, 1 verification mismatch, 2 argument or domain
 error, 3 missing data, 4 internal error (a broken internal invariant).
 
 main(argv) may be called repeatedly in one process.  Both parsers read
-one argument table, COMMANDS.  A plain command (the subcommand, its
-positionals, then each flag spelled in full as --flag value) is read
-straight from the table.  argparse is built only when a command needs it,
-that is for help, an error, or any other spelling, on the first such call,
-and reused by every later one.  The results are the same either way.
+one argument table, COMMANDS, compiled once at import into one reader per
+subcommand for a plain command: the subcommand, its positionals, then each
+flag spelled in full as --flag value.  argparse is built only for help, an
+error or any other spelling, on the first such call, and reused by every
+later one.  The results are the same either way.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import functools
 import io
 import json
 import sys
+from itertools import chain, tee
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .crosscheck import run_all
@@ -34,7 +35,6 @@ from .magical import MagicalStatus, classify_realform, magical_statuses, partiti
 from .moduli import rigidity_report
 from .orbits import (
     Partition,
-    enumerate_signed_data,
     parse_digits,
     signed_data,
     weighted_dynkin_from_partition,
@@ -188,13 +188,14 @@ def cmd_slodowy(args: argparse.Namespace) -> int:
         if args.partition is None:
             raise DomainError(f"{form.name} needs --partition")
         p = Partition.parse(args.partition)
-        chosen = next(signed_data(family, form.params, p), None)
+        data = signed_data(family, form.params, p)
+        chosen = next(data, None)
         if chosen is None:
             raise DomainError(f"{p} does not meet {form.name}")
         best = partition_witness(form, p)
         if best.verdict.is_magical:  # else no datum of p is magical: keep the first
-            data = enumerate_signed_data(family, form.params, p)
-            chosen = next((signed for signed, status in zip(data, magical_statuses(best, data))
+            scan, statuses = tee(chain((chosen,), data))
+            chosen = next((signed for signed, status in zip(scan, magical_statuses(best, statuses))
                            if status.verdict.is_magical), chosen)
         report = rigidity_report(args.genus, chosen)
         orbit_str = str(p)
@@ -304,13 +305,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _convert(keywords: Dict, token: str):
-    """The value argparse stores for token, or ValueError or
-    ArgumentTypeError where it errors."""
-    value = keywords.get("type", str)(token)
-    if value not in keywords.get("choices", (value,)):
-        raise ValueError(token)
-    return value
+def _converter(keywords: Dict) -> Callable[[str], object]:
+    """The value argparse stores for a token: where argparse errors, ValueError
+    or ArgumentTypeError, or KeyError for a value outside the choices."""
+    convert, choices = keywords.get("type", str), keywords.get("choices")
+    if choices is None:
+        return convert
+    chosen = {choice: choice for choice in choices}
+    return lambda token: chosen[convert(token)]
+
+
+def _reader(name: str, command: Subcommand) -> Tuple:
+    """A subcommand compiled for _fast_args: the values its namespace
+    starts from (command, func and each optional flag's default), each
+    positional's (dest, converter, whether it takes nargs="*"), each
+    flag's (dest, converter) by its spelling, and the required flags."""
+    flags = {flag: (flag.lstrip("-").replace("-", "_"), _converter(keywords))
+             for flag, keywords in command.flags}
+    start = {"command": name, "func": command.func}
+    start.update((flags[flag][0], keywords.get("default"))
+                 for flag, keywords in command.flags if not keywords.get("required"))
+    return (start, [(arg, _converter(keywords), "nargs" in keywords)
+                    for arg, keywords in command.positionals],
+            flags, {flag for flag, keywords in command.flags if keywords.get("required")})
+
+
+#: COMMANDS compiled once at import.
+_READERS = {name: _reader(name, command) for name, command in COMMANDS.items()}
 
 
 def _fast_args(argv: Sequence[str]) -> Optional[argparse.Namespace]:
@@ -318,37 +339,28 @@ def _fast_args(argv: Sequence[str]) -> Optional[argparse.Namespace]:
     positional, then each flag once, spelled in full as --flag value.  None
     for anything else, help and errors included, which argparse parses: no
     other token may start with "-", so a negative number goes there too."""
-    command = COMMANDS.get(argv[0]) if argv else None
-    if command is None:
+    if not argv or argv[0] not in _READERS:
         return None
-    tokens = list(argv[1:])
-    split = next((i for i, token in enumerate(tokens) if token.startswith("-")), len(tokens))
-    heads, tail = tokens[:split], tokens[split:]
+    start, positionals, flags, required = _READERS[argv[0]]
+    firsts = [token[:1] for token in argv]
+    split = firsts.index("-") if "-" in firsts else len(argv)
+    heads, tail = iter(argv[1:split]), argv[split:]
     given = dict(zip(tail[::2], tail[1::2]))
-    if (len(tail) != 2 * len(given)  # a flag without its value, or given twice
-            or not given.keys() <= {flag for flag, _ in command.flags}
-            or any(token.startswith("-") for token in given.values())):
+    # a flag without its value or given twice, a required flag left out, a value led by "-"
+    if len(tail) != 2 * len(given) or not required <= given.keys() or "-" in firsts[split + 1::2]:
         return None
-    values = {"command": argv[0], "func": command.func}
+    args = argparse.Namespace()
+    values = vars(args)
+    values.update(start)
     try:
-        for name, keywords in command.positionals:
-            if keywords.get("nargs") == "*":
-                values[name], heads = [_convert(keywords, token) for token in heads], []
-            elif heads:
-                values[name] = _convert(keywords, heads.pop(0))
-            else:
-                return None
-        for flag, keywords in command.flags:
-            if flag in given:
-                value = _convert(keywords, given[flag])
-            elif keywords.get("required"):
-                return None
-            else:
-                value = keywords.get("default")
-            values[flag.lstrip("-").replace("-", "_")] = value
-    except (ValueError, argparse.ArgumentTypeError):
-        return None
-    return None if heads else argparse.Namespace(**values)
+        for dest, convert, many in positionals:
+            values[dest] = list(map(convert, heads)) if many else convert(next(heads))
+        for flag, token in given.items():
+            dest, convert = flags[flag]
+            values[dest] = convert(token)
+    except (StopIteration, KeyError, ValueError, argparse.ArgumentTypeError):
+        return None  # a positional left out, an unknown flag or a value argparse refuses
+    return args if next(heads, None) is None else None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -97,23 +97,19 @@ def _nullity_by_weight(m: MatrixSl2Triple, columns: Columns) -> Dict[int, int]:
     weights w >= 0 only: below weight 0 ad_e is injective (a kernel vector
     is a highest-weight vector), so those slices are not ranked; a test
     in tests/test_matrixoracle.py ranks them to check it."""
-    out = {}
-    for w, xs in columns.items():
-        if w < 0:
-            continue
-        out[w] = len(xs) - integer_rank(ad_e_images(m, xs))
-    return out
+    return {w: len(xs) - integer_rank(ad_e_images(m, xs)) for w, xs in columns.items() if w >= 0}
 
 
-def _block_sides(m: MatrixSl2Triple, sigma: Involution,
-                 minus: bool = True) -> Tuple[Tuple[int, Columns], ...]:
+def _block_sides(m: MatrixSl2Triple, units: List[Tuple[Tuple[int, ...], ...]],
+                 sigma: Involution, minus: bool = True) -> Tuple[Tuple[int, Columns], ...]:
     """(column count, eigen-columns of weight w >= 0) of the +1 side of
     sigma, and of the -1 side unless minus is False, on the entries within
-    the one unit of a template, or between its two.  The columns of weight
+    the one unit of a template, or between its two (units, as
+    MatrixSl2Triple.units lays them out).  The columns of weight
     w < 0 are counted as eigen_columns would make them, not built: a pair
     of entries sigma swaps gives one on each side, an entry it fixes one on
     the side of its sign."""
-    blocks = [[a for s in u for a in s] for u in m.units()]
+    blocks = [[a for s in u for a in s] for u in units]
     pairs = (product(blocks[0], repeat=2) if len(blocks) == 1
              else chain(product(*blocks), product(*blocks[::-1])))
     wt = m.weights
@@ -158,13 +154,8 @@ def _tau_units(algebra: str, p: Partition) -> Dict[UnitType, int]:
     strings S in gl, and in so/sp when of the self-paired parity; any
     other part gives r/2 coupled pairs P."""
     keep = SELF_PAIRED_PARITY[algebra]
-    units = {}
-    for part, r in p.multiplicities().items():
-        if keep is None or part % 2 == keep:
-            units[1, part, 1] = r
-        else:
-            units[2, part, 1] = r // 2
-    return units
+    return dict(((1, part, 1), r) if keep is None or part % 2 == keep else ((2, part, 1), r // 2)
+                for part, r in p.multiplicities().items())
 
 
 def _key_table(key: Key) -> Tuple[Tuple[int, Table], ...]:
@@ -175,17 +166,18 @@ def _key_table(key: Key) -> Tuple[Tuple[int, Table], ...]:
     parts = [length for unit, length in zip(kind, lengths) for _ in range("SP".index(unit) + 1)]
     cartan = model in _CARTAN_MODELS
     m = triple_on("gl" if cartan else model, Partition.of(*parts))
+    laid_out = m.units()
     if cartan:
         sigma = _ad(m, (1, sign)) if model == "su" else _sl_involution(m)
         if not is_eigen(sigma, m.e, -1):
             raise AssertionError(f"template {m.name}: the {model} involution does not negate e")
-        sides = _block_sides(m, sigma)
+        sides = _block_sides(m, laid_out, sigma)
     else:
         units = _tau_units(model, m.partition)
-        laid_out = Counter((len(u), len(u[0]), 1) for u in m.units())
-        if laid_out != units or _keys(model, units).get(key) != 1:
+        if (Counter((len(u), len(u[0]), 1) for u in laid_out) != units
+                or _keys(model, units).get(key) != 1):
             raise AssertionError(f"template {m.name} does not hold the units of {key}")
-        sides = _block_sides(m, m.tau, minus=False)
+        sides = _block_sides(m, laid_out, m.tau, minus=False)
     return tuple((count, tuple(sorted((w, v) for w, v in _nullity_by_weight(m, cols).items() if v)))
                  for count, cols in sides)
 
@@ -273,12 +265,6 @@ class SigmaSplitReport(NamedTuple):
     dim_h: int
     dim_m: int
 
-    def split_at(self, w: int) -> Tuple[int, int]:
-        return dict(self.splits).get(w, (0, 0))
-
-    def m_parts(self) -> Dict[int, int]:
-        return {w: hm[1] for w, hm in self.splits}
-
 
 def _ad(m: MatrixSl2Triple, leads: Sequence[int]) -> Involution:
     """Ad(S), s = eps * (-1)^k at box k of a string with leading sign eps."""
@@ -296,23 +282,23 @@ def _sl_involution(m: MatrixSl2Triple) -> Involution:
     return transpose_involution(rev, [1] * m.size)
 
 
-def _cartan_units(signed: SignedPartitionData) -> List[UnitType]:
-    """One unit per row of the signed datum: for su, led by the row's sign
-    in the tableau; for sl, led by +1."""
+def _cartan_units(signed: SignedPartitionData) -> Dict[UnitType, int]:
+    """The count of each unit type of the signed datum, one unit per row:
+    for su, led by the row's sign in the tableau; for sl, led by +1."""
     if signed.family == "sl":
-        return [(1, part, 1) for part in signed.partition.parts]
+        return {(1, part, 1): r for part, r in signed.partition.multiplicities().items()}
     if signed.family != "su":
         raise UnsupportedInvolutionError(
             f"no integer matrix involution implemented for family {signed.family!r}")
-    return [(1, part, lead) for part, (plus, minus) in signed.signs
-            for lead in [1] * plus + [-1] * minus]
+    return {(1, part, lead): count for part, split in signed.signs
+            for lead, count in zip((1, -1), split) if count}
 
 
 def oracle_sigma_split(signed: SignedPartitionData) -> SigmaSplitReport:
     """The h/m split of each highest-weight space, summed from the split
     tables of the rows and row pairs of the signed datum; a row's unit
     sign is its leading sign there, so a pair's sign is their product."""
-    keys = _keys(signed.family, Counter(_cartan_units(signed)))
+    keys = _keys(signed.family, _cartan_units(signed))
     # the trace line's side: I is in h for su (Ad(S) fixes it), in m for sl
     identity = FAMILIES[signed.family].trace[1]
     (h_null, m_null), (dim_h, dim_m) = _summed(keys, _CARTAN_TABLES, identity)

@@ -62,9 +62,9 @@ def rigidity_report(genus: int,
     """
     if isinstance(orbit, SignedPartitionData):
         form = describe(orbit.family, orbit.params)  # the rank cap; the datum is an orbit
-        split = oracle_sigma_split(orbit)
-        dim_c_cap_h = split.split_at(0)[0]
-        a = {w: m for w, m in split.m_parts().items() if w > 0 and m > 0}
+        splits = oracle_sigma_split(orbit).splits  # by weight: c = V_0 first, if nonzero
+        dim_c_cap_h = splits[0][1][0] if splits and splits[0][0] == 0 else 0
+        a = {w: m for w, (_, m) in splits if w > 0 and m > 0}
     else:
         form = describe(orbit.realform)
         dim_c_cap_h, a = orbit.slodowy_split()

@@ -3,7 +3,8 @@
 import sys
 from collections import Counter
 
-from sl2magical import crosscheck, orbits
+from sl2magical import crosscheck, matrixoracle, orbits
+from sl2magical.matrixmodel import MatrixSl2Triple
 from sl2magical.orbits import Partition, enumerate_partitions
 from sl2magical.rootsystems import CLASSICAL_MIN_RANK, LieType
 from sl2magical.sl2data import Sl2Data
@@ -83,3 +84,16 @@ def test_each_orbit_is_validated_four_times(monkeypatch):
     walk = [(t.name, p) for t, _, p in crosscheck._orbits(6)]
     assert len(walk) == 272 and len(rows) == 19
     assert Counter(calls) == Counter({orbit: 4 for orbit in walk}) + Counter(rows)
+
+
+def test_each_tau_template_lays_out_its_units_once(monkeypatch):
+    """A cold run_all(10) ranks 192 tau templates, and each lays out its
+    units once, for the template's units check and its columns alike (384
+    layouts when the columns laid them out again)."""
+    templates, layouts = [], []
+    key_table, units = matrixoracle._key_table, MatrixSl2Triple.units
+    monkeypatch.setattr(matrixoracle, "_key_table",
+                        lambda key: templates.append(key) or key_table(key))
+    monkeypatch.setattr(MatrixSl2Triple, "units", lambda m: layouts.append(1) or units(m))
+    assert all(r.passed for r in crosscheck.run_all(10))
+    assert (len(templates), len(layouts)) == (192, 192)

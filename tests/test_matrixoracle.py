@@ -440,8 +440,8 @@ def test_sigma_split_su23():
             compact = r
     assert dict(compact.splits) == {0: (4, 0), 1: (2, 2), 2: (0, 4)}
     assert dict(mixed.splits) == {0: (2, 2), 1: (2, 2), 2: (2, 2)}
-    assert compact.split_at(0) == (4, 0)
-    assert compact.m_parts() == {0: 0, 1: 2, 2: 4}
+    assert dict(compact.splits)[0] == (4, 0)
+    assert {w: m for w, (_, m) in compact.splits} == {0: 0, 1: 2, 2: 4}
 
 
 def test_sigma_split_totals():
@@ -469,7 +469,7 @@ def test_sigma_split_su12_odd_space():
     for signed in enumerate_signed_data("su", (1, 2), p):
         assert signed.sign_split(1) == (0, 1)  # signature forces the 1-row
         r = oracle_sigma_split(signed)
-        assert r.split_at(1) == (1, 1)
+        assert dict(r.splits).get(1, (0, 0)) == (1, 1)
 
 
 def test_sigma_split_su22_even_orbit():
@@ -479,8 +479,8 @@ def test_sigma_split_su22_even_orbit():
     signed = next(s for s in enumerate_signed_data("su", (2, 2), p)
                   if s.sign_split(2) == (2, 0))
     r = oracle_sigma_split(signed)
-    assert r.split_at(1) == (0, 0)
-    assert r.split_at(2) == (0, 4)
+    assert dict(r.splits).get(1, (0, 0)) == (0, 0)
+    assert dict(r.splits).get(2, (0, 0)) == (0, 4)
 
 
 def test_sl_split_is_supported():

@@ -31,6 +31,7 @@ from sl2magical.rootsystems import (
     CLASSICAL_RANK_CAP,
     SELF_PAIRED_PARITY,
     LieType,
+    WeightedDynkinDiagram,
 )
 
 
@@ -228,6 +229,20 @@ def test_weighted_dynkin_d5_sostar_row():
     wdd = weighted_dynkin_from_partition(LieType.of("D", 5),
                                          Partition.parse("2^4,1^2"))
     assert wdd.labels == (0, 0, 0, 1, 1)
+
+
+def test_weighted_dynkin_label_outside_012_is_an_internal_error(monkeypatch):
+    """A label outside {0,1,2} is a broken invariant, refused once, by the
+    diagram's own check, and raised as an AssertionError (exit 4), not as
+    the diagram's DomainError (exit 2)."""
+    monkeypatch.setattr(orbits, "sub", lambda a, b: 3)
+    made = []
+    monkeypatch.setattr(orbits, "WeightedDynkinDiagram",
+                        lambda **fields: made.append(fields) or WeightedDynkinDiagram(**fields))
+    t = LieType.of("A", 2)
+    with pytest.raises(AssertionError, match=r"A2 \[3\]: labels \[3, 3\] leave \{0,1,2\}"):
+        weighted_dynkin_from_partition(t, Partition.parse("3"))
+    assert made == [{"lie_type": t, "labels": (3, 3)}]
 
 
 @pytest.mark.parametrize("entry", [
