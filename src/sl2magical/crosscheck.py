@@ -104,29 +104,18 @@ def _n_row(t: LieType, p: Partition, top: int) -> tuple:
 def check_table_rows() -> CheckResult:
     """The odd-family sl2-data rows in closed form, with s = n_2 - n_0."""
     name = "table-rows"
-    cases = 0
-    for q in range(2, 7):
-        for p in range(1, q):
-            form = describe("su", (p, q))
-            part = Partition.of(*([2] * p + [1] * (q - p)))
-            want = (p * p - 1 + (q - p) ** 2, 2 * p * (q - p), p * p)
-            got = _n_row(form.ambient, part, 2)
-            s = form.s
-            if got != want or s != got[2] - got[0] or s != 1 - (q - p) ** 2:
-                return CheckResult(name, False, cases,
-                                   f"su({p},{q}): n {got}, expected {want}, s {s}")
-            cases += 1
-    for m in range(1, 5):
-        mm = 2 * m + 1  # so*(2 mm) = so*(4m+2)
-        form = describe("sostar", (mm,))
-        part = Partition.of(*([2] * (mm - 1) + [1, 1]))
-        want = (m * (2 * m + 1) + 1, 4 * m, m * (2 * m - 1))
-        got = _n_row(form.ambient, part, 2)
+    # (form, its partition's parts, n_0..n_2 wanted, s wanted)
+    forms = [(describe("su", (p, q)), [2] * p + [1] * (q - p),
+              (p * p - 1 + (q - p) ** 2, 2 * p * (q - p), p * p), 1 - (q - p) ** 2)
+             for q in range(2, 7) for p in range(1, q)]
+    forms += [(describe("sostar", (2 * m + 1,)), [2] * (2 * m) + [1, 1],  # so*(4m+2)
+               (m * (2 * m + 1) + 1, 4 * m, m * (2 * m - 1)), -(2 * m + 1)) for m in range(1, 5)]
+    for cases, (form, parts, want, s_want) in enumerate(forms):
+        got = _n_row(form.ambient, Partition.of(*parts), 2)
         s = form.s
-        if got != want or s != got[2] - got[0] or s != -(2 * m + 1):
-            return CheckResult(name, False, cases,
-                               f"so*({2 * mm}): n {got}, expected {want}, s {s}")
-        cases += 1
+        if got != want or s != got[2] - got[0] or s != s_want:
+            return CheckResult(name, False, cases, f"{form.name}: n {got}, expected {want}, s {s}")
+    cases = len(forms)
     t = LieType.of("E6")
     wdd = WeightedDynkinDiagram(lie_type=t, labels=(1, 0, 0, 0, 0, 1))
     data = module_multiplicities(ad_grading(build_root_system(t), wdd))

@@ -45,9 +45,9 @@ lays out the orbit itself.  For n_j an orbit's units come from its
 multiplicity table: a part k of multiplicity r gives r units S in gl,
 and in so/sp when k has the self-paired parity, else r/2 units P; each
 tau template is checked to hold, by MatrixSl2Triple.units, the units
-this rule gives it.  A split's units are the rows of the signed datum,
-each su unit led by the row's sign there, and the orbit's involution on
-one unit or two is the template's.
+this rule gives it.  A split's units are the complex rows the signed
+datum carries (orbits' row rule), each unit led by its row's sign there,
++ in sl, and the orbit's involution on one unit or two is the template's.
 """
 
 from __future__ import annotations
@@ -282,23 +282,14 @@ def _sl_involution(m: MatrixSl2Triple) -> Involution:
     return transpose_involution(rev, [1] * m.size)
 
 
-def _cartan_units(signed: SignedPartitionData) -> Dict[UnitType, int]:
-    """The count of each unit type of the signed datum, one unit per row:
-    for su, led by the row's sign in the tableau; for sl, led by +1."""
-    if signed.family == "sl":
-        return {(1, part, 1): r for part, r in signed.partition.multiplicities().items()}
-    if signed.family != "su":
-        raise UnsupportedInvolutionError(
-            f"no integer matrix involution implemented for family {signed.family!r}")
-    return {(1, part, lead): count for part, split in signed.signs
-            for lead, count in zip((1, -1), split) if count}
-
-
 def oracle_sigma_split(signed: SignedPartitionData) -> SigmaSplitReport:
     """The h/m split of each highest-weight space, summed from the split
-    tables of the rows and row pairs of the signed datum; a row's unit
-    sign is its leading sign there, so a pair's sign is their product."""
-    keys = _keys(signed.family, _cartan_units(signed))
+    tables of the datum's complex rows and row pairs, a unit per row led
+    by the row's sign (+ in sl), so a pair's sign is their product."""
+    if signed.family not in _CARTAN_MODELS:
+        raise UnsupportedInvolutionError(
+            f"no integer matrix involution implemented for family {signed.family!r}")
+    keys = _keys(signed.family, {(1, i, s): c for (i, s), c in signed.rows.items()})
     # the trace line's side: I is in h for su (Ad(S) fixes it), in m for sl
     identity = FAMILIES[signed.family].trace[1]
     (h_null, m_null), (dim_h, dim_m) = _summed(keys, _CARTAN_TABLES, identity)

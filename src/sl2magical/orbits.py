@@ -9,10 +9,14 @@ I and II.
 
 Real forms refine the label with row signs in the signed-Young-diagram
 sense: a row of length i carries a leading sign, and a row starting with
-+ contributes ceil(i/2) plus-boxes and floor(i/2) minus-boxes.  (p_i, q_i)
-count the rows of length i by leading sign.  The quaternionic forms
-(su*, so*, sp(2p,2q)) only meet complex orbits whose multiplicities are
-all even; their row counts r_i are half the complex multiplicities.
++ contributes ceil(i/2) plus-boxes and floor(i/2) minus-boxes.  A sign
+table splits the r_i rows of length i of some parts by leading sign into
+(p_i, q_i); r_i is half the multiplicity in the quaternionic forms (su*,
+so*, sp(2p,2q)), which meet only orbits of even multiplicities.  A signed
+datum's complex rows, (length, leading sign) -> count, follow one rule: a
+listed split gives p_i rows led by + and q_i led by -, doubled in a
+quaternionic form; an unlisted part of multiplicity m gives m/2 rows of
+each sign outside gl, and m rows led by + in gl (sl, su*).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from operator import sub
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple, TypeVar
 
 from .errors import DomainError
-from .families import FAMILIES, FamilySpec, family_spec
+from .families import FamilySpec, family_spec
 from .records import Checked, Frozen
 from .rootsystems import (
     CLASSICAL_RANK_CAP,
@@ -33,6 +37,7 @@ from .rootsystems import (
 )
 
 SignTable = Tuple[Tuple[int, Tuple[int, int]], ...]
+Rows = Dict[Tuple[int, int], int]  # (length, leading sign +-1) -> complex rows
 State = TypeVar("State")
 Rule = Callable[[int, int], bool]  # allowed(part, multiplicity)
 
@@ -96,9 +101,6 @@ class Partition(Frozen):
             parts.extend([value] * count)
         return cls(tuple(parts))
 
-    def multiplicity(self, part: int) -> int:
-        return self._counts.get(part, 0)
-
     def multiplicities(self) -> Dict[int, int]:
         return dict(self._counts)
 
@@ -151,11 +153,9 @@ def _meets_form(spec: FamilySpec, params: Tuple[int, ...], p: Partition) -> bool
     return _meets_rule(_PARITY_RULES[spec.algebra, spec.quaternionic], p)
 
 
-def _sign_free_plus(spec: FamilySpec, counts: Dict[int, int]) -> int:
-    """The plus boxes of the rows that carry no sign, which a sign table
-    does not list; under the signature rule they are even, i/2 each."""
-    return 0 if spec.forced_split else sum(i // 2 * spec.rows(r) for i, r in counts.items()
-                                           if i % 2 not in spec.signed_parities)
+def _free_rows(spec: FamilySpec, m: int) -> Tuple[int, int]:
+    """(rows led by +, rows led by -) of an unlisted part of multiplicity m."""
+    return (m, 0) if spec.algebra == "gl" else (m // 2, m // 2)
 
 
 def partition_fits_family(algebra: str, p: Partition) -> bool:
@@ -323,24 +323,51 @@ def plus_boxes(part: int, p_i: int, q_i: int) -> int:
     return (part + 1) // 2 * p_i + part // 2 * q_i
 
 
+def _rows(spec: FamilySpec, counts: Dict[int, int], signs: SignTable) -> Tuple[Rows, int]:
+    """The complex rows of a sign table that lists the family's parts, and
+    their plus boxes, by the module's row rule; a split that is no split
+    of r_i, or not balanced where forced, is a DomainError."""
+    splits, double, plus = iter(signs), 1 + spec.quaternionic, 0
+    rows: Rows = {}
+    for part, m in counts.items():
+        signed = part % 2 in spec.signed_parities
+        if signed or spec.forced_split:
+            a, b = next(splits)[1]
+            r = spec.rows(m)
+            if min(a, b) < 0 or a + b != r or not (signed or a == b):
+                raise DomainError(f"part {part}: signs {(a, b)} are not a "
+                                  f"{'' if signed else 'balanced '}split of r_i = {r}")
+            a, b = a * double, b * double
+        else:
+            a, b = _free_rows(spec, m)
+        if a:
+            rows[part, 1] = a
+        if b:
+            rows[part, -1] = b
+        plus += plus_boxes(part, a, b)
+    return rows, plus
+
+
 class SignedPartitionData(Frozen):
     """A real nilpotent orbit label: partition plus leading-sign counts.
 
     signs holds (part, (p_i, q_i)) for exactly the parts whose rows carry
-    an independent sign choice in the given family; forced splits (even
-    rows of so(p,q), odd rows of sp(2n,R)) are materialized too so that
-    downstream centralizer code never rederives them.  Families without
-    sign decorations (sl, su*) have empty signs.
+    an independent sign choice in the given family, and the forced splits
+    (even rows of so(p,q), odd rows of sp(2n,R)); sl and su* have none.
+    rows, not a field, is the diagram in complex rows by the row rule.
     A datum that is no real orbit of its form is a DomainError when made:
     the form's size, parity rule, sign listing, splits (nonnegative, of sum
-    r_i, balanced where forced) and, under the signature rule, p plus boxes.
+    r_i, balanced where forced) and, under the signature rule, the complex
+    plus boxes, size_factor * p.
     """
 
-    __slots__ = _fields = ("family", "params", "partition", "signs")
+    _fields = ("family", "params", "partition", "signs")
+    __slots__ = _fields + ("rows",)
     family: str
     params: Tuple[int, ...]
     partition: Partition
     signs: SignTable
+    rows: Rows
 
     def __init__(self, family: str, params: Tuple[int, ...], partition: Partition,
                  signs: SignTable = ()) -> None:
@@ -352,29 +379,15 @@ class SignedPartitionData(Frozen):
         if not _meets_form(spec, params, partition):
             raise DomainError(f"{partition} does not meet {spec.name(params)}")
         counts = partition._counts
-        wanted = [part for part in counts
-                  if spec.forced_split or part % 2 in spec.signed_parities]
+        wanted = [part for part in counts if spec.forced_split or part % 2 in spec.signed_parities]
         listed = [part for part, _ in signs]
         if listed != wanted:
             raise DomainError(f"the signs of {self} list the parts {listed}, "
                               f"not each of {wanted} once, descending")
-        plus = _sign_free_plus(spec, counts) if spec.signature_rule else 0
-        for part, (a, b) in signs:
-            r = spec.rows(counts[part])
-            signed = part % 2 in spec.signed_parities
-            if min(a, b) < 0 or a + b != r or not (signed or a == b):
-                raise DomainError(f"part {part}: signs {(a, b)} are not a "
-                                  f"{'' if signed else 'balanced '}split of r_i = {r}")
-            plus += plus_boxes(part, a, b)
-        if spec.signature_rule and plus != params[0]:
-            raise DomainError(f"{self} has {plus} plus boxes, not p = {params[0]}")
-
-    def row_count(self, part: int) -> int:
-        """r_i: rows of length part, in the family's own counting."""
-        return FAMILIES[self.family].rows(self.partition.multiplicity(part))
-
-    def sign_split(self, part: int) -> Optional[Tuple[int, int]]:
-        return dict(self.signs).get(part)
+        rows, plus = _rows(spec, counts, signs)
+        object.__setattr__(self, "rows", rows)
+        if spec.signature_rule and plus != (want := spec.size_factor * params[0]):
+            raise DomainError(f"{self} has {plus} plus boxes, not p = {want}")
 
     def __str__(self) -> str:
         if not self.signs:
@@ -386,15 +399,18 @@ class SignedPartitionData(Frozen):
 def _signed_data(spec: FamilySpec, family: str, params: Tuple[int, ...], p: Partition,
                  splits: Callable[[int], List[Tuple[int, int]]]) -> Iterator[SignedPartitionData]:
     """The sign data of p whose signed parts take a split from splits(r_i)
-    and whose plus boxes meet the signature rule: plus-heavy splits first,
-    larger parts varying slowest.  p must meet the form (_meets_form)."""
+    and whose complex plus boxes, counted with no rows built, meet the
+    signature rule: plus-heavy splits first, larger parts varying slowest.
+    p must meet the form (_meets_form)."""
     choices = [[(i, split) for split in splits(spec.rows(m))] if i % 2 in spec.signed_parities
                else [(i, (spec.rows(m) // 2,) * 2)]  # the forced split
                for i, m in p._counts.items() if spec.forced_split or i % 2 in spec.signed_parities]
-    base = _sign_free_plus(spec, p._counts)
+    double, target = 1 + spec.quaternionic, spec.size_factor * params[0]
+    base = sum(plus_boxes(i, *_free_rows(spec, m)) for i, m in p._counts.items()
+               if not (spec.forced_split or i % 2 in spec.signed_parities))
     for signs in product(*choices):
-        plus = base + sum(plus_boxes(i, a, b) for i, (a, b) in signs)
-        if not spec.signature_rule or plus == params[0]:
+        if (not spec.signature_rule
+                or base + double * sum(plus_boxes(i, a, b) for i, (a, b) in signs) == target):
             yield SignedPartitionData(family, params, p, signs)
 
 

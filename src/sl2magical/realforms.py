@@ -176,19 +176,23 @@ class CentralizerRealForm(NamedTuple):
 
 
 def centralizer_realform(signed: SignedPartitionData) -> CentralizerRealForm:
-    """Factor list and dims per the signed-data conventions, with the
-    factors FamilySpec derives from (gl, quaternionic).  su:
-    s(sum u(p_i,q_i)); sl: s(sum gl(r_i,R)); su*: s(sum u*(2 r_i)); so:
-    sp(r_i,R) on even parts + so(p_i,q_i) on odd; sp(2n,R) the mirror;
-    so*: sp(2p_i,2q_i) on even + so*(2 r_i) on odd; sp(2p,2q) the mirror.
+    """Factor list and dims, with the factors FamilySpec derives from (gl,
+    quaternionic), read off the datum's complex rows: a signed part's
+    (p_i, q_i) are its rows by leading sign, halved in a quaternionic form,
+    and an unsigned part's r_i is spec.rows of its row total.  su: s(sum
+    u(p_i,q_i)); sl: s(sum gl(r_i,R)); su*: s(sum u*(2 r_i)); so: sp(r_i,R)
+    on even parts + so(p_i,q_i) on odd; sp(2n,R) the mirror; so*:
+    sp(2p_i,2q_i) on even + so*(2 r_i) on odd; sp(2p,2q) the mirror.
     """
     spec = FAMILIES[signed.family]
+    rows, double = signed.rows, 1 + spec.quaternionic
     factors, dim_h, dim_m = [], 0, 0
-    for i in sorted(signed.partition.multiplicities(), reverse=True):
+    for i in dict.fromkeys(i for i, _ in rows):  # the parts, descending
+        a, b = rows.get((i, 1), 0), rows.get((i, -1), 0)
         if i % 2 in spec.signed_parities:
-            args, (name, dims) = signed.sign_split(i), spec.signed_factor
+            args, (name, dims) = (a // double, b // double), spec.signed_factor
         else:
-            args, (name, dims) = (signed.row_count(i),), spec.unsigned_factor
+            args, (name, dims) = (spec.rows(a + b),), spec.unsigned_factor
         factors.append(name(*args))
         h, m = dims(*args)
         dim_h, dim_m = dim_h + h, dim_m + m

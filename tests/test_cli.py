@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2magical import cli, dataset, realforms
+from sl2magical import cli, dataset, orbits, realforms
 from sl2magical.cli import main
 from sl2magical.dataset import DATASET_ENV
 from sl2magical.families import FAMILIES, FamilySpec
@@ -335,6 +335,25 @@ def test_slodowy_workload_builds_what_it_prints(capsys, monkeypatch):
     assert (len(complexified), len(built)) == (47, 908)
 
 
+def test_slodowy_workload_builds_rows_once_per_datum(capsys, monkeypatch):
+    """Over the slodowy workload, a signed datum's complex rows are built
+    once, when it is made (the 908 data of the test above), and never for
+    a sign table that signed_data's plus-box filter rejects: the filter
+    counts boxes without building rows."""
+    workload = _slodowy_workload()
+    built, rows_built = [], []
+
+    def count(seen, original):
+        return lambda *args: seen.append(1) or original(*args)
+
+    monkeypatch.setattr(SignedPartitionData, "__init__",
+                        count(built, SignedPartitionData.__init__))
+    monkeypatch.setattr(orbits, "_rows", count(rows_built, orbits._rows))
+    for argv, _ in workload:
+        assert run(capsys, *argv)[0] == 0
+    assert (len(built), len(rows_built)) == (908, 908)
+
+
 def test_classify_workload_builds_one_partition_per_walked_partition(capsys, monkeypatch):
     """Over the classify workload, each of the 107 partitions the walk
     yields on the 141 classical forms is built once, and the 12 exceptional
@@ -373,6 +392,7 @@ def test_slodowy_exceptional_row(capsys):
     assert code == 0
     doc = json.loads(out)
     assert (doc["slodowy_param_dim"], doc["expected_dim"]) == (124, 156)
+    assert doc["a"] == {"1": 8, "2": 8}  # the weight-2 part derived from the record
 
 
 def test_slodowy_exceptional_incomplete_row_exit_3(capsys):
@@ -830,9 +850,10 @@ def test_record_output_byte_identical(capsys, argv, fmt):
 def test_module_entry_point_in_a_fresh_interpreter():
     """python -m sl2magical.cli: exit 0 and the json document for a valid
     command; exit 2 and an error line on stderr for malformed ones, both an
-    argparse rejection and a domain error returned by main."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    argparse rejection and a domain error returned by main.  The child
+    imports the package from where this process did: the checkout's src,
+    or an installed wheel."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
 
     def cli_run(*argv):
         return subprocess.run([sys.executable, "-m", "sl2magical.cli", *argv],

@@ -51,7 +51,7 @@ def test_su23_oddmagical_orbit():
     verdicts = []
     for signed in enumerate_signed_data("su", (2, 3), p):
         st = extended_magical_status(signed)
-        verdicts.append((signed.sign_split(2), st.verdict))
+        verdicts.append((dict(signed.signs)[2], st.verdict))
     assert ((2, 0), Verdict.ODD_MAGICAL) in verdicts
     assert ((0, 2), Verdict.ODD_MAGICAL) in verdicts
     assert ((1, 1), Verdict.NOT_EXTENDED_MAGICAL) in verdicts
@@ -68,7 +68,7 @@ def test_su23_trivial_orbit_not_magical():
 def test_witness_numbers_su22():
     p = Partition.parse("2^2")
     signed = next(s for s in enumerate_signed_data("su", (2, 2), p)
-                  if s.sign_split(2) == (2, 0))
+                  if dict(s.signs)[2] == (2, 0))
     st = extended_magical_status(signed)
     assert st.verdict is Verdict.EVEN_MAGICAL
     assert st.witness.m_minus_h == 1  # dim m - dim h = 8 - 7

@@ -333,7 +333,7 @@ def _split_keys_up_to(size):
         for p in enumerate_partitions(LieType.of("A", n - 1)):
             for family, params in forms:
                 for signed in enumerate_signed_data(family, params, p):
-                    units = Counter(matrixoracle._cartan_units(signed))
+                    units = {(1, i, lead): c for (i, lead), c in signed.rows.items()}
                     keys |= set(matrixoracle._keys(family, units))
     return keys
 
@@ -434,7 +434,7 @@ def test_sigma_split_su23():
     for signed in enumerate_signed_data("su", (2, 3), p):
         r = oracle_sigma_split(signed)
         assert r.dim_m == r.dim_h  # su(2,3) has dim m = dim h
-        if signed.sign_split(2) == (1, 1):
+        if dict(signed.signs)[2] == (1, 1):
             mixed = r
         elif compact is None:
             compact = r
@@ -467,7 +467,7 @@ def test_sigma_split_su12_odd_space():
     # V_1 of [2,1] in su(1,2) splits (1,1) whatever the free sign choice
     p = Partition.parse("2,1")
     for signed in enumerate_signed_data("su", (1, 2), p):
-        assert signed.sign_split(1) == (0, 1)  # signature forces the 1-row
+        assert dict(signed.signs)[1] == (0, 1)  # signature forces the 1-row
         r = oracle_sigma_split(signed)
         assert dict(r.splits).get(1, (0, 0)) == (1, 1)
 
@@ -477,7 +477,7 @@ def test_sigma_split_su22_even_orbit():
     # definite sign choice
     p = Partition.parse("2,2")
     signed = next(s for s in enumerate_signed_data("su", (2, 2), p)
-                  if s.sign_split(2) == (2, 0))
+                  if dict(s.signs)[2] == (2, 0))
     r = oracle_sigma_split(signed)
     assert dict(r.splits).get(1, (0, 0)) == (0, 0)
     assert dict(r.splits).get(2, (0, 0)) == (0, 4)

@@ -23,7 +23,7 @@ def _signed(family, params, spec, split=None):
     data = enumerate_signed_data(family, params, p)
     if split is None:
         return data[0]
-    return next(s for s in data if s.sign_split(split[0]) == split[1])
+    return next(s for s in data if dict(s.signs).get(split[0]) == split[1])
 
 
 def test_parameter_dim_formula():

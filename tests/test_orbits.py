@@ -76,9 +76,7 @@ def test_parse_bounds_the_box_count_before_expanding():
 def test_multiplicity_and_n():
     p = Partition.parse("3,2,2,1")
     assert p.n == 8
-    assert p.multiplicity(2) == 2
     assert p.multiplicities() == {3: 1, 2: 2, 1: 1}
-    assert p.multiplicity(5) == 0
 
 
 def test_counts_are_cached_and_copied_out():
@@ -271,24 +269,29 @@ def test_plus_boxes():
     assert plus_boxes(1, 0, 1) == 0
 
 
+def _plus_boxes_of(rows):
+    """The plus boxes of complex rows, (length, leading sign) -> count."""
+    return sum(plus_boxes(i, c, 0) if lead > 0 else plus_boxes(i, 0, c)
+               for (i, lead), c in rows.items())
+
+
 def test_su_signed_data_signature():
     data = enumerate_signed_data("su", (2, 3), Partition.parse("2^2,1"))
     assert len(data) == 3
     for signed in data:
-        total = sum(plus_boxes(part, p, q) for part, (p, q) in signed.signs)
-        assert total == 2
+        assert _plus_boxes_of(signed.rows) == 2
 
 
 def test_su_trivial_orbit_single_datum():
     data = enumerate_signed_data("su", (2, 3), Partition.parse("1^5"))
     assert len(data) == 1
-    assert data[0].sign_split(1) == (2, 3)
+    assert dict(data[0].signs)[1] == (2, 3)
 
 
 def test_so_even_parts_balanced():
     # even parts of a B/D signed datum split evenly
     for signed in enumerate_signed_data("so", (3, 4), Partition.parse("3,2,2")):
-        p, q = signed.sign_split(2)
+        p, q = dict(signed.signs)[2]
         assert p == q == 1
 
 
@@ -306,9 +309,11 @@ def test_sp_all_multiplicities_even():
 def test_sp_quota():
     # sp(2p,2q): even parts contribute a fixed quota, odd splits make up the rest
     (signed,) = enumerate_signed_data("sp", (1, 1), Partition.parse("1^4"))
-    assert signed.sign_split(1) == (1, 1)
+    assert dict(signed.signs)[1] == (1, 1)
+    assert signed.rows == {(1, 1): 2, (1, -1): 2}  # the split, doubled
     (signed,) = enumerate_signed_data("sp", (1, 1), Partition.parse("2,2"))
     assert signed.signs == ()
+    assert signed.rows == {(2, 1): 1, (2, -1): 1}  # 2 plus boxes, 2p for p = 1
 
 
 def test_sostar_needs_even_multiplicities():
@@ -318,12 +323,14 @@ def test_sostar_needs_even_multiplicities():
 
 @pytest.mark.parametrize("family,params,partition,signs,message", [
     ("so", (2, 3), "3,1^2", ((3, (0, 1)), (1, (2, 0))), r"has 3 plus boxes, not p = 2$"),
+    # complex boxes against the p of the printed name, sp(2,2)
+    ("sp", (1, 1), "1^4", ((1, (2, 0)),), r"^\[1\^4\]\{1:\(2,0\)\} has 4 plus boxes, not p = 2$"),
     ("sostar", (3,), "3,1^3", (), r"^\[3,1\^3\] does not meet so\*\(6\)$"),
     ("spr", (2,), "3,1", ((3, (1, 0)), (1, (1, 0))), r"^\[3,1\] does not meet sp\(4,R\)$"),
     ("su", (2, 3), "2^2", ((2, (2, 0)),), r"^su\(2,3\) needs a partition of 5, got 4$"),
     ("su", (2,), "2", ((2, (1, 0)),), r"^su\(p,q\) takes 2 parameters, got 1$"),
     ("so", (3, 4), "2^2,1^3", ((2, (2, 0)), (1, (1, 2))), r"signs \(2, 0\) are not a balanced"),
-], ids=["plus-boxes", "odd-quaternionic", "parity", "size", "arity", "forced-unbalanced"])
+], ids=["plus-boxes", "plus-boxes-quaternionic", "odd-quaternionic", "parity", "size", "arity", "forced-unbalanced"])
 def test_signed_data_that_is_no_orbit_is_refused(family, params, partition, signs, message):
     """A datum that is no real orbit of its form is refused when it is
     made, before the criterion or a split can read it."""
@@ -409,10 +416,49 @@ def test_walk_refuses_an_odd_gap(monkeypatch):
 
 
 def test_row_count_halved_for_quaternionic():
+    """A datum's rows are complex rows; r_i, the family's own count, is
+    spec.rows of their total, halved in su* and not in su."""
     (signed,) = enumerate_signed_data("sustar", (2,), Partition.parse("2,2"))
-    assert signed.row_count(2) == 1
+    assert signed.rows == {(2, 1): 2}
+    assert FAMILIES["sustar"].rows(2) == 1
     data = enumerate_signed_data("su", (2, 2), Partition.parse("2,2"))
-    assert any(s.row_count(2) == 2 for s in data)
+    assert all(sum(s.rows.values()) == FAMILIES["su"].rows(2) == 2 for s in data)
+
+
+def _old_cartan_units(signed):
+    """The su/sl split's units as they were read off the sign and
+    multiplicity tables: one per row, led by its sign in su, by + in sl."""
+    if signed.family == "sl":
+        return {(1, part, 1): r for part, r in signed.partition.multiplicities().items()}
+    return {(1, part, lead): count for part, split in signed.signs
+            for lead, count in zip((1, -1), split) if count}
+
+
+def test_rows_follow_the_row_rule():
+    """On every signed datum of the forms of size <= 12 (15,004), the
+    complex rows hold N boxes; under the signature rule their plus boxes
+    are size_factor * p; a listed split is doubled in a quaternionic form;
+    and on su and sl the rows are the units of the old per-family rule."""
+    data = 0
+    for family, spec in FAMILIES.items():
+        double = 1 + spec.quaternionic
+        for params in family_parameter_space(family, 12):
+            form = describe(family, params)
+            for p in enumerate_partitions(form.ambient):
+                for signed in enumerate_signed_data(family, params, p):
+                    rows = signed.rows
+                    assert sum(i * c for (i, _), c in rows.items()) == spec.size(params)
+                    assert 0 not in rows.values()
+                    if spec.signature_rule:
+                        assert _plus_boxes_of(rows) == spec.size_factor * params[0], signed
+                    for i, (a, b) in signed.signs:
+                        assert rows.get((i, 1), 0) == double * a, signed
+                        assert rows.get((i, -1), 0) == double * b, signed
+                    if family in ("su", "sl"):
+                        units = {(1, i, lead): c for (i, lead), c in rows.items()}
+                        assert units == _old_cartan_units(signed)
+                    data += 1
+    assert data == 15004
 
 
 def test_magical_candidates_small():

@@ -156,13 +156,13 @@ def test_su_centralizer_compactness():
     p = Partition.parse("2^2,1")
     verdicts = {}
     for signed in enumerate_signed_data("su", (2, 3), p):
-        verdicts[signed.sign_split(2)] = centralizer_realform(signed).is_compact
+        verdicts[dict(signed.signs)[2]] = centralizer_realform(signed).is_compact
     assert verdicts == {(2, 0): True, (1, 1): False, (0, 2): True}
 
 
 def test_su_centralizer_str():
     signed = next(s for s in enumerate_signed_data("su", (2, 3), Partition.parse("2^2,1"))
-                  if s.sign_split(2) == (2, 0))
+                  if dict(s.signs)[2] == (2, 0))
     assert str(centralizer_realform(signed)) == "s(u(2,0)+u(0,1))"
 
 
