@@ -22,7 +22,7 @@ import re
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
-from .errors import DatasetSchemaError, InconsistentGradingError, MissingDataError
+from .errors import DatasetSchemaError, DomainError, MissingDataError
 from .families import FACTOR_DIMS
 from .magical import MagicalStatus, orbit_witness
 from .realforms import EXCEPTIONAL_FORMS, CentralizerRealForm, describe
@@ -137,16 +137,9 @@ class ExceptionalOrbitRecord(NamedTuple):
 def _validate(rec: ExceptionalOrbitRecord, where: str) -> None:
     if rec.realform not in EXCEPTIONAL_FORMS:
         raise DatasetSchemaError(f"{where}: unknown real form {rec.realform!r}")
-    ambient = rec.ambient
-    if len(rec.wdd) != ambient.rank:
-        raise DatasetSchemaError(
-            f"{where}: wdd length {len(rec.wdd)} != rank {ambient.rank} of {ambient.name}"
-        )
-    if any(x not in (0, 1, 2) for x in rec.wdd):
-        raise DatasetSchemaError(f"{where}: wdd labels must lie in {{0,1,2}}")
-    try:
+    try:  # the diagram checks its length and labels, the grading that it labels an orbit
         data = rec.sl2_data()
-    except InconsistentGradingError as exc:
+    except DomainError as exc:
         raise DatasetSchemaError(f"{where}: wdd labels no orbit ({exc})") from exc
     for col in _OPTIONAL_KEYS:
         value = getattr(rec, col)

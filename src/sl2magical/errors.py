@@ -18,10 +18,6 @@ class InconsistentGradingError(DomainError):
     """A grading that is not the ad_h eigenspace grading of any sl2-triple."""
 
 
-class UnsupportedInvolutionError(DomainError):
-    """The real form needs an involution outside the exact-integer models."""
-
-
 class MissingDataError(LookupError):
     """A computation needs curated data that is not present."""
 

@@ -4,11 +4,11 @@ Each noncompact classical family is one FamilySpec.  It states its name
 template and parameter letters, its complex algebra (gl, so or sp),
 whether its form is quaternionic, and the closed formulas of its
 restricted roots and Hermitian type.  Its sign rules, size factor, trace
-line and centralizer factors, each a name with its (dim h, dim m), are
-derived once, when the spec is made, from the algebra's
+line, Cartan split and centralizer factors, each a name with its (dim h,
+dim m), are derived once, when the spec is made, from the algebra's
 SELF_PAIRED_PARITY, the quaternionic flag and the arity, by the
 signed-Young-diagram and centralizer rules of Collingwood-McGovern, Thms
-9.3.3-9.3.5.  The form's own dim h and dim m are those of the centralizer
+9.3.3-9.3.5 and ch. 9.  The form's own dim h and dim m are those of the centralizer
 of its zero orbit [1^N], one factor less the trace line.  The signed-data
 enumerator, descriptors and centralizers read these facts instead of
 branching on the tag; a centralizer is compact when its dim m is 0.
@@ -62,7 +62,7 @@ class FamilySpec(Frozen):
     _fields = ("tag", "template", "letters", "algebra", "quaternionic", "ss_rank", "hermitian",
                "root_mults", "subtube")
     __slots__ = _fields + ("size_factor", "signature_rule", "signed_parities", "forced_split",
-                           "trace", "signed_factor", "unsigned_factor")
+                           "trace", "square", "k_agrees", "signed_factor", "unsigned_factor")
     tag: str
     template: str  # form name, one {} per parameter scaled by size_factor
     letters: str  # one letter per parameter
@@ -81,6 +81,8 @@ class FamilySpec(Frozen):
     signed_parities: Tuple[int, ...]  # parities i % 2 with a sign split
     forced_split: bool  # the other parts split (r_i/2, r_i/2)
     trace: Tuple[int, int]  # the (dim h, dim m) line s(...) removes
+    square: str  # of one row: "S2" or "L2" in g (so, sp) or in k (sl, su*); "End" in su
+    k_agrees: Optional[bool]  # k holds the box pairs of equal signs; None: no V+-
     signed_factor: Optional[Factor]  # of a split (a, b)
     unsigned_factor: Factor  # of r_i rows
 
@@ -102,6 +104,11 @@ class FamilySpec(Frozen):
             "forced_split": not (gl or quaternionic),
             # the centers of u(a,b) are compact, those of gl(r,R) and u*(2r) split
             "trace": ((1, 0) if signature else (0, 1)) if gl else (0, 0),
+            # g_C is L2 V in so and S2 V in sp; k_C of sl and su* is so(n) and sp(n)
+            "square": "End" if gl and signature else "S2" if algebra == "sp" or (
+                gl and quaternionic) else "L2",
+            # k_C is End, L2 or S2 of V+ and of V- under a signature, V+ x V- in so*, sp(2n,R)
+            "k_agrees": None if gl and not signature else signature,
         }
         fields["signed_factor"], fields["unsigned_factor"] = _FACTORS[gl, quaternionic]
         for name, value in fields.items():

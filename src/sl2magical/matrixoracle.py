@@ -1,62 +1,60 @@
-"""Brute-force ground truth: n_j and Cartan splits as nullities of ad_e.
+"""Brute-force ground truth: n_j as nullities of ad_e, and Cartan splits.
 
-The matrices come from matrixmodel: sl2-triples on Jordan strings, and
-every algebra ranked here as an eigenspace of a signed-permutation
-involution of gl_N.  gl_N and so(M)/sp(M) are the +1 sides of tau; the
-Cartan involutions of su(p,q) and sl(n,R) split gl_N into h (+1) and m
-(-1).  For su(p,q) it is Ad(S), S = diag(s) alternating along each
-string; for sl(n,R) it is -B X^T B^{-1}, the tau of the per-string
-reversal B with every mu = 1.  The other five classical families have
-Cartan involutions of the same shape, not modeled yet: callers get
-UnsupportedInvolutionError.
+n_j is ranked on matrices from matrixmodel: sl2-triples on Jordan
+strings, gl_N and so(M)/sp(M) the +1 sides of the signed-permutation
+involution tau of gl_N.  The h/m split of a Cartan involution is counted,
+not ranked, in all seven classical families; the su and sl tables are
+also ranked, under Ad(S), S = diag(s) alternating along each string, and
+-B X^T B^{-1}, B the per-string reversal, as the check of the count.
 
-Neither oracle ranks the whole algebra.  e is block-diagonal over the
+Neither oracle works on the whole algebra.  e is block-diagonal over the
 strings, so ad_e maps each block (s, t) = span{E_ab : a in s, b in t}
 into itself; tau maps it onto (t*, s*), Ad(S) fixes it up to the sign
 s_a s_b and -B X^T B^{-1} maps it onto (t, s).  Group the strings into
 units: a self-paired string S, or a coupled pair P = {u, u*}; in gl,
-and so under a Cartan involution, every string is a unit S.  The blocks
-within one unit, or between two, span a space stable under ad_e and the
-involution, whose column count and nullity by weight on each side depend
-only on a key (model, unit kinds, lengths, sign).  The model is gl, so
-or sp for n_j, where only the +1 side of tau is ranked, or su or sl for
-a Cartan split, where h and m are; the kinds are S or P, or SS, SP or PP
-for two units; the sign is the product of the two units' leading signs
-(1 for tau and for one unit).  A tau key is ranked once, on a template
-triple of just its units: each weight slice w >= 0 by the exact rank of
-ad_e's images of its columns, sparse maps passed as they are to
+and for a Cartan split, every string is a unit S.  The blocks within one
+unit, or between two, span a space stable under ad_e and the involution,
+whose column count and nullity by weight on each side depend only on a
+key (model, unit kinds, lengths, sign).  The model is gl, so or sp for
+n_j, where only the +1 side of tau is ranked, or a family tag for a
+split, where h and m are; the kinds are S or P, or SS, SP or PP for two
+units; the sign is the product of the two units' leading signs (1 for
+tau and for one unit).  A tau key is ranked once, on a template triple
+of just its units: each weight slice w >= 0 by the exact rank of ad_e's
+images of its columns, sparse maps passed as they are to
 linalg.integer_rank.  The template is built by the same
 matrixmodel.triple_on, so the tau-merging, the self-paired strings and
 the mu signs are ranked, not assumed; a tau template is checked to hold
-the key's units.  A split key is read from the signed Clebsch-Gordan
-rule (_split_table), which ranks nothing; the same ranked templates
-(_key_table), each Cartan template's involution checked to negate e, are
-its exhaustive check: tier-1 compares the two on every split key of the
-rank window.  A template's entries are listed straight from its one unit
-block, or the two blocks between its two units, and an entry is made a
-column only at weight w >= 0; the slices w < 0 are counted, not built or
-ranked: ad_e is injective below weight 0, since its kernel holds
-highest-weight vectors only, so their nullity is 0
-(tests/test_matrixoracle.py ranks them to check it).  n_j and the h/m
-split sum the tables over the units and unit pairs of the orbit,
-weighted by multiplicity, into one dict per side, less the identity
-matrix on the side of sigma(I) = +-I: it is in gl_N, not sl_N.  Neither
-lays out the orbit itself.  For n_j an orbit's units come from its
-multiplicity table: a part k of multiplicity r gives r units S in gl,
-and in so/sp when k has the self-paired parity, else r/2 units P; each
-tau template is checked to hold, by MatrixSl2Triple.units, the units
-this rule gives it.  A split's units are the complex rows the signed
-datum carries (orbits' row rule), each unit led by its row's sign there,
-+ in sl, and the orbit's involution on one unit or two is the template's.
+the key's units.  A template's entries are listed straight from its one
+unit block, or the two blocks between its two units, and an entry is
+made a column only at weight w >= 0; the slices w < 0 are counted, not
+built or ranked: ad_e is injective below weight 0, since its kernel
+holds highest-weight vectors only, so their nullity is 0
+(tests/test_matrixoracle.py ranks them to check it).  A split key is
+counted by one rule (_split_table): the box pairs of its row or rows, by
+weight, lie in k or in p as the family's square and k_agrees say
+(FamilySpec), and ad_e, onto from each weight w >= -1 of a normal triple
+(Kostant-Sekiguchi; Collingwood-McGovern ch. 9), gives the
+highest-weight vectors on each side.  _key_table ranks the su and sl
+split keys on templates, each involution checked to negate e; tier-1
+compares the two on every su and sl split key of the rank window.  n_j
+and the h/m split sum the tables over the units and unit pairs of the
+orbit, weighted by multiplicity, into one dict per side, less the trace
+line (h, m) of gl_N, which sl_N lacks.  Neither lays out the orbit
+itself.  For n_j an orbit's units come from its multiplicity table: a
+part k of multiplicity r gives r units S in gl, and in so/sp when k has
+the self-paired parity, else r/2 units P; each tau template is checked
+to hold, by MatrixSl2Triple.units, the units this rule gives it.  A
+split's units are the complex rows the signed datum carries (orbits' row
+rule), each unit led by its row's sign there, + in sl and su*.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, product
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .errors import UnsupportedInvolutionError
 from .families import FAMILIES
 from .linalg import integer_rank
 from .matrixmodel import (
@@ -77,12 +75,12 @@ from .sl2data import Sl2Data
 Key = Tuple[str, str, Tuple[int, ...], int]
 # Nullity of ad_e by weight on one side of a key: sorted (weight, nullity), zeros dropped.
 Table = Tuple[Tuple[int, int], ...]
-# Key -> (column count, nullity table) of each ranked side: tau's +1, or h and m.
-Tables = Dict[Key, Tuple[Tuple[int, Table], ...]]
+# (column count, nullity table) of each ranked side of a key: tau's +1, or h and m.
+Sides = Tuple[Tuple[int, Table], ...]
+Tables = Dict[Key, Sides]
 # A unit's (number of strings, string length, leading sign).
 UnitType = Tuple[int, int, int]
 
-_CARTAN_MODELS = ("su", "sl")
 _CARTAN_TABLES: Tables = {}  # the split tables, each read once per process
 
 
@@ -158,13 +156,13 @@ def _tau_units(algebra: str, p: Partition) -> Dict[UnitType, int]:
                 for part, r in p.multiplicities().items())
 
 
-def _key_table(key: Key) -> Tuple[Tuple[int, Table], ...]:
+def _key_table(key: Key) -> Sides:
     """(column count, nullity table) of each ranked side of a key, on a
     template triple holding just the key's units: over the columns within
     its one unit, or between its two."""
     model, kind, lengths, sign = key
     parts = [length for unit, length in zip(kind, lengths) for _ in range("SP".index(unit) + 1)]
-    cartan = model in _CARTAN_MODELS
+    cartan = model in ("su", "sl")  # the split models with a ranked template
     m = triple_on("gl" if cartan else model, Partition.of(*parts))
     laid_out = m.units()
     if cartan:
@@ -182,59 +180,60 @@ def _key_table(key: Key) -> Tuple[Tuple[int, Table], ...]:
                  for count, cols in sides)
 
 
-def _split_table(key: Key) -> Tuple[Tuple[int, Table], ...]:
-    """(column count, nullity table) of h and of m of an su or sl key, by
-    the signed Clebsch-Gordan rule, ranking nothing.  A row pair (a, b)
-    gives the weights w_i = a+b-2-2i, i < min(a, b), once in each of its
-    two blocks, and one row of length k gives them once with a = b = k:
-    gl(V_{k-1}) = V_0 + V_2 + ... + V_{2k-2}.  Ad(S) scales E_xy by
-    sign * (-1)^(x+y), so it puts w_i on the side of
-    sign * (-1)^(i+length+1) for the length of each row, which keeps the
-    top vector e^j of V_2j of one row in h iff j is even.  B X^T B^{-1}
-    fixes e, so -B X^T B^{-1} negates every e^j of one row, and it swaps
-    a pair's two blocks, so each w_i lies once on each side.  _key_table
-    ranks the same tables on template triples; tests/test_matrixoracle.py
-    checks that the two agree on every key of the rank window."""
-    model, kind, lengths, sign = key
+def _split_table(key: Key) -> Sides:
+    """(column count, nullity table) of h and of m of a split key, one row
+    of length a or two rows a, b of sign product sign, ranking nothing.
+    The c(t) = min(t+1, a, b, a+b-1-t) box pairs (i, j) of t = i + j have
+    weight a+b-2-2t and theta-sign sign (-1)^t; one row's L2 takes
+    (c(t) - [t even])/2 of them and its S2 (c(t) + [t even])/2.  In an End
+    block Hom(b, a) of su, t = i - j + b - 1 and the sign is
+    sign (-1)^(t+b+1).  The family's square and k_agrees (FamilySpec) put
+    each group in k or in p.  With h in k and e in p, a normal triple,
+    ad_e maps g_w cap k onto g_{w+2} cap p for w >= -1, so
+    dim(V_w cap h) = k_t - p_{t-1} and dim(V_w cap m) = p_t - k_{t-1}."""
+    family, kind, lengths, sign = key
+    spec = FAMILIES[family]
     a, b = lengths * 2 if kind == "S" else lengths
-    weights = [a + b - 2 - 2 * i for i in range(min(a, b))]
-    if model == "su":
-        sides: List[List[int]] = [[], []]
-        for i, w in enumerate(weights):
+    sides = [[0] * (a + b), [0] * (a + b)]  # k_t, p_t; t = -1 reads the spare last 0
+    for t in range(a + b - 1):
+        c = min(t + 1, a, b, a + b - 1 - t)
+        # the pairs of t in one row's L2 or S2, or in the tensor of two rows
+        piece = (c + (1 - t % 2) * (1 if spec.square == "S2" else -1)) // 2 if kind == "S" else c
+        if spec.square == "End":  # Hom(b, a), and Hom(a, b) for a pair
             for length in lengths:
-                sides[sign * (-1) ** (i + length + 1) < 0].append(w)
-        plus = (a * b + 1) // 2 * len(lengths)  # the entries E_xy with x + y even
-        dims = [plus, a * b * len(lengths) - plus][::sign]  # sign -1 swaps h and m
-    elif kind == "S":
-        sides = [[], weights]
-        dims = [a * (a - 1) // 2, a * (a + 1) // 2]
-    else:
-        sides = [weights, weights]
-        dims = [a * b, a * b]
-    return tuple((dim, tuple(sorted(Counter(ws).items()))) for dim, ws in zip(dims, sides))
+                sides[sign * (-1) ** (t + length + 1) < 0][t] += c
+        elif spec.k_agrees is None:  # no V+-: the piece in k, the rest of End in p
+            sides[0][t] += piece
+            sides[1][t] += c * len(lengths) - piece
+        else:
+            sides[(sign * (-1) ** t > 0) != spec.k_agrees][t] += piece
+    k, p = sides
+    weights = range(a + b - 2, -1, -2)  # w >= 0, from t = 0
+    return tuple((sum(side), tuple(sorted((w, v) for t, w in enumerate(weights)
+                                          if (v := side[t] - other[t - 1]))))
+                 for side, other in ((k, p), (p, k)))
 
 
-def _summed(keys: Dict[Key, int], tables: Tables,
-            identity: int) -> Tuple[List[Dict[int, int]], List[int]]:
+def _summed(keys: Dict[Key, int], tables: Tables, make_table: Callable[[Key], Sides],
+            trace: Tuple[int, int]) -> Tuple[List[Dict[int, int]], List[int]]:
     """Nullity by weight and column count of each side, summed over the
-    keys, less the identity matrix on side identity (0 or 1): it is in
-    gl_N, not in sl_N.  A key missing from tables is added, a split key
-    from the closed form and a tau key ranked, so callers passing one dict
-    to many orbits find or rank each key once."""
+    keys, less the trace line, a count per side: the identity matrix is in
+    gl_N, not in sl_N.  A key missing from tables is added by make_table,
+    so callers passing one dict to many orbits find or rank each key once."""
     nulls: List[Dict[int, int]] = [{}, {}]
     dims = [0, 0]
     for key, count in keys.items():
         sides = tables.get(key)
         if sides is None:
-            sides = tables[key] = (_split_table if key[0] in _CARTAN_MODELS else _key_table)(key)
+            sides = tables[key] = make_table(key)
         for side, (dim, table) in enumerate(sides):
             dims[side] += count * dim
             null = nulls[side]
             for w, v in table:
                 null[w] = null.get(w, 0) + count * v
-    null = nulls[identity]
-    null[0] = null.get(0, 0) - 1
-    dims[identity] -= 1
+    for side, line in enumerate(trace):
+        nulls[side][0] = nulls[side].get(0, 0) - line
+        dims[side] -= line
     return nulls, dims
 
 
@@ -248,10 +247,10 @@ def oracle_sl2_data(t: Union[LieType, MatrixSl2Triple], p: Optional[Partition] =
         algebra, p = t.algebra, t.partition
     else:
         algebra = check_partition(t, p)
-    # tau fixes I in gl; in so/sp it negates I, onto the side not ranked
-    identity = 0 if algebra == "gl" else 1
+    # tau fixes I in gl; so_N and sp_N hold no trace line
+    trace = (1, 0) if algebra == "gl" else (0, 0)
     keys = _keys(algebra, _tau_units(algebra, p))
-    nulls, dims = _summed(keys, {} if tables is None else tables, identity)
+    nulls, dims = _summed(keys, {} if tables is None else tables, _key_table, trace)
     pairs = tuple((j, v) for j, v in sorted(nulls[0].items()) if j >= 0 and v)
     return Sl2Data(n=pairs, dim_g=dims[0])
 
@@ -285,14 +284,11 @@ def _sl_involution(m: MatrixSl2Triple) -> Involution:
 def oracle_sigma_split(signed: SignedPartitionData) -> SigmaSplitReport:
     """The h/m split of each highest-weight space, summed from the split
     tables of the datum's complex rows and row pairs, a unit per row led
-    by the row's sign (+ in sl), so a pair's sign is their product."""
-    if signed.family not in _CARTAN_MODELS:
-        raise UnsupportedInvolutionError(
-            f"no integer matrix involution implemented for family {signed.family!r}")
+    by the row's sign (+ in sl and su*), so a pair's sign is their
+    product, less the family's trace line."""
     keys = _keys(signed.family, {(1, i, s): c for (i, s), c in signed.rows.items()})
-    # the trace line's side: I is in h for su (Ad(S) fixes it), in m for sl
-    identity = FAMILIES[signed.family].trace[1]
-    (h_null, m_null), (dim_h, dim_m) = _summed(keys, _CARTAN_TABLES, identity)
+    (h_null, m_null), (dim_h, dim_m) = _summed(keys, _CARTAN_TABLES, _split_table,
+                                               FAMILIES[signed.family].trace)
     splits = tuple((w, (h_null.get(w, 0), m_null.get(w, 0)))
                    for w in sorted(h_null.keys() | m_null.keys())
                    if w >= 0 and (h_null.get(w, 0) or m_null.get(w, 0)))

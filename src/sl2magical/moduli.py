@@ -56,9 +56,11 @@ def rigidity_report(genus: int,
     signed datum of a classical form or the curated record of an
     exceptional one.
 
-    Classical families split every highest-weight space through the
-    matrix-model involution; exceptional forms read the split off the
-    record's columns.  The gap is zero exactly on even magical data.
+    A classical datum, of any of the seven families, splits every
+    highest-weight space by the split tables of its complex rows
+    (matrixoracle.oracle_sigma_split), with no matrix built; an
+    exceptional record reads its split off its columns.  The gap is zero
+    exactly on even magical data (tests/test_moduli.py checks size <= 12).
     """
     if isinstance(orbit, SignedPartitionData):
         form = describe(orbit.family, orbit.params)  # the rank cap; the datum is an orbit

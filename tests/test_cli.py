@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -915,6 +916,47 @@ def test_slodowy_large_sweep_digest(capsys):
     assert commands == 1277  # 702 exit 0, 575 exit 2 (no signed datum meets the form)
     assert digest.hexdigest() == (
         "aa764b39add9b4a88c0775d8bbc8f54fb3088d215f5e64252870ac3266ea57b5")
+
+
+def test_slodowy_five_families_sweep_digest(capsys):
+    """Every so(p,q), so*(2m), sp(2n,R), sp(2p,2q) and su*(2m) slodowy
+    command of size <= 8 (family_parameter_space), each orbit partition of
+    the form's complexification, at genus 2 in json: it exits 0 exactly
+    when the partition has a signed datum of the form, else 2 with "does
+    not meet"; the exit codes and output, byte for byte, as recorded when
+    the split was first read off the datum's rows in these families."""
+    digest = hashlib.sha256()
+    codes = Counter()
+    for family in ("so", "sostar", "spr", "sp", "sustar"):
+        for params in family_parameter_space(family, 8):
+            for p in enumerate_partitions(describe(family, params).ambient):
+                argv = ("slodowy", family, *map(str, params), "--partition",
+                        ",".join(map(str, p.parts)), "--genus", "2", "--format", "json")
+                code, out, err = run(capsys, *argv)
+                met = bool(enumerate_signed_data(family, params, p))
+                assert (code, "does not meet" in err) == ((0, False) if met else (2, True)), argv
+                digest.update(f"{' '.join(argv)}\n{code}\n{out}{err}\n".encode())
+                codes[code] += 1
+    assert codes == {0: 523, 2: 944}
+    assert digest.hexdigest() == (
+        "54d3ab05189f9f4b8d0a677dd03df703635fa4eb0d9053699684b6bfa60de806")
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("so", "2", "3", "--partition", "5"),
+     '{"realform": "so(2,3)", "orbit": "[5]", "genus": 2, "slodowy_param_dim": 20, '
+     '"expected_dim": 20, "gap": 0, "milnor_wood": 4, "dim_c_cap_h": 0, "a": {"2": 1, "6": 1}, '
+     '"signs": "[5]{5:(0,1)}"}\n'),
+    (("sostar", "5", "--partition", "2^4,1^2"),
+     '{"realform": "so*(10)", "orbit": "[2^4,1^2]", "genus": 2, "slodowy_param_dim": 74, '
+     '"expected_dim": 90, "gap": 16, "milnor_wood": 4, "dim_c_cap_h": 11, '
+     '"a": {"1": 4, "2": 6}, "signs": "[2^4,1^2]{2:(2,0)}"}\n'),
+], ids=["so23-principal", "sostar10-odd-row"])
+def test_slodowy_orthogonal_rows(capsys, argv, expected):
+    """The principal orbit of the split so(2,3) has gap 0, and the odd
+    magical row [2^4,1^2] of the nontube so*(10) is reported on its
+    one-sign datum."""
+    assert run(capsys, "slodowy", *argv, "--genus", "2", "--format", "json") == (0, expected, "")
 
 
 def _orbit_sweep():

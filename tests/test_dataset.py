@@ -15,6 +15,7 @@ from sl2magical.dataset import (
     parse_centralizer,
 )
 from sl2magical.errors import DatasetSchemaError, MissingDataError
+from sl2magical.families import FAMILIES
 from sl2magical.magical import family_parameter_space
 from sl2magical.matrixoracle import oracle_sigma_split
 from sl2magical.orbits import enumerate_partitions, enumerate_signed_data
@@ -106,10 +107,10 @@ def test_derived_numerator_is_even():
 
 def test_signature_is_the_even_weight_split():
     """dim m - dim h = sum over even w of (dim V_w cap m - dim V_w cap h),
-    the identity that derives dim(V_even cap m), on every su and sl signed
-    datum of size <= 10."""
+    the identity that derives dim(V_even cap m), on every signed datum of
+    the seven families of size <= 10."""
     checked = 0
-    for family in ("su", "sl"):
+    for family in FAMILIES:
         for params in family_parameter_space(family, 10):
             form = describe(family, params)
             for p in enumerate_partitions(form.ambient):
@@ -118,7 +119,7 @@ def test_signature_is_the_even_weight_split():
                     even = sum(m - h for w, (h, m) in r.splits if w % 2 == 0)
                     assert r.dim_m - r.dim_h == form.s == even, signed
                     checked += 1
-    assert checked == 869
+    assert checked == 5484
 
 
 def test_env_override(tmp_path, monkeypatch):

@@ -81,15 +81,24 @@ def test_gl_type_centralizer_compact_only_with_one_real_line():
 # and the name and (dim h, dim m) of signed_factor(1, 2) (None: no signed
 # part) and of unsigned_factor(4).  dim h is that of the factor's maximal
 # compact subalgebra.  sl's signed and su's unsigned factor follow from the
-# gl row of the factor table; neither family has such a part.
+# gl row of the factor table; neither family has such a part.  Last, the
+# Cartan split (CM ch. 9): the square of one row in g_C (so, sp), in k_C
+# (sl, su*) or End V (su), and whether k_C holds the box pairs of equal
+# signs, or of opposite signs, V+ x V- being in k_C; None: no V+ and V-.
 SIGN_RULES = {
-    "su": ((0, 1), False, True, 1, (1, 0), ("u(1,2)", (5, 4)), ("gl(4,R)", (6, 10))),
-    "sl": ((), False, False, 1, (0, 1), ("u(1,2)", (5, 4)), ("gl(4,R)", (6, 10))),
-    "sustar": ((), False, False, 2, (0, 1), None, ("u*(8)", (36, 28))),
-    "so": ((1,), True, True, 1, (0, 0), ("so(1,2)", (1, 2)), ("sp(4,R)", (4, 6))),
-    "sostar": ((0,), False, False, 2, (0, 0), ("sp(2,4)", (13, 8)), ("so*(8)", (16, 12))),
-    "spr": ((0,), True, False, 2, (0, 0), ("so(1,2)", (1, 2)), ("sp(4,R)", (4, 6))),
-    "sp": ((1,), False, True, 2, (0, 0), ("sp(2,4)", (13, 8)), ("so*(8)", (16, 12))),
+    "su": ((0, 1), False, True, 1, (1, 0), ("u(1,2)", (5, 4)), ("gl(4,R)", (6, 10)),
+           ("End", True)),
+    "sl": ((), False, False, 1, (0, 1), ("u(1,2)", (5, 4)), ("gl(4,R)", (6, 10)),
+           ("L2", None)),
+    "sustar": ((), False, False, 2, (0, 1), None, ("u*(8)", (36, 28)), ("S2", None)),
+    "so": ((1,), True, True, 1, (0, 0), ("so(1,2)", (1, 2)), ("sp(4,R)", (4, 6)),
+           ("L2", True)),
+    "sostar": ((0,), False, False, 2, (0, 0), ("sp(2,4)", (13, 8)), ("so*(8)", (16, 12)),
+               ("L2", False)),
+    "spr": ((0,), True, False, 2, (0, 0), ("so(1,2)", (1, 2)), ("sp(4,R)", (4, 6)),
+            ("S2", False)),
+    "sp": ((1,), False, True, 2, (0, 0), ("sp(2,4)", (13, 8)), ("so*(8)", (16, 12)),
+           ("S2", True)),
 }
 
 
@@ -99,7 +108,7 @@ def test_derived_sign_rules_and_factors(tag):
     signed = tuple(f(1, 2) for f in spec.signed_factor) if spec.signed_factor else None
     unsigned = tuple(f(4) for f in spec.unsigned_factor)
     assert (spec.signed_parities, spec.forced_split, spec.signature_rule, spec.size_factor,
-            spec.trace, signed, unsigned) == SIGN_RULES[tag]
+            spec.trace, signed, unsigned, (spec.square, spec.k_agrees)) == SIGN_RULES[tag]
 
 
 def test_su_data_never_reach_the_unsigned_branch():
@@ -138,11 +147,11 @@ def test_centralizer_digest():
 
 
 def test_centralizer_dims_are_the_oracle_split():
-    """On su and sl, the factors' (dim h, dim m), net of the trace line,
-    are the oracle's split of c = V_0 by the Cartan involution, on each of
-    the 869 signed data of size <= 10."""
+    """The factors' (dim h, dim m), net of the trace line, are the
+    oracle's split of c = V_0 by the Cartan involution, on each of the
+    5,484 signed data of the seven families of size <= 10."""
     checked = 0
-    for family in ("su", "sl"):
+    for family in FAMILIES:
         for params in family_parameter_space(family, 10):
             for p in enumerate_partitions(describe(family, params).ambient):
                 for d in enumerate_signed_data(family, params, p):
@@ -150,4 +159,4 @@ def test_centralizer_dims_are_the_oracle_split():
                     split = dict(oracle_sigma_split(d).splits).get(0, (0, 0))
                     assert (c.dim_h, c.dim_m) == split, d
                     checked += 1
-    assert checked == 869
+    assert checked == 5484

@@ -2,11 +2,12 @@
 
 import hashlib
 from collections import Counter
+from itertools import product
 
 import pytest
 
 from sl2magical import crosscheck, matrixoracle
-from sl2magical.errors import DomainError, UnsupportedInvolutionError
+from sl2magical.errors import DomainError
 from sl2magical.linalg import integer_rank
 from sl2magical.matrixmodel import (
     ad_e_images,
@@ -25,6 +26,7 @@ from sl2magical.matrixoracle import (
     oracle_sl2_data,
 )
 from sl2magical.families import FAMILIES
+from sl2magical.magical import family_parameter_space
 from sl2magical.moduli import rigidity_report
 from sl2magical.orbits import (
     Partition,
@@ -354,6 +356,60 @@ def test_split_tables_match_the_ranked_templates():
         assert _split_table(key) == _key_table(key), key
 
 
+def _box_count(key):
+    """(dim, nullity table) of h and of m of a split key, pair by pair of
+    boxes: box i of a row of length k led by lead has weight k-1-2i and
+    sign lead (-1)^i; g_C holds E_xy of weight h_x - h_y in su, else the
+    pairs {x, y} of weight h_x + h_y in one row's L2 or S2 (x < y, x <= y)
+    or across two rows; theta keeps those whose signs agree in su, so(p,q)
+    and sp(p,q), those that differ in so* and sp(2n,R), and the L2 of sl,
+    the S2 of su*, and one copy of a row pair's tensor there."""
+    family, kind, lengths, sign = key
+    spec = FAMILIES[family]
+    rows = [[(k - 1 - 2 * i, lead * (-1) ** i) for i in range(k)]
+            for k, lead in zip(lengths, (1, sign))]
+    sides = [Counter(), Counter()]  # weight -> pairs in k, in p
+    if spec.square == "End":
+        blocks = [rows * 2] if kind == "S" else [rows, rows[::-1]]
+        for r, s in blocks:
+            for (wx, sx), (wy, sy) in product(r, s):
+                sides[sx * sy < 0][wx - wy] += 1
+    else:
+        if kind == "S":
+            boxes = list(enumerate(rows[0]))
+            pairs = [(x, y, square) for (i, x), (j, y) in product(boxes, repeat=2)
+                     for square in ("L2", "S2") if i < j or (i == j and square == "S2")]
+        else:
+            pairs = [(x, y, None) for x, y in product(*rows)]
+        for (wx, sx), (wy, sy), square in pairs:
+            if spec.k_agrees is None:
+                for side in (0, 1):  # a row's square in k, the other in p; a pair's copies
+                    if square is None or (square == spec.square) != side:
+                        sides[side][wx + wy] += 1
+            elif square in (None, spec.square):
+                sides[(sx * sy > 0) != spec.k_agrees][wx + wy] += 1
+    k, p = sides
+    return tuple((sum(side.values()),
+                  tuple(sorted((w, v) for w in side if w >= 0 and (v := side[w] - other[w + 2]))))
+                 for side, other in ((k, p), (p, k)))
+
+
+def test_split_tables_match_the_box_count():
+    """The split table of every key of the seven families, one row of
+    length <= 25 or two of total length <= 25, either sign product where
+    the family has signs, equals the count pair by pair of boxes."""
+    checked = 0
+    for family, spec in FAMILIES.items():
+        signs = (1,) if spec.k_agrees is None else (1, -1)
+        keys = [(family, "S", (a,), 1) for a in range(1, 26)] + [
+            (family, "SS", (a, b), sign) for a in range(1, 25) for b in range(a, 26 - a)
+            for sign in signs]
+        for key in keys:
+            assert matrixoracle._split_table(key) == _box_count(key), key
+            checked += 1
+    assert checked == 2047  # sl and su* rows are all led by +: no sign -1
+
+
 def _su_gap(*rows):
     """g_0 - 2c - s of su rows each led by +, read as the classify walk
     reads a prefix: closed_dims' fold and the family table's s."""
@@ -446,21 +502,21 @@ def test_sigma_split_su23():
 
 def test_sigma_split_totals():
     """h+m at each weight w recovers the multiplicity n_w, and the counted
-    Cartan dimensions match the real-form descriptor."""
+    Cartan dimensions match the real-form descriptor, on every signed
+    datum of the seven families of size <= 7, p > q included."""
     checked = 0
-    for n in range(2, 8):
-        forms = [("su", (a, n - a)) for a in range(1, n)] + [("sl", (n,))]
-        t = LieType.of("A", n - 1)
-        for p in enumerate_partitions(t):
-            mult = multiplicities_formula(t, p)
-            for family, params in forms:
+    for family in FAMILIES:
+        for params in family_parameter_space(family, 7):
+            for params in {params, params[::-1]}:
                 form = describe(family, params)
-                for signed in enumerate_signed_data(family, params, p):
-                    r = oracle_sigma_split(signed)
-                    assert {w: h + mm for w, (h, mm) in r.splits} == mult
-                    assert (r.dim_h, r.dim_m) == (form.dim_h, form.dim_m)
-                    checked += 1
-    assert checked == 277  # every su and sl signed datum of size <= 7
+                for p in enumerate_partitions(form.ambient):
+                    mult = multiplicities_formula(form.ambient, p)
+                    for signed in enumerate_signed_data(family, params, p):
+                        r = oracle_sigma_split(signed)
+                        assert {w: h + mm for w, (h, mm) in r.splits} == mult
+                        assert (r.dim_h, r.dim_m) == (form.dim_h, form.dim_m)
+                        checked += 1
+    assert checked == 1210
 
 
 def test_sigma_split_su12_odd_space():
@@ -492,8 +548,14 @@ def test_sl_split_is_supported():
     assert {w: h + mm for w, (h, mm) in r.splits} == multiplicities_formula(t, p)
 
 
-def test_orthogonal_involutions_unsupported():
+def test_so23_splits_are_pinned():
+    """so(2,3) [3,1^2]: dim h = 4 and dim m = 6 on both sign data, and
+    the 3-row's sign moves c = V_0 and V_2 between h and m."""
     p = Partition.parse("3,1,1")
-    for signed in enumerate_signed_data("so", (2, 3), p):
-        with pytest.raises(UnsupportedInvolutionError):
-            oracle_sigma_split(signed)
+    splits = {str(signed): (r.splits, r.dim_h, r.dim_m)
+              for signed in enumerate_signed_data("so", (2, 3), p)
+              for r in [oracle_sigma_split(signed)]}
+    assert splits == {
+        "[3,1^2]{3:(1,0),1:(0,2)}": (((0, (1, 0)), (2, (0, 3))), 4, 6),
+        "[3,1^2]{3:(0,1),1:(1,1)}": (((0, (0, 1)), (2, (1, 2))), 4, 6),
+    }

@@ -37,16 +37,41 @@ def test_modules_compile_without_warnings():
             compile(path.read_text(encoding="utf-8"), str(path), "exec")
 
 
-def _references(tree):
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _locals(func):
+    """The names a function binds itself: its parameters and the names it
+    assigns, those of the functions nested in it aside."""
+    args = func.args
+    names = {arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs
+             + [args.vararg, args.kwarg] if arg}
+    todo = list(func.body) if isinstance(func.body, list) else [func.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif not isinstance(node, _SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _references(tree, bound=frozenset()):
     """Names a tree uses: variables, attributes, and the last dotted part of
-    string constants (as in monkeypatch.setattr("pkg.module.name", ...))."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value.rsplit(".", 1)[-1]
+    string constants (as in monkeypatch.setattr("pkg.module.name", ...)).
+    A variable bound as a parameter or local of a function it is in is
+    that local, not a use of a definition of the same name."""
+    if isinstance(tree, ast.Name):
+        if tree.id not in bound:
+            yield tree.id
+    elif isinstance(tree, ast.Attribute):
+        yield tree.attr
+    elif isinstance(tree, ast.Constant) and isinstance(tree.value, str):
+        yield tree.value.rsplit(".", 1)[-1]
+    elif isinstance(tree, _SCOPES):
+        bound = bound | _locals(tree)
+    for node in ast.iter_child_nodes(tree):
+        yield from _references(node, bound)
 
 
 def _traced_layers():
@@ -58,25 +83,53 @@ def _traced_layers():
     return [ast.literal_eval(key) for key in layers.keys]
 
 
+def _unreferenced(package, exempt):
+    """The functions and classes defined in the trees of package, dunder
+    methods and the exempt names aside, that no tree references outside
+    their own definition."""
+    used = Counter(name for tree in package for name in _references(tree))
+    unused = []
+    for tree in package:
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("__")):
+                own = sum(1 for name in _references(node) if name == node.name)
+                if used[node.name] == own and node.name not in exempt:
+                    unused.append(node.name)
+    return unused
+
+
 def test_every_definition_is_referenced():
     """Each function and class defined in the package is referenced in the
     package outside its own definition; a test alone does not keep a
     definition.  Exempt are dunder methods, which the language calls, the
     functions the benchmark tracer wraps, and the EARMARKED names."""
     package = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))]
-    used = Counter(name for tree in package for name in _references(tree))
     exempt = {name.rsplit(".", 1)[1] for name in _traced_layers()} | set(EARMARKED)
-    defined, unused = set(), []
-    for tree in package:
-        for node in ast.walk(tree):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not node.name.startswith("__")):
-                defined.add(node.name)
-                own = sum(1 for name in _references(node) if name == node.name)
-                if used[node.name] == own and node.name not in exempt:
-                    unused.append(node.name)
-    assert unused == []
+    assert _unreferenced(package, exempt) == []
+    defined = {node.name for tree in package for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
     assert set(EARMARKED) <= defined
+
+
+SHADOWED = """
+def multiplicity(part):
+    return 2
+
+
+def rows(multiplicity):
+    half = lambda count: count // 2
+    return half(multiplicity)
+
+
+print(rows(4))
+"""
+
+
+def test_a_local_of_the_same_name_keeps_no_definition():
+    """A definition whose name is used only as a parameter, here rows'
+    multiplicity, is still reported dead."""
+    assert _unreferenced([ast.parse(SHADOWED)], set()) == ["multiplicity"]
 
 
 def test_traced_layers_exist():
