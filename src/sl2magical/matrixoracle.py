@@ -39,21 +39,28 @@ highest-weight vectors on each side.  _key_table ranks the su and sl
 split keys on templates, each involution checked to negate e; tier-1
 compares the two on every su and sl split key of the rank window.  n_j
 and the h/m split sum the tables over the units and unit pairs of the
-orbit, weighted by multiplicity, into one dict per side, less the trace
-line (h, m) of gl_N, which sl_N lacks.  Neither lays out the orbit
-itself.  For n_j an orbit's units come from its multiplicity table: a
-part k of multiplicity r gives r units S in gl, and in so/sp when k has
-the self-paired parity, else r/2 units P; each tau template is checked
-to hold, by MatrixSl2Triple.units, the units this rule gives it.  A
-split's units are the complex rows the signed datum carries (orbits' row
-rule), each unit led by its row's sign there, + in sl and su*.
+orbit, weighted by multiplicity, in one pass with no dict of keys: the
+memo keeps each side of a key as its column count and one integer whose
+16-bit field w holds the nullity at weight w, so each side of an orbit
+sums to one integer, read back once as little-endian fields, less the
+trace line (h, m) of gl_N, which sl_N lacks.  Every term is >= 0 and no
+field exceeds its side's column count, refused from 2^16 on, so no field
+carries into the next.  Neither lays out the orbit itself.  For n_j an
+orbit's units come from its multiplicity table: a part k of multiplicity
+r gives r units S in gl, and in so/sp when k has the self-paired parity,
+else r/2 units P; each tau template is checked to hold, by
+MatrixSl2Triple.units, the units this rule gives it.  A split's units are
+the complex rows the signed datum carries (orbits' row rule), each unit
+led by its row's sign there, + in sl and su*.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, product
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from struct import unpack
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 from .families import FAMILIES
 from .linalg import integer_rank
@@ -77,10 +84,13 @@ Key = Tuple[str, str, Tuple[int, ...], int]
 Table = Tuple[Tuple[int, int], ...]
 # (column count, nullity table) of each ranked side of a key: tau's +1, or h and m.
 Sides = Tuple[Tuple[int, Table], ...]
-Tables = Dict[Key, Sides]
+# (column count, sum of v << _FIELD * w over the table) of each side of a key.
+Packed = Tuple[Tuple[int, int], ...]
+Tables = Dict[Key, Packed]
 # A unit's (number of strings, string length, leading sign).
 UnitType = Tuple[int, int, int]
 
+_FIELD = 16  # bits per weight of a packed side, read back as struct's "H"
 _CARTAN_TABLES: Tables = {}  # the split tables, each read once per process
 
 
@@ -128,22 +138,18 @@ def _block_sides(m: MatrixSl2Triple, units: List[Tuple[Tuple[int, ...], ...]],
                  for count, cols in zip(counts[:1 + minus], sides))
 
 
-def _keys(model: str, unit_counts: Mapping[UnitType, int]) -> Dict[Key, int]:
-    """Key -> the number of units, or pairs of distinct units, with that
-    key, from the count of each unit type."""
+def _keys(model: str, unit_counts: Mapping[UnitType, int]) -> Iterator[Tuple[Key, int]]:
+    """Each key with the number of units, or pairs of distinct units, it
+    stands for, from the count of each unit type, taken in sorted order;
+    unit types that differ only in sign give a key more than once."""
     units = sorted(unit_counts.items())
-    keys: Dict[Key, int] = {}
-    for i, ((strings, length, sign), count) in enumerate(units):
+    for i, ((strings, length, sign), count) in enumerate(units, 1):
         kind = "SP"[strings - 1]
-        key = model, kind, (length,), 1
-        keys[key] = keys.get(key, 0) + count
+        yield (model, kind, (length,), 1), count
         if count > 1:
-            key = model, kind * 2, (length, length), 1
-            keys[key] = keys.get(key, 0) + count * (count - 1) // 2
-        for (strings2, length2, sign2), count2 in units[i + 1:]:
-            key = model, kind + "SP"[strings2 - 1], (length, length2), sign * sign2
-            keys[key] = keys.get(key, 0) + count * count2
-    return keys
+            yield (model, kind * 2, (length, length), 1), count * (count - 1) // 2
+        for (strings2, length2, sign2), count2 in units[i:]:
+            yield (model, kind + "SP"[strings2 - 1], (length, length2), sign * sign2), count * count2
 
 
 def _tau_units(algebra: str, p: Partition) -> Dict[UnitType, int]:
@@ -152,8 +158,8 @@ def _tau_units(algebra: str, p: Partition) -> Dict[UnitType, int]:
     strings S in gl, and in so/sp when of the self-paired parity; any
     other part gives r/2 coupled pairs P."""
     keep = SELF_PAIRED_PARITY[algebra]
-    return dict(((1, part, 1), r) if keep is None or part % 2 == keep else ((2, part, 1), r // 2)
-                for part, r in p.multiplicities().items())
+    return {(strings, part, 1): r // strings for part, r in p.multiplicities().items()
+            for strings in [1 if keep is None or part % 2 == keep else 2]}
 
 
 def _key_table(key: Key) -> Sides:
@@ -173,7 +179,7 @@ def _key_table(key: Key) -> Sides:
     else:
         units = _tau_units(model, m.partition)
         if (Counter((len(u), len(u[0]), 1) for u in laid_out) != units
-                or _keys(model, units).get(key) != 1):
+                or sum(count for k, count in _keys(model, units) if k == key) != 1):
             raise AssertionError(f"template {m.name} does not hold the units of {key}")
         sides = _block_sides(m, laid_out, m.tau, minus=False)
     return tuple((count, tuple(sorted((w, v) for w, v in _nullity_by_weight(m, cols).items() if v)))
@@ -214,27 +220,34 @@ def _split_table(key: Key) -> Sides:
                  for side, other in ((k, p), (p, k)))
 
 
-def _summed(keys: Dict[Key, int], tables: Tables, make_table: Callable[[Key], Sides],
-            trace: Tuple[int, int]) -> Tuple[List[Dict[int, int]], List[int]]:
-    """Nullity by weight and column count of each side, summed over the
-    keys, less the trace line, a count per side: the identity matrix is in
-    gl_N, not in sl_N.  A key missing from tables is added by make_table,
-    so callers passing one dict to many orbits find or rank each key once."""
-    nulls: List[Dict[int, int]] = [{}, {}]
-    dims = [0, 0]
-    for key, count in keys.items():
+def _summed(keys: Iterable[Tuple[Key, int]], tables: Tables, make_table: Callable[[Key], Sides],
+            trace: Tuple[int, ...]) -> List[Tuple[int, Tuple[int, ...]]]:
+    """Column count and nullity by weight w = 0, 1, ... of each side, in
+    one pass over the keys, less the trace line, a count per side: the
+    identity matrix is in gl_N, not in sl_N.  A key missing from tables is
+    made by make_table and packed, so callers passing one dict to many
+    orbits find or rank each key once.  A side sums count x packed table:
+    every term is >= 0 and no field exceeds the side's column count, so
+    the sum is exact while that count is below 2^_FIELD, which is checked,
+    as is each weight-0 field, which must hold the trace line it loses."""
+    dims, packs = [0] * len(trace), [0] * len(trace)
+    for key, count in keys:
         sides = tables.get(key)
         if sides is None:
-            sides = tables[key] = make_table(key)
-        for side, (dim, table) in enumerate(sides):
+            sides = tables[key] = tuple((dim, sum(v << _FIELD * w for w, v in table))
+                                        for dim, table in make_table(key))
+        for side, (dim, packed) in enumerate(sides):
             dims[side] += count * dim
-            null = nulls[side]
-            for w, v in table:
-                null[w] = null.get(w, 0) + count * v
-    for side, line in enumerate(trace):
-        nulls[side][0] = nulls[side].get(0, 0) - line
-        dims[side] -= line
-    return nulls, dims
+            packs[side] += count * packed
+    words = (max(packs).bit_length() + 15) // 16  # of 16-bit "H", alike on every side
+    out = []
+    for dim, packed, line in zip(dims, packs, trace):
+        zero = packed & ((1 << _FIELD) - 1)
+        if dim >> _FIELD or zero < line:
+            raise AssertionError(f"a packed sum of {dim} columns, weight-0 field {zero}, "
+                                 f"less a trace line of {line}, leaves its {_FIELD}-bit fields")
+        out.append((dim - line, unpack(f"<{words}H", (packed - line).to_bytes(2 * words, "little"))))
+    return out
 
 
 def oracle_sl2_data(t: Union[LieType, MatrixSl2Triple], p: Optional[Partition] = None,
@@ -248,11 +261,10 @@ def oracle_sl2_data(t: Union[LieType, MatrixSl2Triple], p: Optional[Partition] =
     else:
         algebra = check_partition(t, p)
     # tau fixes I in gl; so_N and sp_N hold no trace line
-    trace = (1, 0) if algebra == "gl" else (0, 0)
-    keys = _keys(algebra, _tau_units(algebra, p))
-    nulls, dims = _summed(keys, {} if tables is None else tables, _key_table, trace)
-    pairs = tuple((j, v) for j, v in sorted(nulls[0].items()) if j >= 0 and v)
-    return Sl2Data(n=pairs, dim_g=dims[0])
+    ((dim, nulls),) = _summed(_keys(algebra, _tau_units(algebra, p)),
+                              {} if tables is None else tables, _key_table,
+                              (1,) if algebra == "gl" else (0,))
+    return Sl2Data(n=tuple((j, v) for j, v in enumerate(nulls) if v), dim_g=dim)
 
 
 class SigmaSplitReport(NamedTuple):
@@ -286,11 +298,9 @@ def oracle_sigma_split(signed: SignedPartitionData) -> SigmaSplitReport:
     tables of the datum's complex rows and row pairs, a unit per row led
     by the row's sign (+ in sl and su*), so a pair's sign is their
     product, less the family's trace line."""
-    keys = _keys(signed.family, {(1, i, s): c for (i, s), c in signed.rows.items()})
-    (h_null, m_null), (dim_h, dim_m) = _summed(keys, _CARTAN_TABLES, _split_table,
-                                               FAMILIES[signed.family].trace)
-    splits = tuple((w, (h_null.get(w, 0), m_null.get(w, 0)))
-                   for w in sorted(h_null.keys() | m_null.keys())
-                   if w >= 0 and (h_null.get(w, 0) or m_null.get(w, 0)))
+    (dim_h, h_null), (dim_m, m_null) = _summed(
+        _keys(signed.family, {(1, i, s): c for (i, s), c in signed.rows.items()}),
+        _CARTAN_TABLES, _split_table, FAMILIES[signed.family].trace)
+    splits = tuple((w, hm) for w, hm in enumerate(zip(h_null, m_null)) if hm != (0, 0))
     return SigmaSplitReport(family=signed.family, params=signed.params, splits=splits,
                             dim_h=dim_h, dim_m=dim_m)

@@ -5,6 +5,8 @@ from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from sl2magical import crosscheck, matrixoracle
 from sl2magical.errors import DomainError
@@ -37,7 +39,12 @@ from sl2magical.orbits import (
     partition_fits_family,
 )
 from sl2magical.realforms import describe
-from sl2magical.rootsystems import CLASSICAL_MIN_RANK, CLASSICAL_RANK_CAP, LieType
+from sl2magical.rootsystems import (
+    CLASSICAL_MIN_RANK,
+    CLASSICAL_RANK_CAP,
+    SELF_PAIRED_PARITY,
+    LieType,
+)
 from sl2magical.sl2data import multiplicities_formula
 
 
@@ -321,10 +328,128 @@ def test_sigma_splits_up_to_size_12_are_pinned():
         "baf751a83b5d23513d1d619619cb3ad7f189bf1193a6c9536d273fb7ff1e40b8")
 
 
+def test_all_splits_up_to_size_12_are_pinned():
+    """The repr of every split of the seven families over their parameter
+    spaces of size <= 12 hashes to the digest recorded while each orbit's
+    tables were still summed key by key into one dict per side."""
+    digest = hashlib.sha256()
+    checked = 0
+    for family in FAMILIES:
+        for params in family_parameter_space(family, 12):
+            for p in enumerate_partitions(describe(family, params).ambient):
+                for signed in enumerate_signed_data(family, params, p):
+                    digest.update((repr(oracle_sigma_split(signed)) + "\n").encode())
+                    checked += 1
+    assert checked == 15004
+    assert digest.hexdigest() == (
+        "3abfb24d212b8c82ed1003820fee04cde6f884fa37858b6517cd8ca8e6ad6d7b")
+
+
+def test_a_packed_sum_past_its_field_width_is_refused(monkeypatch):
+    """With 4-bit fields, A4 [1^5] (25 columns, n_0 = 24) would carry its
+    weight-0 field into weight 1's; the sum refuses it instead."""
+    t, p = LieType.of("A", 4), Partition.parse("1^5")
+    assert oracle_sl2_data(t, p).as_dict() == {0: 24}
+    monkeypatch.setattr(matrixoracle, "_FIELD", 4)
+    with pytest.raises(AssertionError, match="25 columns, weight-0 field 9, "):
+        oracle_sl2_data(t, p)
+
+
+def test_a_weight_0_field_below_the_trace_line_is_refused():
+    """A memo whose weight-0 fields sum below gl's trace line would borrow
+    from the weight-1 field when the line is taken off; it is refused."""
+    t, p = LieType.of("A", 1), Partition.parse("1^2")
+    keys = dict(matrixoracle._keys("gl", matrixoracle._tau_units("gl", p)))
+    assert keys == {("gl", "S", (1,), 1): 2, ("gl", "SS", (1, 1), 1): 1}
+    memo = {("gl", "S", (1,), 1): ((1, 0),), ("gl", "SS", (1, 1), 1): ((2, 1 << 16),)}
+    with pytest.raises(AssertionError, match="weight-0 field 0, less a trace line of 1"):
+        oracle_sl2_data(t, p, memo)
+
+
+def _dict_sum(keys, table, trace):
+    """(column count, {weight: nullity}) of each side, summed key by key
+    from the unpacked tables, less the trace line."""
+    sums = [[0, Counter()] for _ in trace]
+    for key, count in keys:
+        for total, (dim, entries) in zip(sums, table(key)):
+            total[0] += count * dim
+            for w, v in entries:
+                total[1][w] += count * v
+    for total, line in zip(sums, trace):
+        total[0] -= line
+        total[1][0] -= line
+    return [(dim, {w: v for w, v in null.items() if v}) for dim, null in sums]
+
+
+def _summed_as_dicts(keys, tables, table, trace):
+    return [(dim, {w: v for w, v in enumerate(fields) if v})
+            for dim, fields in matrixoracle._summed(keys, tables, table, trace)]
+
+
+_TAU_TABLES = {}  # ranked once for every example of the property below
+
+
+@st.composite
+def _tau_unit_counts(draw):
+    """An algebra and a count of each of up to three unit types, of
+    lengths <= 4 fit for it, under 200 strings' worth of boxes."""
+    algebra = draw(st.sampled_from(["gl", "so", "sp"]))
+    keep = SELF_PAIRED_PARITY[algebra]
+    lengths = st.integers(1, 4)
+    types = st.tuples(st.just(1), lengths, st.just(1)) if keep is None else lengths.map(
+        lambda k: (1 if k % 2 == keep else 2, k, 1))
+    counts = draw(st.dictionaries(types, st.integers(1, 60), min_size=1, max_size=3))
+    assume(sum(strings * k * c for (strings, k, _), c in counts.items()) < 200)
+    return algebra, counts
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tau_unit_counts())
+@example(("gl", {(1, 1, 1): 60}))  # n_0 = 3599, a field of two nonzero bytes
+def test_packed_tau_sum_equals_the_dict_sum(drawn):
+    """On random unit counts of gl, so and sp, with fields past 255, the
+    packed one-pass sum equals the sum of the ranked tables key by key."""
+    algebra, counts = drawn
+    trace = (1,) if algebra == "gl" else (0,)
+    keys = list(matrixoracle._keys(algebra, counts))
+    expected = _dict_sum(keys, _key_table, trace)
+    assert _summed_as_dicts(keys, _TAU_TABLES, _key_table, trace) == expected
+
+
+@st.composite
+def _split_rows(draw):
+    """A family and a count of each of up to four rows (length <= 8,
+    leading sign, + only in sl and su*), under 200 boxes; each count even
+    in su*, where every quaternionic row is two complex rows."""
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    spec = FAMILIES[family]
+    signs = (1,) if spec.k_agrees is None else (1, -1)
+    rows = st.tuples(st.just(1), st.integers(1, 8), st.sampled_from(signs))
+    pairs = spec.algebra == "gl" and spec.quaternionic
+    counts = draw(st.dictionaries(rows, st.integers(1, 60).map(lambda c: 2 * c if pairs else c),
+                                  min_size=1, max_size=4))
+    assume(sum(k * c for (_, k, _), c in counts.items()) < 200)
+    return family, counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(_split_rows())
+@example(("su", {(1, 1, 1): 30, (1, 1, -1): 30}))  # (h_0, m_0) = (1799, 1800)
+def test_packed_split_sum_equals_the_dict_sum(drawn):
+    """On random rows of the seven families, with fields past 255, the
+    packed one-pass sum of h and m equals the sum of the counted split
+    tables key by key."""
+    family, counts = drawn
+    trace = FAMILIES[family].trace
+    keys = list(matrixoracle._keys(family, counts))
+    expected = _dict_sum(keys, _split_table, trace)
+    assert _summed_as_dicts(keys, {}, _split_table, trace) == expected
+
+
 def _tau_keys_of_verify(max_rank):
     """The tau keys of every orbit verify walks up to max_rank."""
     return {key for t, _, p in crosscheck._orbits(max_rank)
-            for key in matrixoracle._keys(t.algebra, matrixoracle._tau_units(t.algebra, p))}
+            for key, _ in matrixoracle._keys(t.algebra, matrixoracle._tau_units(t.algebra, p))}
 
 
 def _split_keys_up_to(size):
@@ -336,7 +461,7 @@ def _split_keys_up_to(size):
             for family, params in forms:
                 for signed in enumerate_signed_data(family, params, p):
                     units = {(1, i, lead): c for (i, lead), c in signed.rows.items()}
-                    keys |= set(matrixoracle._keys(family, units))
+                    keys |= {key for key, _ in matrixoracle._keys(family, units)}
     return keys
 
 

@@ -1,8 +1,8 @@
-"""Every module of the package compiles without a warning, every
-function and class it defines has a caller in the package, every name it
-imports at module level is used in it, none imports dataclasses or
-importlib.resources, and every function the benchmark tracer wraps
-exists."""
+"""Every module of the package compiles without a warning and holds no
+assert statement, every function and class it defines has a caller in
+the package, every name it imports at module level is used in it, none
+imports dataclasses or importlib.resources, and every function the
+benchmark tracer wraps exists."""
 
 import ast
 import importlib
@@ -35,6 +35,15 @@ def test_modules_compile_without_warnings():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             compile(path.read_text(encoding="utf-8"), str(path), "exec")
+
+
+def test_no_assert_statement_in_src():
+    """Every internal check raises AssertionError itself: python -O drops
+    assert statements, and with them the check."""
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
