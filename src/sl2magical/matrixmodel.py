@@ -7,9 +7,10 @@ isotropic for a signed-permutation bilinear form M = sum_a mu_a E_{a,a*}:
 strings of the parity rootsystems.SELF_PAIRED_PARITY gives are reversed
 onto themselves with mu = (-1)^k, the others coupled in consecutive pairs.
 One function, triple_on, places the strings, sets the pairing and the mu
-signs, and then e, h and f, for the orbits users name and for the
-oracle's small template triples alike.  Matrices are sparse
-{(row, col): value} maps.
+signs, and then e, h and f, for the oracle's small template triples and
+for the whole-orbit triples of matrixoracle.build_matrix_triple, which no
+command builds: the tests rank those as the full-route reference.
+Matrices are sparse {(row, col): value} maps.
 
 Every algebra the oracle ranks is an eigenspace of a signed-permutation
 involution sigma(E_ab) = eps * E_a'b' of gl_N.  One pass over the
@@ -24,7 +25,7 @@ ad_e goes through row and column maps of e built once per triple, so each
 image costs time linear in its column.  For tau-fixed x the image [e, x]
 is tau-fixed too, so its entries on one key of each tau-orbit (the smaller
 key, (a, b) <= (b*, a*) by the pairing) determine it; images are read in
-those coordinates.
+those coordinates, and so is the constructor's check of [e, f] = h.
 """
 
 from __future__ import annotations
@@ -43,29 +44,6 @@ Columns = Dict[int, List[Sparse]]  # ad_h weight -> basis columns of that weight
 Index = Tuple[Dict[int, List[Tuple[int, int]]], Dict[int, List[Tuple[int, int]]]]
 # sigma(E_ab) = eps * E_a'b', given as (a, b) -> (eps, (a', b')).
 Involution = Callable[[int, int], Tuple[int, Entry]]
-
-
-def _index(a: Sparse) -> Index:
-    """Row and column maps of a: r -> [(c, a_rc)] and c -> [(r, a_rc)]."""
-    rows: Dict[int, List[Tuple[int, int]]] = {}
-    cols: Dict[int, List[Tuple[int, int]]] = {}
-    for (r, c), v in a.items():
-        rows.setdefault(r, []).append((c, v))
-        cols.setdefault(c, []).append((r, v))
-    return rows, cols
-
-
-def _bracket(a: Index, b: Sparse) -> Sparse:
-    """The bracket a b - b a in one pass over b, given the row and column
-    maps of a."""
-    rows, cols = a
-    out: Sparse = {}
-    for (k, c), v in b.items():
-        for r, w in cols.get(k, ()):
-            out[(r, c)] = out.get((r, c), 0) + w * v
-        for s, w in rows.get(c, ()):
-            out[(k, s)] = out.get((k, s), 0) - v * w
-    return {key: v for key, v in out.items() if v}
 
 
 def identity_involution(a: int, b: int) -> Tuple[int, Entry]:
@@ -104,8 +82,8 @@ class MatrixSl2Triple(Checked, _TripleFields):
 
     algebra is "gl" (no form), "so" or "sp": the algebra is the +1 side of
     tau, the identity on gl_N.  Construction checks that h is diagonal,
-    the bracket relations and that e, h and f lie in the algebra,
-    tau(x) = x.  An instance's __dict__ holds its cached properties."""
+    that e, h and f lie in the algebra, tau(x) = x, and the bracket
+    relations.  An instance's __dict__ holds its cached properties."""
 
     def __new__(cls, algebra: str, partition: Partition, strings: Tuple[Tuple[int, ...], ...],
                 pairing: Tuple[int, ...], pairing_sign: Tuple[int, ...], e: Sparse, h: Sparse,
@@ -113,14 +91,17 @@ class MatrixSl2Triple(Checked, _TripleFields):
         self = super().__new__(cls, algebra, partition, strings, pairing, pairing_sign, e, h, f)
         if any(a != b for a, b in h):
             raise AssertionError(f"{self.name}: h is not diagonal")
-        # [h, x] = (h_a - h_b) x_ab for the diagonal h
-        wt = self.weights
-        if (not all(v and wt[a] - wt[b] == 2 for (a, b), v in e.items())
-                or not all(v and wt[a] - wt[b] == -2 for (a, b), v in f.items())
-                or self.ad_e(f) != h):
-            raise AssertionError(f"{self.name}: bracket relations failed")
         if not all(is_eigen(self.tau, x, 1) for x in (e, h, f)):
             raise AssertionError(f"{self.name}: triple leaves the bilinear form")
+        # [h, x] = (h_a - h_b) x_ab for the diagonal h; [e, f] is tau-fixed,
+        # as e and f are, so it equals h on one key of each tau-orbit
+        wt = self.weights
+        (ef,) = ad_e_images(self, [f])
+        if (not all(v and wt[a] - wt[b] == 2 for (a, b), v in e.items())
+                or not all(v and wt[a] - wt[b] == -2 for (a, b), v in f.items())
+                or {key: v for key, v in ef.items() if v}
+                != {(a, b): v for (a, b), v in h.items() if (a, b) <= (pairing[b], pairing[a])}):
+            raise AssertionError(f"{self.name}: bracket relations failed")
         return self
 
     @property
@@ -159,11 +140,13 @@ class MatrixSl2Triple(Checked, _TripleFields):
 
     @cached_property
     def _e_index(self) -> Index:
-        return _index(self.e)
-
-    def ad_e(self, x: Sparse) -> Sparse:
-        """[e, x], in time linear in the entries of x."""
-        return _bracket(self._e_index, x)
+        """Row and column maps of e: r -> [(c, e_rc)] and c -> [(r, e_rc)]."""
+        rows: Dict[int, List[Tuple[int, int]]] = {}
+        cols: Dict[int, List[Tuple[int, int]]] = {}
+        for (r, c), v in self.e.items():
+            rows.setdefault(r, []).append((c, v))
+            cols.setdefault(c, []).append((r, v))
+        return rows, cols
 
 
 def triple_on(algebra: str, p: Partition) -> MatrixSl2Triple:

@@ -25,18 +25,17 @@ images of its columns, sparse maps passed as they are to
 linalg.integer_rank.  The template is built by the same
 matrixmodel.triple_on, so the tau-merging, the self-paired strings and
 the mu signs are ranked, not assumed; a tau template is checked to hold
-the key's units.  A template's entries are listed straight from its one
-unit block, or the two blocks between its two units, and an entry is
-made a column only at weight w >= 0; the slices w < 0 are counted, not
-built or ranked: ad_e is injective below weight 0, since its kernel
-holds highest-weight vectors only, so their nullity is 0
-(tests/test_matrixoracle.py ranks them to check it).  A split key is
+the key's units.  A template lists only the entries of weight w >= 0 of
+its one unit block, or of the two blocks between its two units: such a
+span is an sl2-submodule, so ad_f^w maps weight w one to one onto -w,
+which counts the columns below 0, and ad_e is injective below weight 0,
+whose nullity is 0 (tests/test_matrixoracle.py checks both).  A split key is
 counted by one rule (_split_table): the box pairs of its row or rows, by
 weight, lie in k or in p as the family's square and k_agrees say
 (FamilySpec), and ad_e, onto from each weight w >= -1 of a normal triple
 (Kostant-Sekiguchi; Collingwood-McGovern ch. 9), gives the
 highest-weight vectors on each side.  _key_table ranks the su and sl
-split keys on templates, each involution checked to negate e; tier-1
+split keys on templates, each involution checked to negate e and f; tier-1
 compares the two on every su and sl split key of the rank window.  n_j
 and the h/m split sum the tables over the units and unit pairs of the
 orbit, weighted by multiplicity, in one pass with no dict of keys: the
@@ -101,11 +100,10 @@ def build_matrix_triple(t: LieType, p: Partition) -> MatrixSl2Triple:
 
 
 def _nullity_by_weight(m: MatrixSl2Triple, columns: Columns) -> Dict[int, int]:
-    """Nullity of ad_e on the span of each weight's columns, for the
-    weights w >= 0 only: below weight 0 ad_e is injective (a kernel vector
-    is a highest-weight vector), so those slices are not ranked; a test
-    in tests/test_matrixoracle.py ranks them to check it."""
-    return {w: len(xs) - integer_rank(ad_e_images(m, xs)) for w, xs in columns.items() if w >= 0}
+    """Nullity of ad_e on the span of each weight's columns, all of weight
+    w >= 0 in the oracle: below 0 ad_e is injective (a kernel vector is a
+    highest-weight vector); tests/test_matrixoracle.py ranks those too."""
+    return {w: len(xs) - integer_rank(ad_e_images(m, xs)) for w, xs in columns.items()}
 
 
 def _block_sides(m: MatrixSl2Triple, units: List[Tuple[Tuple[int, ...], ...]],
@@ -113,29 +111,24 @@ def _block_sides(m: MatrixSl2Triple, units: List[Tuple[Tuple[int, ...], ...]],
     """(column count, eigen-columns of weight w >= 0) of the +1 side of
     sigma, and of the -1 side unless minus is False, on the entries within
     the one unit of a template, or between its two (units, as
-    MatrixSl2Triple.units lays them out).  The columns of weight
-    w < 0 are counted as eigen_columns would make them, not built: a pair
-    of entries sigma swaps gives one on each side, an entry it fixes one on
-    the side of its sign."""
+    MatrixSl2Triple.units lays them out); no entry below weight 0 is
+    listed.  Their span is an sl2-submodule, so ad_f^w maps its weight w
+    one to one onto -w, carrying side eps of sigma onto side eps chi^w,
+    sigma(f) = chi f: chi = 1 for tau (minus False), -1 for a Cartan
+    involution.  A side counts its columns, and at each w > 0 those of
+    side eps chi^w once more."""
     blocks = [[a for s in u for a in s] for u in units]
     pairs = (product(blocks[0], repeat=2) if len(blocks) == 1
              else chain(product(*blocks), product(*blocks[::-1])))
     wt = m.weights
-    upper, counts = [], [0, 0]
-    for entry in pairs:
-        a, b = entry
-        if wt[a] >= wt[b]:
-            upper.append(entry)
-            continue
-        eps, img = sigma(a, b)
-        if img == entry:
-            counts[eps < 0] += 1
-        elif entry < img:
-            counts[0] += 1
-            counts[1] += 1
-    sides = eigen_columns(m, sigma, upper, minus)
+    sides = eigen_columns(m, sigma, [(a, b) for a, b in pairs if wt[a] >= wt[b]], minus)
+    lower = [0, 0]  # the columns below weight 0, by the side ad_f^w carries them to
+    for side, cols in enumerate(sides):
+        for w, xs in cols.items():
+            if w > 0:
+                lower[side ^ (minus and w % 2)] += len(xs)
     return tuple((count + sum(map(len, cols.values())), cols)
-                 for count, cols in zip(counts[:1 + minus], sides))
+                 for count, cols in zip(lower[:1 + minus], sides))
 
 
 def _keys(model: str, unit_counts: Mapping[UnitType, int]) -> Iterator[Tuple[Key, int]]:
@@ -173,8 +166,10 @@ def _key_table(key: Key) -> Sides:
     laid_out = m.units()
     if cartan:
         sigma = _ad(m, (1, sign)) if model == "su" else _sl_involution(m)
-        if not is_eigen(sigma, m.e, -1):
-            raise AssertionError(f"template {m.name}: the {model} involution does not negate e")
+        for x in "ef":  # e, as a Cartan involution must; f, for the count rule of _block_sides
+            if not is_eigen(sigma, getattr(m, x), -1):
+                raise AssertionError(
+                    f"template {m.name}: the {model} involution does not negate {x}")
         sides = _block_sides(m, laid_out, sigma)
     else:
         units = _tau_units(model, m.partition)

@@ -62,17 +62,18 @@ def rigidity_report(genus: int,
     exceptional record reads its split off its columns.  The gap is zero
     exactly on even magical data (tests/test_moduli.py checks size <= 12).
     """
-    if isinstance(orbit, SignedPartitionData):
-        form = describe(orbit.family, orbit.params)  # the rank cap; the datum is an orbit
+    classical = isinstance(orbit, SignedPartitionData)
+    # describe checks the rank cap; the datum is already an orbit
+    form = describe(orbit.family, orbit.params) if classical else describe(orbit.realform)
+    expect = expected_dim(genus, form)  # refuses a genus below 2 before any split is read
+    if classical:
         splits = oracle_sigma_split(orbit).splits  # by weight: c = V_0 first, if nonzero
         dim_c_cap_h = splits[0][1][0] if splits and splits[0][0] == 0 else 0
         a = {w: m for w, (_, m) in splits if w > 0 and m > 0}
     else:
-        form = describe(orbit.realform)
         dim_c_cap_h, a = orbit.slodowy_split()
 
     param = slodowy_parameter_dim(genus, dim_c_cap_h, a)
-    expect = expected_dim(genus, form)
     mw = milnor_wood_bound(form, genus) if form.hermitian else None
     return SlodowyReport(
         genus=genus, slodowy_param_dim=param, expected_dim=expect,

@@ -2,9 +2,9 @@
 
 Descriptors carry the Cartan-decomposition dimensions (dim h, dim m, and
 their difference s), Hermitian/tube flags, the symmetric-space rank, and
-the maximal tube-type subform for the Hermitian nontube families.  The
-stored ranks are validated by a restricted-root checksum: the rank plus
-the total multiplicity of the positive restricted roots must equal dim m.
+the maximal tube-type subform for the Hermitian nontube families.  Only
+the tier-1 tests check the stored ranks, by restricted_root_checksum
+(EARMARKED): rank plus the positive restricted roots' multiplicities is dim m.
 
 Centralizers of triples are assembled factor-by-factor from signed
 partition data.  Each factor name of families.FamilySpec comes with its

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2magical import cli, dataset, orbits, realforms
+from sl2magical import cli, dataset, moduli, orbits, realforms
 from sl2magical.cli import main
 from sl2magical.dataset import DATASET_ENV
 from sl2magical.families import FAMILIES, FamilySpec
@@ -375,11 +375,23 @@ def test_classify_workload_builds_one_partition_per_walked_partition(capsys, mon
     assert sum(per_command[:141]) == leaves and per_command[141:] == [0] * 12
 
 
-def test_slodowy_genus_guard_exit_2(capsys):
-    code, _, err = run(capsys, "slodowy", "su", "2", "2", "--partition", "2,2",
-                       "--genus", "1")
-    assert code == 2
-    assert "genus" in err
+def test_slodowy_genus_guard_exit_2(capsys, monkeypatch):
+    """A genus below 2 is refused before any split is read: on a classical
+    form, on two exceptional rows whose split cannot be read (exit 3 at
+    genus 2), and on every shipped row."""
+    rows = [("su", "2", "2", "--partition", "2,2"),
+            ("E7^7", "--wdd", "1,0,0,1,0,1,0"), ("E6^-26", "--wdd", "1,0,0,0,0,1")]
+    rows += [(r.realform, "--wdd", ",".join(map(str, r.wdd))) for r in dataset.load_records()]
+
+    def refuse(*args):
+        raise AssertionError("a split was read")
+
+    monkeypatch.setattr(moduli, "oracle_sigma_split", refuse)
+    monkeypatch.setattr(dataset.ExceptionalOrbitRecord, "slodowy_split", refuse)
+    for row in rows:
+        code, _, err = run(capsys, "slodowy", *row, "--genus", "1")
+        assert code == 2, row
+        assert "genus" in err, row
 
 
 def test_slodowy_requires_partition_exit_2(capsys):

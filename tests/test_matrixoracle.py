@@ -193,6 +193,38 @@ def test_template_involution_fixing_e_is_rejected(monkeypatch):
         _key_table(("sl", "S", (3,), 1))
 
 
+def _fixing_f(make):
+    """make's involution, negated on the entries of negative weight: still
+    an involution that negates e, since it keeps each entry's weight, but
+    one that fixes f."""
+    def patched(m, *args):
+        sigma, wt = make(m, *args), m.weights
+
+        def flipped(a, b):
+            eps, img = sigma(a, b)
+            return (-eps if wt[a] < wt[b] else eps), img
+        return flipped
+    return patched
+
+
+@pytest.mark.parametrize("model,name", [("su", "_ad"), ("sl", "_sl_involution")])
+def test_template_involution_fixing_f_is_rejected(monkeypatch, model, name):
+    """The ad_f count rule of _block_sides rests on sigma(f) = -f for a
+    Cartan involution, which each template checks: a patched involution
+    that negates e but fixes f is refused."""
+    patched = _fixing_f(getattr(matrixoracle, name))
+    m = triple_on("gl", Partition.of(3))
+    sigma = patched(m, (1, 1)) if model == "su" else patched(m)
+    assert is_eigen(sigma, m.e, -1) and is_eigen(sigma, m.f, 1)
+    for entry in product(range(m.size), repeat=2):
+        eps, img = sigma(*entry)
+        assert sigma(*img) == (eps, entry)
+    monkeypatch.setattr(matrixoracle, name, patched)
+    with pytest.raises(AssertionError,
+                       match=f"template gl.3. .3.: the {model} involution does not negate f"):
+        _key_table((model, "S", (3,), 1))
+
+
 def _orbit_involution(m, signed):
     """The Cartan involution of the whole orbit, on its triple m: Ad(S),
     each length's strings led by the datum's plus rows, then its minus
@@ -562,6 +594,46 @@ def test_su_walk_gap_is_the_closed_split():
     for a, b in pairs:
         joint = (_su_gap(a, b) - _su_gap(a) - _su_gap(b)) // 2
         assert joint == _even_h_nullity(("su", "SS", (a, b), 1)), (a, b)
+
+
+def _template(key):
+    """A key's template triple, the involution whose sides _key_table
+    ranks and whether it ranks the -1 side: Ad(S) or -B X^T B^{-1} on gl
+    for a split key, tau's +1 side alone for a tau key."""
+    model, kind, lengths, sign = key
+    parts = [length for unit, length in zip(kind, lengths) for _ in range("SP".index(unit) + 1)]
+    if model not in ("su", "sl"):
+        m = triple_on(model, Partition.of(*parts))
+        return m, m.tau, False
+    m = triple_on("gl", Partition.of(*parts))
+    sigma = matrixoracle._ad(m, (1, sign)) if model == "su" else matrixoracle._sl_involution(m)
+    return m, sigma, True
+
+
+def test_block_side_counts_match_every_entry():
+    """The count rule of _block_sides, which lists no entry below weight
+    0: on the template of every tau key of verify --max-rank 12 and of
+    every su and sl split key of the rank window, each side's column count
+    equals the number of its eigen-columns over all of the block's
+    entries, and at each weight -w < 0 that side has as many as side
+    eps chi^w at w (chi = -1 for a Cartan involution, 1 for tau)."""
+    tau_keys = sorted(_tau_keys_of_verify(12))
+    split_keys = sorted(_split_keys_up_to(CLASSICAL_RANK_CAP + 1))
+    for key in tau_keys + split_keys:
+        m, sigma, minus = _template(key)
+        units = m.units()
+        blocks = [[a for s in u for a in s] for u in units]
+        entries = [entry for x, y in product(blocks, repeat=2) if len(blocks) == 1 or x is not y
+                   for entry in product(x, y)]
+        full = eigen_columns(m, sigma, entries, minus)[:1 + minus]
+        counts = [count for count, _ in matrixoracle._block_sides(m, units, sigma, minus)]
+        assert counts == [sum(map(len, cols.values())) for cols in full], key
+        weights = {w for cols in full for w in cols}
+        for side, cols in enumerate(full):
+            for w in weights:
+                mirror = full[side ^ (minus and w % 2)]
+                assert len(cols.get(-w, ())) == len(mirror.get(w, ())), (key, side, w)
+    assert (len(tau_keys), len(split_keys)) == (263, 152)
 
 
 @pytest.mark.parametrize("side,count,expected", [
