@@ -32,7 +32,7 @@ from .dataset import evaluate_conditions, find_record, load_records
 from .errors import DatasetSchemaError, DomainError, MissingDataError
 from .families import FAMILIES
 from .magical import MagicalStatus, classify_realform, magical_statuses, partition_witness
-from .moduli import rigidity_report
+from .moduli import expected_dim, rigidity_report
 from .orbits import (
     Partition,
     parse_digits,
@@ -176,6 +176,7 @@ def cmd_slodowy(args: argparse.Namespace) -> int:
             orbit = WeightedDynkinDiagram(form.ambient, labels).labels
         except DomainError as exc:
             raise DomainError(f"{family}: {exc}") from None
+        expected_dim(args.genus, form)  # refuses a genus below 2 before the record is looked up
         record = find_record(family, orbit)
         if record is None:
             raise MissingDataError(f"no curated record for {family} orbit {orbit}")

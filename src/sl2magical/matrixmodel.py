@@ -12,14 +12,12 @@ for the whole-orbit triples of matrixoracle.build_matrix_triple, which no
 command builds: the tests rank those as the full-route reference.
 Matrices are sparse {(row, col): value} maps.
 
-Every algebra the oracle ranks is an eigenspace of a signed-permutation
-involution sigma(E_ab) = eps * E_a'b' of gl_N.  One pass over the
-elementary matrices gives both eigenspaces, grouped by ad_h weight: an
-orbit {E_ab, E_a'b'} gives E_ab + eps E_a'b' (+1) and E_ab - eps E_a'b'
-(-1), and a fixed E_ab lies on the side of its eps.  gl_N is the +1 side
-of the identity; so(M)/sp(M) is the +1 side of tau(X) = -M^{-1} X^T M,
-which sends E_ab to -mu_a mu_b E_{b*a*}, so tau(X) = X is the equation
-X^T M + M X = 0.
+The oracle ranks the +1 side of tau, a signed-permutation involution
+sigma(E_ab) = eps * E_a'b' of gl_N: the identity, whose +1 side is gl_N,
+or tau(X) = -M^{-1} X^T M, which sends E_ab to -mu_a mu_b E_{b*a*}, so
+its +1 side so(M)/sp(M) is the solution of X^T M + M X = 0.
+eigen_columns lists a +1 side by ad_h weight: an orbit {E_ab, E_a'b'}
+gives E_ab + eps E_a'b', and a fixed E_ab counts when its eps is 1.
 
 ad_e goes through row and column maps of e built once per triple, so each
 image costs time linear in its column.  For tau-fixed x the image [e, x]
@@ -31,8 +29,7 @@ those coordinates, and so is the constructor's check of [e, f] = h.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .orbits import Partition
 from .records import Checked
@@ -195,27 +192,18 @@ def triple_on(algebra: str, p: Partition) -> MatrixSl2Triple:
                            pairing=tuple(pairing), pairing_sign=tuple(mu), e=e, h=h, f=f)
 
 
-def eigen_columns(m: MatrixSl2Triple, sigma: Involution,
-                  entries: Optional[Iterable[Entry]] = None,
-                  minus: bool = True) -> Tuple[Columns, Columns]:
-    """The +1 and -1 eigen-columns of sigma, grouped by weight, on the span
-    of the E_ab with (a, b) in entries, a sigma-stable set (default gl_N);
-    the -1 side is left empty unless minus."""
+def eigen_columns(m: MatrixSl2Triple, sigma: Involution, entries: Iterable[Entry]) -> Columns:
+    """The +1 eigen-columns of sigma, grouped by weight, on the span of the
+    E_ab with (a, b) in entries, a sigma-stable set."""
     wt = m.weights
-    sides: Tuple[Columns, Columns] = ({}, {})
-    for entry in product(range(m.size), repeat=2) if entries is None else entries:
+    cols: Columns = {}
+    for entry in entries:
         eps, img = sigma(*entry)
-        if img < entry:
-            continue
-        a, b = entry
-        w = wt[a] - wt[b]
-        if img != entry:
-            sides[0].setdefault(w, []).append({entry: 1, img: eps})
-            if minus:
-                sides[1].setdefault(w, []).append({entry: 1, img: -eps})
-        elif eps == 1 or minus:
-            sides[eps != 1].setdefault(w, []).append({img: 1})
-    return sides
+        if img > entry or (img == entry and eps == 1):
+            a, b = entry
+            # {entry: 1} when sigma fixes the entry
+            cols.setdefault(wt[a] - wt[b], []).append({entry: 1, img: eps})
+    return cols
 
 
 def ad_e_images(m: MatrixSl2Triple, xs: List[Sparse]) -> List[Sparse]:

@@ -2,55 +2,51 @@
 
 n_j is ranked on matrices from matrixmodel: sl2-triples on Jordan
 strings, gl_N and so(M)/sp(M) the +1 sides of the signed-permutation
-involution tau of gl_N.  The h/m split of a Cartan involution is counted,
-not ranked, in all seven classical families; the su and sl tables are
-also ranked, under Ad(S), S = diag(s) alternating along each string, and
--B X^T B^{-1}, B the per-string reversal, as the check of the count.
+involution tau of gl_N, the one involution ranked here.  The h/m split
+of a Cartan involution is counted, not ranked, in all seven classical
+families; tier-1 ranks whole su and sl orbits of one or two rows as the
+check of the count.
 
-Neither oracle works on the whole algebra.  e is block-diagonal over the
-strings, so ad_e maps each block (s, t) = span{E_ab : a in s, b in t}
-into itself; tau maps it onto (t*, s*), Ad(S) fixes it up to the sign
-s_a s_b and -B X^T B^{-1} maps it onto (t, s).  Group the strings into
+The oracle does not rank the whole algebra.  e is block-diagonal over
+the strings, so ad_e maps each block (s, t) = span{E_ab : a in s, b in t}
+into itself, and tau maps it onto (t*, s*).  Group the strings into
 units: a self-paired string S, or a coupled pair P = {u, u*}; in gl,
 and for a Cartan split, every string is a unit S.  The blocks within one
 unit, or between two, span a space stable under ad_e and the involution,
 whose column count and nullity by weight on each side depend only on a
 key (model, unit kinds, lengths, sign).  The model is gl, so or sp for
-n_j, where only the +1 side of tau is ranked, or a family tag for a
-split, where h and m are; the kinds are S or P, or SS, SP or PP for two
+n_j, where the +1 side of tau is ranked, or a family tag for a split,
+where h and m are counted; the kinds are S or P, or SS, SP or PP for two
 units; the sign is the product of the two units' leading signs (1 for
 tau and for one unit).  A tau key is ranked once, on a template triple
-of just its units: each weight slice w >= 0 by the exact rank of ad_e's
-images of its columns, sparse maps passed as they are to
-linalg.integer_rank.  The template is built by the same
+of just its units, checked to hold them: each weight slice w >= 0 by the
+exact rank of ad_e's images of its columns, sparse maps passed as they
+are to linalg.integer_rank.  The template is built by the same
 matrixmodel.triple_on, so the tau-merging, the self-paired strings and
-the mu signs are ranked, not assumed; a tau template is checked to hold
-the key's units.  A template lists only the entries of weight w >= 0 of
-its one unit block, or of the two blocks between its two units: such a
-span is an sl2-submodule, so ad_f^w maps weight w one to one onto -w,
-which counts the columns below 0, and ad_e is injective below weight 0,
-whose nullity is 0 (tests/test_matrixoracle.py checks both).  A split key is
-counted by one rule (_split_table): the box pairs of its row or rows, by
-weight, lie in k or in p as the family's square and k_agrees say
-(FamilySpec), and ad_e, onto from each weight w >= -1 of a normal triple
-(Kostant-Sekiguchi; Collingwood-McGovern ch. 9), gives the
-highest-weight vectors on each side.  _key_table ranks the su and sl
-split keys on templates, each involution checked to negate e and f; tier-1
-compares the two on every su and sl split key of the rank window.  n_j
-and the h/m split sum the tables over the units and unit pairs of the
-orbit, weighted by multiplicity, in one pass with no dict of keys: the
-memo keeps each side of a key as its column count and one integer whose
-16-bit field w holds the nullity at weight w, so each side of an orbit
-sums to one integer, read back once as little-endian fields, less the
-trace line (h, m) of gl_N, which sl_N lacks.  Every term is >= 0 and no
-field exceeds its side's column count, refused from 2^16 on, so no field
-carries into the next.  Neither lays out the orbit itself.  For n_j an
-orbit's units come from its multiplicity table: a part k of multiplicity
-r gives r units S in gl, and in so/sp when k has the self-paired parity,
-else r/2 units P; each tau template is checked to hold, by
-MatrixSl2Triple.units, the units this rule gives it.  A split's units are
-the complex rows the signed datum carries (orbits' row rule), each unit
-led by its row's sign there, + in sl and su*.
+the mu signs are ranked, not assumed.  A template lists only the entries
+of weight w >= 0 of its one unit block, or of the two blocks between its
+two units: such a span is an sl2-submodule, so ad_f^w maps weight w one
+to one onto -w, which counts the columns below 0, and ad_e is injective
+below weight 0, whose nullity is 0 (tests/test_matrixoracle.py checks
+both).  A split key is counted by one rule (_split_table): the box pairs
+of its row or rows, by weight, lie in k or in p as the family's square
+and k_agrees say (FamilySpec), and ad_e, onto from each weight w >= -1
+of a normal triple (Kostant-Sekiguchi; Collingwood-McGovern ch. 9),
+gives the highest-weight vectors on each side.  n_j and the h/m split
+sum the tables over the units and unit pairs of the orbit, weighted by
+multiplicity, in one pass with no dict of keys: the memo keeps each side
+of a key as its column count and one integer whose 16-bit field w holds
+the nullity at weight w, so each side of an orbit sums to one integer,
+read back once as little-endian fields, less the trace line (h, m) of
+gl_N, which sl_N lacks.  Every term is >= 0 and no field exceeds its
+side's column count, refused from 2^16 on, so no field carries into the
+next.  Neither lays out the orbit itself.  For n_j an orbit's units come
+from its multiplicity table: a part k of multiplicity r gives r units S
+in gl, and in so/sp when k has the self-paired parity, else r/2 units P;
+each tau template is checked to hold, by MatrixSl2Triple.units, the
+units this rule gives it.  A split's units are the complex rows the
+signed datum carries (orbits' row rule), each unit led by its row's sign
+there, + in sl and su*.
 """
 
 from __future__ import annotations
@@ -59,18 +55,15 @@ from collections import Counter
 from itertools import chain, product
 from struct import unpack
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
-                    Sequence, Tuple, Union)
+                    Tuple, Union)
 
 from .families import FAMILIES
 from .linalg import integer_rank
 from .matrixmodel import (
     Columns,
-    Involution,
     MatrixSl2Triple,
     ad_e_images,
     eigen_columns,
-    is_eigen,
-    transpose_involution,
     triple_on,
 )
 from .orbits import Partition, SignedPartitionData, check_partition
@@ -81,7 +74,7 @@ from .sl2data import Sl2Data
 Key = Tuple[str, str, Tuple[int, ...], int]
 # Nullity of ad_e by weight on one side of a key: sorted (weight, nullity), zeros dropped.
 Table = Tuple[Tuple[int, int], ...]
-# (column count, nullity table) of each ranked side of a key: tau's +1, or h and m.
+# (column count, nullity table) of each side of a key: tau's +1, or h and m.
 Sides = Tuple[Tuple[int, Table], ...]
 # (column count, sum of v << _FIELD * w over the table) of each side of a key.
 Packed = Tuple[Tuple[int, int], ...]
@@ -106,29 +99,20 @@ def _nullity_by_weight(m: MatrixSl2Triple, columns: Columns) -> Dict[int, int]:
     return {w: len(xs) - integer_rank(ad_e_images(m, xs)) for w, xs in columns.items()}
 
 
-def _block_sides(m: MatrixSl2Triple, units: List[Tuple[Tuple[int, ...], ...]],
-                 sigma: Involution, minus: bool = True) -> Tuple[Tuple[int, Columns], ...]:
-    """(column count, eigen-columns of weight w >= 0) of the +1 side of
-    sigma, and of the -1 side unless minus is False, on the entries within
-    the one unit of a template, or between its two (units, as
-    MatrixSl2Triple.units lays them out); no entry below weight 0 is
-    listed.  Their span is an sl2-submodule, so ad_f^w maps its weight w
-    one to one onto -w, carrying side eps of sigma onto side eps chi^w,
-    sigma(f) = chi f: chi = 1 for tau (minus False), -1 for a Cartan
-    involution.  A side counts its columns, and at each w > 0 those of
-    side eps chi^w once more."""
+def _block_sides(m: MatrixSl2Triple,
+                 units: List[Tuple[Tuple[int, ...], ...]]) -> Tuple[int, Columns]:
+    """(column count, eigen-columns of weight w >= 0) of tau's +1 side on
+    the entries within the one unit of a template, or between its two
+    (units, as MatrixSl2Triple.units lays them out); no entry below weight
+    0 is listed.  Their span is an sl2-submodule and tau fixes f, so ad_f^w
+    maps the side's weight w one to one onto its -w: the count takes the
+    columns at each w > 0 twice."""
     blocks = [[a for s in u for a in s] for u in units]
     pairs = (product(blocks[0], repeat=2) if len(blocks) == 1
              else chain(product(*blocks), product(*blocks[::-1])))
     wt = m.weights
-    sides = eigen_columns(m, sigma, [(a, b) for a, b in pairs if wt[a] >= wt[b]], minus)
-    lower = [0, 0]  # the columns below weight 0, by the side ad_f^w carries them to
-    for side, cols in enumerate(sides):
-        for w, xs in cols.items():
-            if w > 0:
-                lower[side ^ (minus and w % 2)] += len(xs)
-    return tuple((count + sum(map(len, cols.values())), cols)
-                 for count, cols in zip(lower[:1 + minus], sides))
+    cols = eigen_columns(m, m.tau, [(a, b) for a, b in pairs if wt[a] >= wt[b]])
+    return sum((2 if w else 1) * len(xs) for w, xs in cols.items()), cols
 
 
 def _keys(model: str, unit_counts: Mapping[UnitType, int]) -> Iterator[Tuple[Key, int]]:
@@ -156,29 +140,19 @@ def _tau_units(algebra: str, p: Partition) -> Dict[UnitType, int]:
 
 
 def _key_table(key: Key) -> Sides:
-    """(column count, nullity table) of each ranked side of a key, on a
-    template triple holding just the key's units: over the columns within
-    its one unit, or between its two."""
-    model, kind, lengths, sign = key
+    """(column count, nullity table) of tau's +1 side of a key, on a
+    template triple holding just the key's units, checked to hold them:
+    over the columns within its one unit, or between its two."""
+    model, kind, lengths, _ = key
     parts = [length for unit, length in zip(kind, lengths) for _ in range("SP".index(unit) + 1)]
-    cartan = model in ("su", "sl")  # the split models with a ranked template
-    m = triple_on("gl" if cartan else model, Partition.of(*parts))
+    m = triple_on(model, Partition.of(*parts))
     laid_out = m.units()
-    if cartan:
-        sigma = _ad(m, (1, sign)) if model == "su" else _sl_involution(m)
-        for x in "ef":  # e, as a Cartan involution must; f, for the count rule of _block_sides
-            if not is_eigen(sigma, getattr(m, x), -1):
-                raise AssertionError(
-                    f"template {m.name}: the {model} involution does not negate {x}")
-        sides = _block_sides(m, laid_out, sigma)
-    else:
-        units = _tau_units(model, m.partition)
-        if (Counter((len(u), len(u[0]), 1) for u in laid_out) != units
-                or sum(count for k, count in _keys(model, units) if k == key) != 1):
-            raise AssertionError(f"template {m.name} does not hold the units of {key}")
-        sides = _block_sides(m, laid_out, m.tau, minus=False)
-    return tuple((count, tuple(sorted((w, v) for w, v in _nullity_by_weight(m, cols).items() if v)))
-                 for count, cols in sides)
+    units = _tau_units(model, m.partition)
+    if (Counter((len(u), len(u[0]), 1) for u in laid_out) != units
+            or sum(count for k, count in _keys(model, units) if k == key) != 1):
+        raise AssertionError(f"template {m.name} does not hold the units of {key}")
+    count, cols = _block_sides(m, laid_out)
+    return ((count, tuple(sorted((w, v) for w, v in _nullity_by_weight(m, cols).items() if v))),)
 
 
 def _split_table(key: Key) -> Sides:
@@ -270,22 +244,6 @@ class SigmaSplitReport(NamedTuple):
     splits: Tuple[Tuple[int, Tuple[int, int]], ...]  # (weight, (dim h cap V_w, dim m cap V_w))
     dim_h: int
     dim_m: int
-
-
-def _ad(m: MatrixSl2Triple, leads: Sequence[int]) -> Involution:
-    """Ad(S), s = eps * (-1)^k at box k of a string with leading sign eps."""
-    signs = {idx: lead * (-1) ** k for s, lead in zip(m.strings, leads) for k, idx in enumerate(s)}
-    return lambda a, b: (signs[a] * signs[b], (a, b))
-
-
-def _sl_involution(m: MatrixSl2Triple) -> Involution:
-    """-B X^T B^{-1}, B the per-string reversal: an exact normal involution
-    with fixed algebra of orthogonal type."""
-    rev = list(range(m.size))
-    for s in m.strings:
-        for k, idx in enumerate(s):
-            rev[idx] = s[len(s) - 1 - k]
-    return transpose_involution(rev, [1] * m.size)
 
 
 def oracle_sigma_split(signed: SignedPartitionData) -> SigmaSplitReport:

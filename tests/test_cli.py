@@ -378,9 +378,11 @@ def test_classify_workload_builds_one_partition_per_walked_partition(capsys, mon
 def test_slodowy_genus_guard_exit_2(capsys, monkeypatch):
     """A genus below 2 is refused before any split is read: on a classical
     form, on two exceptional rows whose split cannot be read (exit 3 at
-    genus 2), and on every shipped row."""
+    genus 2), on two well-formed diagrams with no curated record (exit 3
+    at genus 2), and on every shipped row."""
     rows = [("su", "2", "2", "--partition", "2,2"),
-            ("E7^7", "--wdd", "1,0,0,1,0,1,0"), ("E6^-26", "--wdd", "1,0,0,0,0,1")]
+            ("E7^7", "--wdd", "1,0,0,1,0,1,0"), ("E6^-26", "--wdd", "1,0,0,0,0,1"),
+            ("E6^-14", "--wdd", "1,0,0,0,0,0"), ("E6^6", "--wdd", "2,0,0,0,0,2")]
     rows += [(r.realform, "--wdd", ",".join(map(str, r.wdd))) for r in dataset.load_records()]
 
     def refuse(*args):

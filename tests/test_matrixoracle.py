@@ -14,8 +14,8 @@ from sl2magical.linalg import integer_rank
 from sl2magical.matrixmodel import (
     ad_e_images,
     eigen_columns,
-    identity_involution,
     is_eigen,
+    transpose_involution,
     triple_on,
 )
 from sl2magical.matrixoracle import (
@@ -65,10 +65,15 @@ def test_oracle_agrees_with_formula(name, size):
         assert oracle_sl2_data(t, p).as_dict() == oracle_sl2_data(m).as_dict() == n
 
 
+def _gl_entries(m):
+    """Every entry (a, b) of the triple's gl_N."""
+    return product(range(m.size), repeat=2)
+
+
 def _full_route(m):
     """n_j from ranking the whole algebra at once: the nullity of ad_e on
     every tau-fixed column of the triple, less the identity in gl."""
-    null = _nullity_by_weight(m, eigen_columns(m, m.tau)[0])
+    null = _nullity_by_weight(m, eigen_columns(m, m.tau, _gl_entries(m)))
     if m.algebra == "gl":
         null[0] -= 1
     return {j: v for j, v in null.items() if j >= 0 and v}
@@ -145,7 +150,7 @@ def test_tau_columns_satisfy_the_dense_form_equation():
                     form[a][m.pairing[a]] = m.pairing_sign[a]
                 sym = -1 if fam == "C" else 1
                 assert all(form[b][a] == sym * form[a][b] for a in range(n) for b in range(n))
-                cols = [x for xs in eigen_columns(m, m.tau)[0].values() for x in xs]
+                cols = [x for xs in eigen_columns(m, m.tau, _gl_entries(m)).values() for x in xs]
                 for x in cols:
                     dense = [[x.get((r, c), 0) for c in range(n)] for r in range(n)]
                     assert all(sum(dense[k][r] * form[k][c] + form[r][k] * dense[k][c]
@@ -184,45 +189,28 @@ def test_involution_checks_each_call():
     assert err.type is DomainError
 
 
-def test_template_involution_fixing_e_is_rejected(monkeypatch):
-    """The ranked split tables, the check of the closed form, check the
-    involution of each template triple: a patched involution that fixes
-    e is refused."""
-    monkeypatch.setattr(matrixoracle, "_sl_involution", lambda m: identity_involution)
-    with pytest.raises(AssertionError, match="template gl.3. .3.: the sl involution"):
-        _key_table(("sl", "S", (3,), 1))
+def _ad(m, leads):
+    """Ad(S), s = eps * (-1)^k at box k of a string with leading sign eps."""
+    signs = {idx: lead * (-1) ** k for s, lead in zip(m.strings, leads) for k, idx in enumerate(s)}
+    return lambda a, b: (signs[a] * signs[b], (a, b))
 
 
-def _fixing_f(make):
-    """make's involution, negated on the entries of negative weight: still
-    an involution that negates e, since it keeps each entry's weight, but
-    one that fixes f."""
-    def patched(m, *args):
-        sigma, wt = make(m, *args), m.weights
-
-        def flipped(a, b):
-            eps, img = sigma(a, b)
-            return (-eps if wt[a] < wt[b] else eps), img
-        return flipped
-    return patched
+def _sl_involution(m):
+    """-B X^T B^{-1}, B the per-string reversal: an exact normal involution
+    with fixed algebra of orthogonal type."""
+    rev = list(range(m.size))
+    for s in m.strings:
+        for k, idx in enumerate(s):
+            rev[idx] = s[len(s) - 1 - k]
+    return transpose_involution(rev, [1] * m.size)
 
 
-@pytest.mark.parametrize("model,name", [("su", "_ad"), ("sl", "_sl_involution")])
-def test_template_involution_fixing_f_is_rejected(monkeypatch, model, name):
-    """The ad_f count rule of _block_sides rests on sigma(f) = -f for a
-    Cartan involution, which each template checks: a patched involution
-    that negates e but fixes f is refused."""
-    patched = _fixing_f(getattr(matrixoracle, name))
-    m = triple_on("gl", Partition.of(3))
-    sigma = patched(m, (1, 1)) if model == "su" else patched(m)
-    assert is_eigen(sigma, m.e, -1) and is_eigen(sigma, m.f, 1)
-    for entry in product(range(m.size), repeat=2):
-        eps, img = sigma(*entry)
-        assert sigma(*img) == (eps, entry)
-    monkeypatch.setattr(matrixoracle, name, patched)
-    with pytest.raises(AssertionError,
-                       match=f"template gl.3. .3.: the {model} involution does not negate f"):
-        _key_table((model, "S", (3,), 1))
+def _negated(sigma):
+    """-sigma, whose +1 side is the -1 side of sigma."""
+    def minus(a, b):
+        eps, img = sigma(a, b)
+        return -eps, img
+    return minus
 
 
 def _orbit_involution(m, signed):
@@ -231,9 +219,9 @@ def _orbit_involution(m, signed):
     rows, for su; -B X^T B^{-1} for sl.  Checked to negate e."""
     if signed.family == "su":
         budget = {part: [-1] * minus + [1] * plus for part, (plus, minus) in signed.signs}
-        sigma = matrixoracle._ad(m, [budget[len(s)].pop() for s in m.strings])
+        sigma = _ad(m, [budget[len(s)].pop() for s in m.strings])
     else:
-        sigma = matrixoracle._sl_involution(m)
+        sigma = _sl_involution(m)
     assert is_eigen(sigma, m.e, -1), signed
     return sigma
 
@@ -243,7 +231,7 @@ def _full_sigma_route(m, signed):
     involution on all of gl_N at once, less the identity on the side of
     sigma(I)."""
     sigma = _orbit_involution(m, signed)
-    sides = eigen_columns(m, sigma)
+    sides = [eigen_columns(m, side, _gl_entries(m)) for side in (sigma, _negated(sigma))]
     nulls = [_nullity_by_weight(m, cols) for cols in sides]
     dims = [sum(map(len, cols.values())) for cols in sides]
     trace = 0 if sigma(0, 0)[0] == 1 else 1
@@ -284,22 +272,18 @@ def _refuse(*args):
 def test_warm_splits_build_no_triple(monkeypatch):
     """A rigidity report of an su or sl orbit builds no triple and ranks
     nothing, from a cold start on: its units come from the signed datum
-    and its split tables from the closed form.  Cold and warm, the reports
-    equal those summed from the ranked template tables."""
+    and its split tables from the closed form.  Warm, the reports are
+    those of the cold start."""
     cases = [signed
              for n in range(2, 7)
              for family, params in [("su", (a, n - a)) for a in range(1, n)] + [("sl", (n,))]
              for p in enumerate_partitions(LieType.of("A", n - 1))
              for signed in enumerate_signed_data(family, params, p)]
     monkeypatch.setattr(matrixoracle, "_CARTAN_TABLES", {})
-    monkeypatch.setattr(matrixoracle, "_split_table", _key_table)
-    ranked = [rigidity_report(2, signed) for signed in cases]
-    monkeypatch.undo()
-    monkeypatch.setattr(matrixoracle, "_CARTAN_TABLES", {})
     monkeypatch.setattr(matrixoracle, "triple_on", _refuse)
     monkeypatch.setattr(matrixoracle, "integer_rank", _refuse)
-    assert [rigidity_report(2, signed) for signed in cases] == ranked
-    assert [rigidity_report(2, signed) for signed in cases] == ranked
+    cold = [rigidity_report(2, signed) for signed in cases]
+    assert [rigidity_report(2, signed) for signed in cases] == cold
     assert len(cases) == 154  # every su and sl signed datum of size <= 6
 
 
@@ -322,7 +306,7 @@ def test_ad_e_is_injective_below_weight_0():
             t = LieType.of(fam, rank)
             for p in enumerate_partitions(t):
                 m = build_matrix_triple(t, p)
-                nullities = _negative_slice_nullities(m, eigen_columns(m, m.tau)[0])
+                nullities = _negative_slice_nullities(m, eigen_columns(m, m.tau, _gl_entries(m)))
                 assert set(nullities) <= {0}, f"{m.name}: {nullities}"
                 slices += len(nullities)
     data = 0
@@ -333,8 +317,10 @@ def test_ad_e_is_injective_below_weight_0():
             m = build_matrix_triple(t, p)
             for family, params in forms:
                 for signed in enumerate_signed_data(family, params, p):
-                    for side in eigen_columns(m, _orbit_involution(m, signed)):
-                        nullities = _negative_slice_nullities(m, side)
+                    sigma = _orbit_involution(m, signed)
+                    for side in (sigma, _negated(sigma)):
+                        nullities = _negative_slice_nullities(
+                            m, eigen_columns(m, side, _gl_entries(m)))
                         assert set(nullities) <= {0}, f"{signed}: {nullities}"
                         slices += len(nullities)
                     data += 1
@@ -497,20 +483,33 @@ def _split_keys_up_to(size):
     return keys
 
 
-def test_split_tables_match_the_ranked_templates():
-    """The closed split table of every key an su or sl signed datum of the
-    rank window can produce, sizes up to CLASSICAL_RANK_CAP + 1, equals
-    the table ranked on its template.  Those keys are every su and sl row
-    of length <= that size, and every row pair of total length <= it, su
-    with both sign products."""
+def test_split_tables_match_whole_orbits_of_one_or_two_rows(monkeypatch):
+    """The split summed from the closed tables equals the rank of the
+    whole of gl_N on every signed datum of one or two rows of sl(n) and of
+    su(p, q), p + q = n, the compact forms included, for n up to
+    CLASSICAL_RANK_CAP + 1.  A one-row orbit pins its row's table, and a
+    two-row orbit its pair's, once its rows are pinned; the data reach
+    every key an su or sl datum of those sizes can produce: every su and
+    sl row of length <= that size, and every row pair of total length
+    <= it, su with both sign products."""
+    monkeypatch.setattr(matrixoracle, "_CARTAN_TABLES", {})
     size = CLASSICAL_RANK_CAP + 1
+    checked = 0
+    for n in range(1, size + 1):
+        forms = [("su", (a, n - a)) for a in range(n + 1)] + [("sl", (n,))]
+        for p in [Partition.of(n)] + [Partition.of(n - b, b) for b in range(1, n // 2 + 1)]:
+            m = triple_on("gl", p)
+            for family, params in forms:
+                for signed in enumerate_signed_data(family, params, p):
+                    assert oracle_sigma_split(signed) == _full_sigma_route(m, signed), signed
+                    checked += 1
+    assert checked == 243
     keys = _split_keys_up_to(size)
     pairs = [(a, b) for a in range(1, size) for b in range(a, size - a + 1)]
     assert keys == {(model, "S", (k,), 1) for model in ("su", "sl") for k in range(1, size + 1)} | {
         ("su", "SS", ab, sign) for ab in pairs for sign in (1, -1)} | {
         ("sl", "SS", ab, 1) for ab in pairs}
-    for key in sorted(keys):
-        assert _split_table(key) == _key_table(key), key
+    assert set(matrixoracle._CARTAN_TABLES) == keys and len(keys) == 152
 
 
 def _box_count(key):
@@ -554,7 +553,8 @@ def _box_count(key):
 def test_split_tables_match_the_box_count():
     """The split table of every key of the seven families, one row of
     length <= 25 or two of total length <= 25, either sign product where
-    the family has signs, equals the count pair by pair of boxes."""
+    the family has signs, equals the count pair by pair of boxes, and no
+    dim or nullity in it is negative, as _summed's packed sum needs."""
     checked = 0
     for family, spec in FAMILIES.items():
         signs = (1,) if spec.k_agrees is None else (1, -1)
@@ -562,7 +562,10 @@ def test_split_tables_match_the_box_count():
             (family, "SS", (a, b), sign) for a in range(1, 25) for b in range(a, 26 - a)
             for sign in signs]
         for key in keys:
-            assert matrixoracle._split_table(key) == _box_count(key), key
+            table = matrixoracle._split_table(key)
+            assert table == _box_count(key), key
+            (h_dim, h_table), (m_dim, m_table) = table
+            assert min(h_dim, m_dim, *(v for _, v in h_table + m_table)) >= 0, key
             checked += 1
     assert checked == 2047  # sl and su* rows are all led by +: no sign -1
 
@@ -596,44 +599,27 @@ def test_su_walk_gap_is_the_closed_split():
         assert joint == _even_h_nullity(("su", "SS", (a, b), 1)), (a, b)
 
 
-def _template(key):
-    """A key's template triple, the involution whose sides _key_table
-    ranks and whether it ranks the -1 side: Ad(S) or -B X^T B^{-1} on gl
-    for a split key, tau's +1 side alone for a tau key."""
-    model, kind, lengths, sign = key
-    parts = [length for unit, length in zip(kind, lengths) for _ in range("SP".index(unit) + 1)]
-    if model not in ("su", "sl"):
-        m = triple_on(model, Partition.of(*parts))
-        return m, m.tau, False
-    m = triple_on("gl", Partition.of(*parts))
-    sigma = matrixoracle._ad(m, (1, sign)) if model == "su" else matrixoracle._sl_involution(m)
-    return m, sigma, True
-
-
 def test_block_side_counts_match_every_entry():
     """The count rule of _block_sides, which lists no entry below weight
-    0: on the template of every tau key of verify --max-rank 12 and of
-    every su and sl split key of the rank window, each side's column count
-    equals the number of its eigen-columns over all of the block's
-    entries, and at each weight -w < 0 that side has as many as side
-    eps chi^w at w (chi = -1 for a Cartan involution, 1 for tau)."""
-    tau_keys = sorted(_tau_keys_of_verify(12))
-    split_keys = sorted(_split_keys_up_to(CLASSICAL_RANK_CAP + 1))
-    for key in tau_keys + split_keys:
-        m, sigma, minus = _template(key)
+    0: on the template of every tau key of verify --max-rank 12, the
+    column count equals the number of tau's +1 eigen-columns over all of
+    the block's entries, and at each weight -w < 0 there are as many as
+    at w."""
+    keys = sorted(_tau_keys_of_verify(12))
+    for model, kind, lengths, _ in keys:
+        parts = [length for unit, length in zip(kind, lengths)
+                 for _ in range("SP".index(unit) + 1)]
+        m = triple_on(model, Partition.of(*parts))
         units = m.units()
         blocks = [[a for s in u for a in s] for u in units]
         entries = [entry for x, y in product(blocks, repeat=2) if len(blocks) == 1 or x is not y
                    for entry in product(x, y)]
-        full = eigen_columns(m, sigma, entries, minus)[:1 + minus]
-        counts = [count for count, _ in matrixoracle._block_sides(m, units, sigma, minus)]
-        assert counts == [sum(map(len, cols.values())) for cols in full], key
-        weights = {w for cols in full for w in cols}
-        for side, cols in enumerate(full):
-            for w in weights:
-                mirror = full[side ^ (minus and w % 2)]
-                assert len(cols.get(-w, ())) == len(mirror.get(w, ())), (key, side, w)
-    assert (len(tau_keys), len(split_keys)) == (263, 152)
+        full = eigen_columns(m, m.tau, entries)
+        count, _ = matrixoracle._block_sides(m, units)
+        assert count == sum(map(len, full.values())), m.name
+        for w, cols in full.items():
+            assert len(cols) == len(full.get(-w, ())), (m.name, w)
+    assert len(keys) == 263
 
 
 @pytest.mark.parametrize("side,count,expected", [
@@ -641,14 +627,16 @@ def test_block_side_counts_match_every_entry():
     ("split", 132, "abf71a7858b740b33e39de593eca80b334d6f326eafc1af2d93e8f3e7b6fadcf"),
 ], ids=["tau", "split"])
 def test_key_tables_are_pinned(side, count, expected):
-    """The table of every tau key verify --max-rank 10 ranks, and of every
-    split key of an su or sl signed datum of size <= 12, hashes to the
-    digest recorded while the templates still filtered all size^2 entries
-    and built the columns of every weight."""
+    """The ranked table of every tau key verify --max-rank 10 ranks, and
+    the closed table of every split key of an su or sl signed datum of
+    size <= 12, hashes to the digest recorded while the templates still
+    filtered all size^2 entries and built the columns of every weight,
+    and the su and sl split keys were ranked on templates too."""
     keys = sorted(_tau_keys_of_verify(10) if side == "tau" else _split_keys_up_to(12))
+    table = _key_table if side == "tau" else _split_table
     digest = hashlib.sha256()
     for key in keys:
-        digest.update(f"{key} {_key_table(key)}\n".encode())
+        digest.update(f"{key} {table(key)}\n".encode())
     assert len(keys) == count
     assert digest.hexdigest() == expected
 
