@@ -9,9 +9,10 @@ every complex quantity (the multiplicities n_j, dim c, dim V_even) from
 the diagram at load time; only genuinely real data is trusted from the
 file, and none that an identity fixes.  Each factor of a centralizer
 string has a fixed (dim h, dim m), and the sums must be (dim_c_cap_h,
-dim c - dim_c_cap_h).  A record's verdict is the one criterion of the
-magical module, on the diagram's dims and the centralizer's compactness,
-dim m = 0.
+dim c - dim_c_cap_h).  A row up to weight 2 with dim_V_cap_h gives its
+split per weight, as a classical datum does, none of it negative.  A
+record's verdict is the one criterion of the magical module, on the
+diagram's dims and the centralizer's compactness, dim m = 0.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ DATASET_ENV = "MAGICAL_DATASET"
 
 _DATA_FILE = "data/exceptional_orbits.jsonl"
 
-_REQUIRED_KEYS = ("realform", "wdd", "centralizer", "source_row")
-_OPTIONAL_KEYS = ("dim_V_cap_h", "dim_c_cap_h")
+_REQUIRED_KEYS = ("realform", "wdd", "dim_c_cap_h", "centralizer", "source_row")
 
 _FACTOR_RE = re.compile(r"^(so|su|sp|u)\((\d+)(?:,(\d+))?\)$")
 
@@ -73,7 +73,7 @@ class ExceptionalOrbitRecord(NamedTuple):
     realform: str
     wdd: Tuple[int, ...]
     dim_V_cap_h: Optional[int]
-    dim_c_cap_h: Optional[int]
+    dim_c_cap_h: int
     centralizer_type: CentralizerRealForm
     source_row: str
 
@@ -91,8 +91,8 @@ class ExceptionalOrbitRecord(NamedTuple):
         return sum(m for j, m in self.sl2_data().n if j > 0 and j % 2 == 0)
 
     @property
-    def dim_Veven_cap_m(self) -> Optional[int]:
-        """dim(V_even cap m), derived, never stored; None without dim_c_cap_h.
+    def dim_Veven_cap_m(self) -> int:
+        """dim(V_even cap m), derived, never stored.
 
         Down the weight string of each sl2 summand of a normal triple, h
         and m alternate, so dim m - dim h = sum over even j of
@@ -101,37 +101,29 @@ class ExceptionalOrbitRecord(NamedTuple):
         even: s = dim g - 2 dim h and dim g_0 = dim c + dim V_even are both
         congruent to the rank mod 2 (g_0 holds the Cartan and root pairs).
         """
-        if self.dim_c_cap_h is None:
-            return None
         s = describe(self.realform).s
         return (s - self.sl2_data().dim_c + 2 * self.dim_c_cap_h + self.dim_v_even) // 2
 
-    @property
-    def a_1(self) -> Optional[int]:
-        """dim(V_1 cap m) = dim(V cap m) - dim(c cap m) - dim(V_even cap m);
-        None without both columns, or when some weight exceeds 2."""
+    def splits(self) -> Tuple[Tuple[int, Tuple[int, int]], ...]:
+        """(w, (dim V_w cap h, dim V_w cap m)) by weight, zero rows dropped,
+        as oracle_sigma_split gives a classical datum's: V_0 = c from
+        dim_c_cap_h, V_2 from the derived dim(V_even cap m), V_1 the rest of
+        dim_V_cap_h.  The columns localize the involution only up to weight
+        2, and no entry may be negative."""
         data = self.sl2_data()
-        if data.max_weight > 2 or self.dim_V_cap_h is None or self.dim_c_cap_h is None:
-            return None
-        v_cap_m, c_cap_m = data.dim_v_rho - self.dim_V_cap_h, data.dim_c - self.dim_c_cap_h
-        return v_cap_m - c_cap_m - self.dim_Veven_cap_m
-
-    def slodowy_split(self) -> Tuple[int, Dict[int, int]]:
-        """dim(c cap h) and the positive-weight dims a_w of the
-        highest-weight spaces in m, read off the columns and the derived
-        dim(V_even cap m); they localize the involution only up to weight
-        2."""
-        if self.sl2_data().max_weight > 2:
+        if data.max_weight > 2:
             raise MissingDataError(f"{self.realform} {self.wdd}: records only localize "
                                    "the involution up to weight 2")
-        missing = [c for c in _OPTIONAL_KEYS if getattr(self, c) is None]
-        if missing:
-            raise MissingDataError(f"{self.realform} record lacks columns {missing}")
-        a1, a2 = self.a_1, self.dim_Veven_cap_m
-        if a1 < 0:
-            raise MissingDataError(
-                f"{self.realform} record columns are inconsistent: a_1 = {a1}")
-        return self.dim_c_cap_h, {w: v for w, v in ((1, a1), (2, a2)) if v > 0}
+        if self.dim_V_cap_h is None:
+            raise MissingDataError(f"{self.realform} record lacks columns ['dim_V_cap_h']")
+        c_h, v2_m = self.dim_c_cap_h, self.dim_Veven_cap_m
+        v2_h = data.n_at(2) - v2_m
+        v1_h = self.dim_V_cap_h - c_h - v2_h
+        rows = ((0, (c_h, data.dim_c - c_h)), (1, (v1_h, data.n_at(1) - v1_h)), (2, (v2_h, v2_m)))
+        splits = tuple(row for row in rows if row[1] != (0, 0))
+        if any(h < 0 or m < 0 for _, (h, m) in splits):
+            raise MissingDataError(f"{self.realform} record columns give a negative split {splits}")
+        return splits
 
 
 def _validate(rec: ExceptionalOrbitRecord, where: str) -> None:
@@ -141,40 +133,27 @@ def _validate(rec: ExceptionalOrbitRecord, where: str) -> None:
         data = rec.sl2_data()
     except DomainError as exc:
         raise DatasetSchemaError(f"{where}: wdd labels no orbit ({exc})") from exc
-    for col in _OPTIONAL_KEYS:
-        value = getattr(rec, col)
-        if value is not None and value < 0:
-            raise DatasetSchemaError(f"{where}: {col} is negative")
-    if rec.dim_c_cap_h is not None and rec.dim_c_cap_h > data.dim_c:
+    try:  # a row that gives dim(V cap h) gives its split, up to weight 2 and none negative
+        if rec.dim_V_cap_h is not None:
+            rec.splits()
+    except MissingDataError as exc:
+        raise DatasetSchemaError(f"{where}: {exc}") from None
+    veven_m = rec.dim_Veven_cap_m
+    if not 0 <= veven_m <= rec.dim_v_even:
         raise DatasetSchemaError(
-            f"{where}: dim_c_cap_h = {rec.dim_c_cap_h} exceeds dim c = {data.dim_c}"
-        )
-    if rec.dim_V_cap_h is not None and rec.dim_V_cap_h > data.dim_v_rho:
-        raise DatasetSchemaError(
-            f"{where}: dim_V_cap_h = {rec.dim_V_cap_h} exceeds dim V = {data.dim_v_rho}"
-        )
-    if rec.dim_c_cap_h is not None:
-        veven_m = rec.dim_Veven_cap_m
-        if not 0 <= veven_m <= rec.dim_v_even:
-            raise DatasetSchemaError(
-                f"{where}: dim_c_cap_h = {rec.dim_c_cap_h} gives dim(V_even cap m) = "
-                f"{veven_m}, outside 0..dim V_even = {rec.dim_v_even}"
-            )
-        a1 = rec.a_1
-        if a1 is not None and a1 < 0:
-            raise DatasetSchemaError(f"{where}: dim_V_cap_h = {rec.dim_V_cap_h} gives a_1 = {a1}")
+            f"{where}: dim_c_cap_h = {rec.dim_c_cap_h} gives dim(V_even cap m) = "
+            f"{veven_m}, outside 0..dim V_even = {rec.dim_v_even}")
     cz, dim_c, c_h = rec.centralizer_type, data.dim_c, rec.dim_c_cap_h
-    if cz.dim_h + cz.dim_m != dim_c or c_h not in (None, cz.dim_h):
-        want = (f"of total dim c = {dim_c}" if c_h is None
-                else f"({c_h}, {dim_c - c_h}) = (dim_c_cap_h, dim c - dim_c_cap_h)")
+    if cz.dim_h + cz.dim_m != dim_c or c_h != cz.dim_h:
         raise DatasetSchemaError(
-            f"{where}: centralizer {cz}: (dim h, dim m) = ({cz.dim_h}, {cz.dim_m}), not {want}")
+            f"{where}: centralizer {cz}: (dim h, dim m) = ({cz.dim_h}, {cz.dim_m}), "
+            f"not ({c_h}, {dim_c - c_h}) = (dim_c_cap_h, dim c - dim_c_cap_h)")
 
 
 def _record_from_json(obj: Dict, where: str) -> ExceptionalOrbitRecord:
     if not isinstance(obj, dict):
         raise DatasetSchemaError(f"{where}: record must be a JSON object")
-    unknown = set(obj) - set(_REQUIRED_KEYS) - set(_OPTIONAL_KEYS)
+    unknown = set(obj) - {*_REQUIRED_KEYS, "dim_V_cap_h"}
     if unknown:
         raise DatasetSchemaError(f"{where}: unknown fields {sorted(unknown)}")
     missing = [k for k in _REQUIRED_KEYS if k not in obj]
@@ -184,7 +163,7 @@ def _record_from_json(obj: Dict, where: str) -> ExceptionalOrbitRecord:
     # type() is int, not isinstance: JSON true and false load as bool, an int
     if not isinstance(wdd, list) or not all(type(x) is int for x in wdd):
         raise DatasetSchemaError(f"{where}: wdd must be a list of integers")
-    for key in _OPTIONAL_KEYS:
+    for key in ("dim_V_cap_h", "dim_c_cap_h"):
         if key in obj and type(obj[key]) is not int:
             raise DatasetSchemaError(f"{where}: {key} must be an integer")
     for key in ("realform", "centralizer", "source_row"):
@@ -198,7 +177,7 @@ def _record_from_json(obj: Dict, where: str) -> ExceptionalOrbitRecord:
         realform=obj["realform"],
         wdd=tuple(wdd),
         dim_V_cap_h=obj.get("dim_V_cap_h"),
-        dim_c_cap_h=obj.get("dim_c_cap_h"),
+        dim_c_cap_h=obj["dim_c_cap_h"],
         centralizer_type=centralizer,
         source_row=obj["source_row"],
     )
@@ -251,7 +230,12 @@ def _parse_records(source: str, text: str) -> Tuple[ExceptionalOrbitRecord, ...]
 
 
 def find_record(realform: str, wdd: Tuple[int, ...]) -> Optional[ExceptionalOrbitRecord]:
-    """Shipped (or overridden) record for the real form and diagram labels."""
+    """Shipped (or overridden) record for the real form and diagram labels,
+    once the labels are checked to grade g as an orbit does."""
+    try:
+        _sl2_data_of(describe(realform).ambient, tuple(wdd))
+    except DomainError as exc:
+        raise DomainError(f"{realform}: wdd {list(wdd)} labels no orbit ({exc})") from None
     for rec in load_records():
         if rec.realform == realform and rec.wdd == tuple(wdd):
             return rec

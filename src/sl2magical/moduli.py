@@ -7,7 +7,8 @@ places in m.  A line of ad_h weight w twists by K^{w/2+1}, whose real
 section count is 2(g-1)(w+1); the bundle part contributes 2(g-1) per
 dimension of c cap h.  The expected dimension of a component is
 2(g-1) dim g^R, and the shortfall (the rigidity gap) vanishes exactly
-for even magical data.
+for even magical data.  The count reads the split per weight that a
+classical datum and an exceptional record give in one shape.
 """
 
 from __future__ import annotations
@@ -59,19 +60,17 @@ def rigidity_report(genus: int,
     A classical datum, of any of the seven families, splits every
     highest-weight space by the split tables of its complex rows
     (matrixoracle.oracle_sigma_split), with no matrix built; an
-    exceptional record reads its split off its columns.  The gap is zero
-    exactly on even magical data (tests/test_moduli.py checks size <= 12).
+    exceptional record gives its split in the same shape off its columns
+    (ExceptionalOrbitRecord.splits).  The gap is zero exactly on even
+    magical data (tests/test_moduli.py checks size <= 12).
     """
     classical = isinstance(orbit, SignedPartitionData)
     # describe checks the rank cap; the datum is already an orbit
     form = describe(orbit.family, orbit.params) if classical else describe(orbit.realform)
     expect = expected_dim(genus, form)  # refuses a genus below 2 before any split is read
-    if classical:
-        splits = oracle_sigma_split(orbit).splits  # by weight: c = V_0 first, if nonzero
-        dim_c_cap_h = splits[0][1][0] if splits and splits[0][0] == 0 else 0
-        a = {w: m for w, (_, m) in splits if w > 0 and m > 0}
-    else:
-        dim_c_cap_h, a = orbit.slodowy_split()
+    splits = oracle_sigma_split(orbit).splits if classical else orbit.splits()  # V_0 = c first
+    dim_c_cap_h = splits[0][1][0] if splits and splits[0][0] == 0 else 0
+    a = {w: m for w, (_, m) in splits if w > 0 and m > 0}
 
     param = slodowy_parameter_dim(genus, dim_c_cap_h, a)
     mw = milnor_wood_bound(form, genus) if form.hermitian else None

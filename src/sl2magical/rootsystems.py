@@ -143,7 +143,6 @@ def _positive_root_count(t: LieType) -> int:
 # Cartan matrix convention: entry [i][j] = 2(alpha_i, alpha_j)/(alpha_j, alpha_j),
 # i.e. the value of the coroot alpha_j^vee on alpha_i.  The pairing of a root
 # with coefficient vector c against alpha_j^vee is then sum_i c_i * M[i][j].
-@lru_cache(maxsize=None)
 def cartan_matrix(t: LieType) -> Matrix:
     n = t.rank
     m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]

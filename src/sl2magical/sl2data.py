@@ -75,7 +75,8 @@ class Sl2Data(Checked, _Sl2Fields):
 def module_multiplicities(g: GradingDims) -> Sl2Data:
     """n_j = dim g_j - dim g_{j+2} for every j from 0 to the top weight;
     negative values mean the label vector was not the weighted Dynkin
-    diagram of any nilpotent orbit."""
+    diagram of any nilpotent orbit, and so does n_2 = 0 beside a nonzero
+    weight, since span{e, h, f} is a weight-2 summand."""
     dims = g.as_dict()
     get = dims.get
     pairs = []
@@ -85,6 +86,8 @@ def module_multiplicities(g: GradingDims) -> Sl2Data:
             raise InconsistentGradingError(f"n_{j} = {get(j, 0)} - {get(j + 2, 0)} < 0")
         if m:
             pairs.append((j, m))
+    if max(dims) and get(2, 0) == get(4, 0):
+        raise InconsistentGradingError("n_2 = 0, but e, h, f span a weight-2 summand")
     return Sl2Data(n=tuple(pairs), dim_g=sum(dims.values()))
 
 

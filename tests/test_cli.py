@@ -166,8 +166,9 @@ def test_duplicate_record_exit_3(capsys, monkeypatch, tmp_path, command):
     ("slodowy", "E6^-14", "--wdd", "1,0,0,0,0,1", "--genus", "2"),
 ], ids=["classify", "slodowy"])
 def test_negative_a1_dataset_exit_3(capsys, monkeypatch, tmp_path, command):
-    """A row whose columns give a_1 < 0 is refused when the table is
-    loaded, so classify prints no row from it, as slodowy refuses it."""
+    """A row whose columns give dim(V_1 cap m) < 0 is refused when the
+    table is loaded, so classify prints no row from it, as slodowy
+    refuses it."""
     path = tmp_path / "a1.jsonl"
     path.write_text(json.dumps({
         "realform": "E6^-14", "wdd": [1, 0, 0, 0, 0, 1], "dim_V_cap_h": 40,
@@ -175,7 +176,27 @@ def test_negative_a1_dataset_exit_3(capsys, monkeypatch, tmp_path, command):
     monkeypatch.setenv(DATASET_ENV, str(path))
     code, out, err = run(capsys, *command)
     assert (code, out) == (3, "")
-    assert err == f"error: {path}:1: dim_V_cap_h = 40 gives a_1 = -2\n"
+    assert err == (f"error: {path}:1: E6^-14 record columns give a negative split "
+                   "((0, (22, 0)), (1, (18, -2)), (2, (0, 8)))\n")
+
+
+@pytest.mark.parametrize("command", [
+    ("classify", "E6^-14"),
+    ("slodowy", "E6^-14", "--wdd", "1,0,0,0,0,1", "--genus", "2"),
+], ids=["classify", "slodowy"])
+def test_v_cap_h_below_c_cap_h_dataset_exit_3(capsys, monkeypatch, tmp_path, command):
+    """c lies in V, so dim_V_cap_h 10 below dim_c_cap_h 22 leaves
+    dim(V_1 cap h) = -12: the row is refused when the table is loaded, and
+    slodowy prints no count from it."""
+    path = tmp_path / "v_cap_h.jsonl"
+    path.write_text(json.dumps({
+        "realform": "E6^-14", "wdd": [1, 0, 0, 0, 0, 1], "dim_V_cap_h": 10,
+        "dim_c_cap_h": 22, "centralizer": "so(7)+so(2)", "source_row": "x"}) + "\n")
+    monkeypatch.setenv(DATASET_ENV, str(path))
+    code, out, err = run(capsys, *command)
+    assert (code, out) == (3, "")
+    assert err == (f"error: {path}:1: E6^-14 record columns give a negative split "
+                   "((0, (22, 0)), (1, (-12, 28)), (2, (0, 8)))\n")
 
 
 @pytest.mark.parametrize("centralizer,message", [
@@ -378,7 +399,8 @@ def test_classify_workload_builds_one_partition_per_walked_partition(capsys, mon
 def test_slodowy_genus_guard_exit_2(capsys, monkeypatch):
     """A genus below 2 is refused before any split is read: on a classical
     form, on two exceptional rows whose split cannot be read (exit 3 at
-    genus 2), on two well-formed diagrams with no curated record (exit 3
+    genus 2), on a diagram whose grading has no weight-2 summand (exit 2
+    at genus 2, on n_2 = 0), on an orbit with no curated record (exit 3
     at genus 2), and on every shipped row."""
     rows = [("su", "2", "2", "--partition", "2,2"),
             ("E7^7", "--wdd", "1,0,0,1,0,1,0"), ("E6^-26", "--wdd", "1,0,0,0,0,1"),
@@ -389,7 +411,7 @@ def test_slodowy_genus_guard_exit_2(capsys, monkeypatch):
         raise AssertionError("a split was read")
 
     monkeypatch.setattr(moduli, "oracle_sigma_split", refuse)
-    monkeypatch.setattr(dataset.ExceptionalOrbitRecord, "slodowy_split", refuse)
+    monkeypatch.setattr(dataset.ExceptionalOrbitRecord, "splits", refuse)
     for row in rows:
         code, _, err = run(capsys, "slodowy", *row, "--genus", "1")
         assert code == 2, row
@@ -539,6 +561,11 @@ MALFORMED_CASES = [
           "E6^-14: cannot parse --wdd '0_1,0,0,0,0,1'"),
     _case(24, ("orbit", "A", "4", "--partition", "]]2,2,1["),
           "cannot parse partition token ']]2'"),
+    # g_2 = 0 under a nonzero weight: no triple, whose e, h, f span a weight-2 summand
+    _case(25, ("slodowy", "E6^-14", "--wdd", "1,0,0,0,0,0", "--genus", "2"),
+          "E6^-14: wdd [1, 0, 0, 0, 0, 0] labels no orbit (n_2 = 0, "),
+    _case(26, ("slodowy", "E6^-14", "--wdd", "0,0,0,0,0,1", "--genus", "2"),
+          "E6^-14: wdd [0, 0, 0, 0, 0, 1] labels no orbit (n_2 = 0, "),
 ]
 
 

@@ -8,7 +8,6 @@ import pytest
 from sl2magical import dataset
 from sl2magical.dataset import (
     DATASET_ENV,
-    ExceptionalOrbitRecord,
     evaluate_conditions,
     find_record,
     load_records,
@@ -86,13 +85,13 @@ def test_conditions_on_shipped_rows():
 
 def test_derived_veven_cap_m():
     """(s - dim c + 2 dim(c cap h) + dim V_even) / 2 on each shipped row;
-    E6^-14's 8 is the value its row used to store from Djokovic's table."""
+    E6^-14's 8 is the value its row used to store from Djokovic's table.
+    Its split is the one a theta_x computation of E6^-14 gives, with V_1
+    balanced as every classical odd weight is."""
     derived = {rec.realform: rec.dim_Veven_cap_m for rec in load_records()}
     assert derived == {"E6^-14": 8, "E7^7": 11, "E8^8": 18, "E6^-26": 1}
-    assert find_record("E6^-14", (1, 0, 0, 0, 0, 1)).slodowy_split() == (22, {1: 8, 2: 8})
-    no_c = ExceptionalOrbitRecord("E6^-14", (1, 0, 0, 0, 0, 1), None, None,
-                                  parse_centralizer("so(7)+so(2)"), "test")
-    assert no_c.dim_Veven_cap_m is None
+    assert find_record("E6^-14", (1, 0, 0, 0, 0, 1)).splits() == (
+        (0, (22, 0)), (1, (8, 8)), (2, (0, 8)))
 
 
 def test_derived_numerator_is_even():
@@ -175,20 +174,20 @@ def test_missing_shipped_file(monkeypatch):
     (lambda r: r.update(wdd=[1, 0]), "wdd"),
     (lambda r: r.update(wdd=[1, 0, 0, 0, 0, 3]), "labels"),
     (lambda r: r.update(dim_c_cap_h=-5), "negative"),
-    (lambda r: r.update(dim_c_cap_h=999), "exceeds"),
+    (lambda r: r.update(dim_c_cap_h=999), "negative split ((0, (999, -977))"),
     (lambda r: r.update(extra_column=1), "unknown"),
     (lambda r: r.update(dim_Veven_cap_m=8), "unknown fields ['dim_Veven_cap_m']"),
     (lambda r: r.update(dim_c_cap_h=21, centralizer="so(7)"),
      "so(7): (dim h, dim m) = (21, 0), not (21, 1)"),
-    (lambda r: r.update(dim_c_cap_h=10, centralizer="su(2,1)"),
+    # without dim_V_cap_h, which would give the split that refuses the row
+    (lambda r: (r.pop("dim_V_cap_h"), r.update(dim_c_cap_h=10, centralizer="su(2,1)")),
      "gives dim(V_even cap m) = -4, outside 0..dim V_even = 8"),
     (lambda r: r.update(centralizer="su(2,1)"),
      "su(2,1): (dim h, dim m) = (4, 4), not (22, 0)"),
     # consistent in compactness, but su(2,1) has dim 8, not dim c = 22
     (lambda r: r.update(dim_c_cap_h=21, centralizer="su(2,1)"),
      "su(2,1): (dim h, dim m) = (4, 4), not (21, 1)"),
-    (lambda r: (r.pop("dim_c_cap_h"), r.update(centralizer="su(2,1)")),
-     "su(2,1): (dim h, dim m) = (4, 4), not of total dim c = 22"),
+    (lambda r: r.pop("dim_c_cap_h"), "missing fields ['dim_c_cap_h']"),
     (lambda r: r.update(centralizer="xyz(3)"), "centralizer"),
     # JSON true and false load as Python bools, which are ints
     (lambda r: r.update(wdd=[True, False, False, False, False, True]), "wdd must be a list"),
@@ -267,9 +266,27 @@ def test_wdd_must_grade_consistently(tmp_path):
         load_records(path)
 
 
+@pytest.mark.parametrize("wdd", [[1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1]])
+def test_wdd_must_have_weight_2(tmp_path, wdd):
+    """These labels grade E6 with no negative multiplicity, but g_2 = 0,
+    so no triple has them: e, h, f span a weight-2 summand."""
+    path = _write(tmp_path, [dict(GOOD_ROW, wdd=wdd)])
+    with pytest.raises(DatasetSchemaError, match=r"table\.jsonl:1: wdd labels no orbit \(n_2 = 0, but e, h, f "):
+        load_records(path)
+
+
 def test_columns_must_fit_the_diagram(tmp_path):
-    """[0,1,0,0,1,0] grades without a negative multiplicity, but its
-    centralizer has dim 8, below the row's dim_c_cap_h."""
-    path = _write(tmp_path, [dict(GOOD_ROW, wdd=[0, 1, 0, 0, 1, 0])])
-    with pytest.raises(DatasetSchemaError, match="dim_c_cap_h = 22 exceeds dim c = 8"):
+    """[0,1,0,0,1,0] grades without a negative multiplicity, but reaches
+    weight 4, past what dim_V_cap_h localizes; without that column, the
+    row's dim_c_cap_h 22, against dim c = 8, gives more V_even in m than
+    there is."""
+    row = dict(GOOD_ROW, wdd=[0, 1, 0, 0, 1, 0])
+    path = _write(tmp_path, [row])
+    with pytest.raises(DatasetSchemaError, match=r"table\.jsonl:1: E6\^-14 \(0, 1, 0, 0, 1, 0\): "
+                                                 "records only localize the involution up to"):
+        load_records(path)
+    del row["dim_V_cap_h"]
+    path = _write(tmp_path, [row])
+    with pytest.raises(DatasetSchemaError, match=r"dim_c_cap_h = 22 gives dim\(V_even cap m\) = 17, "
+                                                 "outside 0..dim V_even = 12"):
         load_records(path)

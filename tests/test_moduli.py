@@ -130,22 +130,24 @@ def test_exceptional_missing_columns():
         rigidity_report(2, find_record("E6^-26", E6_ROW))
 
 
+NEGATIVE_SPLIT = r"E6\^-14 record columns give a negative split \(\(0, \(22, 0\)\), \(1, \(18, -2\)\), "
+
+
 def test_exceptional_inconsistent_columns():
     record = find_record("E6^-14", E6_ROW)._replace(dim_V_cap_h=40)
-    with pytest.raises(MissingDataError, match="E6\\^-14 record columns are inconsistent: "
-                                               "a_1 = -2"):
+    with pytest.raises(MissingDataError, match=NEGATIVE_SPLIT):
         rigidity_report(2, record)
 
 
 def test_exceptional_inconsistent_columns_refused_at_load(tmp_path):
     """The same row read from a file is refused when it is loaded, before
-    any command reads it; a_1 is stated once, on the record."""
-    assert find_record("E6^-14", E6_ROW).a_1 == 8
+    any command reads it; the split is stated once, on the record."""
+    assert find_record("E6^-14", E6_ROW).splits()[1] == (1, (8, 8))
     row = {"realform": "E6^-14", "wdd": list(E6_ROW), "dim_V_cap_h": 40,
            "dim_c_cap_h": 22, "centralizer": "so(7)+so(2)", "source_row": "x"}
     path = tmp_path / "a1.jsonl"
     path.write_text(json.dumps(row) + "\n")
-    with pytest.raises(DatasetSchemaError, match=r"a1.jsonl:1: dim_V_cap_h = 40 gives a_1 = -2$"):
+    with pytest.raises(DatasetSchemaError, match=r"a1.jsonl:1: " + NEGATIVE_SPLIT):
         load_records(path)
 
 
@@ -172,9 +174,10 @@ def test_cayley_domain_exactly_on_odd_magical_forms():
 
 def test_the_split_decides_every_classical_verdict():
     """On every signed datum of the forms of size <= 12 (15,004): the gap
-    is 0 exactly on the EvenMagical data, 109 of them; and c cap m = 0
-    with V_w cap h = 0 at every even w >= 2 exactly on the magical data,
-    179 of them, each of the seven families' splits read off its rows."""
+    is 0 exactly on the EvenMagical data, 109 of them; c cap m = 0 with
+    V_w cap h = 0 at every even w >= 2 exactly on the magical data, 179
+    of them, each of the seven families' splits read off its rows; and
+    dim(V_w cap h) = dim(V_w cap m) at every odd w."""
     data, even, magical = 0, Counter(), 0
     for family in FAMILIES:
         for params in family_parameter_space(family, 12):
@@ -187,6 +190,7 @@ def test_the_split_decides_every_classical_verdict():
                     assert gap_zero == (verdict is Verdict.EVEN_MAGICAL), d
                     rule = all(m == 0 if w == 0 else h == 0 for w, (h, m) in splits if w % 2 == 0)
                     assert rule == verdict.is_magical, d
+                    assert all(h == m for w, (h, m) in splits if w % 2), d
                     data += 1
                     even[family] += gap_zero
                     magical += rule

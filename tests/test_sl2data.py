@@ -113,6 +113,15 @@ def test_grading_checks_every_weight_up_to_the_top():
         module_multiplicities(grading)
 
 
+def test_grading_needs_a_weight_2_summand():
+    """A nonzero triple spans a weight-2 summand, so a grading with a
+    nonzero weight and n_2 = 0 is refused: here sl2 graded by weights
+    -1, 0, 1, whose n_0 = n_1 = 1 sum to its dimension."""
+    grading = GradingDims(LieType.of("A", 1), ((-1, 1), (0, 1), (1, 1)))
+    with pytest.raises(InconsistentGradingError, match=r"^n_2 = 0, but e, h, f span"):
+        module_multiplicities(grading)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.sampled_from(["A", "B", "C", "D"]), st.data())
 def test_grading_weights_symmetric(letter, data):
